@@ -1,8 +1,9 @@
 """Reproducing kernels of full-plane weighted polynomial spaces.
 
-Exact oracles (partial exponential sums, Gram-matrix orthonormalization),
-boundary and exterior kernel asymptotics driven by conformal data, Gaussian
-belt densities for Berezin measures, and loop-equation residual checks.
+Exact oracles (partial exponential sums, the Hermite basis of the elliptic
+family, Gram-matrix orthonormalization), boundary and exterior kernel
+asymptotics driven by conformal data, Gaussian belt densities for Berezin
+measures, and loop-equation residual checks.
 """
 
 from .errors import (
@@ -115,6 +116,7 @@ from .ortho_oracle import (
     GramData,
     OrthonormalBasis,
     compute_moments,
+    elliptic_kernel_exact,
     kernel_oracle,
     orthonormalize,
     pointwise_bound_check,

@@ -36,7 +36,7 @@ from .expansion import exterior_kernel_expansion
 from .general_kernel import berezin_belt_density, kernel_asymptotic, sequence_cuts, tail_kernel
 from .ginibre_exact import ginibre_berezin, ginibre_kernel_exact
 from .hardy import harmonic_measure_density
-from .ortho_oracle import compute_moments, kernel_oracle, orthonormalize
+from .ortho_oracle import compute_moments, elliptic_kernel_exact, kernel_oracle, orthonormalize
 from .potential import make_elliptic_ginibre, make_ginibre, make_radial, RadialProfile
 from .szego_geometry import classify, trace_curve_K, trace_szego_curve
 from .ward import GinibreSource, OracleSource, berezin_cauchy_transform, loop_residual
@@ -167,14 +167,10 @@ def _load_basis(path: str, pot):
     from .ortho_oracle import OrthonormalBasis
 
     payload = json.loads(Path(path).read_text())
-    if payload.get("mode") == "extended":
-        raise ConfigError(
-            "extended-precision bases cannot round-trip through JSON; recompute in-process"
-        )
     coeffs = np.array([[complex(c) for c in row] for row in payload["coefficients"]])
     return OrthonormalBasis(
         n=payload["n"], max_degree=payload["degree"], coeffs=coeffs,
-        precision_mode="native", scale=payload["scale"], pot=pot,
+        scale=payload["scale"], pot=pot,
         gram_residual=payload["gram_residual"],
     )
 
@@ -191,11 +187,12 @@ def cmd_kernel(args):
         values["tail"] = tail_kernel(pot, n, z, w)
     if args.mode in ("oracle", "all"):
         if args.basis:
-            basis = _load_basis(args.basis, pot)
+            values["oracle"] = kernel_oracle(_load_basis(args.basis, pot), z, w)
+        elif args.potential == "elliptic":
+            values["oracle"] = elliptic_kernel_exact(pot, n, z, w)
         else:
-            mode = "extended" if args.precision == "extended" else "native"
-            basis = orthonormalize(compute_moments(pot, n, n - 1, mode=mode))
-        values["oracle"] = kernel_oracle(basis, z, w)
+            basis = orthonormalize(compute_moments(pot, n, n - 1))
+            values["oracle"] = kernel_oracle(basis, z, w)
     rows = []
     names = sorted(values)
     for name in names:
@@ -245,12 +242,11 @@ def cmd_droplet(args):
 
 def cmd_oracle(args):
     pot = _make_potential(args)
-    mode = "extended" if args.precision == "extended" else "native"
-    gram = compute_moments(pot, args.n, args.degree, mode=mode)
+    gram = compute_moments(pot, args.n, args.degree)
     basis = orthonormalize(gram)
     coeffs = [[str(c) for c in row] for row in np.asarray(basis.coeffs, dtype=object)]
     _emit_json(args, {
-        "n": args.n, "degree": args.degree, "mode": mode,
+        "n": args.n, "degree": args.degree,
         "cond_estimate": gram.cond_estimate,
         "gram_residual": basis.gram_residual,
         "scale": basis.scale,
@@ -411,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="all",
                    choices=["asymptotic", "tail", "oracle", "all"])
     p.add_argument("--eta", type=float, default=0.05)
-    p.add_argument("--precision", default="native", choices=["native", "extended"])
     p.add_argument("--basis", default=None,
                    help="JSON basis dump from the oracle subcommand")
     common(p)
@@ -434,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="orthonormal basis dump")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--precision", default="native", choices=["native", "extended"])
     common(p)
     p.set_defaults(func=cmd_oracle)
 

@@ -8,12 +8,10 @@ factor it (Cholesky), and read the orthonormal polynomial coefficients off
 the inverse triangular factor.  The kernel is then the plain basis sum with
 the weight e^{-n Q / 2} attached per argument.
 
-Monomial Gram matrices are exponentially ill-conditioned in the degree, so
-two precision modes exist.  Native mode uses float64 and refuses condition
-estimates above 1e12.  Extended mode reruns the whole pipeline (quadrature
-nodes included) in mpmath arbitrary precision; moment errors are amplified
-by roughly the condition number, so the quadrature itself must be carried
-at working precision, not merely the factorization.
+Monomial Gram matrices are exponentially ill-conditioned in the degree;
+the float64 pipeline refuses condition estimates above 1e12.  The elliptic
+ensemble has a closed-form basis (scaled Hermite polynomials), evaluated by
+elliptic_kernel_exact at any n without a Gram matrix.
 
 Moments are computed by polar quadrature about the droplet center: a
 composite Gauss radial rule out to R = r_outer + 12/sqrt(n) and a periodic
@@ -29,37 +27,32 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .errors import DomainError, PrecisionError, ResolutionError
-from .potential import AdmissiblePotential
-from .scaled_numerics import LogComplex, _norm_arg, quad_radial
+from .potential import AdmissiblePotential, EllipticGinibrePotential
+from .scaled_numerics import LC_ZERO, LogComplex, quad_radial
 
 _NATIVE_COND_LIMIT = 1e12
-_EXTENDED_COND_LIMIT = 1e60
 
 
 @dataclass(frozen=True)
 class GramData:
     n: int
     max_degree: int
-    moments: object            # ndarray (native) or list of mpf rows (extended)
+    moments: np.ndarray
     cond_estimate: float
-    mode: str                  # "native" | "extended"
     scale: float               # monomial scaling: basis is (z/scale)^k
     pot: AdmissiblePotential
     diagonal: bool
     parity: bool
-    dps: int = 0               # working precision of extended-mode data
 
 
 @dataclass(frozen=True)
 class OrthonormalBasis:
     n: int
     max_degree: int
-    coeffs: object             # row j = coefficients of P_j in scaled monomials
-    precision_mode: str
+    coeffs: np.ndarray         # row j = coefficients of P_j in scaled monomials
     scale: float
     pot: AdmissiblePotential
     gram_residual: float
@@ -78,8 +71,8 @@ def _radial_diag_moments(pot, n, max_degree, r_max):
     return diag
 
 
-def _angular_profile_native(pot, n, radii, m_theta, d_values):
-    """A_d(r) = int_0^{2pi} e^{i d theta} e^{-n Q(r e^{i theta})} dtheta, float64."""
+def _angular_profile(pot, n, radii, m_theta, d_values):
+    """A_d(r) = int_0^{2pi} e^{i d theta} e^{-n Q(r e^{i theta})} dtheta."""
     theta = 2.0 * math.pi * np.arange(m_theta) / m_theta
     wt = 2.0 * math.pi / m_theta
     zs = radii[:, None] * np.exp(1j * theta)[None, :]
@@ -90,11 +83,11 @@ def _angular_profile_native(pot, n, radii, m_theta, d_values):
     return out
 
 
-def compute_moments(pot: AdmissiblePotential, n: int, max_degree: int,
-                    mode: str = "native", dps: int = 50,
-                    radial_panels: int | None = None,
+def compute_moments(pot: AdmissiblePotential, n: int, max_degree: int, *,
                     m_theta: int | None = None) -> GramData:
     """Assemble the Hermitian moment matrix of the weighted monomials."""
+    if n < 1 or max_degree < 0:
+        raise DomainError("need n >= 1 and a nonnegative degree")
     if max_degree > n:
         raise DomainError("the space only contains degrees below n")
     r_max = pot.outer_radius(1.0) + 12.0 / math.sqrt(n)
@@ -104,7 +97,7 @@ def compute_moments(pot: AdmissiblePotential, n: int, max_degree: int,
             raise ResolutionError("nonpositive diagonal moment: quadrature too coarse")
         return GramData(
             n=n, max_degree=max_degree, moments=diag,
-            cond_estimate=1.0, mode="native", scale=1.0, pot=pot,
+            cond_estimate=1.0, scale=1.0, pot=pot,
             diagonal=True, parity=True,
         )
     if m_theta is None:
@@ -115,32 +108,20 @@ def compute_moments(pot: AdmissiblePotential, n: int, max_degree: int,
     else:
         scale = 1.0
     parity = pot.has_parity_symmetry
-    if mode == "native":
-        moments = _moments_polar_native(pot, n, max_degree, r_max, m_theta, scale, parity)
-        dm = np.sqrt(np.abs(np.diagonal(moments)))
-        corr = moments / np.outer(dm, dm)
-        cond = float(np.linalg.cond(corr))
-        return GramData(n=n, max_degree=max_degree, moments=moments,
-                        cond_estimate=cond, mode="native", scale=scale, pot=pot,
-                        diagonal=False, parity=parity)
-    if mode == "extended":
-        moments = _moments_polar_extended(pot, n, max_degree, r_max, m_theta, scale,
-                                          parity, dps)
-        fl = np.array([[float(x) for x in row] for row in moments])
-        dm = np.sqrt(np.abs(np.diagonal(fl)))
-        corr = fl / np.outer(dm, dm)
-        cond = float(np.linalg.cond(corr))
-        return GramData(n=n, max_degree=max_degree, moments=moments,
-                        cond_estimate=cond, mode="extended", scale=scale, pot=pot,
-                        diagonal=False, parity=parity, dps=dps)
-    raise DomainError(f"unknown precision mode {mode!r}")
+    moments = _moments_polar(pot, n, max_degree, r_max, m_theta, scale, parity)
+    dm = np.sqrt(np.abs(np.diagonal(moments)))
+    corr = moments / np.outer(dm, dm)
+    cond = float(np.linalg.cond(corr))
+    return GramData(n=n, max_degree=max_degree, moments=moments,
+                    cond_estimate=cond, scale=scale, pot=pot,
+                    diagonal=False, parity=parity)
 
 
-def _moments_polar_native(pot, n, max_degree, r_max, m_theta, scale, parity):
+def _moments_polar(pot, n, max_degree, r_max, m_theta, scale, parity):
     rule = quad_radial(r_max, feature_scale=1.0 / math.sqrt(max(n, 4)), m_per_panel=24)
     radii = rule.nodes
     d_values = range(0, max_degree + 1) if not parity else range(0, max_degree + 1, 2)
-    prof = _angular_profile_native(pot, n, radii, m_theta, d_values)
+    prof = _angular_profile(pot, n, radii, m_theta, d_values)
     rho_hat = radii / scale
     d = max_degree + 1
     mom = np.zeros((d, d), dtype=complex)
@@ -156,103 +137,12 @@ def _moments_polar_native(pot, n, max_degree, r_max, m_theta, scale, parity):
     return mom
 
 
-def _gauss_nodes_mp(m: int):
-    """Gauss-Legendre nodes/weights on [-1, 1] at working precision."""
-    nodes = []
-    weights = []
-    for i in range(1, m + 1):
-        x = mp.mpf(math.cos(math.pi * (i - 0.25) / (m + 0.5)))
-        for _ in range(60):
-            p0, p1 = mp.mpf(1), x
-            for k in range(2, m + 1):
-                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-            dp = m * (x * p1 - p0) / (x * x - 1)
-            dx = p1 / dp
-            x -= dx
-            if abs(dx) < mp.mpf(10) ** (-mp.mp.dps + 2):
-                break
-        p0, p1 = mp.mpf(1), x
-        for k in range(2, m + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        dp = m * (x * p1 - p0) / (x * x - 1)
-        nodes.append(x)
-        weights.append(2 / ((1 - x * x) * dp * dp))
-    return nodes, weights
-
-
-def _moments_polar_extended(pot, n, max_degree, r_max, m_theta, scale, parity, dps):
-    """Moment matrix at working precision dps (quadrature nodes included)."""
-    with mp.workdps(dps):
-        m_per = 30
-        panel = min(0.12, 1.2 / math.sqrt(n * max(pot.laplacian(0j), 0.5)))
-        n_panels = max(4, int(math.ceil(r_max / panel)))
-        base_x, base_w = _gauss_nodes_mp(m_per)
-        edges = [mp.mpf(r_max) * i / n_panels for i in range(n_panels + 1)]
-        radii = []
-        rweights = []
-        for a, b in zip(edges[:-1], edges[1:]):
-            half = (b - a) / 2
-            mid = (b + a) / 2
-            for x, w in zip(base_x, base_w):
-                radii.append(mid + half * x)
-                rweights.append(half * w)
-        two_pi = 2 * mp.pi
-        wt = two_pi / m_theta
-        theta = [two_pi * k / m_theta for k in range(m_theta)]
-        d_step = 2 if parity else 1
-        d_values = list(range(0, max_degree + 1, d_step))
-        cos_tab = {dd: [mp.cos(dd * t) for t in theta] for dd in d_values}
-        # A_d(r): real for the reflection-symmetric built-ins (Q(z~) = Q(z))
-        prof = {dd: [] for dd in d_values}
-        for r in radii:
-            wvals = _weight_row_mp(pot, n, r, theta)
-            for dd in d_values:
-                ct = cos_tab[dd]
-                acc = mp.mpf(0)
-                for ww, cc in zip(wvals, ct):
-                    acc += ww * cc
-                prof[dd].append(wt * acc)
-        scale_mp = mp.mpf(scale)
-        d = max_degree + 1
-        mom = [[mp.mpf(0)] * d for _ in range(d)]
-        log_rho = [mp.log(r / scale_mp) for r in radii]
-        pi_mp = +mp.pi
-        for j in range(d):
-            for k in range(j + 1):
-                if parity and (j - k) % 2 == 1:
-                    continue
-                dd = j - k
-                acc = mp.mpf(0)
-                pr = prof[dd]
-                for idx, r in enumerate(radii):
-                    acc += rweights[idx] * mp.e ** ((j + k) * log_rho[idx]) * r * pr[idx]
-                mom[j][k] = acc / pi_mp
-                mom[k][j] = acc / pi_mp
-        return mom
-
-
-def _weight_row_mp(pot, n, r, theta):
-    """e^{-n Q} along a circle of radius r, evaluated at working precision."""
-    if hasattr(pot, "a") and hasattr(pot, "b"):
-        a = mp.mpf(pot.a)
-        b = mp.mpf(pot.b)
-        out = []
-        for t in theta:
-            u = r * mp.cos(t)
-            v = r * mp.sin(t)
-            out.append(mp.e ** (-n * (a * u * u + b * v * v)))
-        return out
-    return [mp.e ** (-n * mp.mpf(float(pot.Q(complex(float(r * mp.cos(t)),
-                                                     float(r * mp.sin(t)))))))
-            for t in theta]
-
-
 # ---------------------------------------------------------------------------
 # Orthonormalization
 # ---------------------------------------------------------------------------
 
 
-def _cholesky_inverse_native(mom: np.ndarray) -> np.ndarray:
+def _cholesky_inverse(mom: np.ndarray) -> np.ndarray:
     try:
         L = np.linalg.cholesky(mom)
     except np.linalg.LinAlgError as exc:
@@ -271,104 +161,29 @@ def _cholesky_inverse_native(mom: np.ndarray) -> np.ndarray:
     return C  # C = L^{-1}, lower triangular with positive diagonal
 
 
-def _cholesky_inverse_mp(mom):
-    d = len(mom)
-    L = [[mp.mpf(0)] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i + 1):
-            s = mom[i][j]
-            for k in range(j):
-                s -= L[i][k] * L[j][k]
-            if i == j:
-                if s <= 0:
-                    raise PrecisionError("extended Gram factorization lost positivity")
-                L[i][i] = mp.sqrt(s)
-            else:
-                L[i][j] = s / L[j][j]
-    C = [[mp.mpf(0)] * d for _ in range(d)]
-    for j in range(d):
-        C[j][j] = 1 / L[j][j]
-        for i in range(j + 1, d):
-            s = mp.mpf(0)
-            for k in range(j, i):
-                s -= L[i][k] * C[k][j]
-            C[i][j] = s / L[i][i]
-    return C
-
-
 def orthonormalize(gram: GramData) -> OrthonormalBasis:
     """Triangular factorization of the moments; rows are P_j coefficients."""
-    limit = _NATIVE_COND_LIMIT if gram.mode == "native" else _EXTENDED_COND_LIMIT
-    if gram.cond_estimate > limit:
+    if gram.cond_estimate > _NATIVE_COND_LIMIT:
         raise PrecisionError(
-            f"Gram condition {gram.cond_estimate:.2e} exceeds the {gram.mode} budget; "
-            "use extended precision or lower the degree"
+            f"Gram condition {gram.cond_estimate:.2e} exceeds the float64 budget; "
+            "lower the degree"
         )
+    mom = np.asarray(gram.moments)
     if gram.diagonal:
-        diag = np.asarray(gram.moments)
-        C = np.diag(1.0 / np.sqrt(diag))
-        resid = float(np.max(np.abs(C @ np.diag(diag) @ C.conj().T - np.eye(len(diag)))))
-        return OrthonormalBasis(n=gram.n, max_degree=gram.max_degree, coeffs=C,
-                                precision_mode="native", scale=gram.scale, pot=gram.pot,
-                                gram_residual=resid)
-    if gram.mode == "native":
-        mom = np.asarray(gram.moments)
-        C = _permuted_block_cholesky_native(mom, gram.parity)
-        resid = float(np.max(np.abs(C @ mom @ C.conj().T - np.eye(mom.shape[0]))))
-        return OrthonormalBasis(n=gram.n, max_degree=gram.max_degree, coeffs=C,
-                                precision_mode="native", scale=gram.scale, pot=gram.pot,
-                                gram_residual=resid)
-    # extended: factor and validate at the precision the moments carry
-    with mp.workdps(max(gram.dps, 30)):
-        d = gram.max_degree + 1
-        C = [[mp.mpf(0)] * d for _ in range(d)]
-        if gram.parity:
-            for par in (0, 1):
-                idx = [j for j in range(d) if j % 2 == par]
-                sub = [[gram.moments[i][j] for j in idx] for i in idx]
-                Csub = _cholesky_inverse_mp(sub)
-                for a, ja in enumerate(idx):
-                    for b, jb in enumerate(idx):
-                        C[ja][jb] = Csub[a][b]
-        else:
-            C = _cholesky_inverse_mp(gram.moments)
-        resid = _gram_residual_mp(C, gram.moments)
-    return OrthonormalBasis(n=gram.n, max_degree=gram.max_degree, coeffs=C,
-                            precision_mode="extended", scale=gram.scale, pot=gram.pot,
-                            gram_residual=resid)
-
-
-def _permuted_block_cholesky_native(mom: np.ndarray, parity: bool) -> np.ndarray:
-    d = mom.shape[0]
-    C = np.zeros((d, d), dtype=complex)
-    if parity:
+        C = np.diag(1.0 / np.sqrt(mom))
+        mom = np.diag(mom)
+    elif gram.parity:
+        # odd and even degrees are orthogonal blocks; the odd one is empty at degree 0
+        C = np.zeros(mom.shape, dtype=complex)
         for par in (0, 1):
-            idx = np.array([j for j in range(d) if j % 2 == par])
-            sub = mom[np.ix_(idx, idx)]
-            Csub = _cholesky_inverse_native(sub)
-            C[np.ix_(idx, idx)] = Csub
+            idx = np.arange(par, mom.shape[0], 2)
+            if idx.size:
+                C[np.ix_(idx, idx)] = _cholesky_inverse(mom[np.ix_(idx, idx)])
     else:
-        C = _cholesky_inverse_native(mom)
-    return C
-
-
-def _gram_residual_mp(C, mom) -> float:
-    d = len(mom)
-    worst = mp.mpf(0)
-    for i in range(d):
-        for j in range(i + 1):
-            s = mp.mpf(0)
-            for a in range(d):
-                if C[i][a] == 0:
-                    continue
-                inner = mp.mpf(0)
-                for b in range(d):
-                    if C[j][b] != 0:
-                        inner += mom[a][b] * C[j][b]
-                s += C[i][a] * inner
-            target = 1 if i == j else 0
-            worst = max(worst, abs(s - target))
-    return float(worst)
+        C = _cholesky_inverse(mom)
+    resid = float(np.max(np.abs(C @ mom @ C.conj().T - np.eye(mom.shape[0]))))
+    return OrthonormalBasis(n=gram.n, max_degree=gram.max_degree, coeffs=C,
+                            scale=gram.scale, pot=gram.pot, gram_residual=resid)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +191,7 @@ def _gram_residual_mp(C, mom) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _poly_values_native(basis: OrthonormalBasis, z: complex) -> np.ndarray:
+def _poly_values(basis: OrthonormalBasis, z: complex) -> np.ndarray:
     zh = complex(z) / basis.scale
     d = basis.max_degree + 1
     powers = np.empty(d, dtype=complex)
@@ -390,46 +205,86 @@ def kernel_oracle(basis: OrthonormalBasis, z: complex, w: complex) -> LogComplex
     """Exact kernel K_n(z, w) = sum_j W_j(z) conj(W_j(w)) in log-polar form."""
     z = complex(z)
     w = complex(w)
-    n = basis.n
-    pot = basis.pot
-    half_weights = -0.5 * n * (float(pot.Q(z)) + float(pot.Q(w)))
-    if basis.precision_mode == "native":
-        pz = _poly_values_native(basis, z)
-        pw = _poly_values_native(basis, w)
-        s = complex(np.sum(pz * np.conj(pw)))
-        if s == 0:
-            from .scaled_numerics import LC_ZERO
-            return LC_ZERO
-        return LogComplex(math.log(abs(s)) + half_weights, cmath.phase(s))
-    with mp.workdps(50):
-        zh = mp.mpc(z) / basis.scale
-        wh = mp.mpc(w) / basis.scale
-        d = basis.max_degree + 1
-        pz = _poly_values_mp(basis.coeffs, zh, d)
-        pw = _poly_values_mp(basis.coeffs, wh, d)
-        s = mp.mpc(0)
-        for a, b in zip(pz, pw):
-            s += a * mp.conj(b)
-        if s == 0:
-            from .scaled_numerics import LC_ZERO
-            return LC_ZERO
-        return LogComplex(float(mp.log(abs(s))) + half_weights,
-                          _norm_arg(float(mp.arg(s))))
+    half_weights = -0.5 * basis.n * (float(basis.pot.Q(z)) + float(basis.pot.Q(w)))
+    s = complex(np.sum(_poly_values(basis, z) * np.conj(_poly_values(basis, w))))
+    if s == 0:
+        return LC_ZERO
+    return LogComplex(math.log(abs(s)) + half_weights, cmath.phase(s))
 
 
-def _poly_values_mp(C, zh, d):
-    powers = [mp.mpc(1)]
-    for _ in range(1, d):
-        powers.append(powers[-1] * zh)
-    out = []
-    for j in range(d):
-        acc = mp.mpc(0)
-        row = C[j]
-        for k in range(j + 1):
-            if row[k] != 0:
-                acc += row[k] * powers[k]
-        out.append(acc)
-    return out
+def elliptic_kernel_exact(pot: EllipticGinibrePotential, n: int, z: complex,
+                          w: complex) -> LogComplex:
+    """Exact kernel of Q = a u^2 + b v^2 from its scaled Hermite basis.
+
+    With alpha = Lap Q, tau = -beta/alpha and s^2 = 1/(n alpha (1 - tau^2)),
+    the orthonormal polynomials (measure dA/pi) obey the three-term
+    recurrence
+
+        p_0 = (s^2 sqrt(1 - tau^2))^{-1/2},
+        sqrt(k+1) p_{k+1}(z) = (z/s) p_k(z) - tau sqrt(k) p_{k-1}(z),
+
+    and K_n(z, w) = e^{-n(Q(z)+Q(w))/2} sum_{k<n} p_k(z) conj(p_k(w)).  The
+    two running pairs are rescaled when they leave [1e-100, 1e100]; partial
+    sums between rescales are folded into a log-scaled total.  Off the
+    diagonal in the bulk the sum cancels; below a cancellation ratio
+    |sum| / sum |p_k(z) p_k(w)| of 1e-6 a PrecisionError is raised.
+    """
+    if not isinstance(pot, EllipticGinibrePotential):
+        raise DomainError("the Hermite route needs an elliptic Ginibre potential")
+    if n < 1:
+        raise DomainError("particle count n must be >= 1")
+    z = complex(z)
+    w = complex(w)
+    if not (cmath.isfinite(z) and cmath.isfinite(w)):
+        raise DomainError("kernel arguments must be finite")
+    try:
+        log_weight = -0.5 * n * (pot.Q(z) + pot.Q(w))
+    except OverflowError as exc:
+        raise DomainError("kernel arguments overflow the float64 weight") from exc
+    tau = -pot.beta / pot.alpha
+    s = 1.0 / math.sqrt(n * pot.alpha * (1.0 - tau * tau))
+    zs, ws = z / s, w / s
+    log_p0 = -0.5 * math.log(s * s * math.sqrt(1.0 - tau * tau))
+    # running pairs (previous, current) in units e^{lz}, e^{lw}
+    zp, zc, lz = 0j, 1 + 0j, log_p0
+    wp, wc, lw = 0j, 1 + 0j, log_p0
+    chunk, chunk_abs = 0j, 0.0      # partial sums in units e^{lz + lw}
+    total, total_abs, log_total = 0j, 0.0, -math.inf
+
+    def fold():
+        nonlocal total, total_abs, log_total, chunk, chunk_abs
+        if chunk_abs > 0.0:
+            lc = lz + lw + math.log(chunk_abs)
+            if lc > log_total:
+                shrink = math.exp(log_total - lc)
+                total, total_abs, log_total = total * shrink, total_abs * shrink, lc
+            grow = math.exp(lc - log_total)
+            total += chunk / chunk_abs * grow
+            total_abs += grow
+        chunk, chunk_abs = 0j, 0.0
+
+    for k in range(n):
+        t = zc * wc.conjugate()
+        chunk += t
+        chunk_abs += abs(t)
+        if k == n - 1:
+            break
+        root_k, root_k1 = math.sqrt(k), math.sqrt(k + 1)
+        zp, zc = zc, (zs * zc - tau * root_k * zp) / root_k1
+        wp, wc = wc, (ws * wc - tau * root_k * wp) / root_k1
+        mz = max(abs(zc), abs(zp))
+        mw = max(abs(wc), abs(wp))
+        if not (1e-100 < mz < 1e100 and 1e-100 < mw < 1e100):
+            fold()
+            zp, zc, lz = zp / mz, zc / mz, lz + math.log(mz)
+            wp, wc, lw = wp / mw, wc / mw, lw + math.log(mw)
+    fold()
+    if abs(total) < 1e-6 * total_abs:
+        raise PrecisionError(
+            f"Hermite kernel sum cancels to {abs(total) / total_abs:.1e} of its "
+            "term mass; off-diagonal bulk values are beyond float64"
+        )
+    return LogComplex(log_total + math.log(abs(total)) + log_weight, cmath.phase(total))
 
 
 def kernel_oracle_diag(basis: OrthonormalBasis, z: complex) -> float:

@@ -69,10 +69,6 @@ class HarmonicExtension:
         self.c0 = c0
         self.cneg = cneg  # cneg[k-1] = c_{-k}
 
-    @property
-    def value_at_infinity(self) -> complex:
-        return complex(self.c0)
-
     def __call__(self, z: complex) -> complex:
         w_inv = 1.0 / self.pot.phi(z, self.tau)
         acc = 0j
@@ -206,7 +202,9 @@ class AdmissiblePotential:
         return bp, ell, theta
 
     def _project_theta(self, w: complex, tau: float) -> float:
-        theta = math.atan2(w.imag, w.real)
+        # start from the conformal angle: atan2(w) sends Newton to the wrong
+        # critical point near the flat sides of an eccentric droplet
+        theta = cmath.phase(self.phi(w, tau))
         # Newton on d/dtheta |chi(e^{i theta}) - w|^2 = 0 with a small
         # grid fallback when the initial guess is poor
         for attempt in range(2):

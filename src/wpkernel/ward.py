@@ -50,18 +50,13 @@ class GinibreSource:
     def laplacian_Q(self, z: complex) -> float:
         return 1.0
 
-    def boundary_dist(self, z: complex) -> float:
-        return abs(abs(z) - 1.0)
-
 
 class OracleSource:
-    """Berezin source built from a native-mode orthonormal basis."""
+    """Berezin source built from an orthonormal basis."""
 
     name = "oracle"
 
     def __init__(self, basis, pot: AdmissiblePotential):
-        if basis.precision_mode != "native":
-            raise DomainError("grid evaluation requires a native-precision basis")
         self.basis = basis
         self.pot = pot
         self.n = basis.n
@@ -99,10 +94,6 @@ class OracleSource:
 
     def laplacian_Q(self, z: complex) -> float:
         return self.pot.laplacian(z)
-
-    def boundary_dist(self, z: complex) -> float:
-        _, ell, _ = self.pot.project(complex(z), 1.0)
-        return abs(ell)
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,28 @@ def test_kernel_modes(tmp_path):
         assert abs(float(line.split(",")[1]) - 1.0) < 0.25
 
 
+def test_elliptic_oracle_uses_hermite_route(tmp_path):
+    # n = 60 is past the float64 Gram budget; the elliptic oracle needs no Gram matrix
+    out = tmp_path / "kernel.csv"
+    assert run(["kernel", "--potential", "elliptic", "--n", "60", "--z", "1.6,0",
+                "--w", "1.3,0.35", "--mode", "all", "--out", str(out)]) == 0
+    rows = {line.split(",")[0]: line.split(",") for line in out.read_text().splitlines()[2:]}
+    assert abs(float(rows["ratio:oracle/tail"][1]) - 1.0) < 0.35
+    # off-diagonal bulk values cancel beyond float64: precision exit code
+    assert run(["kernel", "--potential", "elliptic", "--n", "1000", "--z", "0.3,0.1",
+                "--w", "0,-0.3", "--mode", "oracle", "--out", str(out)]) == 4
+
+
+@pytest.mark.parametrize("command", [
+    ["kernel", "--n", "12", "--z", "1.3,0", "--w", "1.2,0"],
+    ["oracle", "--n", "12", "--degree", "11"],
+])
+def test_precision_flag_is_gone(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(command + ["--precision", "native"])
+    assert exc.value.code == 2
+
+
 def test_droplet_and_figures(tmp_path):
     out = tmp_path / "droplet.csv"
     assert run(["droplet", "--potential", "elliptic", "--a", "1", "--b", "3",

@@ -11,6 +11,7 @@ from wpkernel import (
     berezin_belt_density,
     boundary_correlation_modulus,
     cocycle,
+    elliptic_kernel_exact,
     exterior_kernel_expansion,
     f_factor,
     ginibre_kernel_exact,
@@ -266,17 +267,25 @@ def test_tail_matches_geometric_sum_prediction(gin):
 
 
 def test_tail_vs_oracle_elliptic(ell):
-    from wpkernel import compute_moments, kernel_oracle, orthonormalize
-
     z, w = 1.6, 1.3 + 0.35j
     devs = []
     for n in (20, 40):
-        basis = orthonormalize(compute_moments(ell, n, n - 1, mode="extended", dps=50))
-        oracle = kernel_oracle(basis, z, w)
+        oracle = elliptic_kernel_exact(ell, n, z, w)
         tail = tail_kernel(ell, n, z, w)
         devs.append(rel_lc(tail, oracle))
     assert devs[1] < devs[0]
     assert devs[1] < 0.35
+
+
+def test_boundary_law_large_n(ell):
+    # criterion 8's pair at scales beyond any Gram oracle: the relative
+    # error of the boundary asymptotics keeps falling (~0.5/n)
+    p1 = ell.boundary_point(0.3, 1.0).p
+    p2 = ell.boundary_point(2.0, 1.0).p
+    errs = [rel_lc(kernel_asymptotic(ell, n, p1, p2).value, elliptic_kernel_exact(ell, n, p1, p2))
+            for n in (250, 1000, 4000)]
+    assert errs[0] > errs[1] > errs[2]
+    assert errs[2] < 1e-3
 
 
 def test_f_factor_invariants(gin, ell):

@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wpkernel import (
+    DomainError,
     PrecisionError,
     compute_moments,
+    elliptic_kernel_exact,
     ginibre_kernel_exact,
     kernel_oracle,
     make_elliptic_ginibre,
@@ -111,15 +115,66 @@ def test_native_refuses_ill_conditioned(ell):
         orthonormalize(gram)
 
 
-def test_extended_small_cross_check(ell):
-    # extended pipeline agrees with native where both are trustworthy
-    native = orthonormalize(compute_moments(ell, 16, 12))
-    extended = orthonormalize(compute_moments(ell, 16, 12, mode="extended", dps=40))
-    z, w = 1.5, 1.1 + 0.4j
-    a = kernel_oracle(native, z, w)
-    b = kernel_oracle(extended, z, w)
-    assert rel_lc(a, b) < 1e-7
-    assert extended.gram_residual < 1e-20
+_ELL = make_elliptic_ginibre(1.0, 3.0)
+# criterion 8's boundary pair and the tail test's exterior pair
+ELL_PAIRS = [(_ELL.boundary_point(0.3).p, _ELL.boundary_point(2.0).p), (1.6, 1.3 + 0.35j)]
+
+
+@pytest.mark.parametrize("n, tol", [(20, 1e-9), (40, 1e-4)])
+def test_hermite_matches_native_gram(ell, n, tol):
+    # the Gram route degrades with its condition number (~1e11 at n = 40)
+    basis = orthonormalize(compute_moments(ell, n, n - 1))
+    for z, w in ELL_PAIRS:
+        assert rel_lc(elliptic_kernel_exact(ell, n, z, w), kernel_oracle(basis, z, w)) < tol
+
+
+@pytest.mark.parametrize("n", [10, 100, 1000])
+def test_hermite_reduces_to_ginibre(n):
+    # a = b = 1 is Q = |z|^2, whose kernel has the independent partial-sum route
+    disc = make_elliptic_ginibre(1.0, 1.0)
+    pairs = [(1.5, 1.2 + 0.7j), (2 + 1j, -1.3 + 0.4j), (1.0, cmath.exp(1j)),
+             (cmath.exp(0.3j), cmath.exp(2j)), (1.0, 1.0)]
+    for z, w in pairs:
+        exact = ginibre_kernel_exact(n, z, w).value
+        assert rel_lc(elliptic_kernel_exact(disc, n, z, w), exact) < 1e-10
+
+
+def test_hermite_refuses_bulk_cancellation(ell):
+    # off the diagonal in the bulk the basis sum cancels to ~1e-17 of its terms
+    with pytest.raises(PrecisionError):
+        elliptic_kernel_exact(ell, 1000, 0.3 + 0.1j, -0.3j)
+    # the diagonal never cancels
+    assert math.isfinite(elliptic_kernel_exact(ell, 1000, 0.3 + 0.1j, 0.3 + 0.1j).log_mag)
+
+
+def _exterior_point(ell, theta, ell_out):
+    bp = ell.boundary_point(theta)
+    return bp.p + ell_out * bp.normal
+
+
+exterior_pairs = st.tuples(
+    st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 1.0),
+    st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 1.0),
+    st.sampled_from([5, 20, 80, 300]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(exterior_pairs)
+def test_hermite_symmetries(ell, args):
+    t1, d1, t2, d2, n = args
+    z, w = _exterior_point(ell, t1, d1), _exterior_point(ell, t2, d2)
+    try:
+        k = elliptic_kernel_exact(ell, n, z, w)
+    except PrecisionError:
+        assume(False)
+    tol = 1e-11
+    # Hermitian
+    assert rel_lc(elliptic_kernel_exact(ell, n, w, z), k.conj()) < tol
+    # real coefficients: K(conj z, conj w) = conj K(z, w)
+    assert rel_lc(elliptic_kernel_exact(ell, n, z.conjugate(), w.conjugate()), k.conj()) < tol
+    # parity of Q: K(-z, -w) = K(z, w)
+    assert rel_lc(elliptic_kernel_exact(ell, n, -z, -w), k) < tol
 
 
 def test_quadrature_refinement_stability(gin):
@@ -148,7 +203,30 @@ def test_pointwise_bound_report():
 
 
 def test_degree_cannot_exceed_n(gin):
-    from wpkernel.errors import DomainError
-
     with pytest.raises(DomainError):
         compute_moments(gin, 10, 11)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: compute_moments(_ELL, 0, 0),
+    lambda: compute_moments(make_ginibre(), 0, 0),
+    lambda: compute_moments(_ELL, 5, -1),
+    lambda: elliptic_kernel_exact(_ELL, 0, 1.5, 1.5),
+    lambda: elliptic_kernel_exact(_ELL, 10, complex(math.nan, 0.0), 1.5),
+    lambda: elliptic_kernel_exact(_ELL, 10, 1.5, complex(0.0, math.inf)),
+    lambda: elliptic_kernel_exact(_ELL, 10, 1e200, 1.5),
+    lambda: elliptic_kernel_exact(make_ginibre(), 10, 1.5, 1.5),
+], ids=["moments-n0", "moments-radial-n0", "moments-negative-degree", "hermite-n0",
+        "hermite-nan", "hermite-inf", "hermite-overflow", "hermite-not-elliptic"])
+def test_bad_input_raises_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_degree_zero_elliptic_basis(ell):
+    # the odd-parity block is empty at degree 0; the default angular rule is
+    # coarsest there (5e-5 off the closed form |P_0|^2 = sqrt(ab))
+    basis = orthonormalize(compute_moments(ell, 1, 0))
+    assert np.asarray(basis.coeffs).shape == (1, 1)
+    assert basis.gram_residual < 1e-12
+    assert rel_lc(kernel_oracle(basis, 1.5, 0.5j), elliptic_kernel_exact(ell, 1, 1.5, 0.5j)) < 1e-4

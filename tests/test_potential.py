@@ -238,3 +238,22 @@ def test_radial_no_root_configuration_error():
                             d2q=lambda r: 2e-8, name="too-flat")
     with pytest.raises(DomainError):
         make_radial(bounded)
+
+
+def test_elliptic_projection_finds_nearest_boundary_point(ell):
+    # Newton from atan2(w) used to reach the wrong critical point on the flat
+    # sides of the ellipse: boundary points that round to just inside got a
+    # distance of O(1), and so did some interior points
+    rng = np.random.default_rng(3)
+    on_boundary = [ell.boundary_point(t).p for t in rng.uniform(0.0, 2.0 * math.pi, 4000)]
+    assert max(ell.dist_to_exterior(p) for p in on_boundary) < 1e-9
+    p, q = ell.semi_axes(1.0)
+    r = np.sqrt(rng.uniform(0.0, 1.0, 400))
+    t = rng.uniform(0.0, 2.0 * math.pi, 400)
+    inside = p * r * np.cos(t) + 1j * q * r * np.sin(t)
+    _, _, dense, _ = ell.boundary_grid(20000)
+    brute = np.min(np.abs(dense[None, :] - inside[:, None]), axis=1)
+    dist = np.array([ell.dist_to_exterior(z) for z in inside])
+    # the projection may only beat the sampled boundary, by less than its spacing
+    assert np.all(dist <= brute + 1e-12)
+    assert np.all(brute - dist < 5e-4)
