@@ -101,7 +101,7 @@ def compute_moments(pot: AdmissiblePotential, n: int, max_degree: int, *,
             diagonal=True, parity=True,
         )
     if m_theta is None:
-        m_theta = 4 * max_degree + 16
+        m_theta = max(4 * max_degree + 16, 64)
     if hasattr(pot, "semi_axes"):
         p_ax, q_ax = pot.semi_axes(1.0)
         scale = math.sqrt(p_ax * q_ax)  # geometric-mean monomial scaling
@@ -237,10 +237,7 @@ def elliptic_kernel_exact(pot: EllipticGinibrePotential, n: int, z: complex,
     w = complex(w)
     if not (cmath.isfinite(z) and cmath.isfinite(w)):
         raise DomainError("kernel arguments must be finite")
-    try:
-        log_weight = -0.5 * n * (pot.Q(z) + pot.Q(w))
-    except OverflowError as exc:
-        raise DomainError("kernel arguments overflow the float64 weight") from exc
+    log_weight = -0.5 * n * (pot.Q(z) + pot.Q(w))
     tau = -pot.beta / pot.alpha
     s = 1.0 / math.sqrt(n * pot.alpha * (1.0 - tau * tau))
     zs, ws = z / s, w / s

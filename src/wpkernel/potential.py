@@ -414,7 +414,10 @@ class EllipticGinibrePotential(AdmissiblePotential):
         if isinstance(z, np.ndarray):
             return self.a * z.real ** 2 + self.b * z.imag ** 2
         z = complex(z)
-        return self.a * z.real ** 2 + self.b * z.imag ** 2
+        try:
+            return self.a * z.real ** 2 + self.b * z.imag ** 2
+        except OverflowError as exc:
+            raise DomainError(f"Q overflows float64 at z = {z}") from exc
 
     def laplacian(self, z) -> float:
         return self.alpha
@@ -490,7 +493,7 @@ class EllipticGinibrePotential(AdmissiblePotential):
     def dist_to_exterior(self, z):
         z = complex(z)
         p, q = self.semi_axes(1.0)
-        if (z.real / p) ** 2 + (z.imag / q) ** 2 >= 1.0:
+        if math.hypot(z.real / p, z.imag / q) >= 1.0:
             return 0.0
         _, ell, _ = self.project(z, 1.0)
         return abs(ell)

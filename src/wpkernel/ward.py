@@ -220,12 +220,18 @@ def _sector_piece(source, z: complex, s_a, s_b, phi_a, phi_b, fine):
         if t1 - t0 < 1e-13:
             continue
         t_nodes, t_w = _gauss_on_angles(t0, t1, max_panel=(t1 - t0) / 3 + 1e-9, m=16)
-        for th, tw in zip(t_nodes, t_w):
+        rays = []
+        for th in t_nodes:
             r_exit = exit_radius(th)
             n_pan = max(1, int(math.ceil(r_exit / fine)))
-            r_nodes, r_w = _radial_panels(np.linspace(0.0, r_exit, n_pan + 1), m=12)
-            ws = z + r_nodes * cmath.exp(1j * th)
-            b_vals = source.berezin_grid(z, ws)
+            rays.append(_radial_panels(np.linspace(0.0, r_exit, n_pan + 1), m=12))
+        # one grid for every ray of the piece, sliced back per ray
+        b_all = source.berezin_grid(z, np.concatenate(
+            [z + r_nodes * cmath.exp(1j * th) for th, (r_nodes, _) in zip(t_nodes, rays)]))
+        lo = 0
+        for th, tw, (r_nodes, r_w) in zip(t_nodes, t_w, rays):
+            b_vals = b_all[lo:lo + r_nodes.size]
+            lo += r_nodes.size
             integral += -tw * cmath.exp(-1j * th) * complex(np.sum(r_w * b_vals)) / math.pi
             mass += tw * float(np.sum(r_w * b_vals * r_nodes)) / math.pi
     return integral, mass

@@ -12,11 +12,13 @@ from wpkernel import (
     compute_moments,
     elliptic_kernel_exact,
     ginibre_kernel_exact,
+    kernel_asymptotic,
     kernel_oracle,
     make_elliptic_ginibre,
     make_ginibre,
     orthonormalize,
     pointwise_bound_check,
+    tail_kernel,
 )
 from wpkernel.ortho_oracle import kernel_oracle_diag
 from wpkernel.scaled_numerics import quad_radial, quad_trapezoid_periodic
@@ -216,17 +218,21 @@ def test_degree_cannot_exceed_n(gin):
     lambda: elliptic_kernel_exact(_ELL, 10, 1.5, complex(0.0, math.inf)),
     lambda: elliptic_kernel_exact(_ELL, 10, 1e200, 1.5),
     lambda: elliptic_kernel_exact(make_ginibre(), 10, 1.5, 1.5),
+    lambda: kernel_asymptotic(_ELL, 40, 1e200, 1.5),
+    lambda: tail_kernel(_ELL, 40, 1.5, 1e200j),
+    lambda: kernel_oracle(orthonormalize(compute_moments(_ELL, 10, 9)), 1e200, 1.5),
 ], ids=["moments-n0", "moments-radial-n0", "moments-negative-degree", "hermite-n0",
-        "hermite-nan", "hermite-inf", "hermite-overflow", "hermite-not-elliptic"])
+        "hermite-nan", "hermite-inf", "hermite-overflow", "hermite-not-elliptic",
+        "asymptotic-overflow", "tail-overflow", "oracle-overflow"])
 def test_bad_input_raises_domain_error(call):
     with pytest.raises(DomainError):
         call()
 
 
 def test_degree_zero_elliptic_basis(ell):
-    # the odd-parity block is empty at degree 0; the default angular rule is
-    # coarsest there (5e-5 off the closed form |P_0|^2 = sqrt(ab))
+    # the odd-parity block is empty at degree 0; the default angular rule has
+    # at least 64 nodes, which the eccentric weight of (1, 3) needs there
     basis = orthonormalize(compute_moments(ell, 1, 0))
     assert np.asarray(basis.coeffs).shape == (1, 1)
     assert basis.gram_residual < 1e-12
-    assert rel_lc(kernel_oracle(basis, 1.5, 0.5j), elliptic_kernel_exact(ell, 1, 1.5, 0.5j)) < 1e-4
+    assert rel_lc(kernel_oracle(basis, 1.5, 0.5j), elliptic_kernel_exact(ell, 1, 1.5, 0.5j)) < 1e-9
