@@ -9,7 +9,6 @@ measures, and loop-equation residual checks.
 from .errors import (
     BeltError,
     ConfigError,
-    ContinuationError,
     DomainError,
     PoleError,
     PrecisionError,
@@ -48,7 +47,6 @@ from .ginibre_exact import (
 from .szego_geometry import (
     Region,
     RegionLabel,
-    SzegoClassifier,
     TracedCurve,
     classify,
     trace_curve_K,

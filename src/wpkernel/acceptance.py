@@ -324,7 +324,7 @@ def criterion_13() -> CriterionResult:
 @_timed
 def criterion_14() -> CriterionResult:
     """Szego-curve geometry and the classification probe set."""
-    curve = trace_szego_curve(step=1e-3, tol=1e-9)
+    curve = trace_szego_curve(step=1e-3)
     closes = bool(curve.closed and curve.points[0] == 1.0 and curve.points[-1] == 1.0)
     crossing = float(np.min(curve.points.real))
     crossing_ok = abs(crossing + 0.27846) < 1e-4

@@ -4,7 +4,7 @@ Thin delegation layer over the library: every subcommand parses flags (or a
 key=value config file), calls the corresponding module, and emits CSV or
 JSON.  CSV files carry `#`-prefixed metadata lines including a hash of the
 effective configuration, so outputs are reproducible byte-for-byte given
-identical flags and seed.
+identical flags; no subcommand draws random numbers.
 
 Exit codes: 0 ok, 1 config error, 2 regime/domain error, 3 acceptance
 failure, 4 precision budget exceeded.
@@ -25,7 +25,6 @@ from . import __version__
 from .acceptance import ALL_CRITERIA, SUITES, run_suite
 from .errors import (
     ConfigError,
-    ContinuationError,
     DomainError,
     PrecisionError,
     RegimeError,
@@ -310,7 +309,7 @@ def cmd_figures(args):
             for p in curve.points:
                 fh.write(f"{_fmt(p.real)},{_fmt(p.imag)}\n")
         emitted.append(str(path))
-        curve_k = trace_curve_K(extent=1.0, step=args.step)
+        curve_k = trace_curve_K(step=args.step)
         path = outdir / "curve_K.csv"
         with path.open("w") as fh:
             fh.write(f"# wpkernel {__version__} level curve through the saddle\n")
@@ -373,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, potential=True):
         p.add_argument("--out", default=None, help="output path ('-' for stdout)")
-        p.add_argument("--seed", type=int, default=0)
         if potential:
             p.add_argument("--potential", default="ginibre",
                            choices=["ginibre", "elliptic", "radial"])
@@ -467,7 +465,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (RegimeError, DomainError, ContinuationError) as exc:
+    except (RegimeError, DomainError) as exc:
         print(f"domain/regime error: {exc}", file=sys.stderr)
         return 2
     except (PrecisionError, ResolutionError, ToleranceError) as exc:

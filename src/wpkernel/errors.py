@@ -33,13 +33,5 @@ class ToleranceError(RuntimeError):
     """Spectral coefficients fail to decay below the truncation tolerance."""
 
 
-class ContinuationError(RuntimeError):
-    """Predictor-corrector curve continuation failed to converge."""
-
-    def __init__(self, message, last_point=None):
-        super().__init__(message)
-        self.last_point = last_point
-
-
 class ConfigError(ValueError):
     """Invalid command-line or config-file input."""

@@ -366,10 +366,12 @@ class GinibrePotential(RadialPotential):
         return math.sqrt(tau)
 
     def Q(self, z):
-        z = np.asarray(z) if isinstance(z, np.ndarray) else z
         if isinstance(z, np.ndarray):
             return np.abs(z) ** 2
-        return abs(z) ** 2
+        try:
+            return abs(z) ** 2
+        except OverflowError as exc:
+            raise DomainError(f"Q overflows float64 at z = {z}") from exc
 
     def laplacian(self, z) -> float:
         return 1.0

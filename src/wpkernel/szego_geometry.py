@@ -7,10 +7,12 @@ Im u = 0 through the saddle zeta = 1, perpendicular to the real axis,
 is called K here.  The exterior domain E is the complement of the closed
 interior of gamma; kernel asymptotics switch regimes on these sets.
 
-Curves are traced by predictor-corrector continuation: unit tangent
-predictor steps followed by Newton correction along the gradient of the
-defining level function.  Both curves are conjugation-symmetric, so the
-upper half is traced and mirrored, which also closes the polygons exactly.
+Both curves have closed forms.  With zeta = r e^{i theta},
+log|u| = log r + 1 - r cos(theta), which on |zeta| = 1 is 1 - cos(theta) >= 0
+and strictly increases in r on (0, 1).  So region I = {|zeta| < 1, |u| < 1}
+is star-shaped and gamma is the polar graph r = r*(theta), the root of
+log|u| = 0 in (0, 1].  On K, arg u = theta - Im zeta = 0, so K is the graph
+zeta(y) = y cot(y) + i y.  Both curves are conjugation-symmetric.
 """
 
 from __future__ import annotations
@@ -19,11 +21,16 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import ContinuationError, DomainError
+from .errors import DomainError
+
+# K is sampled out to |zeta - 1| = _K_EXTENT; the OnCurveK label reaches two
+# default steps (2e-3) further, so it also covers the last sample of a
+# default trace, which lies up to 0.9 steps past _K_EXTENT
+_K_EXTENT = 1.0
+_K_REACH = _K_EXTENT + 2e-3
 
 
 def u_map(zeta: complex) -> complex:
@@ -56,7 +63,6 @@ def negative_axis_crossing(tol: float = 1e-14) -> float:
 class TracedCurve:
     points: np.ndarray  # complex samples, ordered along the curve
     closed: bool
-    tol: float
 
 
 class Region(enum.Enum):
@@ -77,181 +83,97 @@ class RegionLabel:
         return f"{self.label.value}(E={self.in_E_sz})"
 
 
-_EXCLUDED_FROM_E = {Region.REGION_I, Region.ON_SZEGO_CURVE, Region.AT_ONE}
-
-
-def _newton_correct(z, level, grad, tol, max_iter=40):
-    for _ in range(max_iter):
-        f = level(z)
-        if abs(f) <= tol:
-            return z
-        g = grad(z)
-        g2 = g.real * g.real + g.imag * g.imag
-        if g2 == 0.0:
-            raise ContinuationError("vanishing gradient during correction", last_point=z)
-        z = z - f * g / g2
-    raise ContinuationError("corrector did not converge", last_point=z)
-
-
-# level function and gradient for |u| = 1; the gradient of Re h for
-# holomorphic h is conj(h'), here h = log(zeta) + 1 - zeta
-def _gamma_level(z: complex) -> float:
-    return math.log(abs(z)) + 1.0 - z.real
-
-
-def _gamma_grad(z: complex) -> complex:
-    return (1.0 / z - 1.0).conjugate()
-
-
-# level function and gradient for Im u = 0; for F = Im h the gradient
-# is i * conj(h'), here h = u with u' = e^{1-zeta} (1 - zeta)
-def _k_level(z: complex) -> float:
-    return u_map(z).imag
-
-
-def _k_grad(z: complex) -> complex:
-    return 1j * (cmath.exp(1.0 - z) * (1.0 - z)).conjugate()
-
-
-def _trace_branch(start, direction, level, grad, tol, step, stop):
-    """March a level-set branch with predictor steps ~0.9*step until stop()."""
-    pts = []
-    z = _newton_correct(start + 0.9 * step * direction, level, grad, 0.25 * tol)
-    t_prev = direction
-    for _ in range(int(40.0 / step) + 10000):
-        pts.append(z)
-        g = grad(z)
-        t = 1j * g / abs(g)
-        if (t.real * t_prev.real + t.imag * t_prev.imag) < 0.0:
-            t = -t
-        z_new = _newton_correct(z + 0.9 * step * t, level, grad, 0.25 * tol)
-        done, z_final = stop(z, z_new, len(pts))
-        if done:
-            if z_final is not None:
-                pts.append(z_final)
-            return pts
-        t_prev = t
-        z = z_new
-    raise ContinuationError("tracer exceeded its step budget", last_point=z)
-
-
-def trace_szego_curve(step: float = 1e-3, tol: float = 1e-9) -> TracedCurve:
-    """Trace gamma = {|zeta| <= 1, |u| = 1} as a closed curve through 1.
-
-    The upper half is continued from the corner at zeta = 1 (interior
-    tangent direction e^{3 pi i/4}) down to the negative-axis crossing,
-    then mirrored by conjugation.
-    """
-    if not (0.0 < step <= 0.05):
-        raise DomainError("step must lie in (0, 0.05]")
-    crossing = -negative_axis_crossing()
-
-    def stop(z_old, z_new, count):
-        if count > 3 and z_new.imag <= 0.0:
-            return True, None
-        return False, None
-
-    upper = _trace_branch(1.0 + 0j, cmath.exp(0.75j * math.pi),
-                          _gamma_level, _gamma_grad, tol, step, stop)
-    # drop any overshoot below the axis; endpoint is the exact axis crossing
-    upper = [p for p in upper if p.imag > 0.0]
-    pts = [1.0 + 0j] + upper + [complex(crossing, 0.0)]
-    pts += [p.conjugate() for p in reversed(upper)] + [1.0 + 0j]
-    return TracedCurve(np.array(pts, dtype=complex), closed=True, tol=tol)
-
-
-def trace_curve_K(extent: float = 1.0, step: float = 1e-3, tol: float = 1e-9) -> TracedCurve:
-    """Trace the branch of Im u = 0 through 1 with vertical tangent there.
-
-    Near the saddle u(1 + w) ~ 1 - w^2/2, so the level set splits into the
-    real axis and a perpendicular branch; the latter is traced into |u| > 1
-    on both sides up to |zeta - 1| = extent.
-    """
-    if extent <= 0:
-        raise DomainError("extent must be positive")
-    if not (0.0 < step <= 0.05):
-        raise DomainError("step must lie in (0, 0.05]")
-
-    def stop(z_old, z_new, count):
-        if abs(z_new - 1.0) >= extent:
-            return True, z_new
-        return False, None
-
-    upper = _trace_branch(1.0 + 0j, 1j, _k_level, _k_grad, tol, step, stop)
-    pts = [p.conjugate() for p in reversed(upper)] + [1.0 + 0j] + upper
-    return TracedCurve(np.array(pts, dtype=complex), closed=False, tol=tol)
-
-
-def point_in_polygon(points: np.ndarray, z: complex) -> bool:
-    """Even-odd ray casting against the polygon through the given vertices."""
-    x, y = z.real, z.imag
-    px = points.real
-    py = points.imag
-    inside = False
-    for i in range(len(points) - 1):
-        x1, y1, x2, y2 = px[i], py[i], px[i + 1], py[i + 1]
-        if y1 == y2:
-            continue
-        if (y1 > y) != (y2 > y):
-            x_cross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            if x_cross > x:
-                inside = not inside
-    return inside
-
-
-def dist_to_polyline(points: np.ndarray, z: complex) -> float:
-    a = points[:-1]
-    b = points[1:]
-    ab = b - a
-    denom = np.abs(ab) ** 2
-    keep = denom > 0
-    a, b, ab, denom = a[keep], b[keep], ab[keep], denom[keep]
-    t = np.clip(((z - a) * np.conj(ab)).real / denom, 0.0, 1.0)
-    proj = a + t * ab
-    return float(np.min(np.abs(z - proj)))
-
-
-def winding_number(points: np.ndarray, z0: complex) -> float:
-    rel = points - z0
-    dphi = np.angle(rel[1:] / rel[:-1])
-    return float(np.sum(dphi) / (2.0 * math.pi))
-
-
-class SzegoClassifier:
-    """Region classifier backed by cached traced curves."""
-
-    def __init__(self, tol: float = 1e-9, step: float = 1e-3, k_extent: float = 1.0):
-        self.tol = tol
-        self.step = step
-        self.gamma = trace_szego_curve(step=step, tol=tol)
-        self.curve_k = trace_curve_K(extent=k_extent, step=step, tol=tol)
-
-    def classify(self, zeta: complex) -> RegionLabel:
-        zeta = complex(zeta)
-        tol = self.tol
-        if abs(zeta - 1.0) <= tol:
-            return RegionLabel(Region.AT_ONE, False)
-        au = u_abs(zeta)
-        if abs(zeta) <= 1.0 + tol and abs(au - 1.0) <= tol:
-            return RegionLabel(Region.ON_SZEGO_CURVE, False)
-        if (
-            abs(u_map(zeta).imag) <= tol
-            and au >= 1.0 - tol
-            and dist_to_polyline(self.curve_k.points, zeta) <= 2.0 * self.step
-        ):
-            return RegionLabel(Region.ON_CURVE_K, True)
-        if au > 1.0 + tol:
-            return RegionLabel(Region.REGION_III, True)
-        if abs(zeta) < 1.0 and point_in_polygon(self.gamma.points, zeta):
-            return RegionLabel(Region.REGION_I, False)
-        return RegionLabel(Region.REGION_II, True)
-
-
-@lru_cache(maxsize=8)
-def _cached_classifier(tol: float) -> SzegoClassifier:
-    return SzegoClassifier(tol=tol)
-
-
 def classify(zeta: complex, tol: float = 1e-9) -> RegionLabel:
     """Classify zeta into regions I/II/III or onto the special curves."""
-    return _cached_classifier(tol).classify(zeta)
+    zeta = complex(zeta)
+    if not cmath.isfinite(zeta):
+        raise DomainError(f"cannot classify the non-finite point {zeta}")
+    r = math.hypot(zeta.real, zeta.imag)
+    to_one = math.hypot(zeta.real - 1.0, zeta.imag)
+    if to_one <= tol:
+        return RegionLabel(Region.AT_ONE, False)
+    # log|u| = log r + 1 - Re zeta cannot overflow; every test below reads
+    # the same for all |u| > e, so |u| is capped there
+    au = math.exp(min(math.log(r) + 1.0 - zeta.real, 1.0)) if r > 0.0 else 0.0
+    if r <= 1.0 + tol and abs(au - 1.0) <= tol:
+        return RegionLabel(Region.ON_SZEGO_CURVE, False)
+    if to_one <= _K_REACH and au >= 1.0 - tol:
+        u = u_map(zeta)
+        if abs(u.imag) <= tol and u.real > 0.0:
+            return RegionLabel(Region.ON_CURVE_K, True)
+    if au > 1.0 + tol:
+        return RegionLabel(Region.REGION_III, True)
+    if r < 1.0 and au < 1.0:
+        return RegionLabel(Region.REGION_I, False)
+    return RegionLabel(Region.REGION_II, True)
+
+
+def _check_step(step: float):
+    if not (0.0 < step <= 0.05):
+        raise DomainError("step must lie in (0, 0.05]")
+
+
+def _equal_arc_parameters(curve, t_end: float, step: float) -> np.ndarray:
+    """Parameters in (0, t_end] whose points curve(t), with curve(0) = 1,
+    lie 0.9 step apart in arc length, measured on a grid 8 times finer; the
+    factor 0.9 absorbs the error of interpolating t linearly in arc length."""
+    t = np.linspace(0.0, t_end, int(8.0 * t_end / step) + 2)
+    pts = np.concatenate([[1.0], curve(t[1:])])
+    arc = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(pts)))])
+    count = math.ceil(arc[-1] / (0.9 * step))
+    return np.interp(np.linspace(0.0, arc[-1], count + 1)[1:], arc, t)
+
+
+def _gamma_radius(theta: np.ndarray) -> np.ndarray:
+    """r*(theta) for theta in (0, pi]: the root in (0, 1] of
+    f(r) = log r + 1 - r cos(theta).
+
+    f increases on (0, 1], f(1/4) < 0 <= f(1), and the root is at least
+    W(1/e) > 1/4; Newton steps that leave the bracket bisect instead.
+    """
+    c = np.cos(theta)
+    lo, hi = np.full_like(c, 0.25), np.ones_like(c)
+    r = np.maximum(1.0 - 0.5 * theta, 0.3)
+    for _ in range(64):
+        f = np.log(r) + 1.0 - r * c
+        if np.all(np.abs(f) <= 4e-16):
+            break
+        lo = np.where(f < 0.0, r, lo)
+        hi = np.where(f > 0.0, r, hi)
+        newton = r - f / (1.0 / r - c)
+        r = np.where((newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi))
+    return r
+
+
+def _gamma_point(theta: np.ndarray) -> np.ndarray:
+    return _gamma_radius(theta) * np.exp(1j * theta)
+
+
+def _k_point(y: np.ndarray) -> np.ndarray:
+    return y / np.tan(y) + 1j * y
+
+
+def trace_szego_curve(step: float = 1e-3) -> TracedCurve:
+    """Sample gamma as a closed curve from 1 through the upper half plane
+    to the axis crossing -W(1/e) and back, with spacing at most step."""
+    _check_step(step)
+    theta = _equal_arc_parameters(_gamma_point, math.pi, step)
+    upper = _gamma_point(theta[:-1])
+    crossing = -float(_gamma_radius(np.array([math.pi]))[0])
+    pts = np.concatenate([[1.0], upper, [crossing], np.conj(upper[::-1]), [1.0]])
+    return TracedCurve(pts.astype(complex), closed=True)
+
+
+def trace_curve_K(step: float = 1e-3) -> TracedCurve:
+    """Sample K = {y cot(y) + i y} through its midpoint 1 out to
+    |zeta - 1| >= 1 on both sides, with spacing at most step.
+
+    Near the saddle u(1 + w) ~ 1 - w^2/2, so K leaves 1 vertically, into
+    |u| > 1 on both sides.
+    """
+    _check_step(step)
+    # |zeta(1.2) - 1| = 1.31, so y <= 1.2 reaches past _K_EXTENT
+    upper = _k_point(_equal_arc_parameters(_k_point, 1.2, step))
+    upper = upper[:int(np.argmax(np.abs(upper - 1.0) >= _K_EXTENT)) + 1]
+    pts = np.concatenate([np.conj(upper[::-1]), [1.0], upper])
+    return TracedCurve(pts.astype(complex), closed=False)

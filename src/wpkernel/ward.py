@@ -79,7 +79,7 @@ class OracleSource:
         kern = np.conj(pw).T @ pz  # sum_j P_j(z) conj(P_j(w))
         n = self.n
         qz = float(self.pot.Q(complex(z)))
-        qw = np.array([float(self.pot.Q(complex(w))) for w in flat])
+        qw = self.pot.Q(flat)
         log_k2 = 2.0 * np.log(np.abs(kern) + 1e-300) - n * (qz + qw)
         log_b = log_k2 - self.log_one_point(z)
         out = np.zeros_like(log_b)

@@ -85,6 +85,20 @@ def test_precision_flag_is_gone(command, capsys):
     assert exc.value.code == 2
 
 
+def test_seed_flag_is_gone(tmp_path):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0.5,0\n")
+    with pytest.raises(SystemExit) as exc:
+        run(["classify", "--points", str(pts), "--seed", "1"])
+    assert exc.value.code == 2
+
+
+def test_classify_non_finite_point_is_a_domain_error(tmp_path):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0.5,0\nnan,0\n")
+    assert run(["classify", "--points", str(pts), "--out", str(tmp_path / "l.csv")]) == 2
+
+
 def test_droplet_and_figures(tmp_path):
     out = tmp_path / "droplet.csv"
     assert run(["droplet", "--potential", "elliptic", "--a", "1", "--b", "3",

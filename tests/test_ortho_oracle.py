@@ -221,9 +221,12 @@ def test_degree_cannot_exceed_n(gin):
     lambda: kernel_asymptotic(_ELL, 40, 1e200, 1.5),
     lambda: tail_kernel(_ELL, 40, 1.5, 1e200j),
     lambda: kernel_oracle(orthonormalize(compute_moments(_ELL, 10, 9)), 1e200, 1.5),
+    lambda: kernel_asymptotic(make_ginibre(), 40, 1e200, 1.5),
+    lambda: tail_kernel(make_ginibre(), 40, 1e200, 1.5),
 ], ids=["moments-n0", "moments-radial-n0", "moments-negative-degree", "hermite-n0",
         "hermite-nan", "hermite-inf", "hermite-overflow", "hermite-not-elliptic",
-        "asymptotic-overflow", "tail-overflow", "oracle-overflow"])
+        "asymptotic-overflow", "tail-overflow", "oracle-overflow",
+        "ginibre-asymptotic-overflow", "ginibre-tail-overflow"])
 def test_bad_input_raises_domain_error(call):
     with pytest.raises(DomainError):
         call()

@@ -40,6 +40,16 @@ def quart():
     return make_radial(QUARTIC)
 
 
+def test_Q_accepts_arrays(gin, ell, quart):
+    quadratic = make_radial(RadialProfile(q=lambda r: r * r, dq=lambda r: 2.0 * r,
+                                          d2q=lambda r: 2.0, name="quadratic"))
+    ws = np.array([0.0, 0.3 - 0.2j, -1.1 + 0.7j, 2.5j, 1e3 + 1e2j])
+    for pot in (gin, ell, quart, quadratic):
+        values = pot.Q(ws)
+        assert values.shape == ws.shape
+        assert values == pytest.approx([pot.Q(complex(w)) for w in ws], rel=1e-15)
+
+
 def test_ginibre_closed_data(gin):
     assert gin.phi(0.73 + 0.4j, 1.0) == 0.73 + 0.4j
     assert gin.script_Q(2.0, 1.0) == 1.0

@@ -3,15 +3,41 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wpkernel import DomainError, Region, classify, trace_curve_K, trace_szego_curve, u_map
-from wpkernel.szego_geometry import (
-    dist_to_polyline,
-    negative_axis_crossing,
-    point_in_polygon,
-    u_abs,
-    winding_number,
-)
+from wpkernel.szego_geometry import negative_axis_crossing, u_abs
+
+
+# reference oracles on sampled curves, independent of the closed forms
+
+
+def point_in_polygon(points: np.ndarray, z: complex) -> bool:
+    """Even-odd ray casting against the polygon through the given vertices."""
+    x1, y1 = points.real[:-1], points.imag[:-1]
+    x2, y2 = points.real[1:], points.imag[1:]
+    crosses = (y1 > z.imag) != (y2 > z.imag)
+    x_cross = x1 + (z.imag - y1) * (x2 - x1) / np.where(crosses, y2 - y1, 1.0)
+    return bool(np.count_nonzero(crosses & (x_cross > z.real)) % 2)
+
+
+def dist_to_polyline(points: np.ndarray, z: complex) -> float:
+    a = points[:-1]
+    b = points[1:]
+    ab = b - a
+    denom = np.abs(ab) ** 2
+    keep = denom > 0
+    a, b, ab, denom = a[keep], b[keep], ab[keep], denom[keep]
+    t = np.clip(((z - a) * np.conj(ab)).real / denom, 0.0, 1.0)
+    proj = a + t * ab
+    return float(np.min(np.abs(z - proj)))
+
+
+def winding_number(points: np.ndarray, z0: complex) -> float:
+    rel = points - z0
+    dphi = np.angle(rel[1:] / rel[:-1])
+    return float(np.sum(dphi) / (2.0 * math.pi))
 
 
 def test_u_map_values():
@@ -22,7 +48,7 @@ def test_u_map_values():
 
 def test_traced_curve_contracts():
     step, tol = 1e-3, 1e-9
-    curve = trace_szego_curve(step=step, tol=tol)
+    curve = trace_szego_curve(step=step)
     assert curve.closed
     assert curve.points[0] == 1.0 and curve.points[-1] == 1.0
     spacing = np.abs(np.diff(curve.points))
@@ -44,7 +70,7 @@ def test_negative_axis_crossing():
 
 def test_curve_K_contracts():
     step, tol, extent = 1e-3, 1e-9, 1.0
-    curve = trace_curve_K(extent=extent, step=step, tol=tol)
+    curve = trace_curve_K(step=step)
     assert not curve.closed
     mid = len(curve.points) // 2
     assert curve.points[mid] == 1.0
@@ -129,3 +155,47 @@ def test_dist_to_polyline_and_polygon_helpers():
 def test_step_precondition():
     with pytest.raises(DomainError):
         trace_szego_curve(step=0.2)
+
+
+@pytest.mark.parametrize("zeta,expected", [
+    (complex(math.nan, 0.0), DomainError),
+    (complex(math.inf, 1.0), DomainError),
+    (-1000.0, Region.REGION_III),
+    (1e300, Region.REGION_II),
+    (complex(-1e308, 1e308), Region.REGION_III),
+], ids=["nan", "inf", "minus-1000", "1e300", "overflow-scale-modulus"])
+def test_classify_bad_and_overflow_scale_input(zeta, expected):
+    if expected is DomainError:
+        with pytest.raises(DomainError):
+            classify(zeta)
+    else:
+        assert classify(zeta).label is expected
+
+
+def test_classify_agrees_with_ray_cast():
+    # away from the tol band, region I is exactly the inside of the sampled gamma
+    gamma = trace_szego_curve().points
+    xs, ys = np.meshgrid(np.linspace(-0.5, 1.2, 70), np.linspace(-1.0, 1.0, 70))
+    checked = 0
+    for z in (xs + 1j * ys).ravel():
+        if abs(u_abs(z) - 1.0) <= 1e-6:
+            continue
+        checked += 1
+        assert (classify(z).label is Region.REGION_I) == point_in_polygon(gamma, z), z
+    assert checked > 4800
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.complex_numbers(allow_nan=False, allow_infinity=False),
+       st.sampled_from([1e-9, 1e-6]))
+def test_classify_conjugation_symmetry_property(zeta, tol):
+    a, b = classify(zeta, tol=tol), classify(zeta.conjugate(), tol=tol)
+    assert (a.label, a.in_E_sz) == (b.label, b.in_E_sz)
+
+
+def test_curve_K_is_the_closed_form_graph():
+    pts = trace_curve_K().points
+    off_axis = pts[pts.imag != 0.0]
+    y = off_axis.imag
+    assert np.allclose(off_axis.real, y * np.cos(y) / np.sin(y), rtol=1e-14, atol=0.0)
+    assert max(abs(u_map(p).imag) for p in pts) <= 1e-12
