@@ -32,6 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, RegimeError
+from .ginibre_exact import _check_args
 from .scaled_numerics import (
     LogComplex,
     PolynomialQ,
@@ -198,6 +199,7 @@ def exterior_kernel_expansion(n: int, z: complex, w: complex, k: int = 0,
     """
     z = complex(z)
     w = complex(w)
+    _check_args(n, n * (abs(z) * abs(z) + abs(w) * abs(w)))
     zeta = z * w.conjugate()
     label = classify(zeta, tol=tol)
     if not label.in_E_sz:
@@ -236,6 +238,7 @@ def bulk_kernel_expansion(n: int, z: complex, w: complex, tol: float = 1e-9) -> 
     """Bulk-regime leading term with its certified relative error scale."""
     z = complex(z)
     w = complex(w)
+    _check_args(n, n * (abs(z) * abs(z) + abs(w) * abs(w)))
     zeta = z * w.conjugate()
     label = classify(zeta, tol=tol)
     if label.label not in (Region.REGION_I, Region.ON_SZEGO_CURVE):

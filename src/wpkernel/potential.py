@@ -23,9 +23,12 @@ for the equilibrium measure and confirmed here by an independent quadrature
 oracle, see equilibrium_log_potential).  The exterior map of the ellipse is
 the Joukowski map chi(omega) = ((p+q) omega + (p-q)/omega)/2.
 
-Dirichlet data on analytic boundaries is extended holomorphically by circle
-pullback and FFT; coefficients decay geometrically, so truncation at 1e-13
-gives spectral accuracy with a few hundred nodes.
+The built-in families have closed-form QQ_tau (a constant for the radial
+family, c_0 + c_2 phi_tau^{-2} for the elliptic one).  harmonic_extension is
+the generic solver and the test oracle of those forms: it extends Dirichlet
+data on analytic boundaries by circle pullback and FFT; coefficients decay
+geometrically, so truncation at 1e-13 gives spectral accuracy with a few
+hundred nodes.
 """
 
 from __future__ import annotations
@@ -142,6 +145,9 @@ class AdmissiblePotential:
     def dchi(self, omega: complex, tau: float = 1.0) -> complex:
         raise NotImplementedError
 
+    def d2chi(self, omega: complex, tau: float = 1.0) -> complex:
+        raise NotImplementedError
+
     def chi_laurent(self, tau: float = 1.0) -> tuple:
         raise NotImplementedError
 
@@ -214,7 +220,7 @@ class AdmissiblePotential:
                 omega = cmath.exp(1j * th)
                 c = self.chi(omega, tau)
                 dc = 1j * omega * self.dchi(omega, tau)
-                d2c = -omega * self.dchi(omega, tau) + (1j * omega) ** 2 * self._d2chi(omega, tau)
+                d2c = -omega * self.dchi(omega, tau) + (1j * omega) ** 2 * self.d2chi(omega, tau)
                 g = ((c - w).conjugate() * dc).real
                 gp = abs(dc) ** 2 + ((c - w).conjugate() * d2c).real
                 if gp == 0:
@@ -232,11 +238,6 @@ class AdmissiblePotential:
             dists = [abs(self.chi(cmath.exp(1j * t), tau) - w) for t in grid]
             theta = float(grid[int(np.argmin(dists))])
         return theta
-
-    def _d2chi(self, omega: complex, tau: float) -> complex:
-        h = 1e-6
-        return (self.dchi(omega * cmath.exp(1j * h), tau) * 1j * omega * cmath.exp(1j * h)
-                - self.dchi(omega, tau) * 1j * omega) / (1j * omega * h)
 
     def dist_to_exterior(self, z: complex) -> float:
         """Distance from z to the closed exterior set cl(U); 0 outside S."""
@@ -401,7 +402,6 @@ class EllipticGinibrePotential(AdmissiblePotential):
         self.p1 = math.sqrt(self.b / (self.a * self.alpha))
         self.q1 = math.sqrt(self.a / (self.b * self.alpha))
         self.name = f"elliptic(a={a:g},b={b:g})"
-        self._ext_cache = {}
 
     def semi_axes(self, tau: float = 1.0):
         self._check_tau(tau)
@@ -460,6 +460,10 @@ class EllipticGinibrePotential(AdmissiblePotential):
         A, B, _ = self._joukowski(tau)
         return A - B / (omega * omega)
 
+    def d2chi(self, omega, tau=1.0):
+        A, B, _ = self._joukowski(tau)
+        return 2.0 * B / omega ** 3
+
     def chi_laurent(self, tau=1.0):
         A, B, _ = self._joukowski(tau)
         return (A, 0.0, B)
@@ -469,24 +473,14 @@ class EllipticGinibrePotential(AdmissiblePotential):
         univalent = math.sqrt(B / A) if B > 0 else 0.0
         return max(self.rho0, univalent + 1e-9)
 
-    def _extension(self, which: str, tau: float) -> HarmonicExtension:
-        key = (which, tau)
-        hit = self._ext_cache.get(key)
-        if hit is None:
-            if which == "Q":
-                hit = harmonic_extension(self, tau, lambda p: self.Q(p))
-            else:
-                hit = harmonic_extension(
-                    self, tau, lambda p: 0.5 * math.log(self.laplacian(p))
-                )
-            if len(self._ext_cache) > 4096:
-                self._ext_cache.clear()
-            self._ext_cache[key] = hit
-        return hit
-
     def script_Q(self, z, tau=1.0) -> complex:
-        self._check_tau(tau)
-        return self._extension("Q", tau)(z)
+        # Q(chi_tau(omega)) = c0 + c2 Re omega^2 on |omega| = 1, so
+        # QQ_tau = c0 + c2 phi_tau^{-2}, real at infinity
+        A, B, _ = self._joukowski(tau)
+        c0 = self.alpha * (A * A + B * B) + 2.0 * self.beta * A * B
+        c2 = 2.0 * self.alpha * A * B + self.beta * (A * A + B * B)
+        w = self.phi(z, tau)
+        return c0 + c2 / (w * w)
 
     def script_H(self, z, tau=1.0) -> complex:
         # Lap(Q) is constant, so HH_tau is the constant log sqrt(alpha)
@@ -558,12 +552,11 @@ def droplet_mass(pot: AdmissiblePotential, tau: float, nr: int = 160, nt: int = 
         p, q = pot.semi_axes(tau)
         r_rule = gauss_on_interval(nr, 0.0, 1.0)
         t_rule = quad_trapezoid_periodic(nt)
-        acc = 0.0
-        for rr, wr in zip(r_rule.nodes, r_rule.weights):
-            zs = p * rr * np.cos(t_rule.nodes) + 1j * q * rr * np.sin(t_rule.nodes)
-            lap = np.array([pot.laplacian(zz) for zz in zs])
-            acc += wr * rr * float(np.sum(t_rule.weights * lap))
-        return acc * p * q / math.pi
+        rr = r_rule.nodes[:, None]
+        zs = p * rr * np.cos(t_rule.nodes) + 1j * q * rr * np.sin(t_rule.nodes)
+        lap = np.broadcast_to(pot.laplacian(zs), zs.shape)
+        rings = np.sum(t_rule.weights * lap, axis=1)
+        return float(np.sum(r_rule.weights * r_rule.nodes * rings)) * p * q / math.pi
     raise NotImplementedError("mass quadrature implemented for the built-in families")
 
 

@@ -28,6 +28,7 @@ import numpy as np
 from .errors import DomainError, PrecisionError
 from .ginibre_exact import ginibre_berezin_array, ginibre_log_one_point
 from .hardy import harmonic_measure_integral
+from .ortho_oracle import _poly_values, kernel_oracle
 from .potential import AdmissiblePotential
 from .scaled_numerics import composite_gauss, quad_trapezoid_periodic
 
@@ -52,7 +53,12 @@ class GinibreSource:
 
 
 class OracleSource:
-    """Berezin source built from an orthonormal basis."""
+    """Berezin source built from an orthonormal basis.
+
+    sum_j P_j(z) conj(P_j(w)) = sum_k a_k (conj(w)/scale)^k with a = C^H p(z),
+    C the scaled-monomial coefficients of the P_j: one Horner step per degree
+    over the flat node array, O(degree * nodes) work and O(nodes) memory.
+    """
 
     name = "oracle"
 
@@ -65,18 +71,12 @@ class OracleSource:
     def berezin_grid(self, z: complex, ws: np.ndarray) -> np.ndarray:
         shape = ws.shape
         flat = ws.ravel()
-        C = np.asarray(self.basis.coeffs)
-        d = self.basis.max_degree + 1
-        zh = complex(z) / self.basis.scale
-        powers = np.empty(d, dtype=complex)
-        powers[0] = 1.0
-        for k in range(1, d):
-            powers[k] = powers[k - 1] * zh
-        pz = C @ powers
-        wh = flat / self.basis.scale
-        vander = np.vander(wh, d, increasing=True).T
-        pw = C @ vander
-        kern = np.conj(pw).T @ pz  # sum_j P_j(z) conj(P_j(w))
+        a = np.asarray(self.basis.coeffs).conj().T @ _poly_values(self.basis, z)
+        x = np.conj(flat) / self.basis.scale
+        kern = np.full(flat.shape, a[-1])
+        for c in a[-2::-1]:
+            kern *= x
+            kern += c
         n = self.n
         qz = float(self.pot.Q(complex(z)))
         qw = self.pot.Q(flat)
@@ -88,8 +88,6 @@ class OracleSource:
         return out.reshape(shape)
 
     def log_one_point(self, z: complex) -> float:
-        from .ortho_oracle import kernel_oracle
-
         return kernel_oracle(self.basis, z, z).log_mag
 
     def laplacian_Q(self, z: complex) -> float:

@@ -188,3 +188,14 @@ def test_two_term_structure_both_sides_of_saddle_curve():
     lead_log = (0.5 * math.log(1.0 / (2.0 * math.pi * n))
                 + n * math.log(u_abs(zeta)) - math.log(zeta - 1.0))
     assert math.exp(e.log_mag - lead_log) == pytest.approx(bracket, rel=1e-4)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: exterior_kernel_expansion(0, 1.5, 1.2, 1),
+    lambda: bulk_kernel_expansion(0, 0.1, 0.2),
+    lambda: exterior_kernel_expansion(40, 1e200, 1.5),
+    lambda: bulk_kernel_expansion(40, 1e200, 1e-201),
+], ids=["exterior-n0", "bulk-n0", "exterior-overflow", "bulk-overflow"])
+def test_bad_input_raises_domain_error(call):
+    with pytest.raises(DomainError):
+        call()

@@ -196,6 +196,28 @@ def test_extension_contracts(ell, gin):
     assert abs(h_ext(2.4) - 0.5 * math.log(2.0)) < 1e-13
 
 
+@pytest.mark.parametrize("a, b", [(1.0, 3.0), (2.5, 0.7)])
+def test_elliptic_script_Q_matches_fft_extension(a, b):
+    pot = make_elliptic_ginibre(a, b)
+    rng = np.random.default_rng(11)
+    for tau in (0.5, 0.8, 0.9, 1.0):
+        fft = harmonic_extension(pot, tau, pot.Q)
+        for _ in range(16):
+            omega = rng.uniform(1.0, 3.0) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+            z = pot.chi(omega, tau)
+            closed = pot.script_Q(z, tau)
+            assert abs(closed - fft(z)) <= 1e-13 * abs(closed)
+
+
+def test_elliptic_d2chi_is_the_derivative_of_dchi():
+    pot = make_elliptic_ginibre(2.5, 0.7)
+    h = 1e-5
+    for omega in (1.0, 1.3 * cmath.exp(0.8j), cmath.exp(2.5j)):
+        for tau in (0.6, 1.0):
+            fd = (pot.dchi(omega + h, tau) - pot.dchi(omega - h, tau)) / (2.0 * h)
+            assert abs(pot.d2chi(omega, tau) - fd) < 1e-9
+
+
 def test_extension_rejects_rough_data():
     ell = make_elliptic_ginibre(1.0, 3.0)
     with pytest.raises(ToleranceError):

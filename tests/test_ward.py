@@ -1,4 +1,6 @@
+import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from wpkernel import (
     make_ginibre,
     orthonormalize,
 )
+from wpkernel.ortho_oracle import _poly_values, kernel_oracle
 from wpkernel.ward import _lap_log_R, ginthm_leading, ginthm_second_coeff
 
 
@@ -112,3 +115,46 @@ def test_convergence_to_harmonic_measure():
         mu = berezin_cauchy_transform(GinibreSource(n), 2.0)
         errs.append(abs(mu - target))
     assert errs[1] < errs[0]
+
+
+@pytest.fixture(scope="module")
+def elliptic_bases():
+    ell = make_elliptic_ginibre(1.0, 3.0)
+    return ell, {n: orthonormalize(compute_moments(ell, n, n - 1)) for n in (20, 40)}
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_oracle_grid_matches_per_point_kernel(elliptic_bases, n):
+    # the Horner form sum_k a_k conj(w)^k against the per-basis sum of
+    # kernel_oracle; both round in the monomial representation, so the
+    # relative gap is scaled by its condition kappa = sum |a_k| |w|^k / |sum|
+    ell, bases = elliptic_bases
+    basis = bases[n]
+    src = OracleSource(basis, ell)
+    p, q = ell.semi_axes(1.0)
+    x = np.linspace(-1.5 * p, 1.5 * p, 25)
+    y = np.linspace(-1.5 * q, 1.5 * q, 15)
+    ws = (x[None, :] + 1j * y[:, None]).ravel()
+    for z in (ell.chi(1.2 * cmath.exp(0.4j)), ell.boundary_point(2.0).p, 0.3 + 0.1j):
+        b = src.berezin_grid(z, ws)
+        log_rz = kernel_oracle(basis, z, z).log_mag
+        ref = np.array([math.exp(2.0 * kernel_oracle(basis, z, w).log_mag - log_rz) for w in ws])
+        a = np.asarray(basis.coeffs).conj().T @ _poly_values(basis, z)
+        xs = np.conj(ws) / basis.scale
+        kappa = np.polyval(np.abs(a)[::-1], np.abs(xs)) / np.abs(np.polyval(a[::-1], xs))
+        assert np.all(np.abs(b - ref) <= 1e-12 * kappa * ref)
+
+
+def test_oracle_grid_memory_is_linear_in_nodes(elliptic_bases):
+    ell, bases = elliptic_bases
+    src = OracleSource(bases[40], ell)
+    rng = np.random.default_rng(0)
+    ws = rng.uniform(-1.5, 1.5, 100_000) + 1j * rng.uniform(-1.0, 1.0, 100_000)
+    tracemalloc.start()
+    try:
+        b = src.berezin_grid(ell.chi(1.3 * cmath.exp(0.7j)), ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(b))
+    assert peak < 20e6
