@@ -74,9 +74,9 @@ class CriterionResult:
 
 def _timed(fn):
     def wrapper(*args, **kwargs):
-        t0 = time.time()
+        t0 = time.perf_counter()
         result = fn(*args, **kwargs)
-        result.elapsed = time.time() - t0
+        result.elapsed = time.perf_counter() - t0
         return result
 
     return wrapper

@@ -274,7 +274,6 @@ def cmd_ward(args):
             "rhs": lr.rhs,
             "residual": abs(lr.residual),
             "budget": lr.budget,
-            "fd_step": lr.fd_step,
         })
     _emit_json(args, {"n": n, "source": args.source, "points": report})
     return 0

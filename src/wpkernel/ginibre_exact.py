@@ -145,8 +145,12 @@ def _window_sums(q: np.ndarray, lengths: np.ndarray, coeffs: np.ndarray) -> np.n
     return out
 
 
-def _side_sums(n: int, x: np.ndarray, inner: bool):
-    """(log_mag, arg) of the endpoint sum for points on one side of |x| = n.
+def _side_window(n: int, x: np.ndarray, inner: bool):
+    """Window of the endpoint sum for points on one side of |x| = n.
+
+    Returns (q, lengths, coeffs, lead, k_end): the endpoint term has
+    log-magnitude `lead` and argument k_end arg x, and the sum is that term
+    times sum_{j<L} coeffs[j] q^j, L the point's window length.
 
     Outer (|x| >= n): S, summed downward from k = n-1, with term ratios
     (k/x).  Inner (|x| < n): the tail T, summed upward from k = n, with term
@@ -184,7 +188,13 @@ def _side_sums(n: int, x: np.ndarray, inner: bool):
         q = m / x
         # prod_{i<j} (1 - i/(n-1))
         coeffs = np.cumprod(np.concatenate(([1.0], 1.0 - np.arange(int(lengths.max()) - 1) / m)))
-    s = _window_sums(q, lengths.astype(np.intp), coeffs)
+    return q, lengths.astype(np.intp), coeffs, lead, k_end
+
+
+def _side_sums(n: int, x: np.ndarray, inner: bool):
+    """(log_mag, arg) of the endpoint sum for points on one side of |x| = n."""
+    q, lengths, coeffs, lead, k_end = _side_window(n, x, inner)
+    s = _window_sums(q, lengths, coeffs)
     mag = np.abs(s)
     nonzero = mag > 0.0
     log_mag = np.where(nonzero, lead + np.log(np.where(nonzero, mag, 1.0)), -np.inf)
@@ -367,3 +377,99 @@ def ginibre_berezin_array(n: int, z: complex, ws: np.ndarray) -> np.ndarray:
     ok = log_b > -745.0
     out[ok] = np.exp(log_b[ok])
     return out
+
+
+# ---------------------------------------------------------------------------
+# Derivatives in z: the loop equation without finite differences
+# ---------------------------------------------------------------------------
+
+
+def _sums_and_ratios(n: int, x: np.ndarray):
+    """log |e_n(x)| and r(x) = e_{n-1}(x)/e_n(x), e_n(x) = sum_{k<n} x^k/k!.
+
+    Outer (|x| >= n): e_n = t s with t the endpoint term x^{n-1}/(n-1)! and s
+    the window sum, and e_{n-1} = t (s - 1), so r = (s - 1)/s with s - 1
+    summed from j = 1; writing r = 1 - 1/s would cancel for large |x|.
+    Inner: e_n = e^x - T with the tail T, and r = 1 - t/e_n.
+    """
+    log_e = np.empty(x.size)
+    r = np.empty(x.size, dtype=complex)
+    outer = np.abs(x) >= n
+    if outer.any():
+        q, lengths, coeffs, lead, _ = _side_window(n, x[outer], False)
+        s1 = np.zeros(q.size, dtype=complex)
+        more = lengths > 1
+        if more.any():
+            s1[more] = q[more] * _window_sums(q[more], lengths[more] - 1, coeffs[1:])
+        s = 1.0 + s1
+        log_e[outer] = lead + np.log(np.abs(s))
+        r[outer] = s1 / s
+    inner = ~outer
+    if inner.any():
+        xi = x[inner]
+        log_t, arg_t = _side_sums(n, xi, True)
+        log_e[inner], arg_e = _log_diff(xi.real, xi.imag, log_t, arg_t)
+        if n == 1:
+            r[inner] = 0.0  # e_0 = 0
+        else:
+            with np.errstate(divide="ignore"):
+                log_end = (n - 1) * np.log(np.abs(xi)) - math.lgamma(n)
+            ratio = np.exp(log_end - log_e[inner]
+                           + 1j * ((n - 1) * np.angle(xi) - arg_e))
+            r[inner] = 1.0 - ratio
+    return log_e, r
+
+
+def ginibre_berezin_dbar_array(n: int, z: complex, ws: np.ndarray):
+    """(B_n(z, w), dbar_z B_n(z, w)) over an array of w.
+
+    The Gaussian factors of z cancel in B_n = n |e_n(n z w~)|^2 e^{-n|w|^2}
+    / e_n(n|z|^2), and dbar_z B_n = n B_n (w conj r(n z w~) - z r(n|z|^2))
+    with r = e_{n-1}/e_n; the bracket vanishes at w = z.  Underflows are
+    flushed to zero.
+    """
+    z = complex(z)
+    ws = np.asarray(ws, dtype=complex)
+    scale = _extent(z) + _extent(ws)
+    _check_args(n, n * scale * scale)
+    flat = ws.ravel()
+    log_e, r = _sums_and_ratios(n, n * (z * np.conj(flat)))
+    log_d, r_d = _sums_and_ratios(n, np.array([n * abs(z) ** 2], dtype=complex))
+    log_b = math.log(n) + 2.0 * log_e - n * np.abs(flat) ** 2 - log_d[0]
+    b = np.zeros(flat.size)
+    ok = log_b > -745.0
+    b[ok] = np.exp(log_b[ok])
+    dbar = np.zeros(flat.size, dtype=complex)
+    dbar[ok] = n * b[ok] * (flat[ok] * np.conj(r[ok]) - z * r_d[0].real)
+    return b.reshape(ws.shape), dbar.reshape(ws.shape)
+
+
+def ginibre_lap_log_kernel(n: int, z: complex) -> float:
+    """Lap log k_n(z, z) for the unweighted kernel k_n(z, z) = n e_n(n|z|^2).
+
+    With x = n|z|^2, Lap log k_n = (x d/dx)^2 log e_n / |z|^2, the variance
+    of k under the weights x^k/k!, k < n, divided by |z|^2.
+    - x >= n: the variance of j = n-1-k under the window weights
+      coeffs[j] q^j, centred before squaring.
+    - x < n: e_n = e^x (1 - u) with u = T e^{-x} and du/dx = p, the Poisson
+      weight x^{n-1} e^{-x}/(n-1)!, which gives
+      n [1 - p (n - x)/(1 - u) - x p^2/(1 - u)^2].
+    """
+    z = complex(z)
+    _check_args(n, n * _extent(z) ** 2)
+    if n == 1:
+        return 0.0  # k_1 = 1
+    x = n * abs(z) ** 2
+    if x >= n:
+        q, lengths, coeffs, _, _ = _side_window(n, np.array([x], dtype=complex), False)
+        j = np.arange(lengths[0])
+        weights = coeffs[:j.size] * q[0].real ** j
+        mean = float(np.sum(j * weights) / np.sum(weights))
+        return float(np.sum((j - mean) ** 2 * weights) / np.sum(weights)) / abs(z) ** 2
+    if x == 0.0:
+        return float(n)
+    log_t, _ = _side_sums(n, np.array([x], dtype=complex), True)
+    u = math.exp(float(log_t[0]) - x)
+    p = math.exp((n - 1) * math.log(x) - x - math.lgamma(n))
+    g = p / (1.0 - u)
+    return n * (1.0 - g * (n - x) - x * g * g)

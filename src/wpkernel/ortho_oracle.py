@@ -201,6 +201,18 @@ def _poly_values(basis: OrthonormalBasis, z: complex) -> np.ndarray:
     return np.asarray(basis.coeffs) @ powers
 
 
+def _poly_derivatives(basis: OrthonormalBasis, z: complex) -> np.ndarray:
+    """P_j'(z) for every basis polynomial."""
+    zh = complex(z) / basis.scale
+    d = basis.max_degree + 1
+    dpowers = np.zeros(d, dtype=complex)
+    power = 1.0 / basis.scale
+    for k in range(1, d):
+        dpowers[k] = k * power
+        power *= zh
+    return np.asarray(basis.coeffs) @ dpowers
+
+
 def kernel_oracle(basis: OrthonormalBasis, z: complex, w: complex) -> LogComplex:
     """Exact kernel K_n(z, w) = sum_j W_j(z) conj(W_j(w)) in log-polar form."""
     z = complex(z)

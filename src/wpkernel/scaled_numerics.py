@@ -12,6 +12,7 @@ algebra, where pole orders must be verified exactly rather than numerically.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -344,16 +345,18 @@ def _legendre_value_deriv(m: int, x: np.ndarray):
     return p1, dp
 
 
+@functools.lru_cache(maxsize=None)
 def quad_gauss_legendre(m: int) -> Quadrature1D:
     """m-point Gauss-Legendre rule on [-1, 1].
 
     Nodes are the roots of the degree-m Legendre polynomial, located by
     Newton iteration from the Chebyshev-type initial guesses, to 1e-15.
+    Each rule is built once and shared, so its arrays are read-only.
     """
     if m < 1:
         raise DomainError("need at least one quadrature node")
     if m == 1:
-        return Quadrature1D(np.zeros(1), np.full(1, 2.0), "gauss_legendre")
+        return _read_only_rule(np.zeros(1), np.full(1, 2.0))
     i = np.arange(1, m + 1)
     x = np.cos(math.pi * (i - 0.25) / (m + 0.5))
     for _ in range(100):
@@ -368,7 +371,13 @@ def quad_gauss_legendre(m: int) -> Quadrature1D:
     x = 0.5 * (x - x[::-1])
     w = 0.5 * (w + w[::-1])
     order = np.argsort(x)
-    return Quadrature1D(x[order], w[order], "gauss_legendre")
+    return _read_only_rule(x[order], w[order])
+
+
+def _read_only_rule(nodes: np.ndarray, weights: np.ndarray) -> Quadrature1D:
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return Quadrature1D(nodes, weights, "gauss_legendre")
 
 
 def quad_trapezoid_periodic(m: int) -> Quadrature1D:

@@ -6,15 +6,20 @@ the exact identity (at inverse temperature one)
     dbar_z [ mu_{n,z}(k_z) ] = R_n(z) - n LapQ(z) - Lap log R_n(z),
 
 with k_z(w) = 1/(z - w) the Cauchy kernel and R_n the one-point function.
-Because the identity is exact, its numerical residual is a pure measure of
-quadrature and finite-difference error; every residual is therefore
-reported next to an explicit numerical budget (Richardson step-halving for
-the stencils, node refinement for the quadrature).
+Both sides are evaluated in closed form.  Since dbar_z (z - w)^{-1} is the
+point mass at w in dA, differentiating under the integral gives the left
+side as R_n(z) + int dbar_z B_n(z,w)/(z - w) dA(w); the integrand is
+bounded, because dbar_z B_n vanishes at w = z.  Writing R_n = k_n e^{-nQ}
+with k_n the unweighted polynomial kernel, the n LapQ terms cancel and the
+right side is R_n(z) - Lap log k_n(z,z).  There is no finite difference
+and no Richardson step: the residual measures quadrature and rounding
+error only, and is reported next to a budget made of the two (node
+refinement and a rounding floor).
 
-The Cauchy transform integral is evaluated on a polar grid centered at the
-root z: the Jacobian rho drho dtheta cancels the 1/(z - w) singularity
-exactly, leaving a smooth integrand.  The raw integral is normalized by the
-same-grid mass of B_n, which also cancels shared quadrature bias.
+Every integral runs on one polar grid centered at the root z: the
+Jacobian rho drho dtheta cancels the 1/(z - w) singularity exactly, leaving
+a smooth integrand.  The raw integral is normalized by the same-grid mass
+of B_n, which also cancels shared quadrature bias.
 """
 
 from __future__ import annotations
@@ -26,11 +31,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PrecisionError
-from .ginibre_exact import ginibre_berezin_array, ginibre_log_one_point
+from .ginibre_exact import (
+    _check_args,
+    ginibre_berezin_array,
+    ginibre_berezin_dbar_array,
+    ginibre_lap_log_kernel,
+    ginibre_log_one_point,
+)
 from .hardy import harmonic_measure_integral
-from .ortho_oracle import _poly_values, kernel_oracle
+from .ortho_oracle import _poly_derivatives, _poly_values, kernel_oracle
 from .potential import AdmissiblePotential
-from .scaled_numerics import composite_gauss, quad_trapezoid_periodic
+from .scaled_numerics import gauss_on_interval, quad_trapezoid_periodic
+
+_EPS = float(np.finfo(float).eps)
 
 
 class GinibreSource:
@@ -39,17 +52,32 @@ class GinibreSource:
     name = "ginibre"
 
     def __init__(self, n: int):
+        _check_args(n, 0.0)
         self.n = n
         self.outer_radius = 1.0
 
     def berezin_grid(self, z: complex, ws: np.ndarray) -> np.ndarray:
         return ginibre_berezin_array(self.n, z, ws)
 
+    def berezin_dbar_grid(self, z: complex, ws: np.ndarray):
+        return ginibre_berezin_dbar_array(self.n, z, ws)
+
     def log_one_point(self, z: complex) -> float:
         return ginibre_log_one_point(self.n, z)
 
-    def laplacian_Q(self, z: complex) -> float:
-        return 1.0
+    def lap_log_kernel(self, z: complex) -> float:
+        return ginibre_lap_log_kernel(self.n, z)
+
+    def value_error(self, z: complex) -> float:
+        """Relative rounding error of the values at root z.
+
+        Each value is the exponential of a sum of logarithms; its error is
+        eps times their magnitude: log n! of the endpoint terms, twice, and
+        the exponents n z w~, n|w|^2 and n|z|^2 over the nodes where B_n is
+        above rounding, |w| <= max(1, |z|) up to O(n^{-1/2}).
+        """
+        n = self.n
+        return _EPS * (2.0 * math.lgamma(n + 1.0) + 2.0 * n * max(1.0, abs(z) ** 2))
 
 
 class OracleSource:
@@ -58,6 +86,7 @@ class OracleSource:
     sum_j P_j(z) conj(P_j(w)) = sum_k a_k (conj(w)/scale)^k with a = C^H p(z),
     C the scaled-monomial coefficients of the P_j: one Horner step per degree
     over the flat node array, O(degree * nodes) work and O(nodes) memory.
+    Its z-derivative is the same polynomial with a' = C^H p'(z).
     """
 
     name = "oracle"
@@ -68,15 +97,15 @@ class OracleSource:
         self.n = basis.n
         self.outer_radius = pot.outer_radius(1.0)
 
-    def berezin_grid(self, z: complex, ws: np.ndarray) -> np.ndarray:
-        shape = ws.shape
-        flat = ws.ravel()
-        a = np.asarray(self.basis.coeffs).conj().T @ _poly_values(self.basis, z)
-        x = np.conj(flat) / self.basis.scale
-        kern = np.full(flat.shape, a[-1])
+    def _horner(self, values: np.ndarray, x: np.ndarray) -> np.ndarray:
+        a = np.asarray(self.basis.coeffs).conj().T @ values
+        kern = np.full(x.shape, a[-1])
         for c in a[-2::-1]:
             kern *= x
             kern += c
+        return kern
+
+    def _berezin(self, z: complex, flat: np.ndarray, kern: np.ndarray) -> np.ndarray:
         n = self.n
         qz = float(self.pot.Q(complex(z)))
         qw = self.pot.Q(flat)
@@ -85,13 +114,49 @@ class OracleSource:
         out = np.zeros_like(log_b)
         ok = log_b > -700
         out[ok] = np.exp(log_b[ok])
-        return out.reshape(shape)
+        return out
+
+    def berezin_grid(self, z: complex, ws: np.ndarray) -> np.ndarray:
+        flat = ws.ravel()
+        kern = self._horner(_poly_values(self.basis, z), np.conj(flat) / self.basis.scale)
+        return self._berezin(z, flat, kern).reshape(ws.shape)
+
+    def berezin_dbar_grid(self, z: complex, ws: np.ndarray):
+        """(B, dbar_z B) with dbar_z B = B [conj(d_z k(z,w) / k(z,w)) - s],
+        s = sum_j conj(P_j'(z)) P_j(z) / k(z,z)."""
+        flat = ws.ravel()
+        x = np.conj(flat) / self.basis.scale
+        p = _poly_values(self.basis, z)
+        dp = _poly_derivatives(self.basis, z)
+        kern = self._horner(p, x)
+        dkern = self._horner(dp, x)
+        b = self._berezin(z, flat, kern)
+        dbar = np.zeros(flat.shape, dtype=complex)
+        ok = b > 0.0
+        dbar[ok] = b[ok] * (np.conj(dkern[ok] / kern[ok]) - np.vdot(dp, p) / np.vdot(p, p).real)
+        return b.reshape(ws.shape), dbar.reshape(ws.shape)
 
     def log_one_point(self, z: complex) -> float:
         return kernel_oracle(self.basis, z, z).log_mag
 
-    def laplacian_Q(self, z: complex) -> float:
-        return self.pot.laplacian(z)
+    def lap_log_kernel(self, z: complex) -> float:
+        """(sum|P'|^2 sum|P|^2 - |sum P' conj P|^2) / (sum|P|^2)^2, summed in
+        Lagrange's form sum_{i<j} |P_i' P_j - P_j' P_i|^2, free of cancellation."""
+        p = _poly_values(self.basis, z)
+        dp = _poly_derivatives(self.basis, z)
+        norm = math.sqrt(np.vdot(p, p).real)
+        u, du = p / norm, dp / norm
+        return 0.5 * float(np.sum(np.abs(np.outer(du, u) - np.outer(u, du)) ** 2))
+
+    def value_error(self, z: complex) -> float:
+        """Relative error of the values at root z: the basis is orthonormal
+        only to its Gram residual, which bounds the error of the reproducing
+        identity in operator norm times the dimension; to that adds eps times
+        the weight exponents n Q(z) and n Q(w) over the nodes where B_n is
+        above rounding."""
+        dim = self.basis.max_degree + 1
+        q = max(1.0, float(self.pot.Q(complex(z))))
+        return dim * self.basis.gram_residual + _EPS * 2.0 * self.n * q
 
 
 @dataclass(frozen=True)
@@ -101,23 +166,6 @@ class QuadSpec:
     r_max: float
     disc_radius: float
     mass: float
-
-
-_GAUSS_PANEL_CACHE = {}
-
-
-def _panel_nodes(a: float, b: float, m: int = 16):
-    key = m
-    base = _GAUSS_PANEL_CACHE.get(key)
-    if base is None:
-        from .scaled_numerics import quad_gauss_legendre
-
-        rule = quad_gauss_legendre(m)
-        base = (rule.nodes, rule.weights)
-        _GAUSS_PANEL_CACHE[key] = base
-    half = 0.5 * (b - a)
-    mid = 0.5 * (b + a)
-    return mid + half * base[0], half * base[1]
 
 
 def _graded_edges(s_max: float, fine_bands, fine: float, coarse: float):
@@ -158,9 +206,9 @@ def _radial_panels(edges, m: int = 16, drop=None):
             continue
         if drop is not None and drop(a, b):
             continue
-        x, wgt = _panel_nodes(a, b, m)
-        nodes.append(x)
-        weights.append(wgt)
+        rule = gauss_on_interval(m, a, b)
+        nodes.append(rule.nodes)
+        weights.append(rule.weights)
     return np.concatenate(nodes), np.concatenate(weights)
 
 
@@ -170,8 +218,9 @@ def _gauss_on_angles(a: float, b: float, max_panel: float, m: int = 12):
     return _radial_panels(edges, m=m)
 
 
-def _sector_piece(source, z: complex, s_a, s_b, phi_a, phi_b, fine):
-    """Integral of -(1/pi) B e^{-i theta} over the sector, z-centered polar.
+def _sector_piece(grid, z: complex, s_a, s_b, phi_a, phi_b, fine):
+    """Integrals of -(1/pi) f e^{-i theta} and (1/pi) B rho over the sector,
+    z-centered polar, with the sum of the moduli of the first.
 
     The sector is star-shaped about z (its angular width is small), so each
     direction theta has a single exit radius: the nearest crossing with the
@@ -214,6 +263,7 @@ def _sector_piece(source, z: complex, s_a, s_b, phi_a, phi_b, fine):
     theta_edges = np.concatenate([base, [base[0] + 2.0 * math.pi]])
     integral = 0j
     mass = 0.0
+    l1 = 0.0
     for t0, t1 in zip(theta_edges[:-1], theta_edges[1:]):
         if t1 - t0 < 1e-13:
             continue
@@ -224,20 +274,34 @@ def _sector_piece(source, z: complex, s_a, s_b, phi_a, phi_b, fine):
             n_pan = max(1, int(math.ceil(r_exit / fine)))
             rays.append(_radial_panels(np.linspace(0.0, r_exit, n_pan + 1), m=12))
         # one grid for every ray of the piece, sliced back per ray
-        b_all = source.berezin_grid(z, np.concatenate(
+        b_all, f_all = grid(np.concatenate(
             [z + r_nodes * cmath.exp(1j * th) for th, (r_nodes, _) in zip(t_nodes, rays)]))
         lo = 0
         for th, tw, (r_nodes, r_w) in zip(t_nodes, t_w, rays):
             b_vals = b_all[lo:lo + r_nodes.size]
+            f_vals = f_all[lo:lo + r_nodes.size]
             lo += r_nodes.size
-            integral += -tw * cmath.exp(-1j * th) * complex(np.sum(r_w * b_vals)) / math.pi
+            integral += -tw * cmath.exp(-1j * th) * complex(np.sum(r_w * f_vals)) / math.pi
             mass += tw * float(np.sum(r_w * b_vals * r_nodes)) / math.pi
-    return integral, mass
+            l1 += tw * float(np.sum(r_w * np.abs(f_vals))) / math.pi
+    return integral, mass, l1
 
 
-def berezin_cauchy_transform(source, z: complex, n_theta: int = 256,
-                             refine: int = 1, with_spec: bool = False):
-    """mu_{n,z}(k_z) = integral of B_n(z, w)/(z - w) dA(w), mass-normalized.
+def _ray_grid(grid, z: complex, phi_nodes, phi_weights, s_nodes, s_w):
+    """Droplet-centered tensor grid: the three sums of `_polar_walk`."""
+    phases = np.exp(1j * np.asarray(phi_nodes))
+    ws = s_nodes[None, :] * phases[:, None]
+    b_vals, f_vals = grid(ws)
+    wmat = np.asarray(phi_weights)[:, None] * s_w[None, :]
+    terms = wmat * f_vals * s_nodes[None, :] / (z - ws)
+    return (complex(np.sum(terms) / math.pi),
+            float(np.sum(wmat * b_vals * s_nodes[None, :]) / math.pi),
+            float(np.sum(np.abs(terms)) / math.pi), ws.size)
+
+
+def _polar_walk(source, z: complex, grid, n_theta: int, refine: int):
+    """int f(w)/(z - w) dA(w) and the B_n mass on one grid, where
+    grid(ws) -> (B_n(z, ws), f(ws)).
 
     The plane is split into an annular sector aligned with droplet-centered
     polar coordinates that contains the root z, and its complement.  The
@@ -247,9 +311,12 @@ def berezin_cauchy_transform(source, z: complex, n_theta: int = 256,
     the boundary belt and the heat-kernel annulus; because the excluded
     region is aligned with the coordinates, the angular integrand stays
     piecewise analytic and composite Gauss rules converge at spectral rate.
-    The result is normalized by the same-grid Berezin mass.
+
+    Returns (integral, l1, spec): l1 is the sum of the moduli of the
+    integral's node terms, and spec.mass the same-grid mass.
     """
-    z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError("the root z must be finite")
     n = source.n
     r_out = source.outer_radius
     s_max = r_out + 12.0 / math.sqrt(n)
@@ -261,6 +328,7 @@ def berezin_cauchy_transform(source, z: complex, n_theta: int = 256,
     have_sector = az - m_r < s_max
     integral = 0j
     mass = 0.0
+    l1 = 0.0
     if have_sector:
         if az < 2.2 * m_r:
             s_a, s_b = 0.0, az + m_r
@@ -269,7 +337,7 @@ def berezin_cauchy_transform(source, z: complex, n_theta: int = 256,
             s_a, s_b = az - m_r, az + m_r
             half_phi = m_r / az
             phi_a, phi_b = phi_z - half_phi, phi_z + half_phi
-        integral, mass = _sector_piece(source, z, s_a, s_b, phi_a, phi_b, fine)
+        integral, mass, l1 = _sector_piece(grid, z, s_a, s_b, phi_a, phi_b, fine)
     else:
         s_a = s_b = phi_a = phi_b = 0.0
 
@@ -279,36 +347,19 @@ def berezin_cauchy_transform(source, z: complex, n_theta: int = 256,
     if have_sector:
         bands.append((az, m_r + 6.0 / math.sqrt(n)))
     base_edges = _graded_edges(s_max, bands, fine, coarse)
-    n_nodes = 0
-
-    def ray_contribution(phi_nodes, phi_weights, exclude_band):
-        nonlocal integral, mass, n_nodes
-        if exclude_band:
-            edges = np.unique(np.concatenate([base_edges, [s_a, min(s_b, s_max)]]))
-            drop = lambda a, b: a >= s_a - 1e-15 and b <= min(s_b, s_max) + 1e-15
-            s_nodes, s_w = _radial_panels(edges, m=16, drop=drop)
-        else:
-            s_nodes, s_w = _radial_panels(base_edges, m=16)
-        phases = np.exp(1j * np.asarray(phi_nodes))
-        ws = s_nodes[None, :] * phases[:, None]
-        b_vals = source.berezin_grid(z, ws)
-        wmat = np.asarray(phi_weights)[:, None] * s_w[None, :]
-        integral_add = np.sum(wmat * b_vals * s_nodes[None, :] / (z - ws)) / math.pi
-        mass_add = np.sum(wmat * b_vals * s_nodes[None, :]) / math.pi
-        n_nodes += ws.size
-        integral += complex(integral_add)
-        mass += float(mass_add)
-
+    pieces = []
     if have_sector and s_a > 0:
         # full rays outside the sector's angular range, Gauss panels in phi
         span = 2.0 * math.pi - (phi_b - phi_a)
         pn, pw = _gauss_on_angles(phi_b, phi_a + 2.0 * math.pi,
                                   max_panel=span / (max(24, n_theta // 8) * refine), m=12)
-        ray_contribution(pn, pw, exclude_band=False)
+        pieces.append((pn, pw, *_radial_panels(base_edges, m=16)))
         # rays through the sector's angular range, radial band excluded
         pn, pw = _gauss_on_angles(phi_a, phi_b,
                                   max_panel=(phi_b - phi_a) / (4 * refine) + 1e-12, m=12)
-        ray_contribution(pn, pw, exclude_band=True)
+        edges = np.unique(np.concatenate([base_edges, [s_a, min(s_b, s_max)]]))
+        drop = lambda a, b: a >= s_a - 1e-15 and b <= min(s_b, s_max) + 1e-15
+        pieces.append((pn, pw, *_radial_panels(edges, m=16, drop=drop)))
     else:
         # no sector, or the sector is the full disc s <= s_b: every ray is
         # treated alike and the periodic trapezoid applies
@@ -319,20 +370,35 @@ def berezin_cauchy_transform(source, z: complex, n_theta: int = 256,
             s_nodes, s_w = _radial_panels(edges, m=16, drop=drop)
         else:
             s_nodes, s_w = _radial_panels(base_edges, m=16)
-        phases = np.exp(1j * angular.nodes)
-        ws = s_nodes[None, :] * phases[:, None]
-        b_vals = source.berezin_grid(z, ws)
-        wmat = angular.weights[:, None] * s_w[None, :]
-        integral += complex(np.sum(wmat * b_vals * s_nodes[None, :] / (z - ws)) / math.pi)
-        mass += float(np.sum(wmat * b_vals * s_nodes[None, :]) / math.pi)
-        n_nodes += ws.size
+        pieces.append((angular.nodes, angular.weights, s_nodes, s_w))
+    n_nodes = 0
+    for piece in pieces:
+        part, part_mass, part_l1, size = _ray_grid(grid, z, *piece)
+        integral += part
+        mass += part_mass
+        l1 += part_l1
+        n_nodes += size
 
     if mass <= 0:
         raise PrecisionError("Berezin mass quadrature collapsed to zero")
-    value = integral / mass
+    return integral, l1, QuadSpec(n_theta=n_theta * refine, n_radial=n_nodes,
+                                  r_max=s_max, disc_radius=m_r, mass=mass)
+
+
+def berezin_cauchy_transform(source, z: complex, n_theta: int = 256,
+                             with_spec: bool = False):
+    """mu_{n,z}(k_z) = integral of B_n(z, w)/(z - w) dA(w), mass-normalized
+    on the polar grid of `_polar_walk`."""
+    z = complex(z)
+
+    def grid(ws):
+        b = source.berezin_grid(z, ws)
+        return b, b
+
+    integral, _, spec = _polar_walk(source, z, grid, n_theta, 1)
+    value = integral / spec.mass
     if with_spec:
-        return value, QuadSpec(n_theta=n_theta * refine, n_radial=n_nodes,
-                               r_max=s_max, disc_radius=m_r, mass=mass)
+        return value, spec
     return value
 
 
@@ -340,59 +406,32 @@ def berezin_cauchy_transform(source, z: complex, n_theta: int = 256,
 class LoopResidual:
     n: int
     z: complex
-    lhs: complex       # dbar of the Cauchy transform
-    rhs: float         # R_n - n LapQ - Lap log R_n
+    lhs: complex       # R_n + integral of dbar_z B_n(z, w)/(z - w) dA(w)
+    rhs: float         # R_n - n LapQ - Lap log R_n = R_n - Lap log k_n
     residual: complex
-    fd_step: float
-    budget: float      # FD Richardson + quadrature refinement estimate
+    budget: float      # quadrature refinement + rounding floor
     quad_spec: QuadSpec
 
 
-def _dbar_stencil(source, z: complex, h: float, n_theta: int, refine: int = 1) -> complex:
-    mu = lambda p: berezin_cauchy_transform(source, p, n_theta=n_theta, refine=refine)
-    dx = (mu(z + h) - mu(z - h)) / (2.0 * h)
-    dy = (mu(z + 1j * h) - mu(z - 1j * h)) / (2.0 * h)
-    return 0.5 * (dx + 1j * dy)
+def loop_residual(source, z: complex, n_theta: int = 256) -> LoopResidual:
+    """Residual of the loop equation with an explicit numerical budget.
 
-
-def _lap_log_R(source, z: complex, h: float) -> float:
-    f = source.log_one_point
-    center = f(z)
-    if not math.isfinite(center):
-        raise PrecisionError("one-point function underflow inside the stencil")
-    return (
-        f(z + h) + f(z - h) + f(z + 1j * h) + f(z - 1j * h) - 4.0 * center
-    ) / (4.0 * h * h)
-
-
-def loop_residual(source, z: complex, fd_step: float | None = None,
-                  n_theta: int = 256, boundary_window: float = 0.2) -> LoopResidual:
-    """Residual of the loop equation with an explicit numerical budget."""
+    The left side comes from two walks, at refine = 1 and 2; the refined one
+    is reported and their difference is the quadrature part of the budget.
+    """
     z = complex(z)
-    n = source.n
-    if fd_step is None:
-        near_boundary = abs(abs(z) - source.outer_radius) < boundary_window
-        fd_step = 0.1 / n if near_boundary else 0.01 / math.sqrt(n)
-    lhs = _dbar_stencil(source, z, fd_step, n_theta)
-    lhs_half = _dbar_stencil(source, z, 0.5 * fd_step, n_theta)
-    lap_log = _lap_log_R(source, z, fd_step)
-    lap_log_half = _lap_log_R(source, z, 0.5 * fd_step)
+    grid = lambda ws: source.berezin_dbar_grid(z, ws)
+    i_coarse, _, coarse = _polar_walk(source, z, grid, n_theta, 1)
+    integral, l1, spec = _polar_walk(source, z, grid, n_theta, 2)
     r_n = math.exp(source.log_one_point(z))
-    rhs = r_n - n * source.laplacian_Q(z) - lap_log_half
-    residual = lhs_half - rhs
-    _, spec = berezin_cauchy_transform(source, z, n_theta=n_theta, with_spec=True)
-    mu_coarse = berezin_cauchy_transform(source, z, n_theta=n_theta)
-    mu_fine = berezin_cauchy_transform(source, z, n_theta=n_theta, refine=2)
-    quad_budget = 4.0 * abs(mu_fine - mu_coarse) / fd_step
-    fd_budget = abs(lhs - lhs_half) / 2.0 + abs(lap_log - lap_log_half) / 2.0
-    h = 0.5 * fd_step
-    # rounding floor: machine noise amplified through the 1/h and 1/h^2 stencils
-    eps = 2.3e-16
-    fp_floor = 8.0 * eps * (abs(mu_coarse) + 1.0) / h \
-        + 8.0 * eps * (abs(source.log_one_point(z)) + 1.0) / (h * h)
+    lap_log = source.lap_log_kernel(z)
+    lhs = r_n + integral / spec.mass
+    rhs = r_n - lap_log
+    quad_budget = abs(integral / spec.mass - i_coarse / coarse.mass)
+    fp_floor = source.value_error(z) * (l1 / spec.mass + r_n + abs(lap_log))
     return LoopResidual(
-        n=n, z=z, lhs=lhs_half, rhs=rhs, residual=residual, fd_step=fd_step,
-        budget=fd_budget + quad_budget + fp_floor, quad_spec=spec,
+        n=source.n, z=z, lhs=lhs, rhs=rhs, residual=lhs - rhs,
+        budget=quad_budget + fp_floor, quad_spec=spec,
     )
 
 

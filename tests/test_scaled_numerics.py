@@ -114,6 +114,15 @@ def test_gauss_rules_small_cases():
     assert q2.weights == pytest.approx([1.0, 1.0], abs=1e-15)
 
 
+def test_gauss_rule_is_built_once_and_read_only():
+    rule = quad_gauss_legendre(16)
+    assert quad_gauss_legendre(16) is rule
+    with pytest.raises(ValueError):
+        rule.nodes[0] = 0.0
+    with pytest.raises(ValueError):
+        rule.weights *= 2.0
+
+
 @pytest.mark.parametrize("m", [2, 5, 9, 16, 32])
 def test_gauss_monomial_exactness(m):
     rule = quad_gauss_legendre(m)

@@ -2,8 +2,11 @@ import cmath
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wpkernel import (
     DomainError,
@@ -19,7 +22,46 @@ from wpkernel import (
     orthonormalize,
 )
 from wpkernel.ortho_oracle import _poly_values, kernel_oracle
-from wpkernel.ward import _lap_log_R, ginthm_leading, ginthm_second_coeff
+from wpkernel.ward import ginthm_leading, ginthm_second_coeff
+
+_EPS = 2.3e-16
+
+
+# The finite-difference route of the loop equation, kept as a test oracle
+# for the closed forms of the library: centred stencils for dbar of the
+# Cauchy transform and for Lap log R_n, with a Richardson step-halving budget.
+
+
+def _dbar_stencil(source, z: complex, h: float, n_theta: int = 256) -> complex:
+    mu = lambda p: berezin_cauchy_transform(source, p, n_theta=n_theta)
+    dx = (mu(z + h) - mu(z - h)) / (2.0 * h)
+    dy = (mu(z + 1j * h) - mu(z - 1j * h)) / (2.0 * h)
+    return 0.5 * (dx + 1j * dy)
+
+
+def _lap_log_R(source, z: complex, h: float) -> float:
+    f = source.log_one_point
+    return (f(z + h) + f(z - h) + f(z + 1j * h) + f(z - 1j * h) - 4.0 * f(z)) / (4.0 * h * h)
+
+
+def _stencil_route(source, z: complex, lap_q: float):
+    """(lhs, rhs, budget) of the loop equation by finite differences.
+
+    The step is 0.1/n within 0.2 of the droplet boundary and 0.01/sqrt(n)
+    elsewhere; the budget is the Richardson estimate of the halved step plus
+    the rounding amplified through the 1/h and 1/h^2 stencils.
+    """
+    z = complex(z)
+    n = source.n
+    near_boundary = abs(abs(z) - source.outer_radius) < 0.2
+    h = 0.1 / n if near_boundary else 0.01 / math.sqrt(n)
+    lhs, lhs_half = _dbar_stencil(source, z, h), _dbar_stencil(source, z, 0.5 * h)
+    lap, lap_half = _lap_log_R(source, z, h), _lap_log_R(source, z, 0.5 * h)
+    r_n = math.exp(source.log_one_point(z))
+    fd_budget = abs(lhs - lhs_half) / 2.0 + abs(lap - lap_half) / 2.0
+    fp_floor = 8.0 * _EPS * (abs(lhs_half) + 1.0) / (0.5 * h) \
+        + 8.0 * _EPS * (abs(source.log_one_point(z)) + 1.0) / (0.25 * h * h)
+    return lhs_half, r_n - n * lap_q - lap_half, fd_budget + fp_floor
 
 
 def test_two_term_values():
@@ -69,6 +111,73 @@ def test_loop_residual_within_budget():
 def test_loop_residual_no_growth():
     vals = [abs(loop_residual(GinibreSource(n), 1.5).residual) for n in (25, 50, 100)]
     assert vals[2] < 10.0 * vals[0]
+
+
+@pytest.mark.parametrize("n,z", [(1, 1.5 + 0.5j), (2, 0.5)])
+def test_loop_residual_smallest_n(n, z):
+    # n = 1: e_0 = 0, so r = 0 and k_1 = 1; n = 2: k_2(z, z) = 2 (1 + 2|z|^2)
+    src = GinibreSource(n)
+    lr = loop_residual(src, z)
+    assert math.isfinite(abs(lr.lhs)) and math.isfinite(lr.rhs)
+    assert abs(lr.residual) <= lr.budget
+    lap = [src.lap_log_kernel(r) for r in (0.7, 1.5)]
+    if n == 1:
+        assert lap == [0.0, 0.0]
+    else:
+        assert lap == pytest.approx([2.0 / (1.0 + 2.0 * r * r) ** 2 for r in (0.7, 1.5)],
+                                    rel=1e-14)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: GinibreSource(0),
+    lambda: GinibreSource(2.5),
+    lambda: loop_residual(GinibreSource(50), float("nan")),
+], ids=["ginibre-n0", "ginibre-fractional-n", "loop-nan-root"])
+def test_bad_input_raises_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.parametrize("source_name,z", [
+    ("ginibre", 0.5), ("ginibre", 1.5), ("oracle", 2.0 + 0.5j),
+])
+def test_exact_route_matches_stencil(elliptic_bases, source_name, z):
+    if source_name == "ginibre":
+        src, lap_q = GinibreSource(50), 1.0
+    else:
+        ell, bases = elliptic_bases
+        src, lap_q = OracleSource(bases[20], ell), ell.laplacian(z)
+    lhs, rhs, budget = _stencil_route(src, z, lap_q)
+    lr = loop_residual(src, z)
+    assert abs(lr.lhs - lhs) <= budget
+    assert abs(lr.rhs - rhs) <= budget
+    if source_name == "ginibre":
+        # criterion 11's points: no finite-difference error left
+        assert abs(lr.residual) <= 1e-11
+
+
+@pytest.mark.parametrize("n", [25, 100])
+def test_lap_log_kernel_outer_side_matches_mpmath(n):
+    # Lap g(|z|^2) = (s g'(s))' for radial g; k_n(z, z) = n e_n(n |z|^2)
+    with mpmath.workdps(50):
+        log_e = lambda s: mpmath.log(mpmath.fsum(
+            (n * s) ** k / mpmath.factorial(k) for k in range(n)))
+        for s in (1.05, 1.2, 2.25):
+            ref = mpmath.diff(lambda t: t * mpmath.diff(log_e, t), mpmath.mpf(s))
+            val = GinibreSource(n).lap_log_kernel(math.sqrt(s))
+            assert abs(val / float(ref) - 1.0) <= 1e-12
+
+
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(st.floats(0.3, 2.0), st.floats(0.0, 2.0 * math.pi))
+def test_loop_residual_conjugation_property(radius, angle):
+    src = GinibreSource(50)
+    z = cmath.rect(radius, angle)
+    lr = loop_residual(src, z)
+    mirror = loop_residual(src, z.conjugate())
+    assert abs(mirror.lhs - lr.lhs.conjugate()) <= 1e-12
+    assert abs(lr.residual) <= lr.budget
+    assert abs(mirror.residual) <= mirror.budget
 
 
 def test_radial_harmonic_limit_vanishes():
