@@ -28,7 +28,6 @@ from . import (
     elliptic_kernel_exact,
     ginibre_berezin,
     ginibre_kernel_exact,
-    ginibre_one_point,
     kernel_asymptotic,
     kernel_oracle,
     loop_residual,

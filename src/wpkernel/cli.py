@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .acceptance import ALL_CRITERIA, SUITES, run_suite
+from .acceptance import SUITES, run_suite
 from .errors import (
     ConfigError,
     DomainError,
@@ -34,7 +34,6 @@ from .errors import (
 from .expansion import exterior_kernel_expansion
 from .general_kernel import berezin_belt_density, kernel_asymptotic, sequence_cuts, tail_kernel
 from .ginibre_exact import ginibre_berezin, ginibre_kernel_exact
-from .hardy import harmonic_measure_density
 from .ortho_oracle import compute_moments, elliptic_kernel_exact, kernel_oracle, orthonormalize
 from .potential import make_elliptic_ginibre, make_ginibre, make_radial, RadialProfile
 from .szego_geometry import classify, trace_curve_K, trace_szego_curve

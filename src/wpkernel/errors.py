@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library and the argument checks that raise them."""
+
+import cmath
+import numbers
 
 
 class DomainError(ValueError):
@@ -35,3 +38,16 @@ class ToleranceError(RuntimeError):
 
 class ConfigError(ValueError):
     """Invalid command-line or config-file input."""
+
+
+def check_n(n) -> None:
+    """DomainError unless the particle count n is an integer >= 1."""
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise DomainError(f"particle count n must be an integer >= 1, got {n!r}")
+
+
+def check_finite(*values) -> None:
+    """DomainError unless every value is a finite real or complex number."""
+    for v in values:
+        if not cmath.isfinite(v):
+            raise DomainError(f"arguments must be finite, got {v!r}")

@@ -31,8 +31,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import BeltError, DomainError, RegimeError
+from .errors import BeltError, DomainError, RegimeError, check_finite, check_n
 from .hardy import harmonic_measure_density, szego_kernel
+from .ortho_oracle import _ginibre_enveloped_log_w
 from .potential import AdmissiblePotential, BoundaryPoint, harmonic_extension
 from .scaled_numerics import LogComplex, _norm_arg, lc_mul, lc_sum
 
@@ -81,8 +82,10 @@ def _require_belt(pot: AdmissiblePotential, n: int, z: complex, label: str):
 def kernel_asymptotic(pot: AdmissiblePotential, n: int, z: complex, w: complex,
                       eta: float = 0.05, beta_claimed: float = 0.2) -> KernelAsymptotic:
     """Leading Szego-type approximation of K_n(z, w) in log-polar form."""
+    check_n(n)
     z = complex(z)
     w = complex(w)
+    check_finite(z, w)
     _require_belt(pot, n, z, "z")
     _require_belt(pot, n, w, "w")
     phi_z = pot.phi(z, 1.0)
@@ -157,6 +160,8 @@ def berezin_belt_density(pot: AdmissiblePotential, n: int, z: complex,
                          p: BoundaryPoint, ell: float,
                          allow_outside_belt: bool = False) -> BeltDensity:
     """Gaussian belt density P_z(p) sqrt(4 n LapQ(p)/2pi) e^{-2 n LapQ(p) ell^2}."""
+    check_n(n)
+    check_finite(z, ell)
     cuts = sequence_cuts(n, pot.delta_M)
     if abs(ell) > cuts.delta_n and not allow_outside_belt:
         raise BeltError(
@@ -213,8 +218,10 @@ def quasipolynomial(pot: AdmissiblePotential, n: int, j: int, z: complex,
 
 def tail_kernel(pot: AdmissiblePotential, n: int, z: complex, w: complex) -> LogComplex:
     """Sum of quasipolynomial products over the top degree range j >= n theta_n."""
+    check_n(n)
     z = complex(z)
     w = complex(w)
+    check_finite(z, w)
     _require_belt(pot, n, z, "z")
     _require_belt(pot, n, w, "w")
     cuts = sequence_cuts(n, pot.delta_M)
@@ -249,12 +256,6 @@ class LowDegreeReport:
     argmax_j: int
 
 
-def _ginibre_obstacle(z: complex) -> float:
-    """Obstacle function of Q = |z|^2 at mass 1: Q inside, 1 + log|z|^2 outside."""
-    m = abs(z)
-    return m * m if m <= 1.0 else 1.0 + 2.0 * math.log(m)
-
-
 def lowdeg_bound_check(pot: AdmissiblePotential, n: int, z: complex) -> LowDegreeReport:
     """Scaled size of the discarded low-degree terms (Ginibre closed form).
 
@@ -269,34 +270,16 @@ def lowdeg_bound_check(pot: AdmissiblePotential, n: int, z: complex) -> LowDegre
     _require_belt(pot, n, z, "z")
     cuts = sequence_cuts(n, pot.delta_M)
     j_cut = int(math.floor(n * cuts.theta_n))
-    envelope = 0.5 * n * (abs(z) ** 2 - _ginibre_obstacle(z))
     best = -math.inf
     best_j = 0
-    log_abs_z = math.log(abs(z)) if z != 0 else -math.inf
     for j in range(j_cut + 1):
-        log_w = (
-            0.5 * ((j + 1) * math.log(n) - math.lgamma(j + 1.0))
-            + j * log_abs_z
-            - 0.5 * n * abs(z) ** 2
-        )
-        val = log_w + envelope
+        val = _ginibre_enveloped_log_w(n, j, z, 1.0)
         if val > best:
             best = val
             best_j = j
     return LowDegreeReport(n=n, z=z, j_cut=j_cut,
                            max_scaled=math.exp(best) if best > -745 else 0.0,
                            argmax_j=best_j)
-
-
-def ginibre_orthonormal_logabs(n: int, j: int, z: complex) -> float:
-    """log |W_{j,n}(z)| for the Ginibre closed-form basis."""
-    z = complex(z)
-    log_abs_z = math.log(abs(z)) if z != 0 else -math.inf
-    return (
-        0.5 * ((j + 1) * math.log(n) - math.lgamma(j + 1.0))
-        + j * log_abs_z
-        - 0.5 * n * abs(z) ** 2
-    )
 
 
 def h_function(pot: AdmissiblePotential, z: complex, nodes: int = 512) -> complex:

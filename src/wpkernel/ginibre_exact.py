@@ -34,12 +34,11 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PrecisionError
+from .errors import DomainError, PrecisionError, check_n
 from .scaled_numerics import LogComplex, _norm_arg, lc_mul
 
 # relative disagreement between summation and gamma routes that triggers
@@ -73,8 +72,7 @@ def _check_args(n, scale: float):
     largest float64 quantity the caller will form (n |zeta| or n |z|^2): a
     nan, inf or overflow-scale argument makes it non-finite.
     """
-    if not isinstance(n, numbers.Integral) or n < 1:
-        raise DomainError(f"particle count n must be an integer >= 1, got {n!r}")
+    check_n(n)
     if not math.isfinite(scale):
         raise DomainError("arguments must be finite and below the float64 overflow scale")
 
@@ -145,6 +143,16 @@ def _window_sums(q: np.ndarray, lengths: np.ndarray, coeffs: np.ndarray) -> np.n
     return out
 
 
+def _log_kk_over_factorial(k: int) -> float:
+    """k log k - log k!, from Stirling's series for k >= 32 (next term below
+    1e-16), where the two logarithms would cancel to about eps k log k."""
+    if k < 32:
+        return k * math.log(k) - math.lgamma(k + 1.0) if k else 0.0
+    inv2 = 1.0 / (k * k)
+    series = (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 * (1.0 / 1260.0 - inv2 / 1680.0))) / k
+    return k - 0.5 * math.log(2.0 * math.pi * k) - series
+
+
 def _side_window(n: int, x: np.ndarray, inner: bool):
     """Window of the endpoint sum for points on one side of |x| = n.
 
@@ -172,7 +180,7 @@ def _side_window(n: int, x: np.ndarray, inner: bool):
         j_drop = 2.0 * drop / (rate + np.sqrt(rate * rate + 2.0 * drop * math.log(2.0) / n))
         lengths = np.where(j_drop <= n, np.ceil(j_drop), n + math.ceil(drop / math.log(2.0)))
         lengths = np.where(live, lengths, 1)
-        lead = np.where(live, n * np.log(r) - math.lgamma(n + 1.0), -np.inf)
+        lead = np.where(live, _log_kk_over_factorial(n) - n * rate, -np.inf)
         k_end = n
         q = x / n
         # prod_{i=1}^{j} 1/(1 + i/n)
@@ -183,7 +191,7 @@ def _side_window(n: int, x: np.ndarray, inner: bool):
         a = rate - 0.5 / m
         j_drop = 2.0 * drop / (a + np.sqrt(a * a + 2.0 * drop / m))
         lengths = np.minimum(np.ceil(j_drop), n)
-        lead = (n - 1) * np.log(r) - math.lgamma(n)
+        lead = (n - 1) * rate + _log_kk_over_factorial(n - 1)
         k_end = n - 1
         q = m / x
         # prod_{i<j} (1 - i/(n-1))
@@ -357,22 +365,15 @@ def ginibre_berezin(n: int, z: complex, w: complex) -> float:
 # ---------------------------------------------------------------------------
 
 
-def ginibre_kernel_logmag_array(n: int, z: complex, ws: np.ndarray) -> np.ndarray:
-    """log |K_n(z, w)| over an array of w."""
+def ginibre_berezin_array(n: int, z: complex, ws: np.ndarray) -> np.ndarray:
+    """B_n(z, w) over an array of w; underflows are flushed to zero."""
     z = complex(z)
     ws = np.asarray(ws, dtype=complex)
     scale = _extent(z) + _extent(ws)
     _check_args(n, n * scale * scale)
-    zetas = z * np.conj(ws)
-    mag, _ = raw_partial_sum_array(n, zetas.ravel())
-    gauss = -0.5 * n * (abs(z) ** 2 + np.abs(ws.ravel()) ** 2)
-    return (math.log(n) + mag + gauss).reshape(ws.shape)
-
-
-def ginibre_berezin_array(n: int, z: complex, ws: np.ndarray) -> np.ndarray:
-    """B_n(z, w) over an array of w; underflows are flushed to zero."""
-    log_k = ginibre_kernel_logmag_array(n, z, ws)
-    log_b = 2.0 * log_k - ginibre_log_one_point(n, z)
+    mag, _ = raw_partial_sum_array(n, (z * np.conj(ws)).ravel())
+    log_k = math.log(n) + mag - 0.5 * n * (abs(z) ** 2 + np.abs(ws.ravel()) ** 2)
+    log_b = (2.0 * log_k - ginibre_log_one_point(n, z)).reshape(ws.shape)
     out = np.zeros_like(log_b)
     ok = log_b > -745.0
     out[ok] = np.exp(log_b[ok])
@@ -413,7 +414,8 @@ def _sums_and_ratios(n: int, x: np.ndarray):
             r[inner] = 0.0  # e_0 = 0
         else:
             with np.errstate(divide="ignore"):
-                log_end = (n - 1) * np.log(np.abs(xi)) - math.lgamma(n)
+                log_end = ((n - 1) * np.log(np.abs(xi) / (n - 1))
+                           + _log_kk_over_factorial(n - 1))
             ratio = np.exp(log_end - log_e[inner]
                            + 1j * ((n - 1) * np.angle(xi) - arg_e))
             r[inner] = 1.0 - ratio
@@ -449,27 +451,29 @@ def ginibre_lap_log_kernel(n: int, z: complex) -> float:
 
     With x = n|z|^2, Lap log k_n = (x d/dx)^2 log e_n / |z|^2, the variance
     of k under the weights x^k/k!, k < n, divided by |z|^2.
-    - x >= n: the variance of j = n-1-k under the window weights
-      coeffs[j] q^j, centred before squaring.
     - x < n: e_n = e^x (1 - u) with u = T e^{-x} and du/dx = p, the Poisson
-      weight x^{n-1} e^{-x}/(n-1)!, which gives
-      n [1 - p (n - x)/(1 - u) - x p^2/(1 - u)^2].
+      weight x^{n-1} e^{-x}/(n-1)!, which gives n [1 - g (n - x) - x g^2],
+      g = p/(1 - u); used while the subtracted part is below 1/2.
+    - Elsewhere, where the endpoint share g is not small, the variance of
+      j = n-1-k under the window weights coeffs[j] q^j, centred first.
     """
     z = complex(z)
     _check_args(n, n * _extent(z) ** 2)
     if n == 1:
         return 0.0  # k_1 = 1
     x = n * abs(z) ** 2
-    if x >= n:
-        q, lengths, coeffs, _, _ = _side_window(n, np.array([x], dtype=complex), False)
-        j = np.arange(lengths[0])
-        weights = coeffs[:j.size] * q[0].real ** j
-        mean = float(np.sum(j * weights) / np.sum(weights))
-        return float(np.sum((j - mean) ** 2 * weights) / np.sum(weights)) / abs(z) ** 2
     if x == 0.0:
         return float(n)
-    log_t, _ = _side_sums(n, np.array([x], dtype=complex), True)
-    u = math.exp(float(log_t[0]) - x)
-    p = math.exp((n - 1) * math.log(x) - x - math.lgamma(n))
-    g = p / (1.0 - u)
-    return n * (1.0 - g * (n - x) - x * g * g)
+    if x < n:
+        log_t, _ = _side_sums(n, np.array([x], dtype=complex), True)
+        u = math.exp(float(log_t[0]) - x)
+        p = math.exp((n - 1) * math.log(x / (n - 1)) + _log_kk_over_factorial(n - 1) - x)
+        g = p / (1.0 - u)
+        cut = g * (n - x) + x * g * g
+        if cut < 0.5:
+            return n * (1.0 - cut)
+    q, lengths, coeffs, _, _ = _side_window(n, np.array([x], dtype=complex), False)
+    j = np.arange(lengths[0])
+    weights = coeffs[:j.size] * q[0].real ** j
+    mean = float(np.sum(j * weights) / np.sum(weights))
+    return float(np.sum((j - mean) ** 2 * weights) / np.sum(weights)) / abs(z) ** 2

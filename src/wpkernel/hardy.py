@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, check_finite
 from .potential import AdmissiblePotential
 
 _CL_U_TOL = 1e-8
@@ -42,6 +42,7 @@ def szego_kernel(pot: AdmissiblePotential, z: complex, w: complex) -> complex:
     """Closed-form Szego kernel S(z, w) on the closed exterior domain."""
     z = complex(z)
     w = complex(w)
+    check_finite(z, w)
     _require_cl_U(pot, z)
     _require_cl_U(pot, w)
     denom = pot.phi(z, 1.0) * pot.phi(w, 1.0).conjugate() - 1.0
@@ -88,6 +89,7 @@ def harmonic_measure_density(pot: AdmissiblePotential, z: complex, p: complex) -
 
 def harmonic_measure_mass(pot: AdmissiblePotential, z: complex, nodes: int = 512) -> float:
     """Quadrature of P_z over the boundary; equals 1 for any exterior z."""
+    check_finite(z)
     _, wts, pts, speed = pot.boundary_grid(nodes, 1.0)
     dens = np.array([harmonic_measure_density(pot, z, p) for p in pts])
     return float(np.sum(wts * dens * speed))
@@ -96,6 +98,7 @@ def harmonic_measure_mass(pot: AdmissiblePotential, z: complex, nodes: int = 512
 def harmonic_measure_integral(pot: AdmissiblePotential, z: complex, f,
                               nodes: int = 512) -> complex:
     """omega_z(f) = integral of f against harmonic measure at z."""
+    check_finite(z)
     _, wts, pts, speed = pot.boundary_grid(nodes, 1.0)
     dens = np.array([harmonic_measure_density(pot, z, p) for p in pts])
     vals = np.array([f(p) for p in pts], dtype=complex)
@@ -111,14 +114,6 @@ def szego_reproducing_check(pot: AdmissiblePotential, f_index: int, z: complex,
     ])
     integral = complex(np.sum(wts * speed * vals))
     return abs(integral - szego_basis(pot, f_index, z))
-
-
-def szego_projection_of_constant(pot: AdmissiblePotential, z: complex,
-                                 nodes: int = 512) -> float:
-    """|<1, S(., z)>|; constants are orthogonal to the exterior Hardy space."""
-    _, wts, pts, speed = pot.boundary_grid(nodes, 1.0)
-    vals = np.array([szego_kernel(pot, p, z).conjugate() for p in pts])
-    return abs(complex(np.sum(wts * speed * vals)))
 
 
 def basis_gram_matrix(pot: AdmissiblePotential, j_max: int, nodes: int = 512) -> np.ndarray:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PrecisionError, ResolutionError
+from .errors import DomainError, PrecisionError, ResolutionError, check_finite, check_n
 from .potential import AdmissiblePotential, EllipticGinibrePotential
 from .scaled_numerics import LC_ZERO, LogComplex, quad_radial
 
@@ -86,8 +86,9 @@ def _angular_profile(pot, n, radii, m_theta, d_values):
 def compute_moments(pot: AdmissiblePotential, n: int, max_degree: int, *,
                     m_theta: int | None = None) -> GramData:
     """Assemble the Hermitian moment matrix of the weighted monomials."""
-    if n < 1 or max_degree < 0:
-        raise DomainError("need n >= 1 and a nonnegative degree")
+    check_n(n)
+    if max_degree < 0:
+        raise DomainError("need a nonnegative degree")
     if max_degree > n:
         raise DomainError("the space only contains degrees below n")
     r_max = pot.outer_radius(1.0) + 12.0 / math.sqrt(n)
@@ -243,12 +244,10 @@ def elliptic_kernel_exact(pot: EllipticGinibrePotential, n: int, z: complex,
     """
     if not isinstance(pot, EllipticGinibrePotential):
         raise DomainError("the Hermite route needs an elliptic Ginibre potential")
-    if n < 1:
-        raise DomainError("particle count n must be >= 1")
+    check_n(n)
     z = complex(z)
     w = complex(w)
-    if not (cmath.isfinite(z) and cmath.isfinite(w)):
-        raise DomainError("kernel arguments must be finite")
+    check_finite(z, w)
     log_weight = -0.5 * n * (pot.Q(z) + pot.Q(w))
     tau = -pot.beta / pot.alpha
     s = 1.0 / math.sqrt(n * pot.alpha * (1.0 - tau * tau))
@@ -296,12 +295,6 @@ def elliptic_kernel_exact(pot: EllipticGinibrePotential, n: int, z: complex,
     return LogComplex(log_total + math.log(abs(total)) + log_weight, cmath.phase(total))
 
 
-def kernel_oracle_diag(basis: OrthonormalBasis, z: complex) -> float:
-    """R_n(z) from the oracle basis (always a plain float)."""
-    val = kernel_oracle(basis, z, z)
-    return math.exp(val.log_mag) if val.log_mag > -745 else 0.0
-
-
 @dataclass(frozen=True)
 class PointwiseBoundReport:
     n: int
@@ -309,9 +302,15 @@ class PointwiseBoundReport:
     max_ratio: float  # max |W_{j,n}(z)| e^{(n/2)(Q - Qcheck_tau(j))(z)} / sqrt(n)
 
 
-def _ginibre_obstacle_tau(z: complex, tau: float) -> float:
+def _ginibre_enveloped_log_w(n: int, j: int, z: complex, tau: float) -> float:
+    """log |W_{j,n}(z)| + (n/2)(Q - Qcheck_tau)(z) for the Ginibre basis
+    sqrt(n^{j+1}/j!) z^j e^{-n|z|^2/2}; the obstacle function Qcheck_tau is
+    |z|^2 on |z|^2 <= tau and tau (1 + log(|z|^2/tau)) outside."""
     m2 = abs(z) ** 2
-    return m2 if m2 <= tau else tau * (1.0 + math.log(m2 / tau))
+    obstacle = m2 if m2 <= tau else tau * (1.0 + math.log(m2 / tau))
+    log_z = j * math.log(abs(z)) if z != 0 else (0.0 if j == 0 else -math.inf)
+    log_w = 0.5 * ((j + 1) * math.log(n) - math.lgamma(j + 1.0)) + log_z - 0.5 * n * m2
+    return log_w + 0.5 * n * (m2 - obstacle)
 
 
 def pointwise_bound_check(n: int, js, zs) -> PointwiseBoundReport:
@@ -322,15 +321,7 @@ def pointwise_bound_check(n: int, js, zs) -> PointwiseBoundReport:
     """
     worst = 0.0
     for j in js:
-        tau = j / n
         for z in zs:
-            z = complex(z)
-            log_w = (
-                0.5 * ((j + 1) * math.log(n) - math.lgamma(j + 1.0))
-                + (j * math.log(abs(z)) if z != 0 else (0.0 if j == 0 else -math.inf))
-                - 0.5 * n * abs(z) ** 2
-            )
-            envelope = 0.5 * n * (abs(z) ** 2 - _ginibre_obstacle_tau(z, tau))
-            ratio = math.exp(log_w + envelope - 0.5 * math.log(n))
-            worst = max(worst, ratio)
+            log_ratio = _ginibre_enveloped_log_w(n, j, complex(z), j / n) - 0.5 * math.log(n)
+            worst = max(worst, math.exp(log_ratio))
     return PointwiseBoundReport(n=n, samples=tuple(zs), max_ratio=worst)

@@ -40,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ToleranceError
+from .errors import DomainError, ToleranceError, check_finite
 from .scaled_numerics import gauss_on_interval, quad_trapezoid_periodic
 
 
@@ -390,6 +390,7 @@ class EllipticGinibrePotential(AdmissiblePotential):
     has_parity_symmetry = True
 
     def __init__(self, a: float, b: float):
+        check_finite(a, b)
         if a <= 0 or b <= 0:
             raise DomainError("elliptic potential needs a > 0 and b > 0")
         self.a = float(a)

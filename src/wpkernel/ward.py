@@ -13,8 +13,8 @@ bounded, because dbar_z B_n vanishes at w = z.  Writing R_n = k_n e^{-nQ}
 with k_n the unweighted polynomial kernel, the n LapQ terms cancel and the
 right side is R_n(z) - Lap log k_n(z,z).  There is no finite difference
 and no Richardson step: the residual measures quadrature and rounding
-error only, and is reported next to a budget made of the two (node
-refinement and a rounding floor).
+error only, and is reported next to a budget made of the two (its change
+under a lower-order walk on the same panels, and a rounding floor).
 
 Every integral runs on one polar grid centered at the root z: the
 Jacobian rho drho dtheta cancels the 1/(z - w) singularity exactly, leaving
@@ -44,6 +44,9 @@ from .potential import AdmissiblePotential
 from .scaled_numerics import gauss_on_interval, quad_trapezoid_periodic
 
 _EPS = float(np.finfo(float).eps)
+# The companion walk of the loop-residual budget lowers every Gauss rule of
+# `_polar_walk` by this many orders and halves its periodic trapezoid.
+_ORDER_DROP = 4
 
 
 class GinibreSource:
@@ -198,13 +201,13 @@ def _graded_edges(s_max: float, fine_bands, fine: float, coarse: float):
     return np.unique(np.array(edges))
 
 
-def _radial_panels(edges, m: int = 16, drop=None):
+def _radial_panels(edges, m: int = 16, skip=None):
     nodes = []
     weights = []
     for a, b in zip(edges[:-1], edges[1:]):
         if b - a < 1e-14:
             continue
-        if drop is not None and drop(a, b):
+        if skip is not None and skip(a, b):
             continue
         rule = gauss_on_interval(m, a, b)
         nodes.append(rule.nodes)
@@ -218,14 +221,15 @@ def _gauss_on_angles(a: float, b: float, max_panel: float, m: int = 12):
     return _radial_panels(edges, m=m)
 
 
-def _sector_piece(grid, z: complex, s_a, s_b, phi_a, phi_b, fine):
+def _sector_piece(grid, z: complex, s_a, s_b, phi_a, phi_b, fine, drop):
     """Integrals of -(1/pi) f e^{-i theta} and (1/pi) B rho over the sector,
     z-centered polar, with the sum of the moduli of the first.
 
     The sector is star-shaped about z (its angular width is small), so each
     direction theta has a single exit radius: the nearest crossing with the
     two circles s = s_a, s_b and the two rays phi = phi_a, phi_b.  Corner
-    directions split the theta-range into analytic pieces.
+    directions split the theta-range into analytic pieces; the Gauss rules
+    have 16 - drop nodes in theta and 12 - drop along each ray.
     """
     az = abs(z)
     disc_mode = s_a <= 1e-12
@@ -267,12 +271,12 @@ def _sector_piece(grid, z: complex, s_a, s_b, phi_a, phi_b, fine):
     for t0, t1 in zip(theta_edges[:-1], theta_edges[1:]):
         if t1 - t0 < 1e-13:
             continue
-        t_nodes, t_w = _gauss_on_angles(t0, t1, max_panel=(t1 - t0) / 3 + 1e-9, m=16)
+        t_nodes, t_w = _gauss_on_angles(t0, t1, max_panel=(t1 - t0) / 3 + 1e-9, m=16 - drop)
         rays = []
         for th in t_nodes:
             r_exit = exit_radius(th)
             n_pan = max(1, int(math.ceil(r_exit / fine)))
-            rays.append(_radial_panels(np.linspace(0.0, r_exit, n_pan + 1), m=12))
+            rays.append(_radial_panels(np.linspace(0.0, r_exit, n_pan + 1), m=12 - drop))
         # one grid for every ray of the piece, sliced back per ray
         b_all, f_all = grid(np.concatenate(
             [z + r_nodes * cmath.exp(1j * th) for th, (r_nodes, _) in zip(t_nodes, rays)]))
@@ -299,7 +303,7 @@ def _ray_grid(grid, z: complex, phi_nodes, phi_weights, s_nodes, s_w):
             float(np.sum(np.abs(terms)) / math.pi), ws.size)
 
 
-def _polar_walk(source, z: complex, grid, n_theta: int, refine: int):
+def _polar_walk(source, z: complex, grid, n_theta: int, companion: bool = False):
     """int f(w)/(z - w) dA(w) and the B_n mass on one grid, where
     grid(ws) -> (B_n(z, ws), f(ws)).
 
@@ -312,6 +316,9 @@ def _polar_walk(source, z: complex, grid, n_theta: int, refine: int):
     region is aligned with the coordinates, the angular integrand stays
     piecewise analytic and composite Gauss rules converge at spectral rate.
 
+    The companion walk keeps every panel, lowers each Gauss rule by
+    _ORDER_DROP orders and halves the periodic trapezoid.
+
     Returns (integral, l1, spec): l1 is the sum of the moduli of the
     integral's node terms, and spec.mass the same-grid mass.
     """
@@ -320,7 +327,9 @@ def _polar_walk(source, z: complex, grid, n_theta: int, refine: int):
     n = source.n
     r_out = source.outer_radius
     s_max = r_out + 12.0 / math.sqrt(n)
-    fine = min(0.25, 1.5 / math.sqrt(n)) / refine
+    fine = min(0.25, 1.5 / math.sqrt(n))
+    drop = _ORDER_DROP if companion else 0
+    n_trap = n_theta // 2 if companion else n_theta
 
     m_r = 0.15
     az = abs(z)
@@ -337,7 +346,7 @@ def _polar_walk(source, z: complex, grid, n_theta: int, refine: int):
             s_a, s_b = az - m_r, az + m_r
             half_phi = m_r / az
             phi_a, phi_b = phi_z - half_phi, phi_z + half_phi
-        integral, mass, l1 = _sector_piece(grid, z, s_a, s_b, phi_a, phi_b, fine)
+        integral, mass, l1 = _sector_piece(grid, z, s_a, s_b, phi_a, phi_b, fine, drop)
     else:
         s_a = s_b = phi_a = phi_b = 0.0
 
@@ -352,24 +361,24 @@ def _polar_walk(source, z: complex, grid, n_theta: int, refine: int):
         # full rays outside the sector's angular range, Gauss panels in phi
         span = 2.0 * math.pi - (phi_b - phi_a)
         pn, pw = _gauss_on_angles(phi_b, phi_a + 2.0 * math.pi,
-                                  max_panel=span / (max(24, n_theta // 8) * refine), m=12)
-        pieces.append((pn, pw, *_radial_panels(base_edges, m=16)))
+                                  max_panel=span / max(24, n_theta // 8), m=12 - drop)
+        pieces.append((pn, pw, *_radial_panels(base_edges, m=16 - drop)))
         # rays through the sector's angular range, radial band excluded
         pn, pw = _gauss_on_angles(phi_a, phi_b,
-                                  max_panel=(phi_b - phi_a) / (4 * refine) + 1e-12, m=12)
+                                  max_panel=(phi_b - phi_a) / 4 + 1e-12, m=12 - drop)
         edges = np.unique(np.concatenate([base_edges, [s_a, min(s_b, s_max)]]))
-        drop = lambda a, b: a >= s_a - 1e-15 and b <= min(s_b, s_max) + 1e-15
-        pieces.append((pn, pw, *_radial_panels(edges, m=16, drop=drop)))
+        skip = lambda a, b: a >= s_a - 1e-15 and b <= min(s_b, s_max) + 1e-15
+        pieces.append((pn, pw, *_radial_panels(edges, m=16 - drop, skip=skip)))
     else:
         # no sector, or the sector is the full disc s <= s_b: every ray is
         # treated alike and the periodic trapezoid applies
-        angular = quad_trapezoid_periodic(n_theta * refine)
+        angular = quad_trapezoid_periodic(n_trap)
         if have_sector:
             edges = np.unique(np.concatenate([base_edges, [min(s_b, s_max)]]))
-            drop = lambda a, b: b <= min(s_b, s_max) + 1e-15
-            s_nodes, s_w = _radial_panels(edges, m=16, drop=drop)
+            skip = lambda a, b: b <= min(s_b, s_max) + 1e-15
+            s_nodes, s_w = _radial_panels(edges, m=16 - drop, skip=skip)
         else:
-            s_nodes, s_w = _radial_panels(base_edges, m=16)
+            s_nodes, s_w = _radial_panels(base_edges, m=16 - drop)
         pieces.append((angular.nodes, angular.weights, s_nodes, s_w))
     n_nodes = 0
     for piece in pieces:
@@ -381,7 +390,7 @@ def _polar_walk(source, z: complex, grid, n_theta: int, refine: int):
 
     if mass <= 0:
         raise PrecisionError("Berezin mass quadrature collapsed to zero")
-    return integral, l1, QuadSpec(n_theta=n_theta * refine, n_radial=n_nodes,
+    return integral, l1, QuadSpec(n_theta=n_trap, n_radial=n_nodes,
                                   r_max=s_max, disc_radius=m_r, mass=mass)
 
 
@@ -395,7 +404,7 @@ def berezin_cauchy_transform(source, z: complex, n_theta: int = 256,
         b = source.berezin_grid(z, ws)
         return b, b
 
-    integral, _, spec = _polar_walk(source, z, grid, n_theta, 1)
+    integral, _, spec = _polar_walk(source, z, grid, n_theta)
     value = integral / spec.mass
     if with_spec:
         return value, spec
@@ -409,25 +418,26 @@ class LoopResidual:
     lhs: complex       # R_n + integral of dbar_z B_n(z, w)/(z - w) dA(w)
     rhs: float         # R_n - n LapQ - Lap log R_n = R_n - Lap log k_n
     residual: complex
-    budget: float      # quadrature refinement + rounding floor
+    budget: float      # change under the companion walk + rounding floor
     quad_spec: QuadSpec
 
 
 def loop_residual(source, z: complex, n_theta: int = 256) -> LoopResidual:
     """Residual of the loop equation with an explicit numerical budget.
 
-    The left side comes from two walks, at refine = 1 and 2; the refined one
-    is reported and their difference is the quadrature part of the budget.
+    The left side is reported from the walk of `berezin_cauchy_transform`;
+    its change under the lower-order companion walk on the same panels is
+    the quadrature part of the budget.
     """
     z = complex(z)
     grid = lambda ws: source.berezin_dbar_grid(z, ws)
-    i_coarse, _, coarse = _polar_walk(source, z, grid, n_theta, 1)
-    integral, l1, spec = _polar_walk(source, z, grid, n_theta, 2)
+    integral, l1, spec = _polar_walk(source, z, grid, n_theta)
+    i_low, _, low = _polar_walk(source, z, grid, n_theta, companion=True)
     r_n = math.exp(source.log_one_point(z))
     lap_log = source.lap_log_kernel(z)
     lhs = r_n + integral / spec.mass
     rhs = r_n - lap_log
-    quad_budget = abs(integral / spec.mass - i_coarse / coarse.mass)
+    quad_budget = abs(integral / spec.mass - i_low / low.mass)
     fp_floor = source.value_error(z) * (l1 / spec.mass + r_n + abs(lap_log))
     return LoopResidual(
         n=source.n, z=z, lhs=lhs, rhs=rhs, residual=lhs - rhs,

@@ -26,8 +26,18 @@ from wpkernel import (
     tail_kernel,
 )
 from wpkernel.expansion import berezin_gaussian_ginibre
-from wpkernel.general_kernel import ginibre_orthonormal_logabs
 from wpkernel.scaled_numerics import lc_sum, quad_radial
+
+
+def ginibre_orthonormal_logabs(n: int, j: int, z: complex) -> float:
+    """log |W_{j,n}(z)| for the Ginibre closed-form basis."""
+    z = complex(z)
+    log_abs_z = math.log(abs(z)) if z != 0 else -math.inf
+    return (
+        0.5 * ((j + 1) * math.log(n) - math.lgamma(j + 1.0))
+        + j * log_abs_z
+        - 0.5 * n * abs(z) ** 2
+    )
 
 
 @pytest.fixture(scope="module")

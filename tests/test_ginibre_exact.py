@@ -1,4 +1,6 @@
 import cmath
+import functools
+import itertools
 import math
 import tracemalloc
 
@@ -34,12 +36,26 @@ def rel_lc(a, b):
     return abs(cmath.exp(complex(a.log_mag - b.log_mag, a.arg - b.arg)) - 1.0)
 
 
+@functools.lru_cache(maxsize=None)
+def _mp_log_factorials(n):
+    """log k! for k < n at 30 digits."""
+    with mpmath.workdps(30):
+        return list(itertools.accumulate((mpmath.log(k) for k in range(1, n)),
+                                         initial=mpmath.mpf(0)))
+
+
 def direct_partial_sum(n, zeta):
-    """Reference: all n terms, k log|n zeta| - lgamma(k+1) evaluated per term."""
+    """Reference: all n terms of x = n zeta, the log-magnitudes
+    k log|x| - log k! formed at 30 digits relative to the largest one, so
+    that no float64 cancellation enters them, and the arguments k arg x."""
     nz = n * complex(zeta)
-    ks = np.arange(n)
-    lgam = np.array([math.lgamma(k + 1.0) for k in range(n)])
-    return lc_sum_scaled_parts(ks * math.log(abs(nz)) - lgam, math.atan2(nz.imag, nz.real) * ks)
+    with mpmath.workdps(30):
+        log_x = mpmath.log(abs(mpmath.mpc(nz.real, nz.imag)))
+        logs = [k * log_x - lf for k, lf in enumerate(_mp_log_factorials(n))]
+        top = max(logs)
+        rel = np.array([float(v - top) for v in logs])
+    s = lc_sum_scaled_parts(rel, math.atan2(nz.imag, nz.real) * np.arange(n))
+    return LogComplex(float(top) + s.log_mag, s.arg)
 
 
 def mp_partial_sum(n, zeta, dps=80):
@@ -72,11 +88,20 @@ _NON_CANCELLING = [0.02, 0.3, 0.9, 1.0, 1.7, 3.0, 1.3 + 0.4j, 2.2 - 1.5j, -0.4 +
 
 @pytest.mark.parametrize("n", [1, 2, 7, 30, 200, 800, 3200])
 def test_window_matches_direct_sum(n):
-    # at n = 3200 both routes form log-magnitudes near 2.8e4, whose float64
-    # spacing is 3.6e-12, so the bound there is 2e-11
-    tol = 1e-12 if n <= 800 else 2e-11
     for zeta in _NON_CANCELLING:
-        assert rel_lc(_raw_partial_sum(n, zeta), direct_partial_sum(n, zeta)) < tol
+        assert rel_lc(_raw_partial_sum(n, zeta), direct_partial_sum(n, zeta)) < 1e-12
+
+
+def test_endpoint_lead_near_unit_circle_matches_mpmath():
+    # the endpoint term's log-magnitude is formed near |x| = n, where
+    # n log|x| and log n! are both above 2e4 at n = 3200; the lead must not
+    # inherit their float64 spacing
+    rng = np.random.default_rng(3200)
+    zetas = np.array([cmath.rect(r, t) for r, t in
+                      zip(rng.uniform(0.97, 1.03, 12), rng.uniform(-math.pi, math.pi, 12))])
+    log_mag, _ = raw_partial_sum_array(3200, zetas)
+    ref = [mp_partial_sum(3200, zeta, dps=40).log_mag for zeta in zetas]
+    assert np.max(np.abs(log_mag - ref)) <= 1.5e-12
 
 
 @pytest.mark.parametrize("n", [10, 50, 150])

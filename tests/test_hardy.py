@@ -19,7 +19,14 @@ from wpkernel import (
     szego_reproducing_check,
     RadialProfile,
 )
-from wpkernel.hardy import basis_gram_matrix, szego_projection_of_constant
+from wpkernel.hardy import basis_gram_matrix
+
+
+def szego_projection_of_constant(pot, z: complex, nodes: int = 512) -> float:
+    """|<1, S(., z)>|; constants are orthogonal to the exterior Hardy space."""
+    _, wts, pts, speed = pot.boundary_grid(nodes, 1.0)
+    vals = np.array([szego_kernel(pot, p, z).conjugate() for p in pts])
+    return abs(complex(np.sum(wts * speed * vals)))
 
 
 @pytest.fixture(scope="module")

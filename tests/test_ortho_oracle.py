@@ -12,16 +12,23 @@ from wpkernel import (
     compute_moments,
     elliptic_kernel_exact,
     ginibre_kernel_exact,
+    harmonic_measure_mass,
     kernel_asymptotic,
     kernel_oracle,
     make_elliptic_ginibre,
     make_ginibre,
     orthonormalize,
     pointwise_bound_check,
+    szego_kernel,
     tail_kernel,
 )
-from wpkernel.ortho_oracle import kernel_oracle_diag
 from wpkernel.scaled_numerics import quad_radial, quad_trapezoid_periodic
+
+
+def kernel_oracle_diag(basis, z: complex) -> float:
+    """R_n(z) from the oracle basis (always a plain float)."""
+    val = kernel_oracle(basis, z, z)
+    return math.exp(val.log_mag) if val.log_mag > -745 else 0.0
 
 
 def rel_lc(a, b):
@@ -223,10 +230,19 @@ def test_degree_cannot_exceed_n(gin):
     lambda: kernel_oracle(orthonormalize(compute_moments(_ELL, 10, 9)), 1e200, 1.5),
     lambda: kernel_asymptotic(make_ginibre(), 40, 1e200, 1.5),
     lambda: tail_kernel(make_ginibre(), 40, 1e200, 1.5),
+    lambda: tail_kernel(_ELL, 40, math.nan, 2),
+    lambda: kernel_asymptotic(_ELL, 40, math.nan, 2),
+    lambda: szego_kernel(_ELL, math.nan, 2),
+    lambda: harmonic_measure_mass(_ELL, math.nan),
+    lambda: make_elliptic_ginibre(math.nan, 1),
+    lambda: kernel_asymptotic(_ELL, 40.5, 2, 2j),
+    lambda: compute_moments(_ELL, 2.5, 1),
 ], ids=["moments-n0", "moments-radial-n0", "moments-negative-degree", "hermite-n0",
         "hermite-nan", "hermite-inf", "hermite-overflow", "hermite-not-elliptic",
         "asymptotic-overflow", "tail-overflow", "oracle-overflow",
-        "ginibre-asymptotic-overflow", "ginibre-tail-overflow"])
+        "ginibre-asymptotic-overflow", "ginibre-tail-overflow", "tail-nan",
+        "asymptotic-nan", "szego-nan", "harmonic-mass-nan", "elliptic-nan-axis",
+        "asymptotic-fractional-n", "moments-fractional-n"])
 def test_bad_input_raises_domain_error(call):
     with pytest.raises(DomainError):
         call()

@@ -168,6 +168,21 @@ def test_lap_log_kernel_outer_side_matches_mpmath(n):
             assert abs(val / float(ref) - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 25, 400])
+def test_lap_log_kernel_inner_rim_matches_mpmath(n):
+    # Lap log k_n(z, z) is the variance of k under (n|z|^2)^k/k!, k < n,
+    # over |z|^2; just inside |z| = 1 the truncated-Poisson closed form
+    # cancels, and the window variance must take over
+    with mpmath.workdps(50):
+        for s in (0.6, 0.9, 0.95, 0.99, 0.999):
+            x = n * mpmath.mpf(s)
+            w = [x ** k / mpmath.factorial(k) for k in range(n)]
+            mean = mpmath.fsum(k * wk for k, wk in enumerate(w)) / mpmath.fsum(w)
+            var = mpmath.fsum((k - mean) ** 2 * wk for k, wk in enumerate(w)) / mpmath.fsum(w)
+            val = GinibreSource(n).lap_log_kernel(math.sqrt(s))
+            assert abs(val / float(var / s) - 1.0) <= 5e-14
+
+
 @settings(max_examples=5, deadline=None, derandomize=True)
 @given(st.floats(0.3, 2.0), st.floats(0.0, 2.0 * math.pi))
 def test_loop_residual_conjugation_property(radius, angle):
@@ -178,6 +193,31 @@ def test_loop_residual_conjugation_property(radius, angle):
     assert abs(mirror.lhs - lr.lhs.conjugate()) <= 1e-12
     assert abs(lr.residual) <= lr.budget
     assert abs(mirror.residual) <= mirror.budget
+
+
+def _sweep_roots(n):
+    # one root in the rim band 0.95 <= |z| <= 1.05 and one in 0.3 <= |z| <= 2
+    rng = np.random.default_rng(1000 + n)
+    radii = (rng.uniform(0.95, 1.05), rng.uniform(0.3, 2.0))
+    return [cmath.rect(r, t) for r, t in zip(radii, rng.uniform(0.0, 2.0 * math.pi, 2))]
+
+
+@pytest.mark.parametrize("source_name,n", [
+    ("ginibre", 1), ("ginibre", 2), ("ginibre", 50), ("ginibre", 200), ("oracle", 20),
+])
+def test_loop_residual_budget_sweep(elliptic_bases, source_name, n):
+    if source_name == "ginibre":
+        src, roots = GinibreSource(n), _sweep_roots(n)
+    else:
+        ell, bases = elliptic_bases
+        src, roots = OracleSource(bases[n], ell), [2.0 + 0.5j]
+    for z in roots:
+        lr = loop_residual(src, z)
+        assert abs(lr.residual) <= lr.budget
+        # the residual is reported on the transform's own grid
+        _, spec = berezin_cauchy_transform(src, z, with_spec=True)
+        assert lr.quad_spec.n_radial == spec.n_radial
+        assert lr.quad_spec.n_theta == spec.n_theta
 
 
 def test_radial_harmonic_limit_vanishes():
