@@ -34,7 +34,7 @@ from .errors import (
 from .expansion import exterior_kernel_expansion
 from .general_kernel import berezin_belt_density, kernel_asymptotic, sequence_cuts, tail_kernel
 from .ginibre_exact import ginibre_berezin, ginibre_kernel_exact
-from .ortho_oracle import compute_moments, elliptic_kernel_exact, kernel_oracle, orthonormalize
+from .ortho_oracle import compute_moments, kernel_oracle, orthonormalize
 from .potential import make_elliptic_ginibre, make_ginibre, make_radial, RadialProfile
 from .szego_geometry import classify, trace_curve_K, trace_szego_curve
 from .ward import GinibreSource, OracleSource, berezin_cauchy_transform, loop_residual
@@ -186,11 +186,8 @@ def cmd_kernel(args):
     if args.mode in ("oracle", "all"):
         if args.basis:
             values["oracle"] = kernel_oracle(_load_basis(args.basis, pot), z, w)
-        elif args.potential == "elliptic":
-            values["oracle"] = elliptic_kernel_exact(pot, n, z, w)
         else:
-            basis = orthonormalize(compute_moments(pot, n, n - 1))
-            values["oracle"] = kernel_oracle(basis, z, w)
+            values["oracle"] = pot.exact_kernel(n)(z, w)
     rows = []
     names = sorted(values)
     for name in names:
@@ -211,19 +208,16 @@ def cmd_berezin(args):
     cuts = sequence_cuts(n, pot.delta_M)
     thetas = 2.0 * math.pi * np.arange(args.nodes) / args.nodes
     ells = np.linspace(-cuts.delta_n, cuts.delta_n, args.ell_nodes)
+    kernel = pot.exact_kernel(n)
+    log_kzz = kernel(z, z).log_mag
     rows = []
-    use_exact = pot.name == "ginibre"
     for idx, theta in enumerate(thetas):
         bp = pot.boundary_point(theta, 1.0)
         arclength = abs(pot.dchi(complex(math.cos(theta), math.sin(theta)), 1.0))
         for ell in ells:
             model = berezin_belt_density(pot, n, z, bp, ell).density
-            if use_exact:
-                w_pt = bp.p + ell * bp.normal
-                exact = ginibre_berezin(n, z, w_pt) / math.pi
-            else:
-                exact = float("nan")
-            ratio = exact / model if use_exact and model > 0 else float("nan")
+            exact = math.exp(2.0 * kernel(z, bp.p + ell * bp.normal).log_mag - log_kzz) / math.pi
+            ratio = exact / model if model > 0 else float("nan")
             rows.append((idx, arclength, ell, exact, model, ratio))
     _emit_csv(args, ["p_index", "arclength", "ell", "density_exact_or_oracle",
                      "density_gaussian", "ratio"], rows)

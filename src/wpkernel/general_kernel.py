@@ -123,7 +123,7 @@ def cocycle(pot: AdmissiblePotential, n: int, z: complex, w: complex,
     z = complex(z)
     w = complex(w)
     for pt, name in ((z, "z"), (w, "w")):
-        if abs(abs(pot.phi(pt, 1.0)) - 1.0) > boundary_tol:
+        if not abs(abs(pot.phi(pt, 1.0)) - 1.0) <= boundary_tol:
             raise DomainError(f"cocycle needs {name} on the boundary")
     prod = pot.phi(z, 1.0) * pot.phi(w, 1.0).conjugate()
     arg = (
@@ -207,6 +207,8 @@ def quasipolynomial(pot: AdmissiblePotential, n: int, j: int, z: complex,
         + 0.5 * n * sq.real
         - 0.5 * n * float(pot.Q(z))
     )
+    if not math.isfinite(log_mag):
+        raise DomainError(f"W#_(j,n) is not finite at z = {z}")
     arg = (
         0.5 * sh.imag
         + math.atan2(sdphi.imag, sdphi.real)
@@ -242,6 +244,7 @@ def f_factor(pot: AdmissiblePotential, tau: float, z: complex) -> complex:
     and F_tau(inf) > 0.
     """
     z = complex(z)
+    check_finite(z)
     ratio = pot.phi(z, tau) / pot.phi(z, 1.0)
     diff = (pot.script_Q(z, tau) - pot.script_Q(z, 1.0)) / (2.0 * tau)
     return ratio * cmath.exp(diff)
@@ -288,6 +291,7 @@ def h_function(pot: AdmissiblePotential, z: complex, nodes: int = 512) -> comple
     Controls the Gaussian decay exponent of the per-degree tail ratios:
     log a_j ~= n (h(z) + conj(h(w))) (1 - j/n)^2 near j = n.
     """
+    check_finite(z)
     ext = harmonic_extension(
         pot, 1.0, lambda p: -abs(pot.dphi(p, 1.0)) ** 2 / (4.0 * pot.laplacian(p)),
         nodes=nodes,

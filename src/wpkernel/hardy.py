@@ -33,8 +33,8 @@ _CL_U_TOL = 1e-8
 
 def _require_cl_U(pot: AdmissiblePotential, z: complex, tol: float = _CL_U_TOL):
     mod = abs(pot.phi(z, 1.0))
-    if mod < 1.0 - tol:
-        raise DomainError(f"point {z} lies inside the droplet (|phi| = {mod:.6f} < 1)")
+    if not mod >= 1.0 - tol:
+        raise DomainError(f"point {z} is not in the closed exterior domain (|phi| = {mod:.6f})")
     return mod
 
 
@@ -80,7 +80,7 @@ def harmonic_measure_density(pot: AdmissiblePotential, z: complex, p: complex) -
     z = complex(z)
     p = complex(p)
     phi_z = pot.phi(z, 1.0)
-    if abs(phi_z) <= 1.0 + 1e-12:
+    if not abs(phi_z) > 1.0 + 1e-12:
         raise DomainError("harmonic measure density needs z strictly in the exterior domain")
     phi_p = pot.phi(p, 1.0)
     dphi_p = pot.dphi(p, 1.0)

@@ -103,11 +103,9 @@ def compute_moments(pot: AdmissiblePotential, n: int, max_degree: int, *,
         )
     if m_theta is None:
         m_theta = max(4 * max_degree + 16, 64)
-    if hasattr(pot, "semi_axes"):
-        p_ax, q_ax = pot.semi_axes(1.0)
-        scale = math.sqrt(p_ax * q_ax)  # geometric-mean monomial scaling
-    else:
-        scale = 1.0
+    # radius of the disc with the droplet's area (area theorem): sqrt(p q) for an ellipse
+    c1, _, c_1 = pot.chi_laurent(1.0)
+    scale = math.sqrt(abs(c1) ** 2 - abs(c_1) ** 2)
     parity = pot.has_parity_symmetry
     moments = _moments_polar(pot, n, max_degree, r_max, m_theta, scale, parity)
     dm = np.sqrt(np.abs(np.diagonal(moments)))
@@ -218,8 +216,12 @@ def kernel_oracle(basis: OrthonormalBasis, z: complex, w: complex) -> LogComplex
     """Exact kernel K_n(z, w) = sum_j W_j(z) conj(W_j(w)) in log-polar form."""
     z = complex(z)
     w = complex(w)
+    check_finite(z, w)
     half_weights = -0.5 * basis.n * (float(basis.pot.Q(z)) + float(basis.pot.Q(w)))
-    s = complex(np.sum(_poly_values(basis, z) * np.conj(_poly_values(basis, w))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = complex(np.sum(_poly_values(basis, z) * np.conj(_poly_values(basis, w))))
+    if not cmath.isfinite(s):
+        raise PrecisionError("the unweighted basis sum overflows float64")
     if s == 0:
         return LC_ZERO
     return LogComplex(math.log(abs(s)) + half_weights, cmath.phase(s))

@@ -156,6 +156,27 @@ def test_berezin_csv(tmp_path):
     assert float(mid[3]) == pytest.approx(float(mid[4]), rel=0.2)
 
 
+def _berezin_rows(tmp_path, *flags):
+    out = tmp_path / "berezin.csv"
+    assert run(["berezin", "--n", "100", "--z", "2,0", "--nodes", "8", "--ell-nodes", "5",
+                *flags, "--out", str(out)]) == 0
+    return [[float(v) for v in line.split(",")] for line in out.read_text().splitlines()[2:]]
+
+
+def test_berezin_exact_column_for_every_potential(tmp_path):
+    ginibre = _berezin_rows(tmp_path)
+    quadratic = _berezin_rows(tmp_path, "--potential", "radial", "--profile", "quadratic")
+    elliptic = _berezin_rows(tmp_path, "--potential", "elliptic")
+    for rows in (quadratic, elliptic):
+        assert len(rows) == 8 * 5
+        for row in rows:
+            assert all(math.isfinite(v) and v > 0 for v in (row[3], row[5]))
+    # Q = r^2 is the Ginibre potential: its Gram oracle matches the partial sums
+    for q_row, g_row in zip(quadratic, ginibre):
+        assert q_row == pytest.approx(g_row, rel=1e-10, abs=1e-300)
+    assert all(abs(row[5] - 1.0) < 0.2 for row in elliptic if row[2] == 0.0)
+
+
 def test_validate_suite(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = run(["validate", "--suite", "geometry", "--out", str(out)])

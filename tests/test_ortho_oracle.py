@@ -9,17 +9,28 @@ from hypothesis import strategies as st
 from wpkernel import (
     DomainError,
     PrecisionError,
+    RadialProfile,
+    cocycle,
     compute_moments,
     elliptic_kernel_exact,
+    equilibrium_log_potential,
+    f_factor,
     ginibre_kernel_exact,
+    h_function,
+    harmonic_measure_density,
     harmonic_measure_mass,
     kernel_asymptotic,
     kernel_oracle,
+    lowdeg_bound_check,
     make_elliptic_ginibre,
     make_ginibre,
+    make_radial,
     orthonormalize,
     pointwise_bound_check,
+    quasipolynomial,
+    szego_basis,
     szego_kernel,
+    szego_kernel_series,
     tail_kernel,
 )
 from wpkernel.scaled_numerics import quad_radial, quad_trapezoid_periodic
@@ -237,15 +248,42 @@ def test_degree_cannot_exceed_n(gin):
     lambda: make_elliptic_ginibre(math.nan, 1),
     lambda: kernel_asymptotic(_ELL, 40.5, 2, 2j),
     lambda: compute_moments(_ELL, 2.5, 1),
+    lambda: szego_basis(_ELL, 1, math.nan),
+    lambda: szego_kernel_series(_ELL, math.nan, 2),
+    lambda: harmonic_measure_density(_ELL, math.nan, 2),
+    lambda: quasipolynomial(_ELL, 40, 39, math.nan),
+    lambda: kernel_oracle(orthonormalize(compute_moments(_ELL, 10, 9)), math.nan, 1),
+    lambda: _ELL.V(math.nan),
+    lambda: make_ginibre().V(math.nan),
+    lambda: _ELL.project(math.nan),
+    lambda: _ELL.dist_to_exterior(math.nan),
+    lambda: lowdeg_bound_check(make_ginibre(), 100, math.nan),
+    lambda: h_function(_ELL, math.nan),
+    lambda: f_factor(_ELL, 0.9, math.nan),
+    lambda: equilibrium_log_potential(_ELL, 1.0, _ELL.boundary_point(0.4).p),
+    lambda: cocycle(_ELL, 40, math.nan, _ELL.boundary_point(0.4).p),
 ], ids=["moments-n0", "moments-radial-n0", "moments-negative-degree", "hermite-n0",
         "hermite-nan", "hermite-inf", "hermite-overflow", "hermite-not-elliptic",
         "asymptotic-overflow", "tail-overflow", "oracle-overflow",
         "ginibre-asymptotic-overflow", "ginibre-tail-overflow", "tail-nan",
         "asymptotic-nan", "szego-nan", "harmonic-mass-nan", "elliptic-nan-axis",
-        "asymptotic-fractional-n", "moments-fractional-n"])
+        "asymptotic-fractional-n", "moments-fractional-n", "szego-basis-nan",
+        "szego-series-nan", "harmonic-density-nan", "quasipolynomial-nan", "oracle-nan",
+        "elliptic-V-nan", "ginibre-V-nan", "project-nan", "dist-to-exterior-nan",
+        "lowdeg-nan", "h-function-nan", "f-factor-nan", "equilibrium-boundary-point",
+        "cocycle-nan"])
 def test_bad_input_raises_domain_error(call):
     with pytest.raises(DomainError):
         call()
+
+
+def test_oracle_overflow_is_a_precision_error():
+    # the unweighted quartic basis sum at z = 2 is ~e^{n V(2)} = e^{754} at n = 400
+    quartic = make_radial(RadialProfile(q=lambda r: 0.5 * r ** 4, dq=lambda r: 2.0 * r ** 3,
+                                        d2q=lambda r: 6.0 * r ** 2, name="quartic"))
+    basis = orthonormalize(compute_moments(quartic, 400, 399))
+    with pytest.raises(PrecisionError):
+        kernel_oracle(basis, 2, 2)
 
 
 def test_degree_zero_elliptic_basis(ell):

@@ -3,20 +3,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wpkernel import (
     DomainError,
+    EllipticGinibrePotential,
     RadialProfile,
     ToleranceError,
     boundary_speed,
     boundary_speed_fd,
     droplet_mass,
+    equilibrium_log_potential,
     harmonic_extension,
     make_elliptic_ginibre,
     make_ginibre,
     make_radial,
     ridge,
     ridge_between,
+    tail_kernel,
     variational_residual,
     V_tau,
 )
@@ -289,3 +294,80 @@ def test_elliptic_projection_finds_nearest_boundary_point(ell):
     # the projection may only beat the sampled boundary, by less than its spacing
     assert np.all(dist <= brute + 1e-12)
     assert np.all(brute - dist < 5e-4)
+
+
+@pytest.mark.parametrize("name", ["gin", "ell", "quart"])
+def test_grad_Q_matches_central_differences(name, request):
+    pot = request.getfixturevalue(name)
+    h = 1e-6
+    zs = np.array([0.3 - 0.2j, -1.1 + 0.7j, 2.5j, 0.9 + 0.05j])
+    fd = (pot.Q(zs + h) - pot.Q(zs - h) + 1j * (pot.Q(zs + 1j * h) - pot.Q(zs - 1j * h))) / (2 * h)
+    grad = pot.grad_Q(zs)
+    assert grad.shape == zs.shape
+    assert np.all(np.abs(grad - fd) <= 1e-7 * np.abs(fd))
+    for z, expected in zip(zs, fd):
+        assert abs(pot.grad_Q(complex(z)) - expected) <= 1e-7 * abs(expected)
+
+
+def _power_profile(k):
+    """q = r^{2k}/k: r_tau = tau^{1/(2k)} and Lap Q = k r^{2k-2}."""
+    return RadialProfile(q=lambda r: r ** (2 * k) / k, dq=lambda r: 2.0 * r ** (2 * k - 1),
+                         d2q=lambda r: 2.0 * (2 * k - 1) * r ** (2 * k - 2), name=f"power{k}")
+
+
+families = st.one_of(
+    st.builds(lambda a, b: (make_elliptic_ginibre(a, b), None),
+              st.floats(0.3, 3.0), st.floats(0.3, 3.0)),
+    st.sampled_from([1, 2, 3]).map(lambda k: (make_radial(_power_profile(k)), k)),
+)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(families, st.floats(0.3, 1.0), st.floats(0.0, 0.85), st.floats(0.0, 2.0 * math.pi))
+def test_boundary_integral_oracles(family, tau, s, theta):
+    pot, k = family
+    assert abs(droplet_mass(pot, tau) - tau) <= 1e-12
+    assert variational_residual(pot, tau) < 1e-8
+    if k is not None:
+        r = pot.r_tau(tau)
+        z = s * r * cmath.exp(1j * theta)
+        closed = tau * math.log(r) - (tau - abs(z) ** (2 * k)) / (2 * k)
+        assert abs(equilibrium_log_potential(pot, tau, z) - closed) <= 1e-12
+
+
+class _Shrunk(EllipticGinibrePotential):
+    """chi_tau scaled by 0.9: the droplet of mass 0.81 tau, not of mass tau."""
+
+    def chi(self, omega, tau=1.0):
+        return 0.9 * super().chi(omega, tau)
+
+    def dchi(self, omega, tau=1.0):
+        return 0.9 * super().dchi(omega, tau)
+
+
+class _Disc(EllipticGinibrePotential):
+    """The disc with the area of the elliptic droplet in its place."""
+
+    def chi(self, omega, tau=1.0):
+        return math.sqrt(tau / self.alpha) * omega
+
+    def dchi(self, omega, tau=1.0):
+        return complex(math.sqrt(tau / self.alpha))
+
+
+def test_oracles_reject_a_wrong_droplet():
+    # a homothetic shrink is an equilibrium droplet, of a smaller mass: the mass sees it
+    assert abs(droplet_mass(_Shrunk(1.0, 3.0), 1.0) - 0.81) < 1e-12
+    # a disc of the right area has the right mass, but Q - 2U is not constant on it
+    disc = _Disc(1.0, 3.0)
+    assert abs(droplet_mass(disc, 1.0) - 1.0) < 1e-12
+    assert variational_residual(disc, 1.0) > 1e-2
+
+
+def test_radius_cache_stays_bounded():
+    pot = make_radial(QUARTIC)
+    for n in range(100, 400, 25):
+        tail_kernel(pot, n, 1.05, 1.05 * cmath.exp(0.5j))
+    info = pot._r_cache.cache_info()
+    assert info.misses > info.maxsize
+    assert info.currsize <= info.maxsize
