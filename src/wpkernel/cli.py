@@ -37,7 +37,7 @@ from .ginibre_exact import ginibre_berezin, ginibre_kernel_exact
 from .ortho_oracle import compute_moments, kernel_oracle, orthonormalize
 from .potential import make_elliptic_ginibre, make_ginibre, make_radial, RadialProfile
 from .szego_geometry import classify, trace_curve_K, trace_szego_curve
-from .ward import GinibreSource, OracleSource, berezin_cauchy_transform, loop_residual
+from .ward import berezin_cauchy_transform, loop_residual
 
 
 def _parse_complex(text: str) -> complex:
@@ -249,12 +249,7 @@ def cmd_oracle(args):
 
 def cmd_ward(args):
     n = args.n
-    if args.source == "ginibre":
-        source = GinibreSource(n)
-    else:
-        pot = _make_potential(args)
-        basis = orthonormalize(compute_moments(pot, n, n - 1))
-        source = OracleSource(basis, pot)
+    source = _make_potential(args).exact_source(n)
     report = []
     for z_text in args.z:
         z = _parse_complex(z_text)
@@ -268,7 +263,7 @@ def cmd_ward(args):
             "residual": abs(lr.residual),
             "budget": lr.budget,
         })
-    _emit_json(args, {"n": n, "source": args.source, "points": report})
+    _emit_json(args, {"n": n, "source": source.name, "points": report})
     return 0
 
 
@@ -423,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("ward", help="loop-equation residual report")
-    p.add_argument("--source", default="ginibre", choices=["ginibre", "oracle"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--z", nargs="+", required=True)
     common(p)

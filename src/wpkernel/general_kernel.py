@@ -195,10 +195,12 @@ def quasipolynomial(pot: AdmissiblePotential, n: int, j: int, z: complex,
         raise DomainError(f"tau(j) = {tau:.4f} below the admissible floor {floor:.4f}")
     if tau > 1.0 + 1e-12:
         raise DomainError("degrees beyond n are not part of the space")
+    phi = pot.phi(z, tau)
+    if phi == 0:
+        raise DomainError(f"W#_(j,n) has no log-polar value where phi_tau vanishes, z = {z}")
     sq = pot.script_Q(z, tau)
     sh = pot.script_H(z, tau)
     sdphi = pot.sqrt_dphi(z, tau)
-    phi = pot.phi(z, tau)
     log_mag = (
         0.25 * math.log(n / (2.0 * math.pi))
         + 0.5 * sh.real

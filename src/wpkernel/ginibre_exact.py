@@ -290,18 +290,16 @@ def partial_exp_sum_gamma_route(n: int, zeta: complex) -> LogComplex:
     return LogComplex(g.log_mag - math.lgamma(n), g.arg)
 
 
-def partial_exp_sum(n: int, zeta: complex, crosscheck: bool | None = None) -> LogComplex:
+def partial_exp_sum(n: int, zeta: complex) -> LogComplex:
     """E_n(zeta) = e^{-n zeta} sum_{k<n} (n zeta)^k / k!.
 
-    When Re(zeta) > 1 (and crosscheck is not explicitly disabled) the value
-    is verified against the continued-fraction gamma route; disagreement
-    beyond 1e-8 relative raises PrecisionError.
+    When Re(zeta) > 1 the value is verified against the continued-fraction
+    gamma route; disagreement beyond 1e-8 relative raises PrecisionError.
     """
     zeta = complex(zeta)
     raw = _raw_partial_sum(n, zeta)
     value = LogComplex(raw.log_mag - n * zeta.real, _norm_arg(raw.arg - n * zeta.imag))
-    do_check = crosscheck if crosscheck is not None else (zeta.real > 1.0)
-    if do_check and zeta.real > 1.0:
+    if zeta.real > 1.0:
         alt = partial_exp_sum_gamma_route(n, zeta)
         rel = abs(value.log_mag - alt.log_mag) + abs(_norm_arg(value.arg - alt.arg))
         if rel > _CROSSCHECK_TOL:
@@ -344,8 +342,8 @@ def ginibre_log_one_point(n: int, z: complex) -> float:
     z = complex(z)
     scale = _extent(z)
     _check_args(n, n * scale * scale)
-    e = partial_exp_sum(n, abs(z) ** 2, crosscheck=False)
-    return math.log(n) + e.log_mag
+    m2 = abs(z) ** 2
+    return math.log(n) + (_raw_partial_sum(n, m2).log_mag - n * m2)
 
 
 def ginibre_one_point(n: int, z: complex) -> float:

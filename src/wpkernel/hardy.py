@@ -79,6 +79,7 @@ def harmonic_measure_density(pot: AdmissiblePotential, z: complex, p: complex) -
     """Arclength density P_z(p) of harmonic measure of U at an interior z of U."""
     z = complex(z)
     p = complex(p)
+    check_finite(p)
     phi_z = pot.phi(z, 1.0)
     if not abs(phi_z) > 1.0 + 1e-12:
         raise DomainError("harmonic measure density needs z strictly in the exterior domain")

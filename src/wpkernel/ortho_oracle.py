@@ -15,10 +15,12 @@ elliptic_kernel_exact at any n without a Gram matrix.
 
 Moments are computed by polar quadrature about the droplet center: a
 composite Gauss radial rule out to R = r_outer + 12/sqrt(n) and a periodic
-trapezoid in the angle with at least 4*max_degree + 16 nodes.  Rotation
-invariant weights reduce to diagonal moments with a dedicated radial rule;
-parity-symmetric weights (z -> -z) are assembled blockwise with exact zeros
-at odd index sums.
+trapezoid in the angle with at least 4*max_degree + 16 nodes.  A weight
+invariant under z -> e^{2 pi i / p} z (p = the potential's rotation_order)
+has M_{jk} = 0 unless p divides j - k, so the matrix is assembled and
+factored on its residue blocks {j = r mod p}, and the condition estimate is
+the spread of the blocks' singular values.  A rotation-invariant weight has
+p = inf, capped at max_degree + 1: one 1 x 1 block per degree.
 """
 
 from __future__ import annotations
@@ -44,8 +46,7 @@ class GramData:
     cond_estimate: float
     scale: float               # monomial scaling: basis is (z/scale)^k
     pot: AdmissiblePotential
-    diagonal: bool
-    parity: bool
+    period: int                # M_{jk} = 0 unless period divides j - k
 
 
 @dataclass(frozen=True)
@@ -56,19 +57,6 @@ class OrthonormalBasis:
     scale: float
     pot: AdmissiblePotential
     gram_residual: float
-
-
-def _radial_diag_moments(pot, n, max_degree, r_max):
-    """Diagonal moments 2 int r^{2j+1} e^{-n q(r)} dr for rotation-invariant Q."""
-    rule = quad_radial(r_max, feature_scale=1.0 / math.sqrt(max(n, 4)), m_per_panel=24)
-    r = rule.nodes
-    w = rule.weights
-    log_w = -n * np.array([float(pot.Q(complex(s, 0.0))) for s in r])
-    diag = np.empty(max_degree + 1)
-    log_r = np.log(r)
-    for j in range(max_degree + 1):
-        diag[j] = 2.0 * float(np.sum(w * np.exp((2 * j + 1) * log_r + log_w)))
-    return diag
 
 
 def _angular_profile(pot, n, radii, m_theta, d_values):
@@ -92,46 +80,43 @@ def compute_moments(pot: AdmissiblePotential, n: int, max_degree: int, *,
     if max_degree > n:
         raise DomainError("the space only contains degrees below n")
     r_max = pot.outer_radius(1.0) + 12.0 / math.sqrt(n)
-    if pot.is_radial:
-        diag = _radial_diag_moments(pot, n, max_degree, r_max)
-        if np.any(diag <= 0):
-            raise ResolutionError("nonpositive diagonal moment: quadrature too coarse")
-        return GramData(
-            n=n, max_degree=max_degree, moments=diag,
-            cond_estimate=1.0, scale=1.0, pot=pot,
-            diagonal=True, parity=True,
-        )
     if m_theta is None:
         m_theta = max(4 * max_degree + 16, 64)
     # radius of the disc with the droplet's area (area theorem): sqrt(p q) for an ellipse
     c1, _, c_1 = pot.chi_laurent(1.0)
     scale = math.sqrt(abs(c1) ** 2 - abs(c_1) ** 2)
-    parity = pot.has_parity_symmetry
-    moments = _moments_polar(pot, n, max_degree, r_max, m_theta, scale, parity)
-    dm = np.sqrt(np.abs(np.diagonal(moments)))
-    corr = moments / np.outer(dm, dm)
-    cond = float(np.linalg.cond(corr))
+    period = min(pot.rotation_order, max_degree + 1)
+    moments = _moments_polar(pot, n, max_degree, r_max, m_theta, scale, period)
+    if not np.all(np.diagonal(moments).real > 0):
+        raise ResolutionError("nonpositive diagonal moment: quadrature too coarse")
+    # the correlation matrix is block diagonal: its singular values are the blocks'
+    svals = []
+    for idx in _residue_blocks(max_degree + 1, period):
+        block = moments[np.ix_(idx, idx)]
+        dm = np.sqrt(np.abs(np.diagonal(block)))
+        svals.append(np.linalg.svd(block / np.outer(dm, dm), compute_uv=False))
+    svals = np.concatenate(svals)
     return GramData(n=n, max_degree=max_degree, moments=moments,
-                    cond_estimate=cond, scale=scale, pot=pot,
-                    diagonal=False, parity=parity)
+                    cond_estimate=float(svals.max() / svals.min()), scale=scale, pot=pot,
+                    period=period)
 
 
-def _moments_polar(pot, n, max_degree, r_max, m_theta, scale, parity):
+def _residue_blocks(size: int, period: int) -> list:
+    """Index sets {j < size : j = r mod period}, one per residue r."""
+    return [np.arange(r, size, period) for r in range(period)]
+
+
+def _moments_polar(pot, n, max_degree, r_max, m_theta, scale, period):
     rule = quad_radial(r_max, feature_scale=1.0 / math.sqrt(max(n, 4)), m_per_panel=24)
     radii = rule.nodes
-    d_values = range(0, max_degree + 1) if not parity else range(0, max_degree + 1, 2)
-    prof = _angular_profile(pot, n, radii, m_theta, d_values)
-    rho_hat = radii / scale
+    prof = _angular_profile(pot, n, radii, m_theta, range(0, max_degree + 1, period))
+    log_rho = np.log(radii / scale)
     d = max_degree + 1
     mom = np.zeros((d, d), dtype=complex)
-    log_rho = np.log(rho_hat)
     for j in range(d):
-        for k in range(j + 1):
-            if parity and (j - k) % 2 == 1:
-                continue
-            dd = j - k
+        for k in range(j % period, j + 1, period):
             rad = np.exp((j + k) * log_rho) * radii * rule.weights
-            mom[j, k] = np.sum(rad * prof[dd]) / math.pi
+            mom[j, k] = np.sum(rad * prof[j - k]) / math.pi
             mom[k, j] = np.conj(mom[j, k])
     return mom
 
@@ -168,19 +153,13 @@ def orthonormalize(gram: GramData) -> OrthonormalBasis:
             "lower the degree"
         )
     mom = np.asarray(gram.moments)
-    if gram.diagonal:
-        C = np.diag(1.0 / np.sqrt(mom))
-        mom = np.diag(mom)
-    elif gram.parity:
-        # odd and even degrees are orthogonal blocks; the odd one is empty at degree 0
-        C = np.zeros(mom.shape, dtype=complex)
-        for par in (0, 1):
-            idx = np.arange(par, mom.shape[0], 2)
-            if idx.size:
-                C[np.ix_(idx, idx)] = _cholesky_inverse(mom[np.ix_(idx, idx)])
-    else:
-        C = _cholesky_inverse(mom)
-    resid = float(np.max(np.abs(C @ mom @ C.conj().T - np.eye(mom.shape[0]))))
+    C = np.zeros(mom.shape, dtype=complex)
+    resid = 0.0
+    for idx in _residue_blocks(mom.shape[0], gram.period):
+        block = mom[np.ix_(idx, idx)]
+        c = _cholesky_inverse(block)
+        C[np.ix_(idx, idx)] = c
+        resid = max(resid, float(np.max(np.abs(c @ block @ c.conj().T - np.eye(idx.size)))))
     return OrthonormalBasis(n=gram.n, max_degree=gram.max_degree, coeffs=C,
                             scale=gram.scale, pot=gram.pot, gram_residual=resid)
 

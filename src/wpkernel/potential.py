@@ -24,7 +24,8 @@ oracle, see equilibrium_log_potential).  The exterior map of the ellipse is
 the Joukowski map chi(omega) = ((p+q) omega + (p-q)/omega)/2.
 
 The mass and equilibrium-potential oracles are trapezoid integrals over
-Gamma_tau = chi_tau(|omega| = 1) that read only Q, grad Q and chi_tau.
+Gamma_tau = chi_tau(|omega| = 1) that read only Q, grad Q and chi_tau; the
+log potential reads |phi_tau| at its points only to size its rule.
 
 The built-in families have closed-form QQ_tau (a constant for the radial
 family, c_0 + c_2 phi_tau^{-2} for the elliptic one).  harmonic_extension is
@@ -44,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ToleranceError, check_finite
+from .errors import DomainError, ResolutionError, ToleranceError, check_finite
 from .ginibre_exact import ginibre_kernel_exact
 from .scaled_numerics import LogComplex, quad_trapezoid_periodic
 
@@ -122,8 +123,9 @@ class AdmissiblePotential:
     tau_ceiling = 1.05  # headroom above 1 for finite-difference probes in tau
     rho0 = 0.5          # excluded compact is {|phi_tau| <= rho0}
     delta_M = 1.0       # constant M in the belt width delta_n
-    is_radial = False
-    has_parity_symmetry = False
+    # Q(e^{2 pi i / k} z) = Q(z) for k = rotation_order, so the monomial
+    # moments vanish unless k divides j - m (residue blocks of the Gram matrix)
+    rotation_order = 1
 
     # --- subclass interface -------------------------------------------------
     def Q(self, z):
@@ -174,6 +176,13 @@ class AdmissiblePotential:
         from .ortho_oracle import compute_moments, kernel_oracle, orthonormalize
 
         return functools.partial(kernel_oracle, orthonormalize(compute_moments(self, n, n - 1)))
+
+    def exact_source(self, n: int):
+        """Berezin source of K_n for the loop equation: the Gram basis of degree n - 1."""
+        from .ortho_oracle import compute_moments, orthonormalize
+        from .ward import OracleSource
+
+        return OracleSource(orthonormalize(compute_moments(self, n, n - 1)), self)
 
     def _check_tau(self, tau: float):
         if not (self.tau_floor <= tau <= self.tau_ceiling):
@@ -291,8 +300,7 @@ class RadialPotential(AdmissiblePotential):
     (1/2) r q'(r) = tau; requires r q'(r) strictly increasing (no annuli).
     """
 
-    is_radial = True
-    has_parity_symmetry = True
+    rotation_order = math.inf
 
     def __init__(self, profile: RadialProfile, r_bracket=(1e-8, 16.0)):
         self.profile = profile
@@ -409,11 +417,17 @@ class GinibrePotential(RadialPotential):
         """(z, w) -> K_n(z, w) from the partial exponential sums."""
         return lambda z, w: ginibre_kernel_exact(n, z, w).value
 
+    def exact_source(self, n: int):
+        """Berezin source of K_n from the partial exponential sums."""
+        from .ward import GinibreSource
+
+        return GinibreSource(n)
+
 
 class EllipticGinibrePotential(AdmissiblePotential):
     """Q = a u^2 + b v^2 with elliptic droplets and Joukowski exterior maps."""
 
-    has_parity_symmetry = True
+    rotation_order = 2
 
     def __init__(self, a: float, b: float):
         check_finite(a, b)
@@ -587,8 +601,23 @@ def droplet_mass(pot: AdmissiblePotential, tau: float) -> float:
     return float(weights @ flux) / (4.0 * math.pi)
 
 
-def _green_log_potential(pot: AdmissiblePotential, tau: float, zs: np.ndarray,
-                         m: int) -> np.ndarray:
+_GREEN_NODE_CAP = 1 << 14
+
+
+def _green_log_potential(pot: AdmissiblePotential, tau: float, zs: np.ndarray) -> np.ndarray:
+    """Q/2 plus the Green boundary integral at the interior points zs.
+
+    The trapezoid error at z decays like |phi_tau(z)|^m; m puts it below
+    1e-17 at every point, with at least the 256 nodes that droplet_mass
+    takes for the same flux data.
+    """
+    rho = float(np.max([abs(pot.phi(complex(z), tau)) for z in zs]))
+    if not rho < 1.0 - 1e-12:
+        raise DomainError("the boundary-integral oracle requires z strictly inside the droplet")
+    m = max(256, math.ceil(math.log(1e-17) / math.log(rho))) if rho > 0.0 else 256
+    if m > _GREEN_NODE_CAP:
+        raise ResolutionError(f"|phi_tau(z)| = {rho:.6f} needs {m} boundary nodes, "
+                              f"above the cap of {_GREEN_NODE_CAP}")
     weights, w, normal = _boundary_nodes(pot, tau, m)
     d = w[None, :] - zs[:, None]
     terms = (np.log(np.abs(d)) * (np.conj(pot.grad_Q(w)) * normal).real
@@ -596,21 +625,18 @@ def _green_log_potential(pot: AdmissiblePotential, tau: float, zs: np.ndarray,
     return 0.5 * pot.Q(zs) + (terms @ weights) / (4.0 * math.pi)
 
 
-def equilibrium_log_potential(pot: AdmissiblePotential, tau: float, z: complex,
-                              m: int = 512) -> float:
+def equilibrium_log_potential(pot: AdmissiblePotential, tau: float, z: complex) -> float:
     """U(z) = integral of log|z - w| d sigma_tau(w) for z strictly inside S_tau.
 
     Green's second identity for Q and log|z - .| on S_tau gives
 
         U(z) = Q(z)/2 + (1/4pi) oint (log|z - w| d_n Q - Q d_n log|z - w|) ds,
 
-    an integral over Gamma_tau that never reads the droplet's interior.  Its
-    trapezoid error decays like |phi_tau(z)|^m.
+    an integral over Gamma_tau that never reads the droplet's interior.  A
+    point too close to Gamma_tau for 2^14 trapezoid nodes raises
+    ResolutionError.
     """
-    z = complex(z)
-    if not abs(pot.phi(z, tau)) < 1.0 - 1e-12:
-        raise DomainError("the boundary-integral oracle requires z strictly inside the droplet")
-    return float(_green_log_potential(pot, tau, np.array([z]), m)[0])
+    return float(_green_log_potential(pot, tau, np.array([complex(z)]))[0])
 
 
 def variational_residual(pot: AdmissiblePotential, tau: float = 1.0,
@@ -618,10 +644,9 @@ def variational_residual(pot: AdmissiblePotential, tau: float = 1.0,
     """Spread of Q - 2 U_sigma over the interior points s chi_tau(e^{i theta}).
 
     The equilibrium measure makes this quantity constant on its support;
-    the returned max-min spread is the oracle residual.
+    the returned max-min spread is the oracle residual.  The boundary rule
+    is sized for the outermost sample point.
     """
     ring = pot.chi(np.exp(1j * quad_trapezoid_periodic(n_angular).nodes), tau)
     zs = np.outer(np.linspace(0.1, 0.85, n_radial), ring).ravel()
-    # the trapezoid error at z decays like |phi_tau(z)|^m; 2048 nodes hold it
-    # near 1e-14 up to |phi_tau| = 0.985, reached on an ellipse with p/q = 10
-    return float(np.ptp(pot.Q(zs) - 2.0 * _green_log_potential(pot, tau, zs, 2048)))
+    return float(np.ptp(pot.Q(zs) - 2.0 * _green_log_potential(pot, tau, zs)))

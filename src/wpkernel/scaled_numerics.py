@@ -396,10 +396,17 @@ def gauss_on_interval(m: int, a: float, b: float) -> Quadrature1D:
     return Quadrature1D(mid + half * base.nodes, half * base.weights, "gauss_legendre")
 
 
-def composite_gauss(m_per_panel: int, edges) -> Quadrature1D:
+def composite_gauss(m_per_panel: int, edges, skip=None) -> Quadrature1D:
+    """m_per_panel Gauss nodes on each panel between consecutive edges.
+
+    Panels narrower than 1e-14, and those [a, b] with skip(a, b) true, get
+    no nodes.
+    """
     nodes = []
     weights = []
     for a, b in zip(edges[:-1], edges[1:]):
+        if b - a < 1e-14 or (skip is not None and skip(a, b)):
+            continue
         q = gauss_on_interval(m_per_panel, a, b)
         nodes.append(q.nodes)
         weights.append(q.weights)

@@ -41,7 +41,7 @@ from .ginibre_exact import (
 from .hardy import harmonic_measure_integral
 from .ortho_oracle import _poly_derivatives, _poly_values, kernel_oracle
 from .potential import AdmissiblePotential
-from .scaled_numerics import gauss_on_interval, quad_trapezoid_periodic
+from .scaled_numerics import composite_gauss, quad_trapezoid_periodic
 
 _EPS = float(np.finfo(float).eps)
 # The companion walk of the loop-residual budget lowers every Gauss rule of
@@ -201,26 +201,6 @@ def _graded_edges(s_max: float, fine_bands, fine: float, coarse: float):
     return np.unique(np.array(edges))
 
 
-def _radial_panels(edges, m: int = 16, skip=None):
-    nodes = []
-    weights = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b - a < 1e-14:
-            continue
-        if skip is not None and skip(a, b):
-            continue
-        rule = gauss_on_interval(m, a, b)
-        nodes.append(rule.nodes)
-        weights.append(rule.weights)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-def _gauss_on_angles(a: float, b: float, max_panel: float, m: int = 12):
-    n_panels = max(1, int(math.ceil((b - a) / max_panel)))
-    edges = np.linspace(a, b, n_panels + 1)
-    return _radial_panels(edges, m=m)
-
-
 def _sector_piece(grid, z: complex, s_a, s_b, phi_a, phi_b, fine, drop):
     """Integrals of -(1/pi) f e^{-i theta} and (1/pi) B rho over the sector,
     z-centered polar, with the sum of the moduli of the first.
@@ -228,8 +208,8 @@ def _sector_piece(grid, z: complex, s_a, s_b, phi_a, phi_b, fine, drop):
     The sector is star-shaped about z (its angular width is small), so each
     direction theta has a single exit radius: the nearest crossing with the
     two circles s = s_a, s_b and the two rays phi = phi_a, phi_b.  Corner
-    directions split the theta-range into analytic pieces; the Gauss rules
-    have 16 - drop nodes in theta and 12 - drop along each ray.
+    directions split the theta-range into analytic pieces of three Gauss
+    panels with 16 - drop nodes each; each ray has 12 - drop per panel.
     """
     az = abs(z)
     disc_mode = s_a <= 1e-12
@@ -271,17 +251,18 @@ def _sector_piece(grid, z: complex, s_a, s_b, phi_a, phi_b, fine, drop):
     for t0, t1 in zip(theta_edges[:-1], theta_edges[1:]):
         if t1 - t0 < 1e-13:
             continue
-        t_nodes, t_w = _gauss_on_angles(t0, t1, max_panel=(t1 - t0) / 3 + 1e-9, m=16 - drop)
+        angles = composite_gauss(16 - drop, np.linspace(t0, t1, 4))
         rays = []
-        for th in t_nodes:
+        for th in angles.nodes:
             r_exit = exit_radius(th)
             n_pan = max(1, int(math.ceil(r_exit / fine)))
-            rays.append(_radial_panels(np.linspace(0.0, r_exit, n_pan + 1), m=12 - drop))
+            rays.append(composite_gauss(12 - drop, np.linspace(0.0, r_exit, n_pan + 1)))
         # one grid for every ray of the piece, sliced back per ray
         b_all, f_all = grid(np.concatenate(
-            [z + r_nodes * cmath.exp(1j * th) for th, (r_nodes, _) in zip(t_nodes, rays)]))
+            [z + ray.nodes * cmath.exp(1j * th) for th, ray in zip(angles.nodes, rays)]))
         lo = 0
-        for th, tw, (r_nodes, r_w) in zip(t_nodes, t_w, rays):
+        for th, tw, ray in zip(angles.nodes, angles.weights, rays):
+            r_nodes, r_w = ray.nodes, ray.weights
             b_vals = b_all[lo:lo + r_nodes.size]
             f_vals = f_all[lo:lo + r_nodes.size]
             lo += r_nodes.size
@@ -291,12 +272,12 @@ def _sector_piece(grid, z: complex, s_a, s_b, phi_a, phi_b, fine, drop):
     return integral, mass, l1
 
 
-def _ray_grid(grid, z: complex, phi_nodes, phi_weights, s_nodes, s_w):
-    """Droplet-centered tensor grid: the three sums of `_polar_walk`."""
-    phases = np.exp(1j * np.asarray(phi_nodes))
-    ws = s_nodes[None, :] * phases[:, None]
+def _ray_grid(grid, z: complex, angular, radial):
+    """Droplet-centered tensor grid of two rules: the three sums of `_polar_walk`."""
+    s_nodes = radial.nodes
+    ws = s_nodes[None, :] * np.exp(1j * angular.nodes)[:, None]
     b_vals, f_vals = grid(ws)
-    wmat = np.asarray(phi_weights)[:, None] * s_w[None, :]
+    wmat = angular.weights[:, None] * radial.weights[None, :]
     terms = wmat * f_vals * s_nodes[None, :] / (z - ws)
     return (complex(np.sum(terms) / math.pi),
             float(np.sum(wmat * b_vals * s_nodes[None, :]) / math.pi),
@@ -360,26 +341,25 @@ def _polar_walk(source, z: complex, grid, n_theta: int, companion: bool = False)
     if have_sector and s_a > 0:
         # full rays outside the sector's angular range, Gauss panels in phi
         span = 2.0 * math.pi - (phi_b - phi_a)
-        pn, pw = _gauss_on_angles(phi_b, phi_a + 2.0 * math.pi,
-                                  max_panel=span / max(24, n_theta // 8), m=12 - drop)
-        pieces.append((pn, pw, *_radial_panels(base_edges, m=16 - drop)))
+        phi_c = phi_a + 2.0 * math.pi
+        n_pan = max(1, math.ceil((phi_c - phi_b) / (span / max(24, n_theta // 8))))
+        pieces.append((composite_gauss(12 - drop, np.linspace(phi_b, phi_c, n_pan + 1)),
+                       composite_gauss(16 - drop, base_edges)))
         # rays through the sector's angular range, radial band excluded
-        pn, pw = _gauss_on_angles(phi_a, phi_b,
-                                  max_panel=(phi_b - phi_a) / 4 + 1e-12, m=12 - drop)
         edges = np.unique(np.concatenate([base_edges, [s_a, min(s_b, s_max)]]))
         skip = lambda a, b: a >= s_a - 1e-15 and b <= min(s_b, s_max) + 1e-15
-        pieces.append((pn, pw, *_radial_panels(edges, m=16 - drop, skip=skip)))
+        pieces.append((composite_gauss(12 - drop, np.linspace(phi_a, phi_b, 5)),
+                       composite_gauss(16 - drop, edges, skip=skip)))
     else:
         # no sector, or the sector is the full disc s <= s_b: every ray is
         # treated alike and the periodic trapezoid applies
-        angular = quad_trapezoid_periodic(n_trap)
         if have_sector:
             edges = np.unique(np.concatenate([base_edges, [min(s_b, s_max)]]))
             skip = lambda a, b: b <= min(s_b, s_max) + 1e-15
-            s_nodes, s_w = _radial_panels(edges, m=16 - drop, skip=skip)
+            radial = composite_gauss(16 - drop, edges, skip=skip)
         else:
-            s_nodes, s_w = _radial_panels(base_edges, m=16 - drop)
-        pieces.append((angular.nodes, angular.weights, s_nodes, s_w))
+            radial = composite_gauss(16 - drop, base_edges)
+        pieces.append((quad_trapezoid_periodic(n_trap), radial))
     n_nodes = 0
     for piece in pieces:
         part, part_mass, part_l1, size = _ray_grid(grid, z, *piece)

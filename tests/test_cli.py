@@ -4,6 +4,15 @@ from pathlib import Path
 
 import pytest
 
+from wpkernel import (
+    OracleSource,
+    berezin_cauchy_transform,
+    compute_moments,
+    kernel_oracle,
+    make_elliptic_ginibre,
+    make_ginibre,
+    orthonormalize,
+)
 from wpkernel.cli import main
 
 
@@ -127,21 +136,45 @@ def test_oracle_json_and_kernel_consumption(tmp_path):
     k_out = tmp_path / "k.csv"
     assert run(["kernel", "--n", "12", "--z", "1.3,0", "--w", "1.2,0.1",
                 "--mode", "oracle", "--basis", str(out), "--out", str(k_out)]) == 0
+    # the dump round trip is exact: the same digits as the in-memory basis
+    basis = orthonormalize(compute_moments(make_ginibre(), 12, 11))
+    value = kernel_oracle(basis, 1.3, 1.2 + 0.1j)
+    row = k_out.read_text().splitlines()[2]
+    assert row == f"oracle,{value.log_mag:.17g},{value.arg:.17g}"
+    # the default oracle of Q = |z|^2 is the partial sums
     direct = tmp_path / "k2.csv"
     assert run(["kernel", "--n", "12", "--z", "1.3,0", "--w", "1.2,0.1",
                 "--mode", "oracle", "--out", str(direct)]) == 0
-    line_a = k_out.read_text().splitlines()[2]
-    line_b = direct.read_text().splitlines()[2]
-    assert line_a == line_b
+    _, log_mag, arg = direct.read_text().splitlines()[2].split(",")
+    assert abs(float(log_mag) - value.log_mag) < 1e-13
+    assert abs(float(arg) - value.arg) < 1e-13
 
 
 def test_ward_json(tmp_path):
     out = tmp_path / "ward.json"
-    assert run(["ward", "--source", "ginibre", "--n", "25", "--z", "1.5,0",
+    assert run(["ward", "--n", "25", "--z", "1.5,0",
                 "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     pt = payload["points"][0]
     assert pt["residual"] <= pt["budget"]
+
+
+def test_ward_source_flag_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        run(["ward", "--source", "ginibre", "--n", "25", "--z", "1.5,0"])
+    assert exc.value.code == 2
+
+
+def test_ward_source_follows_the_potential(tmp_path):
+    out = tmp_path / "ward.json"
+    assert run(["ward", "--potential", "elliptic", "--n", "20", "--z", "2,0.5",
+                "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["source"] == "oracle"
+    ell = make_elliptic_ginibre(1.0, 3.0)
+    source = OracleSource(orthonormalize(compute_moments(ell, 20, 19)), ell)
+    mu = berezin_cauchy_transform(source, 2 + 0.5j)
+    assert payload["points"][0]["cauchy_transform"] == [mu.real, mu.imag]
 
 
 def test_berezin_csv(tmp_path):

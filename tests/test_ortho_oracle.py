@@ -63,11 +63,11 @@ def gin_basis(gin):
 
 def test_ginibre_moments_closed_form(gin):
     gram = compute_moments(gin, 40, 40)
-    diag = np.asarray(gram.moments)
+    diag = np.diagonal(gram.moments)
     for j in range(41):
         expected = math.exp(math.lgamma(j + 1.0) - (j + 1) * math.log(40.0))
         assert diag[j] == pytest.approx(expected, rel=1e-10)
-    assert gram.diagonal
+    assert gram.period == 41
 
 
 def test_diagonal_orthonormalization(gin):
@@ -113,7 +113,7 @@ def test_oracle_hermitian_and_reproducing(gin_basis, gin):
 def test_elliptic_parity_structure(ell):
     gram = compute_moments(ell, 16, 12)
     mom = np.asarray(gram.moments)
-    assert gram.parity
+    assert gram.period == 2
     for j in range(13):
         for k in range(13):
             if (j - k) % 2 == 1:
@@ -126,6 +126,35 @@ def test_elliptic_parity_structure(ell):
             if (j - k) % 2 == 1:
                 assert C[j, k] == 0.0
     assert basis.gram_residual < 1e-8
+
+
+class _Trigonal(type(make_ginibre())):
+    """Q = |z|^2 + 0.1 Re z^3: invariant under rotation by 2 pi / 3 only."""
+
+    rotation_order = 3
+
+    def Q(self, z):
+        return np.abs(z) ** 2 + 0.1 * (np.asarray(z) ** 3).real
+
+
+class _TrigonalFull(_Trigonal):
+    rotation_order = 1
+
+
+def test_rotation_order_three_blocks():
+    n = 20
+    gram3 = compute_moments(_Trigonal(), n, n - 1)
+    gram1 = compute_moments(_TrigonalFull(), n, n - 1)
+    assert (gram3.period, gram1.period) == (3, 1)
+    # the full assembly vanishes off the mod-3 blocks, to rounding
+    mom = np.asarray(gram1.moments)
+    dm = np.sqrt(np.diagonal(mom).real)
+    off = np.array([[(j - k) % 3 != 0 for k in range(n)] for j in range(n)])
+    assert np.max(np.abs(mom[off]) / np.outer(dm, dm)[off]) < 1e-13
+    b3, b1 = orthonormalize(gram3), orthonormalize(gram1)
+    assert b3.gram_residual < 1e-10
+    for z, w in [(0.3 + 0.2j, 0.3 + 0.2j), (1.2, 0.9 * cmath.exp(1j)), (-0.5j, 1.1 + 0.4j)]:
+        assert rel_lc(kernel_oracle(b3, z, w), kernel_oracle(b1, z, w)) < 1e-10
 
 
 def test_native_refuses_ill_conditioned(ell):
@@ -262,6 +291,8 @@ def test_degree_cannot_exceed_n(gin):
     lambda: f_factor(_ELL, 0.9, math.nan),
     lambda: equilibrium_log_potential(_ELL, 1.0, _ELL.boundary_point(0.4).p),
     lambda: cocycle(_ELL, 40, math.nan, _ELL.boundary_point(0.4).p),
+    lambda: harmonic_measure_density(_ELL, 2.0, math.nan),
+    lambda: quasipolynomial(make_ginibre(), 40, 39, 0.0),
 ], ids=["moments-n0", "moments-radial-n0", "moments-negative-degree", "hermite-n0",
         "hermite-nan", "hermite-inf", "hermite-overflow", "hermite-not-elliptic",
         "asymptotic-overflow", "tail-overflow", "oracle-overflow",
@@ -271,7 +302,7 @@ def test_degree_cannot_exceed_n(gin):
         "szego-series-nan", "harmonic-density-nan", "quasipolynomial-nan", "oracle-nan",
         "elliptic-V-nan", "ginibre-V-nan", "project-nan", "dist-to-exterior-nan",
         "lowdeg-nan", "h-function-nan", "f-factor-nan", "equilibrium-boundary-point",
-        "cocycle-nan"])
+        "cocycle-nan", "harmonic-density-nan-boundary-point", "quasipolynomial-phi-zero"])
 def test_bad_input_raises_domain_error(call):
     with pytest.raises(DomainError):
         call()

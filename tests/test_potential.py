@@ -10,6 +10,7 @@ from wpkernel import (
     DomainError,
     EllipticGinibrePotential,
     RadialProfile,
+    ResolutionError,
     ToleranceError,
     boundary_speed,
     boundary_speed_fd,
@@ -335,6 +336,18 @@ def test_boundary_integral_oracles(family, tau, s, theta):
         assert abs(equilibrium_log_potential(pot, tau, z) - closed) <= 1e-12
 
 
+@pytest.mark.parametrize("tau", [1.0, 0.7])
+def test_equilibrium_log_potential_near_the_boundary(tau):
+    # at |phi_tau| = 0.99 a fixed 512-node rule is off by ~3e-3; the sized rule is not
+    pot = make_radial(_power_profile(1))
+    r = pot.r_tau(tau)
+    for z in (0.99 * r, 0.99 * r * cmath.exp(2.1j)):
+        closed = tau * math.log(r) - (tau - abs(z) ** 2) / 2
+        assert abs(equilibrium_log_potential(pot, tau, z) - closed) <= 1e-12
+    with pytest.raises(ResolutionError):
+        equilibrium_log_potential(pot, tau, 0.9999 * r)
+
+
 class _Shrunk(EllipticGinibrePotential):
     """chi_tau scaled by 0.9: the droplet of mass 0.81 tau, not of mass tau."""
 
@@ -347,6 +360,9 @@ class _Shrunk(EllipticGinibrePotential):
 
 class _Disc(EllipticGinibrePotential):
     """The disc with the area of the elliptic droplet in its place."""
+
+    def phi(self, z, tau=1.0):
+        return z / math.sqrt(tau / self.alpha)
 
     def chi(self, omega, tau=1.0):
         return math.sqrt(tau / self.alpha) * omega

@@ -21,7 +21,7 @@ from wpkernel import (
     quad_trapezoid_periodic,
     rational_eval,
 )
-from wpkernel.scaled_numerics import RationalAtOne, gauss_on_interval
+from wpkernel.scaled_numerics import RationalAtOne, composite_gauss, gauss_on_interval
 
 
 def test_from_complex_basic_cases():
@@ -144,3 +144,11 @@ def test_trapezoid_low_harmonics():
 def test_gauss_on_interval_length():
     rule = gauss_on_interval(7, 0.5, 2.25)
     assert np.sum(rule.weights) == pytest.approx(1.75, abs=1e-14)
+
+
+def test_composite_gauss_skips_empty_and_excluded_panels():
+    edges = [0.0, 0.5, 0.5, 1.0, 2.0]
+    rule = composite_gauss(5, edges, skip=lambda a, b: a >= 1.0)
+    assert rule.nodes.size == 10
+    assert np.all((rule.nodes > 0.0) & (rule.nodes < 1.0))
+    assert np.sum(rule.weights * rule.nodes ** 3) == pytest.approx(0.25, abs=1e-15)
