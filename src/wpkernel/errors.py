@@ -3,6 +3,8 @@
 import cmath
 import numbers
 
+import numpy as np
+
 
 class DomainError(ValueError):
     """Input lies outside the mathematical domain of an operation."""
@@ -47,7 +49,7 @@ def check_n(n) -> None:
 
 
 def check_finite(*values) -> None:
-    """DomainError unless every value is a finite real or complex number."""
+    """DomainError unless every value, or every entry of an array value, is finite."""
     for v in values:
-        if not cmath.isfinite(v):
+        if not (np.all(np.isfinite(v)) if isinstance(v, np.ndarray) else cmath.isfinite(v)):
             raise DomainError(f"arguments must be finite, got {v!r}")

@@ -31,11 +31,13 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BeltError, DomainError, RegimeError, check_finite, check_n
 from .hardy import harmonic_measure_density, szego_kernel
 from .ortho_oracle import _ginibre_enveloped_log_w
 from .potential import AdmissiblePotential, BoundaryPoint, harmonic_extension
-from .scaled_numerics import LogComplex, _norm_arg, lc_mul, lc_sum
+from .scaled_numerics import LogComplex, _norm_arg, _norm_args, lc_sum_scaled_parts
 
 
 @dataclass(frozen=True)
@@ -181,6 +183,41 @@ def berezin_belt_density(pot: AdmissiblePotential, n: int, z: complex,
 # ---------------------------------------------------------------------------
 
 
+def _quasipolynomial_parts(pot: AdmissiblePotential, n: int, j: np.ndarray, points):
+    """(log_mag, arg) of W#_{j,n}(z): one row per point z, one column per degree in j.
+
+    The conformal data come from one call per method, with the points as a
+    column against the row tau = j/n.
+    """
+    # the scalar Q raises DomainError at an overflow-scale point, before any array work
+    q = np.array([[float(pot.Q(z))] for z in points])
+    z = np.array(points, dtype=complex)[:, None]
+    tau = j / n
+    phi = pot.phi(z, tau)
+    if np.any(phi == 0):
+        raise DomainError(f"W#_(j,n) has no log-polar value where phi_tau vanishes, z in {points}")
+    sq = pot.script_Q(z, tau)
+    sh = pot.script_H(z, tau)
+    sdphi = pot.sqrt_dphi(z, tau)
+    log_mag = (
+        0.25 * math.log(n / (2.0 * math.pi))
+        + 0.5 * np.real(sh)
+        + np.log(np.abs(sdphi))
+        + j * np.log(np.abs(phi))
+        + 0.5 * n * np.real(sq)
+        - 0.5 * n * q
+    )
+    if not np.all(np.isfinite(log_mag)):
+        raise DomainError(f"W#_(j,n) is not finite at z in {points}")
+    arg = (
+        0.5 * np.imag(sh)
+        + np.angle(sdphi)
+        + _norm_args(j * np.angle(phi))
+        + 0.5 * n * np.imag(sq)
+    )
+    return log_mag, arg
+
+
 def quasipolynomial(pot: AdmissiblePotential, n: int, j: int, z: complex,
                     tau_floor: float | None = None) -> LogComplex:
     """Closed-form approximate orthonormal weighted polynomial W#_{j,n}(z).
@@ -195,33 +232,18 @@ def quasipolynomial(pot: AdmissiblePotential, n: int, j: int, z: complex,
         raise DomainError(f"tau(j) = {tau:.4f} below the admissible floor {floor:.4f}")
     if tau > 1.0 + 1e-12:
         raise DomainError("degrees beyond n are not part of the space")
-    phi = pot.phi(z, tau)
-    if phi == 0:
-        raise DomainError(f"W#_(j,n) has no log-polar value where phi_tau vanishes, z = {z}")
-    sq = pot.script_Q(z, tau)
-    sh = pot.script_H(z, tau)
-    sdphi = pot.sqrt_dphi(z, tau)
-    log_mag = (
-        0.25 * math.log(n / (2.0 * math.pi))
-        + 0.5 * sh.real
-        + math.log(abs(sdphi))
-        + j * math.log(abs(phi))
-        + 0.5 * n * sq.real
-        - 0.5 * n * float(pot.Q(z))
-    )
-    if not math.isfinite(log_mag):
-        raise DomainError(f"W#_(j,n) is not finite at z = {z}")
-    arg = (
-        0.5 * sh.imag
-        + math.atan2(sdphi.imag, sdphi.real)
-        + _norm_arg(j * math.atan2(phi.imag, phi.real))
-        + 0.5 * n * sq.imag
-    )
-    return LogComplex(log_mag, arg)
+    z = complex(z)
+    check_finite(z)
+    log_mag, arg = _quasipolynomial_parts(pot, n, np.array([j]), [z])
+    return LogComplex(float(log_mag[0, 0]), float(arg[0, 0]))
 
 
 def tail_kernel(pot: AdmissiblePotential, n: int, z: complex, w: complex) -> LogComplex:
-    """Sum of quasipolynomial products over the top degree range j >= n theta_n."""
+    """Sum of quasipolynomial products over the top degree range j >= n theta_n.
+
+    Both points take all their degrees in one array pass, and the products
+    are summed in log scale; swapping z and w conjugates the value exactly.
+    """
     check_n(n)
     z = complex(z)
     w = complex(w)
@@ -229,14 +251,9 @@ def tail_kernel(pot: AdmissiblePotential, n: int, z: complex, w: complex) -> Log
     _require_belt(pot, n, z, "z")
     _require_belt(pot, n, w, "w")
     cuts = sequence_cuts(n, pot.delta_M)
-    j_start = max(0, int(math.ceil(n * cuts.theta_n - 1e-9)))
-    floor = max(pot.tau_floor, j_start / n)
-    terms = []
-    for j in range(j_start, n):
-        wz = quasipolynomial(pot, n, j, z, tau_floor=floor)
-        ww = quasipolynomial(pot, n, j, w, tau_floor=floor)
-        terms.append(lc_mul(wz, ww.conj()))
-    return lc_sum(terms)
+    j = np.arange(max(0, int(math.ceil(n * cuts.theta_n - 1e-9))), n)
+    (log_z, log_w), (arg_z, arg_w) = _quasipolynomial_parts(pot, n, j, [z, w])
+    return lc_sum_scaled_parts(log_z + log_w, arg_z - arg_w)
 
 
 def f_factor(pot: AdmissiblePotential, tau: float, z: complex) -> complex:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PrecisionError, check_n
-from .scaled_numerics import LogComplex, _norm_arg, lc_mul
+from .scaled_numerics import LogComplex, _norm_arg, _norm_args, lc_mul
 
 # relative disagreement between summation and gamma routes that triggers
 # a hard failure of the internal cross-check
@@ -48,7 +48,6 @@ _CROSSCHECK_TOL = 1e-8
 _WINDOW_DROP = 40.0
 # points x terms per block of the windowed sum; bounds the working memory
 _BLOCK_ELEMENTS = 1 << 17
-_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -75,12 +74,6 @@ def _check_args(n, scale: float):
     check_n(n)
     if not math.isfinite(scale):
         raise DomainError("arguments must be finite and below the float64 overflow scale")
-
-
-def _norm_args(a: np.ndarray) -> np.ndarray:
-    """Elementwise `_norm_arg`: the same operations, so the same bits."""
-    r = np.fmod(a, _TWO_PI)
-    return np.where(r > math.pi, r - _TWO_PI, np.where(r <= -math.pi, r + _TWO_PI, r))
 
 
 def _log_diff(la, aa, lb, ab):

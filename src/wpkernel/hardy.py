@@ -16,6 +16,8 @@ pullback of the exterior Poisson kernel of the disc.  All boundary
 integrals use the pullback parametrization p = chi(e^{i theta}) with
 |dp| = |chi'| dtheta and the periodic trapezoid rule, which is spectrally
 accurate on the analytic boundaries supplied by the potential module.
+szego_kernel, szego_basis and harmonic_measure_density accept arrays of
+points, so each boundary integral is one array expression over its nodes.
 """
 
 from __future__ import annotations
@@ -27,39 +29,44 @@ import numpy as np
 
 from .errors import DomainError, PoleError, check_finite
 from .potential import AdmissiblePotential
+from .scaled_numerics import _all, _as_complex, _elementwise
 
 _CL_U_TOL = 1e-8
 
 
-def _require_cl_U(pot: AdmissiblePotential, z: complex, tol: float = _CL_U_TOL):
+def _require_cl_U(pot: AdmissiblePotential, z, tol: float = _CL_U_TOL):
     mod = abs(pot.phi(z, 1.0))
-    if not mod >= 1.0 - tol:
-        raise DomainError(f"point {z} is not in the closed exterior domain (|phi| = {mod:.6f})")
-    return mod
+    if not _all(mod >= 1.0 - tol):
+        raise DomainError(f"point {z} is not in the closed exterior domain "
+                          f"(|phi| = {np.min(mod):.6f})")
 
 
 def szego_kernel(pot: AdmissiblePotential, z: complex, w: complex) -> complex:
-    """Closed-form Szego kernel S(z, w) on the closed exterior domain."""
-    z = complex(z)
-    w = complex(w)
+    """Closed-form Szego kernel S(z, w) on the closed exterior domain; elementwise over arrays."""
+    z = _as_complex(z)
+    w = _as_complex(w)
     check_finite(z, w)
     _require_cl_U(pot, z)
     _require_cl_U(pot, w)
     denom = pot.phi(z, 1.0) * pot.phi(w, 1.0).conjugate() - 1.0
-    if abs(denom) < 1e-12:
+    if not _all(abs(denom) >= 1e-12):
         raise PoleError("phi(z) conj(phi(w)) = 1: Szego kernel pole")
     return pot.sqrt_dphi(z, 1.0) * pot.sqrt_dphi(w, 1.0).conjugate() / (2.0 * math.pi * denom)
 
 
 def szego_basis(pot: AdmissiblePotential, j: int, z: complex) -> complex:
-    """Orthonormal Hardy basis element psi_j(z), j >= 1; vanishes at infinity."""
+    """Orthonormal Hardy basis element psi_j(z), j >= 1; vanishes at infinity.
+
+    Elementwise over an array of z.
+    """
     if j < 1:
         raise DomainError("basis indices start at j = 1")
-    z = complex(z)
+    z = _as_complex(z)
+    check_finite(z)
     _require_cl_U(pot, z)
     phi = pot.phi(z, 1.0)
     # phi^{-j} through the exponential to avoid overflow at large j
-    inv_pow = cmath.exp(-j * cmath.log(phi))
+    inv_pow = _elementwise(-j * _elementwise(phi, cmath.log, np.log), cmath.exp, np.exp)
     return pot.sqrt_dphi(z, 1.0) * inv_pow / math.sqrt(2.0 * math.pi)
 
 
@@ -76,12 +83,15 @@ def szego_kernel_series(pot: AdmissiblePotential, z: complex, w: complex,
 
 
 def harmonic_measure_density(pot: AdmissiblePotential, z: complex, p: complex) -> float:
-    """Arclength density P_z(p) of harmonic measure of U at an interior z of U."""
-    z = complex(z)
-    p = complex(p)
+    """Arclength density P_z(p) of harmonic measure of U at an interior z of U.
+
+    Elementwise over arrays of z and p.
+    """
+    z = _as_complex(z)
+    p = _as_complex(p)
     check_finite(p)
     phi_z = pot.phi(z, 1.0)
-    if not abs(phi_z) > 1.0 + 1e-12:
+    if not _all(abs(phi_z) > 1.0 + 1e-12):
         raise DomainError("harmonic measure density needs z strictly in the exterior domain")
     phi_p = pot.phi(p, 1.0)
     dphi_p = pot.dphi(p, 1.0)
@@ -92,16 +102,15 @@ def harmonic_measure_mass(pot: AdmissiblePotential, z: complex, nodes: int = 512
     """Quadrature of P_z over the boundary; equals 1 for any exterior z."""
     check_finite(z)
     _, wts, pts, speed = pot.boundary_grid(nodes, 1.0)
-    dens = np.array([harmonic_measure_density(pot, z, p) for p in pts])
-    return float(np.sum(wts * dens * speed))
+    return float(np.sum(wts * harmonic_measure_density(pot, z, pts) * speed))
 
 
 def harmonic_measure_integral(pot: AdmissiblePotential, z: complex, f,
                               nodes: int = 512) -> complex:
-    """omega_z(f) = integral of f against harmonic measure at z."""
+    """omega_z(f) = integral of f against harmonic measure at z; f takes one point per call."""
     check_finite(z)
     _, wts, pts, speed = pot.boundary_grid(nodes, 1.0)
-    dens = np.array([harmonic_measure_density(pot, z, p) for p in pts])
+    dens = harmonic_measure_density(pot, z, pts)
     vals = np.array([f(p) for p in pts], dtype=complex)
     return complex(np.sum(wts * dens * speed * vals))
 
@@ -110,9 +119,7 @@ def szego_reproducing_check(pot: AdmissiblePotential, f_index: int, z: complex,
                             nodes: int = 512) -> float:
     """| <psi_f, S(., z)>_boundary - psi_f(z) |; zero by the reproducing property."""
     _, wts, pts, speed = pot.boundary_grid(nodes, 1.0)
-    vals = np.array([
-        szego_basis(pot, f_index, p) * szego_kernel(pot, p, z).conjugate() for p in pts
-    ])
+    vals = szego_basis(pot, f_index, pts) * szego_kernel(pot, pts, z).conjugate()
     integral = complex(np.sum(wts * speed * vals))
     return abs(integral - szego_basis(pot, f_index, z))
 
@@ -120,6 +127,6 @@ def szego_reproducing_check(pot: AdmissiblePotential, f_index: int, z: complex,
 def basis_gram_matrix(pot: AdmissiblePotential, j_max: int, nodes: int = 512) -> np.ndarray:
     """Boundary Gram matrix of psi_1..psi_jmax; identity up to quadrature error."""
     _, wts, pts, speed = pot.boundary_grid(nodes, 1.0)
-    basis = np.array([[szego_basis(pot, j, p) for p in pts] for j in range(1, j_max + 1)])
+    basis = np.array([szego_basis(pot, j, pts) for j in range(1, j_max + 1)])
     scaled = basis * (wts * speed)[None, :]
     return scaled @ basis.conj().T

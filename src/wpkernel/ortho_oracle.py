@@ -20,7 +20,8 @@ invariant under z -> e^{2 pi i / p} z (p = the potential's rotation_order)
 has M_{jk} = 0 unless p divides j - k, so the matrix is assembled and
 factored on its residue blocks {j = r mod p}, and the condition estimate is
 the spread of the blocks' singular values.  A rotation-invariant weight has
-p = inf, capped at max_degree + 1: one 1 x 1 block per degree.
+p = inf, capped at max_degree + 1: one 1 x 1 block per degree, and its
+angular profile 2 pi e^{-n Q(r)} is exact with a single angular node.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def compute_moments(pot: AdmissiblePotential, n: int, max_degree: int, *,
         raise DomainError("the space only contains degrees below n")
     r_max = pot.outer_radius(1.0) + 12.0 / math.sqrt(n)
     if m_theta is None:
-        m_theta = max(4 * max_degree + 16, 64)
+        m_theta = 1 if pot.rotation_order == math.inf else max(4 * max_degree + 16, 64)
     # radius of the disc with the droplet's area (area theorem): sqrt(p q) for an ellipse
     c1, _, c_1 = pot.chi_laurent(1.0)
     scale = math.sqrt(abs(c1) ** 2 - abs(c_1) ** 2)

@@ -27,6 +27,11 @@ The mass and equilibrium-potential oracles are trapezoid integrals over
 Gamma_tau = chi_tau(|omega| = 1) that read only Q, grad Q and chi_tau; the
 log potential reads |phi_tau| at its points only to size its rule.
 
+phi, dphi, sqrt_dphi, script_Q, script_H and r_tau accept an array of points
+and an array of tau as well as scalars, and their values broadcast against
+both (a value constant in them may come back as a scalar): one call gives a
+tail kernel all its degrees at once.
+
 The built-in families have closed-form QQ_tau (a constant for the radial
 family, c_0 + c_2 phi_tau^{-2} for the elliptic one).  harmonic_extension is
 the generic solver and the test oracle of those forms: it extends Dirichlet
@@ -47,7 +52,8 @@ import numpy as np
 
 from .errors import DomainError, ResolutionError, ToleranceError, check_finite
 from .ginibre_exact import ginibre_kernel_exact
-from .scaled_numerics import LogComplex, quad_trapezoid_periodic
+from .scaled_numerics import (LogComplex, _all, _as_complex, _elementwise, _where,
+                              quad_trapezoid_periodic)
 
 
 @dataclass(frozen=True)
@@ -142,12 +148,15 @@ class AdmissiblePotential:
         raise NotImplementedError
 
     def phi(self, z: complex, tau: float = 1.0) -> complex:
+        """Exterior map of S_tau onto |w| > 1; accepts arrays of z and tau."""
         raise NotImplementedError
 
     def dphi(self, z: complex, tau: float = 1.0) -> complex:
+        """phi_tau'(z); accepts arrays of z and tau."""
         raise NotImplementedError
 
     def sqrt_dphi(self, z: complex, tau: float = 1.0) -> complex:
+        """The branch of sqrt(phi_tau'(z)) positive at infinity; accepts arrays of z and tau."""
         raise NotImplementedError
 
     def chi(self, omega: complex, tau: float = 1.0) -> complex:
@@ -165,9 +174,11 @@ class AdmissiblePotential:
         raise NotImplementedError
 
     def script_Q(self, z: complex, tau: float = 1.0) -> complex:
+        """QQ_tau(z); accepts arrays of z and tau."""
         raise NotImplementedError
 
     def script_H(self, z: complex, tau: float = 1.0) -> complex:
+        """HH_tau(z); accepts arrays of z and tau."""
         raise NotImplementedError
 
     # --- shared derived operations -------------------------------------------
@@ -184,8 +195,9 @@ class AdmissiblePotential:
 
         return OracleSource(orthonormalize(compute_moments(self, n, n - 1)), self)
 
-    def _check_tau(self, tau: float):
-        if not (self.tau_floor <= tau <= self.tau_ceiling):
+    def _check_tau(self, tau):
+        """DomainError unless tau, or every entry of a tau array, lies in the range (NaN fails)."""
+        if not _all((self.tau_floor <= tau) & (tau <= self.tau_ceiling)):
             raise DomainError(
                 f"tau = {tau} outside supported range [{self.tau_floor}, {self.tau_ceiling}]"
             )
@@ -204,9 +216,9 @@ class AdmissiblePotential:
         """(theta, points, |chi'|) on a uniform pullback grid; |dp| = |chi'| dtheta."""
         rule = quad_trapezoid_periodic(m)
         omega = np.exp(1j * rule.nodes)
-        pts = np.array([self.chi(o, tau) for o in omega])
-        speed = np.array([abs(self.dchi(o, tau)) for o in omega])
-        return rule.nodes, rule.weights, pts, speed
+        # a constant |chi'| (a disc) comes back as a scalar: one entry per node
+        speed = np.abs(self.dchi(omega, tau)) * np.ones(m)
+        return rule.nodes, rule.weights, self.chi(omega, tau), speed
 
     def V(self, z: complex, tau: float = 1.0) -> float:
         """V_tau = Re QQ_tau + tau log |phi_tau|^2 outside the excluded compact."""
@@ -306,29 +318,47 @@ class RadialPotential(AdmissiblePotential):
         self.profile = profile
         self.name = profile.name
         self._bracket = r_bracket
-        # a tail kernel asks for n (1 - theta_n) radii, each a few times in a row
+        # scalar calls come back to a few tau values (tau = 1 above all)
         self._r_cache = functools.lru_cache(maxsize=256)(self._solve_r_tau)
+        # a tail kernel asks for the radii of its degrees once per method and
+        # point: the last tau array and its radii, solved in one bisection
+        self._r_last = (np.empty(0), np.empty(0))
         # fail early if the unit-mass droplet cannot be bracketed
         self.r_tau(1.0)
 
-    def r_tau(self, tau: float) -> float:
+    def r_tau(self, tau):
+        """Droplet radius r_tau; elementwise for a tau array."""
         self._check_tau(tau)
-        return self._r_cache(tau)
+        if not isinstance(tau, np.ndarray):
+            return self._r_cache(tau)
+        last_tau, r = self._r_last
+        if not np.array_equal(tau, last_tau):
+            r = self._solve_r_tau(tau)
+            r.setflags(write=False)
+            self._r_last = (tau.copy(), r)
+        return r
 
-    def _solve_r_tau(self, tau: float) -> float:
+    def _solve_r_tau(self, tau):
+        """Bisection for (1/2) r q'(r) = tau, elementwise over a tau array.
+
+        Every entry starts from the same bracket; the loop ends once every
+        entry meets the tolerance, and entries that meet it earlier keep
+        narrowing until then.
+        """
         lo, hi = self._bracket
         f = lambda r: 0.5 * r * self.profile.dq(r) - tau
-        if f(lo) > 0 or f(hi) < 0:
+        if np.any(f(lo) > 0) or np.any(f(hi) < 0):
             raise DomainError(
                 f"droplet radius not bracketed in {self._bracket} for tau = {tau}"
             )
+        if isinstance(tau, np.ndarray):
+            lo, hi = np.full(tau.shape, lo), np.full(tau.shape, hi)
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if f(mid) > 0:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo < 1e-15 * max(1.0, hi):
+            above = f(mid) > 0
+            hi = _where(above, mid, hi)
+            lo = _where(above, lo, mid)
+            if _all(hi - lo < 1e-15 * _where(hi > 1.0, hi, 1.0)):
                 break
         return 0.5 * (lo + hi)
 
@@ -355,23 +385,26 @@ class RadialPotential(AdmissiblePotential):
         return 1.0 / self.r_tau(tau)
 
     def sqrt_dphi(self, z, tau=1.0):
-        return 1.0 / math.sqrt(self.r_tau(tau))
+        return 1.0 / _elementwise(self.r_tau(tau), math.sqrt, np.sqrt)
 
     def chi(self, omega, tau=1.0):
         return self.r_tau(tau) * omega
 
     def dchi(self, omega, tau=1.0):
-        return complex(self.r_tau(tau))
+        return self.r_tau(tau) + 0j
 
     def chi_laurent(self, tau=1.0):
         return (self.r_tau(tau), 0.0, 0.0)
 
     def script_Q(self, z, tau=1.0) -> complex:
-        return complex(self.profile.q(self.r_tau(tau)))
+        return self.profile.q(self.r_tau(tau)) + 0j
 
     def script_H(self, z, tau=1.0) -> complex:
+        # Lap Q on |z| = r_tau; r_tau is above the bracket floor 1e-8, clear
+        # of the small-r guard of `laplacian`
         r = self.r_tau(tau)
-        return complex(0.5 * math.log(self.laplacian(r)))
+        lap = 0.25 * (self.profile.d2q(r) + self.profile.dq(r) / r)
+        return 0.5 * _elementwise(lap, math.log, np.log) + 0j
 
     def project(self, w, tau=1.0):
         check_finite(w)
@@ -392,9 +425,9 @@ class GinibrePotential(RadialPotential):
             q=lambda r: r * r, dq=lambda r: 2.0 * r, d2q=lambda r: 2.0, name="ginibre"
         ))
 
-    def r_tau(self, tau: float) -> float:
+    def r_tau(self, tau):
         self._check_tau(tau)
-        return math.sqrt(tau)
+        return _elementwise(tau, math.sqrt, np.sqrt)
 
     def Q(self, z):
         if isinstance(z, np.ndarray):
@@ -408,7 +441,7 @@ class GinibrePotential(RadialPotential):
         return 1.0
 
     def script_Q(self, z, tau=1.0) -> complex:
-        return complex(tau)
+        return tau + 0j
 
     def script_H(self, z, tau=1.0) -> complex:
         return 0j
@@ -444,12 +477,13 @@ class EllipticGinibrePotential(AdmissiblePotential):
         self.q1 = math.sqrt(self.a / (self.b * self.alpha))
         self.name = f"elliptic(a={a:g},b={b:g})"
 
-    def semi_axes(self, tau: float = 1.0):
+    def semi_axes(self, tau=1.0):
+        """(p, q) of S_tau; elementwise for a tau array."""
         self._check_tau(tau)
-        s = math.sqrt(tau)
+        s = _elementwise(tau, math.sqrt, np.sqrt)
         return self.p1 * s, self.q1 * s
 
-    def _joukowski(self, tau: float):
+    def _joukowski(self, tau):
         p, q = self.semi_axes(tau)
         return 0.5 * (p + q), 0.5 * (p - q), p * p - q * q  # (A, B, c^2)
 
@@ -472,29 +506,46 @@ class EllipticGinibrePotential(AdmissiblePotential):
         return max(self.semi_axes(tau))
 
     @staticmethod
-    def _branch_sqrt(z: complex, c2: float) -> complex:
-        """sqrt(z^2 - c^2) with the branch ~ z at infinity (cut on the focal segment)."""
-        if z == 0:
-            return 1j * math.sqrt(c2) if c2 > 0 else complex(math.sqrt(-c2))
-        return z * cmath.sqrt(1.0 - c2 / (z * z))
+    def _branch_sqrt(z, c2):
+        """sqrt(z^2 - c^2) with the branch ~ z at infinity (cut on the focal segment).
+
+        Elementwise; at z = 0 it is i c for c^2 > 0 and sqrt(-c^2) otherwise.
+        """
+        nonzero = z != 0
+        safe = _where(nonzero, z, 1.0 + 0j)  # keeps z = 0 out of the division
+        s = safe * _elementwise(1.0 - c2 / (safe * safe), cmath.sqrt, np.sqrt)
+        if _all(nonzero):
+            return s
+        at_zero = _where(c2 > 0, 1j, 1.0) * _elementwise(abs(c2), math.sqrt, np.sqrt)
+        return _where(nonzero, s, at_zero)
+
+    def _root(self, z, tau):
+        """(z, sqrt(z^2 - c_tau^2), A_tau), the data phi_tau and phi_tau' share."""
+        A, _, c2 = self._joukowski(tau)
+        z = _as_complex(z)
+        return z, self._branch_sqrt(z, c2), A
+
+    @staticmethod
+    def _require_off_foci(s):
+        if not _all(s != 0):
+            raise DomainError("phi_tau' is infinite at the foci of the ellipse")
 
     def phi(self, z, tau=1.0):
-        A, B, c2 = self._joukowski(tau)
-        s = self._branch_sqrt(complex(z), c2)
+        z, s, A = self._root(z, tau)
         return (z + s) / (2.0 * A)
 
     def dphi(self, z, tau=1.0):
-        A, B, c2 = self._joukowski(tau)
-        s = self._branch_sqrt(complex(z), c2)
-        return self.phi(z, tau) / s
+        z, s, A = self._root(z, tau)
+        self._require_off_foci(s)
+        return (z + s) / (2.0 * A) / s
 
     def sqrt_dphi(self, z, tau=1.0):
         # phi' = (1 + z/s)/(2A) has strictly positive real part off the focal
         # cut, so the principal square root is the continuous branch that is
         # positive at infinity
-        A, B, c2 = self._joukowski(tau)
-        s = self._branch_sqrt(complex(z), c2)
-        return cmath.sqrt((1.0 + z / s) / (2.0 * A))
+        z, s, A = self._root(z, tau)
+        self._require_off_foci(s)
+        return _elementwise((1.0 + z / s) / (2.0 * A), cmath.sqrt, np.sqrt)
 
     def chi(self, omega, tau=1.0):
         A, B, _ = self._joukowski(tau)
@@ -611,7 +662,7 @@ def _green_log_potential(pot: AdmissiblePotential, tau: float, zs: np.ndarray) -
     1e-17 at every point, with at least the 256 nodes that droplet_mass
     takes for the same flux data.
     """
-    rho = float(np.max([abs(pot.phi(complex(z), tau)) for z in zs]))
+    rho = float(np.max(np.abs(pot.phi(zs, tau))))
     if not rho < 1.0 - 1e-12:
         raise DomainError("the boundary-integral oracle requires z strictly inside the droplet")
     m = max(256, math.ceil(math.log(1e-17) / math.log(rho))) if rho > 0.0 else 256

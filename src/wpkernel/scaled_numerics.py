@@ -42,6 +42,37 @@ def _norm_arg(a: float) -> float:
     return r
 
 
+def _norm_args(a: np.ndarray) -> np.ndarray:
+    """Elementwise `_norm_arg`: the same operations, so the same bits."""
+    r = np.fmod(a, _TWO_PI)
+    return np.where(r > math.pi, r - _TWO_PI, np.where(r <= -math.pi, r + _TWO_PI, r))
+
+
+# Conformal data accept a Python scalar or an array in each argument.  A
+# scalar is evaluated in Python arithmetic (math/cmath), an array in numpy,
+# whose vectorised kernels may differ from math/cmath in the last bit.
+
+
+def _elementwise(x, scalar_fn, array_fn):
+    """array_fn(x) for an array x, scalar_fn(x) for a scalar."""
+    return array_fn(x) if isinstance(x, np.ndarray) else scalar_fn(x)
+
+
+def _all(cond) -> bool:
+    """cond itself, or whether every entry of an array cond holds."""
+    return bool(cond.all()) if isinstance(cond, np.ndarray) else bool(cond)
+
+
+def _where(cond, a, b):
+    """np.where(cond, a, b) for an array cond, a plain choice for a scalar one."""
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
+def _as_complex(z):
+    """z as a Python complex, or as a complex array when it has a shape."""
+    return np.asarray(z, dtype=complex) if isinstance(z, np.ndarray) else complex(z)
+
+
 @dataclass(frozen=True)
 class LogComplex:
     """Complex number as (natural log of modulus, argument in (-pi, pi]).

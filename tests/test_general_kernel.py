@@ -1,12 +1,16 @@
 import cmath
 import math
+import timeit
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wpkernel import (
     BeltError,
     DomainError,
+    RadialProfile,
     RegimeError,
     berezin_belt_density,
     boundary_correlation_modulus,
@@ -20,13 +24,39 @@ from wpkernel import (
     lowdeg_bound_check,
     make_elliptic_ginibre,
     make_ginibre,
+    make_radial,
     quasipolynomial,
     sequence_cuts,
     szego_kernel,
     tail_kernel,
 )
 from wpkernel.expansion import berezin_gaussian_ginibre
-from wpkernel.scaled_numerics import lc_sum, quad_radial
+from wpkernel.scaled_numerics import LogComplex, _norm_arg, lc_mul, lc_sum, quad_radial
+
+QUARTIC = RadialProfile(q=lambda r: 0.5 * r ** 4, dq=lambda r: 2.0 * r ** 3,
+                        d2q=lambda r: 6.0 * r ** 2, name="quartic")
+
+
+def quasipolynomial_scalar(pot, n: int, j: int, z: complex) -> LogComplex:
+    """W#_{j,n}(z) from the scalar conformal data of one degree, in math/cmath."""
+    tau = j / n
+    phi = pot.phi(z, tau)
+    sq = pot.script_Q(z, tau)
+    sh = pot.script_H(z, tau)
+    sdphi = pot.sqrt_dphi(z, tau)
+    log_mag = (0.25 * math.log(n / (2.0 * math.pi)) + 0.5 * sh.real + math.log(abs(sdphi))
+               + j * math.log(abs(phi)) + 0.5 * n * sq.real - 0.5 * n * float(pot.Q(z)))
+    arg = (0.5 * sh.imag + math.atan2(sdphi.imag, sdphi.real)
+           + _norm_arg(j * math.atan2(phi.imag, phi.real)) + 0.5 * n * sq.imag)
+    return LogComplex(log_mag, arg)
+
+
+def tail_kernel_loop(pot, n: int, z: complex, w: complex) -> LogComplex:
+    """The tail kernel one degree at a time: scalar quasipolynomial products, Kahan-summed."""
+    cuts = sequence_cuts(n, pot.delta_M)
+    j_start = max(0, int(math.ceil(n * cuts.theta_n - 1e-9)))
+    return lc_sum(lc_mul(quasipolynomial_scalar(pot, n, j, z),
+                         quasipolynomial_scalar(pot, n, j, w).conj()) for j in range(j_start, n))
 
 
 def ginibre_orthonormal_logabs(n: int, j: int, z: complex) -> float:
@@ -262,6 +292,46 @@ def test_tail_kernel_ginibre(gin):
     a = tail_kernel(gin, 150, 1.4, 1.2 + 0.3j)
     b = tail_kernel(gin, 150, 1.2 + 0.3j, 1.4)
     assert a.log_mag == b.log_mag and a.arg == -b.arg
+
+
+FAMILIES = {
+    "ginibre": make_ginibre(),
+    "elliptic(1,3)": make_elliptic_ginibre(1.0, 3.0),
+    "elliptic(2.5,0.7)": make_elliptic_ginibre(2.5, 0.7),
+    "quartic": make_radial(QUARTIC),
+}
+
+
+def belt_point(pot, theta: float, ell: float) -> complex:
+    """The point at signed normal distance ell from the boundary point at theta."""
+    bp = pot.boundary_point(theta, 1.0)
+    return bp.p + ell * bp.normal
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.integers(20, 3000), st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 2.0 * math.pi),
+       st.floats(-0.5, 1.0), st.floats(-0.5, 1.0))
+def test_tail_kernel_matches_the_degree_loop(name, n, t1, t2, s1, s2):
+    pot = FAMILIES[name]
+    delta = sequence_cuts(n, pot.delta_M).delta_n
+    z, w = belt_point(pot, t1, s1 * delta), belt_point(pot, t2, s2 * delta)
+    tail = tail_kernel(pot, n, z, w)
+    assert rel_lc(tail, tail_kernel_loop(pot, n, z, w)) <= 1e-9
+    swapped = tail_kernel(pot, n, w, z)
+    assert swapped.log_mag == tail.log_mag and swapped.arg == -tail.arg
+    assert rel_lc(quasipolynomial(pot, n, n - 1, z), quasipolynomial_scalar(pot, n, n - 1, z)) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [10 ** 5, 10 ** 6])
+def test_tail_kernel_at_large_n(ell, n):
+    # ~13.8k degrees at n = 10^6 in one array pass; the boundary law's
+    # relative error falls like ~0.4/n
+    z, w = belt_point(ell, 0.3, 1e-4), belt_point(ell, 2.0, 2e-4)
+    tail = tail_kernel(ell, n, z, w)
+    assert rel_lc(tail, kernel_asymptotic(ell, n, z, w).value) < 1e-5
+    elapsed = min(timeit.repeat(lambda: tail_kernel(ell, n, z, w), number=1, repeat=3))
+    assert elapsed < 0.05
 
 
 def test_tail_matches_geometric_sum_prediction(gin):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wpkernel import (
     DomainError,
@@ -19,7 +21,15 @@ from wpkernel import (
     szego_reproducing_check,
     RadialProfile,
 )
-from wpkernel.hardy import basis_gram_matrix
+from wpkernel.hardy import basis_gram_matrix, harmonic_measure_integral
+
+FAMILIES = {
+    "ginibre": make_ginibre(),
+    "elliptic(1,3)": make_elliptic_ginibre(1.0, 3.0),
+    "elliptic(2.5,0.7)": make_elliptic_ginibre(2.5, 0.7),
+    "quartic": make_radial(RadialProfile(q=lambda r: 0.5 * r ** 4, dq=lambda r: 2.0 * r ** 3,
+                                         d2q=lambda r: 6.0 * r ** 2, name="quartic")),
+}
 
 
 def szego_projection_of_constant(pot, z: complex, nodes: int = 512) -> float:
@@ -27,6 +37,27 @@ def szego_projection_of_constant(pot, z: complex, nodes: int = 512) -> float:
     _, wts, pts, speed = pot.boundary_grid(nodes, 1.0)
     vals = np.array([szego_kernel(pot, p, z).conjugate() for p in pts])
     return abs(complex(np.sum(wts * speed * vals)))
+
+
+# The boundary integrals one node at a time, from the scalar Hardy functions.
+
+def harmonic_measure_mass_loop(pot, z: complex, nodes: int = 512) -> float:
+    _, wts, pts, speed = pot.boundary_grid(nodes, 1.0)
+    dens = np.array([harmonic_measure_density(pot, z, complex(p)) for p in pts])
+    return float(np.sum(wts * dens * speed))
+
+
+def szego_reproducing_check_loop(pot, f_index: int, z: complex, nodes: int = 512) -> float:
+    _, wts, pts, speed = pot.boundary_grid(nodes, 1.0)
+    vals = np.array([szego_basis(pot, f_index, complex(p))
+                     * szego_kernel(pot, complex(p), z).conjugate() for p in pts])
+    return abs(complex(np.sum(wts * speed * vals)) - szego_basis(pot, f_index, z))
+
+
+def basis_gram_matrix_loop(pot, j_max: int, nodes: int = 512) -> np.ndarray:
+    _, wts, pts, speed = pot.boundary_grid(nodes, 1.0)
+    basis = np.array([[szego_basis(pot, j, complex(p)) for p in pts] for j in range(1, j_max + 1)])
+    return (basis * (wts * speed)[None, :]) @ basis.conj().T
 
 
 @pytest.fixture(scope="module")
@@ -120,3 +151,61 @@ def test_scaled_disc_covariance():
     direct = szego_kernel(scaled, z, w)
     expected = (1.0 / r) / (2.0 * math.pi * (z * w.conjugate() / r ** 2 - 1.0))
     assert direct == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(st.floats(1.05, 2.5), st.floats(0.0, 2.0 * math.pi), st.integers(1, 5))
+def test_hardy_arrays_match_the_node_loops(name, rho, theta, f_index):
+    pot = FAMILIES[name]
+    z = pot.chi(rho * cmath.exp(1j * theta), 1.0)
+    nodes = 128
+    _, _, pts, _ = pot.boundary_grid(nodes, 1.0)
+    for array, scalar in (
+        (szego_kernel(pot, pts, z), lambda p: szego_kernel(pot, p, z)),
+        (szego_kernel(pot, z, pts), lambda p: szego_kernel(pot, z, p)),
+        (szego_basis(pot, f_index, pts), lambda p: szego_basis(pot, f_index, p)),
+        (harmonic_measure_density(pot, z, pts), lambda p: harmonic_measure_density(pot, z, p)),
+    ):
+        assert np.max(np.abs(array - np.array([scalar(complex(p)) for p in pts]))) <= 1e-13
+    assert abs(harmonic_measure_mass(pot, z, nodes) - harmonic_measure_mass_loop(pot, z, nodes)) <= 1e-13
+    assert abs(szego_reproducing_check(pot, f_index, z, nodes)
+               - szego_reproducing_check_loop(pot, f_index, z, nodes)) <= 1e-13
+    assert np.max(np.abs(basis_gram_matrix(pot, 4, nodes) - basis_gram_matrix_loop(pot, 4, nodes))) <= 1e-13
+
+
+def test_harmonic_measure_integral_calls_f_per_point(ell):
+    # u = Re(1/phi) is harmonic and bounded in U, so omega_z(u) = u(z)
+    seen = []
+    got = harmonic_measure_integral(
+        ell, 2.5, lambda p: seen.append(p) or (1.0 / ell.phi(p, 1.0)).real, nodes=128)
+    assert len(seen) == 128 and not any(isinstance(p, np.ndarray) for p in seen)
+    assert got == pytest.approx((1.0 / ell.phi(2.5, 1.0)).real, abs=1e-12)
+
+
+_NAN_IN = np.array([2.0 + 0.5j, complex(math.nan, 0.0)])
+_INF_IN = np.array([2.0 + 0.5j, complex(0.0, math.inf)])
+
+
+@pytest.mark.parametrize("bad", [_NAN_IN, _INF_IN], ids=["nan", "inf"])
+@pytest.mark.parametrize("call", [
+    lambda pot, bad: szego_kernel(pot, bad, 1.8 - 0.3j),
+    lambda pot, bad: szego_kernel(pot, 1.8 - 0.3j, bad),
+    lambda pot, bad: szego_basis(pot, 2, bad),
+    lambda pot, bad: harmonic_measure_density(pot, 3.0, bad),
+], ids=["szego-kernel-z", "szego-kernel-w", "szego-basis", "harmonic-density"])
+def test_non_finite_point_arrays_raise_domain_error(ell, call, bad):
+    with pytest.raises(DomainError):
+        call(ell, bad)
+
+
+def test_points_inside_an_array_raise_domain_error(ell):
+    inside = np.array([2.0 + 0.5j, 0.1 + 0.1j])
+    with pytest.raises(DomainError):
+        szego_kernel(ell, inside, 2.0)
+    with pytest.raises(DomainError):
+        szego_basis(ell, 1, inside)
+    with pytest.raises(DomainError):
+        harmonic_measure_density(ell, inside, 2.0)
+    with pytest.raises(PoleError):
+        szego_kernel(make_ginibre(), np.array([2.0, 1.0]), 1.0)

@@ -382,8 +382,75 @@ def test_oracles_reject_a_wrong_droplet():
 
 def test_radius_cache_stays_bounded():
     pot = make_radial(QUARTIC)
+    # a tail solves the radii of all its degrees as one array, past the scalar cache
     for n in range(100, 400, 25):
         tail_kernel(pot, n, 1.05, 1.05 * cmath.exp(0.5j))
+    assert pot._r_cache.cache_info().misses == 1  # r_1, solved by the constructor
+    for tau in np.linspace(0.5, 1.0, 300):
+        pot.r_tau(float(tau))
     info = pot._r_cache.cache_info()
     assert info.misses > info.maxsize
     assert info.currsize <= info.maxsize
+
+
+_CONFORMAL = ("phi", "dphi", "sqrt_dphi", "script_Q", "script_H")
+
+
+@pytest.mark.parametrize("family", ["gin", "ell", "quart", "flat"])
+def test_conformal_data_accept_point_and_tau_arrays(family, request):
+    pot = make_elliptic_ginibre(2.5, 0.7) if family == "flat" else request.getfixturevalue(family)
+    zs = np.array([[1.6 + 0.3j], [-1.3 + 1.1j], [2.0], [0.0]])
+    taus = np.array([0.4, 0.83, 1.0])
+    for name in _CONFORMAL:
+        got = np.broadcast_to(getattr(pot, name)(zs, taus), (4, 3))
+        want = np.array([[getattr(pot, name)(complex(z), float(t)) for t in taus] for z in zs[:, 0]])
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), name
+    assert pot.outer_radius(1.0) == pytest.approx(max(np.abs(pot.boundary_grid(64)[2])), rel=1e-12)
+    _, _, pts, speed = pot.boundary_grid(64)
+    assert pts.shape == speed.shape == (64,)
+
+
+def test_radii_of_a_tau_array_are_one_bisection(quart):
+    taus = np.linspace(0.05, 1.05, 41)
+    radii = quart.r_tau(taus)
+    assert radii == pytest.approx([quart.r_tau(float(t)) for t in taus], rel=1e-15, abs=0.0)
+    assert 0.5 * radii * QUARTIC.dq(radii) == pytest.approx(taus, rel=1e-14)
+    assert quart.r_tau(taus.copy()) is radii  # the same degrees again: no second solve
+
+
+@pytest.mark.parametrize("tau", [np.array([0.9, math.nan]), np.array([0.9, math.inf]),
+                                 np.array([0.9, 1.2]), np.array([1e-4, 0.9])],
+                         ids=["nan", "inf", "above-ceiling", "below-floor"])
+@pytest.mark.parametrize("family", ["gin", "ell", "quart"])
+def test_tau_arrays_outside_the_range_raise_domain_error(family, tau, request):
+    pot = request.getfixturevalue(family)
+    for method in (pot.phi, pot.dphi, pot.sqrt_dphi):
+        with pytest.raises(DomainError):
+            method(1.5 + 0.2j, tau)
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 3.0), (2.5, 0.7)])
+def test_elliptic_arrays_at_zero_and_on_the_focal_segment(a, b):
+    # the suite turns RuntimeWarning into an error; the branch must be the scalar one
+    pot = make_elliptic_ginibre(a, b)
+    p, q = pot.semi_axes(1.0)
+    focal_axis = 1.0 if p > q else 1j
+    zs = focal_axis * math.sqrt(abs(p * p - q * q)) * np.array([0.0, 0.3, -0.7, 0.999])
+    for name in ("phi", "dphi", "sqrt_dphi", "script_Q"):
+        got = getattr(pot, name)(zs, 1.0)
+        want = np.array([getattr(pot, name)(complex(z), 1.0) for z in zs])
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
+    taus = np.array([0.5, 1.0])
+    assert pot.phi(0.0, taus) == pytest.approx([pot.phi(0.0, float(t)) for t in taus], rel=1e-15)
+
+
+def test_elliptic_derivative_at_a_focus_raises_domain_error(ell):
+    # a tau whose focus c squares back to c^2 exactly, so sqrt(z^2 - c^2) = 0 at z = c
+    tau = next(float(t) for t in np.linspace(0.5, 1.0, 101)
+               if math.sqrt(ell._joukowski(float(t))[2]) ** 2 == ell._joukowski(float(t))[2])
+    c = math.sqrt(ell._joukowski(tau)[2])
+    assert ell.phi(c, tau) == pytest.approx(c / (2.0 * ell._joukowski(tau)[0]), rel=1e-15)
+    for z in (c, np.array([2.0, c])):
+        for method in (ell.dphi, ell.sqrt_dphi):
+            with pytest.raises(DomainError):
+                method(z, tau)
