@@ -33,11 +33,11 @@ from .errors import (
 )
 from .expansion import exterior_kernel_expansion
 from .general_kernel import berezin_belt_density, kernel_asymptotic, sequence_cuts, tail_kernel
-from .ginibre_exact import ginibre_berezin, ginibre_kernel_exact
+from .ginibre_exact import ginibre_berezin_array, ginibre_kernel_exact
 from .ortho_oracle import compute_moments, kernel_oracle, orthonormalize
 from .potential import make_elliptic_ginibre, make_ginibre, make_radial, RadialProfile
 from .szego_geometry import classify, trace_curve_K, trace_szego_curve
-from .ward import berezin_cauchy_transform, loop_residual
+from .ward import loop_residual
 
 
 def _parse_complex(text: str) -> complex:
@@ -254,10 +254,9 @@ def cmd_ward(args):
     for z_text in args.z:
         z = _parse_complex(z_text)
         lr = loop_residual(source, z)
-        mu = berezin_cauchy_transform(source, z)
         report.append({
             "z": [z.real, z.imag],
-            "cauchy_transform": [mu.real, mu.imag],
+            "cauchy_transform": [lr.cauchy_transform.real, lr.cauchy_transform.imag],
             "lhs": [lr.lhs.real, lr.lhs.imag],
             "rhs": lr.rhs,
             "residual": abs(lr.residual),
@@ -308,14 +307,14 @@ def cmd_figures(args):
         n, z = args.n, _parse_complex(args.z)
         xs = np.linspace(-1.6, 2.4, args.nodes)
         ys = np.linspace(-1.6, 1.6, args.nodes)
+        density = ginibre_berezin_array(n, z, xs[:, None] + 1j * ys[None, :])
         path = outdir / f"berezin_surface_n{n}.csv"
         with path.open("w") as fh:
             fh.write(f"# wpkernel {__version__} Berezin surface n={n} z={z}\n")
             fh.write("re,im,density\n")
-            for x in xs:
-                for y in ys:
-                    fh.write(f"{_fmt(float(x))},{_fmt(float(y))},"
-                             f"{_fmt(ginibre_berezin(n, z, complex(x, y)))}\n")
+            for x, row in zip(xs, density):
+                for y, b in zip(ys, row):
+                    fh.write(f"{_fmt(float(x))},{_fmt(float(y))},{_fmt(float(b))}\n")
         emitted.append(str(path))
     if args.droplets:
         for name, pot in (("ginibre", make_ginibre()),

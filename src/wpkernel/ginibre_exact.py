@@ -12,7 +12,9 @@ The raw sum S = sum_{k<n} x^k / k!, x = n zeta, is evaluated from an endpoint
 of the series, following Szego's split (1924):
 
 - |zeta| >= 1: the terms grow up to k = n - 1, so S is summed downward from
-  the endpoint term x^{n-1}/(n-1)!;
+  the endpoint term x^{n-1}/(n-1)!, as that term times 1 + s1; s1, the terms
+  after the endpoint, is summed on its own, so S - x^{n-1}/(n-1)! needs no
+  subtraction;
 - |zeta| < 1: S = e^x - T, where the tail T = sum_{k>=n} x^k / k! decays from
   the endpoint term x^n/n! and is summed upward; the two parts are combined
   in log scale.
@@ -25,6 +27,10 @@ product, atan2) maps conjugate inputs to conjugate outputs exactly, so the
 kernel is Hermitian bit for bit.  The work is O(window) per point and the
 memory O(points) for any n.
 
+Over grids, B_n = |K_n(z, w)|^2 / K_n(z, z) and dbar_z B_n come from one set
+of sums (`_berezin_and_ratios`); the scalar `ginibre_berezin` goes through
+`ginibre_kernel_exact` and is the independent reference.
+
 A continued-fraction evaluation of the upper incomplete gamma function
 provides an independent route E_n(zeta) = Gamma(n, n zeta)/(n-1)!, used as
 an automatic cross-check for Re(zeta) > 1 where the fraction is reliable.
@@ -32,7 +38,6 @@ an automatic cross-check for Re(zeta) > 1 where the fraction is reliable.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -149,9 +154,9 @@ def _log_kk_over_factorial(k: int) -> float:
 def _side_window(n: int, x: np.ndarray, inner: bool):
     """Window of the endpoint sum for points on one side of |x| = n.
 
-    Returns (q, lengths, coeffs, lead, k_end): the endpoint term has
-    log-magnitude `lead` and argument k_end arg x, and the sum is that term
-    times sum_{j<L} coeffs[j] q^j, L the point's window length.
+    Returns (q, lengths, coeffs, lead): the endpoint term x^k/k!
+    (k = n-1 outer, n inner) has log-magnitude `lead`, and the sum is that
+    term times sum_{j<L} coeffs[j] q^j, L the point's window length.
 
     Outer (|x| >= n): S, summed downward from k = n-1, with term ratios
     (k/x).  Inner (|x| < n): the tail T, summed upward from k = n, with term
@@ -174,7 +179,6 @@ def _side_window(n: int, x: np.ndarray, inner: bool):
         lengths = np.where(j_drop <= n, np.ceil(j_drop), n + math.ceil(drop / math.log(2.0)))
         lengths = np.where(live, lengths, 1)
         lead = np.where(live, _log_kk_over_factorial(n) - n * rate, -np.inf)
-        k_end = n
         q = x / n
         # prod_{i=1}^{j} 1/(1 + i/n)
         coeffs = np.cumprod(1.0 / (1.0 + np.arange(int(lengths.max())) / n))
@@ -185,48 +189,54 @@ def _side_window(n: int, x: np.ndarray, inner: bool):
         j_drop = 2.0 * drop / (a + np.sqrt(a * a + 2.0 * drop / m))
         lengths = np.minimum(np.ceil(j_drop), n)
         lead = (n - 1) * rate + _log_kk_over_factorial(n - 1)
-        k_end = n - 1
         q = m / x
-        # prod_{i<j} (1 - i/(n-1))
-        coeffs = np.cumprod(np.concatenate(([1.0], 1.0 - np.arange(int(lengths.max()) - 1) / m)))
-    return q, lengths.astype(np.intp), coeffs, lead, k_end
+        # prod_{i<j} (1 - i/(n-1)), one beyond the longest window: `_outer_sums` sums from j = 1
+        coeffs = np.cumprod(np.concatenate(([1.0], 1.0 - np.arange(int(lengths.max())) / m)))
+    return q, lengths.astype(np.intp), coeffs, lead
 
 
-def _side_sums(n: int, x: np.ndarray, inner: bool):
-    """(log_mag, arg) of the endpoint sum for points on one side of |x| = n."""
-    q, lengths, coeffs, lead, k_end = _side_window(n, x, inner)
+def _outer_sums(n: int, x: np.ndarray):
+    """(log_mag, s1, s) of e_n(x) = sum_{k<n} x^k/k! for |x| >= n.
+
+    e_n is the endpoint term x^{n-1}/(n-1)!, of log-magnitude `lead`, times
+    s = 1 + s1, where s1 = q sum_{j<L-1} coeffs[j+1] q^j holds the terms
+    after the endpoint.  This is the one place the outer window is summed;
+    s1 is formed on its own, so s - 1 needs no subtraction.
+    """
+    q, lengths, coeffs, lead = _side_window(n, x, False)
+    s1 = _window_sums(q, np.maximum(lengths - 1, 1), coeffs[1:])
+    np.multiply(q, s1, out=s1)
+    s1[lengths == 1] = 0.0  # the window is the endpoint term alone
+    s = 1.0 + s1
+    return lead + np.log(np.abs(s)), s1, s
+
+
+def _tail_sums(n: int, x: np.ndarray):
+    """(log_mag, arg) of the tail T = sum_{k>=n} x^k/k! for |x| < n; inside,
+    Szego's split gives e_n(x) = e^x - T."""
+    q, lengths, coeffs, lead = _side_window(n, x, True)
     s = _window_sums(q, lengths, coeffs)
     mag = np.abs(s)
     nonzero = mag > 0.0
     log_mag = np.where(nonzero, lead + np.log(np.where(nonzero, mag, 1.0)), -np.inf)
-    return log_mag, k_end * np.angle(x) + np.angle(s)
-
-
-def _endpoint_sums(n: int, zetas: np.ndarray):
-    """Szego's split of sum_{k<n} x^k/k!, x = n zeta, summed from an endpoint.
-
-    Returns (x, log_mag, arg, inner): for |x| >= n the partial sum S itself,
-    for |x| < n (inner) the tail T = sum_{k>=n} x^k/k!.
-    """
-    _check_args(n, n * _extent(zetas))
-    x = n * zetas
-    inner = np.abs(x) < n
-    log_mag = np.empty(x.size)
-    arg = np.empty(x.size)
-    for side, part in ((True, inner), (False, ~inner)):
-        if part.any():
-            log_mag[part], arg[part] = _side_sums(n, x[part], side)
-    return x, log_mag, arg, inner
+    return log_mag, n * np.angle(x) + np.angle(s)
 
 
 def raw_partial_sum_array(n: int, zetas: np.ndarray):
     """(log_mag, arg) of sum_{k<n} (n zeta)^k / k! for an array of zeta."""
     zetas = np.asarray(zetas, dtype=complex).ravel()
-    x, log_mag, arg, inner = _endpoint_sums(n, zetas)
+    _check_args(n, n * _extent(zetas))
+    x = n * zetas
+    inner = np.abs(x) < n
+    log_mag = np.empty(x.size)
+    arg = np.empty(x.size)
     if inner.any():
-        # S = e^x - T
-        x = x[inner]
-        log_mag[inner], arg[inner] = _log_diff(x.real, x.imag, log_mag[inner], arg[inner])
+        xi = x[inner]
+        log_mag[inner], arg[inner] = _log_diff(xi.real, xi.imag, *_tail_sums(n, xi))
+    if not inner.all():
+        xo = x[~inner]
+        log_mag[~inner], _, s = _outer_sums(n, xo)
+        arg[~inner] = (n - 1) * np.angle(xo) + np.angle(s)
     arg = _norm_args(arg)
     # a real x gives a real sum, whose computed arg is a rounded multiple of pi
     real_sign = np.where(np.abs(arg) > 0.5 * math.pi, math.pi, 0.0)
@@ -267,9 +277,10 @@ def _gamma_cf(a: float, x: complex, tol: float = 1e-15, max_iter: int = 100000) 
             break
     else:
         raise PrecisionError("incomplete-gamma continued fraction did not converge")
+    # atan2: cmath.phase raises OverflowError when the angle underflows
     return LogComplex(
         -x.real + a * math.log(abs(x)) + math.log(abs(h)),
-        _norm_arg(-x.imag + a * cmath.phase(x) + cmath.phase(h)),
+        _norm_arg(-x.imag + a * math.atan2(x.imag, x.real) + math.atan2(h.imag, h.real)),
     )
 
 
@@ -310,11 +321,14 @@ def partial_exp_sum_complement(n: int, zeta: complex) -> LogComplex:
     -e^{-n zeta} T with the tail T = sum_{k>=n} (n zeta)^k / k! of the
     windowed kernel; for |zeta| >= 1 it is E_n(zeta) - 1 formed in log scale.
     """
-    x, log_mag, arg, inner = _endpoint_sums(n, np.array([zeta], dtype=complex))
-    x, log_mag, arg = complex(x[0]), float(log_mag[0]), float(arg[0])
-    if inner[0]:
-        return LogComplex(log_mag - x.real, arg - x.imag + math.pi)
-    diff_mag, diff_arg = _log_diff(log_mag - x.real, arg - x.imag, 0.0, 0.0)
+    zeta = complex(zeta)
+    _check_args(n, n * _extent(zeta))
+    x = n * zeta
+    if abs(x) < n:
+        log_t, arg_t = _tail_sums(n, np.array([x]))
+        return LogComplex(float(log_t[0]) - x.real, float(arg_t[0]) - x.imag + math.pi)
+    raw = _raw_partial_sum(n, zeta)
+    diff_mag, diff_arg = _log_diff(raw.log_mag - x.real, raw.arg - x.imag, 0.0, 0.0)
     return LogComplex(float(diff_mag), float(diff_arg))
 
 
@@ -352,55 +366,28 @@ def ginibre_berezin(n: int, z: complex, w: complex) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized evaluation over grids (quadrature backends)
-# ---------------------------------------------------------------------------
-
-
-def ginibre_berezin_array(n: int, z: complex, ws: np.ndarray) -> np.ndarray:
-    """B_n(z, w) over an array of w; underflows are flushed to zero."""
-    z = complex(z)
-    ws = np.asarray(ws, dtype=complex)
-    scale = _extent(z) + _extent(ws)
-    _check_args(n, n * scale * scale)
-    mag, _ = raw_partial_sum_array(n, (z * np.conj(ws)).ravel())
-    log_k = math.log(n) + mag - 0.5 * n * (abs(z) ** 2 + np.abs(ws.ravel()) ** 2)
-    log_b = (2.0 * log_k - ginibre_log_one_point(n, z)).reshape(ws.shape)
-    out = np.zeros_like(log_b)
-    ok = log_b > -745.0
-    out[ok] = np.exp(log_b[ok])
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Derivatives in z: the loop equation without finite differences
+# Vectorized evaluation over grids: B_n and dbar_z B_n from one set of sums
 # ---------------------------------------------------------------------------
 
 
 def _sums_and_ratios(n: int, x: np.ndarray):
     """log |e_n(x)| and r(x) = e_{n-1}(x)/e_n(x), e_n(x) = sum_{k<n} x^k/k!.
 
-    Outer (|x| >= n): e_n = t s with t the endpoint term x^{n-1}/(n-1)! and s
-    the window sum, and e_{n-1} = t (s - 1), so r = (s - 1)/s with s - 1
-    summed from j = 1; writing r = 1 - 1/s would cancel for large |x|.
-    Inner: e_n = e^x - T with the tail T, and r = 1 - t/e_n.
+    Outer (|x| >= n): e_n = t s with t the endpoint term x^{n-1}/(n-1)! and
+    s = 1 + s1, and e_{n-1} = t s1, so r = s1/s; writing r = 1 - 1/s would
+    cancel for large |x|.  Inner: e_n = e^x - T with the tail T, and
+    r = 1 - t/e_n.
     """
     log_e = np.empty(x.size)
     r = np.empty(x.size, dtype=complex)
     outer = np.abs(x) >= n
     if outer.any():
-        q, lengths, coeffs, lead, _ = _side_window(n, x[outer], False)
-        s1 = np.zeros(q.size, dtype=complex)
-        more = lengths > 1
-        if more.any():
-            s1[more] = q[more] * _window_sums(q[more], lengths[more] - 1, coeffs[1:])
-        s = 1.0 + s1
-        log_e[outer] = lead + np.log(np.abs(s))
+        log_e[outer], s1, s = _outer_sums(n, x[outer])
         r[outer] = s1 / s
     inner = ~outer
     if inner.any():
         xi = x[inner]
-        log_t, arg_t = _side_sums(n, xi, True)
-        log_e[inner], arg_e = _log_diff(xi.real, xi.imag, log_t, arg_t)
+        log_e[inner], arg_e = _log_diff(xi.real, xi.imag, *_tail_sums(n, xi))
         if n == 1:
             r[inner] = 0.0  # e_0 = 0
         else:
@@ -413,27 +400,39 @@ def _sums_and_ratios(n: int, x: np.ndarray):
     return log_e, r
 
 
-def ginibre_berezin_dbar_array(n: int, z: complex, ws: np.ndarray):
-    """(B_n(z, w), dbar_z B_n(z, w)) over an array of w.
-
-    The Gaussian factors of z cancel in B_n = n |e_n(n z w~)|^2 e^{-n|w|^2}
-    / e_n(n|z|^2), and dbar_z B_n = n B_n (w conj r(n z w~) - z r(n|z|^2))
-    with r = e_{n-1}/e_n; the bracket vanishes at w = z.  Underflows are
-    flushed to zero.
-    """
-    z = complex(z)
-    ws = np.asarray(ws, dtype=complex)
+def _berezin_and_ratios(n: int, z: complex, ws: np.ndarray):
+    """(w, B_n(z, w), r(n z w~), r(n|z|^2)) over the flattened w, with
+    B_n = n |e_n(n z w~)|^2 e^{-n|w|^2} / e_n(n|z|^2) (the Gaussian factors
+    of z cancel); underflows are flushed to zero."""
     scale = _extent(z) + _extent(ws)
     _check_args(n, n * scale * scale)
     flat = ws.ravel()
     log_e, r = _sums_and_ratios(n, n * (z * np.conj(flat)))
     log_d, r_d = _sums_and_ratios(n, np.array([n * abs(z) ** 2], dtype=complex))
     log_b = math.log(n) + 2.0 * log_e - n * np.abs(flat) ** 2 - log_d[0]
-    b = np.zeros(flat.size)
-    ok = log_b > -745.0
-    b[ok] = np.exp(log_b[ok])
+    b = np.where(log_b > -745.0, np.exp(log_b), 0.0)
+    return flat, b, r, r_d[0].real
+
+
+def ginibre_berezin_array(n: int, z: complex, ws: np.ndarray) -> np.ndarray:
+    """B_n(z, w) over an array of w, bit for bit the B of
+    `ginibre_berezin_dbar_array`; underflows are flushed to zero."""
+    ws = np.asarray(ws, dtype=complex)
+    return _berezin_and_ratios(n, complex(z), ws)[1].reshape(ws.shape)
+
+
+def ginibre_berezin_dbar_array(n: int, z: complex, ws: np.ndarray):
+    """(B_n(z, w), dbar_z B_n(z, w)) over an array of w.
+
+    dbar_z B_n = n B_n (w conj r(n z w~) - z r(n|z|^2)) with r = e_{n-1}/e_n;
+    the bracket vanishes at w = z.
+    """
+    z = complex(z)
+    ws = np.asarray(ws, dtype=complex)
+    flat, b, r, r_d = _berezin_and_ratios(n, z, ws)
+    ok = b > 0.0
     dbar = np.zeros(flat.size, dtype=complex)
-    dbar[ok] = n * b[ok] * (flat[ok] * np.conj(r[ok]) - z * r_d[0].real)
+    dbar[ok] = n * b[ok] * (flat[ok] * np.conj(r[ok]) - z * r_d)
     return b.reshape(ws.shape), dbar.reshape(ws.shape)
 
 
@@ -456,14 +455,14 @@ def ginibre_lap_log_kernel(n: int, z: complex) -> float:
     if x == 0.0:
         return float(n)
     if x < n:
-        log_t, _ = _side_sums(n, np.array([x], dtype=complex), True)
+        log_t, _ = _tail_sums(n, np.array([x], dtype=complex))
         u = math.exp(float(log_t[0]) - x)
         p = math.exp((n - 1) * math.log(x / (n - 1)) + _log_kk_over_factorial(n - 1) - x)
         g = p / (1.0 - u)
         cut = g * (n - x) + x * g * g
         if cut < 0.5:
             return n * (1.0 - cut)
-    q, lengths, coeffs, _, _ = _side_window(n, np.array([x], dtype=complex), False)
+    q, lengths, coeffs, _ = _side_window(n, np.array([x], dtype=complex), False)
     j = np.arange(lengths[0])
     weights = coeffs[:j.size] * q[0].real ** j
     mean = float(np.sum(j * weights) / np.sum(weights))

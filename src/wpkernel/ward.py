@@ -19,7 +19,9 @@ under a lower-order walk on the same panels, and a rounding floor).
 Every integral runs on one polar grid centered at the root z: the
 Jacobian rho drho dtheta cancels the 1/(z - w) singularity exactly, leaving
 a smooth integrand.  The raw integral is normalized by the same-grid mass
-of B_n, which also cancels shared quadrature bias.
+of B_n, which also cancels shared quadrature bias.  The walk integrates
+B_n/(z - w) next to the loop integrand on the same nodes, so the Cauchy
+transform of the Berezin measure is read off the loop residual's walk.
 """
 
 from __future__ import annotations
@@ -174,36 +176,29 @@ class QuadSpec:
 def _graded_edges(s_max: float, fine_bands, fine: float, coarse: float):
     """Panel edges on [0, s_max]: fine width inside the given (center, half)
     bands, coarse elsewhere."""
-    bands = []
-    for center, half in fine_bands:
-        lo, hi = max(0.0, center - half), min(s_max, center + half)
-        if hi > lo:
-            bands.append((lo, hi))
-    bands.sort()
     merged = []
-    for lo, hi in bands:
+    for lo, hi in sorted((max(0.0, c - h), min(s_max, c + h)) for c, h in fine_bands):
+        if hi <= lo:
+            continue
         if merged and lo <= merged[-1][1]:
             merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
         else:
             merged.append((lo, hi))
-    edges = [0.0]
-    cursor = 0.0
-    for lo, hi in merged:
-        if lo > cursor:
-            n_c = max(1, int(math.ceil((lo - cursor) / coarse)))
-            edges += list(np.linspace(cursor, lo, n_c + 1))[1:]
-        n_f = max(1, int(math.ceil((hi - lo) / fine)))
-        edges += list(np.linspace(lo, hi, n_f + 1))[1:]
+    edges, cursor = [np.zeros(1)], 0.0
+    # coarse up to each band, fine across it; the empty band at s_max ends the walk
+    for lo, hi in merged + [(s_max, s_max)]:
+        for start, stop, width in ((cursor, lo, coarse), (lo, hi, fine)):
+            if stop > start:
+                n_pan = max(1, math.ceil((stop - start) / width))
+                edges.append(np.linspace(start, stop, n_pan + 1)[1:])
         cursor = hi
-    if s_max > cursor:
-        n_c = max(1, int(math.ceil((s_max - cursor) / coarse)))
-        edges += list(np.linspace(cursor, s_max, n_c + 1))[1:]
-    return np.unique(np.array(edges))
+    return np.unique(np.concatenate(edges))
 
 
 def _sector_piece(grid, z: complex, s_a, s_b, phi_a, phi_b, fine, drop):
-    """Integrals of -(1/pi) f e^{-i theta} and (1/pi) B rho over the sector,
-    z-centered polar, with the sum of the moduli of the first.
+    """The four sums of `_polar_walk` over the sector, z-centered polar:
+    integrals of -(1/pi) B e^{-i theta}, -(1/pi) f e^{-i theta} and
+    (1/pi) B rho, and the sum of the moduli of the second's node terms.
 
     The sector is star-shaped about z (its angular width is small), so each
     direction theta has a single exit radius: the nearest crossing with the
@@ -245,9 +240,8 @@ def _sector_piece(grid, z: complex, s_a, s_b, phi_a, phi_b, fine, drop):
         corner_angles = np.array([cmath.phase(c - z) for c in corners])
     base = np.sort(np.mod(corner_angles, 2.0 * math.pi))
     theta_edges = np.concatenate([base, [base[0] + 2.0 * math.pi]])
-    integral = 0j
-    mass = 0.0
-    l1 = 0.0
+    cauchy = integral = 0j
+    mass = l1 = 0.0
     for t0, t1 in zip(theta_edges[:-1], theta_edges[1:]):
         if t1 - t0 < 1e-13:
             continue
@@ -263,30 +257,42 @@ def _sector_piece(grid, z: complex, s_a, s_b, phi_a, phi_b, fine, drop):
         lo = 0
         for th, tw, ray in zip(angles.nodes, angles.weights, rays):
             r_nodes, r_w = ray.nodes, ray.weights
-            b_vals = b_all[lo:lo + r_nodes.size]
-            f_vals = f_all[lo:lo + r_nodes.size]
+            span = slice(lo, lo + r_nodes.size)
             lo += r_nodes.size
-            integral += -tw * cmath.exp(-1j * th) * complex(np.sum(r_w * f_vals)) / math.pi
-            mass += tw * float(np.sum(r_w * b_vals * r_nodes)) / math.pi
-            l1 += tw * float(np.sum(r_w * np.abs(f_vals))) / math.pi
-    return integral, mass, l1
+            rb = r_w * b_all[span]
+            phase = -tw * cmath.exp(-1j * th)
+            # ndarray.sum: the reduction of np.sum without its per-call dispatch
+            cauchy += phase * complex(rb.sum()) / math.pi
+            mass += tw * float((rb * r_nodes).sum()) / math.pi
+            if f_all is not None:
+                f_vals = f_all[span]
+                integral += phase * complex((r_w * f_vals).sum()) / math.pi
+                l1 += tw * float((r_w * np.abs(f_vals)).sum()) / math.pi
+    return cauchy, integral, mass, l1
 
 
 def _ray_grid(grid, z: complex, angular, radial):
-    """Droplet-centered tensor grid of two rules: the three sums of `_polar_walk`."""
+    """Droplet-centered tensor grid of two rules: the four sums of `_polar_walk`."""
     s_nodes = radial.nodes
     ws = s_nodes[None, :] * np.exp(1j * angular.nodes)[:, None]
     b_vals, f_vals = grid(ws)
-    wmat = angular.weights[:, None] * radial.weights[None, :]
-    terms = wmat * f_vals * s_nodes[None, :] / (z - ws)
-    return (complex(np.sum(terms) / math.pi),
-            float(np.sum(wmat * b_vals * s_nodes[None, :]) / math.pi),
-            float(np.sum(np.abs(terms)) / math.pi), ws.size)
+    weights = angular.weights[:, None] * radial.weights[None, :] * s_nodes[None, :]
+    # weight/(z - w), then the f terms, in one array: fresh node-sized arrays cost page faults
+    kern = z - ws
+    np.divide(weights, kern, out=kern)
+    cauchy = complex((b_vals * kern).sum() / math.pi)
+    mass = float(np.multiply(b_vals, weights, out=weights).sum() / math.pi)
+    integral, l1 = 0j, 0.0
+    if f_vals is not None:
+        np.multiply(f_vals, kern, out=kern)
+        integral = complex(kern.sum() / math.pi)
+        l1 = float(np.abs(kern).sum() / math.pi)
+    return (cauchy, integral, mass, l1), ws.size
 
 
 def _polar_walk(source, z: complex, grid, n_theta: int, companion: bool = False):
-    """int f(w)/(z - w) dA(w) and the B_n mass on one grid, where
-    grid(ws) -> (B_n(z, ws), f(ws)).
+    """int B_n(z, w)/(z - w) dA(w), int f(w)/(z - w) dA(w) and the B_n mass
+    on one grid, where grid(ws) -> (B_n(z, ws), f(ws)) and f may be None.
 
     The plane is split into an annular sector aligned with droplet-centered
     polar coordinates that contains the root z, and its complement.  The
@@ -300,8 +306,9 @@ def _polar_walk(source, z: complex, grid, n_theta: int, companion: bool = False)
     The companion walk keeps every panel, lowers each Gauss rule by
     _ORDER_DROP orders and halves the periodic trapezoid.
 
-    Returns (integral, l1, spec): l1 is the sum of the moduli of the
-    integral's node terms, and spec.mass the same-grid mass.
+    Returns (cauchy, integral, l1, spec): the integrals of B_n and of f (0
+    when f is None), l1 the sum of the moduli of the f integral's node
+    terms, and spec.mass the same-grid mass.
     """
     if not cmath.isfinite(z):
         raise DomainError("the root z must be finite")
@@ -316,9 +323,7 @@ def _polar_walk(source, z: complex, grid, n_theta: int, companion: bool = False)
     az = abs(z)
     phi_z = math.atan2(z.imag, z.real)
     have_sector = az - m_r < s_max
-    integral = 0j
-    mass = 0.0
-    l1 = 0.0
+    sums = (0j, 0j, 0.0, 0.0)  # B integral, f integral, mass, l1
     if have_sector:
         if az < 2.2 * m_r:
             s_a, s_b = 0.0, az + m_r
@@ -327,9 +332,7 @@ def _polar_walk(source, z: complex, grid, n_theta: int, companion: bool = False)
             s_a, s_b = az - m_r, az + m_r
             half_phi = m_r / az
             phi_a, phi_b = phi_z - half_phi, phi_z + half_phi
-        integral, mass, l1 = _sector_piece(grid, z, s_a, s_b, phi_a, phi_b, fine, drop)
-    else:
-        s_a = s_b = phi_a = phi_b = 0.0
+        sums = _sector_piece(grid, z, s_a, s_b, phi_a, phi_b, fine, drop)
 
     # droplet-centered complement
     coarse = 0.25
@@ -362,16 +365,15 @@ def _polar_walk(source, z: complex, grid, n_theta: int, companion: bool = False)
         pieces.append((quad_trapezoid_periodic(n_trap), radial))
     n_nodes = 0
     for piece in pieces:
-        part, part_mass, part_l1, size = _ray_grid(grid, z, *piece)
-        integral += part
-        mass += part_mass
-        l1 += part_l1
+        part, size = _ray_grid(grid, z, *piece)
+        sums = tuple(a + b for a, b in zip(sums, part))
         n_nodes += size
 
+    cauchy, integral, mass, l1 = sums
     if mass <= 0:
         raise PrecisionError("Berezin mass quadrature collapsed to zero")
-    return integral, l1, QuadSpec(n_theta=n_trap, n_radial=n_nodes,
-                                  r_max=s_max, disc_radius=m_r, mass=mass)
+    return cauchy, integral, l1, QuadSpec(n_theta=n_trap, n_radial=n_nodes,
+                                          r_max=s_max, disc_radius=m_r, mass=mass)
 
 
 def berezin_cauchy_transform(source, z: complex, n_theta: int = 256,
@@ -379,16 +381,9 @@ def berezin_cauchy_transform(source, z: complex, n_theta: int = 256,
     """mu_{n,z}(k_z) = integral of B_n(z, w)/(z - w) dA(w), mass-normalized
     on the polar grid of `_polar_walk`."""
     z = complex(z)
-
-    def grid(ws):
-        b = source.berezin_grid(z, ws)
-        return b, b
-
-    integral, _, spec = _polar_walk(source, z, grid, n_theta)
-    value = integral / spec.mass
-    if with_spec:
-        return value, spec
-    return value
+    cauchy, _, _, spec = _polar_walk(source, z, lambda ws: (source.berezin_grid(z, ws), None),
+                                     n_theta)
+    return (cauchy / spec.mass, spec) if with_spec else cauchy / spec.mass
 
 
 @dataclass(frozen=True)
@@ -400,6 +395,7 @@ class LoopResidual:
     residual: complex
     budget: float      # change under the companion walk + rounding floor
     quad_spec: QuadSpec
+    cauchy_transform: complex  # berezin_cauchy_transform(source, z), same walk
 
 
 def loop_residual(source, z: complex, n_theta: int = 256) -> LoopResidual:
@@ -407,12 +403,16 @@ def loop_residual(source, z: complex, n_theta: int = 256) -> LoopResidual:
 
     The left side is reported from the walk of `berezin_cauchy_transform`;
     its change under the lower-order companion walk on the same panels is
-    the quadrature part of the budget.
+    the quadrature part of the budget.  The walk integrates B_n/(z - w) on
+    the same nodes, and `berezin_dbar_grid` returns the B of `berezin_grid`
+    (for Ginibre, e_n = t (1 + s1) and e_{n-1} = t s1 outside |n z w~| = n,
+    so r = s1/(1 + s1) needs no s - 1), so `cauchy_transform` is
+    `berezin_cauchy_transform(source, z)` bit for bit.
     """
     z = complex(z)
     grid = lambda ws: source.berezin_dbar_grid(z, ws)
-    integral, l1, spec = _polar_walk(source, z, grid, n_theta)
-    i_low, _, low = _polar_walk(source, z, grid, n_theta, companion=True)
+    cauchy, integral, l1, spec = _polar_walk(source, z, grid, n_theta)
+    _, i_low, _, low = _polar_walk(source, z, grid, n_theta, companion=True)
     r_n = math.exp(source.log_one_point(z))
     lap_log = source.lap_log_kernel(z)
     lhs = r_n + integral / spec.mass
@@ -421,7 +421,7 @@ def loop_residual(source, z: complex, n_theta: int = 256) -> LoopResidual:
     fp_floor = source.value_error(z) * (l1 / spec.mass + r_n + abs(lap_log))
     return LoopResidual(
         n=source.n, z=z, lhs=lhs, rhs=rhs, residual=lhs - rhs,
-        budget=quad_budget + fp_floor, quad_spec=spec,
+        budget=quad_budget + fp_floor, quad_spec=spec, cauchy_transform=cauchy / spec.mass,
     )
 
 

@@ -1,10 +1,12 @@
 import json
 import math
+import shlex
 from pathlib import Path
 
 import pytest
 
 from wpkernel import (
+    GinibreSource,
     OracleSource,
     berezin_cauchy_transform,
     compute_moments,
@@ -157,6 +159,8 @@ def test_ward_json(tmp_path):
     payload = json.loads(out.read_text())
     pt = payload["points"][0]
     assert pt["residual"] <= pt["budget"]
+    mu = berezin_cauchy_transform(GinibreSource(25), 1.5)
+    assert pt["cauchy_transform"] == [mu.real, mu.imag]
 
 
 def test_ward_source_flag_is_gone():
@@ -232,3 +236,20 @@ def test_bad_config_exit_code(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("not a key value line\n")
     assert run(["kernel", "--config", str(cfg)]) == 1
+
+
+def _readme_cli_examples():
+    """The commands of the README's CLI block, without the program name."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("command", [
+    pytest.param(cmd, id=cmd[0]) for cmd in _readme_cli_examples() if cmd[0] != "validate"
+])
+def test_readme_cli_example_runs(command, tmp_path, monkeypatch, capsys):
+    # every README example exits 0 as written; validate is test_acceptance's
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pts.csv").write_text("re,im\n1.8,0\n0.5,0\n0,1\n")
+    assert run(command) == 0

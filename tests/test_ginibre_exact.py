@@ -7,11 +7,12 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wpkernel import (
     DomainError,
+    GinibreSource,
     ginibre_berezin,
     ginibre_kernel_exact,
     ginibre_one_point,
@@ -21,11 +22,14 @@ from wpkernel import (
 )
 from wpkernel.ginibre_exact import (
     _raw_partial_sum,
+    _sums_and_ratios,
     ginibre_berezin_array,
+    ginibre_berezin_dbar_array,
     raw_partial_sum_array,
 )
 from wpkernel.scaled_numerics import (
     LogComplex,
+    _norm_arg,
     lc_sum_scaled_parts,
     quad_radial,
     quad_trapezoid_periodic,
@@ -182,6 +186,74 @@ def test_berezin_mass_is_one(z):
     assert mass == pytest.approx(1.0, abs=1e-6)
 
 
+def _mp_e_pair(n, x):
+    """(e_{n-1}(x), e_n(x)), e_n(x) = sum_{k<n} x^k/k!, to 50 digits.  Inside
+    |x| = n the terms, up to e^{|x|}, cancel to e^{Re x}, so the sum carries
+    0.87 |x| more digits; outside, the endpoint term dominates it."""
+    with mpmath.workdps(60 + (int(0.87 * abs(x)) if abs(x) < n else 0)):
+        x = mpmath.mpc(x.real, x.imag)
+        term, total = mpmath.mpf(1), mpmath.mpf(0)
+        for k in range(n - 1):
+            total += term
+            term *= x / (k + 1)
+        return total, total + term
+
+
+def _mp_berezin(n, z, ws):
+    """(log B, B, dbar_z B, scale) per node at 50 digits, from all n terms:
+    B = n |e_n(x)|^2 e^{-n|w|^2} / e_n(d) and
+    dbar_z B = n B (w conj r(x) - z r(d)), r = e_{n-1}/e_n, x = n z w~,
+    d = n |z|^2; scale = n B (|w| max(1, |r(x)|) + |z| max(1, |r(d)|)) is
+    the size of the bracket's two terms."""
+    with mpmath.workdps(50):
+        zm = mpmath.mpc(z.real, z.imag)
+        e1d, ed = _mp_e_pair(n, n * abs(z) ** 2)
+        rd = e1d / ed
+        for w in ws:
+            wm = mpmath.mpc(w.real, w.imag)
+            e1x, ex = _mp_e_pair(n, n * z * w.conjugate())
+            b = n * abs(ex) ** 2 * mpmath.exp(-n * abs(wm) ** 2) / ed.real
+            rx = e1x / ex
+            dbar = n * b * (wm * mpmath.conj(rx) - zm * rd)
+            scale = n * b * (abs(wm) * max(1, abs(rx)) + abs(zm) * max(1, abs(rd)))
+            yield float(mpmath.log(b)), b, dbar, scale
+
+
+@pytest.mark.parametrize("n", [1, 2, 50, 800])
+def test_berezin_array_route_matches_mpmath(n):
+    # the one array route to B_n and dbar_z B_n: roots inside, on and
+    # outside |z| = 1 and at z = 0, nodes at w = 0, w = z, on both sides of
+    # |x| = n (|w| = (1 -+ 1e-3)/|z|) and a heat-kernel distance n^{-1/2} out
+    h = 0.7 / math.sqrt(n)
+    for z in (0.0, cmath.rect(0.6, 0.4), cmath.rect(1.0, 1.1), cmath.rect(1.7, -2.3)):
+        ws = [0.0, z, 0.3 * cmath.exp(2j), z + h * cmath.exp(0.9j), z - h * cmath.exp(-2.1j)]
+        if z != 0.0:
+            ws += [z / abs(z) ** 2 * (1.0 + d) * cmath.exp(0.05j) for d in (-1e-3, 1e-3)]
+        ws = np.array(ws, dtype=complex)
+        b, dbar = ginibre_berezin_dbar_array(n, z, ws)
+        assert np.array_equal(ginibre_berezin_array(n, z, ws), b)
+        tol = 10.0 * GinibreSource(n).value_error(z)
+        refs = _mp_berezin(n, complex(z), [complex(w) for w in ws])
+        for bv, dv, (log_ref, b_ref, dbar_ref, scale) in zip(b, dbar, refs):
+            if log_ref < -700.0:
+                assert bv <= 1e-300
+                continue
+            assert abs(bv / float(b_ref) - 1.0) <= tol
+            assert abs(dv - complex(dbar_ref)) <= tol * float(scale)
+
+
+@pytest.mark.parametrize("n", [2, 50, 800])
+def test_outer_ratio_keeps_relative_precision(n):
+    # r = e_{n-1}/e_n = s1/(1 + s1) outside |x| = n: about n/x far out, where
+    # 1 - 1/s would keep only eps/r of it
+    xs = n * np.array([10.0, 1e3, 1e6, 1e6 * cmath.exp(2.5j), 1e9j])
+    _, r = _sums_and_ratios(n, xs)
+    for x, val in zip(xs, r):
+        e1, e = _mp_e_pair(n, complex(x))
+        ref = complex(e1 / e)
+        assert abs(val / ref - 1.0) <= 1e-13
+
+
 def test_complement_route_consistency():
     # small n: E_n - 1 from the tail sum vs direct subtraction
     for n, zeta in [(12, 0.3), (20, 0.2 + 0.1j), (30, 1.5 + 0.2j)]:
@@ -218,6 +290,65 @@ def test_scalar_array_agreement(n, zetas):
     mags, args = raw_partial_sum_array(n, np.array(zetas))
     for zeta, mag, arg in zip(zetas, mags, args):
         assert rel_lc(LogComplex(mag, arg), _raw_partial_sum(n, zeta)) < 1e-12
+
+
+# c of the route-agreement tolerance c eps max(1, |log_mag|)
+_ROUTE_C = 100.0
+_EPS = float(np.finfo(float).eps)
+
+
+def _log_polar_gap(a, b):
+    return abs(a.log_mag - b.log_mag) + abs(_norm_arg(a.arg - b.arg))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(1, 6400), rho=st.floats(1.5, 40.0), u=st.floats(-1.0, 1.0),
+       t=st.floats(0.5, 2.0), alpha=st.floats(-math.pi, math.pi))
+@example(n=6400, rho=3.93, u=0.0, t=1.0, alpha=0.3)     # log K, log E_n ~ -1e4
+@example(n=6400, rho=5.27, u=1.0, t=1.3, alpha=-1.0)    # log E_n ~ +1e4
+@example(n=6400, rho=5.27, u=-1.0, t=1.3, alpha=-1.0)
+@example(n=1, rho=7.0, u=0.0, t=2.0, alpha=2.225073858507203e-309)  # Im zeta = 5e-324
+def test_route_agreement_at_large_log_mag(n, rho, u, t, alpha):
+    # zeta = z w~ = rho e^{i theta} with Re zeta from 1.1 (|u| = 1) to rho
+    # (u = 0): the windowed kernel against the incomplete-gamma route,
+    # K_n = n E_n(zeta) e^{n zeta - n(|z|^2 + |w|^2)/2}
+    theta = math.copysign(math.acos(1.0 - abs(u) * (1.0 - 1.1 / rho)), u)
+    z = cmath.rect(math.sqrt(rho) * t, alpha)
+    w = cmath.rect(math.sqrt(rho) / t, alpha - theta)
+    zeta = z * w.conjugate()
+    gamma = partial_exp_sum_gamma_route(n, zeta)
+    gamma_k = LogComplex(
+        math.log(n) + gamma.log_mag + n * zeta.real - 0.5 * n * (abs(z) ** 2 + abs(w) ** 2),
+        gamma.arg + n * zeta.imag)
+    k = ginibre_kernel_exact(n, z, w).value
+    assert _log_polar_gap(k, gamma_k) <= _ROUTE_C * _EPS * max(1.0, abs(k.log_mag))
+    # E_n(zeta) itself: both routes round logarithms up to
+    # L = n |zeta| + log n!, to eps L; L bounds |log E_n| by a factor 20
+    # except near |E_n| ~ 1, where only eps L is resolved
+    e = partial_exp_sum(n, zeta)
+    big = n * abs(zeta) + math.lgamma(n + 1.0)
+    assert _log_polar_gap(e, gamma) <= 4.0 * _EPS * big
+    if big <= 20.0 * max(1.0, abs(e.log_mag)):
+        assert _log_polar_gap(e, gamma) <= _ROUTE_C * _EPS * max(1.0, abs(e.log_mag))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(1, 6400), exponent=st.floats(154.5, 308.0),
+       alpha=st.floats(-math.pi, math.pi))
+def test_overflow_scale_raises_domain_error(n, exponent, alpha):
+    # n |z|^2 (kernel, Berezin, one-point) and n |zeta| (partial sums)
+    # overflow float64; the entry points say so with DomainError, not
+    # with the OverflowError of abs(z) ** 2
+    z = cmath.rect(10.0 ** exponent, alpha)
+    calls = [lambda: ginibre_kernel_exact(n, z, 0.5), lambda: ginibre_berezin(n, 0.5, z),
+             lambda: ginibre_one_point(n, z),
+             lambda: ginibre_berezin_array(n, z, np.array([0.5, 1.5]))]
+    if n * 10.0 ** exponent > 1.8e308:
+        zeta = z if z.real > 1.0 else -z
+        calls += [lambda: partial_exp_sum(n, zeta), lambda: partial_exp_sum_gamma_route(n, zeta)]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
 
 
 def test_memory_bounded_at_large_n():

@@ -214,8 +214,10 @@ def test_loop_residual_budget_sweep(elliptic_bases, source_name, n):
     for z in roots:
         lr = loop_residual(src, z)
         assert abs(lr.residual) <= lr.budget
-        # the residual is reported on the transform's own grid
-        _, spec = berezin_cauchy_transform(src, z, with_spec=True)
+        # the residual is reported on the transform's own grid, and the
+        # transform is read off that walk bit for bit
+        mu, spec = berezin_cauchy_transform(src, z, with_spec=True)
+        assert lr.cauchy_transform == mu
         assert lr.quad_spec.n_radial == spec.n_radial
         assert lr.quad_spec.n_theta == spec.n_theta
 
