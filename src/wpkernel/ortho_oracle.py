@@ -17,9 +17,14 @@ Moments are computed by polar quadrature about the droplet center: a
 composite Gauss radial rule out to R = r_outer + 12/sqrt(n) and a periodic
 trapezoid in the angle with at least 4*max_degree + 16 nodes.  A weight
 invariant under z -> e^{2 pi i / p} z (p = the potential's rotation_order)
-has M_{jk} = 0 unless p divides j - k, so the matrix is assembled and
-factored on its residue blocks {j = r mod p}, and the condition estimate is
-the spread of the blocks' singular values.  A rotation-invariant weight has
+has M_{jk} = 0 unless p divides j - k, so only the lags d = 0, p, 2p, ...
+are integrated.  One product gives their angular profiles on every radial
+node, one more the Hankel table of radial moments, and M_{jk} is a gather
+from that table.  The residue blocks {j = r mod p} are stacked into one
+(p, s, s) array, the short ones padded with a unit diagonal entry, and
+factored together: one batched svd for the condition estimate (the spread
+of the blocks' singular values), one batched Cholesky, and an s-step
+recurrence for the inverse factors.  A rotation-invariant weight has
 p = inf, capped at max_degree + 1: one 1 x 1 block per degree, and its
 angular profile 2 pi e^{-n Q(r)} is exact with a single angular node.
 """
@@ -60,21 +65,14 @@ class OrthonormalBasis:
     gram_residual: float
 
 
-def _angular_profile(pot, n, radii, m_theta, d_values):
-    """A_d(r) = int_0^{2pi} e^{i d theta} e^{-n Q(r e^{i theta})} dtheta."""
-    theta = 2.0 * math.pi * np.arange(m_theta) / m_theta
-    wt = 2.0 * math.pi / m_theta
-    zs = radii[:, None] * np.exp(1j * theta)[None, :]
-    wgt = np.exp(-n * pot.Q(zs))
-    out = {}
-    for d in d_values:
-        out[d] = wt * (wgt * np.exp(1j * d * theta)[None, :]).sum(axis=1)
-    return out
-
-
 def compute_moments(pot: AdmissiblePotential, n: int, max_degree: int, *,
                     m_theta: int | None = None) -> GramData:
-    """Assemble the Hermitian moment matrix of the weighted monomials."""
+    """Assemble the Hermitian moment matrix of the weighted monomials.
+
+    With the angular profiles A_d(r) = int e^{i d theta} e^{-n Q(r e^{i theta})} dtheta
+    and the Hankel table H[m, l] = sum_r (r/scale)^m r w_r A_{l period}(r) / pi,
+    M_jk = H[j + k, (j - k)/period] for j >= k in a residue block.
+    """
     check_n(n)
     if max_degree < 0:
         raise DomainError("need a nonnegative degree")
@@ -87,39 +85,47 @@ def compute_moments(pot: AdmissiblePotential, n: int, max_degree: int, *,
     c1, _, c_1 = pot.chi_laurent(1.0)
     scale = math.sqrt(abs(c1) ** 2 - abs(c_1) ** 2)
     period = min(pot.rotation_order, max_degree + 1)
-    moments = _moments_polar(pot, n, max_degree, r_max, m_theta, scale, period)
-    if not np.all(np.diagonal(moments).real > 0):
+    rule = quad_radial(r_max, feature_scale=1.0 / math.sqrt(max(n, 4)), m_per_panel=24)
+    radii = rule.nodes
+    theta = 2.0 * math.pi * np.arange(m_theta) / m_theta
+    wgt = np.exp(-n * pot.Q(radii[:, None] * np.exp(1j * theta)[None, :]))
+    lags = np.arange(0, max_degree + 1, period)
+    profiles = (2.0 * math.pi / m_theta) * (wgt @ np.exp(1j * np.outer(theta, lags)))
+    powers = np.exp(np.outer(np.arange(2 * max_degree + 1), np.log(radii / scale)))
+    hankel = powers @ ((radii * rule.weights / math.pi)[:, None] * profiles)
+    # one gather from (H, conj H), conjugated above the diagonal
+    rows, cols, mask = _residue_layout(max_degree + 1, period)
+    table = np.stack([hankel, hankel.conj()])
+    blocks = table[(rows < cols).astype(int), rows + cols, np.abs(rows - cols) // period]
+    blocks = np.where(mask, blocks, np.eye(rows.shape[-1]))
+    diag = np.diagonal(blocks, axis1=1, axis2=2).real
+    if not np.all(diag > 0):
         raise ResolutionError("nonpositive diagonal moment: quadrature too coarse")
     # the correlation matrix is block diagonal: its singular values are the blocks'
-    svals = []
-    for idx in _residue_blocks(max_degree + 1, period):
-        block = moments[np.ix_(idx, idx)]
-        dm = np.sqrt(np.abs(np.diagonal(block)))
-        svals.append(np.linalg.svd(block / np.outer(dm, dm), compute_uv=False))
-    svals = np.concatenate(svals)
+    dm = np.sqrt(diag)
+    svals = np.linalg.svd(blocks / (dm[:, :, None] * dm[:, None, :]), compute_uv=False)
+    moments = np.zeros((max_degree + 1, max_degree + 1), dtype=complex)
+    moments[rows[mask], cols[mask]] = blocks[mask]
     return GramData(n=n, max_degree=max_degree, moments=moments,
                     cond_estimate=float(svals.max() / svals.min()), scale=scale, pot=pot,
                     period=period)
 
 
-def _residue_blocks(size: int, period: int) -> list:
-    """Index sets {j < size : j = r mod period}, one per residue r."""
-    return [np.arange(r, size, period) for r in range(period)]
+def _residue_layout(size: int, period: int):
+    """The residue blocks {j = r mod period} of a size x size matrix as one
+    (period, s, s) stack: entry [r, a, b] is at row r + a period and column
+    r + b period where mask holds (rows and columns are 0 elsewhere).
 
-
-def _moments_polar(pot, n, max_degree, r_max, m_theta, scale, period):
-    rule = quad_radial(r_max, feature_scale=1.0 / math.sqrt(max(n, 4)), m_per_panel=24)
-    radii = rule.nodes
-    prof = _angular_profile(pot, n, radii, m_theta, range(0, max_degree + 1, period))
-    log_rho = np.log(radii / scale)
-    d = max_degree + 1
-    mom = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        for k in range(j % period, j + 1, period):
-            rad = np.exp((j + k) * log_rho) * radii * rule.weights
-            mom[j, k] = np.sum(rad * prof[j - k]) / math.pi
-            mom[k, j] = np.conj(mom[j, k])
-    return mom
+    The short blocks are padded with a unit diagonal entry, which adds the
+    singular value 1 to a unit-diagonal block, a Cholesky factor and inverse
+    of exactly 1, and a zero residual.
+    """
+    s = -(-size // period)
+    pos = np.arange(period)[:, None] + period * np.arange(s)
+    valid = pos < size
+    pos = np.where(valid, pos, 0)
+    rows, cols = np.broadcast_arrays(pos[:, :, None], pos[:, None, :])
+    return rows, cols, valid[:, :, None] & valid[:, None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -127,42 +133,36 @@ def _moments_polar(pot, n, max_degree, r_max, m_theta, scale, period):
 # ---------------------------------------------------------------------------
 
 
-def _cholesky_inverse(mom: np.ndarray) -> np.ndarray:
-    try:
-        L = np.linalg.cholesky(mom)
-    except np.linalg.LinAlgError as exc:
-        raise ResolutionError(
-            "numeric Gram matrix is not positive definite; refine the quadrature"
-        ) from exc
-    d = mom.shape[0]
-    C = np.zeros_like(L)
-    for j in range(d):
-        e = np.zeros(d, dtype=complex)
-        e[j] = 1.0
-        x = np.zeros(d, dtype=complex)
-        for i in range(d):
-            x[i] = (e[i] - L[i, :i] @ x[:i]) / L[i, i]
-        C[:, j] = x
-    return C  # C = L^{-1}, lower triangular with positive diagonal
-
-
 def orthonormalize(gram: GramData) -> OrthonormalBasis:
-    """Triangular factorization of the moments; rows are P_j coefficients."""
+    """Triangular factorization of the moments; rows are P_j coefficients.
+
+    All residue blocks are factored at once; L^{-1} comes from the row
+    recurrence C[i] = (e_i - L[i, :i] C[:i]) / L[i, i], which keeps it exactly
+    lower triangular with a positive diagonal.
+    """
     if gram.cond_estimate > _NATIVE_COND_LIMIT:
         raise PrecisionError(
             f"Gram condition {gram.cond_estimate:.2e} exceeds the float64 budget; "
             "lower the degree"
         )
     mom = np.asarray(gram.moments)
-    C = np.zeros(mom.shape, dtype=complex)
-    resid = 0.0
-    for idx in _residue_blocks(mom.shape[0], gram.period):
-        block = mom[np.ix_(idx, idx)]
-        c = _cholesky_inverse(block)
-        C[np.ix_(idx, idx)] = c
-        resid = max(resid, float(np.max(np.abs(c @ block @ c.conj().T - np.eye(idx.size)))))
-    return OrthonormalBasis(n=gram.n, max_degree=gram.max_degree, coeffs=C,
-                            scale=gram.scale, pot=gram.pot, gram_residual=resid)
+    rows, cols, mask = _residue_layout(mom.shape[0], gram.period)
+    eye = np.eye(rows.shape[-1])
+    blocks = np.where(mask, mom[rows, cols], eye)
+    try:
+        L = np.linalg.cholesky(blocks)
+    except np.linalg.LinAlgError as exc:
+        raise ResolutionError(
+            "numeric Gram matrix is not positive definite; refine the quadrature"
+        ) from exc
+    C = np.zeros_like(L)
+    for i in range(eye.shape[0]):
+        C[:, i] = (eye[i] - (L[:, i, None, :i] @ C[:, :i])[:, 0]) / L[:, i, i, None]
+    resid = np.abs(C @ blocks @ C.conj().transpose(0, 2, 1) - eye)
+    coeffs = np.zeros(mom.shape, dtype=complex)
+    coeffs[rows[mask], cols[mask]] = C[mask]
+    return OrthonormalBasis(n=gram.n, max_degree=gram.max_degree, coeffs=coeffs,
+                            scale=gram.scale, pot=gram.pot, gram_residual=float(resid.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -172,23 +172,15 @@ def orthonormalize(gram: GramData) -> OrthonormalBasis:
 
 def _poly_values(basis: OrthonormalBasis, z: complex) -> np.ndarray:
     zh = complex(z) / basis.scale
-    d = basis.max_degree + 1
-    powers = np.empty(d, dtype=complex)
-    powers[0] = 1.0
-    for k in range(1, d):
-        powers[k] = powers[k - 1] * zh
+    powers = np.cumprod(np.r_[1.0 + 0j, np.full(basis.max_degree, zh)])
     return np.asarray(basis.coeffs) @ powers
 
 
 def _poly_derivatives(basis: OrthonormalBasis, z: complex) -> np.ndarray:
     """P_j'(z) for every basis polynomial."""
     zh = complex(z) / basis.scale
-    d = basis.max_degree + 1
-    dpowers = np.zeros(d, dtype=complex)
-    power = 1.0 / basis.scale
-    for k in range(1, d):
-        dpowers[k] = k * power
-        power *= zh
+    powers = np.cumprod(np.r_[1.0 / basis.scale + 0j, np.full(basis.max_degree, zh)])
+    dpowers = np.r_[0j, np.arange(1, basis.max_degree + 1) * powers[:-1]]
     return np.asarray(basis.coeffs) @ dpowers
 
 
@@ -204,7 +196,7 @@ def kernel_oracle(basis: OrthonormalBasis, z: complex, w: complex) -> LogComplex
         raise PrecisionError("the unweighted basis sum overflows float64")
     if s == 0:
         return LC_ZERO
-    return LogComplex(math.log(abs(s)) + half_weights, cmath.phase(s))
+    return LogComplex(math.log(abs(s)) + half_weights, math.atan2(s.imag, s.real))
 
 
 def elliptic_kernel_exact(pot: EllipticGinibrePotential, n: int, z: complex,
@@ -274,7 +266,8 @@ def elliptic_kernel_exact(pot: EllipticGinibrePotential, n: int, z: complex,
             f"Hermite kernel sum cancels to {abs(total) / total_abs:.1e} of its "
             "term mass; off-diagonal bulk values are beyond float64"
         )
-    return LogComplex(log_total + math.log(abs(total)) + log_weight, cmath.phase(total))
+    return LogComplex(log_total + math.log(abs(total)) + log_weight,
+                      math.atan2(total.imag, total.real))
 
 
 @dataclass(frozen=True)

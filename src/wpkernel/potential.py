@@ -249,7 +249,8 @@ class AdmissiblePotential:
     def _project_theta(self, w: complex, tau: float) -> float:
         # start from the conformal angle: atan2(w) sends Newton to the wrong
         # critical point near the flat sides of an eccentric droplet
-        theta = cmath.phase(self.phi(w, tau))
+        phi = self.phi(w, tau)
+        theta = math.atan2(phi.imag, phi.real)
         # Newton on d/dtheta |chi(e^{i theta}) - w|^2 = 0 with a small
         # grid fallback when the initial guess is poor
         for attempt in range(2):

@@ -358,10 +358,6 @@ def rational_eval(r: RationalAtOne, zeta):
 class Quadrature1D:
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str
-
-    def integrate(self, values: np.ndarray):
-        return np.sum(self.weights * values)
 
 
 def _legendre_value_deriv(m: int, x: np.ndarray):
@@ -408,7 +404,7 @@ def quad_gauss_legendre(m: int) -> Quadrature1D:
 def _read_only_rule(nodes: np.ndarray, weights: np.ndarray) -> Quadrature1D:
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return Quadrature1D(nodes, weights, "gauss_legendre")
+    return Quadrature1D(nodes, weights)
 
 
 def quad_trapezoid_periodic(m: int) -> Quadrature1D:
@@ -417,14 +413,14 @@ def quad_trapezoid_periodic(m: int) -> Quadrature1D:
         raise DomainError("need at least one quadrature node")
     nodes = _TWO_PI * np.arange(m) / m
     weights = np.full(m, _TWO_PI / m)
-    return Quadrature1D(nodes, weights, "periodic_trapezoid")
+    return Quadrature1D(nodes, weights)
 
 
 def gauss_on_interval(m: int, a: float, b: float) -> Quadrature1D:
     base = quad_gauss_legendre(m)
     half = 0.5 * (b - a)
     mid = 0.5 * (b + a)
-    return Quadrature1D(mid + half * base.nodes, half * base.weights, "gauss_legendre")
+    return Quadrature1D(mid + half * base.nodes, half * base.weights)
 
 
 def composite_gauss(m_per_panel: int, edges, skip=None) -> Quadrature1D:
@@ -441,7 +437,7 @@ def composite_gauss(m_per_panel: int, edges, skip=None) -> Quadrature1D:
         q = gauss_on_interval(m_per_panel, a, b)
         nodes.append(q.nodes)
         weights.append(q.weights)
-    return Quadrature1D(np.concatenate(nodes), np.concatenate(weights), "gauss_legendre")
+    return Quadrature1D(np.concatenate(nodes), np.concatenate(weights))
 
 
 def quad_radial(r_max: float, feature_scale: float, m_per_panel: int = 16) -> Quadrature1D:
@@ -455,5 +451,4 @@ def quad_radial(r_max: float, feature_scale: float, m_per_panel: int = 16) -> Qu
     panel = min(0.5, max(0.02, 4.0 * feature_scale))
     n_panels = max(2, int(math.ceil(r_max / panel)))
     edges = np.linspace(0.0, r_max, n_panels + 1)
-    q = composite_gauss(m_per_panel, edges)
-    return Quadrature1D(q.nodes, q.weights, "radial_laguerre_like")
+    return composite_gauss(m_per_panel, edges)

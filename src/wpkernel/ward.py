@@ -237,7 +237,7 @@ def _sector_piece(grid, z: complex, s_a, s_b, phi_a, phi_b, fine, drop):
             s_a * cmath.exp(1j * phi_a), s_a * cmath.exp(1j * phi_b),
             s_b * cmath.exp(1j * phi_a), s_b * cmath.exp(1j * phi_b),
         ]
-        corner_angles = np.array([cmath.phase(c - z) for c in corners])
+        corner_angles = np.array([math.atan2((c - z).imag, (c - z).real) for c in corners])
     base = np.sort(np.mod(corner_angles, 2.0 * math.pi))
     theta_edges = np.concatenate([base, [base[0] + 2.0 * math.pi]])
     cauchy = integral = 0j

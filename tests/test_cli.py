@@ -152,6 +152,13 @@ def test_oracle_json_and_kernel_consumption(tmp_path):
     assert abs(float(arg) - value.arg) < 1e-13
 
 
+
+def test_radial_oracle_smoke(tmp_path):
+    out = tmp_path / "oracle.json"
+    assert run(["oracle", "--potential", "radial", "--n", "400", "--degree", "399",
+                "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["coefficients"]) == 400
+
 def test_ward_json(tmp_path):
     out = tmp_path / "ward.json"
     assert run(["ward", "--n", "25", "--z", "1.5,0",

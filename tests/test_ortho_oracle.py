@@ -157,6 +157,52 @@ def test_rotation_order_three_blocks():
         assert rel_lc(kernel_oracle(b3, z, w), kernel_oracle(b1, z, w)) < 1e-10
 
 
+class _TrigonalTilted(_Trigonal):
+    """The trigonal Q turned by 0.3 rad: Q(e^{0.3 i} z), with complex moments."""
+
+    def Q(self, z):
+        return super().Q(cmath.exp(0.3j) * np.asarray(z))
+
+
+def test_tilted_weight_turns_the_kernel():
+    # dA is rotation invariant, so K_tilted(z, w) = K(e^{0.3 i} z, e^{0.3 i} w);
+    # a moment matrix conjugated on the wrong side of the diagonal turns the
+    # other way
+    n, turn = 20, cmath.exp(0.3j)
+    tilted = orthonormalize(compute_moments(_TrigonalTilted(), n, n - 1))
+    plain = orthonormalize(compute_moments(_Trigonal(), n, n - 1))
+    for z, w in [(0.3 + 0.2j, 0.3 + 0.2j), (1.2, 0.9 * cmath.exp(1j)), (-0.5j, 1.1 + 0.4j)]:
+        assert rel_lc(kernel_oracle(tilted, z, w), kernel_oracle(plain, turn * z, turn * w)) < 1e-10
+
+
+_QUARTIC = make_radial(RadialProfile(q=lambda r: 0.5 * r ** 4, dq=lambda r: 2.0 * r ** 3,
+                                     d2q=lambda r: 6.0 * r ** 2, name="quartic"))
+
+
+@pytest.mark.parametrize("pot, n, degree", [
+    (_Trigonal(), 20, 19),             # three blocks of 7, 7 and 6: one is padded
+    (make_elliptic_ginibre(1.0, 3.0), 20, 19),
+    (_QUARTIC, 400, 400),              # 401 one-entry blocks
+], ids=["trigonal", "elliptic", "quartic"])
+def test_batched_blocks_match_unblocked_reference(pot, n, degree):
+    gram = compute_moments(pot, n, degree)
+    mom = np.asarray(gram.moments)
+    # the inverse Cholesky factor of the whole matrix, blocks ignored
+    ref = np.linalg.inv(np.linalg.cholesky(mom))
+    C = np.asarray(orthonormalize(gram).coeffs)
+    row_scale = np.abs(ref).max(axis=1, keepdims=True)
+    assert np.max(np.abs(C - ref) / row_scale) < 1e-14 * gram.cond_estimate
+    svals = []
+    for r in range(gram.period):
+        idx = np.arange(r, degree + 1, gram.period)
+        block = mom[np.ix_(idx, idx)]
+        dm = np.sqrt(np.diagonal(block).real)
+        svals.extend(np.linalg.svd(block / np.outer(dm, dm), compute_uv=False))
+        off = np.setdiff1d(np.arange(degree + 1), idx)
+        assert np.all(C[np.ix_(idx, off)] == 0.0)
+    assert gram.cond_estimate == pytest.approx(max(svals) / min(svals), rel=1e-12)
+
+
 def test_native_refuses_ill_conditioned(ell):
     gram = compute_moments(ell, 60, 59)
     assert gram.cond_estimate > 1e12
@@ -224,6 +270,41 @@ def test_hermite_symmetries(ell, args):
     assert rel_lc(elliptic_kernel_exact(ell, n, z.conjugate(), w.conjugate()), k.conj()) < tol
     # parity of Q: K(-z, -w) = K(z, w)
     assert rel_lc(elliptic_kernel_exact(ell, n, -z, -w), k) < tol
+
+
+@pytest.fixture(scope="module")
+def ell_basis20(ell):
+    return orthonormalize(compute_moments(ell, 20, 19))
+
+
+# exterior points and points of the belt just inside the boundary
+belt_pairs = st.tuples(
+    st.floats(0.0, 2.0 * math.pi), st.floats(-0.3, 1.0),
+    st.floats(0.0, 2.0 * math.pi), st.floats(-0.3, 1.0),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(belt_pairs)
+def test_gram_route_symmetries(ell, ell_basis20, args):
+    t1, d1, t2, d2 = args
+    z, w = _exterior_point(ell, t1, d1), _exterior_point(ell, t2, d2)
+    k = kernel_oracle(ell_basis20, z, w)
+    # errors in units of the Cauchy-Schwarz bound sqrt(K(z, z) K(w, w)), the
+    # scale of the rounding: off the diagonal |K| falls to e^-9 of it
+    log_cs = 0.5 * (kernel_oracle(ell_basis20, z, z).log_mag
+                    + kernel_oracle(ell_basis20, w, w).log_mag)
+
+    def gap(a):
+        return rel_lc(a, k.conj()) * math.exp(k.log_mag - log_cs)
+
+    # Hermitian: the swapped basis sum is the conjugate term by term, up to
+    # the fused multiply-adds of numpy's complex product
+    assert gap(kernel_oracle(ell_basis20, w, z)) < 1e-13
+    # real moments up to quadrature rounding: K(conj z, conj w) = conj K(z, w)
+    assert gap(kernel_oracle(ell_basis20, z.conjugate(), w.conjugate())) < 1e-11
+    # parity of Q: the odd-lag coefficients are exact zeros and negation is exact
+    assert kernel_oracle(ell_basis20, -z, -w) == k
 
 
 def test_quadrature_refinement_stability(gin):

@@ -297,6 +297,16 @@ def test_elliptic_projection_finds_nearest_boundary_point(ell):
     assert np.all(brute - dist < 5e-4)
 
 
+
+def test_projection_survives_an_underflowing_angle(ell):
+    # the conformal angle of 2 + 5e-324j underflows in atan2, which
+    # cmath.phase turns into an OverflowError; the projection is the vertex
+    bp, ell_signed, theta = ell.project(2 + 5e-324j)
+    p, _ = ell.semi_axes(1.0)
+    assert theta == 0.0
+    assert bp.p == pytest.approx(p, abs=1e-12)
+    assert ell_signed == pytest.approx(2.0 - p, abs=1e-12)
+
 @pytest.mark.parametrize("name", ["gin", "ell", "quart"])
 def test_grad_Q_matches_central_differences(name, request):
     pot = request.getfixturevalue(name)
