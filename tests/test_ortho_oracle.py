@@ -391,9 +391,7 @@ def test_bad_input_raises_domain_error(call):
 
 def test_oracle_overflow_is_a_precision_error():
     # the unweighted quartic basis sum at z = 2 is ~e^{n V(2)} = e^{754} at n = 400
-    quartic = make_radial(RadialProfile(q=lambda r: 0.5 * r ** 4, dq=lambda r: 2.0 * r ** 3,
-                                        d2q=lambda r: 6.0 * r ** 2, name="quartic"))
-    basis = orthonormalize(compute_moments(quartic, 400, 399))
+    basis = orthonormalize(compute_moments(_QUARTIC, 400, 399))
     with pytest.raises(PrecisionError):
         kernel_oracle(basis, 2, 2)
 
