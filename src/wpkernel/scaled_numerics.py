@@ -416,11 +416,13 @@ def quad_trapezoid_periodic(m: int) -> Quadrature1D:
     return Quadrature1D(nodes, weights)
 
 
-def gauss_on_interval(m: int, a: float, b: float) -> Quadrature1D:
+def gauss_on_interval(m: int, a, b) -> Quadrature1D:
+    """m Gauss-Legendre nodes on [a, b]; for arrays a and b, on each panel
+    [a_i, b_i] in turn, one panel's nodes contiguous."""
     base = quad_gauss_legendre(m)
-    half = 0.5 * (b - a)
-    mid = 0.5 * (b + a)
-    return Quadrature1D(mid + half * base.nodes, half * base.weights)
+    half = 0.5 * (np.asarray(b) - a)[..., None]
+    mid = 0.5 * (np.asarray(b) + a)[..., None]
+    return Quadrature1D((mid + half * base.nodes).ravel(), (half * base.weights).ravel())
 
 
 def composite_gauss(m_per_panel: int, edges, skip=None) -> Quadrature1D:
@@ -429,15 +431,12 @@ def composite_gauss(m_per_panel: int, edges, skip=None) -> Quadrature1D:
     Panels narrower than 1e-14, and those [a, b] with skip(a, b) true, get
     no nodes.
     """
-    nodes = []
-    weights = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b - a < 1e-14 or (skip is not None and skip(a, b)):
-            continue
-        q = gauss_on_interval(m_per_panel, a, b)
-        nodes.append(q.nodes)
-        weights.append(q.weights)
-    return Quadrature1D(np.concatenate(nodes), np.concatenate(weights))
+    edges = np.asarray(edges, dtype=float)
+    a, b = edges[:-1], edges[1:]
+    keep = b - a >= 1e-14
+    if skip is not None:
+        keep &= ~np.array([skip(lo, hi) for lo, hi in zip(a, b)], dtype=bool)
+    return gauss_on_interval(m_per_panel, a[keep], b[keep])
 
 
 def quad_radial(r_max: float, feature_scale: float, m_per_panel: int = 16) -> Quadrature1D:

@@ -16,12 +16,15 @@ and no Richardson step: the residual measures quadrature and rounding
 error only, and is reported next to a budget made of the two (its change
 under a lower-order walk on the same panels, and a rounding floor).
 
-Every integral runs on one polar grid centered at the root z: the
-Jacobian rho drho dtheta cancels the 1/(z - w) singularity exactly, leaving
-a smooth integrand.  The raw integral is normalized by the same-grid mass
-of B_n, which also cancels shared quadrature bias.  The walk integrates
-B_n/(z - w) next to the loop integrand on the same nodes, so the Cauchy
-transform of the Berezin measure is read off the loop residual's walk.
+Every integral runs on one polar walk: a sector about the root z in
+z-centered polar coordinates, where the Jacobian rho drho dtheta cancels
+the 1/(z - w) singularity exactly and leaves a smooth integrand, and one or
+two droplet-centered tensor pieces for the rest of the plane.  Each piece
+is one array of nodes and one grid call.  The raw integral is normalized
+by the same-grid mass of B_n, which also cancels shared quadrature bias.
+The walk integrates B_n/(z - w) next to the loop integrand on the same
+nodes, so the Cauchy transform of the Berezin measure is read off the loop
+residual's walk.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -43,12 +47,14 @@ from .ginibre_exact import (
 from .hardy import harmonic_measure_integral
 from .ortho_oracle import _poly_derivatives, _poly_values, kernel_oracle
 from .potential import AdmissiblePotential
-from .scaled_numerics import composite_gauss, quad_trapezoid_periodic
+from .scaled_numerics import composite_gauss, gauss_on_interval, quad_trapezoid_periodic
 
 _EPS = float(np.finfo(float).eps)
 # The companion walk of the loop-residual budget lowers every Gauss rule of
 # `_polar_walk` by this many orders and halves its periodic trapezoid.
 _ORDER_DROP = 4
+# Periodic trapezoid nodes on the walk's full rays.
+_N_THETA = 256
 
 
 class GinibreSource:
@@ -166,6 +172,15 @@ class OracleSource:
 
 @dataclass(frozen=True)
 class QuadSpec:
+    """Layout of one polar walk.
+
+    n_theta: nodes of the periodic trapezoid on the full rays (256, or 128
+        on the companion walk); r_max: the droplet-centered radius s_max
+        where the walk ends; disc_radius: the radial half-width m_r of the
+        sector about the root; n_radial: every node the walk evaluates,
+        sector included; mass: the same-grid mass of B_n.
+    """
+
     n_theta: int
     n_radial: int
     r_max: float
@@ -195,102 +210,73 @@ def _graded_edges(s_max: float, fine_bands, fine: float, coarse: float):
     return np.unique(np.concatenate(edges))
 
 
-def _sector_piece(grid, z: complex, s_a, s_b, phi_a, phi_b, fine, drop):
-    """The four sums of `_polar_walk` over the sector, z-centered polar:
-    integrals of -(1/pi) B e^{-i theta}, -(1/pi) f e^{-i theta} and
-    (1/pi) B rho, and the sum of the moduli of the second's node terms.
+def _sector(grid, z: complex, s_a, s_b, phi_a, phi_b, fine, drop):
+    """The sector in z-centered polar coordinates: grid values, area and
+    Cauchy weights of its nodes, as one array each.
 
     The sector is star-shaped about z (its angular width is small), so each
     direction theta has a single exit radius: the nearest crossing with the
-    two circles s = s_a, s_b and the two rays phi = phi_a, phi_b.  Corner
+    two circles s = s_a, s_b and the two rays phi = phi_a, phi_b (only the
+    outer circle when s_a = 0 and the sector is the disc s <= s_b).  Corner
     directions split the theta-range into analytic pieces of three Gauss
-    panels with 16 - drop nodes each; each ray has 12 - drop per panel.
+    panels with 16 - drop nodes each; each ray has ceil(exit/fine) panels
+    of 12 - drop nodes.  The Jacobian rho drho dtheta cancels the Cauchy
+    kernel, whose weight is -e^{-i theta} drho dtheta in closed form.
     """
     az = abs(z)
-    disc_mode = s_a <= 1e-12
-
-    def exit_radius(theta):
-        e = cmath.exp(1j * theta)
-        c = (z.conjugate() * e).real
-        candidates = []
-        d_out = c * c + s_b * s_b - az * az
-        candidates.append(-c + math.sqrt(d_out))  # outer circle, always hit
-        if not disc_mode:
-            d_in = c * c + s_a * s_a - az * az
-            if d_in > 0 and c < 0:
-                r_in = -c - math.sqrt(d_in)
-                if r_in > 0:
-                    candidates.append(r_in)
-            for phi_edge in (phi_a, phi_b):
-                ee = cmath.exp(1j * phi_edge)
-                denom = (e * ee.conjugate()).imag
-                if abs(denom) > 1e-14:
-                    r_ray = -(z * ee.conjugate()).imag / denom
-                    if r_ray > 0:
-                        candidates.append(r_ray)
-        return min(candidates)
-
-    if disc_mode:
-        corner_angles = np.linspace(0.0, 2.0 * math.pi, 5)[:-1] + math.atan2(z.imag, z.real)
+    if s_a > 0:
+        corners = [s * cmath.exp(1j * phi) - z for s in (s_a, s_b) for phi in (phi_a, phi_b)]
+        corner_angles = np.array([math.atan2(c.imag, c.real) for c in corners])
     else:
-        corners = [
-            s_a * cmath.exp(1j * phi_a), s_a * cmath.exp(1j * phi_b),
-            s_b * cmath.exp(1j * phi_a), s_b * cmath.exp(1j * phi_b),
-        ]
-        corner_angles = np.array([math.atan2((c - z).imag, (c - z).real) for c in corners])
+        corner_angles = np.linspace(0.0, 2.0 * math.pi, 5)[:-1] + math.atan2(z.imag, z.real)
     base = np.sort(np.mod(corner_angles, 2.0 * math.pi))
-    theta_edges = np.concatenate([base, [base[0] + 2.0 * math.pi]])
-    cauchy = integral = 0j
-    mass = l1 = 0.0
-    for t0, t1 in zip(theta_edges[:-1], theta_edges[1:]):
-        if t1 - t0 < 1e-13:
-            continue
-        angles = composite_gauss(16 - drop, np.linspace(t0, t1, 4))
-        rays = []
-        for th in angles.nodes:
-            r_exit = exit_radius(th)
-            n_pan = max(1, int(math.ceil(r_exit / fine)))
-            rays.append(composite_gauss(12 - drop, np.linspace(0.0, r_exit, n_pan + 1)))
-        # one grid for every ray of the piece, sliced back per ray
-        b_all, f_all = grid(np.concatenate(
-            [z + ray.nodes * cmath.exp(1j * th) for th, ray in zip(angles.nodes, rays)]))
-        lo = 0
-        for th, tw, ray in zip(angles.nodes, angles.weights, rays):
-            r_nodes, r_w = ray.nodes, ray.weights
-            span = slice(lo, lo + r_nodes.size)
-            lo += r_nodes.size
-            rb = r_w * b_all[span]
-            phase = -tw * cmath.exp(-1j * th)
-            # ndarray.sum: the reduction of np.sum without its per-call dispatch
-            cauchy += phase * complex(rb.sum()) / math.pi
-            mass += tw * float((rb * r_nodes).sum()) / math.pi
-            if f_all is not None:
-                f_vals = f_all[span]
-                integral += phase * complex((r_w * f_vals).sum()) / math.pi
-                l1 += tw * float((r_w * np.abs(f_vals)).sum()) / math.pi
-    return cauchy, integral, mass, l1
+    theta_edges = np.append(base, base[0] + 2.0 * math.pi)
+    t0, t1 = theta_edges[:-1], theta_edges[1:]
+    keep = t1 - t0 >= 1e-13
+    edges = np.linspace(t0[keep], t1[keep], 4, axis=1)
+    angular = gauss_on_interval(16 - drop, edges[:, :-1], edges[:, 1:])
+
+    # exit radii in real arithmetic: numpy's complex product may round differently
+    e = np.exp(1j * angular.nodes)
+    c = z.real * e.real + z.imag * e.imag  # Re(conj(z) e)
+    r_exit = np.sqrt(c * c + s_b * s_b - az * az) - c  # outer circle, always hit
+    if s_a > 0:
+        d_in = c * c + s_a * s_a - az * az
+        r_in = -c - np.sqrt(np.maximum(d_in, 0.0))
+        r_exit = np.where((d_in > 0) & (c < 0) & (r_in > 0), np.minimum(r_exit, r_in), r_exit)
+        edge = np.exp(1j * np.array([[phi_a], [phi_b]]))
+        denom = e.imag * edge.real - e.real * edge.imag  # sin(theta - phi)
+        r_ray = np.divide(z.real * edge.imag - z.imag * edge.real, denom,
+                          out=np.full(denom.shape, np.inf), where=np.abs(denom) > 1e-14)
+        r_exit = np.minimum(r_exit, np.where(r_ray > 0, r_ray, np.inf).min(axis=0))
+
+    # the panels of np.linspace(0, r_exit, n_pan + 1) on every ray, ray by ray
+    n_pan = np.maximum(1, np.ceil(r_exit / fine)).astype(int)
+    ray = np.repeat(np.arange(e.size), n_pan)
+    panel = np.arange(ray.size) - np.repeat(np.cumsum(n_pan) - n_pan, n_pan)
+    step = (r_exit / n_pan)[ray]
+    hi = np.where(panel + 1 == n_pan[ray], r_exit[ray], (panel + 1) * step)
+    radial = gauss_on_interval(12 - drop, panel * step, hi)
+    ray = np.repeat(ray, 12 - drop)
+    e = e[ray]
+    b, f = grid(z + radial.nodes * e)
+    d_area = angular.weights[ray] * radial.weights  # drho dtheta
+    return b, f, d_area * radial.nodes, -d_area * e.conj()
 
 
-def _ray_grid(grid, z: complex, angular, radial):
-    """Droplet-centered tensor grid of two rules: the four sums of `_polar_walk`."""
+def _tensor(grid, z: complex, angular, radial):
+    """Droplet-centered tensor piece of two rules: grid values, area and
+    Cauchy weights area/(z - w) of its nodes, as one flat array each."""
     s_nodes = radial.nodes
-    ws = s_nodes[None, :] * np.exp(1j * angular.nodes)[:, None]
-    b_vals, f_vals = grid(ws)
-    weights = angular.weights[:, None] * radial.weights[None, :] * s_nodes[None, :]
-    # weight/(z - w), then the f terms, in one array: fresh node-sized arrays cost page faults
-    kern = z - ws
-    np.divide(weights, kern, out=kern)
-    cauchy = complex((b_vals * kern).sum() / math.pi)
-    mass = float(np.multiply(b_vals, weights, out=weights).sum() / math.pi)
-    integral, l1 = 0j, 0.0
-    if f_vals is not None:
-        np.multiply(f_vals, kern, out=kern)
-        integral = complex(kern.sum() / math.pi)
-        l1 = float(np.abs(kern).sum() / math.pi)
-    return (cauchy, integral, mass, l1), ws.size
+    ws = (s_nodes * np.exp(1j * angular.nodes)[:, None]).ravel()
+    b, f = grid(ws)
+    area = (angular.weights[:, None] * radial.weights * s_nodes).ravel()
+    # area/(z - w) in place: fresh node-sized arrays cost page faults
+    kern = np.subtract(z, ws, out=ws)
+    return b, f, area, np.divide(area, kern, out=kern)
 
 
-def _polar_walk(source, z: complex, grid, n_theta: int, companion: bool = False):
+def _polar_walk(source, z: complex, grid, companion: bool = False):
     """int B_n(z, w)/(z - w) dA(w), int f(w)/(z - w) dA(w) and the B_n mass
     on one grid, where grid(ws) -> (B_n(z, ws), f(ws)) and f may be None.
 
@@ -302,6 +288,9 @@ def _polar_walk(source, z: complex, grid, n_theta: int, companion: bool = False)
     the boundary belt and the heat-kernel annulus; because the excluded
     region is aligned with the coordinates, the angular integrand stays
     piecewise analytic and composite Gauss rules converge at spectral rate.
+    Each of the at most three pieces (the sector and one or two tensor
+    pieces) is one array of nodes with one grid call, reduced by the same
+    four sums.
 
     The companion walk keeps every panel, lowers each Gauss rule by
     _ORDER_DROP orders and halves the periodic trapezoid.
@@ -317,13 +306,13 @@ def _polar_walk(source, z: complex, grid, n_theta: int, companion: bool = False)
     s_max = r_out + 12.0 / math.sqrt(n)
     fine = min(0.25, 1.5 / math.sqrt(n))
     drop = _ORDER_DROP if companion else 0
-    n_trap = n_theta // 2 if companion else n_theta
+    n_trap = _N_THETA // 2 if companion else _N_THETA
 
     m_r = 0.15
     az = abs(z)
     phi_z = math.atan2(z.imag, z.real)
     have_sector = az - m_r < s_max
-    sums = (0j, 0j, 0.0, 0.0)  # B integral, f integral, mass, l1
+    pieces = []
     if have_sector:
         if az < 2.2 * m_r:
             s_a, s_b = 0.0, az + m_r
@@ -332,7 +321,7 @@ def _polar_walk(source, z: complex, grid, n_theta: int, companion: bool = False)
             s_a, s_b = az - m_r, az + m_r
             half_phi = m_r / az
             phi_a, phi_b = phi_z - half_phi, phi_z + half_phi
-        sums = _sector_piece(grid, z, s_a, s_b, phi_a, phi_b, fine, drop)
+        pieces.append(partial(_sector, grid, z, s_a, s_b, phi_a, phi_b, fine, drop))
 
     # droplet-centered complement
     coarse = 0.25
@@ -340,19 +329,18 @@ def _polar_walk(source, z: complex, grid, n_theta: int, companion: bool = False)
     if have_sector:
         bands.append((az, m_r + 6.0 / math.sqrt(n)))
     base_edges = _graded_edges(s_max, bands, fine, coarse)
-    pieces = []
     if have_sector and s_a > 0:
         # full rays outside the sector's angular range, Gauss panels in phi
         span = 2.0 * math.pi - (phi_b - phi_a)
         phi_c = phi_a + 2.0 * math.pi
-        n_pan = max(1, math.ceil((phi_c - phi_b) / (span / max(24, n_theta // 8))))
-        pieces.append((composite_gauss(12 - drop, np.linspace(phi_b, phi_c, n_pan + 1)),
-                       composite_gauss(16 - drop, base_edges)))
+        n_pan = max(1, math.ceil((phi_c - phi_b) / (span / (_N_THETA // 8))))
+        rules = [(composite_gauss(12 - drop, np.linspace(phi_b, phi_c, n_pan + 1)),
+                  composite_gauss(16 - drop, base_edges))]
         # rays through the sector's angular range, radial band excluded
         edges = np.unique(np.concatenate([base_edges, [s_a, min(s_b, s_max)]]))
         skip = lambda a, b: a >= s_a - 1e-15 and b <= min(s_b, s_max) + 1e-15
-        pieces.append((composite_gauss(12 - drop, np.linspace(phi_a, phi_b, 5)),
-                       composite_gauss(16 - drop, edges, skip=skip)))
+        rules.append((composite_gauss(12 - drop, np.linspace(phi_a, phi_b, 5)),
+                      composite_gauss(16 - drop, edges, skip=skip)))
     else:
         # no sector, or the sector is the full disc s <= s_b: every ray is
         # treated alike and the periodic trapezoid applies
@@ -362,27 +350,34 @@ def _polar_walk(source, z: complex, grid, n_theta: int, companion: bool = False)
             radial = composite_gauss(16 - drop, edges, skip=skip)
         else:
             radial = composite_gauss(16 - drop, base_edges)
-        pieces.append((quad_trapezoid_periodic(n_trap), radial))
+        rules = [(quad_trapezoid_periodic(n_trap), radial)]
+    pieces += [partial(_tensor, grid, z, angular, radial) for angular, radial in rules]
+
+    cauchy = integral = 0j
+    mass = l1 = 0.0
     n_nodes = 0
     for piece in pieces:
-        part, size = _ray_grid(grid, z, *piece)
-        sums = tuple(a + b for a, b in zip(sums, part))
-        n_nodes += size
-
-    cauchy, integral, mass, l1 = sums
+        b, f, area, kern = piece()
+        # pairwise ndarray sums: BLAS dot products round up to 1e-14 worse here
+        cauchy += complex((b * kern).sum())
+        mass += float(np.multiply(b, area, out=area).sum())
+        if f is not None:
+            np.multiply(f, kern, out=kern)
+            integral += complex(kern.sum())
+            l1 += float(np.abs(kern).sum())
+        n_nodes += b.size
+        del b, f, area, kern  # free this piece's arrays before the next grid call
     if mass <= 0:
         raise PrecisionError("Berezin mass quadrature collapsed to zero")
-    return cauchy, integral, l1, QuadSpec(n_theta=n_trap, n_radial=n_nodes,
-                                          r_max=s_max, disc_radius=m_r, mass=mass)
+    return cauchy / math.pi, integral / math.pi, l1 / math.pi, QuadSpec(
+        n_theta=n_trap, n_radial=n_nodes, r_max=s_max, disc_radius=m_r, mass=mass / math.pi)
 
 
-def berezin_cauchy_transform(source, z: complex, n_theta: int = 256,
-                             with_spec: bool = False):
+def berezin_cauchy_transform(source, z: complex, with_spec: bool = False):
     """mu_{n,z}(k_z) = integral of B_n(z, w)/(z - w) dA(w), mass-normalized
     on the polar grid of `_polar_walk`."""
     z = complex(z)
-    cauchy, _, _, spec = _polar_walk(source, z, lambda ws: (source.berezin_grid(z, ws), None),
-                                     n_theta)
+    cauchy, _, _, spec = _polar_walk(source, z, lambda ws: (source.berezin_grid(z, ws), None))
     return (cauchy / spec.mass, spec) if with_spec else cauchy / spec.mass
 
 
@@ -398,7 +393,7 @@ class LoopResidual:
     cauchy_transform: complex  # berezin_cauchy_transform(source, z), same walk
 
 
-def loop_residual(source, z: complex, n_theta: int = 256) -> LoopResidual:
+def loop_residual(source, z: complex) -> LoopResidual:
     """Residual of the loop equation with an explicit numerical budget.
 
     The left side is reported from the walk of `berezin_cauchy_transform`;
@@ -411,8 +406,8 @@ def loop_residual(source, z: complex, n_theta: int = 256) -> LoopResidual:
     """
     z = complex(z)
     grid = lambda ws: source.berezin_dbar_grid(z, ws)
-    cauchy, integral, l1, spec = _polar_walk(source, z, grid, n_theta)
-    _, i_low, _, low = _polar_walk(source, z, grid, n_theta, companion=True)
+    cauchy, integral, l1, spec = _polar_walk(source, z, grid)
+    _, i_low, _, low = _polar_walk(source, z, grid, companion=True)
     r_n = math.exp(source.log_one_point(z))
     lap_log = source.lap_log_kernel(z)
     lhs = r_n + integral / spec.mass

@@ -22,7 +22,7 @@ from wpkernel import (
     orthonormalize,
 )
 from wpkernel.ortho_oracle import _poly_values, kernel_oracle
-from wpkernel.ward import ginthm_leading, ginthm_second_coeff
+from wpkernel.ward import _polar_walk, ginthm_leading, ginthm_second_coeff
 
 _EPS = 2.3e-16
 
@@ -32,8 +32,8 @@ _EPS = 2.3e-16
 # Cauchy transform and for Lap log R_n, with a Richardson step-halving budget.
 
 
-def _dbar_stencil(source, z: complex, h: float, n_theta: int = 256) -> complex:
-    mu = lambda p: berezin_cauchy_transform(source, p, n_theta=n_theta)
+def _dbar_stencil(source, z: complex, h: float) -> complex:
+    mu = lambda p: berezin_cauchy_transform(source, p)
     dx = (mu(z + h) - mu(z - h)) / (2.0 * h)
     dy = (mu(z + 1j * h) - mu(z - 1j * h)) / (2.0 * h)
     return 0.5 * (dx + 1j * dy)
@@ -220,6 +220,36 @@ def test_loop_residual_budget_sweep(elliptic_bases, source_name, n):
         assert lr.cauchy_transform == mu
         assert lr.quad_spec.n_radial == spec.n_radial
         assert lr.quad_spec.n_theta == spec.n_theta
+
+
+@pytest.mark.parametrize("companion", [False, True], ids=["reported", "companion"])
+@pytest.mark.parametrize("n", [1, 50, 800])
+def test_walk_layout_matches_disc_closed_forms(n, companion):
+    # with B = f = 1 the walk integrates over the disc |w| < s_max, where
+    # (1/pi) int dA(w)/(z - w) is conj(z) inside and s_max^2/z outside; roots
+    # whose sector sticks out past s_max are left out
+    s_max = 1.0 + 12.0 / math.sqrt(n)
+    roots = [0.0, 0.2, 0.5 + 0.3j, 0.99]
+    if n <= 50:
+        roots.append(1.5 * cmath.exp(2j))
+    if n >= 50:
+        roots.append((s_max + 1.0) * cmath.exp(0.7j))
+    src = GinibreSource(n)
+    for z in map(complex, roots):
+        sizes = []
+
+        def grid(ws):
+            sizes.append(ws.size)
+            return np.ones(ws.shape), np.ones(ws.shape, dtype=complex)
+
+        cauchy, integral, _, spec = _polar_walk(src, z, grid, companion=companion)
+        want = z.conjugate() if abs(z) < s_max else s_max ** 2 / z
+        tol = 1e-12 * abs(want) + 1e-15
+        assert abs(cauchy - want) <= tol
+        assert abs(integral - want) <= tol
+        assert spec.mass == pytest.approx(s_max ** 2, rel=1e-12)
+        assert len(sizes) <= 3 and spec.n_radial == sum(sizes)
+        assert spec.n_theta == (128 if companion else 256)
 
 
 def test_radial_harmonic_limit_vanishes():
