@@ -28,7 +28,11 @@ kernel is Hermitian bit for bit.  The work is O(window) per point and the
 memory O(points) for any n.
 
 Over grids, B_n = |K_n(z, w)|^2 / K_n(z, z) and dbar_z B_n come from one set
-of sums (`_berezin_and_ratios`); the scalar `ginibre_berezin` goes through
+of sums per side of |x| = n, combined by one function (`_side_ratios`), on
+two routes: any array of w point by point (`_sums_and_ratios`), and a tensor
+w = s e^{i phi} ring by ring (`ginibre_berezin_tensor`), where every node of
+a ring shares |x| = n|z|s and so its window, and the sums of a group of rings
+are one matrix product.  The scalar `ginibre_berezin` goes through
 `ginibre_kernel_exact` and is the independent reference.
 
 A continued-fraction evaluation of the upper incomplete gamma function
@@ -53,6 +57,10 @@ _CROSSCHECK_TOL = 1e-8
 _WINDOW_DROP = 40.0
 # points x terms per block of the windowed sum; bounds the working memory
 _BLOCK_ELEMENTS = 1 << 17
+# a group of rings in one matrix product spans window lengths up to this
+# ratio, so padding the shorter windows costs at most this factor in terms;
+# tighter groups cost more, smaller matrix products
+_RING_SPREAD = 1.5
 
 
 @dataclass(frozen=True)
@@ -190,32 +198,32 @@ def _side_window(n: int, x: np.ndarray, inner: bool):
         lengths = np.minimum(np.ceil(j_drop), n)
         lead = (n - 1) * rate + _log_kk_over_factorial(n - 1)
         q = m / x
-        # prod_{i<j} (1 - i/(n-1)), one beyond the longest window: `_outer_sums` sums from j = 1
+        # prod_{i<j} (1 - i/(n-1)), one beyond the longest window: s1 starts at j = 1
         coeffs = np.cumprod(np.concatenate(([1.0], 1.0 - np.arange(int(lengths.max())) / m)))
     return q, lengths.astype(np.intp), coeffs, lead
 
 
-def _outer_sums(n: int, x: np.ndarray):
-    """(log_mag, s1, s) of e_n(x) = sum_{k<n} x^k/k! for |x| >= n.
+def _side_sums(n: int, x: np.ndarray, inner: bool):
+    """(lead, sums) of the endpoint sum for points x on one side of |x| = n.
 
-    e_n is the endpoint term x^{n-1}/(n-1)!, of log-magnitude `lead`, times
-    s = 1 + s1, where s1 = q sum_{j<L-1} coeffs[j+1] q^j holds the terms
-    after the endpoint.  This is the one place the outer window is summed;
-    s1 is formed on its own, so s - 1 needs no subtraction.
+    Inner: sums is the window of the tail T, which is e^{lead + i n arg x}
+    sums.  Outer: sums is s1 = q sum_{j<L-1} coeffs[j+1] q^j, the terms
+    after the endpoint term t = x^{n-1}/(n-1)! of log-magnitude `lead`, so
+    that e_n(x) = t (1 + s1) and s - 1 needs no subtraction.
     """
-    q, lengths, coeffs, lead = _side_window(n, x, False)
+    q, lengths, coeffs, lead = _side_window(n, x, inner)
+    if inner:
+        return lead, _window_sums(q, lengths, coeffs)
     s1 = _window_sums(q, np.maximum(lengths - 1, 1), coeffs[1:])
     np.multiply(q, s1, out=s1)
     s1[lengths == 1] = 0.0  # the window is the endpoint term alone
-    s = 1.0 + s1
-    return lead + np.log(np.abs(s)), s1, s
+    return lead, s1
 
 
 def _tail_sums(n: int, x: np.ndarray):
     """(log_mag, arg) of the tail T = sum_{k>=n} x^k/k! for |x| < n; inside,
     Szego's split gives e_n(x) = e^x - T."""
-    q, lengths, coeffs, lead = _side_window(n, x, True)
-    s = _window_sums(q, lengths, coeffs)
+    lead, s = _side_sums(n, x, True)
     mag = np.abs(s)
     nonzero = mag > 0.0
     log_mag = np.where(nonzero, lead + np.log(np.where(nonzero, mag, 1.0)), -np.inf)
@@ -235,7 +243,9 @@ def raw_partial_sum_array(n: int, zetas: np.ndarray):
         log_mag[inner], arg[inner] = _log_diff(xi.real, xi.imag, *_tail_sums(n, xi))
     if not inner.all():
         xo = x[~inner]
-        log_mag[~inner], _, s = _outer_sums(n, xo)
+        lead, s1 = _side_sums(n, xo, False)
+        s = 1.0 + s1
+        log_mag[~inner] = lead + np.log(np.abs(s))
         arg[~inner] = (n - 1) * np.angle(xo) + np.angle(s)
     arg = _norm_args(arg)
     # a real x gives a real sum, whose computed arg is a rounded multiple of pi
@@ -370,33 +380,107 @@ def ginibre_berezin(n: int, z: complex, w: complex) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _sums_and_ratios(n: int, x: np.ndarray):
-    """log |e_n(x)| and r(x) = e_{n-1}(x)/e_n(x), e_n(x) = sum_{k<n} x^k/k!.
+def _side_ratios(n: int, inner: bool, lead, sums, abs_x, arg_x):
+    """log |e_n(x)| and r(x) = e_{n-1}(x)/e_n(x) from one side's window sums
+    (`_side_sums`); lead, abs_x and arg_x broadcast against the sums.
 
     Outer (|x| >= n): e_n = t s with t the endpoint term x^{n-1}/(n-1)! and
     s = 1 + s1, and e_{n-1} = t s1, so r = s1/s; writing r = 1 - 1/s would
-    cancel for large |x|.  Inner: e_n = e^x - T with the tail T, and
-    r = 1 - t/e_n.
+    cancel for large |x|.
+
+    Inner: e_n = e^x - T with the tail T = e^{lead} omega^n sums, omega =
+    e^{i arg x}, scaled by e^{-|x|}: d = e^{|x| (omega - 1)} - e^{lead - |x|}
+    omega^n sums, whose two parts are at most 1 and the window length, and
+    log |e_n| = |x| + log |d|.  Then r = 1 - t/e_n with t e^{-|x|} =
+    e^{log t - |x|} omega^{n-1}.  Where |d| <= 1e-300 the division is
+    skipped and r stays finite: B_n is below e^{-1300} there, far under its
+    underflow flush.
     """
+    if not inner:
+        s = 1.0 + sums
+        return lead + np.log(np.abs(s)), np.divide(sums, s, out=s)
+    d = abs_x * (np.exp(1j * arg_x) - 1.0)
+    np.exp(d, out=d)
+    tail = np.exp(lead - abs_x) * np.exp(1j * n * arg_x)
+    d -= np.multiply(tail, sums, out=tail)
+    mag = np.abs(d)
+    nonzero = mag > 0.0
+    log_e = np.where(nonzero, abs_x + np.log(np.where(nonzero, mag, 1.0)), -np.inf)
+    if n == 1:
+        return log_e, np.zeros(d.shape, dtype=complex)  # e_0 = 0
+    with np.errstate(divide="ignore"):
+        log_t = (n - 1) * np.log(abs_x / (n - 1)) + _log_kk_over_factorial(n - 1)
+    r = np.exp(log_t - abs_x) * np.exp(1j * (n - 1) * arg_x)
+    np.divide(r, d, out=r, where=mag > 1e-300)
+    return log_e, np.subtract(1.0, r, out=r)
+
+
+def _sums_and_ratios(n: int, x: np.ndarray):
+    """log |e_n(x)| and r(x) = e_{n-1}(x)/e_n(x), e_n(x) = sum_{k<n} x^k/k!,
+    over a flat array of x."""
     log_e = np.empty(x.size)
     r = np.empty(x.size, dtype=complex)
-    outer = np.abs(x) >= n
-    if outer.any():
-        log_e[outer], s1, s = _outer_sums(n, x[outer])
-        r[outer] = s1 / s
-    inner = ~outer
-    if inner.any():
-        xi = x[inner]
-        log_e[inner], arg_e = _log_diff(xi.real, xi.imag, *_tail_sums(n, xi))
-        if n == 1:
-            r[inner] = 0.0  # e_0 = 0
-        else:
-            with np.errstate(divide="ignore"):
-                log_end = ((n - 1) * np.log(np.abs(xi) / (n - 1))
-                           + _log_kk_over_factorial(n - 1))
-            ratio = np.exp(log_end - log_e[inner]
-                           + 1j * ((n - 1) * np.angle(xi) - arg_e))
-            r[inner] = 1.0 - ratio
+    abs_x = np.abs(x)
+    for inner in (False, True):
+        side = (abs_x < n) == inner
+        if side.any():
+            xs = x[side]
+            log_e[side], r[side] = _side_ratios(n, inner, *_side_sums(n, xs, inner),
+                                                abs_x[side], np.angle(xs))
+    return log_e, r
+
+
+def _ring_window_sums(q: np.ndarray, lengths: np.ndarray, coeffs: np.ndarray,
+                      omega: np.ndarray, first: int) -> np.ndarray:
+    """sum_{first<=j<L} coeffs[j] (q omega)^j for every ring (q >= 0, L) and
+    every angle omega, |omega| = 1, as a (rings, angles) array.
+
+    One table of omega^j, by cumulative products, serves every ring.  The
+    rings go in groups whose longest window is at most _RING_SPREAD times
+    the shortest, and each group is one real-by-complex matrix product: the
+    rows coeffs[j] q^j up to the group's longest window times the table
+    viewed as float.  As in `_window_sums`, the extra terms of the shorter
+    windows are genuine (smaller) terms of the same series.
+    """
+    table = np.empty((max(int(lengths.max()) - first, 0), omega.size), dtype=complex)
+    table[:] = omega
+    if first == 0:
+        table[0] = 1.0
+    pairs = np.cumprod(table, axis=0, out=table).view(float)
+    out = np.empty((q.size, omega.size), dtype=complex)
+    order = np.argsort(lengths, kind="stable")
+    sorted_len = lengths[order]
+    lo = 0
+    while lo < order.size:
+        hi = int(np.searchsorted(sorted_len, _RING_SPREAD * sorted_len[lo], side="right"))
+        idx = order[lo:hi]
+        j = np.arange(first, sorted_len[hi - 1])
+        rows = coeffs[j] * q[idx, None] ** j
+        out[idx] = (rows @ pairs[:j.size]).view(complex)
+        lo = hi
+    return out
+
+
+def _ring_sums_and_ratios(n: int, abs_x: np.ndarray, omega: np.ndarray):
+    """log |e_n(x)| and r(x) over the tensor x = abs_x[:, None] omega, as
+    (rings, angles) arrays, |omega| = 1.
+
+    Every node of a ring shares |x|, so the side of |x| = n, the window and
+    the lead are taken once per ring (`_side_window` on the ring moduli), and
+    q = |q| omega (inner) or |q| conj(omega) (outer) splits into a ring part
+    and an angle part.
+    """
+    log_e = np.empty((abs_x.size, omega.size))
+    r = np.empty(log_e.shape, dtype=complex)
+    for inner in (False, True):
+        rings = np.flatnonzero((abs_x < n) == inner)
+        if rings.size:
+            q, lengths, coeffs, lead = _side_window(n, abs_x[rings], inner)
+            # outer: s1 = the terms after the endpoint, from j = 1
+            sums = _ring_window_sums(q, lengths, coeffs, omega if inner else np.conj(omega),
+                                     0 if inner else 1)
+            log_e[rings], r[rings] = _side_ratios(n, inner, lead[:, None], sums,
+                                                  abs_x[rings, None], np.angle(omega))
     return log_e, r
 
 
@@ -434,6 +518,40 @@ def ginibre_berezin_dbar_array(n: int, z: complex, ws: np.ndarray):
     dbar = np.zeros(flat.size, dtype=complex)
     dbar[ok] = n * b[ok] * (flat[ok] * np.conj(r[ok]) - z * r_d)
     return b.reshape(ws.shape), dbar.reshape(ws.shape)
+
+
+def ginibre_berezin_tensor(n: int, z: complex, angles: np.ndarray, radii: np.ndarray,
+                           dbar: bool):
+    """(B_n(z, w), dbar_z B_n(z, w) if dbar else None) over the tensor
+    w = radii e^{i angles}, shaped (angles, radii).
+
+    The ring route: on the ring |w| = s, x = n z w~ = n|z| s omega with
+    omega = e^{i(phi_z - phi)}, so the sums of each side are one matrix
+    product per group of rings (`_ring_sums_and_ratios`).  The values agree
+    with `ginibre_berezin_dbar_array` on the same nodes up to rounding, and
+    B is the same bit for bit with and without dbar.
+    """
+    z = complex(z)
+    angles = np.asarray(angles, dtype=float)
+    radii = np.asarray(radii, dtype=float)
+    scale = _extent(z) + _extent(radii)
+    _check_args(n, n * scale * scale + _extent(angles))
+    omega = np.exp(1j * (math.atan2(z.imag, z.real) - angles))
+    log_e, r = _ring_sums_and_ratios(n, n * abs(z) * radii, omega)
+    log_d, r_d = _sums_and_ratios(n, np.array([n * abs(z) ** 2], dtype=complex))
+    log_b = np.multiply(log_e, 2.0, out=log_e).T  # (angles, radii) from here on
+    log_b += (math.log(n) - log_d[0]) - n * radii ** 2
+    b = np.zeros(log_b.shape)
+    np.exp(log_b, out=b, where=log_b > -745.0)
+    if not dbar:
+        return b, None
+    # n B (w conj r - z r(n|z|^2)); r is finite on every node
+    bracket = np.conj(r, out=r).T
+    bracket *= radii
+    bracket *= np.exp(1j * angles)[:, None]
+    bracket -= z * r_d[0].real
+    out = np.zeros(b.shape, dtype=complex)
+    return b, np.multiply(n * b, bracket, out=out, where=b > 0.0)
 
 
 def ginibre_lap_log_kernel(n: int, z: complex) -> float:

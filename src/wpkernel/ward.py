@@ -41,6 +41,7 @@ from .ginibre_exact import (
     _check_args,
     ginibre_berezin_array,
     ginibre_berezin_dbar_array,
+    ginibre_berezin_tensor,
     ginibre_lap_log_kernel,
     ginibre_log_one_point,
 )
@@ -72,6 +73,9 @@ class GinibreSource:
 
     def berezin_dbar_grid(self, z: complex, ws: np.ndarray):
         return ginibre_berezin_dbar_array(self.n, z, ws)
+
+    def berezin_tensor(self, z: complex, angles: np.ndarray, radii: np.ndarray, dbar: bool):
+        return ginibre_berezin_tensor(self.n, z, angles, radii, dbar)
 
     def log_one_point(self, z: complex) -> float:
         return ginibre_log_one_point(self.n, z)
@@ -147,6 +151,11 @@ class OracleSource:
         dbar[ok] = b[ok] * (np.conj(dkern[ok] / kern[ok]) - np.vdot(dp, p) / np.vdot(p, p).real)
         return b.reshape(ws.shape), dbar.reshape(ws.shape)
 
+    def berezin_tensor(self, z: complex, angles: np.ndarray, radii: np.ndarray, dbar: bool):
+        """The grids on the tensor nodes radii e^{i angles}, shaped (angles, radii)."""
+        ws = radii * np.exp(1j * angles)[:, None]
+        return self.berezin_dbar_grid(z, ws) if dbar else (self.berezin_grid(z, ws), None)
+
     def log_one_point(self, z: complex) -> float:
         return kernel_oracle(self.basis, z, z).log_mag
 
@@ -174,11 +183,13 @@ class OracleSource:
 class QuadSpec:
     """Layout of one polar walk.
 
-    n_theta: nodes of the periodic trapezoid on the full rays (256, or 128
-        on the companion walk); r_max: the droplet-centered radius s_max
-        where the walk ends; disc_radius: the radial half-width m_r of the
-        sector about the root; n_radial: every node the walk evaluates,
-        sector included; mass: the same-grid mass of B_n.
+    n_theta: angular nodes on the full rays: the periodic trapezoid's 256
+        (128 on the companion walk), or, beside an annular sector, Gauss
+        panels of 12 (8) nodes in phi; r_max: the droplet-centered radius
+        s_max where the walk ends; disc_radius: the radial half-width m_r of
+        the sector about the root, which is clipped at s_max; n_radial:
+        every node the walk evaluates, sector included; mass: the same-grid
+        mass of B_n.
     """
 
     n_theta: int
@@ -264,21 +275,22 @@ def _sector(grid, z: complex, s_a, s_b, phi_a, phi_b, fine, drop):
     return b, f, d_area * radial.nodes, -d_area * e.conj()
 
 
-def _tensor(grid, z: complex, angular, radial):
+def _tensor(source, z: complex, dbar: bool, angular, radial):
     """Droplet-centered tensor piece of two rules: grid values, area and
-    Cauchy weights area/(z - w) of its nodes, as one flat array each."""
+    Cauchy weights area/(z - w) of its nodes, as one flat array each.  The
+    source evaluates the tensor from its angles and radii."""
     s_nodes = radial.nodes
+    b, f = source.berezin_tensor(z, angular.nodes, s_nodes, dbar)
     ws = (s_nodes * np.exp(1j * angular.nodes)[:, None]).ravel()
-    b, f = grid(ws)
     area = (angular.weights[:, None] * radial.weights * s_nodes).ravel()
     # area/(z - w) in place: fresh node-sized arrays cost page faults
     kern = np.subtract(z, ws, out=ws)
-    return b, f, area, np.divide(area, kern, out=kern)
+    return b.ravel(), None if f is None else f.ravel(), area, np.divide(area, kern, out=kern)
 
 
-def _polar_walk(source, z: complex, grid, companion: bool = False):
+def _polar_walk(source, z: complex, dbar: bool, companion: bool = False):
     """int B_n(z, w)/(z - w) dA(w), int f(w)/(z - w) dA(w) and the B_n mass
-    on one grid, where grid(ws) -> (B_n(z, ws), f(ws)) and f may be None.
+    on one grid, with f = dbar_z B_n when dbar and no f otherwise.
 
     The plane is split into an annular sector aligned with droplet-centered
     polar coordinates that contains the root z, and its complement.  The
@@ -288,16 +300,17 @@ def _polar_walk(source, z: complex, grid, companion: bool = False):
     the boundary belt and the heat-kernel annulus; because the excluded
     region is aligned with the coordinates, the angular integrand stays
     piecewise analytic and composite Gauss rules converge at spectral rate.
-    Each of the at most three pieces (the sector and one or two tensor
-    pieces) is one array of nodes with one grid call, reduced by the same
-    four sums.
+    Each of the at most three pieces is one grid call, reduced by the same
+    four sums: the sector is one flat array of nodes (`berezin_grid` or
+    `berezin_dbar_grid`), a tensor piece is its angles and radii
+    (`berezin_tensor`).
 
     The companion walk keeps every panel, lowers each Gauss rule by
     _ORDER_DROP orders and halves the periodic trapezoid.
 
     Returns (cauchy, integral, l1, spec): the integrals of B_n and of f (0
-    when f is None), l1 the sum of the moduli of the f integral's node
-    terms, and spec.mass the same-grid mass.
+    without f), l1 the sum of the moduli of the f integral's node terms,
+    and spec.mass the same-grid mass.
     """
     if not cmath.isfinite(z):
         raise DomainError("the root z must be finite")
@@ -321,6 +334,10 @@ def _polar_walk(source, z: complex, grid, companion: bool = False):
             s_a, s_b = az - m_r, az + m_r
             half_phi = m_r / az
             phi_a, phi_b = phi_z - half_phi, phi_z + half_phi
+        if az < s_max:
+            s_b = min(s_b, s_max)  # the tensor pieces end at s_max
+        grid = lambda ws: (source.berezin_dbar_grid(z, ws) if dbar
+                           else (source.berezin_grid(z, ws), None))
         pieces.append(partial(_sector, grid, z, s_a, s_b, phi_a, phi_b, fine, drop))
 
     # droplet-centered complement
@@ -351,7 +368,7 @@ def _polar_walk(source, z: complex, grid, companion: bool = False):
         else:
             radial = composite_gauss(16 - drop, base_edges)
         rules = [(quad_trapezoid_periodic(n_trap), radial)]
-    pieces += [partial(_tensor, grid, z, angular, radial) for angular, radial in rules]
+    pieces += [partial(_tensor, source, z, dbar, angular, radial) for angular, radial in rules]
 
     cauchy = integral = 0j
     mass = l1 = 0.0
@@ -369,15 +386,17 @@ def _polar_walk(source, z: complex, grid, companion: bool = False):
         del b, f, area, kern  # free this piece's arrays before the next grid call
     if mass <= 0:
         raise PrecisionError("Berezin mass quadrature collapsed to zero")
+    # n_theta: the angular rule of the full rays, the first tensor piece
     return cauchy / math.pi, integral / math.pi, l1 / math.pi, QuadSpec(
-        n_theta=n_trap, n_radial=n_nodes, r_max=s_max, disc_radius=m_r, mass=mass / math.pi)
+        n_theta=rules[0][0].nodes.size, n_radial=n_nodes, r_max=s_max, disc_radius=m_r,
+        mass=mass / math.pi)
 
 
 def berezin_cauchy_transform(source, z: complex, with_spec: bool = False):
     """mu_{n,z}(k_z) = integral of B_n(z, w)/(z - w) dA(w), mass-normalized
     on the polar grid of `_polar_walk`."""
     z = complex(z)
-    cauchy, _, _, spec = _polar_walk(source, z, lambda ws: (source.berezin_grid(z, ws), None))
+    cauchy, _, _, spec = _polar_walk(source, z, dbar=False)
     return (cauchy / spec.mass, spec) if with_spec else cauchy / spec.mass
 
 
@@ -399,15 +418,15 @@ def loop_residual(source, z: complex) -> LoopResidual:
     The left side is reported from the walk of `berezin_cauchy_transform`;
     its change under the lower-order companion walk on the same panels is
     the quadrature part of the budget.  The walk integrates B_n/(z - w) on
-    the same nodes, and `berezin_dbar_grid` returns the B of `berezin_grid`
-    (for Ginibre, e_n = t (1 + s1) and e_{n-1} = t s1 outside |n z w~| = n,
-    so r = s1/(1 + s1) needs no s - 1), so `cauchy_transform` is
-    `berezin_cauchy_transform(source, z)` bit for bit.
+    the same nodes, and `berezin_dbar_grid` and `berezin_tensor` return the
+    same B with or without dbar_z B (for Ginibre, e_n = t (1 + s1) and
+    e_{n-1} = t s1 outside |n z w~| = n, so r = s1/(1 + s1) needs no
+    s - 1), so `cauchy_transform` is `berezin_cauchy_transform(source, z)`
+    bit for bit.
     """
     z = complex(z)
-    grid = lambda ws: source.berezin_dbar_grid(z, ws)
-    cauchy, integral, l1, spec = _polar_walk(source, z, grid)
-    _, i_low, _, low = _polar_walk(source, z, grid, companion=True)
+    cauchy, integral, l1, spec = _polar_walk(source, z, dbar=True)
+    _, i_low, _, low = _polar_walk(source, z, dbar=True, companion=True)
     r_n = math.exp(source.log_one_point(z))
     lap_log = source.lap_log_kernel(z)
     lhs = r_n + integral / spec.mass

@@ -25,6 +25,7 @@ from wpkernel.ginibre_exact import (
     _sums_and_ratios,
     ginibre_berezin_array,
     ginibre_berezin_dbar_array,
+    ginibre_berezin_tensor,
     raw_partial_sum_array,
 )
 from wpkernel.scaled_numerics import (
@@ -221,17 +222,27 @@ def _mp_berezin(n, z, ws):
 
 @pytest.mark.parametrize("n", [1, 2, 50, 800])
 def test_berezin_array_route_matches_mpmath(n):
-    # the one array route to B_n and dbar_z B_n: roots inside, on and
-    # outside |z| = 1 and at z = 0, nodes at w = 0, w = z, on both sides of
-    # |x| = n (|w| = (1 -+ 1e-3)/|z|) and a heat-kernel distance n^{-1/2} out
+    # both array routes to B_n and dbar_z B_n: roots inside, on and outside
+    # |z| = 1 and at z = 0.  Flat nodes at w = 0, w = z, on both sides of
+    # |x| = n (|w| = (1 -+ 1e-3)/|z|) and a heat-kernel distance n^{-1/2}
+    # out; ring nodes on the same radii, one ray through z and one across
     h = 0.7 / math.sqrt(n)
     for z in (0.0, cmath.rect(0.6, 0.4), cmath.rect(1.0, 1.1), cmath.rect(1.7, -2.3)):
         ws = [0.0, z, 0.3 * cmath.exp(2j), z + h * cmath.exp(0.9j), z - h * cmath.exp(-2.1j)]
+        radii = [abs(z) + h]
         if z != 0.0:
             ws += [z / abs(z) ** 2 * (1.0 + d) * cmath.exp(0.05j) for d in (-1e-3, 1e-3)]
+            radii += [(1.0 + d) / abs(z) for d in (-1e-3, 1e-3)]
         ws = np.array(ws, dtype=complex)
         b, dbar = ginibre_berezin_dbar_array(n, z, ws)
         assert np.array_equal(ginibre_berezin_array(n, z, ws), b)
+        angles = cmath.phase(z) + np.array([0.0, 2.0])
+        radii = np.array(radii)
+        b_ring, dbar_ring = ginibre_berezin_tensor(n, z, angles, radii, True)
+        assert np.array_equal(ginibre_berezin_tensor(n, z, angles, radii, False)[0], b_ring)
+        ws = np.concatenate([ws, (radii * np.exp(1j * angles)[:, None]).ravel()])
+        b = np.concatenate([b, b_ring.ravel()])
+        dbar = np.concatenate([dbar, dbar_ring.ravel()])
         tol = 10.0 * GinibreSource(n).value_error(z)
         refs = _mp_berezin(n, complex(z), [complex(w) for w in ws])
         for bv, dv, (log_ref, b_ref, dbar_ref, scale) in zip(b, dbar, refs):
@@ -240,6 +251,54 @@ def test_berezin_array_route_matches_mpmath(n):
                 continue
             assert abs(bv / float(b_ref) - 1.0) <= tol
             assert abs(dv - complex(dbar_ref)) <= tol * float(scale)
+
+
+def _ring_layout(n, z):
+    """Angles and radii of a tensor about z out to the walk's s_max, with
+    rings straddling |x| = n|z||w| = n where it lies within 2 s_max, one of
+    them exactly on it when |z| is a power of two."""
+    s_max = 1.0 + 12.0 / math.sqrt(n)
+    angles = cmath.phase(z) + np.linspace(-math.pi, math.pi, 41)[:-1] + 0.01
+    radii = np.linspace(0.02, s_max, 23)
+    if abs(z) * 2.0 * s_max > 1.0:
+        on = 1.0 / abs(z)
+        radii = np.concatenate([radii, on * (1.0 + np.array([0.0, -1e-9, 1e-9, -1e-3, 1e-3]))])
+    return angles, radii
+
+
+@pytest.mark.parametrize("n", [1, 2, 50, 800, 3200])
+def test_ring_route_matches_flat_route(n):
+    # the ring route (one matrix product per group of rings) against the
+    # flat route on the same tensor nodes; where |x| = n|z||w| is n, rounding
+    # puts the flat route's nodes on either side
+    for z in (0.0, 0.5j, 2.0, cmath.rect(0.8, 0.3), cmath.rect(1.3, -2.0)):
+        angles, radii = _ring_layout(n, z)
+        ws = radii * np.exp(1j * angles)[:, None]
+        b, dbar = ginibre_berezin_tensor(n, z, angles, radii, True)
+        b_flat, dbar_flat = ginibre_berezin_dbar_array(n, z, ws)
+        assert b.shape == dbar.shape == ws.shape
+        live = b_flat >= 1e-200
+        assert np.all(b[~live] < 1e-190)
+        assert np.all(np.abs(b - b_flat)[live] <= 1e-11 * b_flat[live])
+        scale = n * b_flat * (np.abs(ws) + abs(z)) + np.abs(dbar_flat)
+        assert np.all(np.abs(dbar - dbar_flat)[live] <= 1e-11 * scale[live])
+    for angles, radii in (([0.0, math.nan], [0.5]), ([0.0], [0.5, 1e300])):
+        with pytest.raises(DomainError):
+            ginibre_berezin_tensor(n, 0.5, np.array(angles), np.array(radii), False)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(1, 3200), st.floats(0.0, 2.0), st.floats(-math.pi, math.pi))
+def test_ring_route_conjugation_property(n, radius, alpha):
+    # conj B_n(z, w) = B_n(conj z, conj w): the grid at conj z on the mirrored
+    # angles is the conjugate of the grid at z
+    z = cmath.rect(radius, alpha)
+    angles, radii = _ring_layout(n, z)
+    b, dbar = ginibre_berezin_tensor(n, z, angles, radii, True)
+    b_m, dbar_m = ginibre_berezin_tensor(n, z.conjugate(), -angles, radii, True)
+    assert np.all(np.abs(b_m - b) <= 1e-13 * b)
+    scale = n * b * (radii + abs(z)) + np.abs(dbar)
+    assert np.all(np.abs(dbar_m - np.conj(dbar)) <= 1e-13 * scale)
 
 
 @pytest.mark.parametrize("n", [2, 50, 800])

@@ -222,34 +222,54 @@ def test_loop_residual_budget_sweep(elliptic_bases, source_name, n):
         assert lr.quad_spec.n_theta == spec.n_theta
 
 
+class _UnitSource:
+    """B = f = 1 on every node; records the node count of each grid call and
+    the angular node count of each tensor call."""
+
+    outer_radius = 1.0
+
+    def __init__(self, n):
+        self.n = n
+        self.sizes, self.tensor_angles = [], []
+
+    def berezin_dbar_grid(self, z, ws):
+        self.sizes.append(ws.size)
+        return np.ones(ws.shape), np.ones(ws.shape, dtype=complex)
+
+    def berezin_tensor(self, z, angles, radii, dbar):
+        self.sizes.append(angles.size * radii.size)
+        self.tensor_angles.append(angles.size)
+        shape = (angles.size, radii.size)
+        return np.ones(shape), np.ones(shape, dtype=complex)
+
+
 @pytest.mark.parametrize("companion", [False, True], ids=["reported", "companion"])
 @pytest.mark.parametrize("n", [1, 50, 800])
 def test_walk_layout_matches_disc_closed_forms(n, companion):
     # with B = f = 1 the walk integrates over the disc |w| < s_max, where
-    # (1/pi) int dA(w)/(z - w) is conj(z) inside and s_max^2/z outside; roots
-    # whose sector sticks out past s_max are left out
+    # (1/pi) int dA(w)/(z - w) is conj(z) inside and s_max^2/z outside
     s_max = 1.0 + 12.0 / math.sqrt(n)
-    roots = [0.0, 0.2, 0.5 + 0.3j, 0.99]
+    roots = [(0.0, 1e-12), (0.2, 1e-12), (0.5 + 0.3j, 1e-12), (0.99, 1e-12)]
     if n <= 50:
-        roots.append(1.5 * cmath.exp(2j))
+        roots.append((1.5 * cmath.exp(2j), 1e-12))
     if n >= 50:
-        roots.append((s_max + 1.0) * cmath.exp(0.7j))
-    src = GinibreSource(n)
-    for z in map(complex, roots):
-        sizes = []
-
-        def grid(ws):
-            sizes.append(ws.size)
-            return np.ones(ws.shape), np.ones(ws.shape, dtype=complex)
-
-        cauchy, integral, _, spec = _polar_walk(src, z, grid, companion=companion)
+        roots.append(((s_max + 1.0) * cmath.exp(0.7j), 1e-12))
+        # within m_r = 0.15 of s_max the sector is clipped at s_max; beside
+        # the disc's edge the companion walk's lower-order rules resolve
+        # 1/(z - w) to 3e-12 at n = 50
+        roots.append(((s_max - 0.1) * cmath.exp(1.2j), 1e-11 if companion else 1e-12))
+    for z, rel in roots:
+        z = complex(z)
+        src = _UnitSource(n)
+        cauchy, integral, _, spec = _polar_walk(src, z, dbar=True, companion=companion)
         want = z.conjugate() if abs(z) < s_max else s_max ** 2 / z
-        tol = 1e-12 * abs(want) + 1e-15
+        tol = rel * abs(want) + 1e-15
         assert abs(cauchy - want) <= tol
         assert abs(integral - want) <= tol
         assert spec.mass == pytest.approx(s_max ** 2, rel=1e-12)
-        assert len(sizes) <= 3 and spec.n_radial == sum(sizes)
-        assert spec.n_theta == (128 if companion else 256)
+        assert len(src.sizes) <= 3 and spec.n_radial == sum(src.sizes)
+        # the angular nodes of the full rays: the first tensor piece
+        assert spec.n_theta == src.tensor_angles[0]
 
 
 def test_radial_harmonic_limit_vanishes():
