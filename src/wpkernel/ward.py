@@ -39,6 +39,7 @@ import numpy as np
 from .errors import DomainError, PrecisionError
 from .ginibre_exact import (
     _check_args,
+    _extent,
     ginibre_berezin_array,
     ginibre_berezin_dbar_array,
     ginibre_berezin_tensor,
@@ -99,9 +100,10 @@ class OracleSource:
     """Berezin source built from an orthonormal basis.
 
     sum_j P_j(z) conj(P_j(w)) = sum_k a_k (conj(w)/scale)^k with a = C^H p(z),
-    C the scaled-monomial coefficients of the P_j: one Horner step per degree
-    over the flat node array, O(degree * nodes) work and O(nodes) memory.
-    Its z-derivative is the same polynomial with a' = C^H p'(z).
+    C the scaled-monomial coefficients of the P_j; d_z has a' = C^H p'(z).
+    Flat nodes take one Horner step per degree, a tensor one real BLAS product
+    per polynomial (`_tensor_sums`): O(degree * nodes) work either way, in
+    O(nodes + degree (angles + radii)) memory.
     """
 
     name = "oracle"
@@ -112,6 +114,15 @@ class OracleSource:
         self.n = basis.n
         self.outer_radius = pot.outer_radius(1.0)
 
+    def _entry(self, z: complex, extent: float, dbar: bool) -> list:
+        """p(z), and p'(z) with dbar, after every route's entry check: DomainError unless
+        (|w|/scale)^degree and the weight scale n|w|^2 stay finite on z and the nodes."""
+        scale = _extent(z) + extent
+        with np.errstate(over="ignore"):
+            top = np.float64(scale / self.basis.scale) ** self.basis.max_degree
+        _check_args(self.n, float(top) + self.n * scale * scale)
+        return [f(self.basis, z) for f in (_poly_values, _poly_derivatives)[:1 + dbar]]
+
     def _horner(self, values: np.ndarray, x: np.ndarray) -> np.ndarray:
         a = np.asarray(self.basis.coeffs).conj().T @ values
         kern = np.full(x.shape, a[-1])
@@ -119,6 +130,20 @@ class OracleSource:
             kern *= x
             kern += c
         return kern
+
+    def _tensor_sums(self, rows: list, angles: np.ndarray, radii: np.ndarray):
+        """sum_k a_k (r_j/scale)^k e^{-ik phi_i}, a = C^H v, on (angles, radii) for each
+        row v: P[j, k] = (r_j/scale)^k against (a E) as float, E[k, i] = e^{-ik phi_i}, one
+        product per row, so that p(z)'s sums are the same with or without p'(z)."""
+        d = self.basis.max_degree
+        table = np.ones((d + 1, angles.size), dtype=complex)
+        table[1:] = np.exp(-1j * angles)
+        powers = np.ones((radii.size, d + 1))
+        powers[:, 1:] = (radii / self.basis.scale)[:, None]
+        table, powers = np.cumprod(table, axis=0), np.cumprod(powers, axis=1)
+        c_h = np.asarray(self.basis.coeffs).conj().T
+        return [(powers @ (table * (c_h @ v)[:, None]).view(float)).view(complex).T.copy()
+                for v in rows]
 
     def _berezin(self, z: complex, flat: np.ndarray, kern: np.ndarray) -> np.ndarray:
         n = self.n
@@ -131,30 +156,35 @@ class OracleSource:
         out[ok] = np.exp(log_b[ok])
         return out
 
-    def berezin_grid(self, z: complex, ws: np.ndarray) -> np.ndarray:
-        flat = ws.ravel()
-        kern = self._horner(_poly_values(self.basis, z), np.conj(flat) / self.basis.scale)
-        return self._berezin(z, flat, kern).reshape(ws.shape)
-
-    def berezin_dbar_grid(self, z: complex, ws: np.ndarray):
-        """(B, dbar_z B) with dbar_z B = B [conj(d_z k(z,w) / k(z,w)) - s],
-        s = sum_j conj(P_j'(z)) P_j(z) / k(z,z)."""
-        flat = ws.ravel()
-        x = np.conj(flat) / self.basis.scale
-        p = _poly_values(self.basis, z)
-        dp = _poly_derivatives(self.basis, z)
-        kern = self._horner(p, x)
-        dkern = self._horner(dp, x)
+    def _grids(self, z: complex, ws: np.ndarray, rows: list, kerns: list):
+        """(B, dbar_z B or None) on the nodes ws from kerns = [k(z, w)] or
+        [k, d_z k]: dbar_z B = B [conj(d_z k / k) - s], s = sum_j conj(P_j'(z)) P_j(z) / k(z,z)."""
+        flat, kern = ws.ravel(), kerns[0].ravel()
         b = self._berezin(z, flat, kern)
+        if len(kerns) == 1:
+            return b.reshape(ws.shape), None
+        (p, dp), dkern = rows, kerns[1].ravel()
         dbar = np.zeros(flat.shape, dtype=complex)
         ok = b > 0.0
         dbar[ok] = b[ok] * (np.conj(dkern[ok] / kern[ok]) - np.vdot(dp, p) / np.vdot(p, p).real)
         return b.reshape(ws.shape), dbar.reshape(ws.shape)
 
+    def _flat(self, z: complex, ws: np.ndarray, dbar: bool):
+        rows = self._entry(z, _extent(ws), dbar)
+        x = np.conj(ws.ravel()) / self.basis.scale
+        return self._grids(z, ws, rows, [self._horner(v, x) for v in rows])
+
+    def berezin_grid(self, z: complex, ws: np.ndarray) -> np.ndarray:
+        return self._flat(z, ws, False)[0]
+
+    def berezin_dbar_grid(self, z: complex, ws: np.ndarray):
+        return self._flat(z, ws, True)
+
     def berezin_tensor(self, z: complex, angles: np.ndarray, radii: np.ndarray, dbar: bool):
         """The grids on the tensor nodes radii e^{i angles}, shaped (angles, radii)."""
-        ws = radii * np.exp(1j * angles)[:, None]
-        return self.berezin_dbar_grid(z, ws) if dbar else (self.berezin_grid(z, ws), None)
+        rows = self._entry(z, _extent(radii) + _extent(angles), dbar)
+        kerns = self._tensor_sums(rows, angles, radii)
+        return self._grids(z, radii * np.exp(1j * angles)[:, None], rows, kerns)
 
     def log_one_point(self, z: complex) -> float:
         return kernel_oracle(self.basis, z, z).log_mag

@@ -21,7 +21,7 @@ from wpkernel import (
     make_ginibre,
     orthonormalize,
 )
-from wpkernel.ortho_oracle import _poly_values, kernel_oracle
+from wpkernel.ortho_oracle import _poly_derivatives, _poly_values, kernel_oracle
 from wpkernel.ward import _polar_walk, ginthm_leading, ginthm_second_coeff
 
 _EPS = 2.3e-16
@@ -342,8 +342,7 @@ def test_oracle_grid_matches_per_point_kernel(elliptic_bases, n):
         ref = np.array([math.exp(2.0 * kernel_oracle(basis, z, w).log_mag - log_rz) for w in ws])
         a = np.asarray(basis.coeffs).conj().T @ _poly_values(basis, z)
         xs = np.conj(ws) / basis.scale
-        kappa = np.polyval(np.abs(a)[::-1], np.abs(xs)) / np.abs(np.polyval(a[::-1], xs))
-        assert np.all(np.abs(b - ref) <= 1e-12 * kappa * ref)
+        assert np.all(np.abs(b - ref) <= 1e-12 * _kappa(a, xs) * ref)
 
 
 def test_oracle_grid_memory_is_linear_in_nodes(elliptic_bases):
@@ -359,3 +358,117 @@ def test_oracle_grid_memory_is_linear_in_nodes(elliptic_bases):
         tracemalloc.stop()
     assert np.all(np.isfinite(b))
     assert peak < 20e6
+
+
+def test_oracle_tensor_memory_is_linear_in_nodes(elliptic_bases):
+    # the power tables are O(degree (angles + radii)); the rest is node-sized
+    ell, bases = elliptic_bases
+    src = OracleSource(bases[40], ell)
+    angles = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
+    for radii in (np.linspace(0.01, 2.0, 400), np.linspace(0.01, 2.0, 1600)):
+        tracemalloc.start()
+        try:
+            b, f = src.berezin_tensor(ell.chi(1.3 * cmath.exp(0.7j)), angles, radii, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(b)) and np.all(np.isfinite(f))
+        assert peak < 160 * b.size
+
+
+def _kappa(a, xs):
+    """Condition of sum_k a_k x^k: sum |a_k| |x|^k / |sum a_k x^k|."""
+    return np.polyval(np.abs(a)[::-1], np.abs(xs)) / np.abs(np.polyval(a[::-1], xs))
+
+
+class _RecordingSource:
+    """Forwards to a source and records the angles and radii of each tensor call."""
+
+    def __init__(self, src):
+        self.src = src
+        self.pieces = []
+
+    def __getattr__(self, name):
+        return getattr(self.src, name)
+
+    def berezin_tensor(self, z, angles, radii, dbar):
+        self.pieces.append((angles, radii))
+        return self.src.berezin_tensor(z, angles, radii, dbar)
+
+
+@pytest.mark.parametrize("dbar", [False, True], ids=["b", "dbar"])
+@pytest.mark.parametrize("n", [20, 40])
+def test_oracle_tensor_route_matches_flat_route(elliptic_bases, n, dbar):
+    # the walk's own tensor pieces by the matrix-product route against the
+    # Horner route on the same nodes; both round in the monomial
+    # representation, so the gap is scaled by the condition of the sums
+    ell, bases = elliptic_bases
+    basis = bases[n]
+    src = OracleSource(basis, ell)
+    c_h = np.asarray(basis.coeffs).conj().T
+    for z in (0.3 + 0.1j, ell.boundary_point(2.0).p, ell.chi(1.6 * cmath.exp(0.4j))):
+        rec = _RecordingSource(src)
+        _polar_walk(rec, z, dbar=dbar)
+        assert len(rec.pieces) >= 1
+        a, da = c_h @ _poly_values(basis, z), c_h @ _poly_derivatives(basis, z)
+        for angles, radii in rec.pieces:
+            ws = radii * np.exp(1j * angles)[:, None]
+            b, f = src.berezin_tensor(z, angles, radii, dbar)
+            b_flat, f_flat = (src.berezin_dbar_grid(z, ws) if dbar
+                              else (src.berezin_grid(z, ws), None))
+            xs = np.conj(ws) / basis.scale
+            kappa = _kappa(a, xs)
+            # 1e-300: a node at the cut exp(-700) may round to either side
+            assert np.all(np.abs(b - b_flat) <= 1e-12 * kappa * b_flat + 1e-300)
+            if dbar:
+                # f = B [conj(k'/k) - s]: the errors of B, k and k' add up
+                p, dp = _poly_values(basis, z), _poly_derivatives(basis, z)
+                ratio = np.abs(np.polyval(da[::-1], xs) / np.polyval(a[::-1], xs))
+                s = abs(np.vdot(dp, p)) / np.vdot(p, p).real
+                scale = b_flat * (ratio + s) * (kappa + _kappa(da, xs))
+                assert np.all(np.abs(f - f_flat) <= 1e-12 * scale + 1e-300)
+            else:
+                assert f is None
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_oracle_tensor_matches_mpmath(elliptic_bases, n):
+    # the same coefficients summed at 40 digits, at a handful of tensor nodes
+    ell, bases = elliptic_bases
+    basis = bases[n]
+    src = OracleSource(basis, ell)
+    angles = np.array([0.1, 1.3, 2.9, 4.4])
+    radii = np.array([0.05, 0.6, 1.4, 2.1])
+    for z in (0.3 + 0.1j, ell.boundary_point(2.0).p, ell.chi(1.6 * cmath.exp(0.4j))):
+        b, _ = src.berezin_tensor(z, angles, radii, False)
+        a = np.asarray(basis.coeffs).conj().T @ _poly_values(basis, z)
+        qz, log_rz = float(ell.Q(complex(z))), src.log_one_point(z)
+        for i, j in np.ndindex(b.shape):
+            w = radii[j] * cmath.exp(1j * angles[i])
+            x = w.conjugate() / basis.scale
+            with mpmath.workdps(40):
+                k = mpmath.polyval([mpmath.mpc(c) for c in a[::-1]], mpmath.mpc(x))
+                log_b = 2 * mpmath.log(abs(k)) - n * (qz + float(ell.Q(w))) - log_rz
+                ref = float(mpmath.exp(log_b))
+            if log_b < -700:
+                continue
+            kappa = float(_kappa(a, np.array([x]))[0])
+            assert abs(b[i, j] - ref) <= 1e-12 * kappa * ref
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e200])
+@pytest.mark.parametrize("entry", ["grid", "dbar_grid", "tensor_radius", "tensor_angle"])
+def test_oracle_source_rejects_bad_nodes(elliptic_bases, entry, bad):
+    # never a silent 0.0: the flat and tensor routes share one entry check
+    ell, bases = elliptic_bases
+    src = OracleSource(bases[20], ell)
+    ws = np.array([0.5 + 0.1j, complex(0.2, bad)])
+    good = np.array([0.0, 1.0])
+    call = {
+        "grid": lambda: src.berezin_grid(0.3, ws),
+        "dbar_grid": lambda: src.berezin_dbar_grid(0.3, ws),
+        "tensor_radius": lambda: src.berezin_tensor(0.3, good, np.array([0.5, bad]), False),
+        "tensor_angle": lambda: src.berezin_tensor(0.3, np.array([0.5, bad]), good, True),
+    }[entry]
+    with np.errstate(all="ignore"), pytest.raises(DomainError):
+        call()
