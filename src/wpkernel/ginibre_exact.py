@@ -8,16 +8,24 @@ determinantal ensemble with weight e^{-n|z|^2} is
 where E_n(zeta) = e^{-n zeta} * sum_{k<n} (n zeta)^k / k! is the partial
 exponential sum.  All magnitudes are tracked in log-polar form.
 
-The raw sum S = sum_{k<n} x^k / k!, x = n zeta, is evaluated from an endpoint
-of the series, following Szego's split (1924):
+The raw sum e_n(x) = sum_{k<n} x^k / k!, x = n zeta, is summed from an
+endpoint of the series, following Szego's split (1924), one set of window
+sums per side of |x| = n (`_side_sums`):
 
-- |zeta| >= 1: the terms grow up to k = n - 1, so S is summed downward from
-  the endpoint term x^{n-1}/(n-1)!, as that term times 1 + s1; s1, the terms
-  after the endpoint, is summed on its own, so S - x^{n-1}/(n-1)! needs no
+- |x| >= n: e_n is the endpoint term t = x^{n-1}/(n-1)! times s = 1 + s1,
+  s1 the terms after t, summed downward on its own, so e_n - t needs no
   subtraction;
-- |zeta| < 1: S = e^x - T, where the tail T = sum_{k>=n} x^k / k! decays from
-  the endpoint term x^n/n! and is summed upward; the two parts are combined
-  in log scale.
+- |x| < n: e_n = e^x - T, the tail T = sum_{k>=n} x^k / k! summed upward
+  from the endpoint term x^n/n!.
+
+One function (`_side_e_n`) turns either side's sums into e_n = e^{scale} c
+and log |e_n|; outside, the scale is log |t|.  Inside, the scalar and flat-array routes
+scale by max(Re x, log |x^n/n!|), which brings e^x or the tail's endpoint
+term to 1 and neither above, so e_n is resolved wherever it is representable
+(at n = 3832, x = 1916i, e_n ~ e^{1170} while e^{-|x|} e_n underflows); the
+ring route scales by the ring's |x|, one number per ring, which loses only
+values of B_n below its underflow flush.  The partial sum adds arg c, the
+Berezin routes r = e_{n-1}/e_n (`_ratio`).
 
 Only terms within e^{-40} of the endpoint term are summed.  The window length
 is a closed-form bound on the number of steps the term magnitudes need to
@@ -27,12 +35,11 @@ product, atan2) maps conjugate inputs to conjugate outputs exactly, so the
 kernel is Hermitian bit for bit.  The work is O(window) per point and the
 memory O(points) for any n.
 
-Over grids, B_n = |K_n(z, w)|^2 / K_n(z, z) and dbar_z B_n come from one set
-of sums per side of |x| = n, combined by one function (`_side_ratios`), on
-two routes: any array of w point by point (`_sums_and_ratios`), and a tensor
-w = s e^{i phi} ring by ring (`ginibre_berezin_tensor`), where every node of
-a ring shares |x| = n|z|s and so its window, and the sums of a group of rings
-are one matrix product.  The scalar `ginibre_berezin` goes through
+Over grids, B_n = |K_n(z, w)|^2 / K_n(z, z) and dbar_z B_n come from the same
+sums on two routes: any array of w point by point (`_sums_and_ratios`), and a
+tensor w = s e^{i phi} ring by ring (`ginibre_berezin_tensor`), where every
+node of a ring shares |x| = n|z|s and so its window, and the sums of a group
+of rings are one matrix product.  The scalar `ginibre_berezin` goes through
 `ginibre_kernel_exact` and is the independent reference.
 
 A continued-fraction evaluation of the upper incomplete gamma function
@@ -48,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PrecisionError, check_n
-from .scaled_numerics import LogComplex, _norm_arg, _norm_args, lc_mul
+from .scaled_numerics import LogComplex, _norm_arg, _norm_args, lc_mul, lc_sum
 
 # relative disagreement between summation and gamma routes that triggers
 # a hard failure of the internal cross-check
@@ -87,19 +94,6 @@ def _check_args(n, scale: float):
     check_n(n)
     if not math.isfinite(scale):
         raise DomainError("arguments must be finite and below the float64 overflow scale")
-
-
-def _log_diff(la, aa, lb, ab):
-    """(log_mag, arg) of e^{la + i aa} - e^{lb + i ab}; la, lb not both -inf."""
-    top = np.maximum(la, lb)
-    ea = np.exp(la - top)
-    eb = np.exp(lb - top)
-    re = ea * np.cos(aa) - eb * np.cos(ab)
-    im = ea * np.sin(aa) - eb * np.sin(ab)
-    mag = np.hypot(re, im)
-    nonzero = mag > 0.0
-    log_mag = np.where(nonzero, top + np.log(np.where(nonzero, mag, 1.0)), -np.inf)
-    return log_mag, np.where(nonzero, np.arctan2(im, re), 0.0)
 
 
 def _window_sums(q: np.ndarray, lengths: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -220,33 +214,48 @@ def _side_sums(n: int, x: np.ndarray, inner: bool):
     return lead, s1
 
 
-def _tail_sums(n: int, x: np.ndarray):
-    """(log_mag, arg) of the tail T = sum_{k>=n} x^k/k! for |x| < n; inside,
-    Szego's split gives e_n(x) = e^x - T."""
-    lead, s = _side_sums(n, x, True)
-    mag = np.abs(s)
-    nonzero = mag > 0.0
-    log_mag = np.where(nonzero, lead + np.log(np.where(nonzero, mag, 1.0)), -np.inf)
-    return log_mag, n * np.angle(x) + np.angle(s)
+def _side_e_n(n: int, inner: bool, lead, sums, scale, x_less_scale, arg_x):
+    """(log |e_n(x)|, c), e_n(x) = e^{scale} c, from one side's window sums
+    (`_side_sums`), the arguments broadcast against them.  Outer: scale =
+    lead, c = 1 + s1, never 0 (falling positive coefficients, |q| < 1), and
+    nothing else is read.  Inner: c = e^{x - scale} - e^{lead - scale}
+    omega^n sums, omega = e^{i arg x}, x_less_scale = x - scale (overwritten)."""
+    if not inner:
+        c = 1.0 + sums
+        return scale + np.log(np.abs(c)), c
+    c = np.exp(x_less_scale, out=x_less_scale)
+    tail = np.exp(lead - scale) * np.exp(1j * n * arg_x)
+    c -= np.multiply(tail, sums, out=tail)
+    with np.errstate(divide="ignore"):  # c is 0 where e_n(x) rounds to 0
+        return scale + np.log(np.abs(c)), c
+
+
+def _flat_sides(n: int, x: np.ndarray, abs_x: np.ndarray):
+    """(side, inner, arg x, sums, scale, log |e_n|, c) for each side of
+    |x| = n that holds points of the flat array x (`_side_e_n` on x[side]),
+    the inner scale max(Re x, lead)."""
+    inner_mask = abs_x < n
+    for inner, side in ((False, ~inner_mask), (True, inner_mask)):
+        if np.count_nonzero(side):  # a fraction of the cost of side.any()
+            xs = x[side]
+            arg_x = np.angle(xs)
+            lead, sums = _side_sums(n, xs, inner)
+            scale = np.maximum(xs.real, lead) if inner else lead
+            log_e, c = _side_e_n(n, inner, lead, sums, scale, xs - scale if inner else None, arg_x)
+            yield side, inner, arg_x, sums, scale, log_e, c
 
 
 def raw_partial_sum_array(n: int, zetas: np.ndarray):
     """(log_mag, arg) of sum_{k<n} (n zeta)^k / k! for an array of zeta."""
     zetas = np.asarray(zetas, dtype=complex).ravel()
     _check_args(n, n * _extent(zetas))
+    log_mag = np.empty(zetas.size)
+    arg = np.empty(zetas.size)
     x = n * zetas
-    inner = np.abs(x) < n
-    log_mag = np.empty(x.size)
-    arg = np.empty(x.size)
-    if inner.any():
-        xi = x[inner]
-        log_mag[inner], arg[inner] = _log_diff(xi.real, xi.imag, *_tail_sums(n, xi))
-    if not inner.all():
-        xo = x[~inner]
-        lead, s1 = _side_sums(n, xo, False)
-        s = 1.0 + s1
-        log_mag[~inner] = lead + np.log(np.abs(s))
-        arg[~inner] = (n - 1) * np.angle(xo) + np.angle(s)
+    for side, inner, arg_x, _, _, log_e, c in _flat_sides(n, x, np.abs(x)):
+        log_mag[side] = log_e
+        # outside, e^{scale} = |t| and arg t = (n-1) arg x
+        arg[side] = np.angle(c) if inner else (n - 1) * arg_x + np.angle(c)
     arg = _norm_args(arg)
     # a real x gives a real sum, whose computed arg is a rounded multiple of pi
     real_sign = np.where(np.abs(arg) > 0.5 * math.pi, math.pi, 0.0)
@@ -335,11 +344,13 @@ def partial_exp_sum_complement(n: int, zeta: complex) -> LogComplex:
     _check_args(n, n * _extent(zeta))
     x = n * zeta
     if abs(x) < n:
-        log_t, arg_t = _tail_sums(n, np.array([x]))
+        lead, sums = _side_sums(n, np.array([x]), True)
+        # T = e^{lead + i n arg x} sums; lead is -inf where the tail is dropped
+        log_t = lead + np.log(np.abs(sums))
+        arg_t = n * np.angle(x) + np.angle(sums)
         return LogComplex(float(log_t[0]) - x.real, float(arg_t[0]) - x.imag + math.pi)
     raw = _raw_partial_sum(n, zeta)
-    diff_mag, diff_arg = _log_diff(raw.log_mag - x.real, raw.arg - x.imag, 0.0, 0.0)
-    return LogComplex(float(diff_mag), float(diff_arg))
+    return lc_sum([LogComplex(raw.log_mag - x.real, raw.arg - x.imag), LogComplex(0.0, math.pi)])
 
 
 def ginibre_kernel_exact(n: int, z: complex, w: complex) -> GinibreKernelValue:
@@ -380,39 +391,24 @@ def ginibre_berezin(n: int, z: complex, w: complex) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _side_ratios(n: int, inner: bool, lead, sums, abs_x, arg_x):
-    """log |e_n(x)| and r(x) = e_{n-1}(x)/e_n(x) from one side's window sums
-    (`_side_sums`); lead, abs_x and arg_x broadcast against the sums.
+def _ratio(n: int, inner: bool, log_e, scale, c, sums, abs_x, arg_x):
+    """r(x) = e_{n-1}(x)/e_n(x) from `_side_e_n` (c is overwritten).
 
-    Outer (|x| >= n): e_n = t s with t the endpoint term x^{n-1}/(n-1)! and
-    s = 1 + s1, and e_{n-1} = t s1, so r = s1/s; writing r = 1 - 1/s would
-    cancel for large |x|.
-
-    Inner: e_n = e^x - T with the tail T = e^{lead} omega^n sums, omega =
-    e^{i arg x}, scaled by e^{-|x|}: d = e^{|x| (omega - 1)} - e^{lead - |x|}
-    omega^n sums, whose two parts are at most 1 and the window length, and
-    log |e_n| = |x| + log |d|.  Then r = 1 - t/e_n with t e^{-|x|} =
-    e^{log t - |x|} omega^{n-1}.  Where |d| <= 1e-300 the division is
-    skipped and r stays finite: B_n is below e^{-1300} there, far under its
-    underflow flush.
+    Outer: e_{n-1} = t s1, so r = s1/s; writing r = 1 - 1/s would cancel for
+    large |x|.  Inner: r = 1 - t/e_n with t e^{-scale} = e^{log t - scale}
+    omega^{n-1}.  Where |c| <= 1e-300 the division is skipped and r stays
+    finite: either route's scale is at most |x|, so |e_n| <= 1e-300 e^{|x|}
+    and B_n is below e^{-1300} there, far under its underflow flush.
     """
     if not inner:
-        s = 1.0 + sums
-        return lead + np.log(np.abs(s)), np.divide(sums, s, out=s)
-    d = abs_x * (np.exp(1j * arg_x) - 1.0)
-    np.exp(d, out=d)
-    tail = np.exp(lead - abs_x) * np.exp(1j * n * arg_x)
-    d -= np.multiply(tail, sums, out=tail)
-    mag = np.abs(d)
-    nonzero = mag > 0.0
-    log_e = np.where(nonzero, abs_x + np.log(np.where(nonzero, mag, 1.0)), -np.inf)
+        return np.divide(sums, c, out=c)
     if n == 1:
-        return log_e, np.zeros(d.shape, dtype=complex)  # e_0 = 0
+        return np.zeros(c.shape, dtype=complex)  # e_0 = 0
     with np.errstate(divide="ignore"):
         log_t = (n - 1) * np.log(abs_x / (n - 1)) + _log_kk_over_factorial(n - 1)
-    r = np.exp(log_t - abs_x) * np.exp(1j * (n - 1) * arg_x)
-    np.divide(r, d, out=r, where=mag > 1e-300)
-    return log_e, np.subtract(1.0, r, out=r)
+    r = np.exp(log_t - scale) * np.exp(1j * (n - 1) * arg_x)
+    np.divide(r, c, out=r, where=log_e > scale + math.log(1e-300))
+    return np.subtract(1.0, r, out=r)
 
 
 def _sums_and_ratios(n: int, x: np.ndarray):
@@ -421,12 +417,9 @@ def _sums_and_ratios(n: int, x: np.ndarray):
     log_e = np.empty(x.size)
     r = np.empty(x.size, dtype=complex)
     abs_x = np.abs(x)
-    for inner in (False, True):
-        side = (abs_x < n) == inner
-        if side.any():
-            xs = x[side]
-            log_e[side], r[side] = _side_ratios(n, inner, *_side_sums(n, xs, inner),
-                                                abs_x[side], np.angle(xs))
+    for side, inner, arg_x, sums, scale, side_log_e, c in _flat_sides(n, x, abs_x):
+        log_e[side] = side_log_e
+        r[side] = _ratio(n, inner, side_log_e, scale, c, sums, abs_x[side], arg_x)
     return log_e, r
 
 
@@ -472,6 +465,7 @@ def _ring_sums_and_ratios(n: int, abs_x: np.ndarray, omega: np.ndarray):
     """
     log_e = np.empty((abs_x.size, omega.size))
     r = np.empty(log_e.shape, dtype=complex)
+    arg = np.angle(omega)
     for inner in (False, True):
         rings = np.flatnonzero((abs_x < n) == inner)
         if rings.size:
@@ -479,8 +473,13 @@ def _ring_sums_and_ratios(n: int, abs_x: np.ndarray, omega: np.ndarray):
             # outer: s1 = the terms after the endpoint, from j = 1
             sums = _ring_window_sums(q, lengths, coeffs, omega if inner else np.conj(omega),
                                      0 if inner else 1)
-            log_e[rings], r[rings] = _side_ratios(n, inner, lead[:, None], sums,
-                                                  abs_x[rings, None], np.angle(omega))
+            ring_x, lead = abs_x[rings, None], lead[:, None]
+            # inside, the ring's |x| is the scale: x - |x| = |x| (omega - 1)
+            scale = ring_x if inner else lead
+            x_less_scale = ring_x * (np.exp(1j * arg) - 1.0) if inner else None
+            side_log_e, c = _side_e_n(n, inner, lead, sums, scale, x_less_scale, arg)
+            log_e[rings] = side_log_e
+            r[rings] = _ratio(n, inner, side_log_e, scale, c, sums, ring_x, arg)
     return log_e, r
 
 
@@ -573,8 +572,8 @@ def ginibre_lap_log_kernel(n: int, z: complex) -> float:
     if x == 0.0:
         return float(n)
     if x < n:
-        log_t, _ = _tail_sums(n, np.array([x], dtype=complex))
-        u = math.exp(float(log_t[0]) - x)
+        lead, sums = _side_sums(n, np.array([x], dtype=complex), True)
+        u = math.exp(float(lead[0]) - x) * abs(sums[0])
         p = math.exp((n - 1) * math.log(x / (n - 1)) + _log_kk_over_factorial(n - 1) - x)
         g = p / (1.0 - u)
         cut = g * (n - x) + x * g * g

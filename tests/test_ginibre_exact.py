@@ -117,6 +117,14 @@ def test_bulk_cancellation_matches_mpmath(n):
         assert rel_lc(_raw_partial_sum(n, zeta), mp_partial_sum(n, zeta)) < 5e-13
 
 
+@pytest.mark.parametrize("n", [1000, 4000])
+def test_inner_partial_sum_at_large_n_matches_mpmath(n):
+    # |x| exceeds Re x by up to n|zeta|: the inner sum must be scaled by
+    # max(Re x, lead), not by |x|, or e^{x - |x|} underflows at 0.5i
+    for zeta in [0.5j, 0.85j, 0.99j, -0.5, -0.3 + 0.6j]:
+        assert rel_lc(_raw_partial_sum(n, zeta), mp_partial_sum(n, zeta, dps=40)) <= 3e-12
+
+
 @pytest.mark.parametrize("zeta", [1.5, 2.0, 3 + 1j])
 @pytest.mark.parametrize("n", [50, 200])
 def test_gamma_route_agreement(zeta, n):
@@ -345,6 +353,7 @@ def test_hermitian_exact_property(n, z, w):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 6400), st.lists(_complex_in_box, min_size=1, max_size=6))
+@example(3832, [0.5j])  # e^{-|x|} e_n(x) underflows, e_n(x) ~ e^{1170} does not
 def test_scalar_array_agreement(n, zetas):
     mags, args = raw_partial_sum_array(n, np.array(zetas))
     for zeta, mag, arg in zip(zetas, mags, args):

@@ -390,10 +390,27 @@ def test_bad_input_raises_domain_error(call):
 
 
 def test_oracle_overflow_is_a_precision_error():
-    # the unweighted quartic basis sum at z = 2 is ~e^{n V(2)} = e^{754} at n = 400
+    # P_399(8) of the quartic basis at n = 400 carries (8/scale)^399 > e^{800}:
+    # the basis values themselves overflow
     basis = orthonormalize(compute_moments(_QUARTIC, 400, 399))
     with pytest.raises(PrecisionError):
-        kernel_oracle(basis, 2, 2)
+        kernel_oracle(basis, 8, 8)
+
+
+def test_oracle_kernel_past_the_unweighted_overflow():
+    # the unweighted sum at z = 2 is ~e^{n V(2)} = e^{754} at n = 400, past
+    # float64; the radial basis is diagonal, P_j = c_jj (z/scale)^j, so
+    # K(z, z) = sum_j |c_jj|^2 |z/scale|^{2j} e^{-n Q(z)} is exact in log scale
+    basis = orthonormalize(compute_moments(_QUARTIC, 400, 399))
+    z = 2.0
+    j = np.arange(400)
+    logs = (2.0 * np.log(np.abs(np.diag(basis.coeffs))) + 2.0 * j * math.log(z / basis.scale)
+            - 400 * float(_QUARTIC.Q(z)))
+    top = logs.max()
+    ref = top + math.log(np.sum(np.exp(logs - top)))
+    k = kernel_oracle(basis, z, z)
+    assert abs(k.log_mag - ref) <= 1e-12 * abs(ref)
+    assert k.arg == 0.0
 
 
 def test_degree_zero_elliptic_basis(ell):
