@@ -18,14 +18,12 @@ sums per side of |x| = n (`_side_sums`):
 - |x| < n: e_n = e^x - T, the tail T = sum_{k>=n} x^k / k! summed upward
   from the endpoint term x^n/n!.
 
-One function (`_side_e_n`) turns either side's sums into e_n = e^{scale} c
-and log |e_n|; outside, the scale is log |t|.  Inside, the scalar and flat-array routes
-scale by max(Re x, log |x^n/n!|), which brings e^x or the tail's endpoint
-term to 1 and neither above, so e_n is resolved wherever it is representable
-(at n = 3832, x = 1916i, e_n ~ e^{1170} while e^{-|x|} e_n underflows); the
-ring route scales by the ring's |x|, one number per ring, which loses only
-values of B_n below its underflow flush.  The partial sum adds arg c, the
-Berezin routes r = e_{n-1}/e_n (`_ratio`).
+Each side's sums become e_n = e^{scale} c in one place (`_outer_e_n`,
+`_inner_e_n`); outside, the scale is log |t|.  Inside, the partial sum and
+the flat grids scale by max(Re x, log |x^n/n!|), which brings e^x or the
+tail's endpoint term to 1 and neither above (at n = 3832, x = 1916i, e_n ~
+e^{1170} while e^{-|x|} e_n underflows); the ring route scales by the ring's
+|x|, one number per ring, which loses only values of B_n below its flush.
 
 Only terms within e^{-40} of the endpoint term are summed.  The window length
 is a closed-form bound on the number of steps the term magnitudes need to
@@ -214,49 +212,54 @@ def _side_sums(n: int, x: np.ndarray, inner: bool):
     return lead, s1
 
 
-def _side_e_n(n: int, inner: bool, lead, sums, scale, x_less_scale, arg_x):
-    """(log |e_n(x)|, c), e_n(x) = e^{scale} c, from one side's window sums
-    (`_side_sums`), the arguments broadcast against them.  Outer: scale =
-    lead, c = 1 + s1, never 0 (falling positive coefficients, |q| < 1), and
-    nothing else is read.  Inner: c = e^{x - scale} - e^{lead - scale}
-    omega^n sums, omega = e^{i arg x}, x_less_scale = x - scale (overwritten)."""
-    if not inner:
-        c = 1.0 + sums
-        return scale + np.log(np.abs(c)), c
-    c = np.exp(x_less_scale, out=x_less_scale)
-    tail = np.exp(lead - scale) * np.exp(1j * n * arg_x)
-    c -= np.multiply(tail, sums, out=tail)
+def _tail(n: int, sums, arg_x, weight=1.0):
+    """weight e^{-lead} T for the tail T = sum_{k>=n} x^k/k! = e^{lead + i n
+    arg x} sums inside |x| = n, sums its window (`_side_sums`)."""
+    return weight * np.exp(1j * n * arg_x) * sums
+
+
+def _inner_e_n(n: int, lead, sums, scale, x_less_scale, arg_x):
+    """(log |e_n(x)|, c) inside |x| = n, e_n(x) = e^x - T = e^{scale} c, from
+    the tail's window sums; x_less_scale = x - scale, all broadcast."""
+    c = np.exp(x_less_scale) - _tail(n, sums, arg_x, np.exp(lead - scale))
     with np.errstate(divide="ignore"):  # c is 0 where e_n(x) rounds to 0
         return scale + np.log(np.abs(c)), c
 
 
-def _flat_sides(n: int, x: np.ndarray, abs_x: np.ndarray):
-    """(side, inner, arg x, sums, scale, log |e_n|, c) for each side of
-    |x| = n that holds points of the flat array x (`_side_e_n` on x[side]),
-    the inner scale max(Re x, lead)."""
-    inner_mask = abs_x < n
-    for inner, side in ((False, ~inner_mask), (True, inner_mask)):
-        if np.count_nonzero(side):  # a fraction of the cost of side.any()
-            xs = x[side]
-            arg_x = np.angle(xs)
-            lead, sums = _side_sums(n, xs, inner)
-            scale = np.maximum(xs.real, lead) if inner else lead
-            log_e, c = _side_e_n(n, inner, lead, sums, scale, xs - scale if inner else None, arg_x)
-            yield side, inner, arg_x, sums, scale, log_e, c
+def _outer_e_n(lead, s1):
+    """(log |e_n(x)|, s) outside |x| = n, e_n(x) = t s, s = 1 + s1, log |t| =
+    lead (`_side_sums`); s has no zero (falling positive coefficients, |q| < 1)."""
+    s = 1.0 + s1
+    return lead + np.log(np.abs(s)), s
+
+
+def _flat_e_n(n: int, x: np.ndarray):
+    """(inner, log |e_n(x)|, c, sums, scale) over a flat array x, inner the
+    points with |x| < n and sums each side's window sums: e_n = e^{scale} c
+    inside, scale = max(Re x, lead), and t c outside, scale = lead."""
+    inner = np.abs(x) < n
+    outer = ~inner
+    log_e, scale = np.empty(x.size), np.empty(x.size)
+    c, sums = np.empty(x.size, dtype=complex), np.empty(x.size, dtype=complex)
+    if np.count_nonzero(outer):  # a fraction of the cost of outer.any()
+        scale[outer], sums[outer] = _side_sums(n, x[outer], False)
+        log_e[outer], c[outer] = _outer_e_n(scale[outer], sums[outer])
+    if np.count_nonzero(inner):
+        xs = x[inner]
+        lead, sums[inner] = _side_sums(n, xs, True)
+        scale[inner] = s = np.maximum(xs.real, lead)
+        log_e[inner], c[inner] = _inner_e_n(n, lead, sums[inner], s, xs - s, np.angle(xs))
+    return inner, log_e, c, sums, scale
 
 
 def raw_partial_sum_array(n: int, zetas: np.ndarray):
     """(log_mag, arg) of sum_{k<n} (n zeta)^k / k! for an array of zeta."""
     zetas = np.asarray(zetas, dtype=complex).ravel()
     _check_args(n, n * _extent(zetas))
-    log_mag = np.empty(zetas.size)
-    arg = np.empty(zetas.size)
     x = n * zetas
-    for side, inner, arg_x, _, _, log_e, c in _flat_sides(n, x, np.abs(x)):
-        log_mag[side] = log_e
-        # outside, e^{scale} = |t| and arg t = (n-1) arg x
-        arg[side] = np.angle(c) if inner else (n - 1) * arg_x + np.angle(c)
-    arg = _norm_args(arg)
+    inner, log_mag, c, _, _ = _flat_e_n(n, x)
+    # outside, arg t = (n-1) arg x
+    arg = _norm_args(np.angle(c) + np.where(inner, 0.0, (n - 1) * np.angle(x)))
     # a real x gives a real sum, whose computed arg is a rounded multiple of pi
     real_sign = np.where(np.abs(arg) > 0.5 * math.pi, math.pi, 0.0)
     return log_mag, np.where(zetas.imag == 0.0, real_sign, arg)
@@ -345,10 +348,9 @@ def partial_exp_sum_complement(n: int, zeta: complex) -> LogComplex:
     x = n * zeta
     if abs(x) < n:
         lead, sums = _side_sums(n, np.array([x]), True)
-        # T = e^{lead + i n arg x} sums; lead is -inf where the tail is dropped
-        log_t = lead + np.log(np.abs(sums))
-        arg_t = n * np.angle(x) + np.angle(sums)
-        return LogComplex(float(log_t[0]) - x.real, float(arg_t[0]) - x.imag + math.pi)
+        tail = _tail(n, sums[0], np.angle(x))  # e^{-lead} T; lead = -inf: T dropped
+        return LogComplex(float(lead[0]) + math.log(abs(tail)) - x.real,
+                          float(np.angle(tail)) - x.imag + math.pi)
     raw = _raw_partial_sum(n, zeta)
     return lc_sum([LogComplex(raw.log_mag - x.real, raw.arg - x.imag), LogComplex(0.0, math.pi)])
 
@@ -391,17 +393,11 @@ def ginibre_berezin(n: int, z: complex, w: complex) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _ratio(n: int, inner: bool, log_e, scale, c, sums, abs_x, arg_x):
-    """r(x) = e_{n-1}(x)/e_n(x) from `_side_e_n` (c is overwritten).
-
-    Outer: e_{n-1} = t s1, so r = s1/s; writing r = 1 - 1/s would cancel for
-    large |x|.  Inner: r = 1 - t/e_n with t e^{-scale} = e^{log t - scale}
-    omega^{n-1}.  Where |c| <= 1e-300 the division is skipped and r stays
-    finite: either route's scale is at most |x|, so |e_n| <= 1e-300 e^{|x|}
-    and B_n is below e^{-1300} there, far under its underflow flush.
-    """
-    if not inner:
-        return np.divide(sums, c, out=c)
+def _inner_ratio(n: int, log_e, scale, c, abs_x, arg_x):
+    """r(x) = e_{n-1}(x)/e_n(x) = 1 - t/e_n inside |x| = n from `_inner_e_n`,
+    t e^{-scale} = e^{log t - scale} omega^{n-1}.  Where |c| <= 1e-300 the
+    division is skipped and r stays finite: every scale is at most |x|, so
+    |e_n| <= 1e-300 e^{|x|} and B_n is below e^{-1300} there, under its flush."""
     if n == 1:
         return np.zeros(c.shape, dtype=complex)  # e_0 = 0
     with np.errstate(divide="ignore"):
@@ -413,13 +409,12 @@ def _ratio(n: int, inner: bool, log_e, scale, c, sums, abs_x, arg_x):
 
 def _sums_and_ratios(n: int, x: np.ndarray):
     """log |e_n(x)| and r(x) = e_{n-1}(x)/e_n(x), e_n(x) = sum_{k<n} x^k/k!,
-    over a flat array of x."""
-    log_e = np.empty(x.size)
-    r = np.empty(x.size, dtype=complex)
-    abs_x = np.abs(x)
-    for side, inner, arg_x, sums, scale, side_log_e, c in _flat_sides(n, x, abs_x):
-        log_e[side] = side_log_e
-        r[side] = _ratio(n, inner, side_log_e, scale, c, sums, abs_x[side], arg_x)
+    over a flat array of x; outside |x| = n, e_{n-1} = t s1, so r = s1/s,
+    where r = 1 - 1/s would cancel for large |x|."""
+    inner, log_e, c, sums, scale = _flat_e_n(n, x)
+    r = np.divide(sums, c, out=sums, where=~inner)
+    xs = x[inner]
+    r[inner] = _inner_ratio(n, log_e[inner], scale[inner], c[inner], np.abs(xs), np.angle(xs))
     return log_e, r
 
 
@@ -474,12 +469,13 @@ def _ring_sums_and_ratios(n: int, abs_x: np.ndarray, omega: np.ndarray):
             sums = _ring_window_sums(q, lengths, coeffs, omega if inner else np.conj(omega),
                                      0 if inner else 1)
             ring_x, lead = abs_x[rings, None], lead[:, None]
-            # inside, the ring's |x| is the scale: x - |x| = |x| (omega - 1)
-            scale = ring_x if inner else lead
-            x_less_scale = ring_x * (np.exp(1j * arg) - 1.0) if inner else None
-            side_log_e, c = _side_e_n(n, inner, lead, sums, scale, x_less_scale, arg)
-            log_e[rings] = side_log_e
-            r[rings] = _ratio(n, inner, side_log_e, scale, c, sums, ring_x, arg)
+            if inner:  # the ring's |x| is the scale: x - |x| = |x| (omega - 1)
+                log_e[rings], c = _inner_e_n(n, lead, sums, ring_x,
+                                             ring_x * (np.exp(1j * arg) - 1.0), arg)
+                r[rings] = _inner_ratio(n, log_e[rings], ring_x, c, ring_x, arg)
+            else:
+                log_e[rings], s = _outer_e_n(lead, sums)
+                r[rings] = np.divide(sums, s, out=s)
     return log_e, r
 
 
@@ -572,10 +568,9 @@ def ginibre_lap_log_kernel(n: int, z: complex) -> float:
     if x == 0.0:
         return float(n)
     if x < n:
-        lead, sums = _side_sums(n, np.array([x], dtype=complex), True)
-        u = math.exp(float(lead[0]) - x) * abs(sums[0])
+        _, c = _inner_e_n(n, *_side_sums(n, np.array([x], dtype=complex), True), x, 0j, 0.0)
         p = math.exp((n - 1) * math.log(x / (n - 1)) + _log_kk_over_factorial(n - 1) - x)
-        g = p / (1.0 - u)
+        g = p / c[0].real  # c = e^{-x} e_n = 1 - u
         cut = g * (n - x) + x * g * g
         if cut < 0.5:
             return n * (1.0 - cut)

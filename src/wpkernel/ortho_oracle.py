@@ -185,27 +185,22 @@ def _poly_derivatives(basis: OrthonormalBasis, z: complex) -> np.ndarray:
 
 
 def kernel_oracle(basis: OrthonormalBasis, z: complex, w: complex) -> LogComplex:
-    """Exact kernel K_n(z, w) = sum_j W_j(z) conj(W_j(w)) in log-polar form.
-
-    Where the unweighted sum overflows, P_j(z) and P_j(w) are scaled by
-    powers of two, which is exact, and the sum is formed again: only a P_j
-    that itself overflows raises PrecisionError.
-    """
+    """Exact kernel K_n(z, w) = sum_j W_j(z) conj(W_j(w)) in log-polar form;
+    P_j(z) and P_j(w) are scaled by powers of two before their product, so
+    only a P_j that itself overflows raises PrecisionError."""
     z = complex(z)
     w = complex(w)
     check_finite(z, w)
     half_weights = -0.5 * basis.n * (float(basis.pot.Q(z)) + float(basis.pot.Q(w)))
     with np.errstate(over="ignore", invalid="ignore"):
         pz, pw = _poly_values(basis, z), _poly_values(basis, w)
-        s, k = complex(np.sum(pz * np.conj(pw))), 0
-        if not cmath.isfinite(s):
-            kz, kw = (math.frexp(float(np.abs(p).max()))[1] for p in (pz, pw))
-            s, k = complex(np.sum((pz * 2.0 ** -kz) * np.conj(pw * 2.0 ** -kw))), kz + kw
+        kz, kw = (math.frexp(float(np.abs(p).max()))[1] for p in (pz, pw))
+        s = complex(np.sum((pz * 2.0 ** -kz) * np.conj(pw * 2.0 ** -kw)))
     if not cmath.isfinite(s):
         raise PrecisionError("the basis values P_j overflow float64")
     if s == 0:
         return LC_ZERO
-    return LogComplex(math.log(abs(s)) + k * math.log(2.0) + half_weights,
+    return LogComplex(math.log(abs(s)) + (kz + kw) * math.log(2.0) + half_weights,
                       math.atan2(s.imag, s.real))
 
 
