@@ -77,11 +77,6 @@ def _make_potential(args):
         if belt_m <= 0:
             raise ConfigError("M must be positive")
         pot.delta_M = belt_m
-    rho0 = getattr(args, "rho0", None)
-    if rho0 is not None:
-        if not (0.0 < rho0 < 1.0):
-            raise ConfigError("rho0 must lie in (0, 1)")
-        pot.rho0 = rho0
     return pot
 
 
@@ -366,8 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--profile", default="quartic")
             p.add_argument("--M", dest="belt_M", type=float, default=1.0,
                            help="constant M in the belt width delta_n")
-            p.add_argument("--rho0", type=float, default=0.5,
-                           help="pullback radius of the excluded compact")
 
     p = sub.add_parser("classify", help="region labels for a CSV of points")
     p.add_argument("--points", required=True)

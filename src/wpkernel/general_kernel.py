@@ -35,7 +35,6 @@ import numpy as np
 
 from .errors import BeltError, DomainError, RegimeError, check_finite, check_n
 from .hardy import harmonic_measure_density, szego_kernel
-from .ortho_oracle import _ginibre_enveloped_log_w
 from .potential import AdmissiblePotential, BoundaryPoint, harmonic_extension
 from .scaled_numerics import LogComplex, _norm_arg, _norm_args, lc_sum_scaled_parts
 
@@ -68,8 +67,7 @@ class KernelAsymptotic:
     z: complex
     w: complex
     value: LogComplex
-    regime: str          # "boundary" or "exterior_belt"
-    beta_claimed: float  # decay exponent reported for the relative error
+    regime: str  # "boundary" or "exterior_belt"
 
 
 def _require_belt(pot: AdmissiblePotential, n: int, z: complex, label: str):
@@ -82,8 +80,12 @@ def _require_belt(pot: AdmissiblePotential, n: int, z: complex, label: str):
 
 
 def kernel_asymptotic(pot: AdmissiblePotential, n: int, z: complex, w: complex,
-                      eta: float = 0.05, beta_claimed: float = 0.2) -> KernelAsymptotic:
-    """Leading Szego-type approximation of K_n(z, w) in log-polar form."""
+                      eta: float = 0.05) -> KernelAsymptotic:
+    """Leading Szego-type approximation of K_n(z, w) in log-polar form.
+
+    S(z, w) is the closed form of `szego_kernel` continued across the
+    boundary, so the belt points just inside the droplet are answered too.
+    """
     check_n(n)
     z = complex(z)
     w = complex(w)
@@ -102,7 +104,7 @@ def kernel_asymptotic(pot: AdmissiblePotential, n: int, z: complex, w: complex,
         - 0.5 * n * (float(pot.Q(z)) + float(pot.Q(w)))
         + 0.5 * (pot.script_H(z, 1.0) + pot.script_H(w, 1.0).conjugate())
     )
-    s = szego_kernel(pot, z, w)
+    s = pot.sqrt_dphi(z, 1.0) * pot.sqrt_dphi(w, 1.0).conjugate() / (2.0 * math.pi * (prod - 1.0))
     log_mag = (
         0.5 * math.log(2.0 * math.pi * n)
         + expo.real
@@ -115,7 +117,6 @@ def kernel_asymptotic(pot: AdmissiblePotential, n: int, z: complex, w: complex,
         n=n, z=z, w=w,
         value=LogComplex(log_mag, arg),
         regime="boundary" if boundary else "exterior_belt",
-        beta_claimed=beta_claimed,
     )
 
 
@@ -279,15 +280,12 @@ class LowDegreeReport:
 
 
 def lowdeg_bound_check(pot: AdmissiblePotential, n: int, z: complex) -> LowDegreeReport:
-    """Scaled size of the discarded low-degree terms (Ginibre closed form).
+    """Scaled size of the discarded low-degree terms, from the closed-form
+    basis of `pot.enveloped_log_w` (DomainError without one).
 
-    The weighted orthonormal polynomials of Q = |z|^2 are
-    sqrt(n^{j+1}/j!) z^j e^{-n|z|^2/2}; degrees below n theta_n are
-    uniformly exp(-c log^2 n) small near the exterior after removing the
-    obstacle-function envelope.
+    Degrees below n theta_n are uniformly exp(-c log^2 n) small near the
+    exterior after removing the obstacle-function envelope.
     """
-    if not getattr(pot, "name", "") == "ginibre":
-        raise DomainError("closed-form low-degree check is specific to the Ginibre potential")
     z = complex(z)
     _require_belt(pot, n, z, "z")
     cuts = sequence_cuts(n, pot.delta_M)
@@ -295,7 +293,7 @@ def lowdeg_bound_check(pot: AdmissiblePotential, n: int, z: complex) -> LowDegre
     best = -math.inf
     best_j = 0
     for j in range(j_cut + 1):
-        val = _ginibre_enveloped_log_w(n, j, z, 1.0)
+        val = pot.enveloped_log_w(n, j, z, 1.0)
         if val > best:
             best = val
             best_j = j

@@ -18,12 +18,13 @@ sums per side of |x| = n (`_side_sums`):
 - |x| < n: e_n = e^x - T, the tail T = sum_{k>=n} x^k / k! summed upward
   from the endpoint term x^n/n!.
 
-Each side's sums become e_n = e^{scale} c in one place (`_outer_e_n`,
-`_inner_e_n`); outside, the scale is log |t|.  Inside, the partial sum and
-the flat grids scale by max(Re x, log |x^n/n!|), which brings e^x or the
-tail's endpoint term to 1 and neither above (at n = 3832, x = 1916i, e_n ~
-e^{1170} while e^{-|x|} e_n underflows); the ring route scales by the ring's
-|x|, one number per ring, which loses only values of B_n below its flush.
+Each side's sums become e_n = e^{scale} c and the ratio r = e_{n-1}/e_n in
+one place (`_outer_e_n`, `_inner_e_n`); outside, the scale is log |t|.
+Inside, the partial sum and the flat grids scale by max(Re x, log |x^n/n!|),
+which brings e^x or the tail's endpoint term to 1 and neither above (at
+n = 3832, x = 1916i, e_n ~ e^{1170} while e^{-|x|} e_n underflows); the ring
+route scales by the ring's |x|, one number per ring, which loses only values
+of B_n below its flush.
 
 Only terms within e^{-40} of the endpoint term are summed.  The window length
 is a closed-form bound on the number of steps the term magnitudes need to
@@ -34,7 +35,7 @@ kernel is Hermitian bit for bit.  The work is O(window) per point and the
 memory O(points) for any n.
 
 Over grids, B_n = |K_n(z, w)|^2 / K_n(z, z) and dbar_z B_n come from the same
-sums on two routes: any array of w point by point (`_sums_and_ratios`), and a
+sums on two routes: any array of w point by point (`_flat_e_n`), and a
 tensor w = s e^{i phi} ring by ring (`ginibre_berezin_tensor`), where every
 node of a ring shares |x| = n|z|s and so its window, and the sums of a group
 of rings are one matrix product.  The scalar `ginibre_berezin` goes through
@@ -218,38 +219,48 @@ def _tail(n: int, sums, arg_x, weight=1.0):
     return weight * np.exp(1j * n * arg_x) * sums
 
 
-def _inner_e_n(n: int, lead, sums, scale, x_less_scale, arg_x):
-    """(log |e_n(x)|, c) inside |x| = n, e_n(x) = e^x - T = e^{scale} c, from
-    the tail's window sums; x_less_scale = x - scale, all broadcast."""
+def _inner_e_n(n: int, lead, sums, scale, x_less_scale, abs_x, arg_x):
+    """(log |e_n(x)|, c, r) inside |x| = n: e_n(x) = e^x - T = e^{scale} c from
+    the tail's window sums, x_less_scale = x - scale, and r = e_{n-1}/e_n =
+    1 - t/e_n, t = x^{n-1}/(n-1)!, all broadcast.  Where |c| <= 1e-300 the
+    division is skipped and r stays finite: every scale is at most |x|, so
+    |e_n| <= 1e-300 e^{|x|} and B_n is below e^{-1300} there, under its flush."""
     c = np.exp(x_less_scale) - _tail(n, sums, arg_x, np.exp(lead - scale))
     with np.errstate(divide="ignore"):  # c is 0 where e_n(x) rounds to 0
-        return scale + np.log(np.abs(c)), c
+        log_e = scale + np.log(np.abs(c))
+        if n == 1:
+            return log_e, c, np.zeros(c.shape, dtype=complex)  # e_0 = 0
+        log_t = (n - 1) * np.log(abs_x / (n - 1)) + _log_kk_over_factorial(n - 1)
+    r = np.exp(log_t - scale) * np.exp(1j * (n - 1) * arg_x)
+    np.divide(r, c, out=r, where=log_e > scale + math.log(1e-300))
+    return log_e, c, np.subtract(1.0, r, out=r)
 
 
 def _outer_e_n(lead, s1):
-    """(log |e_n(x)|, s) outside |x| = n, e_n(x) = t s, s = 1 + s1, log |t| =
-    lead (`_side_sums`); s has no zero (falling positive coefficients, |q| < 1)."""
+    """(log |e_n(x)|, s, r) outside |x| = n, e_n(x) = t s, s = 1 + s1, log |t| =
+    lead (`_side_sums`); s has no zero (falling positive coefficients, |q| < 1).
+    r = e_{n-1}/e_n = s1/s, as e_{n-1} = t s1; 1 - 1/s would cancel for large |x|."""
     s = 1.0 + s1
-    return lead + np.log(np.abs(s)), s
+    return lead + np.log(np.abs(s)), s, s1 / s
 
 
 def _flat_e_n(n: int, x: np.ndarray):
-    """(inner, log |e_n(x)|, c, sums, scale) over a flat array x, inner the
-    points with |x| < n and sums each side's window sums: e_n = e^{scale} c
-    inside, scale = max(Re x, lead), and t c outside, scale = lead."""
+    """(inner, log |e_n(x)|, c, r) over a flat array x, inner the points with
+    |x| < n: e_n = e^{scale} c inside, scale = max(Re x, lead), and t c
+    outside, log |t| = lead."""
     inner = np.abs(x) < n
     outer = ~inner
-    log_e, scale = np.empty(x.size), np.empty(x.size)
-    c, sums = np.empty(x.size, dtype=complex), np.empty(x.size, dtype=complex)
+    log_e = np.empty(x.size)
+    c, r = np.empty(x.size, dtype=complex), np.empty(x.size, dtype=complex)
     if np.count_nonzero(outer):  # a fraction of the cost of outer.any()
-        scale[outer], sums[outer] = _side_sums(n, x[outer], False)
-        log_e[outer], c[outer] = _outer_e_n(scale[outer], sums[outer])
+        log_e[outer], c[outer], r[outer] = _outer_e_n(*_side_sums(n, x[outer], False))
     if np.count_nonzero(inner):
         xs = x[inner]
-        lead, sums[inner] = _side_sums(n, xs, True)
-        scale[inner] = s = np.maximum(xs.real, lead)
-        log_e[inner], c[inner] = _inner_e_n(n, lead, sums[inner], s, xs - s, np.angle(xs))
-    return inner, log_e, c, sums, scale
+        lead, sums = _side_sums(n, xs, True)
+        s = np.maximum(xs.real, lead)
+        log_e[inner], c[inner], r[inner] = _inner_e_n(n, lead, sums, s, xs - s,
+                                                      np.abs(xs), np.angle(xs))
+    return inner, log_e, c, r
 
 
 def raw_partial_sum_array(n: int, zetas: np.ndarray):
@@ -257,7 +268,7 @@ def raw_partial_sum_array(n: int, zetas: np.ndarray):
     zetas = np.asarray(zetas, dtype=complex).ravel()
     _check_args(n, n * _extent(zetas))
     x = n * zetas
-    inner, log_mag, c, _, _ = _flat_e_n(n, x)
+    inner, log_mag, c, _ = _flat_e_n(n, x)
     # outside, arg t = (n-1) arg x
     arg = _norm_args(np.angle(c) + np.where(inner, 0.0, (n - 1) * np.angle(x)))
     # a real x gives a real sum, whose computed arg is a rounded multiple of pi
@@ -393,31 +404,6 @@ def ginibre_berezin(n: int, z: complex, w: complex) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _inner_ratio(n: int, log_e, scale, c, abs_x, arg_x):
-    """r(x) = e_{n-1}(x)/e_n(x) = 1 - t/e_n inside |x| = n from `_inner_e_n`,
-    t e^{-scale} = e^{log t - scale} omega^{n-1}.  Where |c| <= 1e-300 the
-    division is skipped and r stays finite: every scale is at most |x|, so
-    |e_n| <= 1e-300 e^{|x|} and B_n is below e^{-1300} there, under its flush."""
-    if n == 1:
-        return np.zeros(c.shape, dtype=complex)  # e_0 = 0
-    with np.errstate(divide="ignore"):
-        log_t = (n - 1) * np.log(abs_x / (n - 1)) + _log_kk_over_factorial(n - 1)
-    r = np.exp(log_t - scale) * np.exp(1j * (n - 1) * arg_x)
-    np.divide(r, c, out=r, where=log_e > scale + math.log(1e-300))
-    return np.subtract(1.0, r, out=r)
-
-
-def _sums_and_ratios(n: int, x: np.ndarray):
-    """log |e_n(x)| and r(x) = e_{n-1}(x)/e_n(x), e_n(x) = sum_{k<n} x^k/k!,
-    over a flat array of x; outside |x| = n, e_{n-1} = t s1, so r = s1/s,
-    where r = 1 - 1/s would cancel for large |x|."""
-    inner, log_e, c, sums, scale = _flat_e_n(n, x)
-    r = np.divide(sums, c, out=sums, where=~inner)
-    xs = x[inner]
-    r[inner] = _inner_ratio(n, log_e[inner], scale[inner], c[inner], np.abs(xs), np.angle(xs))
-    return log_e, r
-
-
 def _ring_window_sums(q: np.ndarray, lengths: np.ndarray, coeffs: np.ndarray,
                       omega: np.ndarray, first: int) -> np.ndarray:
     """sum_{first<=j<L} coeffs[j] (q omega)^j for every ring (q >= 0, L) and
@@ -469,13 +455,10 @@ def _ring_sums_and_ratios(n: int, abs_x: np.ndarray, omega: np.ndarray):
             sums = _ring_window_sums(q, lengths, coeffs, omega if inner else np.conj(omega),
                                      0 if inner else 1)
             ring_x, lead = abs_x[rings, None], lead[:, None]
-            if inner:  # the ring's |x| is the scale: x - |x| = |x| (omega - 1)
-                log_e[rings], c = _inner_e_n(n, lead, sums, ring_x,
-                                             ring_x * (np.exp(1j * arg) - 1.0), arg)
-                r[rings] = _inner_ratio(n, log_e[rings], ring_x, c, ring_x, arg)
-            else:
-                log_e[rings], s = _outer_e_n(lead, sums)
-                r[rings] = np.divide(sums, s, out=s)
+            # inside, the ring's |x| is the scale: x - |x| = |x| (omega - 1)
+            log_e[rings], _, r[rings] = (
+                _inner_e_n(n, lead, sums, ring_x, ring_x * (np.exp(1j * arg) - 1.0), ring_x, arg)
+                if inner else _outer_e_n(lead, sums))
     return log_e, r
 
 
@@ -486,8 +469,8 @@ def _berezin_and_ratios(n: int, z: complex, ws: np.ndarray):
     scale = _extent(z) + _extent(ws)
     _check_args(n, n * scale * scale)
     flat = ws.ravel()
-    log_e, r = _sums_and_ratios(n, n * (z * np.conj(flat)))
-    log_d, r_d = _sums_and_ratios(n, np.array([n * abs(z) ** 2], dtype=complex))
+    _, log_e, _, r = _flat_e_n(n, n * (z * np.conj(flat)))
+    _, log_d, _, r_d = _flat_e_n(n, np.array([n * abs(z) ** 2], dtype=complex))
     log_b = math.log(n) + 2.0 * log_e - n * np.abs(flat) ** 2 - log_d[0]
     b = np.where(log_b > -745.0, np.exp(log_b), 0.0)
     return flat, b, r, r_d[0].real
@@ -533,7 +516,7 @@ def ginibre_berezin_tensor(n: int, z: complex, angles: np.ndarray, radii: np.nda
     _check_args(n, n * scale * scale + _extent(angles))
     omega = np.exp(1j * (math.atan2(z.imag, z.real) - angles))
     log_e, r = _ring_sums_and_ratios(n, n * abs(z) * radii, omega)
-    log_d, r_d = _sums_and_ratios(n, np.array([n * abs(z) ** 2], dtype=complex))
+    _, log_d, _, r_d = _flat_e_n(n, np.array([n * abs(z) ** 2], dtype=complex))
     log_b = np.multiply(log_e, 2.0, out=log_e).T  # (angles, radii) from here on
     log_b += (math.log(n) - log_d[0]) - n * radii ** 2
     b = np.zeros(log_b.shape)
@@ -568,7 +551,7 @@ def ginibre_lap_log_kernel(n: int, z: complex) -> float:
     if x == 0.0:
         return float(n)
     if x < n:
-        _, c = _inner_e_n(n, *_side_sums(n, np.array([x], dtype=complex), True), x, 0j, 0.0)
+        _, _, c, _ = _flat_e_n(n, np.array([x], dtype=complex))  # scale x: e^x > x^n/n!
         p = math.exp((n - 1) * math.log(x / (n - 1)) + _log_kk_over_factorial(n - 1) - x)
         g = p / c[0].real  # c = e^{-x} e_n = 1 - u
         cut = g * (n - x) + x * g * g

@@ -74,6 +74,16 @@ def test_kernel_modes(tmp_path):
         assert abs(float(line.split(",")[1]) - 1.0) < 0.25
 
 
+def test_kernel_all_modes_inside_the_belt(tmp_path):
+    # z = 0.97 lies inside the droplet but within the belt at n = 400:
+    # every mode answers, the asymptotic one included
+    out = tmp_path / "kernel.csv"
+    assert run(["kernel", "--n", "400", "--z", "0.97,0", "--w", "0,1", "--mode", "all",
+                "--out", str(out)]) == 0
+    modes = [line.split(",")[0] for line in out.read_text().splitlines()[2:5]]
+    assert modes == ["asymptotic", "oracle", "tail"]
+
+
 def test_elliptic_oracle_uses_hermite_route(tmp_path):
     # n = 60 is past the float64 Gram budget; the elliptic oracle needs no Gram matrix
     out = tmp_path / "kernel.csv"
@@ -93,6 +103,13 @@ def test_elliptic_oracle_uses_hermite_route(tmp_path):
 def test_precision_flag_is_gone(command, capsys):
     with pytest.raises(SystemExit) as exc:
         run(command + ["--precision", "native"])
+    assert exc.value.code == 2
+
+
+def test_rho0_flag_is_gone():
+    # no subcommand reads pot.rho0, so the flag changed only the config hash
+    with pytest.raises(SystemExit) as exc:
+        run(["kernel", "--n", "12", "--z", "1.3,0", "--w", "1.2,0", "--rho0", "0.4"])
     assert exc.value.code == 2
 
 

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import timeit
 
@@ -368,6 +369,18 @@ def test_boundary_law_large_n(ell):
     assert errs[2] < 1e-3
 
 
+def test_inside_belt_error_falls_like_one_over_n(gin, ell):
+    # belt points up to delta_n inside the droplet: S(z, w) is continued
+    # across the boundary, and the relative error still falls like 1/n
+    bp = ell.boundary_point(0.3, 1.0)
+    for pot, z, w in ((ell, bp.p - 0.01 * bp.normal, ell.boundary_point(2.0, 1.0).p),
+                      (gin, 0.97, 1j)):
+        assert abs(pot.phi(z, 1.0)) < 1.0
+        errs = [rel_lc(kernel_asymptotic(pot, n, z, w).value, pot.exact_kernel(n)(z, w))
+                for n in (100, 400, 1600)]
+        assert errs[1] < 0.3 * errs[0] and errs[2] < 0.3 * errs[1]
+
+
 def test_f_factor_invariants(gin, ell):
     for pot in (gin, ell):
         assert f_factor(pot, 1.0, 2.0 + 1.0j) == pytest.approx(1.0 + 0j, abs=1e-12)
@@ -416,3 +429,10 @@ def test_lowdeg_bound_check(gin):
     # deep exterior: negligible on every relevant scale
     deep = lowdeg_bound_check(gin, 100, 3.0)
     assert deep.max_scaled < 1e-20
+
+
+def test_lowdeg_bound_check_follows_the_class_not_the_name():
+    # a quartic profile named "ginibre" has no closed-form basis
+    quartic = make_radial(dataclasses.replace(QUARTIC, name="ginibre"))
+    with pytest.raises(DomainError):
+        lowdeg_bound_check(quartic, 100, 1.2)

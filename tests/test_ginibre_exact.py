@@ -21,8 +21,8 @@ from wpkernel import (
     partial_exp_sum_gamma_route,
 )
 from wpkernel.ginibre_exact import (
+    _flat_e_n,
     _raw_partial_sum,
-    _sums_and_ratios,
     ginibre_berezin_array,
     ginibre_berezin_dbar_array,
     ginibre_berezin_tensor,
@@ -314,7 +314,7 @@ def test_outer_ratio_keeps_relative_precision(n):
     # r = e_{n-1}/e_n = s1/(1 + s1) outside |x| = n: about n/x far out, where
     # 1 - 1/s would keep only eps/r of it
     xs = n * np.array([10.0, 1e3, 1e6, 1e6 * cmath.exp(2.5j), 1e9j])
-    _, r = _sums_and_ratios(n, xs)
+    _, _, _, r = _flat_e_n(n, xs)
     for x, val in zip(xs, r):
         e1, e = _mp_e_pair(n, complex(x))
         ref = complex(e1 / e)
@@ -355,9 +355,17 @@ def test_hermitian_exact_property(n, z, w):
 @given(st.integers(1, 6400), st.lists(_complex_in_box, min_size=1, max_size=6))
 @example(3832, [0.5j])  # e^{-|x|} e_n(x) underflows, e_n(x) ~ e^{1170} does not
 def test_scalar_array_agreement(n, zetas):
+    # the array route against mpmath: logarithms up to L = n |zeta| + log n!
+    # round to eps L, and inside |x| = n, e_n = e^x - T loses the ratio of
+    # the larger of e^x and the tail's endpoint term x^n/n! to |e_n|
     mags, args = raw_partial_sum_array(n, np.array(zetas))
     for zeta, mag, arg in zip(zetas, mags, args):
-        assert rel_lc(LogComplex(mag, arg), _raw_partial_sum(n, zeta)) < 1e-12
+        ref = mp_partial_sum(n, zeta, dps=40)
+        x = n * zeta
+        top = (max(x.real, n * math.log(abs(x)) - math.lgamma(n + 1.0))
+               if 0.0 < abs(x) < n else ref.log_mag)
+        bound = n * abs(zeta) + math.lgamma(n + 1.0) + math.exp(min(top - ref.log_mag, 700.0))
+        assert _log_polar_gap(LogComplex(mag, arg), ref) <= 4.0 * _EPS * bound
 
 
 # c of the route-agreement tolerance c eps max(1, |log_mag|)
