@@ -35,7 +35,8 @@ import numpy as np
 
 from .errors import BeltError, DomainError, RegimeError, check_finite, check_n
 from .hardy import harmonic_measure_density, szego_kernel
-from .potential import AdmissiblePotential, BoundaryPoint, harmonic_extension
+from .ortho_oracle import _ginibre_enveloped_log_w
+from .potential import AdmissiblePotential, BoundaryPoint, GinibrePotential, harmonic_extension
 from .scaled_numerics import LogComplex, _norm_arg, _norm_args, lc_sum_scaled_parts
 
 
@@ -84,7 +85,10 @@ def kernel_asymptotic(pot: AdmissiblePotential, n: int, z: complex, w: complex,
     """Leading Szego-type approximation of K_n(z, w) in log-polar form.
 
     S(z, w) is the closed form of `szego_kernel` continued across the
-    boundary, so the belt points just inside the droplet are answered too.
+    boundary.  Inside the droplet the kernel also carries the bulk term, of
+    modulus n LapQ e^{-n LapQ |z - w|^2 / 2} (exact for quadratic Q), so a
+    pair with a point inside is answered only where the exterior term is
+    the larger; elsewhere RegimeError.
     """
     check_n(n)
     z = complex(z)
@@ -111,6 +115,10 @@ def kernel_asymptotic(pot: AdmissiblePotential, n: int, z: complex, w: complex,
         + n * math.log(abs(prod))
         + math.log(abs(s))
     )
+    if min(abs(phi_z), abs(phi_w)) < 1.0 - 1e-9:
+        lap = 0.5 * (pot.laplacian(z) + pot.laplacian(w))
+        if log_mag <= math.log(n * lap) - 0.5 * n * lap * abs(z - w) ** 2:
+            raise RegimeError(f"the bulk term outweighs the exterior one at z = {z}, w = {w}")
     arg = expo.imag + _norm_arg(n * math.atan2(prod.imag, prod.real)) + math.atan2(s.imag, s.real)
     boundary = abs(abs(phi_z) - 1.0) < 1e-9 and abs(abs(phi_w) - 1.0) < 1e-9
     return KernelAsymptotic(
@@ -280,12 +288,15 @@ class LowDegreeReport:
 
 
 def lowdeg_bound_check(pot: AdmissiblePotential, n: int, z: complex) -> LowDegreeReport:
-    """Scaled size of the discarded low-degree terms, from the closed-form
-    basis of `pot.enveloped_log_w` (DomainError without one).
+    """Scaled size of the discarded low-degree terms (Ginibre closed form).
 
-    Degrees below n theta_n are uniformly exp(-c log^2 n) small near the
-    exterior after removing the obstacle-function envelope.
+    The weighted orthonormal polynomials of Q = |z|^2 are
+    sqrt(n^{j+1}/j!) z^j e^{-n|z|^2/2}; degrees below n theta_n are
+    uniformly exp(-c log^2 n) small near the exterior after removing the
+    obstacle-function envelope.
     """
+    if not isinstance(pot, GinibrePotential):
+        raise DomainError("closed-form low-degree check is specific to the Ginibre potential")
     z = complex(z)
     _require_belt(pot, n, z, "z")
     cuts = sequence_cuts(n, pot.delta_M)
@@ -293,7 +304,7 @@ def lowdeg_bound_check(pot: AdmissiblePotential, n: int, z: complex) -> LowDegre
     best = -math.inf
     best_j = 0
     for j in range(j_cut + 1):
-        val = pot.enveloped_log_w(n, j, z, 1.0)
+        val = _ginibre_enveloped_log_w(n, j, z, 1.0)
         if val > best:
             best = val
             best_j = j

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PrecisionError, ResolutionError, check_finite, check_n
-from .potential import AdmissiblePotential, EllipticGinibrePotential, GinibrePotential
+from .potential import AdmissiblePotential, EllipticGinibrePotential
 from .scaled_numerics import LC_ZERO, LogComplex, quad_radial
 
 _NATIVE_COND_LIMIT = 1e12
@@ -282,16 +282,26 @@ class PointwiseBoundReport:
     max_ratio: float  # max |W_{j,n}(z)| e^{(n/2)(Q - Qcheck_tau(j))(z)} / sqrt(n)
 
 
+def _ginibre_enveloped_log_w(n: int, j: int, z: complex, tau: float) -> float:
+    """log |W_{j,n}(z)| + (n/2)(Q - Qcheck_tau)(z) for the Ginibre basis
+    sqrt(n^{j+1}/j!) z^j e^{-n|z|^2/2}; the obstacle function Qcheck_tau is
+    |z|^2 on |z|^2 <= tau and tau (1 + log(|z|^2/tau)) outside."""
+    m2 = abs(z) ** 2
+    obstacle = m2 if m2 <= tau else tau * (1.0 + math.log(m2 / tau))
+    log_z = j * math.log(abs(z)) if z != 0 else (0.0 if j == 0 else -math.inf)
+    log_w = 0.5 * ((j + 1) * math.log(n) - math.lgamma(j + 1.0)) + log_z - 0.5 * n * m2
+    return log_w + 0.5 * n * (m2 - obstacle)
+
+
 def pointwise_bound_check(n: int, js, zs) -> PointwiseBoundReport:
     """Envelope check for the Ginibre closed-form basis.
 
     |W_{j,n}(z)| <= C sqrt(n) e^{-(n/2)(Q - Qcheck_tau)(z)} with tau = j/n;
     the report carries the empirical max of the normalized ratio.
     """
-    gin = GinibrePotential()
     worst = 0.0
     for j in js:
         for z in zs:
-            log_ratio = gin.enveloped_log_w(n, j, complex(z), j / n) - 0.5 * math.log(n)
+            log_ratio = _ginibre_enveloped_log_w(n, j, complex(z), j / n) - 0.5 * math.log(n)
             worst = max(worst, math.exp(log_ratio))
     return PointwiseBoundReport(n=n, samples=tuple(zs), max_ratio=worst)

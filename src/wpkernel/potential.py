@@ -195,11 +195,6 @@ class AdmissiblePotential:
 
         return OracleSource(orthonormalize(compute_moments(self, n, n - 1)), self)
 
-    def enveloped_log_w(self, n: int, j: int, z: complex, tau: float) -> float:
-        """log |W_{j,n}(z)| + (n/2)(Q - Qcheck_tau)(z) of the orthonormal basis, in
-        closed form; Qcheck_tau is the obstacle function of the mass-tau droplet."""
-        raise DomainError(f"{type(self).__name__} has no closed-form orthonormal basis")
-
     def _check_tau(self, tau):
         """DomainError unless tau, or every entry of a tau array, lies in the range (NaN fails)."""
         if not _all((self.tau_floor <= tau) & (tau <= self.tau_ceiling)):
@@ -451,16 +446,6 @@ class GinibrePotential(RadialPotential):
 
     def script_H(self, z, tau=1.0) -> complex:
         return 0j
-
-    def enveloped_log_w(self, n: int, j: int, z: complex, tau: float) -> float:
-        """log |W_{j,n}(z)| + (n/2)(Q - Qcheck_tau)(z) for the basis
-        sqrt(n^{j+1}/j!) z^j e^{-n|z|^2/2}; the obstacle function Qcheck_tau is
-        |z|^2 on |z|^2 <= tau and tau (1 + log(|z|^2/tau)) outside."""
-        m2 = abs(z) ** 2
-        obstacle = m2 if m2 <= tau else tau * (1.0 + math.log(m2 / tau))
-        log_z = j * math.log(abs(z)) if z != 0 else (0.0 if j == 0 else -math.inf)
-        log_w = 0.5 * ((j + 1) * math.log(n) - math.lgamma(j + 1.0)) + log_z - 0.5 * n * m2
-        return log_w + 0.5 * n * (m2 - obstacle)
 
     def exact_kernel(self, n: int) -> Callable[[complex, complex], LogComplex]:
         """(z, w) -> K_n(z, w) from the partial exponential sums."""

@@ -82,6 +82,9 @@ def test_kernel_all_modes_inside_the_belt(tmp_path):
                 "--out", str(out)]) == 0
     modes = [line.split(",")[0] for line in out.read_text().splitlines()[2:5]]
     assert modes == ["asymptotic", "oracle", "tail"]
+    # on the diagonal at 0.97 the bulk term outweighs the exterior one
+    assert run(["kernel", "--n", "400", "--z", "0.97,0", "--w", "0.97,0",
+                "--mode", "asymptotic", "--out", str(out)]) == 2
 
 
 def test_elliptic_oracle_uses_hermite_route(tmp_path):

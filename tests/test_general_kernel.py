@@ -381,6 +381,37 @@ def test_inside_belt_error_falls_like_one_over_n(gin, ell):
         assert errs[1] < 0.3 * errs[0] and errs[2] < 0.3 * errs[1]
 
 
+def test_inside_belt_pairs_where_the_bulk_term_wins_are_refused(gin):
+    # inside the droplet the Ginibre kernel also carries the bulk term; the
+    # exterior term over the bulk one is |u(zeta)|^n / (sqrt(2 pi n) |1 - zeta|)
+    # with zeta = z conj(w), u(zeta) = zeta e^{1 - zeta}, and a pair with a point
+    # inside is refused exactly where that ratio is at most 1
+    for n in (400, 1600):
+        with pytest.raises(RegimeError, match="bulk"):
+            kernel_asymptotic(gin, n, 0.97, 0.97)
+    rng = np.random.default_rng(17)
+    refused = answered = 0
+    for n in (20, 100, 400):
+        inner = 1.0 - sequence_cuts(n).delta_n
+        for _ in range(300):
+            z, w = rng.uniform(inner, 1.2, 2) * np.exp(1j * rng.uniform(-math.pi, math.pi, 2))
+            zeta = complex(z * w.conjugate())
+            if min(abs(z), abs(w)) >= 1.0 or abs(zeta - 1.0) < 0.05:
+                continue
+            gap = (n * (math.log(abs(zeta)) + 1.0 - zeta.real)
+                   - 0.5 * math.log(2.0 * math.pi * n) - math.log(abs(1.0 - zeta)))
+            if abs(gap) < 1e-9:
+                continue
+            if gap > 0:
+                kernel_asymptotic(gin, n, z, w)
+                answered += 1
+            else:
+                with pytest.raises(RegimeError, match="bulk"):
+                    kernel_asymptotic(gin, n, z, w)
+                refused += 1
+    assert refused >= 10 and answered >= 100
+
+
 def test_f_factor_invariants(gin, ell):
     for pot in (gin, ell):
         assert f_factor(pot, 1.0, 2.0 + 1.0j) == pytest.approx(1.0 + 0j, abs=1e-12)
