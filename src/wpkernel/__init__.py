@@ -69,7 +69,6 @@ from .expansion import (
 from .potential import (
     AdmissiblePotential,
     BoundaryPoint,
-    DropletGeometry,
     EllipticGinibrePotential,
     GinibrePotential,
     RadialPotential,
@@ -82,10 +81,8 @@ from .potential import (
     make_elliptic_ginibre,
     make_ginibre,
     make_radial,
-    ridge,
     ridge_between,
     variational_residual,
-    V_tau,
 )
 from .hardy import (
     harmonic_measure_density,

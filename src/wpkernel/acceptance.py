@@ -312,7 +312,7 @@ def criterion_13() -> CriterionResult:
         rel = abs(val / (2.0 * pot.laplacian(bp.p)) - 1.0)
         details[f"ridge[{pot.name}]"] = float(rel)
         ok = ok and rel < 0.01
-        fd = boundary_speed_fd(pot, 1.0, bp.p, 1e-3)
+        fd = boundary_speed_fd(pot, 1.0, bp.p)
         an = boundary_speed(pot, 1.0, bp.p)
         details[f"speed[{pot.name}]"] = float(abs(fd - an))
         ok = ok and abs(fd - an) < 1e-4

@@ -60,7 +60,7 @@ _RADIAL_PROFILES = {
 
 
 def _make_potential(args):
-    kind = getattr(args, "potential", "ginibre")
+    kind = args.potential
     if kind == "ginibre":
         pot = make_ginibre()
     elif kind == "elliptic":
@@ -72,11 +72,9 @@ def _make_potential(args):
         pot = make_radial(profile)
     else:
         raise ConfigError(f"unknown potential {kind!r}")
-    belt_m = getattr(args, "belt_M", None)
-    if belt_m is not None:
-        if belt_m <= 0:
-            raise ConfigError("M must be positive")
-        pot.delta_M = belt_m
+    if args.belt_M <= 0:
+        raise ConfigError("M must be positive")
+    pot.delta_M = args.belt_M
     return pot
 
 
@@ -96,12 +94,17 @@ def _open_out(args):
     return path.open("w"), True
 
 
-def _emit_csv(args, header, rows):
-    fh, close = _open_out(args)
-    fh.write(f"# wpkernel {__version__} config {_config_hash(args)}\n")
+def _write_csv(fh, comment, header, rows):
+    """The `# wpkernel <version> <comment>` line, the header row, one row per entry."""
+    fh.write(f"# wpkernel {__version__} {comment}\n")
     fh.write(",".join(header) + "\n")
     for row in rows:
         fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def _emit_csv(args, header, rows):
+    fh, close = _open_out(args)
+    _write_csv(fh, f"config {_config_hash(args)}", header, rows)
     if close:
         fh.close()
 
@@ -221,9 +224,8 @@ def cmd_berezin(args):
 
 def cmd_droplet(args):
     pot = _make_potential(args)
-    geom = pot.droplet_geometry(args.tau, m=args.nodes)
-    rows = [(p.real, p.imag) for p in geom.boundary]
-    _emit_csv(args, ["re", "im"], rows)
+    _, boundary, _, _ = pot.boundary_grid(args.nodes, args.tau)
+    _emit_csv(args, ["re", "im"], [(p.real, p.imag) for p in boundary])
     return 0
 
 
@@ -281,47 +283,31 @@ def cmd_figures(args):
     emitted = []
     outdir = Path(args.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)
+
+    def emit(name, comment, header, rows):
+        path = outdir / name
+        with path.open("w") as fh:
+            _write_csv(fh, comment, header, rows)
+        emitted.append(str(path))
+
     if args.szego_curve:
-        curve = trace_szego_curve(step=args.step)
-        path = outdir / "szego_curve.csv"
-        with path.open("w") as fh:
-            fh.write(f"# wpkernel {__version__} szego curve step={args.step}\n")
-            fh.write("re,im\n")
-            for p in curve.points:
-                fh.write(f"{_fmt(p.real)},{_fmt(p.imag)}\n")
-        emitted.append(str(path))
-        curve_k = trace_curve_K(step=args.step)
-        path = outdir / "curve_K.csv"
-        with path.open("w") as fh:
-            fh.write(f"# wpkernel {__version__} level curve through the saddle\n")
-            fh.write("re,im\n")
-            for p in curve_k.points:
-                fh.write(f"{_fmt(p.real)},{_fmt(p.imag)}\n")
-        emitted.append(str(path))
+        emit("szego_curve.csv", f"szego curve step={args.step}", ["re", "im"],
+             [(p.real, p.imag) for p in trace_szego_curve(step=args.step).points])
+        emit("curve_K.csv", "level curve through the saddle", ["re", "im"],
+             [(p.real, p.imag) for p in trace_curve_K(step=args.step).points])
     if args.berezin_surface:
         n, z = args.n, _parse_complex(args.z)
         xs = np.linspace(-1.6, 2.4, args.nodes)
         ys = np.linspace(-1.6, 1.6, args.nodes)
         density = ginibre_berezin_array(n, z, xs[:, None] + 1j * ys[None, :])
-        path = outdir / f"berezin_surface_n{n}.csv"
-        with path.open("w") as fh:
-            fh.write(f"# wpkernel {__version__} Berezin surface n={n} z={z}\n")
-            fh.write("re,im,density\n")
-            for x, row in zip(xs, density):
-                for y, b in zip(ys, row):
-                    fh.write(f"{_fmt(float(x))},{_fmt(float(y))},{_fmt(float(b))}\n")
-        emitted.append(str(path))
+        emit(f"berezin_surface_n{n}.csv", f"Berezin surface n={n} z={z}", ["re", "im", "density"],
+             [(float(x), float(y), float(b)) for x, row in zip(xs, density) for y, b in zip(ys, row)])
     if args.droplets:
         for name, pot in (("ginibre", make_ginibre()),
                           ("elliptic", make_elliptic_ginibre(args.a, args.b))):
-            geom = pot.droplet_geometry(1.0, m=args.nodes)
-            path = outdir / f"droplet_{name}.csv"
-            with path.open("w") as fh:
-                fh.write(f"# wpkernel {__version__} droplet boundary {name}\n")
-                fh.write("re,im\n")
-                for p in geom.boundary:
-                    fh.write(f"{_fmt(p.real)},{_fmt(p.imag)}\n")
-            emitted.append(str(path))
+            _, boundary, _, _ = pot.boundary_grid(args.nodes, 1.0)
+            emit(f"droplet_{name}.csv", f"droplet boundary {name}", ["re", "im"],
+                 [(p.real, p.imag) for p in boundary])
     print("\n".join(emitted))
     return 0
 
@@ -351,13 +337,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="wpkernel", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def ellipse(p):
+        p.add_argument("--a", type=float, default=1.0)
+        p.add_argument("--b", type=float, default=3.0)
+
     def common(p, potential=True):
         p.add_argument("--out", default=None, help="output path ('-' for stdout)")
         if potential:
             p.add_argument("--potential", default="ginibre",
                            choices=["ginibre", "elliptic", "radial"])
-            p.add_argument("--a", type=float, default=1.0)
-            p.add_argument("--b", type=float, default=3.0)
+            ellipse(p)
             p.add_argument("--profile", default="quartic")
             p.add_argument("--M", dest="belt_M", type=float, default=1.0,
                            help="constant M in the belt width delta_n")
@@ -428,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--z", default="2,0")
     p.add_argument("--nodes", type=int, default=128)
-    common(p)
+    ellipse(p)
+    common(p, potential=False)
     p.set_defaults(func=cmd_figures)
 
     return parser

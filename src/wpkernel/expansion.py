@@ -191,7 +191,7 @@ def rho_bracket(n: int, zeta: complex, k: int) -> complex:
 
 
 def exterior_kernel_expansion(n: int, z: complex, w: complex, k: int = 0,
-                              eta: float = 0.05, tol: float = 1e-9) -> LogComplex:
+                              eta: float = 0.05) -> LogComplex:
     """Exterior-regime kernel approximation with k correction terms.
 
     Requires zeta = z w~ in the exterior domain E (points on the curve K
@@ -201,7 +201,7 @@ def exterior_kernel_expansion(n: int, z: complex, w: complex, k: int = 0,
     w = complex(w)
     _check_args(n, n * (abs(z) * abs(z) + abs(w) * abs(w)))
     zeta = z * w.conjugate()
-    label = classify(zeta, tol=tol)
+    label = classify(zeta)
     if not label.in_E_sz:
         raise RegimeError(
             f"zeta = {zeta} is {label.label.value}; exterior expansion needs the exterior domain",
@@ -234,13 +234,13 @@ class BulkKernel:
     rho: float
 
 
-def bulk_kernel_expansion(n: int, z: complex, w: complex, tol: float = 1e-9) -> BulkKernel:
+def bulk_kernel_expansion(n: int, z: complex, w: complex) -> BulkKernel:
     """Bulk-regime leading term with its certified relative error scale."""
     z = complex(z)
     w = complex(w)
     _check_args(n, n * (abs(z) * abs(z) + abs(w) * abs(w)))
     zeta = z * w.conjugate()
-    label = classify(zeta, tol=tol)
+    label = classify(zeta)
     if label.label not in (Region.REGION_I, Region.ON_SZEGO_CURVE):
         raise RegimeError(
             f"zeta = {zeta} is {label.label.value}; bulk expansion needs the closed interior",

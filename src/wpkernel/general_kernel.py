@@ -68,7 +68,6 @@ class KernelAsymptotic:
     z: complex
     w: complex
     value: LogComplex
-    regime: str  # "boundary" or "exterior_belt"
 
 
 def _require_belt(pot: AdmissiblePotential, n: int, z: complex, label: str):
@@ -120,21 +119,15 @@ def kernel_asymptotic(pot: AdmissiblePotential, n: int, z: complex, w: complex,
         if log_mag <= math.log(n * lap) - 0.5 * n * lap * abs(z - w) ** 2:
             raise RegimeError(f"the bulk term outweighs the exterior one at z = {z}, w = {w}")
     arg = expo.imag + _norm_arg(n * math.atan2(prod.imag, prod.real)) + math.atan2(s.imag, s.real)
-    boundary = abs(abs(phi_z) - 1.0) < 1e-9 and abs(abs(phi_w) - 1.0) < 1e-9
-    return KernelAsymptotic(
-        n=n, z=z, w=w,
-        value=LogComplex(log_mag, arg),
-        regime="boundary" if boundary else "exterior_belt",
-    )
+    return KernelAsymptotic(n=n, z=z, w=w, value=LogComplex(log_mag, arg))
 
 
-def cocycle(pot: AdmissiblePotential, n: int, z: complex, w: complex,
-            boundary_tol: float = 1e-8) -> LogComplex:
-    """Unimodular factor c_n(z, w) of the boundary correlation."""
+def cocycle(pot: AdmissiblePotential, n: int, z: complex, w: complex) -> LogComplex:
+    """Unimodular factor c_n(z, w) of the boundary correlation; needs ||phi| - 1| <= 1e-8 at z and w."""
     z = complex(z)
     w = complex(w)
     for pt, name in ((z, "z"), (w, "w")):
-        if not abs(abs(pot.phi(pt, 1.0)) - 1.0) <= boundary_tol:
+        if not abs(abs(pot.phi(pt, 1.0)) - 1.0) <= 1e-8:
             raise DomainError(f"cocycle needs {name} on the boundary")
     prod = pot.phi(z, 1.0) * pot.phi(w, 1.0).conjugate()
     arg = (
@@ -168,13 +161,12 @@ class BeltDensity:
 
 
 def berezin_belt_density(pot: AdmissiblePotential, n: int, z: complex,
-                         p: BoundaryPoint, ell: float,
-                         allow_outside_belt: bool = False) -> BeltDensity:
+                         p: BoundaryPoint, ell: float) -> BeltDensity:
     """Gaussian belt density P_z(p) sqrt(4 n LapQ(p)/2pi) e^{-2 n LapQ(p) ell^2}."""
     check_n(n)
     check_finite(z, ell)
     cuts = sequence_cuts(n, pot.delta_M)
-    if abs(ell) > cuts.delta_n and not allow_outside_belt:
+    if abs(ell) > cuts.delta_n:
         raise BeltError(
             f"|ell| = {abs(ell):.4f} exceeds the belt half-width {cuts.delta_n:.4f}"
         )
@@ -227,18 +219,14 @@ def _quasipolynomial_parts(pot: AdmissiblePotential, n: int, j: np.ndarray, poin
     return log_mag, arg
 
 
-def quasipolynomial(pot: AdmissiblePotential, n: int, j: int, z: complex,
-                    tau_floor: float | None = None) -> LogComplex:
+def quasipolynomial(pot: AdmissiblePotential, n: int, j: int, z: complex) -> LogComplex:
     """Closed-form approximate orthonormal weighted polynomial W#_{j,n}(z).
 
-    tau(j) = j/n selects the droplet family member; callers that legitimately
-    need tau below the potential's formal window (the tail sum does) pass an
-    explicit tau_floor.
+    tau(j) = j/n selects the droplet family member.  It is the tail sum's
+    term for degree j: every tau the potential's conformal data accept (down
+    to its floor `tau_floor`) is allowed.
     """
     tau = j / n
-    floor = pot.tau0 if tau_floor is None else tau_floor
-    if tau < floor - 1e-12:
-        raise DomainError(f"tau(j) = {tau:.4f} below the admissible floor {floor:.4f}")
     if tau > 1.0 + 1e-12:
         raise DomainError("degrees beyond n are not part of the space")
     z = complex(z)

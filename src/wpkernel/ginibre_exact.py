@@ -282,7 +282,7 @@ def _raw_partial_sum(n: int, zeta: complex) -> LogComplex:
     return LogComplex(float(mag[0]), float(arg[0]))
 
 
-def _gamma_cf(a: float, x: complex, tol: float = 1e-15, max_iter: int = 100000) -> LogComplex:
+def _gamma_cf(a: float, x: complex) -> LogComplex:
     """Upper incomplete gamma Gamma(a, x) by the standard continued fraction.
 
     Modified Lentz evaluation of
@@ -294,7 +294,7 @@ def _gamma_cf(a: float, x: complex, tol: float = 1e-15, max_iter: int = 100000) 
     c = 1.0 / tiny
     d = 1.0 / b if b != 0 else 1.0 / tiny
     h = d
-    for i in range(1, max_iter):
+    for i in range(1, 100000):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -306,7 +306,7 @@ def _gamma_cf(a: float, x: complex, tol: float = 1e-15, max_iter: int = 100000) 
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < tol:
+        if abs(delta - 1.0) < 1e-15:
             break
     else:
         raise PrecisionError("incomplete-gamma continued fraction did not converge")

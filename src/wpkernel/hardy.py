@@ -31,12 +31,10 @@ from .errors import DomainError, PoleError, check_finite
 from .potential import AdmissiblePotential
 from .scaled_numerics import _all, _as_complex, _elementwise
 
-_CL_U_TOL = 1e-8
 
-
-def _require_cl_U(pot: AdmissiblePotential, z, tol: float = _CL_U_TOL):
+def _require_cl_U(pot: AdmissiblePotential, z):
     mod = abs(pot.phi(z, 1.0))
-    if not _all(mod >= 1.0 - tol):
+    if not _all(mod >= 1.0 - 1e-8):
         raise DomainError(f"point {z} is not in the closed exterior domain "
                           f"(|phi| = {np.min(mod):.6f})")
 
@@ -101,7 +99,7 @@ def harmonic_measure_density(pot: AdmissiblePotential, z: complex, p: complex) -
 def harmonic_measure_mass(pot: AdmissiblePotential, z: complex, nodes: int = 512) -> float:
     """Quadrature of P_z over the boundary; equals 1 for any exterior z."""
     check_finite(z)
-    _, wts, pts, speed = pot.boundary_grid(nodes, 1.0)
+    wts, pts, speed, _ = pot.boundary_grid(nodes, 1.0)
     return float(np.sum(wts * harmonic_measure_density(pot, z, pts) * speed))
 
 
@@ -109,7 +107,7 @@ def harmonic_measure_integral(pot: AdmissiblePotential, z: complex, f,
                               nodes: int = 512) -> complex:
     """omega_z(f) = integral of f against harmonic measure at z; f takes one point per call."""
     check_finite(z)
-    _, wts, pts, speed = pot.boundary_grid(nodes, 1.0)
+    wts, pts, speed, _ = pot.boundary_grid(nodes, 1.0)
     dens = harmonic_measure_density(pot, z, pts)
     vals = np.array([f(p) for p in pts], dtype=complex)
     return complex(np.sum(wts * dens * speed * vals))
@@ -118,7 +116,7 @@ def harmonic_measure_integral(pot: AdmissiblePotential, z: complex, f,
 def szego_reproducing_check(pot: AdmissiblePotential, f_index: int, z: complex,
                             nodes: int = 512) -> float:
     """| <psi_f, S(., z)>_boundary - psi_f(z) |; zero by the reproducing property."""
-    _, wts, pts, speed = pot.boundary_grid(nodes, 1.0)
+    wts, pts, speed, _ = pot.boundary_grid(nodes, 1.0)
     vals = szego_basis(pot, f_index, pts) * szego_kernel(pot, pts, z).conjugate()
     integral = complex(np.sum(wts * speed * vals))
     return abs(integral - szego_basis(pot, f_index, z))
@@ -126,7 +124,7 @@ def szego_reproducing_check(pot: AdmissiblePotential, f_index: int, z: complex,
 
 def basis_gram_matrix(pot: AdmissiblePotential, j_max: int, nodes: int = 512) -> np.ndarray:
     """Boundary Gram matrix of psi_1..psi_jmax; identity up to quadrature error."""
-    _, wts, pts, speed = pot.boundary_grid(nodes, 1.0)
+    wts, pts, speed, _ = pot.boundary_grid(nodes, 1.0)
     basis = np.array([szego_basis(pot, j, pts) for j in range(1, j_max + 1)])
     scaled = basis * (wts * speed)[None, :]
     return scaled @ basis.conj().T

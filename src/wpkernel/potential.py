@@ -63,14 +63,6 @@ class BoundaryPoint:
     tau: float
 
 
-@dataclass(frozen=True)
-class DropletGeometry:
-    tau: float
-    boundary: np.ndarray  # complex samples of Gamma_tau
-    conformal_coeffs: tuple  # Laurent coefficients (c_1, c_0, c_{-1}) of chi_tau
-    mass: float  # quadrature of Lap(Q) over S_tau
-
-
 class HarmonicExtension:
     """Holomorphic G on the exterior with Re G = f on Gamma_tau, Im G(inf) = 0.
 
@@ -95,11 +87,9 @@ class HarmonicExtension:
 
 
 def harmonic_extension(pot, tau: float, f: Callable[[complex], float],
-                       nodes: int = 512, trunc_tol: float = 1e-13) -> HarmonicExtension:
+                       nodes: int = 512) -> HarmonicExtension:
     """Solve the exterior Dirichlet problem for boundary data f spectrally."""
-    rule = quad_trapezoid_periodic(nodes)
-    omega = np.exp(1j * rule.nodes)
-    boundary = np.array([pot.chi(o, tau) for o in omega])
+    _, boundary, _, _ = pot.boundary_grid(nodes, tau)
     vals = np.array([float(f(p)) for p in boundary])
     coeffs = np.fft.fft(vals) / nodes
     c0 = float(coeffs[0].real)
@@ -115,7 +105,7 @@ def harmonic_extension(pot, tau: float, f: Callable[[complex], float],
         )
     keep = 0
     for k, c in enumerate(cneg, start=1):
-        if abs(c) >= trunc_tol * scale:
+        if abs(c) >= 1e-13 * scale:
             keep = k
     return HarmonicExtension(pot, tau, c0, tuple(cneg[:keep]))
 
@@ -124,7 +114,6 @@ class AdmissiblePotential:
     """Base class; subclasses provide the conformal family and local data."""
 
     name = "abstract"
-    tau0 = 0.8          # formal admissibility window [tau0, 1]
     tau_floor = 1e-3    # hard floor below which tau-data is refused
     tau_ceiling = 1.05  # headroom above 1 for finite-difference probes in tau
     rho0 = 0.5          # excluded compact is {|phi_tau| <= rho0}
@@ -213,12 +202,17 @@ class AdmissiblePotential:
         return BoundaryPoint(p=p, normal=normal, tau=tau)
 
     def boundary_grid(self, m: int, tau: float = 1.0):
-        """(theta, points, |chi'|) on a uniform pullback grid; |dp| = |chi'| dtheta."""
+        """The m-node trapezoid rule on Gamma_tau = chi_tau(|omega| = 1).
+
+        Returns (weights, points, |chi'|, omega chi'(omega)): |dp| = |chi'| dtheta
+        for the Hardy integrals, and the outward normal scaled by |chi'| for
+        the flux and Green integrals.
+        """
         rule = quad_trapezoid_periodic(m)
         omega = np.exp(1j * rule.nodes)
-        # a constant |chi'| (a disc) comes back as a scalar: one entry per node
-        speed = np.abs(self.dchi(omega, tau)) * np.ones(m)
-        return rule.nodes, rule.weights, self.chi(omega, tau), speed
+        # a constant chi' (a disc) comes back as a scalar: one entry per node
+        dchi = self.dchi(omega, tau) * np.ones(m)
+        return rule.weights, self.chi(omega, tau), np.abs(dchi), omega * dchi
 
     def V(self, z: complex, tau: float = 1.0) -> float:
         """V_tau = Re QQ_tau + tau log |phi_tau|^2 outside the excluded compact."""
@@ -274,9 +268,8 @@ class AdmissiblePotential:
                 ok = False
             if ok:
                 return th
-            grid = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
-            dists = [abs(self.chi(cmath.exp(1j * t), tau) - w) for t in grid]
-            theta = float(grid[int(np.argmin(dists))])
+            _, pts, _, _ = self.boundary_grid(256, tau)
+            theta = 2.0 * math.pi * int(np.argmin(np.abs(pts - w))) / 256
         return theta
 
     def dist_to_exterior(self, z: complex) -> float:
@@ -285,15 +278,6 @@ class AdmissiblePotential:
             return 0.0
         _, ell, _ = self.project(complex(z), 1.0)
         return abs(ell)
-
-    def droplet_geometry(self, tau: float = 1.0, m: int = 256) -> DropletGeometry:
-        _, _, pts, _ = self.boundary_grid(m, tau)
-        return DropletGeometry(
-            tau=tau,
-            boundary=pts,
-            conformal_coeffs=self.chi_laurent(tau),
-            mass=droplet_mass(self, tau),
-        )
 
 
 @dataclass(frozen=True)
@@ -315,10 +299,9 @@ class RadialPotential(AdmissiblePotential):
 
     rotation_order = math.inf
 
-    def __init__(self, profile: RadialProfile, r_bracket=(1e-8, 16.0)):
+    def __init__(self, profile: RadialProfile):
         self.profile = profile
         self.name = profile.name
-        self._bracket = r_bracket
         # scalar calls come back to a few tau values (tau = 1 above all)
         self._r_cache = functools.lru_cache(maxsize=256)(self._solve_r_tau)
         # a tail kernel asks for the radii of its degrees once per method and
@@ -346,11 +329,11 @@ class RadialPotential(AdmissiblePotential):
         entry meets the tolerance, and entries that meet it earlier keep
         narrowing until then.
         """
-        lo, hi = self._bracket
+        lo, hi = 1e-8, 16.0
         f = lambda r: 0.5 * r * self.profile.dq(r) - tau
         if np.any(f(lo) > 0) or np.any(f(hi) < 0):
             raise DomainError(
-                f"droplet radius not bracketed in {self._bracket} for tau = {tau}"
+                f"droplet radius not bracketed in {(lo, hi)} for tau = {tau}"
             )
         if isinstance(tau, np.ndarray):
             lo, hi = np.full(tau.shape, lo), np.full(tau.shape, hi)
@@ -606,25 +589,16 @@ def make_elliptic_ginibre(a: float, b: float) -> EllipticGinibrePotential:
 # ---------------------------------------------------------------------------
 
 
-def V_tau(pot: AdmissiblePotential, tau: float, z: complex) -> float:
-    return pot.V(z, tau)
-
-
-def ridge(pot: AdmissiblePotential, tau: float, z: complex) -> float:
-    return pot.ridge(z, tau)
-
-
 def boundary_speed(pot: AdmissiblePotential, tau: float, p: complex) -> float:
     """Normal velocity |phi_tau'(p)| / (2 Lap Q(p)) of the growing boundary."""
     return abs(pot.dphi(p, tau)) / (2.0 * pot.laplacian(p))
 
 
-def boundary_speed_fd(pot: AdmissiblePotential, tau: float, p: complex,
-                      dtau: float = 1e-3) -> float:
-    """Centered finite-difference estimate of the boundary speed at p."""
-    _, ell_plus, _ = pot.project(p, tau + dtau)
-    _, ell_minus, _ = pot.project(p, tau - dtau)
-    return (ell_minus - ell_plus) / (2.0 * dtau)
+def boundary_speed_fd(pot: AdmissiblePotential, tau: float, p: complex) -> float:
+    """Centered finite-difference estimate of the boundary speed at p, step 1e-3 in tau."""
+    _, ell_plus, _ = pot.project(p, tau + 1e-3)
+    _, ell_minus, _ = pot.project(p, tau - 1e-3)
+    return (ell_minus - ell_plus) / 2e-3
 
 
 def ridge_between(pot: AdmissiblePotential, tau: float, tau2: float, z: complex):
@@ -635,20 +609,13 @@ def ridge_between(pot: AdmissiblePotential, tau: float, tau2: float, z: complex)
     return exact, pred
 
 
-def _boundary_nodes(pot: AdmissiblePotential, tau: float, m: int):
-    """Trapezoid weights, w = chi_tau(omega) and the outward normal omega chi_tau'(omega)."""
-    rule = quad_trapezoid_periodic(m)
-    omega = np.exp(1j * rule.nodes)
-    return rule.weights, pot.chi(omega, tau), omega * pot.dchi(omega, tau)
-
-
 def droplet_mass(pot: AdmissiblePotential, tau: float) -> float:
     """Lap(Q) integrated over S_tau; equals tau for admissible data.
 
     By the divergence theorem it is the flux of grad Q through Gamma_tau over
     4 pi (Lap = d dbar, dA = dx dy / pi).
     """
-    weights, w, normal = _boundary_nodes(pot, tau, 256)
+    weights, w, _, normal = pot.boundary_grid(256, tau)
     flux = (np.conj(pot.grad_Q(w)) * normal).real
     return float(weights @ flux) / (4.0 * math.pi)
 
@@ -670,7 +637,7 @@ def _green_log_potential(pot: AdmissiblePotential, tau: float, zs: np.ndarray) -
     if m > _GREEN_NODE_CAP:
         raise ResolutionError(f"|phi_tau(z)| = {rho:.6f} needs {m} boundary nodes, "
                               f"above the cap of {_GREEN_NODE_CAP}")
-    weights, w, normal = _boundary_nodes(pot, tau, m)
+    weights, w, _, normal = pot.boundary_grid(m, tau)
     d = w[None, :] - zs[:, None]
     terms = (np.log(np.abs(d)) * (np.conj(pot.grad_Q(w)) * normal).real
              - pot.Q(w) * (normal / d).real)
@@ -691,14 +658,14 @@ def equilibrium_log_potential(pot: AdmissiblePotential, tau: float, z: complex) 
     return float(_green_log_potential(pot, tau, np.array([complex(z)]))[0])
 
 
-def variational_residual(pot: AdmissiblePotential, tau: float = 1.0,
-                         n_radial: int = 5, n_angular: int = 12) -> float:
+def variational_residual(pot: AdmissiblePotential, tau: float = 1.0) -> float:
     """Spread of Q - 2 U_sigma over the interior points s chi_tau(e^{i theta}).
 
-    The equilibrium measure makes this quantity constant on its support;
-    the returned max-min spread is the oracle residual.  The boundary rule
-    is sized for the outermost sample point.
+    The points are five scalings s in [0.1, 0.85] of the 12 nodes of the
+    boundary rule.  The equilibrium measure makes this quantity constant on
+    its support; the returned max-min spread is the oracle residual.  The
+    Green rule is sized for the outermost sample point.
     """
-    ring = pot.chi(np.exp(1j * quad_trapezoid_periodic(n_angular).nodes), tau)
-    zs = np.outer(np.linspace(0.1, 0.85, n_radial), ring).ravel()
+    _, ring, _, _ = pot.boundary_grid(12, tau)
+    zs = np.outer(np.linspace(0.1, 0.85, 5), ring).ravel()
     return float(np.ptp(pot.Q(zs) - 2.0 * _green_log_potential(pot, tau, zs)))

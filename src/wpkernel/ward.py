@@ -499,11 +499,11 @@ class HarmonicLimitReport:
     omega_cauchy: complex       # omega_z(k_z) by boundary quadrature
     gradient_term: complex      # d/dz log(|phi(z)|^2 - 1)
     H: complex                  # difference; O(z^-2) at infinity
-    ring_values: tuple          # |H| samples on far rings for the decay check
+    ring_values: tuple          # |H| at |z| = 5 and 10 along arg z, for the decay check
 
 
 def harmonic_limit_check(pot: AdmissiblePotential, z: complex,
-                         nodes: int = 512, rings=(5.0, 10.0)) -> HarmonicLimitReport:
+                         nodes: int = 512) -> HarmonicLimitReport:
     """Compare omega_z(k_z) against the conformal gradient term.
 
     The difference H(z) vanishes identically for rotation-invariant
@@ -522,6 +522,6 @@ def harmonic_limit_check(pot: AdmissiblePotential, z: complex,
 
     H, omega_val, grad = h_at(z)
     direction = z / abs(z) if z != 0 else 1.0
-    ring_values = tuple(abs(h_at(r * direction)[0]) for r in rings)
+    ring_values = tuple(abs(h_at(r * direction)[0]) for r in (5.0, 10.0))
     return HarmonicLimitReport(z=z, omega_cauchy=omega_val, gradient_term=grad,
                                H=H, ring_values=ring_values)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from wpkernel import (
+    __version__,
     GinibreSource,
     OracleSource,
     berezin_cauchy_transform,
@@ -124,6 +125,13 @@ def test_seed_flag_is_gone(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag", [["--potential", "radial"], ["--profile", "quadratic"], ["--M", "2"]])
+def test_figures_flags_are_only_the_ellipse(flag, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(["figures", "--droplets", "--out", str(tmp_path)] + flag)
+    assert exc.value.code == 2
+
+
 def test_classify_non_finite_point_is_a_domain_error(tmp_path):
     pts = tmp_path / "pts.csv"
     pts.write_text("0.5,0\nnan,0\n")
@@ -146,6 +154,14 @@ def test_droplet_and_figures(tmp_path):
     first = curve[2].split(",")
     last = curve[-1].split(",")
     assert float(first[0]) == 1.0 and float(last[0]) == 1.0
+
+    assert run(["figures", "--droplets", "--a", "2", "--b", "5", "--nodes", "16",
+                "--out", str(figdir)]) == 0
+    lines = (figdir / "droplet_elliptic.csv").read_text().splitlines()
+    assert lines[:2] == [f"# wpkernel {__version__} droplet boundary elliptic", "re,im"]
+    assert len(lines) == 18
+    p, _ = make_elliptic_ginibre(2.0, 5.0).semi_axes(1.0)
+    assert float(lines[2].split(",")[0]) == pytest.approx(p, rel=1e-15)
 
 
 def test_oracle_json_and_kernel_consumption(tmp_path):

@@ -32,6 +32,7 @@ from wpkernel import (
     tail_kernel,
 )
 from wpkernel.expansion import berezin_gaussian_ginibre
+from wpkernel.general_kernel import _quasipolynomial_parts
 from wpkernel.scaled_numerics import LogComplex, _norm_arg, lc_mul, lc_sum, quad_radial
 
 QUARTIC = RadialProfile(q=lambda r: 0.5 * r ** 4, dq=lambda r: 2.0 * r ** 3,
@@ -194,9 +195,6 @@ def test_belt_density_matches_disc_product_form(gin):
     assert belt.density <= berezin_belt_density(gin, n, z, bp, 0.0).density
     with pytest.raises(BeltError):
         berezin_belt_density(gin, n, z, bp, 0.5)
-    # plotting override
-    wide = berezin_belt_density(gin, n, z, bp, 0.5, allow_outside_belt=True)
-    assert wide.density >= 0.0
 
 
 def test_belt_mass_all_builtins(gin, ell):
@@ -280,10 +278,27 @@ def test_quasipolynomial_boundary_modulus_identity(gin, ell):
 
 
 def test_quasipolynomial_tau_floor(gin):
+    # every tau the conformal data accept is allowed; tau = 0 is below their floor
+    assert math.isfinite(quasipolynomial(gin, 100, 50, 1.2).log_mag)
     with pytest.raises(DomainError):
-        quasipolynomial(gin, 100, 50, 1.2)  # tau = 0.5 below the formal window
-    val = quasipolynomial(gin, 100, 50, 1.2, tau_floor=0.4)
-    assert math.isfinite(val.log_mag)
+        quasipolynomial(gin, 100, 0, 1.2)
+    with pytest.raises(DomainError):
+        quasipolynomial(gin, 100, 101, 1.2)
+
+
+@pytest.mark.parametrize("family", ["gin", "ell"])
+def test_quasipolynomial_is_the_tail_term_at_the_lowest_degree(family, request):
+    pot = request.getfixturevalue(family)
+    n = 20
+    j_low = math.ceil(n * sequence_cuts(n, pot.delta_M).theta_n - 1e-9)
+    assert 0.3 < j_low / n < 0.4
+    z, w = pot.boundary_point(0.4).p * 1.05, pot.boundary_point(2.5).p * 1.02
+    log_mag, arg = _quasipolynomial_parts(pot, n, np.arange(j_low, n), [z])
+    low = quasipolynomial(pot, n, j_low, z)
+    assert (low.log_mag, low.arg) == (log_mag[0, 0], arg[0, 0])
+    terms = (lc_mul(quasipolynomial(pot, n, j, z), quasipolynomial(pot, n, j, w).conj())
+             for j in range(j_low, n))
+    assert rel_lc(tail_kernel(pot, n, z, w), lc_sum(terms)) <= 1e-12
 
 
 def test_tail_kernel_ginibre(gin):

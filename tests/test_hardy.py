@@ -34,7 +34,7 @@ FAMILIES = {
 
 def szego_projection_of_constant(pot, z: complex, nodes: int = 512) -> float:
     """|<1, S(., z)>|; constants are orthogonal to the exterior Hardy space."""
-    _, wts, pts, speed = pot.boundary_grid(nodes, 1.0)
+    wts, pts, speed, _ = pot.boundary_grid(nodes, 1.0)
     vals = np.array([szego_kernel(pot, p, z).conjugate() for p in pts])
     return abs(complex(np.sum(wts * speed * vals)))
 
@@ -42,20 +42,20 @@ def szego_projection_of_constant(pot, z: complex, nodes: int = 512) -> float:
 # The boundary integrals one node at a time, from the scalar Hardy functions.
 
 def harmonic_measure_mass_loop(pot, z: complex, nodes: int = 512) -> float:
-    _, wts, pts, speed = pot.boundary_grid(nodes, 1.0)
+    wts, pts, speed, _ = pot.boundary_grid(nodes, 1.0)
     dens = np.array([harmonic_measure_density(pot, z, complex(p)) for p in pts])
     return float(np.sum(wts * dens * speed))
 
 
 def szego_reproducing_check_loop(pot, f_index: int, z: complex, nodes: int = 512) -> float:
-    _, wts, pts, speed = pot.boundary_grid(nodes, 1.0)
+    wts, pts, speed, _ = pot.boundary_grid(nodes, 1.0)
     vals = np.array([szego_basis(pot, f_index, complex(p))
                      * szego_kernel(pot, complex(p), z).conjugate() for p in pts])
     return abs(complex(np.sum(wts * speed * vals)) - szego_basis(pot, f_index, z))
 
 
 def basis_gram_matrix_loop(pot, j_max: int, nodes: int = 512) -> np.ndarray:
-    _, wts, pts, speed = pot.boundary_grid(nodes, 1.0)
+    wts, pts, speed, _ = pot.boundary_grid(nodes, 1.0)
     basis = np.array([[szego_basis(pot, j, complex(p)) for p in pts] for j in range(1, j_max + 1)])
     return (basis * (wts * speed)[None, :]) @ basis.conj().T
 
@@ -160,7 +160,7 @@ def test_hardy_arrays_match_the_node_loops(name, rho, theta, f_index):
     pot = FAMILIES[name]
     z = pot.chi(rho * cmath.exp(1j * theta), 1.0)
     nodes = 128
-    _, _, pts, _ = pot.boundary_grid(nodes, 1.0)
+    _, pts, _, _ = pot.boundary_grid(nodes, 1.0)
     for array, scalar in (
         (szego_kernel(pot, pts, z), lambda p: szego_kernel(pot, p, z)),
         (szego_kernel(pot, z, pts), lambda p: szego_kernel(pot, z, p)),

@@ -1,4 +1,6 @@
 import cmath
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -6,26 +8,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wpkernel
 from wpkernel import (
+    AdmissiblePotential,
     DomainError,
     EllipticGinibrePotential,
+    KernelAsymptotic,
+    RadialPotential,
     RadialProfile,
     ResolutionError,
     ToleranceError,
+    berezin_belt_density,
     boundary_speed,
     boundary_speed_fd,
+    bulk_kernel_expansion,
+    cocycle,
     droplet_mass,
     equilibrium_log_potential,
+    exterior_kernel_expansion,
     harmonic_extension,
+    harmonic_limit_check,
     make_elliptic_ginibre,
     make_ginibre,
     make_radial,
-    ridge,
+    quasipolynomial,
     ridge_between,
     tail_kernel,
     variational_residual,
-    V_tau,
 )
+from wpkernel import potential as potential_module
+from wpkernel.ginibre_exact import _gamma_cf
+from wpkernel.hardy import _require_cl_U
 
 QUARTIC = RadialProfile(q=lambda r: 0.5 * r ** 4, dq=lambda r: 2.0 * r ** 3,
                         d2q=lambda r: 6.0 * r ** 2, name="quartic")
@@ -62,8 +75,8 @@ def test_ginibre_closed_data(gin):
     assert gin.script_H(2.0, 1.0) == 0.0
     assert droplet_mass(gin, 0.61) == pytest.approx(0.61, abs=1e-10)
     # V on the boundary matches Q
-    assert V_tau(gin, 1.0, cmath.exp(0.7j)) == pytest.approx(1.0, abs=1e-12)
-    assert V_tau(gin, 1.0, 2.0) == pytest.approx(1.0 + math.log(4.0), rel=1e-14)
+    assert gin.V(cmath.exp(0.7j), 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert gin.V(2.0, 1.0) == pytest.approx(1.0 + math.log(4.0), rel=1e-14)
 
 
 def test_radial_reproduces_ginibre(gin):
@@ -94,7 +107,7 @@ def test_obstacle_inequality_outside(quart, gin):
 
 def test_ridge_quadratic_coefficient(gin):
     # closed form vs the 2 LapQ ell^2 local model
-    val = ridge(gin, 1.0, 1.01)
+    val = gin.ridge(1.01, 1.0)
     assert val == pytest.approx((1.01) ** 2 - 1.0 - math.log(1.01 ** 2), rel=1e-12)
     assert val / 1e-4 == pytest.approx(2.0, rel=0.01)
 
@@ -104,17 +117,17 @@ def test_ridge_growth_on_rays(gin):
     for direction in (1.0, cmath.exp(0.9j)):
         for dist in (0.05, 0.3, 1.0, 2.5):
             z = (1.0 + dist) * direction
-            assert ridge(gin, 1.0, z) >= 0.5 * min(dist * dist, 1.0)
+            assert gin.ridge(z, 1.0) >= 0.5 * min(dist * dist, 1.0)
 
 
 def test_boundary_speed(gin, ell, quart):
     # Ginibre: closed form dr/dtau = 1/(2 sqrt(tau))
     assert boundary_speed(gin, 1.0, 1.0) == pytest.approx(0.5, rel=1e-14)
-    assert boundary_speed_fd(gin, 1.0, 1.0, 1e-3) == pytest.approx(0.5, abs=1e-4)
+    assert boundary_speed_fd(gin, 1.0, 1.0) == pytest.approx(0.5, abs=1e-4)
     p_cov = ell.boundary_point(math.pi / 2, 1.0).p
     q_axis = ell.semi_axes(1.0)[1]
     assert boundary_speed(ell, 1.0, p_cov) == pytest.approx(q_axis / 2.0, rel=1e-12)
-    assert abs(boundary_speed_fd(ell, 1.0, p_cov, 1e-3)
+    assert abs(boundary_speed_fd(ell, 1.0, p_cov)
                - boundary_speed(ell, 1.0, p_cov)) < 1e-4
     for pot in (gin, ell, quart):
         for theta in (0.0, 1.1, 2.7):
@@ -138,7 +151,7 @@ def test_ridge_between(gin, ell):
     exact, pred = ridge_between(gin, 1.0, 1.0, 1.0)
     assert exact == 0.0 and pred == 0.0
     exact, pred = ridge_between(gin, 0.99, 1.0, 1.0)
-    assert exact == pytest.approx(1.0 - V_tau(gin, 0.99, 1.0), rel=1e-12)
+    assert exact == pytest.approx(1.0 - gin.V(1.0, 0.99), rel=1e-12)
     assert exact / pred == pytest.approx(1.0, abs=0.02)
     p2 = ell.boundary_point(0.9, 1.0).p
     exact, pred = ridge_between(ell, 0.99, 1.0, p2)
@@ -261,14 +274,14 @@ def test_v_tau_domain_error(ell):
 
 
 def test_droplet_geometry_summary(ell):
-    geom = ell.droplet_geometry(1.0, m=128)
+    _, boundary, _, _ = ell.boundary_grid(128, 1.0)
     p, q = ell.semi_axes(1.0)
-    a_coeff, const, b_coeff = geom.conformal_coeffs
+    a_coeff, const, b_coeff = ell.chi_laurent(1.0)
     assert a_coeff == pytest.approx((p + q) / 2.0, rel=1e-14)
     assert const == 0.0
     assert b_coeff == pytest.approx((p - q) / 2.0, rel=1e-14)
-    assert geom.mass == pytest.approx(1.0, abs=1e-8)
-    assert np.max(np.abs(geom.boundary.real)) == pytest.approx(p, rel=1e-6)
+    assert droplet_mass(ell, 1.0) == pytest.approx(1.0, abs=1e-8)
+    assert np.max(np.abs(boundary.real)) == pytest.approx(p, rel=1e-6)
 
 
 def test_radial_no_root_configuration_error():
@@ -289,7 +302,7 @@ def test_elliptic_projection_finds_nearest_boundary_point(ell):
     r = np.sqrt(rng.uniform(0.0, 1.0, 400))
     t = rng.uniform(0.0, 2.0 * math.pi, 400)
     inside = p * r * np.cos(t) + 1j * q * r * np.sin(t)
-    _, _, dense, _ = ell.boundary_grid(20000)
+    _, dense, _, _ = ell.boundary_grid(20000)
     brute = np.min(np.abs(dense[None, :] - inside[:, None]), axis=1)
     dist = np.array([ell.dist_to_exterior(z) for z in inside])
     # the projection may only beat the sampled boundary, by less than its spacing
@@ -415,9 +428,9 @@ def test_conformal_data_accept_point_and_tau_arrays(family, request):
         got = np.broadcast_to(getattr(pot, name)(zs, taus), (4, 3))
         want = np.array([[getattr(pot, name)(complex(z), float(t)) for t in taus] for z in zs[:, 0]])
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), name
-    assert pot.outer_radius(1.0) == pytest.approx(max(np.abs(pot.boundary_grid(64)[2])), rel=1e-12)
-    _, _, pts, speed = pot.boundary_grid(64)
-    assert pts.shape == speed.shape == (64,)
+    assert pot.outer_radius(1.0) == pytest.approx(max(np.abs(pot.boundary_grid(64)[1])), rel=1e-12)
+    _, pts, speed, normal = pot.boundary_grid(64)
+    assert pts.shape == speed.shape == normal.shape == (64,)
 
 
 def test_radii_of_a_tau_array_are_one_bisection(quart):
@@ -464,3 +477,44 @@ def test_elliptic_derivative_at_a_focus_raises_domain_error(ell):
         for method in (ell.dphi, ell.sqrt_dphi):
             with pytest.raises(DomainError):
                 method(z, tau)
+
+
+@pytest.mark.parametrize("function, names", [
+    (quasipolynomial, {"tau_floor"}),
+    (berezin_belt_density, {"allow_outside_belt"}),
+    (cocycle, {"boundary_tol"}),
+    (harmonic_extension, {"trunc_tol"}),
+    (harmonic_limit_check, {"rings"}),
+    (variational_residual, {"n_radial", "n_angular"}),
+    (RadialPotential.__init__, {"r_bracket"}),
+    (boundary_speed_fd, {"dtau"}),
+    (exterior_kernel_expansion, {"tol"}),
+    (bulk_kernel_expansion, {"tol"}),
+    (_require_cl_U, {"tol"}),
+    (_gamma_cf, {"tol", "max_iter"}),
+], ids=lambda v: getattr(v, "__qualname__", None))
+def test_single_value_options_are_constants(function, names):
+    # no caller sets these, so each is a constant in the function body
+    assert names.isdisjoint(inspect.signature(function).parameters)
+
+
+def test_argument_reordering_wrappers_are_gone():
+    for name in ("V_tau", "ridge", "DropletGeometry", "_boundary_nodes"):
+        assert not hasattr(wpkernel, name) and not hasattr(potential_module, name)
+    for name in ("droplet_geometry", "tau0"):
+        assert not hasattr(AdmissiblePotential, name)
+    assert "regime" not in {f.name for f in dataclasses.fields(KernelAsymptotic)}
+
+
+@pytest.mark.parametrize("family", ["gin", "ell", "quart"])
+def test_boundary_grid_returns_weights_points_speed_and_normal(family, request):
+    pot = request.getfixturevalue(family)
+    weights, pts, speed, normal = pot.boundary_grid(64, 0.8)
+    omega = np.exp(2j * math.pi * np.arange(64) / 64)
+    assert np.allclose(pts, pot.chi(omega, 0.8), rtol=1e-15, atol=0.0)
+    assert np.allclose(normal, omega * pot.dchi(omega, 0.8), rtol=1e-15, atol=0.0)
+    assert np.allclose(speed, np.abs(normal), rtol=1e-15, atol=0.0)
+    assert weights.sum() == pytest.approx(2.0 * math.pi, rel=1e-15)
+    # the flux of grad Q through Gamma_tau is 4 pi tau
+    flux = (np.conj(pot.grad_Q(pts)) * normal).real
+    assert float(weights @ flux) == pytest.approx(4.0 * math.pi * 0.8, rel=1e-8)
