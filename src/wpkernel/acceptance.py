@@ -154,18 +154,19 @@ def criterion_5() -> CriterionResult:
     return CriterionResult(5, "off-diagonal boundary decay", err < 0.05, {"error": err})
 
 
-def _belt_tv_distance(n: int, z: complex, m_theta: int = 160, m_ell: int = 48) -> float:
+_BELT_M_THETA, _BELT_M_ELL = 160, 48  # criterion 6's nodes in theta and in ell
+
+
+def _belt_tv_distance(n: int, z: complex) -> float:
     c_n = n ** (-0.4)
-    tq = quad_trapezoid_periodic(m_theta)
-    lq = gauss_on_interval(m_ell, -c_n, c_n)
+    tq = quad_trapezoid_periodic(_BELT_M_THETA)
+    lq = gauss_on_interval(_BELT_M_ELL, -c_n, c_n)
     th, ell = np.meshgrid(tq.nodes, lq.nodes, indexing="ij")
     grid = np.exp(1j * th) * (1.0 + ell)
     b_vals = ginibre_berezin_array(n, z, grid)
     f_exact = b_vals * (1.0 + ell) / math.pi
-    f_model = np.array([
-        [poisson_disc(z, t) * gaussian_belt_profile(n, l) for l in lq.nodes]
-        for t in tq.nodes
-    ])
+    f_model = np.outer([poisson_disc(z, t) for t in tq.nodes],
+                       [gaussian_belt_profile(n, l) for l in lq.nodes])
     wts = np.outer(tq.weights, lq.weights)
     me = float(np.sum(wts * f_exact))
     mm = float(np.sum(wts * f_model))

@@ -95,26 +95,26 @@ def kernel_asymptotic(pot: AdmissiblePotential, n: int, z: complex, w: complex,
     check_finite(z, w)
     _require_belt(pot, n, z, "z")
     _require_belt(pot, n, w, "w")
-    phi_z = pot.phi(z, 1.0)
-    phi_w = pot.phi(w, 1.0)
-    prod = phi_z * phi_w.conjugate()
+    ez = pot.exterior(z, 1.0)
+    ew = pot.exterior(w, 1.0)
+    prod = ez.phi * ew.phi.conjugate()
     if abs(prod - 1.0) < eta:
         raise RegimeError(
             f"|phi(z) conj(phi(w)) - 1| = {abs(prod - 1.0):.4f} < eta = {eta}"
         )
     expo = (
-        0.5 * n * (pot.script_Q(z, 1.0) + pot.script_Q(w, 1.0).conjugate())
+        0.5 * n * (ez.QQ + ew.QQ.conjugate())
         - 0.5 * n * (float(pot.Q(z)) + float(pot.Q(w)))
-        + 0.5 * (pot.script_H(z, 1.0) + pot.script_H(w, 1.0).conjugate())
+        + 0.5 * (ez.HH + ew.HH.conjugate())
     )
-    s = pot.sqrt_dphi(z, 1.0) * pot.sqrt_dphi(w, 1.0).conjugate() / (2.0 * math.pi * (prod - 1.0))
+    s = ez.sqrt_dphi * ew.sqrt_dphi.conjugate() / (2.0 * math.pi * (prod - 1.0))
     log_mag = (
         0.5 * math.log(2.0 * math.pi * n)
         + expo.real
         + n * math.log(abs(prod))
         + math.log(abs(s))
     )
-    if min(abs(phi_z), abs(phi_w)) < 1.0 - 1e-9:
+    if min(abs(ez.phi), abs(ew.phi)) < 1.0 - 1e-9:
         lap = 0.5 * (pot.laplacian(z) + pot.laplacian(w))
         if log_mag <= math.log(n * lap) - 0.5 * n * lap * abs(z - w) ** 2:
             raise RegimeError(f"the bulk term outweighs the exterior one at z = {z}, w = {w}")
@@ -124,16 +124,17 @@ def kernel_asymptotic(pot: AdmissiblePotential, n: int, z: complex, w: complex,
 
 def cocycle(pot: AdmissiblePotential, n: int, z: complex, w: complex) -> LogComplex:
     """Unimodular factor c_n(z, w) of the boundary correlation; needs ||phi| - 1| <= 1e-8 at z and w."""
-    z = complex(z)
-    w = complex(w)
-    for pt, name in ((z, "z"), (w, "w")):
-        if not abs(abs(pot.phi(pt, 1.0)) - 1.0) <= 1e-8:
+    check_n(n)
+    ez = pot.exterior(complex(z), 1.0)
+    ew = pot.exterior(complex(w), 1.0)
+    for e, name in ((ez, "z"), (ew, "w")):
+        if not abs(abs(e.phi) - 1.0) <= 1e-8:
             raise DomainError(f"cocycle needs {name} on the boundary")
-    prod = pot.phi(z, 1.0) * pot.phi(w, 1.0).conjugate()
+    prod = ez.phi * ew.phi.conjugate()
     arg = (
         _norm_arg(n * math.atan2(prod.imag, prod.real))
-        + 0.5 * n * (pot.script_Q(z, 1.0).imag - pot.script_Q(w, 1.0).imag)
-        + 0.5 * (pot.script_H(z, 1.0).imag - pot.script_H(w, 1.0).imag)
+        + 0.5 * n * (ez.QQ.imag - ew.QQ.imag)
+        + 0.5 * (ez.HH.imag - ew.HH.imag)
     )
     return LogComplex(n * math.log(abs(prod)), _norm_arg(arg))
 
@@ -141,6 +142,7 @@ def cocycle(pot: AdmissiblePotential, n: int, z: complex, w: complex) -> LogComp
 def boundary_correlation_modulus(pot: AdmissiblePotential, n: int,
                                  z: complex, w: complex) -> float:
     """sqrt(2 pi n) LapQ(z)^{1/4} LapQ(w)^{1/4} |S(z, w)| for distinct boundary points."""
+    check_n(n)
     z = complex(z)
     w = complex(w)
     if abs(z - w) < 1e-12:
@@ -187,34 +189,29 @@ def berezin_belt_density(pot: AdmissiblePotential, n: int, z: complex,
 def _quasipolynomial_parts(pot: AdmissiblePotential, n: int, j: np.ndarray, points):
     """(log_mag, arg) of W#_{j,n}(z): one row per point z, one column per degree in j.
 
-    The conformal data come from one call per method, with the points as a
-    column against the row tau = j/n.
+    The exterior data come from one call, with the points as a column
+    against the row tau = j/n.
     """
     # the scalar Q raises DomainError at an overflow-scale point, before any array work
     q = np.array([[float(pot.Q(z))] for z in points])
-    z = np.array(points, dtype=complex)[:, None]
-    tau = j / n
-    phi = pot.phi(z, tau)
-    if np.any(phi == 0):
+    e = pot.exterior(np.array(points, dtype=complex)[:, None], j / n)
+    if np.any(e.phi == 0):
         raise DomainError(f"W#_(j,n) has no log-polar value where phi_tau vanishes, z in {points}")
-    sq = pot.script_Q(z, tau)
-    sh = pot.script_H(z, tau)
-    sdphi = pot.sqrt_dphi(z, tau)
     log_mag = (
         0.25 * math.log(n / (2.0 * math.pi))
-        + 0.5 * np.real(sh)
-        + np.log(np.abs(sdphi))
-        + j * np.log(np.abs(phi))
-        + 0.5 * n * np.real(sq)
+        + 0.5 * np.real(e.HH)
+        + np.log(np.abs(e.sqrt_dphi))
+        + j * np.log(np.abs(e.phi))
+        + 0.5 * n * np.real(e.QQ)
         - 0.5 * n * q
     )
     if not np.all(np.isfinite(log_mag)):
         raise DomainError(f"W#_(j,n) is not finite at z in {points}")
     arg = (
-        0.5 * np.imag(sh)
-        + np.angle(sdphi)
-        + _norm_args(j * np.angle(phi))
-        + 0.5 * n * np.imag(sq)
+        0.5 * np.imag(e.HH)
+        + np.angle(e.sqrt_dphi)
+        + _norm_args(j * np.angle(e.phi))
+        + 0.5 * n * np.imag(e.QQ)
     )
     return log_mag, arg
 
@@ -223,9 +220,10 @@ def quasipolynomial(pot: AdmissiblePotential, n: int, j: int, z: complex) -> Log
     """Closed-form approximate orthonormal weighted polynomial W#_{j,n}(z).
 
     tau(j) = j/n selects the droplet family member.  It is the tail sum's
-    term for degree j: every tau the potential's conformal data accept (down
+    term for degree j: every tau the potential's exterior data accept (down
     to its floor `tau_floor`) is allowed.
     """
+    check_n(n)
     tau = j / n
     if tau > 1.0 + 1e-12:
         raise DomainError("degrees beyond n are not part of the space")
@@ -261,9 +259,9 @@ def f_factor(pot: AdmissiblePotential, tau: float, z: complex) -> complex:
     """
     z = complex(z)
     check_finite(z)
-    ratio = pot.phi(z, tau) / pot.phi(z, 1.0)
-    diff = (pot.script_Q(z, tau) - pot.script_Q(z, 1.0)) / (2.0 * tau)
-    return ratio * cmath.exp(diff)
+    e = pot.exterior(z, tau)
+    e1 = pot.exterior(z, 1.0)
+    return e.phi / e1.phi * cmath.exp((e.QQ - e1.QQ) / (2.0 * tau))
 
 
 @dataclass(frozen=True)
@@ -309,7 +307,7 @@ def h_function(pot: AdmissiblePotential, z: complex, nodes: int = 512) -> comple
     """
     check_finite(z)
     ext = harmonic_extension(
-        pot, 1.0, lambda p: -abs(pot.dphi(p, 1.0)) ** 2 / (4.0 * pot.laplacian(p)),
+        pot, 1.0, lambda p: -np.abs(pot.exterior(p, 1.0).dphi) ** 2 / (4.0 * pot.laplacian(p)),
         nodes=nodes,
     )
     return ext(complex(z))

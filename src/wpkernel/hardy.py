@@ -46,10 +46,12 @@ def szego_kernel(pot: AdmissiblePotential, z: complex, w: complex) -> complex:
     check_finite(z, w)
     _require_cl_U(pot, z)
     _require_cl_U(pot, w)
-    denom = pot.phi(z, 1.0) * pot.phi(w, 1.0).conjugate() - 1.0
+    ez = pot.exterior(z, 1.0)
+    ew = pot.exterior(w, 1.0)
+    denom = ez.phi * ew.phi.conjugate() - 1.0
     if not _all(abs(denom) >= 1e-12):
         raise PoleError("phi(z) conj(phi(w)) = 1: Szego kernel pole")
-    return pot.sqrt_dphi(z, 1.0) * pot.sqrt_dphi(w, 1.0).conjugate() / (2.0 * math.pi * denom)
+    return ez.sqrt_dphi * ew.sqrt_dphi.conjugate() / (2.0 * math.pi * denom)
 
 
 def szego_basis(pot: AdmissiblePotential, j: int, z: complex) -> complex:
@@ -62,10 +64,10 @@ def szego_basis(pot: AdmissiblePotential, j: int, z: complex) -> complex:
     z = _as_complex(z)
     check_finite(z)
     _require_cl_U(pot, z)
-    phi = pot.phi(z, 1.0)
+    e = pot.exterior(z, 1.0)
     # phi^{-j} through the exponential to avoid overflow at large j
-    inv_pow = _elementwise(-j * _elementwise(phi, cmath.log, np.log), cmath.exp, np.exp)
-    return pot.sqrt_dphi(z, 1.0) * inv_pow / math.sqrt(2.0 * math.pi)
+    inv_pow = _elementwise(-j * _elementwise(e.phi, cmath.log, np.log), cmath.exp, np.exp)
+    return e.sqrt_dphi * inv_pow / math.sqrt(2.0 * math.pi)
 
 
 def szego_kernel_series(pot: AdmissiblePotential, z: complex, w: complex,
@@ -91,9 +93,11 @@ def harmonic_measure_density(pot: AdmissiblePotential, z: complex, p: complex) -
     phi_z = pot.phi(z, 1.0)
     if not _all(abs(phi_z) > 1.0 + 1e-12):
         raise DomainError("harmonic measure density needs z strictly in the exterior domain")
-    phi_p = pot.phi(p, 1.0)
-    dphi_p = pot.dphi(p, 1.0)
-    return (abs(phi_z) ** 2 - 1.0) / (2.0 * math.pi * abs(phi_z - phi_p) ** 2) * abs(dphi_p)
+    # below 1e150, |phi(z)|^2 and |phi(z) - phi(p)|^2 stay finite
+    if not _all(abs(phi_z) < 1e150):
+        raise DomainError(f"harmonic measure density overflows float64 at z = {z}")
+    e = pot.exterior(p, 1.0)
+    return (abs(phi_z) ** 2 - 1.0) / (2.0 * math.pi * abs(phi_z - e.phi) ** 2) * abs(e.dphi)
 
 
 def harmonic_measure_mass(pot: AdmissiblePotential, z: complex, nodes: int = 512) -> float:
@@ -105,12 +109,11 @@ def harmonic_measure_mass(pot: AdmissiblePotential, z: complex, nodes: int = 512
 
 def harmonic_measure_integral(pot: AdmissiblePotential, z: complex, f,
                               nodes: int = 512) -> complex:
-    """omega_z(f) = integral of f against harmonic measure at z; f takes one point per call."""
+    """omega_z(f) = integral of f against harmonic measure at z; f takes the node array in one call."""
     check_finite(z)
     wts, pts, speed, _ = pot.boundary_grid(nodes, 1.0)
     dens = harmonic_measure_density(pot, z, pts)
-    vals = np.array([f(p) for p in pts], dtype=complex)
-    return complex(np.sum(wts * dens * speed * vals))
+    return complex(np.sum(wts * dens * speed * np.asarray(f(pts), dtype=complex)))
 
 
 def szego_reproducing_check(pot: AdmissiblePotential, f_index: int, z: complex,

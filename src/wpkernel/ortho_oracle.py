@@ -299,6 +299,8 @@ def pointwise_bound_check(n: int, js, zs) -> PointwiseBoundReport:
     |W_{j,n}(z)| <= C sqrt(n) e^{-(n/2)(Q - Qcheck_tau)(z)} with tau = j/n;
     the report carries the empirical max of the normalized ratio.
     """
+    check_n(n)
+    check_finite(*(complex(z) for z in zs))
     worst = 0.0
     for j in js:
         for z in zs:

@@ -27,10 +27,12 @@ The mass and equilibrium-potential oracles are trapezoid integrals over
 Gamma_tau = chi_tau(|omega| = 1) that read only Q, grad Q and chi_tau; the
 log potential reads |phi_tau| at its points only to size its rule.
 
-phi, dphi, sqrt_dphi, script_Q, script_H and r_tau accept an array of points
-and an array of tau as well as scalars, and their values broadcast against
-both (a value constant in them may come back as a scalar): one call gives a
-tail kernel all its degrees at once.
+`exterior(z, tau)` returns (phi, dphi, sqrt_dphi, QQ, HH) from one
+derivation of the tau data (Joukowski root, or r_tau); `phi` alone serves
+the membership checks, which also run inside the droplet and at the foci.
+Both, and r_tau, accept arrays of points and of tau, and their values
+broadcast against both (a value constant in them may come back as a
+scalar): one call gives a tail kernel all its degrees at once.
 
 The built-in families have closed-form QQ_tau (a constant for the radial
 family, c_0 + c_2 phi_tau^{-2} for the elliptic one).  harmonic_extension is
@@ -43,6 +45,7 @@ hundred nodes.
 from __future__ import annotations
 
 import cmath
+import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -63,11 +66,17 @@ class BoundaryPoint:
     tau: float
 
 
+# exterior data of S_tau at z: phi_tau, phi_tau', its branch of sqrt
+# positive at infinity, QQ_tau and HH_tau
+Exterior = collections.namedtuple("Exterior", "phi dphi sqrt_dphi QQ HH")
+
+
 class HarmonicExtension:
     """Holomorphic G on the exterior with Re G = f on Gamma_tau, Im G(inf) = 0.
 
     G(z) = c_0 + 2 sum_{k>=1} c_{-k} phi_tau(z)^{-k}, with c_{-k} the
-    discrete Fourier coefficients of the pulled-back boundary data.
+    discrete Fourier coefficients of the pulled-back boundary data;
+    elementwise over an array of z.
     """
 
     def __init__(self, pot, tau, c0, cneg):
@@ -76,7 +85,7 @@ class HarmonicExtension:
         self.c0 = c0
         self.cneg = cneg  # cneg[k-1] = c_{-k}
 
-    def __call__(self, z: complex) -> complex:
+    def __call__(self, z):
         w_inv = 1.0 / self.pot.phi(z, self.tau)
         acc = 0j
         power = 1.0 + 0j
@@ -86,11 +95,11 @@ class HarmonicExtension:
         return self.c0 + 2.0 * acc
 
 
-def harmonic_extension(pot, tau: float, f: Callable[[complex], float],
+def harmonic_extension(pot, tau: float, f: Callable[[np.ndarray], np.ndarray],
                        nodes: int = 512) -> HarmonicExtension:
-    """Solve the exterior Dirichlet problem for boundary data f spectrally."""
+    """Solve the exterior Dirichlet problem spectrally; f takes the node array in one call."""
     _, boundary, _, _ = pot.boundary_grid(nodes, tau)
-    vals = np.array([float(f(p)) for p in boundary])
+    vals = np.asarray(f(boundary), dtype=float) * np.ones(nodes)
     coeffs = np.fft.fft(vals) / nodes
     c0 = float(coeffs[0].real)
     scale = max(1.0, abs(c0), float(np.max(np.abs(coeffs))))
@@ -130,22 +139,19 @@ class AdmissiblePotential:
         """Q_x + i Q_y; accepts arrays."""
         raise NotImplementedError
 
-    def laplacian(self, z) -> float:
+    def laplacian(self, z):
+        """Lap Q = d dbar Q; accepts arrays (a constant may come back as a scalar)."""
         raise NotImplementedError
 
     def outer_radius(self, tau: float = 1.0) -> float:
         raise NotImplementedError
 
     def phi(self, z: complex, tau: float = 1.0) -> complex:
-        """Exterior map of S_tau onto |w| > 1; accepts arrays of z and tau."""
+        """Exterior map of S_tau onto |w| > 1, continued inside; accepts arrays of z and tau."""
         raise NotImplementedError
 
-    def dphi(self, z: complex, tau: float = 1.0) -> complex:
-        """phi_tau'(z); accepts arrays of z and tau."""
-        raise NotImplementedError
-
-    def sqrt_dphi(self, z: complex, tau: float = 1.0) -> complex:
-        """The branch of sqrt(phi_tau'(z)) positive at infinity; accepts arrays of z and tau."""
+    def exterior(self, z: complex, tau: float = 1.0) -> Exterior:
+        """(phi, dphi, sqrt_dphi, QQ, HH) of S_tau at z, phi as `phi` gives it; accepts arrays."""
         raise NotImplementedError
 
     def chi(self, omega: complex, tau: float = 1.0) -> complex:
@@ -160,14 +166,6 @@ class AdmissiblePotential:
         raise NotImplementedError
 
     def chi_laurent(self, tau: float = 1.0) -> tuple:
-        raise NotImplementedError
-
-    def script_Q(self, z: complex, tau: float = 1.0) -> complex:
-        """QQ_tau(z); accepts arrays of z and tau."""
-        raise NotImplementedError
-
-    def script_H(self, z: complex, tau: float = 1.0) -> complex:
-        """HH_tau(z); accepts arrays of z and tau."""
         raise NotImplementedError
 
     # --- shared derived operations -------------------------------------------
@@ -222,7 +220,7 @@ class AdmissiblePotential:
             raise DomainError(
                 f"|phi_tau({z})| = {mod:.4f} is not above rho0; point is too deep inside the droplet"
             )
-        return self.script_Q(z, tau).real + tau * 2.0 * math.log(mod)
+        return self.exterior(z, tau).QQ.real + tau * 2.0 * math.log(mod)
 
     def ridge(self, z: complex, tau: float = 1.0) -> float:
         """Q - V_tau; zero on Gamma_tau, ~ 2 Lap(Q)(p) ell^2 nearby."""
@@ -304,8 +302,9 @@ class RadialPotential(AdmissiblePotential):
         self.name = profile.name
         # scalar calls come back to a few tau values (tau = 1 above all)
         self._r_cache = functools.lru_cache(maxsize=256)(self._solve_r_tau)
-        # a tail kernel asks for the radii of its degrees once per method and
-        # point: the last tau array and its radii, solved in one bisection
+        # tail kernels at one n ask for the same tau array call after call:
+        # the last tau array and its radii, solved in one bisection, serve the
+        # next call without a second solve
         self._r_last = (np.empty(0), np.empty(0))
         # fail early if the unit-mass droplet cannot be bracketed
         self.r_tau(1.0)
@@ -353,11 +352,13 @@ class RadialPotential(AdmissiblePotential):
         r = np.abs(z)
         return self.profile.dq(r) * z / np.where(r > 0, r, 1.0)
 
-    def laplacian(self, z) -> float:
+    def laplacian(self, z):
+        """Lap Q; elementwise for an array z (dq(r)/r -> d2q(0) as r -> 0)."""
         r = abs(z)
-        if r < 1e-9:
-            return 0.5 * self.profile.d2q(1e-9)
-        return 0.25 * (self.profile.d2q(r) + self.profile.dq(r) / r)
+        small = r < 1e-9
+        r = _where(small, 1e-9, r)
+        return _where(small, 0.5 * self.profile.d2q(1e-9),
+                      0.25 * (self.profile.d2q(r) + self.profile.dq(r) / r))
 
     def outer_radius(self, tau: float = 1.0) -> float:
         return self.r_tau(tau)
@@ -365,11 +366,13 @@ class RadialPotential(AdmissiblePotential):
     def phi(self, z, tau=1.0):
         return z / self.r_tau(tau)
 
-    def dphi(self, z, tau=1.0):
-        return 1.0 / self.r_tau(tau)
-
-    def sqrt_dphi(self, z, tau=1.0):
-        return 1.0 / _elementwise(self.r_tau(tau), math.sqrt, np.sqrt)
+    def exterior(self, z, tau=1.0):
+        # Lap Q on |z| = r_tau; r_tau is above the bracket floor 1e-8, clear
+        # of the small-r guard of `laplacian`
+        r = self.r_tau(tau)
+        return Exterior(z / r, 1.0 / r, 1.0 / _elementwise(r, math.sqrt, np.sqrt),
+                        self.profile.q(r) + 0j,
+                        0.5 * _elementwise(self.laplacian(r), math.log, np.log) + 0j)
 
     def chi(self, omega, tau=1.0):
         return self.r_tau(tau) * omega
@@ -379,16 +382,6 @@ class RadialPotential(AdmissiblePotential):
 
     def chi_laurent(self, tau=1.0):
         return (self.r_tau(tau), 0.0, 0.0)
-
-    def script_Q(self, z, tau=1.0) -> complex:
-        return self.profile.q(self.r_tau(tau)) + 0j
-
-    def script_H(self, z, tau=1.0) -> complex:
-        # Lap Q on |z| = r_tau; r_tau is above the bracket floor 1e-8, clear
-        # of the small-r guard of `laplacian`
-        r = self.r_tau(tau)
-        lap = 0.25 * (self.profile.d2q(r) + self.profile.dq(r) / r)
-        return 0.5 * _elementwise(lap, math.log, np.log) + 0j
 
     def project(self, w, tau=1.0):
         check_finite(w)
@@ -424,11 +417,9 @@ class GinibrePotential(RadialPotential):
     def laplacian(self, z) -> float:
         return 1.0
 
-    def script_Q(self, z, tau=1.0) -> complex:
-        return tau + 0j
-
-    def script_H(self, z, tau=1.0) -> complex:
-        return 0j
+    def exterior(self, z, tau=1.0):
+        r = self.r_tau(tau)
+        return Exterior(z / r, 1.0 / r, 1.0 / _elementwise(r, math.sqrt, np.sqrt), tau + 0j, 0j)
 
     def exact_kernel(self, n: int) -> Callable[[complex, complex], LogComplex]:
         """(z, w) -> K_n(z, w) from the partial exponential sums."""
@@ -504,32 +495,29 @@ class EllipticGinibrePotential(AdmissiblePotential):
         return _where(nonzero, s, at_zero)
 
     def _root(self, z, tau):
-        """(z, sqrt(z^2 - c_tau^2), A_tau), the data phi_tau and phi_tau' share."""
-        A, _, c2 = self._joukowski(tau)
+        """(z, sqrt(z^2 - c_tau^2), A_tau, B_tau): the tau data phi_tau and its exterior data share."""
+        A, B, c2 = self._joukowski(tau)
         z = _as_complex(z)
-        return z, self._branch_sqrt(z, c2), A
-
-    @staticmethod
-    def _require_off_foci(s):
-        if not _all(s != 0):
-            raise DomainError("phi_tau' is infinite at the foci of the ellipse")
+        return z, self._branch_sqrt(z, c2), A, B
 
     def phi(self, z, tau=1.0):
-        z, s, A = self._root(z, tau)
+        z, s, A, _ = self._root(z, tau)
         return (z + s) / (2.0 * A)
 
-    def dphi(self, z, tau=1.0):
-        z, s, A = self._root(z, tau)
-        self._require_off_foci(s)
-        return (z + s) / (2.0 * A) / s
-
-    def sqrt_dphi(self, z, tau=1.0):
+    def exterior(self, z, tau=1.0):
+        z, s, A, B = self._root(z, tau)
+        if not _all(s != 0):
+            raise DomainError("phi_tau' is infinite at the foci of the ellipse")
+        phi = (z + s) / (2.0 * A)
+        # Q(chi_tau(omega)) = c0 + c2 Re omega^2 on |omega| = 1, so
+        # QQ_tau = c0 + c2 phi_tau^{-2}, real at infinity
+        c0 = self.alpha * (A * A + B * B) + 2.0 * self.beta * A * B
+        c2 = 2.0 * self.alpha * A * B + self.beta * (A * A + B * B)
         # phi' = (1 + z/s)/(2A) has strictly positive real part off the focal
         # cut, so the principal square root is the continuous branch that is
-        # positive at infinity
-        z, s, A = self._root(z, tau)
-        self._require_off_foci(s)
-        return _elementwise((1.0 + z / s) / (2.0 * A), cmath.sqrt, np.sqrt)
+        # positive at infinity; Lap(Q) is constant, so HH_tau is log sqrt(alpha)
+        return Exterior(phi, phi / s, _elementwise((1.0 + z / s) / (2.0 * A), cmath.sqrt, np.sqrt),
+                        c0 + c2 / (phi * phi), complex(0.5 * math.log(self.alpha)))
 
     def chi(self, omega, tau=1.0):
         A, B, _ = self._joukowski(tau)
@@ -551,19 +539,6 @@ class EllipticGinibrePotential(AdmissiblePotential):
         A, B, _ = self._joukowski(tau)
         univalent = math.sqrt(B / A) if B > 0 else 0.0
         return max(self.rho0, univalent + 1e-9)
-
-    def script_Q(self, z, tau=1.0) -> complex:
-        # Q(chi_tau(omega)) = c0 + c2 Re omega^2 on |omega| = 1, so
-        # QQ_tau = c0 + c2 phi_tau^{-2}, real at infinity
-        A, B, _ = self._joukowski(tau)
-        c0 = self.alpha * (A * A + B * B) + 2.0 * self.beta * A * B
-        c2 = 2.0 * self.alpha * A * B + self.beta * (A * A + B * B)
-        w = self.phi(z, tau)
-        return c0 + c2 / (w * w)
-
-    def script_H(self, z, tau=1.0) -> complex:
-        # Lap(Q) is constant, so HH_tau is the constant log sqrt(alpha)
-        return complex(0.5 * math.log(self.alpha))
 
     def exact_kernel(self, n: int) -> Callable[[complex, complex], LogComplex]:
         """(z, w) -> K_n(z, w) from the scaled Hermite basis."""
@@ -591,7 +566,8 @@ def make_elliptic_ginibre(a: float, b: float) -> EllipticGinibrePotential:
 
 def boundary_speed(pot: AdmissiblePotential, tau: float, p: complex) -> float:
     """Normal velocity |phi_tau'(p)| / (2 Lap Q(p)) of the growing boundary."""
-    return abs(pot.dphi(p, tau)) / (2.0 * pot.laplacian(p))
+    check_finite(p)
+    return abs(pot.exterior(p, tau).dphi) / (2.0 * pot.laplacian(p))
 
 
 def boundary_speed_fd(pot: AdmissiblePotential, tau: float, p: complex) -> float:
@@ -605,7 +581,7 @@ def ridge_between(pot: AdmissiblePotential, tau: float, tau2: float, z: complex)
     """(exact ridge (Q - V_tau)(z), quadratic prediction) for z on Gamma_tau2."""
     exact = pot.ridge(z, tau)
     bp, _, _ = pot.project(z, tau)
-    pred = abs(pot.dphi(bp.p, tau)) ** 2 / (2.0 * pot.laplacian(bp.p)) * (tau2 - tau) ** 2
+    pred = abs(pot.exterior(bp.p, tau).dphi) ** 2 / (2.0 * pot.laplacian(bp.p)) * (tau2 - tau) ** 2
     return exact, pred
 
 
@@ -655,6 +631,7 @@ def equilibrium_log_potential(pot: AdmissiblePotential, tau: float, z: complex) 
     point too close to Gamma_tau for 2^14 trapezoid nodes raises
     ResolutionError.
     """
+    check_finite(z)
     return float(_green_log_potential(pot, tau, np.array([complex(z)]))[0])
 
 

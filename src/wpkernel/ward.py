@@ -515,9 +515,8 @@ def harmonic_limit_check(pot: AdmissiblePotential, z: complex,
         omega_val = harmonic_measure_integral(
             pot, point, lambda p: 1.0 / (point - p), nodes=nodes
         )
-        phi = pot.phi(point, 1.0)
-        dphi = pot.dphi(point, 1.0)
-        grad = dphi * phi.conjugate() / (abs(phi) ** 2 - 1.0)
+        e = pot.exterior(point, 1.0)
+        grad = e.dphi * e.phi.conjugate() / (abs(e.phi) ** 2 - 1.0)
         return omega_val - grad, omega_val, grad
 
     H, omega_val, grad = h_at(z)

@@ -42,10 +42,7 @@ QUARTIC = RadialProfile(q=lambda r: 0.5 * r ** 4, dq=lambda r: 2.0 * r ** 3,
 def quasipolynomial_scalar(pot, n: int, j: int, z: complex) -> LogComplex:
     """W#_{j,n}(z) from the scalar conformal data of one degree, in math/cmath."""
     tau = j / n
-    phi = pot.phi(z, tau)
-    sq = pot.script_Q(z, tau)
-    sh = pot.script_H(z, tau)
-    sdphi = pot.sqrt_dphi(z, tau)
+    phi, _, sdphi, sq, sh = pot.exterior(z, tau)
     log_mag = (0.25 * math.log(n / (2.0 * math.pi)) + 0.5 * sh.real + math.log(abs(sdphi))
                + j * math.log(abs(phi)) + 0.5 * n * sq.real - 0.5 * n * float(pot.Q(z)))
     arg = (0.5 * sh.imag + math.atan2(sdphi.imag, sdphi.real)
@@ -272,8 +269,8 @@ def test_quasipolynomial_boundary_modulus_identity(gin, ell):
         w_val = quasipolynomial(pot, n, j, p)
         lhs = 2.0 * w_val.log_mag  # ridge term is zero on the boundary
         rhs = (0.5 * math.log(n / (2 * math.pi))
-               + pot.script_H(p, tau).real
-               + math.log(abs(pot.dphi(p, tau))))
+               + pot.exterior(p, tau).HH.real
+               + math.log(abs(pot.exterior(p, tau).dphi)))
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
@@ -462,7 +459,7 @@ def test_h_function(gin, ell):
     h_far = h_function(ell, 300.0)
     assert h_far.real < 0
     p = ell.boundary_point(0.5, 1.0).p
-    boundary_data = -abs(ell.dphi(p, 1.0)) ** 2 / (4.0 * ell.laplacian(p))
+    boundary_data = -abs(ell.exterior(p, 1.0).dphi) ** 2 / (4.0 * ell.laplacian(p))
     assert h_function(ell, p).real == pytest.approx(boundary_data, abs=1e-10)
 
 

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,12 +14,14 @@ from wpkernel import (
     AdmissiblePotential,
     DomainError,
     EllipticGinibrePotential,
+    GinibrePotential,
     KernelAsymptotic,
     RadialPotential,
     RadialProfile,
     ResolutionError,
     ToleranceError,
     berezin_belt_density,
+    boundary_correlation_modulus,
     boundary_speed,
     boundary_speed_fd,
     bulk_kernel_expansion,
@@ -28,9 +31,11 @@ from wpkernel import (
     exterior_kernel_expansion,
     harmonic_extension,
     harmonic_limit_check,
+    harmonic_measure_density,
     make_elliptic_ginibre,
     make_ginibre,
     make_radial,
+    pointwise_bound_check,
     quasipolynomial,
     ridge_between,
     tail_kernel,
@@ -71,8 +76,8 @@ def test_Q_accepts_arrays(gin, ell, quart):
 
 def test_ginibre_closed_data(gin):
     assert gin.phi(0.73 + 0.4j, 1.0) == 0.73 + 0.4j
-    assert gin.script_Q(2.0, 1.0) == 1.0
-    assert gin.script_H(2.0, 1.0) == 0.0
+    assert gin.exterior(2.0, 1.0).QQ == 1.0
+    assert gin.exterior(2.0, 1.0).HH == 0.0
     assert droplet_mass(gin, 0.61) == pytest.approx(0.61, abs=1e-10)
     # V on the boundary matches Q
     assert gin.V(cmath.exp(0.7j), 1.0) == pytest.approx(1.0, abs=1e-12)
@@ -86,7 +91,7 @@ def test_radial_reproduces_ginibre(gin):
         assert quad.r_tau(tau) == pytest.approx(math.sqrt(tau), abs=1e-12)
     z = 1.4 - 0.3j
     assert quad.V(z, 0.9) == pytest.approx(gin.V(z, 0.9), abs=1e-12)
-    assert quad.script_H(z, 0.8) == pytest.approx(gin.script_H(z, 0.8), abs=1e-12)
+    assert quad.exterior(z, 0.8).HH == pytest.approx(gin.exterior(z, 0.8).HH, abs=1e-12)
 
 
 def test_quartic_radius_and_mass(quart):
@@ -204,8 +209,8 @@ def test_extension_contracts(ell, gin):
     # Re(QQ) matches Q on the boundary to spectral accuracy
     for theta in (0.2, 1.3, 2.9, 4.4):
         p = ell.boundary_point(theta, 1.0).p
-        assert abs(ell.script_Q(p, 1.0).real - ell.Q(p)) < 1e-9
-    assert abs(ell.script_Q(100.0, 1.0).imag) < 1e-12
+        assert abs(ell.exterior(p, 1.0).QQ.real - ell.Q(p)) < 1e-9
+    assert abs(ell.exterior(100.0, 1.0).QQ.imag) < 1e-12
     # constant boundary data extends to the constant
     const = harmonic_extension(ell, 1.0, lambda p: 0.75)
     assert abs(const(2.0 + 0.5j) - 0.75) < 1e-13
@@ -224,7 +229,7 @@ def test_elliptic_script_Q_matches_fft_extension(a, b):
         for _ in range(16):
             omega = rng.uniform(1.0, 3.0) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
             z = pot.chi(omega, tau)
-            closed = pot.script_Q(z, tau)
+            closed = pot.exterior(z, tau).QQ
             assert abs(closed - fft(z)) <= 1e-13 * abs(closed)
 
 
@@ -240,20 +245,20 @@ def test_elliptic_d2chi_is_the_derivative_of_dchi():
 def test_extension_rejects_rough_data():
     ell = make_elliptic_ginibre(1.0, 3.0)
     with pytest.raises(ToleranceError):
-        harmonic_extension(ell, 1.0, lambda p: 1.0 if p.real > 0 else 0.0, nodes=256)
+        harmonic_extension(ell, 1.0, lambda p: np.where(p.real > 0, 1.0, 0.0), nodes=256)
 
 
 def test_sqrt_dphi_branch_continuity(ell):
     # continuous along a traced exterior loop, positive at a far real point
     thetas = np.linspace(0.0, 2.0 * math.pi, 400)
     path = [ell.chi(1.25 * cmath.exp(1j * t), 1.0) for t in thetas]
-    vals = [ell.sqrt_dphi(z, 1.0) for z in path]
+    vals = [ell.exterior(z, 1.0).sqrt_dphi for z in path]
     jumps = np.abs(np.diff(vals))
     assert jumps.max() < 0.05
-    far = ell.sqrt_dphi(50.0, 1.0)
+    far = ell.exterior(50.0, 1.0).sqrt_dphi
     assert far.real > 0 and abs(far.imag) < 1e-12
-    assert ell.sqrt_dphi(2.0 + 1.0j, 1.0) ** 2 == pytest.approx(
-        ell.dphi(2.0 + 1.0j, 1.0), rel=1e-12)
+    e = ell.exterior(2.0 + 1.0j, 1.0)
+    assert e.sqrt_dphi ** 2 == pytest.approx(e.dphi, rel=1e-12)
 
 
 def test_obstacle_ordering(ell):
@@ -416,7 +421,9 @@ def test_radius_cache_stays_bounded():
     assert info.currsize <= info.maxsize
 
 
-_CONFORMAL = ("phi", "dphi", "sqrt_dphi", "script_Q", "script_H")
+def _conformal(pot, z, tau):
+    """phi and the five fields of `exterior`, by name."""
+    return {"phi": pot.phi(z, tau), **pot.exterior(z, tau)._asdict()}
 
 
 @pytest.mark.parametrize("family", ["gin", "ell", "quart", "flat"])
@@ -424,9 +431,10 @@ def test_conformal_data_accept_point_and_tau_arrays(family, request):
     pot = make_elliptic_ginibre(2.5, 0.7) if family == "flat" else request.getfixturevalue(family)
     zs = np.array([[1.6 + 0.3j], [-1.3 + 1.1j], [2.0], [0.0]])
     taus = np.array([0.4, 0.83, 1.0])
-    for name in _CONFORMAL:
-        got = np.broadcast_to(getattr(pot, name)(zs, taus), (4, 3))
-        want = np.array([[getattr(pot, name)(complex(z), float(t)) for t in taus] for z in zs[:, 0]])
+    scalar = [[_conformal(pot, complex(z), float(t)) for t in taus] for z in zs[:, 0]]
+    for name, value in _conformal(pot, zs, taus).items():
+        got = np.broadcast_to(value, (4, 3))
+        want = np.array([[d[name] for d in row] for row in scalar])
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), name
     assert pot.outer_radius(1.0) == pytest.approx(max(np.abs(pot.boundary_grid(64)[1])), rel=1e-12)
     _, pts, speed, normal = pot.boundary_grid(64)
@@ -447,7 +455,7 @@ def test_radii_of_a_tau_array_are_one_bisection(quart):
 @pytest.mark.parametrize("family", ["gin", "ell", "quart"])
 def test_tau_arrays_outside_the_range_raise_domain_error(family, tau, request):
     pot = request.getfixturevalue(family)
-    for method in (pot.phi, pot.dphi, pot.sqrt_dphi):
+    for method in (pot.phi, pot.exterior):
         with pytest.raises(DomainError):
             method(1.5 + 0.2j, tau)
 
@@ -459,9 +467,10 @@ def test_elliptic_arrays_at_zero_and_on_the_focal_segment(a, b):
     p, q = pot.semi_axes(1.0)
     focal_axis = 1.0 if p > q else 1j
     zs = focal_axis * math.sqrt(abs(p * p - q * q)) * np.array([0.0, 0.3, -0.7, 0.999])
-    for name in ("phi", "dphi", "sqrt_dphi", "script_Q"):
-        got = getattr(pot, name)(zs, 1.0)
-        want = np.array([getattr(pot, name)(complex(z), 1.0) for z in zs])
+    scalar = [_conformal(pot, complex(z), 1.0) for z in zs]
+    for name, value in _conformal(pot, zs, 1.0).items():
+        got = np.broadcast_to(value, zs.shape)
+        want = np.array([d[name] for d in scalar])
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
     taus = np.array([0.5, 1.0])
     assert pot.phi(0.0, taus) == pytest.approx([pot.phi(0.0, float(t)) for t in taus], rel=1e-15)
@@ -474,9 +483,8 @@ def test_elliptic_derivative_at_a_focus_raises_domain_error(ell):
     c = math.sqrt(ell._joukowski(tau)[2])
     assert ell.phi(c, tau) == pytest.approx(c / (2.0 * ell._joukowski(tau)[0]), rel=1e-15)
     for z in (c, np.array([2.0, c])):
-        for method in (ell.dphi, ell.sqrt_dphi):
-            with pytest.raises(DomainError):
-                method(z, tau)
+        with pytest.raises(DomainError):
+            ell.exterior(z, tau)
 
 
 @pytest.mark.parametrize("function, names", [
@@ -518,3 +526,73 @@ def test_boundary_grid_returns_weights_points_speed_and_normal(family, request):
     # the flux of grad Q through Gamma_tau is 4 pi tau
     flux = (np.conj(pot.grad_Q(pts)) * normal).real
     assert float(weights @ flux) == pytest.approx(4.0 * math.pi * 0.8, rel=1e-8)
+
+
+_FAMILIES = {"gin": make_ginibre(), "ell": make_elliptic_ginibre(1.0, 3.0),
+             "quart": make_radial(QUARTIC)}
+
+
+@pytest.mark.parametrize("name", sorted(_FAMILIES))
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.floats(1.0, 3.0), st.floats(0.0, 2.0 * math.pi), st.floats(0.3, 1.0))
+def test_exterior_is_one_consistent_record(name, rho, theta, tau):
+    pot = _FAMILIES[name]
+    zs = pot.chi(rho * np.exp(1j * (theta + np.array([0.0, 2.1, 4.2]))), tau)
+    arr = pot.exterior(zs, tau)
+    assert np.array_equal(arr.phi, pot.phi(zs, tau))
+    for k, z in enumerate(zs):
+        e = pot.exterior(complex(z), tau)
+        assert e.phi == pot.phi(complex(z), tau)  # the same bits as the membership map
+        assert abs(e.sqrt_dphi ** 2 - e.dphi) <= 1e-12 * abs(e.dphi)
+        for field, value in zip(e._fields, arr):
+            want = getattr(e, field)
+            assert abs(np.broadcast_to(value, zs.shape)[k] - want) <= 1e-14 * max(1.0, abs(want)), field
+    # Re QQ_tau = Q on Gamma_tau
+    _, pts, _, _ = pot.boundary_grid(32, tau)
+    q = pot.Q(pts)
+    assert np.max(np.abs(np.real(pot.exterior(pts, tau).QQ) - q)) <= 1e-12 * np.max(q)
+
+
+def test_exterior_replaces_the_per_quantity_methods():
+    for cls in (AdmissiblePotential, RadialPotential, GinibrePotential, EllipticGinibrePotential):
+        for name in ("dphi", "sqrt_dphi", "script_Q", "script_H"):
+            assert not hasattr(cls, name), (cls.__name__, name)
+    assert {"phi", "exterior"} <= set(vars(AdmissiblePotential))
+
+
+def test_extension_reads_its_data_once_and_takes_point_arrays(ell, quart):
+    seen = []
+    ext = harmonic_extension(ell, 1.0, lambda p: seen.append(p) or ell.Q(p))
+    assert len(seen) == 1 and seen[0].shape == (512,)
+    zs = np.array([2.0 + 0.5j, -1.5j, 3.0, ell.boundary_point(0.4).p])
+    got = ext(zs)
+    assert got.shape == zs.shape
+    assert np.max(np.abs(got - [ext(complex(z)) for z in zs])) <= 1e-14 * np.max(np.abs(got))
+    assert np.max(np.abs(got - ell.exterior(zs, 1.0).QQ)) <= 1e-13 * np.max(np.abs(got))
+    # a radial Lap Q is elementwise, through its small-r guard too
+    rs = np.array([0.0, 1e-10, 0.5, 1.3j, -2.0])
+    assert np.array_equal(quart.laplacian(rs), [quart.laplacian(complex(r)) for r in rs])
+
+
+_ELL = _FAMILIES["ell"]
+_P, _W = _ELL.boundary_point(0.3).p, _ELL.boundary_point(2.0).p
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cocycle(_ELL, 0, _P, _W),
+    lambda: boundary_correlation_modulus(_ELL, 0, _P, _W),
+    lambda: boundary_correlation_modulus(_ELL, -1, _P, _W),
+    lambda: quasipolynomial(_ELL, 0, 0, 2.0),
+    lambda: harmonic_measure_density(_ELL, 1e200, _P),
+    lambda: boundary_speed(_ELL, 1.0, math.inf),
+    lambda: equilibrium_log_potential(_ELL, 1.0, math.nan),
+    lambda: pointwise_bound_check(0, [1, 2], [1.1]),
+    lambda: pointwise_bound_check(20, [18], [complex(math.nan, 0.0)]),
+], ids=["cocycle-n0", "modulus-n0", "modulus-n-1", "quasipolynomial-n0", "density-1e200",
+        "speed-inf", "log-potential-nan", "bound-n0", "bound-nan"])
+def test_bad_input_raises_domain_error(call):
+    # each of these returned a value, 0.0 or nan, or raised an untyped error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            call()
