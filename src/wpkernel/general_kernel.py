@@ -70,13 +70,12 @@ class KernelAsymptotic:
     value: LogComplex
 
 
-def _require_belt(pot: AdmissiblePotential, n: int, z: complex, label: str):
-    cuts = sequence_cuts(n, pot.delta_M)
-    d = pot.dist_to_exterior(z)
-    if d > cuts.delta_n:
-        raise RegimeError(
-            f"{label} = {z} lies {d:.4f} inside the droplet; belt width is {cuts.delta_n:.4f}"
-        )
+def _require_belt(pot: AdmissiblePotential, cuts: SequenceCuts, **points: complex):
+    for label, z in points.items():
+        d = pot.dist_to_exterior(z)
+        if d > cuts.delta_n:
+            raise RegimeError(f"{label} = {z} lies {d:.4f} inside the droplet; "
+                              f"belt width is {cuts.delta_n:.4f}")
 
 
 def kernel_asymptotic(pot: AdmissiblePotential, n: int, z: complex, w: complex,
@@ -93,8 +92,7 @@ def kernel_asymptotic(pot: AdmissiblePotential, n: int, z: complex, w: complex,
     z = complex(z)
     w = complex(w)
     check_finite(z, w)
-    _require_belt(pot, n, z, "z")
-    _require_belt(pot, n, w, "w")
+    _require_belt(pot, sequence_cuts(n, pot.delta_M), z=z, w=w)
     ez = pot.exterior(z, 1.0)
     ew = pot.exterior(w, 1.0)
     prod = ez.phi * ew.phi.conjugate()
@@ -243,9 +241,8 @@ def tail_kernel(pot: AdmissiblePotential, n: int, z: complex, w: complex) -> Log
     z = complex(z)
     w = complex(w)
     check_finite(z, w)
-    _require_belt(pot, n, z, "z")
-    _require_belt(pot, n, w, "w")
     cuts = sequence_cuts(n, pot.delta_M)
+    _require_belt(pot, cuts, z=z, w=w)
     j = np.arange(max(0, int(math.ceil(n * cuts.theta_n - 1e-9))), n)
     (log_z, log_w), (arg_z, arg_w) = _quasipolynomial_parts(pot, n, j, [z, w])
     return lc_sum_scaled_parts(log_z + log_w, arg_z - arg_w)
@@ -284,8 +281,8 @@ def lowdeg_bound_check(pot: AdmissiblePotential, n: int, z: complex) -> LowDegre
     if not isinstance(pot, GinibrePotential):
         raise DomainError("closed-form low-degree check is specific to the Ginibre potential")
     z = complex(z)
-    _require_belt(pot, n, z, "z")
     cuts = sequence_cuts(n, pot.delta_M)
+    _require_belt(pot, cuts, z=z)
     j_cut = int(math.floor(n * cuts.theta_n))
     best = -math.inf
     best_j = 0

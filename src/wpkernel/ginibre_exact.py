@@ -501,7 +501,7 @@ def ginibre_berezin_dbar_array(n: int, z: complex, ws: np.ndarray):
 def ginibre_berezin_tensor(n: int, z: complex, angles: np.ndarray, radii: np.ndarray,
                            dbar: bool):
     """(B_n(z, w), dbar_z B_n(z, w) if dbar else None) over the tensor
-    w = radii e^{i angles}, shaped (angles, radii).
+    w = radii e^{i angles}, shaped (radii, angles), the order of the ring sums.
 
     The ring route: on the ring |w| = s, x = n z w~ = n|z| s omega with
     omega = e^{i(phi_z - phi)}, so the sums of each side are one matrix
@@ -517,16 +517,16 @@ def ginibre_berezin_tensor(n: int, z: complex, angles: np.ndarray, radii: np.nda
     omega = np.exp(1j * (math.atan2(z.imag, z.real) - angles))
     log_e, r = _ring_sums_and_ratios(n, n * abs(z) * radii, omega)
     _, log_d, _, r_d = _flat_e_n(n, np.array([n * abs(z) ** 2], dtype=complex))
-    log_b = np.multiply(log_e, 2.0, out=log_e).T  # (angles, radii) from here on
-    log_b += (math.log(n) - log_d[0]) - n * radii ** 2
+    log_b = np.multiply(log_e, 2.0, out=log_e)
+    log_b += (math.log(n) - log_d[0]) - n * radii[:, None] ** 2
     b = np.zeros(log_b.shape)
     np.exp(log_b, out=b, where=log_b > -745.0)
     if not dbar:
         return b, None
     # n B (w conj r - z r(n|z|^2)); r is finite on every node
-    bracket = np.conj(r, out=r).T
-    bracket *= radii
-    bracket *= np.exp(1j * angles)[:, None]
+    bracket = np.conj(r, out=r)
+    bracket *= radii[:, None]
+    bracket *= np.exp(1j * angles)
     bracket -= z * r_d[0].real
     out = np.zeros(b.shape, dtype=complex)
     return b, np.multiply(n * b, bracket, out=out, where=b > 0.0)

@@ -32,7 +32,8 @@ derivation of the tau data (Joukowski root, or r_tau); `phi` alone serves
 the membership checks, which also run inside the droplet and at the foci.
 Both, and r_tau, accept arrays of points and of tau, and their values
 broadcast against both (a value constant in them may come back as a
-scalar): one call gives a tail kernel all its degrees at once.
+scalar): one call gives a tail kernel all its degrees at once.  V_tau and
+the ridge accept arrays of points.
 
 The built-in families have closed-form QQ_tau (a constant for the radial
 family, c_0 + c_2 phi_tau^{-2} for the elliptic one).  harmonic_extension is
@@ -213,18 +214,19 @@ class AdmissiblePotential:
         return rule.weights, self.chi(omega, tau), np.abs(dchi), omega * dchi
 
     def V(self, z: complex, tau: float = 1.0) -> float:
-        """V_tau = Re QQ_tau + tau log |phi_tau|^2 outside the excluded compact."""
+        """V_tau = Re QQ_tau + tau log |phi_tau|^2 outside the excluded compact;
+        elementwise for an array z."""
         self._check_tau(tau)
-        mod = abs(self.phi(z, tau))
-        if not mod > self.rho0_effective(tau):
-            raise DomainError(
-                f"|phi_tau({z})| = {mod:.4f} is not above rho0; point is too deep inside the droplet"
-            )
-        return self.exterior(z, tau).QQ.real + tau * 2.0 * math.log(mod)
+        e = self.exterior(z, tau)
+        mod = abs(e.phi)
+        if not _all(mod > self.rho0_effective(tau)):
+            raise DomainError(f"|phi_tau| = {np.min(mod):.4f} at z = {z} is not above rho0; "
+                              "point is too deep inside the droplet")
+        return e.QQ.real + tau * 2.0 * _elementwise(mod, math.log, np.log)
 
     def ridge(self, z: complex, tau: float = 1.0) -> float:
-        """Q - V_tau; zero on Gamma_tau, ~ 2 Lap(Q)(p) ell^2 nearby."""
-        return float(self.Q(z)) - self.V(z, tau)
+        """Q - V_tau; zero on Gamma_tau, ~ 2 Lap(Q)(p) ell^2 nearby; elementwise for an array z."""
+        return self.Q(z) - self.V(z, tau)
 
     def project(self, w: complex, tau: float = 1.0):
         """Closest boundary point: returns (BoundaryPoint, ell, theta).

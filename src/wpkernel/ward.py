@@ -19,12 +19,16 @@ under a lower-order walk on the same panels, and a rounding floor).
 Every integral runs on one polar walk: a sector about the root z in
 z-centered polar coordinates, where the Jacobian rho drho dtheta cancels
 the 1/(z - w) singularity exactly and leaves a smooth integrand, and one or
-two droplet-centered tensor pieces for the rest of the plane.  Each piece
-is one array of nodes and one grid call.  The raw integral is normalized
-by the same-grid mass of B_n, which also cancels shared quadrature bias.
-The walk integrates B_n/(z - w) next to the loop integrand on the same
-nodes, so the Cauchy transform of the Berezin measure is read off the loop
-residual's walk.
+two droplet-centered tensor pieces for the rest of the plane, shaped
+(radii, angles) as the sources' products give them.  Each piece is one
+array of nodes and one grid call.  The walk ends at the source's s_max
+(`walk_radius`), where n (Q - V) >= 80 + log n: B_n(z, w) <= R_n(w), and
+a weighted polynomial of degree < n decays like e^{-n (Q - V)} off the
+droplet, so the plane beyond carries terms below e^{-80}.  The raw
+integral is normalized by the same-grid mass of B_n, which also cancels
+shared quadrature bias.  The walk integrates B_n/(z - w) next to the loop
+integrand on the same nodes, so the Cauchy transform of the Berezin
+measure is read off the loop residual's walk.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DomainError, PrecisionError
+from .errors import DomainError, PrecisionError, check_n
 from .ginibre_exact import (
     _check_args,
     _extent,
@@ -48,7 +52,7 @@ from .ginibre_exact import (
 )
 from .hardy import harmonic_measure_integral
 from .ortho_oracle import _poly_derivatives, _poly_values, kernel_oracle
-from .potential import AdmissiblePotential
+from .potential import AdmissiblePotential, GinibrePotential
 from .scaled_numerics import composite_gauss, gauss_on_interval, quad_trapezoid_periodic
 
 _EPS = float(np.finfo(float).eps)
@@ -57,6 +61,15 @@ _EPS = float(np.finfo(float).eps)
 _ORDER_DROP = 4
 # Periodic trapezoid nodes on the walk's full rays.
 _N_THETA = 256
+
+
+def walk_radius(pot: AdmissiblePotential, n: int) -> float:
+    """s_max of the walk: the first s = r_out + (12/sqrt(n)) k/32, k = 1..32, where
+    n min (Q - V) >= 80 + log n over 64 angles of |w| = s; the last one if none."""
+    s = pot.outer_radius(1.0) + (12.0 / math.sqrt(n)) * np.arange(1, 33) / 32
+    low = n * pot.ridge(s[:, None] * np.exp(2j * math.pi * np.arange(64) / 64)).min(axis=1)
+    past = np.flatnonzero(low >= 80.0 + math.log(n))
+    return float(s[past[0] if past.size else -1])
 
 
 class GinibreSource:
@@ -68,6 +81,7 @@ class GinibreSource:
         _check_args(n, 0.0)
         self.n = n
         self.outer_radius = 1.0
+        self.s_max = walk_radius(GinibrePotential(), n)
 
     def berezin_grid(self, z: complex, ws: np.ndarray) -> np.ndarray:
         return ginibre_berezin_array(self.n, z, ws)
@@ -102,8 +116,9 @@ class OracleSource:
     sum_j P_j(z) conj(P_j(w)) = sum_k a_k (conj(w)/scale)^k with a = C^H p(z),
     C the scaled-monomial coefficients of the P_j; d_z has a' = C^H p'(z).
     Flat nodes take one Horner step per degree, a tensor one real BLAS product
-    per polynomial (`_tensor_sums`): O(degree * nodes) work either way, in
-    O(nodes + degree (angles + radii)) memory.
+    per polynomial (`_tensor_sums`), shaped (radii, angles) as it comes:
+    O(degree * nodes) work either way, in O(nodes + degree (angles + radii))
+    memory.  The walk's s_max comes from the weight of `pot` (`walk_radius`).
     """
 
     name = "oracle"
@@ -113,6 +128,7 @@ class OracleSource:
         self.pot = pot
         self.n = basis.n
         self.outer_radius = pot.outer_radius(1.0)
+        self.s_max = walk_radius(pot, self.n)
 
     def _entry(self, z: complex, extent: float, dbar: bool) -> list:
         """p(z), and p'(z) with dbar, after every route's entry check: DomainError unless
@@ -132,7 +148,7 @@ class OracleSource:
         return kern
 
     def _tensor_sums(self, rows: list, angles: np.ndarray, radii: np.ndarray):
-        """sum_k a_k (r_j/scale)^k e^{-ik phi_i}, a = C^H v, on (angles, radii) for each
+        """sum_k a_k (r_j/scale)^k e^{-ik phi_i}, a = C^H v, on (radii, angles) for each
         row v: P[j, k] = (r_j/scale)^k against (a E) as float, E[k, i] = e^{-ik phi_i}, one
         product per row, so that p(z)'s sums are the same with or without p'(z)."""
         d = self.basis.max_degree
@@ -142,8 +158,7 @@ class OracleSource:
         powers[:, 1:] = (radii / self.basis.scale)[:, None]
         table, powers = np.cumprod(table, axis=0), np.cumprod(powers, axis=1)
         c_h = np.asarray(self.basis.coeffs).conj().T
-        return [(powers @ (table * (c_h @ v)[:, None]).view(float)).view(complex).T.copy()
-                for v in rows]
+        return [(powers @ (table * (c_h @ v)[:, None]).view(float)).view(complex) for v in rows]
 
     def _berezin(self, z: complex, flat: np.ndarray, kern: np.ndarray) -> np.ndarray:
         n = self.n
@@ -181,10 +196,10 @@ class OracleSource:
         return self._flat(z, ws, True)
 
     def berezin_tensor(self, z: complex, angles: np.ndarray, radii: np.ndarray, dbar: bool):
-        """The grids on the tensor nodes radii e^{i angles}, shaped (angles, radii)."""
+        """The grids on the tensor nodes radii e^{i angles}, shaped (radii, angles)."""
         rows = self._entry(z, _extent(radii) + _extent(angles), dbar)
         kerns = self._tensor_sums(rows, angles, radii)
-        return self._grids(z, radii * np.exp(1j * angles)[:, None], rows, kerns)
+        return self._grids(z, radii[:, None] * np.exp(1j * angles), rows, kerns)
 
     def log_one_point(self, z: complex) -> float:
         return kernel_oracle(self.basis, z, z).log_mag
@@ -216,10 +231,10 @@ class QuadSpec:
     n_theta: angular nodes on the full rays: the periodic trapezoid's 256
         (128 on the companion walk), or, beside an annular sector, Gauss
         panels of 12 (8) nodes in phi; r_max: the droplet-centered radius
-        s_max where the walk ends; disc_radius: the radial half-width m_r of
-        the sector about the root, which is clipped at s_max; n_radial:
-        every node the walk evaluates, sector included; mass: the same-grid
-        mass of B_n.
+        where the walk ends, the source's s_max (`walk_radius`);
+        disc_radius: the radial half-width m_r of the sector about the root,
+        which is clipped at s_max; n_radial: every node the walk evaluates,
+        sector included; mass: the same-grid mass of B_n.
     """
 
     n_theta: int
@@ -309,10 +324,10 @@ def _tensor(source, z: complex, dbar: bool, angular, radial):
     """Droplet-centered tensor piece of two rules: grid values, area and
     Cauchy weights area/(z - w) of its nodes, as one flat array each.  The
     source evaluates the tensor from its angles and radii."""
-    s_nodes = radial.nodes
-    b, f = source.berezin_tensor(z, angular.nodes, s_nodes, dbar)
-    ws = (s_nodes * np.exp(1j * angular.nodes)[:, None]).ravel()
-    area = (angular.weights[:, None] * radial.weights * s_nodes).ravel()
+    s_nodes = radial.nodes[:, None]
+    b, f = source.berezin_tensor(z, angular.nodes, radial.nodes, dbar)
+    ws = (s_nodes * np.exp(1j * angular.nodes)).ravel()
+    area = (angular.weights * radial.weights[:, None] * s_nodes).ravel()
     # area/(z - w) in place: fresh node-sized arrays cost page faults
     kern = np.subtract(z, ws, out=ws)
     return b.ravel(), None if f is None else f.ravel(), area, np.divide(area, kern, out=kern)
@@ -342,11 +357,9 @@ def _polar_walk(source, z: complex, dbar: bool, companion: bool = False):
     without f), l1 the sum of the moduli of the f integral's node terms,
     and spec.mass the same-grid mass.
     """
-    if not cmath.isfinite(z):
-        raise DomainError("the root z must be finite")
     n = source.n
-    r_out = source.outer_radius
-    s_max = r_out + 12.0 / math.sqrt(n)
+    _check_args(n, _extent(z))  # DomainError, not the OverflowError of abs(z)
+    r_out, s_max = source.outer_radius, source.s_max
     fine = min(0.25, 1.5 / math.sqrt(n))
     drop = _ORDER_DROP if companion else 0
     n_trap = _N_THETA // 2 if companion else _N_THETA
@@ -474,22 +487,29 @@ def loop_residual(source, z: complex) -> LoopResidual:
 # ---------------------------------------------------------------------------
 
 
-def ginthm_leading(z: complex) -> complex:
+def _exterior_point(z: complex):
+    """(z, |z|^2); DomainError unless 1 < |z|^2 < inf (so never at a nan or inf z)."""
     z = complex(z)
-    if abs(z) <= 1.0:
-        raise DomainError("the exterior expansion needs |z| > 1")
-    return z.conjugate() / (abs(z) ** 2 - 1.0)
+    r2 = z.real * z.real + z.imag * z.imag
+    if not 1.0 < r2 < math.inf:
+        raise DomainError(f"the exterior expansion needs 1 < |z| < the overflow scale, got {z}")
+    return z, r2
+
+
+def ginthm_leading(z: complex) -> complex:
+    z, r2 = _exterior_point(z)
+    return z.conjugate() / (r2 - 1.0)
 
 
 def ginthm_second_coeff(z: complex) -> complex:
-    z = complex(z)
-    if abs(z) <= 1.0:
-        raise DomainError("the exterior expansion needs |z| > 1")
-    return -z.conjugate() * (abs(z) ** 2 + 1.0) / (abs(z) ** 2 - 1.0) ** 3
+    z, r2 = _exterior_point(z)
+    q = 1.0 / (r2 - 1.0)  # one factor at a time: (r2 - 1)^3 overflows from |z| ~ 1e51
+    return -z.conjugate() * q * ((r2 + 1.0) * q) * q
 
 
 def ginthm_two_term(n: int, z: complex) -> complex:
     """Two-term exterior expansion of the Ginibre Berezin Cauchy transform."""
+    check_n(n)
     return ginthm_leading(z) + ginthm_second_coeff(z) / n
 
 

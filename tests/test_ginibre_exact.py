@@ -249,8 +249,9 @@ def test_berezin_array_route_matches_mpmath(n):
         b_ring, dbar_ring = ginibre_berezin_tensor(n, z, angles, radii, True)
         assert np.array_equal(ginibre_berezin_tensor(n, z, angles, radii, False)[0], b_ring)
         ws = np.concatenate([ws, (radii * np.exp(1j * angles)[:, None]).ravel()])
-        b = np.concatenate([b, b_ring.ravel()])
-        dbar = np.concatenate([dbar, dbar_ring.ravel()])
+        # the tensor is (radii, angles): transposed to the node order of ws
+        b = np.concatenate([b, b_ring.T.ravel()])
+        dbar = np.concatenate([dbar, dbar_ring.T.ravel()])
         tol = 10.0 * GinibreSource(n).value_error(z)
         refs = _mp_berezin(n, complex(z), [complex(w) for w in ws])
         for bv, dv, (log_ref, b_ref, dbar_ref, scale) in zip(b, dbar, refs):
@@ -282,7 +283,7 @@ def test_ring_route_matches_flat_route(n):
     for z in (0.0, 0.5j, 2.0, cmath.rect(0.8, 0.3), cmath.rect(1.3, -2.0)):
         angles, radii = _ring_layout(n, z)
         ws = radii * np.exp(1j * angles)[:, None]
-        b, dbar = ginibre_berezin_tensor(n, z, angles, radii, True)
+        b, dbar = (g.T for g in ginibre_berezin_tensor(n, z, angles, radii, True))
         b_flat, dbar_flat = ginibre_berezin_dbar_array(n, z, ws)
         assert b.shape == dbar.shape == ws.shape
         live = b_flat >= 1e-200
@@ -302,8 +303,8 @@ def test_ring_route_conjugation_property(n, radius, alpha):
     # angles is the conjugate of the grid at z
     z = cmath.rect(radius, alpha)
     angles, radii = _ring_layout(n, z)
-    b, dbar = ginibre_berezin_tensor(n, z, angles, radii, True)
-    b_m, dbar_m = ginibre_berezin_tensor(n, z.conjugate(), -angles, radii, True)
+    b, dbar = (g.T for g in ginibre_berezin_tensor(n, z, angles, radii, True))
+    b_m, dbar_m = (g.T for g in ginibre_berezin_tensor(n, z.conjugate(), -angles, radii, True))
     assert np.all(np.abs(b_m - b) <= 1e-13 * b)
     scale = n * b * (radii + abs(z)) + np.abs(dbar)
     assert np.all(np.abs(dbar_m - np.conj(dbar)) <= 1e-13 * scale)

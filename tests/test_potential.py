@@ -74,6 +74,18 @@ def test_Q_accepts_arrays(gin, ell, quart):
         assert values == pytest.approx([pot.Q(complex(w)) for w in ws], rel=1e-15)
 
 
+def test_V_and_ridge_accept_arrays(gin, ell, quart):
+    # an array of points outside the excluded compact, on and off the boundary
+    for pot in (gin, ell, quart):
+        ws = np.concatenate([pot.boundary_grid(8)[1], pot.chi(np.array([0.8, 1.3j, -2.0 - 1.0j]))])
+        for f in (pot.V, pot.ridge):
+            values = f(ws, 0.9)
+            assert values.shape == ws.shape
+            assert values == pytest.approx([f(complex(w), 0.9) for w in ws], rel=1e-14, abs=1e-15)
+    with pytest.raises(DomainError):
+        ell.V(np.array([2.0, 0.0]))  # the second point is past the excluded compact
+
+
 def test_ginibre_closed_data(gin):
     assert gin.phi(0.73 + 0.4j, 1.0) == 0.73 + 0.4j
     assert gin.exterior(2.0, 1.0).QQ == 1.0

@@ -12,6 +12,7 @@ from wpkernel import (
     DomainError,
     GinibreSource,
     OracleSource,
+    RadialProfile,
     berezin_cauchy_transform,
     compute_moments,
     ginthm_two_term,
@@ -19,6 +20,7 @@ from wpkernel import (
     loop_residual,
     make_elliptic_ginibre,
     make_ginibre,
+    make_radial,
     orthonormalize,
 )
 from wpkernel.ortho_oracle import _poly_derivatives, _poly_values, kernel_oracle
@@ -132,10 +134,53 @@ def test_loop_residual_smallest_n(n, z):
     lambda: GinibreSource(0),
     lambda: GinibreSource(2.5),
     lambda: loop_residual(GinibreSource(50), float("nan")),
-], ids=["ginibre-n0", "ginibre-fractional-n", "loop-nan-root"])
+    lambda: berezin_cauchy_transform(GinibreSource(5), complex(1.5e308, 1.5e308)),
+], ids=["ginibre-n0", "ginibre-fractional-n", "loop-nan-root", "transform-overflow-root"])
 def test_bad_input_raises_domain_error(call):
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ginthm_two_term(0, 2.0),
+    lambda: ginthm_two_term(-1, 2.0),
+    lambda: ginthm_two_term(50, float("nan")),
+    lambda: ginthm_two_term(50, complex(2.0, math.inf)),
+    lambda: ginthm_leading(1e200),
+    lambda: ginthm_second_coeff(1e200),
+], ids=["n0", "n-negative", "nan-root", "inf-root", "leading-overflow", "second-overflow"])
+def test_limit_objects_raise_domain_error(call):
+    # never ZeroDivisionError, a raw OverflowError or a nan value
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_two_term_below_the_overflow_scale():
+    # |z|^2 is finite at 1e150, but (|z|^2 - 1)^3 would overflow
+    assert ginthm_leading(1e150) == pytest.approx(1e-150, rel=1e-14)
+    assert ginthm_second_coeff(1e150) == 0.0
+
+
+_QUARTIC = RadialProfile(q=lambda r: 0.5 * r ** 4, dq=lambda r: 2.0 * r ** 3,
+                         d2q=lambda r: 6.0 * r ** 2, name="quartic")
+
+
+def _walk_source(family, n):
+    if family == "ginibre":
+        return GinibreSource(n)
+    pot = make_elliptic_ginibre(1.0, 3.0) if family == "elliptic(1,3)" else make_radial(_QUARTIC)
+    return OracleSource(orthonormalize(compute_moments(pot, n, n - 1)), pot)
+
+
+@pytest.mark.parametrize("family,n", [("ginibre", n) for n in (1, 2, 50, 800, 3200)]
+                         + [(f, n) for f in ("elliptic(1,3)", "quartic") for n in (20, 40)])
+def test_walk_ends_where_the_one_point_function_vanishes(family, n):
+    # B_n(z, w) <= R_n(w), so nothing the walk leaves out exceeds e^{-80},
+    # and the walk never runs past r_out + 12/sqrt(n)
+    src = _walk_source(family, n)
+    assert src.s_max <= src.outer_radius + 12.0 / math.sqrt(n)
+    circle = src.s_max * np.exp(2j * math.pi * np.arange(512) / 512)
+    assert max(src.log_one_point(w) for w in circle) <= -80.0
 
 
 @pytest.mark.parametrize("source_name,z", [
@@ -230,6 +275,7 @@ class _UnitSource:
 
     def __init__(self, n):
         self.n = n
+        self.s_max = 1.0 + 12.0 / math.sqrt(n)
         self.sizes, self.tensor_angles = [], []
 
     def berezin_dbar_grid(self, z, ws):
@@ -239,7 +285,7 @@ class _UnitSource:
     def berezin_tensor(self, z, angles, radii, dbar):
         self.sizes.append(angles.size * radii.size)
         self.tensor_angles.append(angles.size)
-        shape = (angles.size, radii.size)
+        shape = (radii.size, angles.size)
         return np.ones(shape), np.ones(shape, dtype=complex)
 
 
@@ -413,7 +459,7 @@ def test_oracle_tensor_route_matches_flat_route(elliptic_bases, n, dbar):
         a, da = c_h @ _poly_values(basis, z), c_h @ _poly_derivatives(basis, z)
         for angles, radii in rec.pieces:
             ws = radii * np.exp(1j * angles)[:, None]
-            b, f = src.berezin_tensor(z, angles, radii, dbar)
+            b, f = (None if g is None else g.T for g in src.berezin_tensor(z, angles, radii, dbar))
             b_flat, f_flat = (src.berezin_dbar_grid(z, ws) if dbar
                               else (src.berezin_grid(z, ws), None))
             xs = np.conj(ws) / basis.scale
@@ -440,7 +486,7 @@ def test_oracle_tensor_matches_mpmath(elliptic_bases, n):
     angles = np.array([0.1, 1.3, 2.9, 4.4])
     radii = np.array([0.05, 0.6, 1.4, 2.1])
     for z in (0.3 + 0.1j, ell.boundary_point(2.0).p, ell.chi(1.6 * cmath.exp(0.4j))):
-        b, _ = src.berezin_tensor(z, angles, radii, False)
+        b = src.berezin_tensor(z, angles, radii, False)[0].T
         a = np.asarray(basis.coeffs).conj().T @ _poly_values(basis, z)
         qz, log_rz = float(ell.Q(complex(z))), src.log_one_point(z)
         for i, j in np.ndindex(b.shape):
