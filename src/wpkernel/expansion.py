@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, RegimeError
-from .ginibre_exact import _check_args
+from .ginibre_exact import _check_args, _point_extent
 from .scaled_numerics import (
     LogComplex,
     PolynomialQ,
@@ -199,7 +199,8 @@ def exterior_kernel_expansion(n: int, z: complex, w: complex, k: int = 0,
     """
     z = complex(z)
     w = complex(w)
-    _check_args(n, n * (abs(z) * abs(z) + abs(w) * abs(w)))
+    ez, ew = _point_extent(z), _point_extent(w)
+    _check_args(n, n * (ez * ez + ew * ew))
     zeta = z * w.conjugate()
     label = classify(zeta)
     if not label.in_E_sz:
@@ -238,7 +239,8 @@ def bulk_kernel_expansion(n: int, z: complex, w: complex) -> BulkKernel:
     """Bulk-regime leading term with its certified relative error scale."""
     z = complex(z)
     w = complex(w)
-    _check_args(n, n * (abs(z) * abs(z) + abs(w) * abs(w)))
+    ez, ew = _point_extent(z), _point_extent(w)
+    _check_args(n, n * (ez * ez + ew * ew))
     zeta = z * w.conjugate()
     label = classify(zeta)
     if label.label not in (Region.REGION_I, Region.ON_SZEGO_CURVE):

@@ -19,12 +19,12 @@ sums per side of |x| = n (`_side_sums`):
   from the endpoint term x^n/n!.
 
 Each side's sums become e_n = e^{scale} c and the ratio r = e_{n-1}/e_n in
-one place (`_outer_e_n`, `_inner_e_n`); outside, the scale is log |t|.
-Inside, the partial sum and the flat grids scale by max(Re x, log |x^n/n!|),
-which brings e^x or the tail's endpoint term to 1 and neither above (at
-n = 3832, x = 1916i, e_n ~ e^{1170} while e^{-|x|} e_n underflows); the ring
-route scales by the ring's |x|, one number per ring, which loses only values
-of B_n below its flush.
+one place (`_outer_e_n`, `_inner_e_n`, on arrays or on one point); outside,
+the scale is log |t|.  Inside, the partial sum and the flat grids scale by
+max(Re x, log |x^n/n!|), which brings e^x or the tail's endpoint term to 1
+and neither above (at n = 3832, x = 1916i, e_n ~ e^{1170} while
+e^{-|x|} e_n underflows); the ring route scales by the ring's |x|, one
+number per ring, which loses only values of B_n below its flush.
 
 Only terms within e^{-40} of the endpoint term are summed.  The window length
 is a closed-form bound on the number of steps the term magnitudes need to
@@ -34,12 +34,24 @@ product, atan2) maps conjugate inputs to conjugate outputs exactly, so the
 kernel is Hermitian bit for bit.  The work is O(window) per point and the
 memory O(points) for any n.
 
+The input's shape picks the route; both share the window (`_window_extent`,
+`_window_coeffs`) and the two combinations:
+- one point (`_point_e_n`): the window in math/cmath and the sum one numpy
+  product of the coefficients and the powers q^j.  Every scalar entry point
+  takes it: the kernel, the partial sums, the one-point function, Lap log
+  k_n and the diagonal e_n(n|z|^2) of the grids.
+- node arrays (`_flat_e_n`, `raw_partial_sum_array`): the windows summed in
+  blocks by baby and giant steps (`_window_sums`).
+The two are separate code.  The one-point route is the reference of the
+grids: the scalar `ginibre_berezin` goes through `ginibre_kernel_exact`.
+The array route is checked against the one-point route, and both against
+mpmath.
+
 Over grids, B_n = |K_n(z, w)|^2 / K_n(z, z) and dbar_z B_n come from the same
 sums on two routes: any array of w point by point (`_flat_e_n`), and a
 tensor w = s e^{i phi} ring by ring (`ginibre_berezin_tensor`), where every
 node of a ring shares |x| = n|z|s and so its window, and the sums of a group
-of rings are one matrix product.  The scalar `ginibre_berezin` goes through
-`ginibre_kernel_exact` and is the independent reference.
+of rings are one matrix product.
 
 A continued-fraction evaluation of the upper incomplete gamma function
 provides an independent route E_n(zeta) = Gamma(n, n zeta)/(n-1)!, used as
@@ -48,13 +60,14 @@ an automatic cross-check for Re(zeta) > 1 where the fraction is reliable.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, PrecisionError, check_n
-from .scaled_numerics import LogComplex, _norm_arg, _norm_args, lc_mul, lc_sum
+from .scaled_numerics import LogComplex, _norm_arg, _norm_args, lc_mul
 
 # relative disagreement between summation and gamma routes that triggers
 # a hard failure of the internal cross-check
@@ -78,9 +91,14 @@ class GinibreKernelValue:
 
 
 def _extent(values) -> float:
-    """max |Re| + max |Im| over the values; nan or inf when any value is."""
+    """max |Re| + max |Im| over an array; nan or inf when any value is."""
     v = np.asarray(values, dtype=complex)
     return float(np.abs(v.real).max(initial=0.0)) + float(np.abs(v.imag).max(initial=0.0))
+
+
+def _point_extent(z: complex) -> float:
+    """|Re z| + |Im z| >= |z|, the `_extent` of one point; nan or inf when z is."""
+    return abs(z.real) + abs(z.imag)
 
 
 def _check_args(n, scale: float):
@@ -96,7 +114,7 @@ def _check_args(n, scale: float):
 
 
 def _window_sums(q: np.ndarray, lengths: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """sum_{j<L} coeffs[j] q^j for each point (q, L).
+    """sum_{j<L} coeffs[j] q^j for each point (q, L) of an array.
 
     Baby steps q^b (b < B) and giant steps q^{aB} (a < A), B A >= L: the
     coefficient sums over b are one real matrix product and the sum over a
@@ -104,8 +122,7 @@ def _window_sums(q: np.ndarray, lengths: np.ndarray, coeffs: np.ndarray) -> np.n
     product is O(sqrt(L)).  Points are sorted by window length and summed in
     blocks of at most _BLOCK_ELEMENTS terms; a block is as long as its
     longest window, and the extra terms of the shorter windows are genuine
-    (smaller) terms of the same series.  A block of one point takes its
-    powers q^j in one call instead.
+    (smaller) terms of the same series.
     """
     order = np.argsort(lengths, kind="stable")
     sorted_len = lengths[order]
@@ -118,10 +135,6 @@ def _window_sums(q: np.ndarray, lengths: np.ndarray, coeffs: np.ndarray) -> np.n
         idx = order[lo:hi]
         width = int(sorted_len[hi - 1])
         qb = q[idx]
-        if idx.size == 1:
-            out[idx] = coeffs[:width] @ (qb ** np.arange(width))
-            lo = hi
-            continue
         n_baby = math.isqrt(width - 1) + 1
         n_giant = -(-width // n_baby)
         baby = np.empty((n_baby, idx.size), dtype=complex)
@@ -152,48 +165,77 @@ def _log_kk_over_factorial(k: int) -> float:
     return k - 0.5 * math.log(2.0 * math.pi * k) - series
 
 
-def _side_window(n: int, x: np.ndarray, inner: bool):
-    """Window of the endpoint sum for points on one side of |x| = n.
+def _pick(cond, a, b):
+    """a where cond holds, else b: elementwise for an array cond."""
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
 
-    Returns (q, lengths, coeffs, lead): the endpoint term x^k/k!
-    (k = n-1 outer, n inner) has log-magnitude `lead`, and the sum is that
-    term times sum_{j<L} coeffs[j] q^j, L the point's window length.
+
+def _exp(v):
+    """e^v of a float (math), a complex (cmath) or an array (numpy)."""
+    if isinstance(v, np.ndarray):
+        return np.exp(v)
+    return cmath.exp(v) if isinstance(v, complex) else math.exp(v)
+
+
+def _log(v):
+    """log v of a float (math) or an array (numpy), -inf at v = 0."""
+    if isinstance(v, np.ndarray):
+        with np.errstate(divide="ignore"):
+            return np.log(v)
+    return math.log(v) if v > 0.0 else -math.inf
+
+
+def _window_extent(n: int, r, inner: bool):
+    """(L, lead) at |x| = r on one side of |x| = n, r a float or an array:
+    the window length L of the endpoint sum and the log-magnitude `lead` of
+    its endpoint term x^k/k! (k = n-1 outer, n inner).
 
     Outer (|x| >= n): S, summed downward from k = n-1, with term ratios
     (k/x).  Inner (|x| < n): the tail T, summed upward from k = n, with term
-    ratios x/(k+1).  Relative to the endpoint term the j-th term is
-    coeffs[j] q^j, and `rate` = -log|q| is the log-ratio of the first step;
-    after j steps the terms have fallen by at least
+    ratios x/(k+1).  `rate` is the log-ratio of the first step; after j
+    steps the terms have fallen by at least
       outer:  j rate + j(j-1)/(2(n-1)),  since -log(1-t) >= t;
       inner:  j rate + j^2 log 2/(2n) for j <= n, since log(1+t) >= t log 2
               on [0, 1], and by log 2 per step past j = n.
     Each window is the smallest j at which that bound reaches _WINDOW_DROP.
     """
+    f = np if isinstance(r, np.ndarray) else math
     drop = _WINDOW_DROP
-    r = np.abs(x)
     if inner:
         # below |x| = 1e-300 n the tail is under 1e-300 of e^x ~ 1: dropped
         live = r > 1e-300 * n
-        r = np.where(live, r, n)
-        rate = np.log(n / r)
-        j_drop = 2.0 * drop / (rate + np.sqrt(rate * rate + 2.0 * drop * math.log(2.0) / n))
-        lengths = np.where(j_drop <= n, np.ceil(j_drop), n + math.ceil(drop / math.log(2.0)))
-        lengths = np.where(live, lengths, 1)
-        lead = np.where(live, _log_kk_over_factorial(n) - n * rate, -np.inf)
-        q = x / n
+        rate = f.log(n / _pick(live, r, n))
+        j_drop = 2.0 * drop / (rate + f.sqrt(rate * rate + 2.0 * drop * math.log(2.0) / n))
+        lengths = _pick(j_drop <= n, f.ceil(j_drop), n + math.ceil(drop / math.log(2.0)))
+        return (_pick(live, lengths, 1),
+                _pick(live, _log_kk_over_factorial(n) - n * rate, -math.inf))
+    m = max(n - 1, 1)
+    rate = f.log(r / m)
+    a = rate - 0.5 / m
+    j_drop = 2.0 * drop / (a + f.sqrt(a * a + 2.0 * drop / m))
+    return _pick(j_drop <= n, f.ceil(j_drop), n), (n - 1) * rate + _log_kk_over_factorial(n - 1)
+
+
+def _window_coeffs(n: int, length: int, inner: bool) -> np.ndarray:
+    """coeffs[j], j < length, of the endpoint sum: the j-th term is the
+    endpoint term times coeffs[j] q^j, q = x/n inside and (n-1)/x outside."""
+    if inner:
         # prod_{i=1}^{j} 1/(1 + i/n)
-        coeffs = np.cumprod(1.0 / (1.0 + np.arange(int(lengths.max())) / n))
-    else:
-        m = max(n - 1, 1)
-        rate = np.log(r / m)
-        a = rate - 0.5 / m
-        j_drop = 2.0 * drop / (a + np.sqrt(a * a + 2.0 * drop / m))
-        lengths = np.minimum(np.ceil(j_drop), n)
-        lead = (n - 1) * rate + _log_kk_over_factorial(n - 1)
-        q = m / x
-        # prod_{i<j} (1 - i/(n-1)), one beyond the longest window: s1 starts at j = 1
-        coeffs = np.cumprod(np.concatenate(([1.0], 1.0 - np.arange(int(lengths.max())) / m)))
-    return q, lengths.astype(np.intp), coeffs, lead
+        return (1.0 / (1.0 + np.arange(length) / n)).cumprod()
+    # prod_{i<j} (1 - i/(n-1)), one beyond: s1 starts at j = 1
+    steps = 1.0 - np.arange(-1.0, length) / max(n - 1, 1)
+    steps[0] = 1.0
+    return steps.cumprod()
+
+
+def _side_window(n: int, x: np.ndarray, inner: bool):
+    """(q, lengths, coeffs, lead) of the endpoint sum for an array of points
+    on one side of |x| = n (`_window_extent`): the sum is the endpoint term,
+    of log-magnitude `lead`, times sum_{j<L} coeffs[j] q^j."""
+    lengths, lead = _window_extent(n, np.abs(x), inner)
+    lengths = lengths.astype(np.intp)
+    q = x / n if inner else max(n - 1, 1) / x
+    return q, lengths, _window_coeffs(n, int(lengths.max()), inner), lead
 
 
 def _side_sums(n: int, x: np.ndarray, inner: bool):
@@ -213,27 +255,41 @@ def _side_sums(n: int, x: np.ndarray, inner: bool):
     return lead, s1
 
 
+def _point_sums(n: int, x: complex, inner: bool):
+    """(lead, sums) of `_side_sums` at one point x: the window in scalar
+    arithmetic, the sum one numpy product."""
+    length, lead = _window_extent(n, abs(x), inner)
+    coeffs = _window_coeffs(n, length, inner)
+    q = x / n if inner else max(n - 1, 1) / x
+    first = 0 if inner else 1  # outer: s1 starts at j = 1
+    sums = complex(coeffs[first:length] @ q ** np.arange(length - first))
+    return lead, (sums if inner else q * sums)
+
+
 def _tail(n: int, sums, arg_x, weight=1.0):
     """weight e^{-lead} T for the tail T = sum_{k>=n} x^k/k! = e^{lead + i n
     arg x} sums inside |x| = n, sums its window (`_side_sums`)."""
-    return weight * np.exp(1j * n * arg_x) * sums
+    return weight * _exp(1j * n * arg_x) * sums
 
 
 def _inner_e_n(n: int, lead, sums, scale, x_less_scale, abs_x, arg_x):
     """(log |e_n(x)|, c, r) inside |x| = n: e_n(x) = e^x - T = e^{scale} c from
     the tail's window sums, x_less_scale = x - scale, and r = e_{n-1}/e_n =
-    1 - t/e_n, t = x^{n-1}/(n-1)!, all broadcast.  Where |c| <= 1e-300 the
-    division is skipped and r stays finite: every scale is at most |x|, so
-    |e_n| <= 1e-300 e^{|x|} and B_n is below e^{-1300} there, under its flush."""
-    c = np.exp(x_less_scale) - _tail(n, sums, arg_x, np.exp(lead - scale))
-    with np.errstate(divide="ignore"):  # c is 0 where e_n(x) rounds to 0
-        log_e = scale + np.log(np.abs(c))
-        if n == 1:
-            return log_e, c, np.zeros(c.shape, dtype=complex)  # e_0 = 0
-        log_t = (n - 1) * np.log(abs_x / (n - 1)) + _log_kk_over_factorial(n - 1)
-    r = np.exp(log_t - scale) * np.exp(1j * (n - 1) * arg_x)
-    np.divide(r, c, out=r, where=log_e > scale + math.log(1e-300))
-    return log_e, c, np.subtract(1.0, r, out=r)
+    1 - t/e_n, t = x^{n-1}/(n-1)!, all broadcast, or all scalars at one
+    point.  Where |c| <= 1e-300 the division is skipped and r stays finite:
+    every scale is at most |x|, so |e_n| <= 1e-300 e^{|x|} and B_n is below
+    e^{-1300} there, under its flush."""
+    c = _exp(x_less_scale) - _tail(n, sums, arg_x, _exp(lead - scale))
+    log_e = scale + _log(abs(c))  # -inf where e_n(x) rounds to 0
+    if n == 1:  # e_0 = 0
+        return log_e, c, np.zeros(c.shape, dtype=complex) if isinstance(c, np.ndarray) else 0j
+    log_t = (n - 1) * _log(abs_x / (n - 1)) + _log_kk_over_factorial(n - 1)
+    t = _exp(log_t - scale) * _exp(1j * (n - 1) * arg_x)
+    ok = log_e > scale + math.log(1e-300)
+    if isinstance(t, np.ndarray):  # in place: t is a grid-sized temporary
+        np.divide(t, c, out=t, where=ok)
+        return log_e, c, np.subtract(1.0, t, out=t)
+    return log_e, c, 1.0 - (t / c if ok else t)
 
 
 def _outer_e_n(lead, s1):
@@ -241,7 +297,7 @@ def _outer_e_n(lead, s1):
     lead (`_side_sums`); s has no zero (falling positive coefficients, |q| < 1).
     r = e_{n-1}/e_n = s1/s, as e_{n-1} = t s1; 1 - 1/s would cancel for large |x|."""
     s = 1.0 + s1
-    return lead + np.log(np.abs(s)), s, s1 / s
+    return lead + _log(abs(s)), s, s1 / s
 
 
 def _flat_e_n(n: int, x: np.ndarray):
@@ -263,6 +319,16 @@ def _flat_e_n(n: int, x: np.ndarray):
     return inner, log_e, c, r
 
 
+def _point_e_n(n: int, x: complex):
+    """(inner, log |e_n(x)|, c, r) of `_flat_e_n` at one point x."""
+    inner = abs(x) < n
+    lead, sums = _point_sums(n, x, inner)
+    if not inner:
+        return False, *_outer_e_n(lead, sums)
+    s = max(x.real, lead)
+    return True, *_inner_e_n(n, lead, sums, s, x - s, abs(x), math.atan2(x.imag, x.real))
+
+
 def raw_partial_sum_array(n: int, zetas: np.ndarray):
     """(log_mag, arg) of sum_{k<n} (n zeta)^k / k! for an array of zeta."""
     zetas = np.asarray(zetas, dtype=complex).ravel()
@@ -277,9 +343,17 @@ def raw_partial_sum_array(n: int, zetas: np.ndarray):
 
 
 def _raw_partial_sum(n: int, zeta: complex) -> LogComplex:
-    """sum_{k=0}^{n-1} (n zeta)^k / k! in log-polar form."""
-    mag, arg = raw_partial_sum_array(n, np.array([zeta], dtype=complex))
-    return LogComplex(float(mag[0]), float(arg[0]))
+    """sum_{k=0}^{n-1} (n zeta)^k / k! in log-polar form, on the one-point
+    route, with the real-sign rule of `raw_partial_sum_array`."""
+    zeta = complex(zeta)
+    _check_args(n, n * _point_extent(zeta))
+    x = n * zeta
+    inner, log_mag, c, _ = _point_e_n(n, x)
+    arg = _norm_arg(math.atan2(c.imag, c.real)
+                    + (0.0 if inner else (n - 1) * math.atan2(x.imag, x.real)))
+    if zeta.imag == 0.0:
+        arg = math.pi if abs(arg) > 0.5 * math.pi else 0.0
+    return LogComplex(log_mag, arg)
 
 
 def _gamma_cf(a: float, x: complex) -> LogComplex:
@@ -320,7 +394,7 @@ def _gamma_cf(a: float, x: complex) -> LogComplex:
 def partial_exp_sum_gamma_route(n: int, zeta: complex) -> LogComplex:
     """E_n(zeta) via the incomplete-gamma identity; requires Re(zeta) > 1."""
     zeta = complex(zeta)
-    _check_args(n, n * _extent(zeta))
+    _check_args(n, n * _point_extent(zeta))
     if zeta.real <= 1.0:
         raise DomainError("gamma-function route is restricted to Re(zeta) > 1")
     g = _gamma_cf(float(n), n * zeta)
@@ -355,22 +429,29 @@ def partial_exp_sum_complement(n: int, zeta: complex) -> LogComplex:
     windowed kernel; for |zeta| >= 1 it is E_n(zeta) - 1 formed in log scale.
     """
     zeta = complex(zeta)
-    _check_args(n, n * _extent(zeta))
+    _check_args(n, n * _point_extent(zeta))
     x = n * zeta
     if abs(x) < n:
-        lead, sums = _side_sums(n, np.array([x]), True)
-        tail = _tail(n, sums[0], np.angle(x))  # e^{-lead} T; lead = -inf: T dropped
-        return LogComplex(float(lead[0]) + math.log(abs(tail)) - x.real,
-                          float(np.angle(tail)) - x.imag + math.pi)
+        lead, sums = _point_sums(n, x, True)
+        tail = _tail(n, sums, math.atan2(x.imag, x.real))  # e^{-lead} T; lead = -inf: T dropped
+        arg = _norm_arg(math.atan2(tail.imag, tail.real) - x.imag)
+        # the sign: arg + pi, odd in arg, so that conj zeta gives the conjugate bit for bit
+        return LogComplex(lead + math.log(abs(tail)) - x.real,
+                          arg - math.pi if arg > 0.0 else arg + math.pi)
     raw = _raw_partial_sum(n, zeta)
-    return lc_sum([LogComplex(raw.log_mag - x.real, raw.arg - x.imag), LogComplex(0.0, math.pi)])
+    log_e, arg = raw.log_mag - x.real, _norm_arg(raw.arg - x.imag)
+    # E_n - 1 = e^{top} (E_n e^{-top} - e^{-top}), the 1 subtracted as a real
+    # number, so that conj zeta gives the conjugate bit for bit
+    top = max(log_e, 0.0)
+    d = cmath.rect(math.exp(log_e - top), arg) - math.exp(-top)
+    return LogComplex(top + _log(abs(d)), math.atan2(d.imag, d.real))
 
 
 def ginibre_kernel_exact(n: int, z: complex, w: complex) -> GinibreKernelValue:
     """Exact kernel K_n(z, w) in log-polar form."""
     z = complex(z)
     w = complex(w)
-    scale = _extent((z, w))
+    scale = max(_point_extent(z), _point_extent(w))
     _check_args(n, n * scale * scale)
     raw = _raw_partial_sum(n, z * w.conjugate())
     gauss = -0.5 * n * (abs(z) ** 2 + abs(w) ** 2)
@@ -381,7 +462,7 @@ def ginibre_kernel_exact(n: int, z: complex, w: complex) -> GinibreKernelValue:
 def ginibre_log_one_point(n: int, z: complex) -> float:
     """log R_n(z); the one-point function is R_n(z) = n E_n(|z|^2)."""
     z = complex(z)
-    scale = _extent(z)
+    scale = _point_extent(z)
     _check_args(n, n * scale * scale)
     m2 = abs(z) ** 2
     return math.log(n) + (_raw_partial_sum(n, m2).log_mag - n * m2)
@@ -466,14 +547,14 @@ def _berezin_and_ratios(n: int, z: complex, ws: np.ndarray):
     """(w, B_n(z, w), r(n z w~), r(n|z|^2)) over the flattened w, with
     B_n = n |e_n(n z w~)|^2 e^{-n|w|^2} / e_n(n|z|^2) (the Gaussian factors
     of z cancel); underflows are flushed to zero."""
-    scale = _extent(z) + _extent(ws)
+    scale = _point_extent(z) + _extent(ws)
     _check_args(n, n * scale * scale)
     flat = ws.ravel()
     _, log_e, _, r = _flat_e_n(n, n * (z * np.conj(flat)))
-    _, log_d, _, r_d = _flat_e_n(n, np.array([n * abs(z) ** 2], dtype=complex))
-    log_b = math.log(n) + 2.0 * log_e - n * np.abs(flat) ** 2 - log_d[0]
+    _, log_d, _, r_d = _point_e_n(n, complex(n * abs(z) ** 2))
+    log_b = math.log(n) + 2.0 * log_e - n * np.abs(flat) ** 2 - log_d
     b = np.where(log_b > -745.0, np.exp(log_b), 0.0)
-    return flat, b, r, r_d[0].real
+    return flat, b, r, r_d.real
 
 
 def ginibre_berezin_array(n: int, z: complex, ws: np.ndarray) -> np.ndarray:
@@ -512,13 +593,13 @@ def ginibre_berezin_tensor(n: int, z: complex, angles: np.ndarray, radii: np.nda
     z = complex(z)
     angles = np.asarray(angles, dtype=float)
     radii = np.asarray(radii, dtype=float)
-    scale = _extent(z) + _extent(radii)
+    scale = _point_extent(z) + _extent(radii)
     _check_args(n, n * scale * scale + _extent(angles))
     omega = np.exp(1j * (math.atan2(z.imag, z.real) - angles))
     log_e, r = _ring_sums_and_ratios(n, n * abs(z) * radii, omega)
-    _, log_d, _, r_d = _flat_e_n(n, np.array([n * abs(z) ** 2], dtype=complex))
+    _, log_d, _, r_d = _point_e_n(n, complex(n * abs(z) ** 2))
     log_b = np.multiply(log_e, 2.0, out=log_e)
-    log_b += (math.log(n) - log_d[0]) - n * radii[:, None] ** 2
+    log_b += (math.log(n) - log_d) - n * radii[:, None] ** 2
     b = np.zeros(log_b.shape)
     np.exp(log_b, out=b, where=log_b > -745.0)
     if not dbar:
@@ -527,7 +608,7 @@ def ginibre_berezin_tensor(n: int, z: complex, angles: np.ndarray, radii: np.nda
     bracket = np.conj(r, out=r)
     bracket *= radii[:, None]
     bracket *= np.exp(1j * angles)
-    bracket -= z * r_d[0].real
+    bracket -= z * r_d.real
     out = np.zeros(b.shape, dtype=complex)
     return b, np.multiply(n * b, bracket, out=out, where=b > 0.0)
 
@@ -544,21 +625,21 @@ def ginibre_lap_log_kernel(n: int, z: complex) -> float:
       j = n-1-k under the window weights coeffs[j] q^j, centred first.
     """
     z = complex(z)
-    _check_args(n, n * _extent(z) ** 2)
+    _check_args(n, n * _point_extent(z) ** 2)
     if n == 1:
         return 0.0  # k_1 = 1
     x = n * abs(z) ** 2
     if x == 0.0:
         return float(n)
     if x < n:
-        _, _, c, _ = _flat_e_n(n, np.array([x], dtype=complex))  # scale x: e^x > x^n/n!
+        _, _, c, _ = _point_e_n(n, complex(x))  # scale x: e^x > x^n/n!
         p = math.exp((n - 1) * math.log(x / (n - 1)) + _log_kk_over_factorial(n - 1) - x)
-        g = p / c[0].real  # c = e^{-x} e_n = 1 - u
+        g = p / c.real  # c = e^{-x} e_n = 1 - u
         cut = g * (n - x) + x * g * g
         if cut < 0.5:
             return n * (1.0 - cut)
-    q, lengths, coeffs, _ = _side_window(n, np.array([x], dtype=complex), False)
-    j = np.arange(lengths[0])
-    weights = coeffs[:j.size] * q[0].real ** j
+    length, _ = _window_extent(n, x, False)
+    j = np.arange(length)
+    weights = _window_coeffs(n, length, False)[:length] * ((n - 1) / x) ** j
     mean = float(np.sum(j * weights) / np.sum(weights))
     return float(np.sum((j - mean) ** 2 * weights) / np.sum(weights)) / abs(z) ** 2

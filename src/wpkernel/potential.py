@@ -273,8 +273,12 @@ class AdmissiblePotential:
         return theta
 
     def dist_to_exterior(self, z: complex) -> float:
-        """Distance from z to the closed exterior set cl(U); 0 outside S."""
-        if abs(self.phi(z, 1.0)) >= 1.0:
+        """Distance from z to the closed exterior set cl(U); 0 outside S.
+        DomainError where phi(z) is not finite or overflows |phi|."""
+        phi = self.phi(z, 1.0)
+        if not math.isfinite(abs(phi.real) + abs(phi.imag)):
+            raise DomainError(f"phi is not finite at float64 scale at z = {z}")
+        if abs(phi) >= 1.0:
             return 0.0
         _, ell, _ = self.project(complex(z), 1.0)
         return abs(ell)
@@ -348,7 +352,10 @@ class RadialPotential(AdmissiblePotential):
         return 0.5 * (lo + hi)
 
     def Q(self, z):
-        return self.profile.q(abs(z))
+        try:
+            return self.profile.q(abs(z))
+        except OverflowError as exc:
+            raise DomainError(f"Q overflows float64 at z = {z}") from exc
 
     def grad_Q(self, z):
         r = np.abs(z)

@@ -44,6 +44,7 @@ from .errors import DomainError, PrecisionError, check_n
 from .ginibre_exact import (
     _check_args,
     _extent,
+    _point_extent,
     ginibre_berezin_array,
     ginibre_berezin_dbar_array,
     ginibre_berezin_tensor,
@@ -133,7 +134,7 @@ class OracleSource:
     def _entry(self, z: complex, extent: float, dbar: bool) -> list:
         """p(z), and p'(z) with dbar, after every route's entry check: DomainError unless
         (|w|/scale)^degree and the weight scale n|w|^2 stay finite on z and the nodes."""
-        scale = _extent(z) + extent
+        scale = _point_extent(z) + extent
         with np.errstate(over="ignore"):
             top = np.float64(scale / self.basis.scale) ** self.basis.max_degree
         _check_args(self.n, float(top) + self.n * scale * scale)
@@ -358,7 +359,7 @@ def _polar_walk(source, z: complex, dbar: bool, companion: bool = False):
     and spec.mass the same-grid mass.
     """
     n = source.n
-    _check_args(n, _extent(z))  # DomainError, not the OverflowError of abs(z)
+    _check_args(n, _point_extent(z))  # DomainError, not the OverflowError of abs(z)
     r_out, s_max = source.outer_radius, source.s_max
     fine = min(0.25, 1.5 / math.sqrt(n))
     drop = _ORDER_DROP if companion else 0

@@ -195,7 +195,16 @@ def test_two_term_structure_both_sides_of_saddle_curve():
     lambda: bulk_kernel_expansion(0, 0.1, 0.2),
     lambda: exterior_kernel_expansion(40, 1e200, 1.5),
     lambda: bulk_kernel_expansion(40, 1e200, 1e-201),
-], ids=["exterior-n0", "bulk-n0", "exterior-overflow", "bulk-overflow"])
+    # |z| itself overflows float64: DomainError, not the OverflowError of abs(z)
+    lambda: exterior_kernel_expansion(100, 1.5e308 + 1.5e308j, 1.5, 2),
+    lambda: exterior_kernel_expansion(100, 1.5, -1.5e308 + 1.5e308j),
+    lambda: bulk_kernel_expansion(100, 1.5e308 + 1.5e308j, 0.5),
+    lambda: bulk_kernel_expansion(100, 0.5, -1.5e308 + 1.5e308j),
+    lambda: exterior_kernel_expansion(100, complex(math.nan, 0.0), 1.5),
+    lambda: bulk_kernel_expansion(100, 0.5, complex(0.0, math.inf)),
+], ids=["exterior-n0", "bulk-n0", "exterior-overflow", "bulk-overflow",
+        "exterior-overflow-scale-z", "exterior-overflow-scale-w", "bulk-overflow-scale-z",
+        "bulk-overflow-scale-w", "exterior-nan", "bulk-inf"])
 def test_bad_input_raises_domain_error(call):
     with pytest.raises(DomainError):
         call()

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import functools
 import math
 import timeit
 
@@ -479,3 +480,19 @@ def test_lowdeg_bound_check_follows_the_class_not_the_name():
     quartic = make_radial(dataclasses.replace(QUARTIC, name="ginibre"))
     with pytest.raises(DomainError):
         lowdeg_bound_check(quartic, 100, 1.2)
+
+
+@pytest.mark.parametrize("name", ["ginibre", "elliptic(1,3)", "quartic"])
+def test_overflow_scale_point_is_a_domain_error(name):
+    # phi(z) or |phi(z)| overflows float64: DomainError, not an OverflowError
+    # from abs, nor a RegimeError from the distance of a nan phi; the same
+    # for the tail kernel and the exact kernel of the potential
+    pot = FAMILIES[name]
+    z = 1.5e308 + 1.5e308j
+    with pytest.raises(DomainError):
+        pot.dist_to_exterior(z)
+    for pair in ((z, 2.0), (2.0, z)):
+        for kernel in (functools.partial(kernel_asymptotic, pot, 100),
+                       functools.partial(tail_kernel, pot, 100), pot.exact_kernel(20)):
+            with pytest.raises(DomainError):
+                kernel(*pair)

@@ -331,13 +331,20 @@ def test_complement_route_consistency():
 
 
 def test_array_path_matches_scalar():
-    n = 60
-    zetas = np.array([0.3 + 0.2j, 1.4, -0.8 + 0.5j, 2.2 - 1.0j])
-    mags, args = raw_partial_sum_array(n, zetas)
-    for k, zeta in enumerate(zetas):
-        ref = _raw_partial_sum(n, complex(zeta))
-        assert mags[k] == pytest.approx(ref.log_mag, rel=1e-11, abs=1e-11)
-        assert args[k] == pytest.approx(ref.arg, abs=1e-10)
+    # the node-array route against the one-point route: both sides of
+    # |x| = n and 1e-9 off it, |x| = n exactly (zeta = 1j, -1), x = 0, real
+    # negative zeta (away from the zero x = -1 of e_2, where both routes
+    # return rounding), and |x| below the 1e-300 n cut of the dropped tail
+    zetas = np.array([0.3 + 0.2j, 1.4, -0.8 + 0.5j, 2.2 - 1.0j, 0.9 * cmath.exp(2.0j),
+                      1.1 * cmath.exp(2.0j), (1.0 - 1e-9) * cmath.exp(-0.7j),
+                      (1.0 + 1e-9) * cmath.exp(-0.7j), 1j, -1.0, 0.0, -0.3, -1.5,
+                      1e-301, 3e-302 - 4e-302j])
+    for n in (1, 2, 60, 3832):
+        mags, args = raw_partial_sum_array(n, zetas)
+        for k, zeta in enumerate(zetas):
+            ref = _raw_partial_sum(n, complex(zeta))
+            assert mags[k] == pytest.approx(ref.log_mag, rel=1e-11, abs=1e-11)
+            assert args[k] == pytest.approx(ref.arg, abs=1e-10)
 
 
 _complex_in_box = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
@@ -356,9 +363,10 @@ def test_hermitian_exact_property(n, z, w):
 @given(st.integers(1, 6400), st.lists(_complex_in_box, min_size=1, max_size=6))
 @example(3832, [0.5j])  # e^{-|x|} e_n(x) underflows, e_n(x) ~ e^{1170} does not
 def test_scalar_array_agreement(n, zetas):
-    # the array route against mpmath: logarithms up to L = n |zeta| + log n!
-    # round to eps L, and inside |x| = n, e_n = e^x - T loses the ratio of
-    # the larger of e^x and the tail's endpoint term x^n/n! to |e_n|
+    # the array route and the one-point route against mpmath: logarithms up
+    # to L = n |zeta| + log n! round to eps L, and inside |x| = n,
+    # e_n = e^x - T loses the ratio of the larger of e^x and the tail's
+    # endpoint term x^n/n! to |e_n|
     mags, args = raw_partial_sum_array(n, np.array(zetas))
     for zeta, mag, arg in zip(zetas, mags, args):
         ref = mp_partial_sum(n, zeta, dps=40)
@@ -367,6 +375,17 @@ def test_scalar_array_agreement(n, zetas):
                if 0.0 < abs(x) < n else ref.log_mag)
         bound = n * abs(zeta) + math.lgamma(n + 1.0) + math.exp(min(top - ref.log_mag, 700.0))
         assert _log_polar_gap(LogComplex(mag, arg), ref) <= 4.0 * _EPS * bound
+        assert _log_polar_gap(_raw_partial_sum(n, zeta), ref) <= 4.0 * _EPS * bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6400), _complex_in_box)
+def test_conjugate_partial_sums_property(n, zeta):
+    # E_n(conj zeta) = conj E_n(zeta), and so for E_n - 1, bit for bit
+    for f in (partial_exp_sum, partial_exp_sum_complement):
+        a, b = f(n, zeta), f(n, zeta.conjugate())
+        assert a.log_mag == b.log_mag
+        assert a.arg == -b.arg or a.arg == b.arg == math.pi
 
 
 # c of the route-agreement tolerance c eps max(1, |log_mag|)
