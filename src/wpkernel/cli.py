@@ -13,6 +13,8 @@ failure, 4 precision budget exceeded.
 from __future__ import annotations
 
 import argparse
+import cmath
+import functools
 import hashlib
 import json
 import math
@@ -42,13 +44,20 @@ from .ward import loop_residual
 
 def _parse_complex(text: str) -> complex:
     text = text.strip()
-    if "," in text:
-        re_s, im_s = text.split(",")
-        return complex(float(re_s), float(im_s))
     try:
+        if "," in text:
+            re_s, im_s = text.split(",")
+            return complex(float(re_s), float(im_s))
         return complex(text)
     except ValueError as exc:
         raise ConfigError(f"cannot parse complex number from {text!r}") from exc
+
+
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path!r}: {exc}") from exc
 
 
 _RADIAL_PROFILES = {
@@ -95,11 +104,23 @@ def _open_out(args):
 
 
 def _write_csv(fh, comment, header, rows):
-    """The `# wpkernel <version> <comment>` line, the header row, one row per entry."""
-    fh.write(f"# wpkernel {__version__} {comment}\n")
-    fh.write(",".join(header) + "\n")
+    """The `# wpkernel <version> <comment>` line, the header row, one row per entry.
+
+    Each row is a tuple, written with one `%` format picked by its value
+    types: `%.17g` for a float (numpy float64 included), `%s` for anything
+    else, the bytes of format(v, ".17g") and str(v).
+    """
+    formats = {}
+    lines = [f"# wpkernel {__version__} {comment}", ",".join(header)]
     for row in rows:
-        fh.write(",".join(_fmt(v) for v in row) + "\n")
+        types = tuple(map(type, row))
+        fmt = formats.get(types)
+        if fmt is None:
+            fmt = formats[types] = ",".join(
+                "%.17g" if issubclass(t, float) else "%s" for t in types)
+        lines.append(fmt % row)
+    lines.append("")
+    fh.write("\n".join(lines))
 
 
 def _emit_csv(args, header, rows):
@@ -107,12 +128,6 @@ def _emit_csv(args, header, rows):
     _write_csv(fh, f"config {_config_hash(args)}", header, rows)
     if close:
         fh.close()
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
 
 
 def _emit_json(args, payload):
@@ -128,14 +143,12 @@ def _emit_json(args, payload):
 
 
 def cmd_classify(args):
-    points = []
-    for raw_line in Path(args.points).read_text().splitlines():
+    rows = []
+    for raw_line in _read_text(args.points).splitlines():
         line = raw_line.strip()
         if not line or line.startswith("#") or line.lower().startswith("re"):
             continue
-        points.append(_parse_complex(line))
-    rows = []
-    for z in points:
+        z = _parse_complex(line)
         label = classify(z, tol=args.tol)
         rows.append((z.real, z.imag, label.label.value, label.in_E_sz))
     _emit_csv(args, ["re", "im", "label", "in_exterior_domain"], rows)
@@ -149,8 +162,6 @@ def cmd_expand(args):
     for n in args.nlist:
         exact = ginibre_kernel_exact(n, z, w).value
         approx = exterior_kernel_expansion(n, z, w, args.k, eta=args.eta)
-        import cmath
-
         rel = abs(cmath.exp(complex(exact.log_mag - approx.log_mag,
                                     exact.arg - approx.arg)) - 1.0)
         rows.append((n, exact.log_mag, exact.arg, approx.log_mag, approx.arg, rel))
@@ -162,7 +173,7 @@ def cmd_expand(args):
 def _load_basis(path: str, pot):
     from .ortho_oracle import OrthonormalBasis
 
-    payload = json.loads(Path(path).read_text())
+    payload = json.loads(_read_text(path))
     coeffs = np.array([[complex(c) for c in row] for row in payload["coefficients"]])
     return OrthonormalBasis(
         n=payload["n"], max_degree=payload["degree"], coeffs=coeffs,
@@ -322,7 +333,7 @@ def _apply_config_file(argv):
     except IndexError as exc:
         raise ConfigError("--config needs a file path") from exc
     extra = []
-    for raw_line in Path(path).read_text().splitlines():
+    for raw_line in _read_text(path).splitlines():
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -424,11 +435,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built on the first `main` call and reused by the rest.
+
+    Parsing leaves the parser unchanged: each call fills a new namespace.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _apply_config_file(argv)
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

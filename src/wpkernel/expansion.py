@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, RegimeError
+from .errors import DomainError, RegimeError, check_finite, check_n
 from .ginibre_exact import _check_args, _point_extent
 from .scaled_numerics import (
     LogComplex,
@@ -266,6 +266,11 @@ def bulk_kernel_expansion(n: int, z: complex, w: complex) -> BulkKernel:
 def poisson_disc(z: complex, theta: float) -> float:
     """Exterior Poisson kernel P_z(theta) of the unit disc at |z| > 1."""
     z = complex(z)
+    # 2 pi |z - e^{i theta}|^2 <= 2 pi (|Re z| + |Im z| + 1)^2 is the largest value formed
+    bound = _point_extent(z) + 1.0
+    if not math.isfinite(2.0 * math.pi * bound * bound):
+        raise DomainError(f"z must be finite and below the overflow scale of |z|^2, got {z}")
+    check_finite(theta)
     if abs(z) <= 1.0:
         raise DomainError("the exterior Poisson kernel needs |z| > 1")
     e = complex(math.cos(theta), math.sin(theta))
@@ -279,4 +284,6 @@ def gaussian_belt_profile(n: int, ell: float) -> float:
 
 def berezin_gaussian_ginibre(n: int, z: complex, theta: float, ell: float) -> float:
     """Product density P_z(theta) gamma_n(ell) in coordinates w = e^{i theta}(1+ell)."""
+    check_n(n)
+    check_finite(ell)
     return poisson_disc(z, theta) * gaussian_belt_profile(n, ell)

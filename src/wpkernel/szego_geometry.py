@@ -83,6 +83,15 @@ class RegionLabel:
         return f"{self.label.value}(E={self.in_E_sz})"
 
 
+# each region fixes its membership of E, so classify hands out these six values
+_REGION_I = RegionLabel(Region.REGION_I, False)
+_REGION_II = RegionLabel(Region.REGION_II, True)
+_REGION_III = RegionLabel(Region.REGION_III, True)
+_ON_SZEGO_CURVE = RegionLabel(Region.ON_SZEGO_CURVE, False)
+_ON_CURVE_K = RegionLabel(Region.ON_CURVE_K, True)
+_AT_ONE = RegionLabel(Region.AT_ONE, False)
+
+
 def classify(zeta: complex, tol: float = 1e-9) -> RegionLabel:
     """Classify zeta into regions I/II/III or onto the special curves."""
     zeta = complex(zeta)
@@ -91,21 +100,21 @@ def classify(zeta: complex, tol: float = 1e-9) -> RegionLabel:
     r = math.hypot(zeta.real, zeta.imag)
     to_one = math.hypot(zeta.real - 1.0, zeta.imag)
     if to_one <= tol:
-        return RegionLabel(Region.AT_ONE, False)
+        return _AT_ONE
     # log|u| = log r + 1 - Re zeta cannot overflow; every test below reads
     # the same for all |u| > e, so |u| is capped there
     au = math.exp(min(math.log(r) + 1.0 - zeta.real, 1.0)) if r > 0.0 else 0.0
     if r <= 1.0 + tol and abs(au - 1.0) <= tol:
-        return RegionLabel(Region.ON_SZEGO_CURVE, False)
+        return _ON_SZEGO_CURVE
     if to_one <= _K_REACH and au >= 1.0 - tol:
         u = u_map(zeta)
         if abs(u.imag) <= tol and u.real > 0.0:
-            return RegionLabel(Region.ON_CURVE_K, True)
+            return _ON_CURVE_K
     if au > 1.0 + tol:
-        return RegionLabel(Region.REGION_III, True)
+        return _REGION_III
     if r < 1.0 and au < 1.0:
-        return RegionLabel(Region.REGION_I, False)
-    return RegionLabel(Region.REGION_II, True)
+        return _REGION_I
+    return _REGION_II
 
 
 def _check_step(step: float):

@@ -1,8 +1,10 @@
+import io
 import json
 import math
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wpkernel import (
@@ -16,7 +18,7 @@ from wpkernel import (
     make_ginibre,
     orthonormalize,
 )
-from wpkernel.cli import main
+from wpkernel.cli import _write_csv, build_parser, main
 
 
 def run(args):
@@ -136,6 +138,103 @@ def test_classify_non_finite_point_is_a_domain_error(tmp_path):
     pts = tmp_path / "pts.csv"
     pts.write_text("0.5,0\nnan,0\n")
     assert run(["classify", "--points", str(pts), "--out", str(tmp_path / "l.csv")]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--points", "{bad_lines}"],
+    ["classify", "--points", "{letters}"],
+    ["classify", "--points", "{missing}"],
+    ["classify", "--points", "{binary}"],
+    ["expand", "--nlist", "100", "--z", "1,2,3", "--w", "1.2,0"],
+    ["kernel", "--config", "{missing}"],
+    ["kernel", "--n", "12", "--z", "1.3,0", "--w", "1.2,0", "--mode", "oracle",
+     "--basis", "{missing}"],
+], ids=["classify-three-fields", "classify-not-a-number", "classify-missing-file",
+        "classify-not-utf8", "expand-three-fields", "missing-config-file", "missing-basis-file"])
+def test_malformed_input_is_a_config_error(argv, tmp_path, capsys):
+    paths = {"bad_lines": tmp_path / "bad.csv", "letters": tmp_path / "letters.csv",
+             "missing": tmp_path / "missing.csv", "binary": tmp_path / "binary.csv"}
+    paths["bad_lines"].write_text("0.5,0\n1,2,3\n")
+    paths["binary"].write_bytes(b"\xff\xfe0.5,0\n")
+    paths["letters"].write_text("re,im\nabc,1\n")
+    argv = [arg.format(**paths) for arg in argv]
+    assert run(argv + ["--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def _per_value_rows(rows):
+    """CSV rows by the per-value rule: format(v, ".17g") for a float, else str(v)."""
+    return "".join(",".join(format(v, ".17g") if isinstance(v, float) else str(v)
+                            for v in row) + "\n" for row in rows)
+
+
+def test_csv_rows_match_the_per_value_rule():
+    rows = [
+        (1.0 / 3.0, np.float64(2.0) / 3.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+         2.2250738585072014e-308 / 3.0, 1e16, 123456789012345678.0),
+        (7, np.int64(-12), 10 ** 20, True, False, "RegionI", "ratio:a/b", "100%s"),
+        ("oracle", 0.1, np.float64(-1e300), 3, np.int64(4), np.float32(0.1)),
+        (np.float64(math.nan), np.float64(-0.0), np.float64(math.inf), -5e-324, 0.0),
+        (1.5, 2), (2, 1.5), (1.5, 2), ("tail", -0.0, 0.0), ("asymptotic", 2.5, -3.25),
+        (0, 1.0, 0.1, 2.0, 1.9, 1.0526315789473684),
+    ]
+    fh = io.StringIO()
+    _write_csv(fh, "rows", ["a", "b"], rows)
+    assert fh.getvalue() == f"# wpkernel {__version__} rows\na,b\n" + _per_value_rows(rows)
+    empty = io.StringIO()
+    _write_csv(empty, "none", ["re", "im"], [])
+    assert empty.getvalue() == f"# wpkernel {__version__} none\nre,im\n"
+
+
+def _fresh_parser_run(argv):
+    args = build_parser().parse_args(argv)
+    return args.func(args)
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("1.0005,0\n0.5,0\n1.8,0\n")
+    classify = ["classify", "--points", str(pts), "--out"]
+    loose, first, second, fresh = (tmp_path / f"{name}.csv"
+                                   for name in ("loose", "first", "second", "fresh"))
+    assert run(classify + [str(loose), "--tol", "1e-3"]) == 0
+    assert run(classify + [str(first)]) == 0
+    with pytest.raises(SystemExit):
+        run(classify + [str(tmp_path / "x.csv"), "--no-such-flag"])
+    assert run(classify + [str(second)]) == 0
+    assert _fresh_parser_run(classify + [str(fresh)]) == 0
+    assert first.read_bytes() == second.read_bytes() == fresh.read_bytes()
+    # the loose tolerance labels the first point AtOne; the default does not
+    assert loose.read_text().splitlines()[2].split(",")[2] == "AtOne"
+    assert fresh.read_text().splitlines()[2].split(",")[2] == "RegionII"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--points", "{pts}"],
+    ["expand", "--nlist", "100", "200", "--z", "1.5,0", "--w", "1.2,0.1", "--k", "2"],
+    ["kernel", "--n", "40", "--z", "1.4,0", "--w", "1.3,0.1"],
+    ["kernel", "--potential", "elliptic", "--n", "60", "--z", "1.6,0", "--w", "1.3,0.35"],
+    ["berezin", "--n", "100", "--z", "2,0", "--nodes", "8", "--ell-nodes", "5"],
+    ["droplet", "--potential", "elliptic", "--nodes", "64"],
+    ["figures", "--droplets", "--berezin-surface", "--nodes", "12"],
+], ids=["classify", "expand", "kernel", "kernel-elliptic", "berezin", "droplet", "figures"])
+def test_repeated_calls_write_the_same_bytes(argv, tmp_path):
+    # the same flags give the same bytes on every call in one process,
+    # and the same as a parser built for this call alone
+    pts = tmp_path / "pts.csv"
+    pts.write_text("re,im\n1.8,0\n0.5,0\n0,1\n1,0\n-0.2784645427610741,0\n")
+    argv = [arg.format(pts=pts) for arg in argv]
+    outs = [tmp_path / f"out{k}" for k in range(3)]
+    assert run(argv + ["--out", str(outs[0])]) == 0
+    assert run(argv + ["--out", str(outs[1])]) == 0
+    assert _fresh_parser_run(argv + ["--out", str(outs[2])]) == 0
+
+    def contents(out):
+        if out.is_dir():
+            return [(f.name, f.read_bytes()) for f in sorted(out.iterdir())]
+        return out.read_bytes()
+
+    assert contents(outs[0]) == contents(outs[1]) == contents(outs[2])
 
 
 def test_droplet_and_figures(tmp_path):

@@ -155,6 +155,8 @@ def test_poisson_kernel():
     vals = [poisson_disc(1e6, t) for t in (0.0, 1.0, 2.5)]
     assert max(vals) - min(vals) < 1e-5
     assert vals[0] == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-5)
+    # just below the overflow bound of 2 pi |z - e^{i theta}|^2 the value is still 1/2pi
+    assert poisson_disc(5e153, 0.2) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-14)
     with pytest.raises(DomainError):
         poisson_disc(0.9, 0.3)
 
@@ -202,9 +204,26 @@ def test_two_term_structure_both_sides_of_saddle_curve():
     lambda: bulk_kernel_expansion(100, 0.5, -1.5e308 + 1.5e308j),
     lambda: exterior_kernel_expansion(100, complex(math.nan, 0.0), 1.5),
     lambda: bulk_kernel_expansion(100, 0.5, complex(0.0, math.inf)),
+    lambda: poisson_disc(2.0, math.nan),
+    lambda: poisson_disc(2.0, math.inf),
+    lambda: poisson_disc(complex(math.nan, 0.0), 0.3),
+    lambda: poisson_disc(complex(0.0, math.inf), 0.3),
+    # 2 pi |z - e^{i theta}|^2 overflows: DomainError, not an OverflowError or a silent 0.0
+    lambda: poisson_disc(1.5e308 + 1.5e308j, 0.3),
+    lambda: poisson_disc(1.3e154, 0.3),
+    lambda: berezin_gaussian_ginibre(10, 2.0, 0.1, math.nan),
+    lambda: berezin_gaussian_ginibre(10, complex(math.nan, 0.0), 0.1, 0.0),
+    lambda: berezin_gaussian_ginibre(10, 2.0, math.nan, 0.0),
+    lambda: berezin_gaussian_ginibre(-3, 2.0, 0.1, 0.0),
+    lambda: berezin_gaussian_ginibre(0, 2.0, 0.1, 0.0),
+    lambda: berezin_gaussian_ginibre(10, 1.5e308 + 1.5e308j, 0.1, 0.0),
 ], ids=["exterior-n0", "bulk-n0", "exterior-overflow", "bulk-overflow",
         "exterior-overflow-scale-z", "exterior-overflow-scale-w", "bulk-overflow-scale-z",
-        "bulk-overflow-scale-w", "exterior-nan", "bulk-inf"])
+        "bulk-overflow-scale-w", "exterior-nan", "bulk-inf",
+        "poisson-theta-nan", "poisson-theta-inf", "poisson-z-nan", "poisson-z-inf",
+        "poisson-overflow-scale-z", "poisson-square-overflow", "belt-ell-nan", "belt-z-nan",
+        "belt-theta-nan", "belt-n-negative", "belt-n0", "belt-overflow-scale-z"])
 def test_bad_input_raises_domain_error(call):
     with pytest.raises(DomainError):
         call()
+

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wpkernel import DomainError, Region, classify, trace_curve_K, trace_szego_curve, u_map
-from wpkernel.szego_geometry import negative_axis_crossing, u_abs
+from wpkernel.szego_geometry import RegionLabel, negative_axis_crossing, u_abs
 
 
 # reference oracles on sampled curves, independent of the closed forms
@@ -199,3 +199,15 @@ def test_curve_K_is_the_closed_form_graph():
     y = off_axis.imag
     assert np.allclose(off_axis.real, y * np.cos(y) / np.sin(y), rtol=1e-14, atol=0.0)
     assert max(abs(u_map(p).imag) for p in pts) <= 1e-12
+
+
+def test_classify_returns_one_label_per_region():
+    # one shared, equal-to-fresh RegionLabel per region; each region fixes in_E_sz
+    probes = {Region.REGION_I: [0.5, 0.2j], Region.REGION_II: [1.8, 3.0 - 0.5j],
+              Region.REGION_III: [0.5j, -2.5 + 1j], Region.ON_SZEGO_CURVE: [-negative_axis_crossing()],
+              Region.ON_CURVE_K: [complex(0.5 / math.tan(0.5), 0.5)], Region.AT_ONE: [1.0]}
+    exterior = {Region.REGION_II, Region.REGION_III, Region.ON_CURVE_K}
+    for region, points in probes.items():
+        labels = [classify(z) for z in points]
+        assert all(label is labels[0] for label in labels)
+        assert labels[0] == RegionLabel(region, region in exterior)
