@@ -23,10 +23,8 @@ from .scaled_numerics import (
     PolynomialQ,
     Quadrature1D,
     RationalAtOne,
-    lc_div,
     lc_from_complex,
     lc_mul,
-    lc_pow_int,
     lc_sum,
     poly_derivative,
     poly_eval,
@@ -39,7 +37,6 @@ from .ginibre_exact import (
     GinibreKernelValue,
     ginibre_berezin,
     ginibre_kernel_exact,
-    ginibre_one_point,
     partial_exp_sum,
     partial_exp_sum_complement,
     partial_exp_sum_gamma_route,
@@ -55,11 +52,9 @@ from .szego_geometry import (
 )
 from .expansion import (
     BulkKernel,
-    CorrectionTable,
     StirlingSeries,
     berezin_gaussian_ginibre,
     bulk_kernel_expansion,
-    correction_table,
     exterior_kernel_expansion,
     poisson_disc,
     rho,
@@ -81,7 +76,6 @@ from .potential import (
     make_elliptic_ginibre,
     make_ginibre,
     make_radial,
-    ridge_between,
     variational_residual,
 )
 from .hardy import (
@@ -99,8 +93,6 @@ from .general_kernel import (
     berezin_belt_density,
     boundary_correlation_modulus,
     cocycle,
-    f_factor,
-    h_function,
     kernel_asymptotic,
     lowdeg_bound_check,
     quasipolynomial,

@@ -171,15 +171,25 @@ def cmd_expand(args):
 
 
 def _load_basis(path: str, pot):
+    """The basis that `oracle` writes; ConfigError unless the file is its JSON,
+    with every key and a coefficient table of degree + 1 columns."""
     from .ortho_oracle import OrthonormalBasis
 
-    payload = json.loads(_read_text(path))
-    coeffs = np.array([[complex(c) for c in row] for row in payload["coefficients"]])
-    return OrthonormalBasis(
-        n=payload["n"], max_degree=payload["degree"], coeffs=coeffs,
-        scale=payload["scale"], pot=pot,
-        gram_residual=payload["gram_residual"],
-    )
+    text = _read_text(path)  # its ConfigError (a ValueError) passes unwrapped
+    try:
+        payload = json.loads(text)
+        coeffs = np.array([[complex(c) for c in row] for row in payload["coefficients"]])
+        degree = int(payload["degree"])
+        basis = OrthonormalBasis(
+            n=int(payload["n"]), max_degree=degree, coeffs=coeffs,
+            scale=float(payload["scale"]), pot=pot,
+            gram_residual=float(payload["gram_residual"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path!r} is not a basis written by `oracle`: {exc!r}") from exc
+    if coeffs.ndim != 2 or coeffs.shape[1] != degree + 1:
+        raise ConfigError(f"{path!r} needs a coefficient table of {degree + 1} columns")
+    return basis
 
 
 def cmd_kernel(args):

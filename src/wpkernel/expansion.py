@@ -166,15 +166,6 @@ def rho(j: int) -> RationalAtOne:
     return acc
 
 
-@dataclass(frozen=True)
-class CorrectionTable:
-    rho: tuple  # RationalAtOne, index j - 1
-
-
-def correction_table(j_max: int) -> CorrectionTable:
-    return CorrectionTable(tuple(rho(j) for j in range(1, j_max + 1)))
-
-
 def rho_bracket(n: int, zeta: complex, k: int) -> complex:
     """1 + sum_{j<=k} rho_j(zeta) / n^j."""
     acc = 1.0 + 0j

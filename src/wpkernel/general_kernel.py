@@ -27,7 +27,6 @@ the desk-scale checks of this regime.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -36,7 +35,7 @@ import numpy as np
 from .errors import BeltError, DomainError, RegimeError, check_finite, check_n
 from .hardy import harmonic_measure_density, szego_kernel
 from .ortho_oracle import _ginibre_enveloped_log_w
-from .potential import AdmissiblePotential, BoundaryPoint, GinibrePotential, harmonic_extension
+from .potential import AdmissiblePotential, BoundaryPoint, GinibrePotential
 from .scaled_numerics import LogComplex, _norm_arg, _norm_args, lc_sum_scaled_parts
 
 
@@ -143,6 +142,9 @@ def boundary_correlation_modulus(pot: AdmissiblePotential, n: int,
     check_n(n)
     z = complex(z)
     w = complex(w)
+    # bounds |z - w|, so the abs below cannot overflow
+    if not math.isfinite(abs(z.real) + abs(z.imag) + abs(w.real) + abs(w.imag)):
+        raise DomainError(f"z and w must be finite and below the overflow scale, got {z}, {w}")
     if abs(z - w) < 1e-12:
         raise DomainError("boundary correlation modulus is off-diagonal only")
     return (
@@ -248,19 +250,6 @@ def tail_kernel(pot: AdmissiblePotential, n: int, z: complex, w: complex) -> Log
     return lc_sum_scaled_parts(log_z + log_w, arg_z - arg_w)
 
 
-def f_factor(pot: AdmissiblePotential, tau: float, z: complex) -> complex:
-    """F_tau(z) = (phi_tau(z)/phi(z)) e^{(QQ_tau - QQ)(z) / (2 tau)}.
-
-    Appears as the per-degree ratio in the tail sum; F_1 is identically 1
-    and F_tau(inf) > 0.
-    """
-    z = complex(z)
-    check_finite(z)
-    e = pot.exterior(z, tau)
-    e1 = pot.exterior(z, 1.0)
-    return e.phi / e1.phi * cmath.exp((e.QQ - e1.QQ) / (2.0 * tau))
-
-
 @dataclass(frozen=True)
 class LowDegreeReport:
     n: int
@@ -294,17 +283,3 @@ def lowdeg_bound_check(pot: AdmissiblePotential, n: int, z: complex) -> LowDegre
     return LowDegreeReport(n=n, z=z, j_cut=j_cut,
                            max_scaled=math.exp(best) if best > -745 else 0.0,
                            argmax_j=best_j)
-
-
-def h_function(pot: AdmissiblePotential, z: complex, nodes: int = 512) -> complex:
-    """Holomorphic h with Re h = -|phi'|^2/(4 LapQ) on the boundary, Im h(inf) = 0.
-
-    Controls the Gaussian decay exponent of the per-degree tail ratios:
-    log a_j ~= n (h(z) + conj(h(w))) (1 - j/n)^2 near j = n.
-    """
-    check_finite(z)
-    ext = harmonic_extension(
-        pot, 1.0, lambda p: -np.abs(pot.exterior(p, 1.0).dphi) ** 2 / (4.0 * pot.laplacian(p)),
-        nodes=nodes,
-    )
-    return ext(complex(z))

@@ -468,11 +468,6 @@ def ginibre_log_one_point(n: int, z: complex) -> float:
     return math.log(n) + (_raw_partial_sum(n, m2).log_mag - n * m2)
 
 
-def ginibre_one_point(n: int, z: complex) -> float:
-    """One-point function R_n(z) = K_n(z, z); positive, bounded by n."""
-    return math.exp(ginibre_log_one_point(n, z))
-
-
 def ginibre_berezin(n: int, z: complex, w: complex) -> float:
     """Berezin kernel B_n(z, w) = |K_n(z, w)|^2 / K_n(z, z)."""
     kzw = ginibre_kernel_exact(n, z, w).value

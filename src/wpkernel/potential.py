@@ -586,14 +586,6 @@ def boundary_speed_fd(pot: AdmissiblePotential, tau: float, p: complex) -> float
     return (ell_minus - ell_plus) / 2e-3
 
 
-def ridge_between(pot: AdmissiblePotential, tau: float, tau2: float, z: complex):
-    """(exact ridge (Q - V_tau)(z), quadratic prediction) for z on Gamma_tau2."""
-    exact = pot.ridge(z, tau)
-    bp, _, _ = pot.project(z, tau)
-    pred = abs(pot.exterior(bp.p, tau).dphi) ** 2 / (2.0 * pot.laplacian(bp.p)) * (tau2 - tau) ** 2
-    return exact, pred
-
-
 def droplet_mass(pot: AdmissiblePotential, tau: float) -> float:
     """Lap(Q) integrated over S_tau; equals tau for admissible data.
 

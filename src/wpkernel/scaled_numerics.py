@@ -137,24 +137,6 @@ def lc_mul(a: LogComplex, b: LogComplex) -> LogComplex:
     return LogComplex(a.log_mag + b.log_mag, a.arg + b.arg)
 
 
-def lc_div(a: LogComplex, b: LogComplex) -> LogComplex:
-    if b.is_zero:
-        raise DomainError("division by canonical zero LogComplex")
-    if a.is_zero:
-        return LC_ZERO
-    return LogComplex(a.log_mag - b.log_mag, a.arg - b.arg)
-
-
-def lc_pow_int(a: LogComplex, n: int) -> LogComplex:
-    if a.is_zero:
-        if n > 0:
-            return LC_ZERO
-        if n == 0:
-            return LC_ONE
-        raise DomainError("negative power of canonical zero LogComplex")
-    return LogComplex(n * a.log_mag, _norm_arg(n * a.arg))
-
-
 def lc_sum(terms) -> LogComplex:
     """Sum of LogComplex terms, rescaled by the maximal log-magnitude.
 

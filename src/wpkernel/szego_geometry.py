@@ -34,9 +34,17 @@ _K_REACH = _K_EXTENT + 2e-3
 
 
 def u_map(zeta: complex) -> complex:
-    """u(zeta) = zeta * e^(1 - zeta)."""
+    """u(zeta) = zeta * e^(1 - zeta); DomainError where zeta or u is not finite."""
     zeta = complex(zeta)
-    return zeta * cmath.exp(1.0 - zeta)
+    if not cmath.isfinite(zeta):
+        raise DomainError(f"u(zeta) needs a finite zeta, got {zeta}")
+    try:
+        u = zeta * cmath.exp(1.0 - zeta)
+    except OverflowError as exc:
+        raise DomainError(f"u(zeta) overflows float64 at zeta = {zeta}") from exc
+    if not cmath.isfinite(u):
+        raise DomainError(f"u(zeta) overflows float64 at zeta = {zeta}")
+    return u
 
 
 def u_abs(zeta: complex) -> float:

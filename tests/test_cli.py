@@ -140,6 +140,16 @@ def test_classify_non_finite_point_is_a_domain_error(tmp_path):
     assert run(["classify", "--points", str(pts), "--out", str(tmp_path / "l.csv")]) == 2
 
 
+# --basis payloads that are not the JSON `oracle` writes
+_BAD_BASIS = {
+    "basis-empty-object": "{}",
+    "basis-not-json": "not json",
+    "basis-list": "[1, 2]",
+    "basis-short-rows": '{"n": 12, "degree": 2, "scale": 1.0, "gram_residual": 0.0, '
+                        '"coefficients": [["1", "0"]]}',
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["classify", "--points", "{bad_lines}"],
     ["classify", "--points", "{letters}"],
@@ -149,14 +159,21 @@ def test_classify_non_finite_point_is_a_domain_error(tmp_path):
     ["kernel", "--config", "{missing}"],
     ["kernel", "--n", "12", "--z", "1.3,0", "--w", "1.2,0", "--mode", "oracle",
      "--basis", "{missing}"],
+] + [
+    ["kernel", "--n", "12", "--z", "1.3,0", "--w", "1.2,0", "--mode", "oracle",
+     "--basis", "{%s}" % key] for key in _BAD_BASIS
 ], ids=["classify-three-fields", "classify-not-a-number", "classify-missing-file",
-        "classify-not-utf8", "expand-three-fields", "missing-config-file", "missing-basis-file"])
+        "classify-not-utf8", "expand-three-fields", "missing-config-file", "missing-basis-file",
+        *_BAD_BASIS])
 def test_malformed_input_is_a_config_error(argv, tmp_path, capsys):
     paths = {"bad_lines": tmp_path / "bad.csv", "letters": tmp_path / "letters.csv",
              "missing": tmp_path / "missing.csv", "binary": tmp_path / "binary.csv"}
     paths["bad_lines"].write_text("0.5,0\n1,2,3\n")
     paths["binary"].write_bytes(b"\xff\xfe0.5,0\n")
     paths["letters"].write_text("re,im\nabc,1\n")
+    for key, payload in _BAD_BASIS.items():
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(payload)
     argv = [arg.format(**paths) for arg in argv]
     assert run(argv + ["--out", str(tmp_path / "out.csv")]) == 1
     assert capsys.readouterr().err.startswith("config error: ")

@@ -21,7 +21,7 @@ from wpkernel import (
     tricomi_b,
 )
 from wpkernel.errors import DomainError
-from wpkernel.expansion import correction_table, gaussian_belt_profile, rho_bracket
+from wpkernel.expansion import gaussian_belt_profile, rho_bracket
 from wpkernel.scaled_numerics import poly_q, rational_eval
 from wpkernel.szego_geometry import u_abs
 
@@ -85,8 +85,6 @@ def test_rho_pole_orders_and_table():
         from wpkernel.scaled_numerics import poly_eval
 
         assert poly_eval(r.numerator, Fraction(1)) != 0
-    table = correction_table(3)
-    assert len(table.rho) == 3
 
 
 @pytest.mark.parametrize("z,w", [(1.5, 1.2), (2 + 1j, 1.0), (2.0, -1.0)])

@@ -19,9 +19,7 @@ from wpkernel import (
     cocycle,
     elliptic_kernel_exact,
     exterior_kernel_expansion,
-    f_factor,
     ginibre_kernel_exact,
-    h_function,
     kernel_asymptotic,
     lowdeg_bound_check,
     make_elliptic_ginibre,
@@ -423,45 +421,6 @@ def test_inside_belt_pairs_where_the_bulk_term_wins_are_refused(gin):
                     kernel_asymptotic(gin, n, z, w)
                 refused += 1
     assert refused >= 10 and answered >= 100
-
-
-def test_f_factor_invariants(gin, ell):
-    for pot in (gin, ell):
-        assert f_factor(pot, 1.0, 2.0 + 1.0j) == pytest.approx(1.0 + 0j, abs=1e-12)
-        far = f_factor(pot, 0.9, 500.0)
-        assert far.real > 0 and abs(far.imag) < 1e-10
-
-
-def test_tail_ratio_decay_via_h(gin):
-    # |a_m| with m = n theta_n decays like e^{-s log^2 n} with
-    # s ~ -2 Re h = 1/2 for the unit disc
-    for n in (100, 400, 1600):
-        cuts = sequence_cuts(n)
-        m = int(n * cuts.theta_n)
-        tau = m / n
-        log_am = 2.0 * m * math.log(abs(f_factor(gin, tau, 1.3)))
-        s = -log_am / math.log(n) ** 2
-        assert 0.3 < s < 0.7
-    # quadratic model in (1 - tau) with coefficient 2 Re h sharpens as tau -> 1
-    n = 10 ** 6
-    devs = []
-    for tau in (0.999, 0.9999):
-        j = int(n * tau)
-        log_aj = 2.0 * j * math.log(abs(f_factor(gin, tau, 1.3)))
-        model = 2.0 * n * h_function(gin, 1.3).real * (1.0 - tau) ** 2
-        devs.append(abs(log_aj / model - 1.0))
-    assert devs[0] < 0.02
-    assert devs[1] < devs[0]
-
-
-def test_h_function(gin, ell):
-    assert h_function(gin, 1.7) == pytest.approx(-0.25 + 0j, abs=1e-12)
-    assert h_function(gin, 1e6).real < 0
-    h_far = h_function(ell, 300.0)
-    assert h_far.real < 0
-    p = ell.boundary_point(0.5, 1.0).p
-    boundary_data = -abs(ell.exterior(p, 1.0).dphi) ** 2 / (4.0 * ell.laplacian(p))
-    assert h_function(ell, p).real == pytest.approx(boundary_data, abs=1e-10)
 
 
 def test_lowdeg_bound_check(gin):

@@ -14,9 +14,7 @@ from wpkernel import (
     compute_moments,
     elliptic_kernel_exact,
     equilibrium_log_potential,
-    f_factor,
     ginibre_kernel_exact,
-    h_function,
     harmonic_measure_density,
     harmonic_measure_mass,
     kernel_asymptotic,
@@ -368,8 +366,6 @@ def test_degree_cannot_exceed_n(gin):
     lambda: _ELL.project(math.nan),
     lambda: _ELL.dist_to_exterior(math.nan),
     lambda: lowdeg_bound_check(make_ginibre(), 100, math.nan),
-    lambda: h_function(_ELL, math.nan),
-    lambda: f_factor(_ELL, 0.9, math.nan),
     lambda: equilibrium_log_potential(_ELL, 1.0, _ELL.boundary_point(0.4).p),
     lambda: cocycle(_ELL, 40, math.nan, _ELL.boundary_point(0.4).p),
     lambda: harmonic_measure_density(_ELL, 2.0, math.nan),
@@ -382,7 +378,7 @@ def test_degree_cannot_exceed_n(gin):
         "asymptotic-fractional-n", "moments-fractional-n", "szego-basis-nan",
         "szego-series-nan", "harmonic-density-nan", "quasipolynomial-nan", "oracle-nan",
         "elliptic-V-nan", "ginibre-V-nan", "project-nan", "dist-to-exterior-nan",
-        "lowdeg-nan", "h-function-nan", "f-factor-nan", "equilibrium-boundary-point",
+        "lowdeg-nan", "equilibrium-boundary-point",
         "cocycle-nan", "harmonic-density-nan-boundary-point", "quasipolynomial-phi-zero"])
 def test_bad_input_raises_domain_error(call):
     with pytest.raises(DomainError):

@@ -37,7 +37,6 @@ from wpkernel import (
     make_radial,
     pointwise_bound_check,
     quasipolynomial,
-    ridge_between,
     tail_kernel,
     variational_residual,
 )
@@ -162,17 +161,6 @@ def test_one_sided_boundary_motion_order(gin):
         errs.append(abs(abs(ell_signed) - speed * dtau))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 4e-6
-
-
-def test_ridge_between(gin, ell):
-    exact, pred = ridge_between(gin, 1.0, 1.0, 1.0)
-    assert exact == 0.0 and pred == 0.0
-    exact, pred = ridge_between(gin, 0.99, 1.0, 1.0)
-    assert exact == pytest.approx(1.0 - gin.V(1.0, 0.99), rel=1e-12)
-    assert exact / pred == pytest.approx(1.0, abs=0.02)
-    p2 = ell.boundary_point(0.9, 1.0).p
-    exact, pred = ridge_between(ell, 0.99, 1.0, p2)
-    assert exact / pred == pytest.approx(1.0, abs=0.05)
 
 
 def test_elliptic_droplet_shape(ell):
@@ -521,6 +509,10 @@ def test_single_value_options_are_constants(function, names):
 def test_argument_reordering_wrappers_are_gone():
     for name in ("V_tau", "ridge", "DropletGeometry", "_boundary_nodes"):
         assert not hasattr(wpkernel, name) and not hasattr(potential_module, name)
+    # public functions that no library route called, deleted with their exports
+    for name in ("lc_div", "lc_pow_int", "ginibre_one_point", "correction_table",
+                 "CorrectionTable", "ridge_between", "f_factor", "h_function"):
+        assert not hasattr(wpkernel, name)
     for name in ("droplet_geometry", "tau0"):
         assert not hasattr(AdmissiblePotential, name)
     assert "regime" not in {f.name for f in dataclasses.fields(KernelAsymptotic)}
@@ -600,8 +592,11 @@ _P, _W = _ELL.boundary_point(0.3).p, _ELL.boundary_point(2.0).p
     lambda: equilibrium_log_potential(_ELL, 1.0, math.nan),
     lambda: pointwise_bound_check(0, [1, 2], [1.1]),
     lambda: pointwise_bound_check(20, [18], [complex(math.nan, 0.0)]),
+    lambda: boundary_correlation_modulus(_ELL, 40, 1.5e308 * (1 + 1j), _W),
+    lambda: boundary_correlation_modulus(_ELL, 40, _P, 1.5e308 * (1 + 1j)),
 ], ids=["cocycle-n0", "modulus-n0", "modulus-n-1", "quasipolynomial-n0", "density-1e200",
-        "speed-inf", "log-potential-nan", "bound-n0", "bound-nan"])
+        "speed-inf", "log-potential-nan", "bound-n0", "bound-nan", "modulus-overflow-scale-z",
+        "modulus-overflow-scale-w"])
 def test_bad_input_raises_domain_error(call):
     # each of these returned a value, 0.0 or nan, or raised an untyped error
     with warnings.catch_warnings():

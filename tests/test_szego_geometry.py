@@ -46,6 +46,15 @@ def test_u_map_values():
     assert abs(u_map(1j)) == pytest.approx(math.e, rel=1e-15)
 
 
+@pytest.mark.parametrize("zeta", [
+    complex(math.nan, 0.0), complex(math.inf, 0.0), complex(0.0, -math.inf), -800.0, -708.5,
+], ids=["nan", "inf", "imaginary-inf", "exp-overflow", "product-overflow"])
+def test_u_map_bad_input_raises_domain_error(zeta):
+    # nan and inf returned nan; e^{1 - zeta} past float64 raised OverflowError
+    with pytest.raises(DomainError):
+        u_map(zeta)
+
+
 def test_traced_curve_contracts():
     step, tol = 1e-3, 1e-9
     curve = trace_szego_curve(step=step)
