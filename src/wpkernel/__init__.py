@@ -17,7 +17,6 @@ from .errors import (
     ToleranceError,
 )
 from .scaled_numerics import (
-    LC_ONE,
     LC_ZERO,
     LogComplex,
     PolynomialQ,

@@ -1,6 +1,7 @@
 """Exception types shared across the library and the argument checks that raise them."""
 
 import cmath
+import math
 import numbers
 
 import numpy as np
@@ -49,7 +50,22 @@ def check_n(n) -> None:
 
 
 def check_finite(*values) -> None:
-    """DomainError unless every value, or every entry of an array value, is finite."""
+    """DomainError unless every value is finite."""
     for v in values:
-        if not (np.all(np.isfinite(v)) if isinstance(v, np.ndarray) else cmath.isfinite(v)):
+        if not cmath.isfinite(v):
             raise DomainError(f"arguments must be finite, got {v!r}")
+
+
+def extent(z) -> float:
+    """|Re z| + |Im z| >= |z| of a number, max |Re| + max |Im| over an array, in Python
+    floats (never raising or warning); nan or inf where a value is or the parts' sum overflows."""
+    if isinstance(z, np.ndarray):
+        return float(np.abs(z.real).max(initial=0.0)) + float(np.abs(z.imag).max(initial=0.0))
+    return math.fabs(z.real) + math.fabs(z.imag)
+
+
+def check_scale(scale) -> None:
+    """DomainError unless scale, a bound from `extent` of the largest float64
+    value the caller will form (|z|, n |zeta|, n |z|^2), is finite."""
+    if not math.isfinite(scale):
+        raise DomainError("points must be finite and below the float64 overflow scale")

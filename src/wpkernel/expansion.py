@@ -31,14 +31,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, RegimeError, check_finite, check_n
-from .ginibre_exact import _check_args, _point_extent
+from .errors import DomainError, RegimeError, check_finite, check_n, check_scale, extent
 from .scaled_numerics import (
     LogComplex,
     PolynomialQ,
     RationalAtOne,
     _norm_arg,
-    lc_from_cnumber,
+    lc_from_complex,
     lc_mul,
     poly_derivative,
     poly_q,
@@ -190,8 +189,9 @@ def exterior_kernel_expansion(n: int, z: complex, w: complex, k: int = 0,
     """
     z = complex(z)
     w = complex(w)
-    ez, ew = _point_extent(z), _point_extent(w)
-    _check_args(n, n * (ez * ez + ew * ew))
+    check_n(n)
+    ez, ew = extent(z), extent(w)
+    check_scale(n * (ez * ez + ew * ew))
     zeta = z * w.conjugate()
     label = classify(zeta)
     if not label.in_E_sz:
@@ -216,7 +216,8 @@ def exterior_kernel_expansion(n: int, z: complex, w: complex, k: int = 0,
     prefactor = LogComplex(log_mag, arg)
     if k == 0:
         return prefactor
-    return lc_mul(prefactor, lc_from_cnumber(rho_bracket(n, zeta, k)))
+    bracket = rho_bracket(n, zeta, k)
+    return lc_mul(prefactor, lc_from_complex(bracket.real, bracket.imag))
 
 
 @dataclass(frozen=True)
@@ -230,8 +231,9 @@ def bulk_kernel_expansion(n: int, z: complex, w: complex) -> BulkKernel:
     """Bulk-regime leading term with its certified relative error scale."""
     z = complex(z)
     w = complex(w)
-    ez, ew = _point_extent(z), _point_extent(w)
-    _check_args(n, n * (ez * ez + ew * ew))
+    check_n(n)
+    ez, ew = extent(z), extent(w)
+    check_scale(n * (ez * ez + ew * ew))
     zeta = z * w.conjugate()
     label = classify(zeta)
     if label.label not in (Region.REGION_I, Region.ON_SZEGO_CURVE):
@@ -258,9 +260,8 @@ def poisson_disc(z: complex, theta: float) -> float:
     """Exterior Poisson kernel P_z(theta) of the unit disc at |z| > 1."""
     z = complex(z)
     # 2 pi |z - e^{i theta}|^2 <= 2 pi (|Re z| + |Im z| + 1)^2 is the largest value formed
-    bound = _point_extent(z) + 1.0
-    if not math.isfinite(2.0 * math.pi * bound * bound):
-        raise DomainError(f"z must be finite and below the overflow scale of |z|^2, got {z}")
+    bound = extent(z) + 1.0
+    check_scale(2.0 * math.pi * bound * bound)
     check_finite(theta)
     if abs(z) <= 1.0:
         raise DomainError("the exterior Poisson kernel needs |z| > 1")

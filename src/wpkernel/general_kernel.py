@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BeltError, DomainError, RegimeError, check_finite, check_n
+from .errors import BeltError, DomainError, RegimeError, check_finite, check_n, check_scale, extent
 from .hardy import harmonic_measure_density, szego_kernel
 from .ortho_oracle import _ginibre_enveloped_log_w
 from .potential import AdmissiblePotential, BoundaryPoint, GinibrePotential
@@ -90,7 +90,7 @@ def kernel_asymptotic(pot: AdmissiblePotential, n: int, z: complex, w: complex,
     check_n(n)
     z = complex(z)
     w = complex(w)
-    check_finite(z, w)
+    check_scale(extent(z) + extent(w))
     _require_belt(pot, sequence_cuts(n, pot.delta_M), z=z, w=w)
     ez = pot.exterior(z, 1.0)
     ew = pot.exterior(w, 1.0)
@@ -122,6 +122,7 @@ def kernel_asymptotic(pot: AdmissiblePotential, n: int, z: complex, w: complex,
 def cocycle(pot: AdmissiblePotential, n: int, z: complex, w: complex) -> LogComplex:
     """Unimodular factor c_n(z, w) of the boundary correlation; needs ||phi| - 1| <= 1e-8 at z and w."""
     check_n(n)
+    check_scale(extent(z) + extent(w))
     ez = pot.exterior(complex(z), 1.0)
     ew = pot.exterior(complex(w), 1.0)
     for e, name in ((ez, "z"), (ew, "w")):
@@ -142,9 +143,7 @@ def boundary_correlation_modulus(pot: AdmissiblePotential, n: int,
     check_n(n)
     z = complex(z)
     w = complex(w)
-    # bounds |z - w|, so the abs below cannot overflow
-    if not math.isfinite(abs(z.real) + abs(z.imag) + abs(w.real) + abs(w.imag)):
-        raise DomainError(f"z and w must be finite and below the overflow scale, got {z}, {w}")
+    check_scale(extent(z) + extent(w))  # bounds |z - w|, so the abs below cannot overflow
     if abs(z - w) < 1e-12:
         raise DomainError("boundary correlation modulus is off-diagonal only")
     return (
@@ -166,7 +165,7 @@ def berezin_belt_density(pot: AdmissiblePotential, n: int, z: complex,
                          p: BoundaryPoint, ell: float) -> BeltDensity:
     """Gaussian belt density P_z(p) sqrt(4 n LapQ(p)/2pi) e^{-2 n LapQ(p) ell^2}."""
     check_n(n)
-    check_finite(z, ell)
+    check_finite(ell)  # z is checked by harmonic_measure_density
     cuts = sequence_cuts(n, pot.delta_M)
     if abs(ell) > cuts.delta_n:
         raise BeltError(
@@ -228,7 +227,7 @@ def quasipolynomial(pot: AdmissiblePotential, n: int, j: int, z: complex) -> Log
     if tau > 1.0 + 1e-12:
         raise DomainError("degrees beyond n are not part of the space")
     z = complex(z)
-    check_finite(z)
+    check_scale(extent(z))
     log_mag, arg = _quasipolynomial_parts(pot, n, np.array([j]), [z])
     return LogComplex(float(log_mag[0, 0]), float(arg[0, 0]))
 
@@ -242,7 +241,7 @@ def tail_kernel(pot: AdmissiblePotential, n: int, z: complex, w: complex) -> Log
     check_n(n)
     z = complex(z)
     w = complex(w)
-    check_finite(z, w)
+    check_scale(extent(z) + extent(w))
     cuts = sequence_cuts(n, pot.delta_M)
     _require_belt(pot, cuts, z=z, w=w)
     j = np.arange(max(0, int(math.ceil(n * cuts.theta_n - 1e-9))), n)

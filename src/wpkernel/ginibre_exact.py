@@ -66,8 +66,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PrecisionError, check_n
-from .scaled_numerics import LogComplex, _norm_arg, _norm_args, lc_mul
+from .errors import DomainError, PrecisionError, check_n, check_scale, extent
+from .scaled_numerics import LogComplex, _norm_arg, _norm_args, _where, lc_mul
 
 # relative disagreement between summation and gamma routes that triggers
 # a hard failure of the internal cross-check
@@ -88,29 +88,6 @@ class GinibreKernelValue:
     z: complex
     w: complex
     value: LogComplex
-
-
-def _extent(values) -> float:
-    """max |Re| + max |Im| over an array; nan or inf when any value is."""
-    v = np.asarray(values, dtype=complex)
-    return float(np.abs(v.real).max(initial=0.0)) + float(np.abs(v.imag).max(initial=0.0))
-
-
-def _point_extent(z: complex) -> float:
-    """|Re z| + |Im z| >= |z|, the `_extent` of one point; nan or inf when z is."""
-    return abs(z.real) + abs(z.imag)
-
-
-def _check_args(n, scale: float):
-    """DomainError unless n is an integer >= 1 and scale is finite.
-
-    `scale` is an upper bound, computed without overflow exceptions, of the
-    largest float64 quantity the caller will form (n |zeta| or n |z|^2): a
-    nan, inf or overflow-scale argument makes it non-finite.
-    """
-    check_n(n)
-    if not math.isfinite(scale):
-        raise DomainError("arguments must be finite and below the float64 overflow scale")
 
 
 def _window_sums(q: np.ndarray, lengths: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -165,11 +142,6 @@ def _log_kk_over_factorial(k: int) -> float:
     return k - 0.5 * math.log(2.0 * math.pi * k) - series
 
 
-def _pick(cond, a, b):
-    """a where cond holds, else b: elementwise for an array cond."""
-    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
-
-
 def _exp(v):
     """e^v of a float (math), a complex (cmath) or an array (numpy)."""
     if isinstance(v, np.ndarray):
@@ -204,16 +176,16 @@ def _window_extent(n: int, r, inner: bool):
     if inner:
         # below |x| = 1e-300 n the tail is under 1e-300 of e^x ~ 1: dropped
         live = r > 1e-300 * n
-        rate = f.log(n / _pick(live, r, n))
+        rate = f.log(n / _where(live, r, n))
         j_drop = 2.0 * drop / (rate + f.sqrt(rate * rate + 2.0 * drop * math.log(2.0) / n))
-        lengths = _pick(j_drop <= n, f.ceil(j_drop), n + math.ceil(drop / math.log(2.0)))
-        return (_pick(live, lengths, 1),
-                _pick(live, _log_kk_over_factorial(n) - n * rate, -math.inf))
+        lengths = _where(j_drop <= n, f.ceil(j_drop), n + math.ceil(drop / math.log(2.0)))
+        return (_where(live, lengths, 1),
+                _where(live, _log_kk_over_factorial(n) - n * rate, -math.inf))
     m = max(n - 1, 1)
     rate = f.log(r / m)
     a = rate - 0.5 / m
     j_drop = 2.0 * drop / (a + f.sqrt(a * a + 2.0 * drop / m))
-    return _pick(j_drop <= n, f.ceil(j_drop), n), (n - 1) * rate + _log_kk_over_factorial(n - 1)
+    return _where(j_drop <= n, f.ceil(j_drop), n), (n - 1) * rate + _log_kk_over_factorial(n - 1)
 
 
 def _window_coeffs(n: int, length: int, inner: bool) -> np.ndarray:
@@ -332,7 +304,8 @@ def _point_e_n(n: int, x: complex):
 def raw_partial_sum_array(n: int, zetas: np.ndarray):
     """(log_mag, arg) of sum_{k<n} (n zeta)^k / k! for an array of zeta."""
     zetas = np.asarray(zetas, dtype=complex).ravel()
-    _check_args(n, n * _extent(zetas))
+    check_n(n)
+    check_scale(n * extent(zetas))
     x = n * zetas
     inner, log_mag, c, _ = _flat_e_n(n, x)
     # outside, arg t = (n-1) arg x
@@ -346,7 +319,8 @@ def _raw_partial_sum(n: int, zeta: complex) -> LogComplex:
     """sum_{k=0}^{n-1} (n zeta)^k / k! in log-polar form, on the one-point
     route, with the real-sign rule of `raw_partial_sum_array`."""
     zeta = complex(zeta)
-    _check_args(n, n * _point_extent(zeta))
+    check_n(n)
+    check_scale(n * extent(zeta))
     x = n * zeta
     inner, log_mag, c, _ = _point_e_n(n, x)
     arg = _norm_arg(math.atan2(c.imag, c.real)
@@ -394,7 +368,8 @@ def _gamma_cf(a: float, x: complex) -> LogComplex:
 def partial_exp_sum_gamma_route(n: int, zeta: complex) -> LogComplex:
     """E_n(zeta) via the incomplete-gamma identity; requires Re(zeta) > 1."""
     zeta = complex(zeta)
-    _check_args(n, n * _point_extent(zeta))
+    check_n(n)
+    check_scale(n * extent(zeta))
     if zeta.real <= 1.0:
         raise DomainError("gamma-function route is restricted to Re(zeta) > 1")
     g = _gamma_cf(float(n), n * zeta)
@@ -429,7 +404,8 @@ def partial_exp_sum_complement(n: int, zeta: complex) -> LogComplex:
     windowed kernel; for |zeta| >= 1 it is E_n(zeta) - 1 formed in log scale.
     """
     zeta = complex(zeta)
-    _check_args(n, n * _point_extent(zeta))
+    check_n(n)
+    check_scale(n * extent(zeta))
     x = n * zeta
     if abs(x) < n:
         lead, sums = _point_sums(n, x, True)
@@ -451,8 +427,9 @@ def ginibre_kernel_exact(n: int, z: complex, w: complex) -> GinibreKernelValue:
     """Exact kernel K_n(z, w) in log-polar form."""
     z = complex(z)
     w = complex(w)
-    scale = max(_point_extent(z), _point_extent(w))
-    _check_args(n, n * scale * scale)
+    check_n(n)
+    scale = max(extent(z), extent(w))
+    check_scale(n * scale * scale)
     raw = _raw_partial_sum(n, z * w.conjugate())
     gauss = -0.5 * n * (abs(z) ** 2 + abs(w) ** 2)
     value = lc_mul(LogComplex(math.log(n) + gauss, 0.0), raw)
@@ -462,8 +439,9 @@ def ginibre_kernel_exact(n: int, z: complex, w: complex) -> GinibreKernelValue:
 def ginibre_log_one_point(n: int, z: complex) -> float:
     """log R_n(z); the one-point function is R_n(z) = n E_n(|z|^2)."""
     z = complex(z)
-    scale = _point_extent(z)
-    _check_args(n, n * scale * scale)
+    check_n(n)
+    scale = extent(z)
+    check_scale(n * scale * scale)
     m2 = abs(z) ** 2
     return math.log(n) + (_raw_partial_sum(n, m2).log_mag - n * m2)
 
@@ -542,8 +520,9 @@ def _berezin_and_ratios(n: int, z: complex, ws: np.ndarray):
     """(w, B_n(z, w), r(n z w~), r(n|z|^2)) over the flattened w, with
     B_n = n |e_n(n z w~)|^2 e^{-n|w|^2} / e_n(n|z|^2) (the Gaussian factors
     of z cancel); underflows are flushed to zero."""
-    scale = _point_extent(z) + _extent(ws)
-    _check_args(n, n * scale * scale)
+    check_n(n)
+    scale = extent(z) + extent(ws)
+    check_scale(n * scale * scale)
     flat = ws.ravel()
     _, log_e, _, r = _flat_e_n(n, n * (z * np.conj(flat)))
     _, log_d, _, r_d = _point_e_n(n, complex(n * abs(z) ** 2))
@@ -588,8 +567,9 @@ def ginibre_berezin_tensor(n: int, z: complex, angles: np.ndarray, radii: np.nda
     z = complex(z)
     angles = np.asarray(angles, dtype=float)
     radii = np.asarray(radii, dtype=float)
-    scale = _point_extent(z) + _extent(radii)
-    _check_args(n, n * scale * scale + _extent(angles))
+    check_n(n)
+    scale = extent(z) + extent(radii)
+    check_scale(n * scale * scale + extent(angles))
     omega = np.exp(1j * (math.atan2(z.imag, z.real) - angles))
     log_e, r = _ring_sums_and_ratios(n, n * abs(z) * radii, omega)
     _, log_d, _, r_d = _point_e_n(n, complex(n * abs(z) ** 2))
@@ -620,7 +600,9 @@ def ginibre_lap_log_kernel(n: int, z: complex) -> float:
       j = n-1-k under the window weights coeffs[j] q^j, centred first.
     """
     z = complex(z)
-    _check_args(n, n * _point_extent(z) ** 2)
+    check_n(n)
+    scale = extent(z)
+    check_scale(n * scale * scale)
     if n == 1:
         return 0.0  # k_1 = 1
     x = n * abs(z) ** 2

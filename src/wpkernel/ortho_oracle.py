@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PrecisionError, ResolutionError, check_finite, check_n
+from .errors import DomainError, PrecisionError, ResolutionError, check_n, check_scale, extent
 from .potential import AdmissiblePotential, EllipticGinibrePotential
 from .scaled_numerics import LC_ZERO, LogComplex, quad_radial
 
@@ -190,7 +190,7 @@ def kernel_oracle(basis: OrthonormalBasis, z: complex, w: complex) -> LogComplex
     only a P_j that itself overflows raises PrecisionError."""
     z = complex(z)
     w = complex(w)
-    check_finite(z, w)
+    check_scale(extent(z) + extent(w))
     half_weights = -0.5 * basis.n * (float(basis.pot.Q(z)) + float(basis.pot.Q(w)))
     with np.errstate(over="ignore", invalid="ignore"):
         pz, pw = _poly_values(basis, z), _poly_values(basis, w)
@@ -226,7 +226,7 @@ def elliptic_kernel_exact(pot: EllipticGinibrePotential, n: int, z: complex,
     check_n(n)
     z = complex(z)
     w = complex(w)
-    check_finite(z, w)
+    check_scale(extent(z) + extent(w))
     log_weight = -0.5 * n * (pot.Q(z) + pot.Q(w))
     tau = -pot.beta / pot.alpha
     s = 1.0 / math.sqrt(n * pot.alpha * (1.0 - tau * tau))
@@ -300,7 +300,7 @@ def pointwise_bound_check(n: int, js, zs) -> PointwiseBoundReport:
     the report carries the empirical max of the normalized ratio.
     """
     check_n(n)
-    check_finite(*(complex(z) for z in zs))
+    check_scale(extent(np.asarray(zs, dtype=complex)))
     worst = 0.0
     for j in js:
         for z in zs:

@@ -54,7 +54,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ResolutionError, ToleranceError, check_finite
+from .errors import DomainError, ResolutionError, ToleranceError, check_finite, check_scale, extent
 from .ginibre_exact import ginibre_kernel_exact
 from .scaled_numerics import (LogComplex, _all, _as_complex, _elementwise, _where,
                               quad_trapezoid_periodic)
@@ -217,6 +217,7 @@ class AdmissiblePotential:
         """V_tau = Re QQ_tau + tau log |phi_tau|^2 outside the excluded compact;
         elementwise for an array z."""
         self._check_tau(tau)
+        check_scale(extent(z))
         e = self.exterior(z, tau)
         mod = abs(e.phi)
         if not _all(mod > self.rho0_effective(tau)):
@@ -226,14 +227,15 @@ class AdmissiblePotential:
 
     def ridge(self, z: complex, tau: float = 1.0) -> float:
         """Q - V_tau; zero on Gamma_tau, ~ 2 Lap(Q)(p) ell^2 nearby; elementwise for an array z."""
-        return self.Q(z) - self.V(z, tau)
+        v = self.V(z, tau)  # checks z before Q forms |z|^2
+        return self.Q(z) - v
 
     def project(self, w: complex, tau: float = 1.0):
         """Closest boundary point: returns (BoundaryPoint, ell, theta).
 
         ell is the signed normal coordinate (positive outside the droplet).
         """
-        check_finite(w)
+        check_scale(extent(w))
         theta = self._project_theta(w, tau)
         bp = self.boundary_point(theta, tau)
         d = w - bp.p
@@ -276,8 +278,7 @@ class AdmissiblePotential:
         """Distance from z to the closed exterior set cl(U); 0 outside S.
         DomainError where phi(z) is not finite or overflows |phi|."""
         phi = self.phi(z, 1.0)
-        if not math.isfinite(abs(phi.real) + abs(phi.imag)):
-            raise DomainError(f"phi is not finite at float64 scale at z = {z}")
+        check_scale(extent(phi))
         if abs(phi) >= 1.0:
             return 0.0
         _, ell, _ = self.project(complex(z), 1.0)
@@ -393,7 +394,7 @@ class RadialPotential(AdmissiblePotential):
         return (self.r_tau(tau), 0.0, 0.0)
 
     def project(self, w, tau=1.0):
-        check_finite(w)
+        check_scale(extent(w))
         r = self.r_tau(tau)
         if w == 0:
             theta = 0.0
@@ -575,7 +576,7 @@ def make_elliptic_ginibre(a: float, b: float) -> EllipticGinibrePotential:
 
 def boundary_speed(pot: AdmissiblePotential, tau: float, p: complex) -> float:
     """Normal velocity |phi_tau'(p)| / (2 Lap Q(p)) of the growing boundary."""
-    check_finite(p)
+    check_scale(extent(p))
     return abs(pot.exterior(p, tau).dphi) / (2.0 * pot.laplacian(p))
 
 
@@ -632,7 +633,7 @@ def equilibrium_log_potential(pot: AdmissiblePotential, tau: float, z: complex) 
     point too close to Gamma_tau for 2^14 trapezoid nodes raises
     ResolutionError.
     """
-    check_finite(z)
+    check_scale(extent(z))
     return float(_green_log_potential(pot, tau, np.array([complex(z)]))[0])
 
 

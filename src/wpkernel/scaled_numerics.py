@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_finite, check_scale, extent
 
 _TWO_PI = 2.0 * math.pi
 NEG_INF = float("-inf")
@@ -117,18 +118,23 @@ class LogComplex:
 
 
 LC_ZERO = LogComplex(NEG_INF, 0.0)
-LC_ONE = LogComplex(0.0, 0.0)
+
+
+def _log_hypot(x: float, y: float) -> float:
+    """log sqrt(x^2 + y^2) of finite x and y, not both 0, without overflow or underflow."""
+    big, small = max(abs(x), abs(y)), min(abs(x), abs(y))
+    return math.log(big) + 0.5 * math.log1p((small / big) ** 2)
 
 
 def lc_from_complex(re: float, im: float = 0.0) -> LogComplex:
-    """Convert a complex number given as (re, im) to log-polar form."""
+    """Convert a complex number given as (re, im) to log-polar form; DomainError at nan or inf."""
     if re == 0.0 and im == 0.0:
         return LC_ZERO
-    return LogComplex(0.5 * math.log(re * re + im * im), math.atan2(im, re))
-
-
-def lc_from_cnumber(z: complex) -> LogComplex:
-    return lc_from_complex(z.real, z.imag)
+    r2 = re * re + im * im
+    if sys.float_info.min <= r2 < math.inf:
+        return LogComplex(0.5 * math.log(r2), math.atan2(im, re))
+    check_finite(re, im)  # past nan and inf, r2 is 0, subnormal or an overflow
+    return LogComplex(_log_hypot(re, im), math.atan2(im, re))
 
 
 def lc_mul(a: LogComplex, b: LogComplex) -> LogComplex:
@@ -259,7 +265,6 @@ def poly_q(*coeffs) -> PolynomialQ:
 
 POLY_ZERO = poly_q()
 POLY_ONE = poly_q(1)
-ZETA = poly_q(0, 1)
 ZETA_MINUS_ONE = poly_q(-1, 1)
 
 
@@ -332,7 +337,8 @@ def _zeta_minus_one_pow(k: int) -> PolynomialQ:
 
 
 def rational_eval(r: RationalAtOne, zeta):
-    """Evaluate numerator(zeta)/(zeta-1)^m; zeta = 1 is a domain error."""
+    """Evaluate numerator(zeta)/(zeta-1)^m; zeta = 1 and non-finite zeta are domain errors."""
+    check_scale(extent(zeta))
     if zeta == 1 and r.pole_order > 0:
         raise DomainError("evaluation at the pole zeta = 1")
     num = poly_eval(r.numerator, zeta)

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_finite
+from .scaled_numerics import _log_hypot
 
 # K is sampled out to |zeta - 1| = _K_EXTENT; the OnCurveK label reaches two
 # default steps (2e-3) further, so it also covers the last sample of a
@@ -36,8 +37,7 @@ _K_REACH = _K_EXTENT + 2e-3
 def u_map(zeta: complex) -> complex:
     """u(zeta) = zeta * e^(1 - zeta); DomainError where zeta or u is not finite."""
     zeta = complex(zeta)
-    if not cmath.isfinite(zeta):
-        raise DomainError(f"u(zeta) needs a finite zeta, got {zeta}")
+    check_finite(zeta)
     try:
         u = zeta * cmath.exp(1.0 - zeta)
     except OverflowError as exc:
@@ -103,15 +103,15 @@ _AT_ONE = RegionLabel(Region.AT_ONE, False)
 def classify(zeta: complex, tol: float = 1e-9) -> RegionLabel:
     """Classify zeta into regions I/II/III or onto the special curves."""
     zeta = complex(zeta)
-    if not cmath.isfinite(zeta):
-        raise DomainError(f"cannot classify the non-finite point {zeta}")
+    check_finite(zeta)
     r = math.hypot(zeta.real, zeta.imag)
     to_one = math.hypot(zeta.real - 1.0, zeta.imag)
     if to_one <= tol:
         return _AT_ONE
-    # log|u| = log r + 1 - Re zeta cannot overflow; every test below reads
-    # the same for all |u| > e, so |u| is capped there
-    au = math.exp(min(math.log(r) + 1.0 - zeta.real, 1.0)) if r > 0.0 else 0.0
+    # log|u| = log r + 1 - Re zeta cannot overflow, nor log r where r does; every
+    # test below reads the same for all |u| > e, so |u| is capped there
+    log_r = _log_hypot(zeta.real, zeta.imag) if r == math.inf else math.log(r) if r else -math.inf
+    au = math.exp(min(log_r + 1.0 - zeta.real, 1.0))
     if r <= 1.0 + tol and abs(au - 1.0) <= tol:
         return _ON_SZEGO_CURVE
     if to_one <= _K_REACH and au >= 1.0 - tol:

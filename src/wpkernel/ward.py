@@ -40,11 +40,8 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DomainError, PrecisionError, check_n
+from .errors import DomainError, PrecisionError, check_n, check_scale, extent
 from .ginibre_exact import (
-    _check_args,
-    _extent,
-    _point_extent,
     ginibre_berezin_array,
     ginibre_berezin_dbar_array,
     ginibre_berezin_tensor,
@@ -79,7 +76,7 @@ class GinibreSource:
     name = "ginibre"
 
     def __init__(self, n: int):
-        _check_args(n, 0.0)
+        check_n(n)
         self.n = n
         self.outer_radius = 1.0
         self.s_max = walk_radius(GinibrePotential(), n)
@@ -131,13 +128,13 @@ class OracleSource:
         self.outer_radius = pot.outer_radius(1.0)
         self.s_max = walk_radius(pot, self.n)
 
-    def _entry(self, z: complex, extent: float, dbar: bool) -> list:
+    def _entry(self, z: complex, node_extent: float, dbar: bool) -> list:
         """p(z), and p'(z) with dbar, after every route's entry check: DomainError unless
         (|w|/scale)^degree and the weight scale n|w|^2 stay finite on z and the nodes."""
-        scale = _point_extent(z) + extent
+        scale = extent(z) + node_extent
         with np.errstate(over="ignore"):
             top = np.float64(scale / self.basis.scale) ** self.basis.max_degree
-        _check_args(self.n, float(top) + self.n * scale * scale)
+        check_scale(float(top) + self.n * scale * scale)
         return [f(self.basis, z) for f in (_poly_values, _poly_derivatives)[:1 + dbar]]
 
     def _horner(self, values: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -186,7 +183,7 @@ class OracleSource:
         return b.reshape(ws.shape), dbar.reshape(ws.shape)
 
     def _flat(self, z: complex, ws: np.ndarray, dbar: bool):
-        rows = self._entry(z, _extent(ws), dbar)
+        rows = self._entry(z, extent(ws), dbar)
         x = np.conj(ws.ravel()) / self.basis.scale
         return self._grids(z, ws, rows, [self._horner(v, x) for v in rows])
 
@@ -198,7 +195,7 @@ class OracleSource:
 
     def berezin_tensor(self, z: complex, angles: np.ndarray, radii: np.ndarray, dbar: bool):
         """The grids on the tensor nodes radii e^{i angles}, shaped (radii, angles)."""
-        rows = self._entry(z, _extent(radii) + _extent(angles), dbar)
+        rows = self._entry(z, extent(radii) + extent(angles), dbar)
         kerns = self._tensor_sums(rows, angles, radii)
         return self._grids(z, radii[:, None] * np.exp(1j * angles), rows, kerns)
 
@@ -359,7 +356,7 @@ def _polar_walk(source, z: complex, dbar: bool, companion: bool = False):
     and spec.mass the same-grid mass.
     """
     n = source.n
-    _check_args(n, _point_extent(z))  # DomainError, not the OverflowError of abs(z)
+    check_scale(extent(z))  # DomainError, not the OverflowError of abs(z)
     r_out, s_max = source.outer_radius, source.s_max
     fine = min(0.25, 1.5 / math.sqrt(n))
     drop = _ORDER_DROP if companion else 0

@@ -25,6 +25,7 @@ from wpkernel.ginibre_exact import (
     ginibre_berezin_array,
     ginibre_berezin_dbar_array,
     ginibre_berezin_tensor,
+    ginibre_lap_log_kernel,
     ginibre_log_one_point,
     raw_partial_sum_array,
 )
@@ -472,8 +473,9 @@ def test_memory_bounded_at_large_n():
     lambda: ginibre_berezin_array(10, 1.0, np.array([0.5, complex(math.nan, 0.0)])),
     lambda: partial_exp_sum_gamma_route(10, complex(math.inf, 0.0)),
     lambda: raw_partial_sum_array(2.5, np.array([0.5])),
+    lambda: ginibre_lap_log_kernel(10, 1e200),
 ], ids=["kernel-overflow", "berezin-nan", "partial-nan", "complement-n0", "array-n0",
-        "array-nan", "gamma-inf", "array-fractional-n"])
+        "array-nan", "gamma-inf", "array-fractional-n", "lap-log-overflow"])
 def test_bad_input_raises_domain_error(call):
     with pytest.raises(DomainError):
         call()

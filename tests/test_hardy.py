@@ -188,9 +188,10 @@ def test_harmonic_measure_integral_calls_f_once_on_the_nodes(ell):
 
 _NAN_IN = np.array([2.0 + 0.5j, complex(math.nan, 0.0)])
 _INF_IN = np.array([2.0 + 0.5j, complex(0.0, math.inf)])
+_BIG_IN = np.array([2.0 + 0.5j, 1.5e308 * (1 + 1j)])  # |Re| + |Im| overflows
 
 
-@pytest.mark.parametrize("bad", [_NAN_IN, _INF_IN], ids=["nan", "inf"])
+@pytest.mark.parametrize("bad", [_NAN_IN, _INF_IN, _BIG_IN], ids=["nan", "inf", "overflow-scale"])
 @pytest.mark.parametrize("call", [
     lambda pot, bad: szego_kernel(pot, bad, 1.8 - 0.3j),
     lambda pot, bad: szego_kernel(pot, 1.8 - 0.3j, bad),

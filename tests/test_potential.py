@@ -37,6 +37,8 @@ from wpkernel import (
     make_radial,
     pointwise_bound_check,
     quasipolynomial,
+    rational_eval,
+    rho,
     tail_kernel,
     variational_residual,
 )
@@ -511,7 +513,8 @@ def test_argument_reordering_wrappers_are_gone():
         assert not hasattr(wpkernel, name) and not hasattr(potential_module, name)
     # public functions that no library route called, deleted with their exports
     for name in ("lc_div", "lc_pow_int", "ginibre_one_point", "correction_table",
-                 "CorrectionTable", "ridge_between", "f_factor", "h_function"):
+                 "CorrectionTable", "ridge_between", "f_factor", "h_function", "LC_ONE",
+                 "lc_from_cnumber"):
         assert not hasattr(wpkernel, name)
     for name in ("droplet_geometry", "tau0"):
         assert not hasattr(AdmissiblePotential, name)
@@ -578,8 +581,9 @@ def test_extension_reads_its_data_once_and_takes_point_arrays(ell, quart):
     assert np.array_equal(quart.laplacian(rs), [quart.laplacian(complex(r)) for r in rs])
 
 
-_ELL = _FAMILIES["ell"]
+_ELL, _GIN = _FAMILIES["ell"], _FAMILIES["gin"]
 _P, _W = _ELL.boundary_point(0.3).p, _ELL.boundary_point(2.0).p
+_BIG = 1.5e308 * (1 + 1j)  # finite, but |Re| + |Im| overflows
 
 
 @pytest.mark.parametrize("call", [
@@ -594,9 +598,27 @@ _P, _W = _ELL.boundary_point(0.3).p, _ELL.boundary_point(2.0).p
     lambda: pointwise_bound_check(20, [18], [complex(math.nan, 0.0)]),
     lambda: boundary_correlation_modulus(_ELL, 40, 1.5e308 * (1 + 1j), _W),
     lambda: boundary_correlation_modulus(_ELL, 40, _P, 1.5e308 * (1 + 1j)),
+    lambda: _GIN.project(_BIG),
+    lambda: _ELL.project(_BIG),
+    lambda: _GIN.V(_BIG),
+    lambda: _GIN.V(math.inf),
+    lambda: _GIN.ridge(math.inf),
+    lambda: boundary_speed(_ELL, 1.0, _BIG),
+    lambda: boundary_speed_fd(_GIN, 1.0, _BIG),
+    lambda: boundary_speed_fd(_ELL, 1.0, _BIG),
+    lambda: harmonic_measure_density(_GIN, 3.0, _BIG),
+    lambda: harmonic_measure_density(_ELL, 3.0, _BIG),
+    lambda: rational_eval(rho(1), complex(math.nan, 0.0)),
+    lambda: rational_eval(rho(1), math.inf),
+    lambda: pointwise_bound_check(20, [18], [_BIG]),
 ], ids=["cocycle-n0", "modulus-n0", "modulus-n-1", "quasipolynomial-n0", "density-1e200",
         "speed-inf", "log-potential-nan", "bound-n0", "bound-nan", "modulus-overflow-scale-z",
-        "modulus-overflow-scale-w"])
+        "modulus-overflow-scale-w", "project-overflow-scale-ginibre",
+        "project-overflow-scale-elliptic", "V-overflow-scale", "V-inf", "ridge-inf",
+        "speed-overflow-scale", "speed-fd-overflow-scale-ginibre",
+        "speed-fd-overflow-scale-elliptic", "density-overflow-scale-p-ginibre",
+        "density-overflow-scale-p-elliptic", "rational-nan", "rational-inf",
+        "bound-overflow-scale"])
 def test_bad_input_raises_domain_error(call):
     # each of these returned a value, 0.0 or nan, or raised an untyped error
     with warnings.catch_warnings():

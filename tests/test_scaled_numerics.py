@@ -36,6 +36,15 @@ def test_from_complex_basic_cases():
     assert two_i.arg == pytest.approx(math.pi / 2, abs=1e-15)
     minus_one = lc_from_complex(-1.0, 0.0)
     assert minus_one.arg == math.pi  # normalized into (-pi, pi]
+    # |z|^2 overflows or underflows, |z| does not
+    assert lc_from_complex(1e200, 0.0).log_mag == pytest.approx(200.0 * math.log(10.0), rel=1e-15)
+    assert lc_from_complex(1e-200, 0.0).log_mag == pytest.approx(-200.0 * math.log(10.0), rel=1e-15)
+    huge = lc_from_complex(1.5e308, -1.5e308)
+    assert huge.log_mag == pytest.approx(math.log(1.5e308) + 0.5 * math.log(2.0), rel=1e-15)
+    assert huge.arg == -0.25 * math.pi
+    for bad in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)):
+        with pytest.raises(DomainError):
+            lc_from_complex(*bad)
 
 
 def test_round_trip_within_representable_range():

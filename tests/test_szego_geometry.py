@@ -172,7 +172,8 @@ def test_step_precondition():
     (-1000.0, Region.REGION_III),
     (1e300, Region.REGION_II),
     (complex(-1e308, 1e308), Region.REGION_III),
-], ids=["nan", "inf", "minus-1000", "1e300", "overflow-scale-modulus"])
+    (complex(1.5e308, 1.5e308), Region.REGION_II),
+], ids=["nan", "inf", "minus-1000", "1e300", "overflow-scale-modulus", "overflowing-modulus"])
 def test_classify_bad_and_overflow_scale_input(zeta, expected):
     if expected is DomainError:
         with pytest.raises(DomainError):
