@@ -163,7 +163,7 @@ def _belt_tv_distance(n: int, z: complex) -> float:
     lq = gauss_on_interval(_BELT_M_ELL, -c_n, c_n)
     th, ell = np.meshgrid(tq.nodes, lq.nodes, indexing="ij")
     grid = np.exp(1j * th) * (1.0 + ell)
-    b_vals = ginibre_berezin_array(n, z, grid)
+    b_vals, _ = ginibre_berezin_array(n, z, grid, False)
     f_exact = b_vals * (1.0 + ell) / math.pi
     f_model = np.outer([poisson_disc(z, t) for t in tq.nodes],
                        [gaussian_belt_profile(n, l) for l in lq.nodes])

@@ -320,7 +320,7 @@ def cmd_figures(args):
         n, z = args.n, _parse_complex(args.z)
         xs = np.linspace(-1.6, 2.4, args.nodes)
         ys = np.linspace(-1.6, 1.6, args.nodes)
-        density = ginibre_berezin_array(n, z, xs[:, None] + 1j * ys[None, :])
+        density, _ = ginibre_berezin_array(n, z, xs[:, None] + 1j * ys[None, :], False)
         emit(f"berezin_surface_n{n}.csv", f"Berezin surface n={n} z={z}", ["re", "im", "density"],
              [(float(x), float(y), float(b)) for x, row in zip(xs, density) for y, b in zip(ys, row)])
     if args.droplets:

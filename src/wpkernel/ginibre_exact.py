@@ -34,24 +34,19 @@ product, atan2) maps conjugate inputs to conjugate outputs exactly, so the
 kernel is Hermitian bit for bit.  The work is O(window) per point and the
 memory O(points) for any n.
 
-The input's shape picks the route; both share the window (`_window_extent`,
+Three layouts sum the windows; all share the window (`_window_extent`,
 `_window_coeffs`) and the two combinations:
-- one point (`_point_e_n`): the window in math/cmath and the sum one numpy
+- one point (`_point_e_n`): the window in math/cmath, the sum one numpy
   product of the coefficients and the powers q^j.  Every scalar entry point
-  takes it: the kernel, the partial sums, the one-point function, Lap log
-  k_n and the diagonal e_n(n|z|^2) of the grids.
-- node arrays (`_flat_e_n`, `raw_partial_sum_array`): the windows summed in
-  blocks by baby and giant steps (`_window_sums`).
-The two are separate code.  The one-point route is the reference of the
-grids: the scalar `ginibre_berezin` goes through `ginibre_kernel_exact`.
-The array route is checked against the one-point route, and both against
-mpmath.
-
-Over grids, B_n = |K_n(z, w)|^2 / K_n(z, z) and dbar_z B_n come from the same
-sums on two routes: any array of w point by point (`_flat_e_n`), and a
-tensor w = s e^{i phi} ring by ring (`ginibre_berezin_tensor`), where every
-node of a ring shares |x| = n|z|s and so its window, and the sums of a group
-of rings are one matrix product.
+  takes it, and so does the diagonal e_n(n|z|^2) of the grids;
+- node arrays (`_flat_e_n`): baby and giant steps in blocks (`_window_sums`);
+- polar tensors w = s e^{i phi} (`_ring_sums_and_ratios`): every node of a
+  ring shares |x| = n|z|s and so its window, and the sums of a group of
+  rings are one matrix product.
+Both grid layouts hand log |e_n| and r to one assembly (`_berezin_grids`) of
+B_n = |K_n(z, w)|^2 / K_n(z, z) and dbar_z B_n.  The one-point route is
+separate code and the grids' reference (the scalar `ginibre_berezin` goes
+through `ginibre_kernel_exact`); all three are checked against mpmath.
 
 A continued-fraction evaluation of the upper incomplete gamma function
 provides an independent route E_n(zeta) = Gamma(n, n zeta)/(n-1)!, used as
@@ -516,41 +511,43 @@ def _ring_sums_and_ratios(n: int, abs_x: np.ndarray, omega: np.ndarray):
     return log_e, r
 
 
-def _berezin_and_ratios(n: int, z: complex, ws: np.ndarray):
-    """(w, B_n(z, w), r(n z w~), r(n|z|^2)) over the flattened w, with
-    B_n = n |e_n(n z w~)|^2 e^{-n|w|^2} / e_n(n|z|^2) (the Gaussian factors
-    of z cancel); underflows are flushed to zero."""
+def _berezin_grids(n: int, z: complex, log_e: np.ndarray, r: np.ndarray, abs_w: np.ndarray,
+                   w_parts: tuple, dbar: bool):
+    """(B_n(z, w), dbar_z B_n(z, w) if dbar else None) from log |e_n(x)| and
+    r(x) = e_{n-1}/e_n at x = n z w~ of either layout, broadcast against
+    abs_w = |w|; w is the product of w_parts, multiplied in order.
+
+    B_n = n |e_n(x)|^2 e^{-n|w|^2} / e_n(n|z|^2), flushed to zero below
+    e^{-745}, and dbar_z B_n = n B_n (w conj r(x) - z r(n|z|^2)), zero at
+    w = z.  log_e and r are overwritten; B is bit for bit the same either way.
+    """
+    _, log_d, _, r_d = _point_e_n(n, complex(n * abs(z) ** 2))
+    log_b = np.multiply(log_e, 2.0, out=log_e)
+    log_b += (math.log(n) - log_d) - n * abs_w ** 2
+    b = np.zeros(log_b.shape)
+    np.exp(log_b, out=b, where=log_b > -745.0)
+    if not dbar:
+        return b, None
+    # r is finite on every node
+    bracket = np.conj(r, out=r)
+    for part in w_parts:
+        bracket *= part
+    bracket -= z * r_d.real
+    return b, np.multiply(n * b, bracket, out=np.zeros(b.shape, dtype=complex), where=b > 0.0)
+
+
+def ginibre_berezin_array(n: int, z: complex, ws: np.ndarray, dbar: bool):
+    """(B_n(z, w), dbar_z B_n(z, w) if dbar else None) over any array of w,
+    shaped as ws: the sums point by point (`_flat_e_n`)."""
+    z = complex(z)
+    ws = np.asarray(ws, dtype=complex)
     check_n(n)
     scale = extent(z) + extent(ws)
     check_scale(n * scale * scale)
     flat = ws.ravel()
     _, log_e, _, r = _flat_e_n(n, n * (z * np.conj(flat)))
-    _, log_d, _, r_d = _point_e_n(n, complex(n * abs(z) ** 2))
-    log_b = math.log(n) + 2.0 * log_e - n * np.abs(flat) ** 2 - log_d
-    b = np.where(log_b > -745.0, np.exp(log_b), 0.0)
-    return flat, b, r, r_d.real
-
-
-def ginibre_berezin_array(n: int, z: complex, ws: np.ndarray) -> np.ndarray:
-    """B_n(z, w) over an array of w, bit for bit the B of
-    `ginibre_berezin_dbar_array`; underflows are flushed to zero."""
-    ws = np.asarray(ws, dtype=complex)
-    return _berezin_and_ratios(n, complex(z), ws)[1].reshape(ws.shape)
-
-
-def ginibre_berezin_dbar_array(n: int, z: complex, ws: np.ndarray):
-    """(B_n(z, w), dbar_z B_n(z, w)) over an array of w.
-
-    dbar_z B_n = n B_n (w conj r(n z w~) - z r(n|z|^2)) with r = e_{n-1}/e_n;
-    the bracket vanishes at w = z.
-    """
-    z = complex(z)
-    ws = np.asarray(ws, dtype=complex)
-    flat, b, r, r_d = _berezin_and_ratios(n, z, ws)
-    ok = b > 0.0
-    dbar = np.zeros(flat.size, dtype=complex)
-    dbar[ok] = n * b[ok] * (flat[ok] * np.conj(r[ok]) - z * r_d)
-    return b.reshape(ws.shape), dbar.reshape(ws.shape)
+    b, f = _berezin_grids(n, z, log_e, r, np.abs(flat), (flat,), dbar)
+    return b.reshape(ws.shape), None if f is None else f.reshape(ws.shape)
 
 
 def ginibre_berezin_tensor(n: int, z: complex, angles: np.ndarray, radii: np.ndarray,
@@ -561,8 +558,7 @@ def ginibre_berezin_tensor(n: int, z: complex, angles: np.ndarray, radii: np.nda
     The ring route: on the ring |w| = s, x = n z w~ = n|z| s omega with
     omega = e^{i(phi_z - phi)}, so the sums of each side are one matrix
     product per group of rings (`_ring_sums_and_ratios`).  The values agree
-    with `ginibre_berezin_dbar_array` on the same nodes up to rounding, and
-    B is the same bit for bit with and without dbar.
+    with `ginibre_berezin_array` on the same nodes up to rounding.
     """
     z = complex(z)
     angles = np.asarray(angles, dtype=float)
@@ -572,20 +568,8 @@ def ginibre_berezin_tensor(n: int, z: complex, angles: np.ndarray, radii: np.nda
     check_scale(n * scale * scale + extent(angles))
     omega = np.exp(1j * (math.atan2(z.imag, z.real) - angles))
     log_e, r = _ring_sums_and_ratios(n, n * abs(z) * radii, omega)
-    _, log_d, _, r_d = _point_e_n(n, complex(n * abs(z) ** 2))
-    log_b = np.multiply(log_e, 2.0, out=log_e)
-    log_b += (math.log(n) - log_d) - n * radii[:, None] ** 2
-    b = np.zeros(log_b.shape)
-    np.exp(log_b, out=b, where=log_b > -745.0)
-    if not dbar:
-        return b, None
-    # n B (w conj r - z r(n|z|^2)); r is finite on every node
-    bracket = np.conj(r, out=r)
-    bracket *= radii[:, None]
-    bracket *= np.exp(1j * angles)
-    bracket -= z * r_d.real
-    out = np.zeros(b.shape, dtype=complex)
-    return b, np.multiply(n * b, bracket, out=out, where=b > 0.0)
+    s = radii[:, None]
+    return _berezin_grids(n, z, log_e, r, s, (s, np.exp(1j * angles)), dbar)
 
 
 def ginibre_lap_log_kernel(n: int, z: complex) -> float:

@@ -194,6 +194,7 @@ class AdmissiblePotential:
         return self.rho0
 
     def boundary_point(self, theta: float, tau: float = 1.0) -> BoundaryPoint:
+        check_finite(theta)
         omega = cmath.exp(1j * theta)
         p = self.chi(omega, tau)
         dchi = self.dchi(omega, tau)

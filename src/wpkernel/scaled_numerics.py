@@ -12,6 +12,7 @@ algebra, where pole orders must be verified exactly rather than numerically.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import sys
@@ -337,14 +338,31 @@ def _zeta_minus_one_pow(k: int) -> PolynomialQ:
 
 
 def rational_eval(r: RationalAtOne, zeta):
-    """Evaluate numerator(zeta)/(zeta-1)^m; zeta = 1 and non-finite zeta are domain errors."""
+    """Evaluate numerator(zeta)/(zeta-1)^m; zeta = 1 and non-finite zeta are domain errors.
+
+    Where that overflows, the ratio is formed in u = 1/zeta as
+    zeta^{d-m} sum_k c_k u^{d-k} / (1-u)^m, d the numerator's degree (rho_j,
+    with d = m, tends to its leading coefficient); DomainError where the
+    value itself is not finite.
+    """
     check_scale(extent(zeta))
-    if zeta == 1 and r.pole_order > 0:
+    m, coeffs = r.pole_order, r.numerator.coeffs
+    if zeta == 1 and m > 0:
         raise DomainError("evaluation at the pole zeta = 1")
-    num = poly_eval(r.numerator, zeta)
-    if r.pole_order == 0:
-        return num
-    return num / (zeta - 1) ** r.pole_order
+    try:
+        value = poly_eval(r.numerator, zeta) / (zeta - 1) ** m
+    except OverflowError:
+        value = math.inf
+    if not isinstance(value, (float, complex)) or cmath.isfinite(value):
+        return value  # exact (a Fraction) or finite
+    try:
+        value = (poly_eval(PolynomialQ(coeffs[::-1]), 1 / zeta) / (1 - 1 / zeta) ** m
+                 * zeta ** (len(coeffs) - 1 - m))
+    except OverflowError:
+        value = math.inf
+    if not cmath.isfinite(value):
+        raise DomainError(f"rational function overflows at zeta = {zeta}")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,6 @@ import numpy as np
 from .errors import DomainError, PrecisionError, check_n, check_scale, extent
 from .ginibre_exact import (
     ginibre_berezin_array,
-    ginibre_berezin_dbar_array,
     ginibre_berezin_tensor,
     ginibre_lap_log_kernel,
     ginibre_log_one_point,
@@ -82,10 +81,10 @@ class GinibreSource:
         self.s_max = walk_radius(GinibrePotential(), n)
 
     def berezin_grid(self, z: complex, ws: np.ndarray) -> np.ndarray:
-        return ginibre_berezin_array(self.n, z, ws)
+        return ginibre_berezin_array(self.n, z, ws, False)[0]
 
     def berezin_dbar_grid(self, z: complex, ws: np.ndarray):
-        return ginibre_berezin_dbar_array(self.n, z, ws)
+        return ginibre_berezin_array(self.n, z, ws, True)
 
     def berezin_tensor(self, z: complex, angles: np.ndarray, radii: np.ndarray, dbar: bool):
         return ginibre_berezin_tensor(self.n, z, angles, radii, dbar)
@@ -228,17 +227,13 @@ class QuadSpec:
 
     n_theta: angular nodes on the full rays: the periodic trapezoid's 256
         (128 on the companion walk), or, beside an annular sector, Gauss
-        panels of 12 (8) nodes in phi; r_max: the droplet-centered radius
-        where the walk ends, the source's s_max (`walk_radius`);
-        disc_radius: the radial half-width m_r of the sector about the root,
-        which is clipped at s_max; n_radial: every node the walk evaluates,
-        sector included; mass: the same-grid mass of B_n.
+        panels of 12 (8) nodes in phi; n_radial: every node the walk
+        evaluates, sector included; mass: the same-grid mass of B_n.  The
+        walk ends at the source's s_max (`walk_radius`).
     """
 
     n_theta: int
     n_radial: int
-    r_max: float
-    disc_radius: float
     mass: float
 
 
@@ -429,8 +424,7 @@ def _polar_walk(source, z: complex, dbar: bool, companion: bool = False):
         raise PrecisionError("Berezin mass quadrature collapsed to zero")
     # n_theta: the angular rule of the full rays, the first tensor piece
     return cauchy / math.pi, integral / math.pi, l1 / math.pi, QuadSpec(
-        n_theta=rules[0][0].nodes.size, n_radial=n_nodes, r_max=s_max, disc_radius=m_r,
-        mass=mass / math.pi)
+        n_theta=rules[0][0].nodes.size, n_radial=n_nodes, mass=mass / math.pi)
 
 
 def berezin_cauchy_transform(source, z: complex, with_spec: bool = False):

@@ -22,7 +22,7 @@ from wpkernel import (
 )
 from wpkernel.errors import DomainError
 from wpkernel.expansion import gaussian_belt_profile, rho_bracket
-from wpkernel.scaled_numerics import poly_q, rational_eval
+from wpkernel.scaled_numerics import RationalAtOne, poly_eval, poly_q, rational_eval
 from wpkernel.szego_geometry import u_abs
 
 
@@ -75,6 +75,30 @@ def test_rho_one_exact():
     assert r1.pole_order == 2
     assert r1.numerator == poly_q(Fraction(-1, 12), Fraction(-5, 6), Fraction(-1, 12))
     assert rational_eval(r1, Fraction(2)) == Fraction(-25, 12)
+
+
+def test_rational_eval_at_large_zeta():
+    # (zeta - 1)^{2j} overflows float64 from |zeta| ~ 1e77 at j = 2; rho_j has
+    # numerator degree 2j, so it tends to its leading coefficient there
+    for j, zeta in ((2, 1e150), (2, 1e150 * (1 + 1j)), (3, -1e100j), (5, 1e300)):
+        r = rho(j)
+        assert r.numerator.degree == r.pole_order
+        assert rational_eval(r, zeta) == pytest.approx(float(r.numerator.coeffs[-1]), rel=1e-14)
+    # where the expression is finite its bits are kept
+    num = poly_eval(rho(2).numerator, 1e70)
+    assert rational_eval(rho(2), 1e70) == num / (1e70 - 1) ** 4
+    # zeta^3/(zeta - 1): finite where zeta^3 overflows, a domain error where
+    # the value itself is not finite
+    cubic = RationalAtOne(poly_q(0, 0, 0, 1), 1)
+    assert rational_eval(cubic, 1e150) == pytest.approx(1e300, rel=1e-14)
+    with pytest.raises(DomainError):
+        rational_eval(cubic, 1e200)
+    # the expansions at such points, which raised OverflowError, are finite
+    for n, z, k in ((1, 1e150, 2), (4, 1e100, 3)):
+        value = exterior_kernel_expansion(n, z, 1.0, k)
+        leading = exterior_kernel_expansion(n, z, 1.0, 0)
+        assert math.isfinite(value.log_mag)
+        assert value.log_mag == pytest.approx(leading.log_mag, rel=1e-12)
 
 
 def test_rho_pole_orders_and_table():

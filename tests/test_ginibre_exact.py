@@ -23,7 +23,6 @@ from wpkernel.ginibre_exact import (
     _flat_e_n,
     _raw_partial_sum,
     ginibre_berezin_array,
-    ginibre_berezin_dbar_array,
     ginibre_berezin_tensor,
     ginibre_lap_log_kernel,
     ginibre_log_one_point,
@@ -190,7 +189,7 @@ def test_berezin_mass_is_one(z):
     radial = quad_radial(1.0 + 10.0 / math.sqrt(n), 1.0 / math.sqrt(n))
     angular = quad_trapezoid_periodic(256)
     ws = radial.nodes[:, None] * np.exp(1j * angular.nodes)[None, :]
-    b = ginibre_berezin_array(n, complex(z), ws)
+    b, _ = ginibre_berezin_array(n, complex(z), ws, False)
     mass = float(np.sum(
         radial.weights[:, None] * angular.weights[None, :] * b * radial.nodes[:, None]
     ) / math.pi)
@@ -244,8 +243,8 @@ def test_berezin_array_route_matches_mpmath(n):
             ws += [z / abs(z) ** 2 * (1.0 + d) * cmath.exp(0.05j) for d in (-1e-3, 1e-3)]
             radii += [(1.0 + d) / abs(z) for d in (-1e-3, 1e-3)]
         ws = np.array(ws, dtype=complex)
-        b, dbar = ginibre_berezin_dbar_array(n, z, ws)
-        assert np.array_equal(ginibre_berezin_array(n, z, ws), b)
+        b, dbar = ginibre_berezin_array(n, z, ws, True)
+        assert np.array_equal(ginibre_berezin_array(n, z, ws, False)[0], b)
         angles = cmath.phase(z) + np.array([0.0, 2.0])
         radii = np.array(radii)
         b_ring, dbar_ring = ginibre_berezin_tensor(n, z, angles, radii, True)
@@ -286,7 +285,7 @@ def test_ring_route_matches_flat_route(n):
         angles, radii = _ring_layout(n, z)
         ws = radii * np.exp(1j * angles)[:, None]
         b, dbar = (g.T for g in ginibre_berezin_tensor(n, z, angles, radii, True))
-        b_flat, dbar_flat = ginibre_berezin_dbar_array(n, z, ws)
+        b_flat, dbar_flat = ginibre_berezin_array(n, z, ws, True)
         assert b.shape == dbar.shape == ws.shape
         live = b_flat >= 1e-200
         assert np.all(b[~live] < 1e-190)
@@ -440,7 +439,7 @@ def test_overflow_scale_raises_domain_error(n, exponent, alpha):
     z = cmath.rect(10.0 ** exponent, alpha)
     calls = [lambda: ginibre_kernel_exact(n, z, 0.5), lambda: ginibre_berezin(n, 0.5, z),
              lambda: ginibre_log_one_point(n, z),
-             lambda: ginibre_berezin_array(n, z, np.array([0.5, 1.5]))]
+             lambda: ginibre_berezin_array(n, z, np.array([0.5, 1.5]), False)]
     if n * 10.0 ** exponent > 1.8e308:
         zeta = z if z.real > 1.0 else -z
         calls += [lambda: partial_exp_sum(n, zeta), lambda: partial_exp_sum_gamma_route(n, zeta)]
@@ -456,7 +455,7 @@ def test_memory_bounded_at_large_n():
     ws = np.exp(1j * theta)[:, None] * np.linspace(0.999, 1.001, 64)[None, :]
     tracemalloc.start()
     try:
-        b = ginibre_berezin_array(n, 1.0, ws)
+        b, _ = ginibre_berezin_array(n, 1.0, ws, False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -469,8 +468,8 @@ def test_memory_bounded_at_large_n():
     lambda: ginibre_berezin(10, math.nan, 1),
     lambda: partial_exp_sum(10, math.nan),
     lambda: partial_exp_sum_complement(0, 0.5),
-    lambda: ginibre_berezin_array(0, 1.0, np.array([0.5, 1.5])),
-    lambda: ginibre_berezin_array(10, 1.0, np.array([0.5, complex(math.nan, 0.0)])),
+    lambda: ginibre_berezin_array(0, 1.0, np.array([0.5, 1.5]), False),
+    lambda: ginibre_berezin_array(10, 1.0, np.array([0.5, complex(math.nan, 0.0)]), False),
     lambda: partial_exp_sum_gamma_route(10, complex(math.inf, 0.0)),
     lambda: raw_partial_sum_array(2.5, np.array([0.5])),
     lambda: ginibre_lap_log_kernel(10, 1e200),

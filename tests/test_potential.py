@@ -625,3 +625,23 @@ def test_bad_input_raises_domain_error(call):
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
             call()
+
+
+_HOSTILE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("name", sorted(_FAMILIES))
+def test_scalar_methods_refuse_hostile_input(name):
+    # a theta, z or tau that is not finite, or a z at the overflow scale, raises
+    # DomainError from every scalar method; boundary_point returned a NaN record
+    pot = _FAMILIES[name]
+    cases = [("boundary_point", (t,)) for t in _HOSTILE]
+    cases += [(method, (x, t)) for method, x in (("boundary_point", 0.3), ("project", 2.0),
+                                                  ("V", 2.0), ("ridge", 2.0)) for t in _HOSTILE]
+    cases += [(method, (z,)) for method in ("project", "dist_to_exterior", "V", "ridge")
+              for z in (*_HOSTILE, complex(math.nan, 0.0), _BIG)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for method, args in cases:
+            with pytest.raises(DomainError):
+                getattr(pot, method)(*args)
