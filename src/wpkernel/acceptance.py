@@ -47,12 +47,12 @@ from . import (
     trace_szego_curve,
     variational_residual,
     harmonic_measure_mass,
-    RadialProfile,
     Region,
 )
 from .expansion import exterior_kernel_expansion, gaussian_belt_profile
 from .ginibre_exact import ginibre_berezin_array
 from .hardy import basis_gram_matrix
+from .potential import RADIAL_PROFILES
 from .scaled_numerics import gauss_on_interval, poly_q, quad_trapezoid_periodic
 from .szego_geometry import negative_axis_crossing
 from .ward import ginthm_second_coeff
@@ -292,10 +292,7 @@ def criterion_13() -> CriterionResult:
     """Potential-theory layer: mass, variational constancy, ridge, speed."""
     gin = make_ginibre()
     ell = make_elliptic_ginibre(1.0, 3.0)
-    quart = make_radial(RadialProfile(
-        q=lambda r: 0.5 * r ** 4, dq=lambda r: 2.0 * r ** 3,
-        d2q=lambda r: 6.0 * r ** 2, name="quartic",
-    ))
+    quart = make_radial(RADIAL_PROFILES["quartic"])
     details = {}
     ok = True
     for pot in (gin, ell, quart):

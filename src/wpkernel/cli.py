@@ -37,7 +37,7 @@ from .expansion import exterior_kernel_expansion
 from .general_kernel import berezin_belt_density, kernel_asymptotic, sequence_cuts, tail_kernel
 from .ginibre_exact import ginibre_berezin_array, ginibre_kernel_exact
 from .ortho_oracle import compute_moments, kernel_oracle, orthonormalize
-from .potential import make_elliptic_ginibre, make_ginibre, make_radial, RadialProfile
+from .potential import RADIAL_PROFILES, make_elliptic_ginibre, make_ginibre, make_radial
 from .szego_geometry import classify, trace_curve_K, trace_szego_curve
 from .ward import loop_residual
 
@@ -60,14 +60,6 @@ def _read_text(path: str) -> str:
         raise ConfigError(f"cannot read {path!r}: {exc}") from exc
 
 
-_RADIAL_PROFILES = {
-    "quartic": RadialProfile(q=lambda r: 0.5 * r ** 4, dq=lambda r: 2.0 * r ** 3,
-                             d2q=lambda r: 6.0 * r ** 2, name="quartic"),
-    "quadratic": RadialProfile(q=lambda r: r * r, dq=lambda r: 2.0 * r,
-                               d2q=lambda r: 2.0, name="quadratic"),
-}
-
-
 def _make_potential(args):
     kind = args.potential
     if kind == "ginibre":
@@ -75,7 +67,7 @@ def _make_potential(args):
     elif kind == "elliptic":
         pot = make_elliptic_ginibre(args.a, args.b)
     elif kind == "radial":
-        profile = _RADIAL_PROFILES.get(args.profile)
+        profile = RADIAL_PROFILES.get(args.profile)
         if profile is None:
             raise ConfigError(f"unknown radial profile {args.profile!r}")
         pot = make_radial(profile)

@@ -43,10 +43,16 @@ class ConfigError(ValueError):
     """Invalid command-line or config-file input."""
 
 
+def check_index(value, name: str, lo: int, hi: int | None = None) -> None:
+    """DomainError unless value is an integer with lo <= value, and value <= hi if hi is given."""
+    if not isinstance(value, numbers.Integral) or value < lo or (hi is not None and value > hi):
+        span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise DomainError(f"{name} must be an integer {span}, got {value!r}")
+
+
 def check_n(n) -> None:
     """DomainError unless the particle count n is an integer >= 1."""
-    if not isinstance(n, numbers.Integral) or n < 1:
-        raise DomainError(f"particle count n must be an integer >= 1, got {n!r}")
+    check_index(n, "particle count n", 1)
 
 
 def check_finite(*values) -> None:

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, RegimeError, check_finite, check_n, check_scale, extent
+from .errors import (DomainError, RegimeError, check_finite, check_index, check_n, check_scale,
+                     extent)
 from .scaled_numerics import (
     LogComplex,
     PolynomialQ,
@@ -44,6 +45,10 @@ from .scaled_numerics import (
     rational_eval,
 )
 from .szego_geometry import Region, classify, u_abs
+
+# the exact series reach n^{-6}: correction terms rho_1 .. rho_6
+_MAX_ORDER = 6
+_ZETA_MINUS_ONE_SQ = poly_q(1, -2, 1)
 
 # ---------------------------------------------------------------------------
 # Exact series machinery (truncated power series in 1/n, Fraction coeffs)
@@ -105,7 +110,7 @@ class StirlingSeries:
 
     def __post_init__(self):
         assert self.coeffs[0] == 1
-        assert self.coeffs[1] == Fraction(-1, 12)
+        assert len(self.coeffs) == 1 or self.coeffs[1] == Fraction(-1, 12)
 
 
 @lru_cache(maxsize=None)
@@ -116,8 +121,7 @@ def stirling_series(k_max: int) -> StirlingSeries:
     exponentiating and inverting the resulting series in 1/n gives the
     coefficients of n^n e^{-n} / (n-1)! / sqrt(n / 2pi).
     """
-    if not (0 <= k_max <= 6):
-        raise DomainError("stirling_series supports k_max <= 6")
+    check_index(k_max, "order k_max", 0, _MAX_ORDER)
     k = k_max
     u = [Fraction(0)] * (k + 1)
     for m in range(1, k // 2 + 2):
@@ -137,8 +141,7 @@ def stirling_series(k_max: int) -> StirlingSeries:
 @lru_cache(maxsize=None)
 def tricomi_b(j: int) -> PolynomialQ:
     """b_j from b_0 = 1 and b_j = zeta(1-zeta) b_{j-1}' + (2j-1) zeta b_{j-1}."""
-    if j < 0:
-        raise DomainError("index must be nonnegative")
+    check_index(j, "index j", 0)
     if j == 0:
         return poly_q(1)
     prev = tricomi_b(j - 1)
@@ -151,18 +154,18 @@ def rho(j: int) -> RationalAtOne:
     """Correction term rho_j as an exact rational function.
 
     Cauchy product of the inverse Stirling series with the alternating
-    Tricomi series (-1)^i b_i(zeta) / (zeta-1)^{2i}, collected at n^{-j}.
+    Tricomi series (-1)^i b_i(zeta) / (zeta-1)^{2i}, collected at n^{-j}:
+    the numerator sum_i (-1)^i st[j-i] b_i(zeta) (zeta-1)^{2(j-i)}, by
+    Horner's rule in (zeta-1)^2, over (zeta-1)^{2j}.
     """
-    if j < 1:
-        raise DomainError("correction terms start at j = 1")
-    st = stirling_series(min(j, 6)).coeffs
-    acc = None
+    check_index(j, "order j", 1, _MAX_ORDER)
+    st = stirling_series(j).coeffs
+    numerator = poly_q()
     for i in range(j + 1):
-        sign = Fraction(-1) if i % 2 else Fraction(1)
-        term = RationalAtOne(tricomi_b(i).scale(sign * st[j - i]), 2 * i)
-        acc = term if acc is None else acc + term
-    assert acc.pole_order == 2 * j, "pole order must be exactly 2j"
-    return acc
+        numerator = numerator * _ZETA_MINUS_ONE_SQ + tricomi_b(i).scale((-1) ** i * st[j - i])
+    out = RationalAtOne(numerator, 2 * j)
+    assert out.pole_order == 2 * j, "pole order must be exactly 2j"
+    return out
 
 
 def rho_bracket(n: int, zeta: complex, k: int) -> complex:
@@ -190,6 +193,7 @@ def exterior_kernel_expansion(n: int, z: complex, w: complex, k: int = 0,
     z = complex(z)
     w = complex(w)
     check_n(n)
+    check_index(k, "order k", 0, _MAX_ORDER)
     ez, ew = extent(z), extent(w)
     check_scale(n * (ez * ez + ew * ew))
     zeta = z * w.conjugate()

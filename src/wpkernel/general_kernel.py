@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BeltError, DomainError, RegimeError, check_finite, check_n, check_scale, extent
+from .errors import (BeltError, DomainError, RegimeError, check_finite, check_index, check_n,
+                     check_scale, extent)
 from .hardy import harmonic_measure_density, szego_kernel
 from .ortho_oracle import _ginibre_enveloped_log_w
 from .potential import AdmissiblePotential, BoundaryPoint, GinibrePotential
@@ -223,9 +224,7 @@ def quasipolynomial(pot: AdmissiblePotential, n: int, j: int, z: complex) -> Log
     to its floor `tau_floor`) is allowed.
     """
     check_n(n)
-    tau = j / n
-    if tau > 1.0 + 1e-12:
-        raise DomainError("degrees beyond n are not part of the space")
+    check_index(j, "degree j", 0, n)
     z = complex(z)
     check_scale(extent(z))
     log_mag, arg = _quasipolynomial_parts(pot, n, np.array([j]), [z])

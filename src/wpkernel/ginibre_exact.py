@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PrecisionError, check_n, check_scale, extent
-from .scaled_numerics import LogComplex, _norm_arg, _norm_args, _where, lc_mul
+from .scaled_numerics import LogComplex, _norm_arg, _where, lc_mul
 
 # relative disagreement between summation and gamma routes that triggers
 # a hard failure of the internal cross-check
@@ -268,26 +268,25 @@ def _outer_e_n(lead, s1):
 
 
 def _flat_e_n(n: int, x: np.ndarray):
-    """(inner, log |e_n(x)|, c, r) over a flat array x, inner the points with
-    |x| < n: e_n = e^{scale} c inside, scale = max(Re x, lead), and t c
-    outside, log |t| = lead."""
+    """(log |e_n(x)|, r) over a flat array x: e_n = e^{scale} c inside
+    |x| = n, scale = max(Re x, lead), and t s outside, log |t| = lead."""
     inner = np.abs(x) < n
     outer = ~inner
     log_e = np.empty(x.size)
-    c, r = np.empty(x.size, dtype=complex), np.empty(x.size, dtype=complex)
+    r = np.empty(x.size, dtype=complex)
     if np.count_nonzero(outer):  # a fraction of the cost of outer.any()
-        log_e[outer], c[outer], r[outer] = _outer_e_n(*_side_sums(n, x[outer], False))
+        log_e[outer], _, r[outer] = _outer_e_n(*_side_sums(n, x[outer], False))
     if np.count_nonzero(inner):
         xs = x[inner]
         lead, sums = _side_sums(n, xs, True)
         s = np.maximum(xs.real, lead)
-        log_e[inner], c[inner], r[inner] = _inner_e_n(n, lead, sums, s, xs - s,
-                                                      np.abs(xs), np.angle(xs))
-    return inner, log_e, c, r
+        log_e[inner], _, r[inner] = _inner_e_n(n, lead, sums, s, xs - s, np.abs(xs), np.angle(xs))
+    return log_e, r
 
 
 def _point_e_n(n: int, x: complex):
-    """(inner, log |e_n(x)|, c, r) of `_flat_e_n` at one point x."""
+    """(inner, log |e_n(x)|, c, r) at one point x, inner whether |x| < n:
+    `_flat_e_n`'s two values and c, e_n = e^{scale} c inside and t c outside."""
     inner = abs(x) < n
     lead, sums = _point_sums(n, x, inner)
     if not inner:
@@ -296,23 +295,9 @@ def _point_e_n(n: int, x: complex):
     return True, *_inner_e_n(n, lead, sums, s, x - s, abs(x), math.atan2(x.imag, x.real))
 
 
-def raw_partial_sum_array(n: int, zetas: np.ndarray):
-    """(log_mag, arg) of sum_{k<n} (n zeta)^k / k! for an array of zeta."""
-    zetas = np.asarray(zetas, dtype=complex).ravel()
-    check_n(n)
-    check_scale(n * extent(zetas))
-    x = n * zetas
-    inner, log_mag, c, _ = _flat_e_n(n, x)
-    # outside, arg t = (n-1) arg x
-    arg = _norm_args(np.angle(c) + np.where(inner, 0.0, (n - 1) * np.angle(x)))
-    # a real x gives a real sum, whose computed arg is a rounded multiple of pi
-    real_sign = np.where(np.abs(arg) > 0.5 * math.pi, math.pi, 0.0)
-    return log_mag, np.where(zetas.imag == 0.0, real_sign, arg)
-
-
 def _raw_partial_sum(n: int, zeta: complex) -> LogComplex:
     """sum_{k=0}^{n-1} (n zeta)^k / k! in log-polar form, on the one-point
-    route, with the real-sign rule of `raw_partial_sum_array`."""
+    route; a real zeta gives a real sum, whose arg is 0 or pi."""
     zeta = complex(zeta)
     check_n(n)
     check_scale(n * extent(zeta))
@@ -545,7 +530,7 @@ def ginibre_berezin_array(n: int, z: complex, ws: np.ndarray, dbar: bool):
     scale = extent(z) + extent(ws)
     check_scale(n * scale * scale)
     flat = ws.ravel()
-    _, log_e, _, r = _flat_e_n(n, n * (z * np.conj(flat)))
+    log_e, r = _flat_e_n(n, n * (z * np.conj(flat)))
     b, f = _berezin_grids(n, z, log_e, r, np.abs(flat), (flat,), dbar)
     return b.reshape(ws.shape), None if f is None else f.reshape(ws.shape)
 

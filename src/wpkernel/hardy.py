@@ -27,16 +27,19 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, PoleError, check_scale, extent
+from .errors import DomainError, PoleError, check_index, check_scale, extent
 from .potential import AdmissiblePotential
 from .scaled_numerics import _all, _as_complex, _elementwise
 
 
-def _require_cl_U(pot: AdmissiblePotential, z):
-    mod = abs(pot.phi(z, 1.0))
+def _exterior_on_cl_U(pot: AdmissiblePotential, z):
+    """The exterior data at z (tau = 1), checked to lie in the closed exterior domain."""
+    e = pot.exterior(z, 1.0)
+    mod = abs(e.phi)
     if not _all(mod >= 1.0 - 1e-8):
         raise DomainError(f"point {z} is not in the closed exterior domain "
                           f"(|phi| = {np.min(mod):.6f})")
+    return e
 
 
 def szego_kernel(pot: AdmissiblePotential, z: complex, w: complex) -> complex:
@@ -44,10 +47,8 @@ def szego_kernel(pot: AdmissiblePotential, z: complex, w: complex) -> complex:
     z = _as_complex(z)
     w = _as_complex(w)
     check_scale(extent(z) + extent(w))
-    _require_cl_U(pot, z)
-    _require_cl_U(pot, w)
-    ez = pot.exterior(z, 1.0)
-    ew = pot.exterior(w, 1.0)
+    ez = _exterior_on_cl_U(pot, z)
+    ew = _exterior_on_cl_U(pot, w)
     denom = ez.phi * ew.phi.conjugate() - 1.0
     if not _all(abs(denom) >= 1e-12):
         raise PoleError("phi(z) conj(phi(w)) = 1: Szego kernel pole")
@@ -59,12 +60,10 @@ def szego_basis(pot: AdmissiblePotential, j: int, z: complex) -> complex:
 
     Elementwise over an array of z.
     """
-    if j < 1:
-        raise DomainError("basis indices start at j = 1")
+    check_index(j, "basis index j", 1)
     z = _as_complex(z)
     check_scale(extent(z))
-    _require_cl_U(pot, z)
-    e = pot.exterior(z, 1.0)
+    e = _exterior_on_cl_U(pot, z)
     # phi^{-j} through the exponential to avoid overflow at large j
     inv_pow = _elementwise(-j * _elementwise(e.phi, cmath.log, np.log), cmath.exp, np.exp)
     return e.sqrt_dphi * inv_pow / math.sqrt(2.0 * math.pi)

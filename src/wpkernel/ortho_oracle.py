@@ -37,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PrecisionError, ResolutionError, check_n, check_scale, extent
+from .errors import (DomainError, PrecisionError, ResolutionError, check_index, check_n,
+                     check_scale, extent)
 from .potential import AdmissiblePotential, EllipticGinibrePotential
 from .scaled_numerics import LC_ZERO, LogComplex, quad_radial
 
@@ -74,10 +75,7 @@ def compute_moments(pot: AdmissiblePotential, n: int, max_degree: int, *,
     M_jk = H[j + k, (j - k)/period] for j >= k in a residue block.
     """
     check_n(n)
-    if max_degree < 0:
-        raise DomainError("need a nonnegative degree")
-    if max_degree > n:
-        raise DomainError("the space only contains degrees below n")
+    check_index(max_degree, "max_degree", 0, n)
     r_max = pot.outer_radius(1.0) + 12.0 / math.sqrt(n)
     if m_theta is None:
         m_theta = 1 if pot.rotation_order == math.inf else max(4 * max_degree + 16, 64)
@@ -85,7 +83,7 @@ def compute_moments(pot: AdmissiblePotential, n: int, max_degree: int, *,
     c1, _, c_1 = pot.chi_laurent(1.0)
     scale = math.sqrt(abs(c1) ** 2 - abs(c_1) ** 2)
     period = min(pot.rotation_order, max_degree + 1)
-    rule = quad_radial(r_max, feature_scale=1.0 / math.sqrt(max(n, 4)), m_per_panel=24)
+    rule = quad_radial(r_max, feature_scale=1.0 / math.sqrt(max(n, 4)))
     radii = rule.nodes
     theta = 2.0 * math.pi * np.arange(m_theta) / m_theta
     wgt = np.exp(-n * pot.Q(radii[:, None] * np.exp(1j * theta)[None, :]))
@@ -287,7 +285,8 @@ def _ginibre_enveloped_log_w(n: int, j: int, z: complex, tau: float) -> float:
     sqrt(n^{j+1}/j!) z^j e^{-n|z|^2/2}; the obstacle function Qcheck_tau is
     |z|^2 on |z|^2 <= tau and tau (1 + log(|z|^2/tau)) outside."""
     m2 = abs(z) ** 2
-    obstacle = m2 if m2 <= tau else tau * (1.0 + math.log(m2 / tau))
+    # the outer branch tends to 0 with tau: Qcheck_0 = 0
+    obstacle = m2 if m2 <= tau else (tau * (1.0 + math.log(m2 / tau)) if tau > 0.0 else 0.0)
     log_z = j * math.log(abs(z)) if z != 0 else (0.0 if j == 0 else -math.inf)
     log_w = 0.5 * ((j + 1) * math.log(n) - math.lgamma(j + 1.0)) + log_z - 0.5 * n * m2
     return log_w + 0.5 * n * (m2 - obstacle)
@@ -303,6 +302,7 @@ def pointwise_bound_check(n: int, js, zs) -> PointwiseBoundReport:
     check_scale(extent(np.asarray(zs, dtype=complex)))
     worst = 0.0
     for j in js:
+        check_index(j, "degree j", 0, n - 1)
         for z in zs:
             log_ratio = _ginibre_enveloped_log_w(n, j, complex(z), j / n) - 0.5 * math.log(n)
             worst = max(worst, math.exp(log_ratio))

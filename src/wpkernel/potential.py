@@ -29,7 +29,8 @@ log potential reads |phi_tau| at its points only to size its rule.
 
 `exterior(z, tau)` returns (phi, dphi, sqrt_dphi, QQ, HH) from one
 derivation of the tau data (Joukowski root, or r_tau); `phi` alone serves
-the membership checks, which also run inside the droplet and at the foci.
+the callers that read no other exterior data (`dist_to_exterior`,
+`project`), which also run inside the droplet and at the foci.
 Both, and r_tau, accept arrays of points and of tau, and their values
 broadcast against both (a value constant in them may come back as a
 scalar): one call gives a tail kernel all its degrees at once.  V_tau and
@@ -294,6 +295,15 @@ class RadialProfile:
     dq: Callable[[float], float]
     d2q: Callable[[float], float]
     name: str = "radial"
+
+
+# the radial test profiles: q = r^4/2 (non-constant Lap Q) and q = r^2 (Ginibre as a profile)
+RADIAL_PROFILES = {
+    "quartic": RadialProfile(q=lambda r: 0.5 * r ** 4, dq=lambda r: 2.0 * r ** 3,
+                             d2q=lambda r: 6.0 * r ** 2, name="quartic"),
+    "quadratic": RadialProfile(q=lambda r: r * r, dq=lambda r: 2.0 * r,
+                               d2q=lambda r: 2.0, name="quadratic"),
+}
 
 
 class RadialPotential(AdmissiblePotential):

@@ -114,9 +114,6 @@ class LogComplex:
     def conj(self) -> "LogComplex":
         return LogComplex(self.log_mag, -self.arg)
 
-    def __repr__(self):
-        return f"LogComplex(log_mag={self.log_mag!r}, arg={self.arg!r})"
-
 
 LC_ZERO = LogComplex(NEG_INF, 0.0)
 
@@ -239,12 +236,6 @@ class PolynomialQ:
             out[i] += c
         return PolynomialQ(tuple(out))
 
-    def __neg__(self) -> "PolynomialQ":
-        return PolynomialQ(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "PolynomialQ") -> "PolynomialQ":
-        return self + (-other)
-
     def __mul__(self, other: "PolynomialQ") -> "PolynomialQ":
         if not self.coeffs or not other.coeffs:
             return PolynomialQ(())
@@ -264,11 +255,6 @@ def poly_q(*coeffs) -> PolynomialQ:
     return PolynomialQ(tuple(Fraction(c) for c in coeffs))
 
 
-POLY_ZERO = poly_q()
-POLY_ONE = poly_q(1)
-ZETA_MINUS_ONE = poly_q(-1, 1)
-
-
 def poly_derivative(p: PolynomialQ) -> PolynomialQ:
     return PolynomialQ(tuple(k * c for k, c in enumerate(p.coeffs) if k >= 1))
 
@@ -286,8 +272,6 @@ def poly_eval(p: PolynomialQ, zeta):
 
 def poly_divide_linear_at_one(p: PolynomialQ):
     """Divide p by (zeta - 1); returns (quotient, remainder as Fraction)."""
-    if not p.coeffs:
-        return POLY_ZERO, Fraction(0)
     out = []
     acc = Fraction(0)
     for c in reversed(p.coeffs):  # synthetic division at zeta = 1
@@ -319,22 +303,6 @@ class RationalAtOne:
             m -= 1
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "pole_order", m)
-
-    def __add__(self, other: "RationalAtOne") -> "RationalAtOne":
-        m = max(self.pole_order, other.pole_order)
-        lift_a = _zeta_minus_one_pow(m - self.pole_order)
-        lift_b = _zeta_minus_one_pow(m - other.pole_order)
-        return RationalAtOne(self.numerator * lift_a + other.numerator * lift_b, m)
-
-    def scale(self, c) -> "RationalAtOne":
-        return RationalAtOne(self.numerator.scale(c), self.pole_order)
-
-
-def _zeta_minus_one_pow(k: int) -> PolynomialQ:
-    out = POLY_ONE
-    for _ in range(k):
-        out = out * ZETA_MINUS_ONE
-    return out
 
 
 def rational_eval(r: RationalAtOne, zeta):
@@ -455,15 +423,16 @@ def composite_gauss(m_per_panel: int, edges, skip=None) -> Quadrature1D:
     return gauss_on_interval(m_per_panel, a[keep], b[keep])
 
 
-def quad_radial(r_max: float, feature_scale: float, m_per_panel: int = 16) -> Quadrature1D:
+def quad_radial(r_max: float, feature_scale: float) -> Quadrature1D:
     """Composite Gauss rule on [0, r_max] resolving features of a given width.
 
-    Panel widths are ~4x the feature scale so that an m-per-panel Gauss rule
-    integrates Gaussian-type bumps of that width to near machine precision.
+    Panel widths are ~4x the feature scale so that the 24-point Gauss rule
+    on each panel integrates Gaussian-type bumps of that width to near
+    machine precision.
     """
     if r_max <= 0:
         raise DomainError("r_max must be positive")
     panel = min(0.5, max(0.02, 4.0 * feature_scale))
     n_panels = max(2, int(math.ceil(r_max / panel)))
     edges = np.linspace(0.0, r_max, n_panels + 1)
-    return composite_gauss(m_per_panel, edges)
+    return composite_gauss(24, edges)

@@ -52,13 +52,14 @@ def u_abs(zeta: complex) -> float:
     return abs(zeta) * math.exp(1.0 - zeta.real)
 
 
-def negative_axis_crossing(tol: float = 1e-14) -> float:
-    """The t > 0 with t e^t = 1/e; the curve gamma crosses the axis at -t."""
+def negative_axis_crossing() -> float:
+    """The t > 0 with t e^t = 1/e, by bisection to a bracket below 1e-14;
+    the curve gamma crosses the axis at -t."""
     lo, hi = 0.1, 0.5
     f = lambda t: t * math.exp(t) - math.exp(-1.0)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo < tol:
+        if hi - lo < 1e-14:
             break
         if f(mid) > 0:
             hi = mid

@@ -65,6 +65,14 @@ def test_expand_regime_exit_code(tmp_path):
     assert code == 2
 
 
+def test_expand_order_past_the_series_exit_code(tmp_path):
+    # the exact series reach rho_6: --k 7 is a domain error (exit 2), not a traceback
+    code = run(["expand", "--nlist", "50", "--z", "1.5,0", "--w", "1.2,0", "--k", "7",
+                "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_kernel_modes(tmp_path):
     out = tmp_path / "kernel.csv"
     code = run(["kernel", "--n", "40", "--z", "1.4,0", "--w", "1.3,0.1",

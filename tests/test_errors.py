@@ -1,9 +1,10 @@
 """The input contract of the public API: a hostile argument raises a typed error.
 
-Every public callable of `wpkernel` that takes a point, a real coordinate
-or a particle count is called with valid arguments built from its parameter
-names, then with one argument at a time replaced by a hostile value; it must
-raise one of the error types of `wpkernel.errors`.
+Every public callable of `wpkernel` that takes a point, a real coordinate,
+a particle count or an integer degree or order is called with valid
+arguments built from its parameter names, then with one argument at a time
+replaced by a hostile value; it must raise one of the error types of
+`wpkernel.errors`.
 A silent NaN, 0.0 or label, a raw `OverflowError` or a numpy
 `RuntimeWarning` (an error under the test configuration) all fail.
 """
@@ -23,6 +24,11 @@ _HOSTILE = {
     **dict.fromkeys(("z", "w", "zeta", "p"), (complex(math.nan, 0.0), complex(math.inf, 0.0), BIG)),
     **dict.fromkeys(("theta", "ell", "tau"), (math.nan, math.inf)),
     "n": (0, -3),
+    # degrees, orders and basis indices: negative, fractional, and past the
+    # exact series' order 6
+    **dict.fromkeys(("j", "max_degree", "f_index"), (-1, 1.5)),
+    "k": (-1, 1.5, 7),
+    "js": ([-1], [1.5]),
 }
 
 # callables the walk does not build arguments for: they take library objects, not points

@@ -45,6 +45,7 @@ def test_stirling_series_known_coefficients():
     st = stirling_series(4)
     assert st.coeffs[0] == 1
     assert st.coeffs[1] == Fraction(-1, 12)
+    assert stirling_series(0).coeffs == (1,)  # k_max = 0: the one-term series
 
 
 def test_stirling_series_richardson_oracle():
@@ -239,12 +240,19 @@ def test_two_term_structure_both_sides_of_saddle_curve():
     lambda: berezin_gaussian_ginibre(-3, 2.0, 0.1, 0.0),
     lambda: berezin_gaussian_ginibre(0, 2.0, 0.1, 0.0),
     lambda: berezin_gaussian_ginibre(10, 1.5e308 + 1.5e308j, 0.1, 0.0),
+    # orders outside the exact series, which reach n^{-6}: never an
+    # IndexError, a TypeError or a silent value
+    lambda: stirling_series(7), lambda: stirling_series(-1), lambda: stirling_series(1.5),
+    lambda: rho(7), lambda: rho(0), lambda: rho(1.5), lambda: tricomi_b(1.5),
+    lambda: tricomi_b(-1), lambda: rho_bracket(100, 1.5, 7),
 ], ids=["exterior-n0", "bulk-n0", "exterior-overflow", "bulk-overflow",
         "exterior-overflow-scale-z", "exterior-overflow-scale-w", "bulk-overflow-scale-z",
         "bulk-overflow-scale-w", "exterior-nan", "bulk-inf",
         "poisson-theta-nan", "poisson-theta-inf", "poisson-z-nan", "poisson-z-inf",
         "poisson-overflow-scale-z", "poisson-square-overflow", "belt-ell-nan", "belt-z-nan",
-        "belt-theta-nan", "belt-n-negative", "belt-n0", "belt-overflow-scale-z"])
+        "belt-theta-nan", "belt-n-negative", "belt-n0", "belt-overflow-scale-z",
+        "stirling-7", "stirling-negative", "stirling-fractional", "rho-7", "rho-0",
+        "rho-fractional", "tricomi-fractional", "tricomi-negative", "bracket-7"])
 def test_bad_input_raises_domain_error(call):
     with pytest.raises(DomainError):
         call()

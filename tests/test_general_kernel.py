@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from wpkernel import (
     BeltError,
     DomainError,
-    RadialProfile,
     RegimeError,
     berezin_belt_density,
     boundary_correlation_modulus,
@@ -32,10 +31,10 @@ from wpkernel import (
 )
 from wpkernel.expansion import berezin_gaussian_ginibre
 from wpkernel.general_kernel import _quasipolynomial_parts
+from wpkernel.potential import RADIAL_PROFILES
 from wpkernel.scaled_numerics import LogComplex, _norm_arg, lc_mul, lc_sum, quad_radial
 
-QUARTIC = RadialProfile(q=lambda r: 0.5 * r ** 4, dq=lambda r: 2.0 * r ** 3,
-                        d2q=lambda r: 6.0 * r ** 2, name="quartic")
+QUARTIC = RADIAL_PROFILES["quartic"]
 
 
 def quasipolynomial_scalar(pot, n: int, j: int, z: complex) -> LogComplex:
@@ -194,12 +193,10 @@ def test_belt_density_matches_disc_product_form(gin):
 
 
 def test_belt_mass_all_builtins(gin, ell):
-    from wpkernel import make_radial, RadialProfile
+    from wpkernel import make_radial
     from wpkernel.scaled_numerics import gauss_on_interval, quad_trapezoid_periodic
 
-    quart = make_radial(RadialProfile(
-        q=lambda r: 0.5 * r ** 4, dq=lambda r: 2.0 * r ** 3,
-        d2q=lambda r: 6.0 * r ** 2, name="quartic"))
+    quart = make_radial(RADIAL_PROFILES["quartic"])
     n = 400
     for pot, z in ((gin, 2.0), (ell, 2.5), (quart, 2.0)):
         cuts = sequence_cuts(n, pot.delta_M)
@@ -228,7 +225,7 @@ def test_quasipolynomial_against_closed_form(gin):
 def test_quasipolynomial_norm_near_one(gin):
     n = 200
     j = 190
-    rule = quad_radial(1.0 + 12.0 / math.sqrt(n), 1.0 / math.sqrt(n), m_per_panel=24)
+    rule = quad_radial(1.0 + 12.0 / math.sqrt(n), 1.0 / math.sqrt(n))
     vals = []
     for r in rule.nodes:
         w = quasipolynomial(gin, n, j, complex(r, 0.0))

@@ -21,12 +21,12 @@ from wpkernel import (
 )
 from wpkernel.ginibre_exact import (
     _flat_e_n,
+    _point_e_n,
     _raw_partial_sum,
     ginibre_berezin_array,
     ginibre_berezin_tensor,
     ginibre_lap_log_kernel,
     ginibre_log_one_point,
-    raw_partial_sum_array,
 )
 from wpkernel.scaled_numerics import (
     LogComplex,
@@ -104,7 +104,7 @@ def test_endpoint_lead_near_unit_circle_matches_mpmath():
     rng = np.random.default_rng(3200)
     zetas = np.array([cmath.rect(r, t) for r, t in
                       zip(rng.uniform(0.97, 1.03, 12), rng.uniform(-math.pi, math.pi, 12))])
-    log_mag, _ = raw_partial_sum_array(3200, zetas)
+    log_mag, _ = _flat_e_n(3200, 3200 * zetas)
     ref = [mp_partial_sum(3200, zeta, dps=40).log_mag for zeta in zetas]
     assert np.max(np.abs(log_mag - ref)) <= 1.5e-12
 
@@ -316,7 +316,7 @@ def test_outer_ratio_keeps_relative_precision(n):
     # r = e_{n-1}/e_n = s1/(1 + s1) outside |x| = n: about n/x far out, where
     # 1 - 1/s would keep only eps/r of it
     xs = n * np.array([10.0, 1e3, 1e6, 1e6 * cmath.exp(2.5j), 1e9j])
-    _, _, _, r = _flat_e_n(n, xs)
+    _, r = _flat_e_n(n, xs)
     for x, val in zip(xs, r):
         e1, e = _mp_e_pair(n, complex(x))
         ref = complex(e1 / e)
@@ -332,20 +332,26 @@ def test_complement_route_consistency():
 
 
 def test_array_path_matches_scalar():
-    # the node-array route against the one-point route: both sides of
-    # |x| = n and 1e-9 off it, |x| = n exactly (zeta = 1j, -1), x = 0, real
-    # negative zeta (away from the zero x = -1 of e_2, where both routes
-    # return rounding), and |x| below the 1e-300 n cut of the dropped tail
+    # the node-array route's log |e_n| and r = e_{n-1}/e_n, what the grids
+    # read, against the one-point route and, up to n = 60, against 50
+    # digits: both sides of |x| = n and 1e-9 off it, |x| = n exactly
+    # (zeta = 1j, -1), x = 0, real negative zeta (away from the zero x = -1
+    # of e_2, where both routes return rounding), and |x| below the 1e-300 n
+    # cut of the dropped tail
     zetas = np.array([0.3 + 0.2j, 1.4, -0.8 + 0.5j, 2.2 - 1.0j, 0.9 * cmath.exp(2.0j),
                       1.1 * cmath.exp(2.0j), (1.0 - 1e-9) * cmath.exp(-0.7j),
                       (1.0 + 1e-9) * cmath.exp(-0.7j), 1j, -1.0, 0.0, -0.3, -1.5,
                       1e-301, 3e-302 - 4e-302j])
     for n in (1, 2, 60, 3832):
-        mags, args = raw_partial_sum_array(n, zetas)
-        for k, zeta in enumerate(zetas):
-            ref = _raw_partial_sum(n, complex(zeta))
-            assert mags[k] == pytest.approx(ref.log_mag, rel=1e-11, abs=1e-11)
-            assert args[k] == pytest.approx(ref.arg, abs=1e-10)
+        mags, ratios = _flat_e_n(n, n * zetas)
+        for x, mag, r in zip(n * zetas, mags, ratios):
+            _, ref_mag, _, ref_r = _point_e_n(n, complex(x))
+            assert mag == pytest.approx(ref_mag, rel=1e-11, abs=1e-11)
+            assert abs(r - ref_r) <= 1e-10 * max(1.0, abs(ref_r))
+            if n <= 60:
+                e1, e = _mp_e_pair(n, complex(x))
+                assert mag == pytest.approx(float(mpmath.log(abs(e))), rel=1e-11, abs=1e-11)
+                assert abs(r - complex(e1 / e)) <= 1e-10 * max(1.0, abs(complex(e1 / e)))
 
 
 _complex_in_box = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
@@ -368,14 +374,14 @@ def test_scalar_array_agreement(n, zetas):
     # to L = n |zeta| + log n! round to eps L, and inside |x| = n,
     # e_n = e^x - T loses the ratio of the larger of e^x and the tail's
     # endpoint term x^n/n! to |e_n|
-    mags, args = raw_partial_sum_array(n, np.array(zetas))
-    for zeta, mag, arg in zip(zetas, mags, args):
+    mags, _ = _flat_e_n(n, n * np.array(zetas))
+    for zeta, mag in zip(zetas, mags):
         ref = mp_partial_sum(n, zeta, dps=40)
         x = n * zeta
         top = (max(x.real, n * math.log(abs(x)) - math.lgamma(n + 1.0))
                if 0.0 < abs(x) < n else ref.log_mag)
         bound = n * abs(zeta) + math.lgamma(n + 1.0) + math.exp(min(top - ref.log_mag, 700.0))
-        assert _log_polar_gap(LogComplex(mag, arg), ref) <= 4.0 * _EPS * bound
+        assert abs(mag - ref.log_mag) <= 4.0 * _EPS * bound
         assert _log_polar_gap(_raw_partial_sum(n, zeta), ref) <= 4.0 * _EPS * bound
 
 
@@ -471,7 +477,7 @@ def test_memory_bounded_at_large_n():
     lambda: ginibre_berezin_array(0, 1.0, np.array([0.5, 1.5]), False),
     lambda: ginibre_berezin_array(10, 1.0, np.array([0.5, complex(math.nan, 0.0)]), False),
     lambda: partial_exp_sum_gamma_route(10, complex(math.inf, 0.0)),
-    lambda: raw_partial_sum_array(2.5, np.array([0.5])),
+    lambda: ginibre_berezin_array(2.5, 1.0, np.array([0.5]), False),
     lambda: ginibre_lap_log_kernel(10, 1e200),
 ], ids=["kernel-overflow", "berezin-nan", "partial-nan", "complement-n0", "array-n0",
         "array-nan", "gamma-inf", "array-fractional-n", "lap-log-overflow"])

@@ -22,13 +22,13 @@ from wpkernel import (
     RadialProfile,
 )
 from wpkernel.hardy import basis_gram_matrix, harmonic_measure_integral
+from wpkernel.potential import RADIAL_PROFILES
 
 FAMILIES = {
     "ginibre": make_ginibre(),
     "elliptic(1,3)": make_elliptic_ginibre(1.0, 3.0),
     "elliptic(2.5,0.7)": make_elliptic_ginibre(2.5, 0.7),
-    "quartic": make_radial(RadialProfile(q=lambda r: 0.5 * r ** 4, dq=lambda r: 2.0 * r ** 3,
-                                         d2q=lambda r: 6.0 * r ** 2, name="quartic")),
+    "quartic": make_radial(RADIAL_PROFILES["quartic"]),
 }
 
 

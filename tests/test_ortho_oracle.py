@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from wpkernel import (
     DomainError,
     PrecisionError,
-    RadialProfile,
     cocycle,
     compute_moments,
     elliptic_kernel_exact,
@@ -31,6 +30,7 @@ from wpkernel import (
     szego_kernel_series,
     tail_kernel,
 )
+from wpkernel.potential import RADIAL_PROFILES
 from wpkernel.scaled_numerics import quad_radial, quad_trapezoid_periodic
 
 
@@ -173,8 +173,7 @@ def test_tilted_weight_turns_the_kernel():
         assert rel_lc(kernel_oracle(tilted, z, w), kernel_oracle(plain, turn * z, turn * w)) < 1e-10
 
 
-_QUARTIC = make_radial(RadialProfile(q=lambda r: 0.5 * r ** 4, dq=lambda r: 2.0 * r ** 3,
-                                     d2q=lambda r: 6.0 * r ** 2, name="quartic"))
+_QUARTIC = make_radial(RADIAL_PROFILES["quartic"])
 
 
 @pytest.mark.parametrize("pot, n, degree", [
@@ -328,6 +327,8 @@ def test_pointwise_bound_report():
     # deep interior point dominated trivially
     report = pointwise_bound_check(n, [10, 40], [0.0])
     assert report.max_ratio < 1.0
+    # degree 0: the droplet is a point, Qcheck_0 = 0, and |W_0| e^{nQ/2} = sqrt(n)
+    assert pointwise_bound_check(n, [0], [0.0, 1.5]).max_ratio == pytest.approx(1.0, rel=1e-12)
 
 
 def test_degree_cannot_exceed_n(gin):

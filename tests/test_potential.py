@@ -42,12 +42,15 @@ from wpkernel import (
     tail_kernel,
     variational_residual,
 )
+from wpkernel import ginibre_exact, hardy, scaled_numerics
 from wpkernel import potential as potential_module
 from wpkernel.ginibre_exact import _gamma_cf
-from wpkernel.hardy import _require_cl_U
+from wpkernel.hardy import _exterior_on_cl_U
+from wpkernel.potential import RADIAL_PROFILES
+from wpkernel.scaled_numerics import PolynomialQ, RationalAtOne, quad_radial
+from wpkernel.szego_geometry import negative_axis_crossing
 
-QUARTIC = RadialProfile(q=lambda r: 0.5 * r ** 4, dq=lambda r: 2.0 * r ** 3,
-                        d2q=lambda r: 6.0 * r ** 2, name="quartic")
+QUARTIC = RADIAL_PROFILES["quartic"]
 
 
 @pytest.fixture(scope="module")
@@ -66,8 +69,7 @@ def quart():
 
 
 def test_Q_accepts_arrays(gin, ell, quart):
-    quadratic = make_radial(RadialProfile(q=lambda r: r * r, dq=lambda r: 2.0 * r,
-                                          d2q=lambda r: 2.0, name="quadratic"))
+    quadratic = make_radial(RADIAL_PROFILES["quadratic"])
     ws = np.array([0.0, 0.3 - 0.2j, -1.1 + 0.7j, 2.5j, 1e3 + 1e2j])
     for pot in (gin, ell, quart, quadratic):
         values = pot.Q(ws)
@@ -98,8 +100,7 @@ def test_ginibre_closed_data(gin):
 
 
 def test_radial_reproduces_ginibre(gin):
-    quad = make_radial(RadialProfile(q=lambda r: r * r, dq=lambda r: 2.0 * r,
-                                     d2q=lambda r: 2.0, name="quadratic"))
+    quad = make_radial(RADIAL_PROFILES["quadratic"])
     for tau in (0.4, 0.85, 1.0):
         assert quad.r_tau(tau) == pytest.approx(math.sqrt(tau), abs=1e-12)
     z = 1.4 - 0.3j
@@ -500,8 +501,10 @@ def test_elliptic_derivative_at_a_focus_raises_domain_error(ell):
     (boundary_speed_fd, {"dtau"}),
     (exterior_kernel_expansion, {"tol"}),
     (bulk_kernel_expansion, {"tol"}),
-    (_require_cl_U, {"tol"}),
+    (_exterior_on_cl_U, {"tol"}),
     (_gamma_cf, {"tol", "max_iter"}),
+    (quad_radial, {"m_per_panel"}),
+    (negative_axis_crossing, {"tol"}),
 ], ids=lambda v: getattr(v, "__qualname__", None))
 def test_single_value_options_are_constants(function, names):
     # no caller sets these, so each is a constant in the function body
@@ -518,6 +521,14 @@ def test_argument_reordering_wrappers_are_gone():
         assert not hasattr(wpkernel, name)
     for name in ("droplet_geometry", "tau0"):
         assert not hasattr(AdmissiblePotential, name)
+    # code that no library route ran: the test-only array partial sum, the
+    # general rho_j addition and the algebra only it used, and the membership
+    # check that derived phi a second time
+    for owner, name in ((ginibre_exact, "raw_partial_sum_array"),
+                        (scaled_numerics, "_zeta_minus_one_pow"), (hardy, "_require_cl_U"),
+                        (RationalAtOne, "__add__"), (RationalAtOne, "scale"),
+                        (PolynomialQ, "__neg__"), (PolynomialQ, "__sub__")):
+        assert not hasattr(owner, name), name
     assert "regime" not in {f.name for f in dataclasses.fields(KernelAsymptotic)}
 
 
@@ -611,6 +622,7 @@ _BIG = 1.5e308 * (1 + 1j)  # finite, but |Re| + |Im| overflows
     lambda: rational_eval(rho(1), complex(math.nan, 0.0)),
     lambda: rational_eval(rho(1), math.inf),
     lambda: pointwise_bound_check(20, [18], [_BIG]),
+    lambda: pointwise_bound_check(20, [20], [1.5]),  # the space holds degrees below n
 ], ids=["cocycle-n0", "modulus-n0", "modulus-n-1", "quasipolynomial-n0", "density-1e200",
         "speed-inf", "log-potential-nan", "bound-n0", "bound-nan", "modulus-overflow-scale-z",
         "modulus-overflow-scale-w", "project-overflow-scale-ginibre",
@@ -618,7 +630,7 @@ _BIG = 1.5e308 * (1 + 1j)  # finite, but |Re| + |Im| overflows
         "speed-overflow-scale", "speed-fd-overflow-scale-ginibre",
         "speed-fd-overflow-scale-elliptic", "density-overflow-scale-p-ginibre",
         "density-overflow-scale-p-elliptic", "rational-nan", "rational-inf",
-        "bound-overflow-scale"])
+        "bound-overflow-scale", "bound-degree-n"])
 def test_bad_input_raises_domain_error(call):
     # each of these returned a value, 0.0 or nan, or raised an untyped error
     with warnings.catch_warnings():

@@ -84,6 +84,8 @@ def test_mul_pow_and_zero_rules():
     assert sq.log_mag == pytest.approx(0.0, abs=1e-15)
     assert sq.arg == pytest.approx(math.pi, abs=1e-15)
     assert lc_mul(LC_ZERO, i).is_zero
+    # the repr the dataclass generates: field names and the floats round-trip
+    assert repr(LogComplex(1.5, -0.25)) == "LogComplex(log_mag=1.5, arg=-0.25)"
 
 
 def test_sum_exact_cases_and_rescaling():

@@ -12,7 +12,6 @@ from wpkernel import (
     DomainError,
     GinibreSource,
     OracleSource,
-    RadialProfile,
     berezin_cauchy_transform,
     compute_moments,
     ginthm_two_term,
@@ -24,6 +23,7 @@ from wpkernel import (
     orthonormalize,
 )
 from wpkernel.ortho_oracle import _poly_derivatives, _poly_values, kernel_oracle
+from wpkernel.potential import RADIAL_PROFILES
 from wpkernel.ward import _polar_walk, ginthm_leading, ginthm_second_coeff
 
 _EPS = 2.3e-16
@@ -161,8 +161,7 @@ def test_two_term_below_the_overflow_scale():
     assert ginthm_second_coeff(1e150) == 0.0
 
 
-_QUARTIC = RadialProfile(q=lambda r: 0.5 * r ** 4, dq=lambda r: 2.0 * r ** 3,
-                         d2q=lambda r: 6.0 * r ** 2, name="quartic")
+_QUARTIC = RADIAL_PROFILES["quartic"]
 
 
 def _walk_source(family, n):
