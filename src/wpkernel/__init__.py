@@ -52,10 +52,8 @@ from .szego_geometry import (
 from .expansion import (
     BulkKernel,
     StirlingSeries,
-    berezin_gaussian_ginibre,
     bulk_kernel_expansion,
     exterior_kernel_expansion,
-    poisson_disc,
     rho,
     stirling_series,
     tricomi_b,
@@ -86,7 +84,6 @@ from .hardy import (
     szego_reproducing_check,
 )
 from .general_kernel import (
-    BeltDensity,
     KernelAsymptotic,
     SequenceCuts,
     berezin_belt_density,

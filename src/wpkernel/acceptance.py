@@ -39,17 +39,18 @@ from . import (
     partial_exp_sum,
     partial_exp_sum_complement,
     partial_exp_sum_gamma_route,
-    poisson_disc,
     rho,
     szego_reproducing_check,
     tail_kernel,
     tricomi_b,
     trace_szego_curve,
     variational_residual,
+    harmonic_measure_density,
     harmonic_measure_mass,
     Region,
 )
-from .expansion import exterior_kernel_expansion, gaussian_belt_profile
+from .expansion import exterior_kernel_expansion
+from .general_kernel import gaussian_belt_profile
 from .ginibre_exact import ginibre_berezin_array
 from .hardy import basis_gram_matrix
 from .potential import RADIAL_PROFILES
@@ -165,8 +166,8 @@ def _belt_tv_distance(n: int, z: complex) -> float:
     grid = np.exp(1j * th) * (1.0 + ell)
     b_vals, _ = ginibre_berezin_array(n, z, grid, False)
     f_exact = b_vals * (1.0 + ell) / math.pi
-    f_model = np.outer([poisson_disc(z, t) for t in tq.nodes],
-                       [gaussian_belt_profile(n, l) for l in lq.nodes])
+    f_model = np.outer(harmonic_measure_density(make_ginibre(), z, np.exp(1j * tq.nodes)),
+                       gaussian_belt_profile(n, lq.nodes))
     wts = np.outer(tq.weights, lq.weights)
     me = float(np.sum(wts * f_exact))
     mm = float(np.sum(wts * f_model))

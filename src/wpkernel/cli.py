@@ -32,12 +32,14 @@ from .errors import (
     RegimeError,
     ResolutionError,
     ToleranceError,
+    check_index,
 )
 from .expansion import exterior_kernel_expansion
 from .general_kernel import berezin_belt_density, kernel_asymptotic, sequence_cuts, tail_kernel
 from .ginibre_exact import ginibre_berezin_array, ginibre_kernel_exact
 from .ortho_oracle import compute_moments, kernel_oracle, orthonormalize
 from .potential import RADIAL_PROFILES, make_elliptic_ginibre, make_ginibre, make_radial
+from .scaled_numerics import quad_trapezoid_periodic
 from .szego_geometry import classify, trace_curve_K, trace_szego_curve
 from .ward import loop_residual
 
@@ -216,20 +218,20 @@ def cmd_berezin(args):
     pot = _make_potential(args)
     z = _parse_complex(args.z)
     n = args.n
+    check_index(args.ell_nodes, "--ell-nodes", 1)
     cuts = sequence_cuts(n, pot.delta_M)
-    thetas = 2.0 * math.pi * np.arange(args.nodes) / args.nodes
+    thetas = quad_trapezoid_periodic(args.nodes).nodes
+    _, points, speed, nus = pot.boundary_grid(args.nodes, 1.0)
     ells = np.linspace(-cuts.delta_n, cuts.delta_n, args.ell_nodes)
+    model = berezin_belt_density(pot, n, z, thetas[:, None], ells)
     kernel = pot.exact_kernel(n)
     log_kzz = kernel(z, z).log_mag
     rows = []
-    for idx, theta in enumerate(thetas):
-        bp = pot.boundary_point(theta, 1.0)
-        arclength = abs(pot.dchi(complex(math.cos(theta), math.sin(theta)), 1.0))
-        for ell in ells:
-            model = berezin_belt_density(pot, n, z, bp, ell).density
-            exact = math.exp(2.0 * kernel(z, bp.p + ell * bp.normal).log_mag - log_kzz) / math.pi
-            ratio = exact / model if model > 0 else float("nan")
-            rows.append((idx, arclength, ell, exact, model, ratio))
+    for idx, (p, normal, arclength) in enumerate(zip(points, nus / speed, speed)):
+        for ell, dens in zip(ells, model[idx]):
+            exact = math.exp(2.0 * kernel(z, p + ell * normal).log_mag - log_kzz) / math.pi
+            ratio = exact / dens if dens > 0 else float("nan")
+            rows.append((idx, arclength, ell, exact, dens, ratio))
     _emit_csv(args, ["p_index", "arclength", "ell", "density_exact_or_oracle",
                      "density_gaussian", "ratio"], rows)
     return 0
@@ -293,6 +295,7 @@ def cmd_validate(args):
 
 
 def cmd_figures(args):
+    check_index(args.nodes, "--nodes", 1)
     emitted = []
     outdir = Path(args.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)

@@ -17,11 +17,6 @@ Bulk regime (zeta in the complement of E away from 1):
 
     K_n(z,w) = n e^{n zeta - n|z|^2/2 - n|w|^2/2} (1 + O(rho^n / sqrt(n))),
     rho = |u(zeta)| <= 1.
-
-The Gaussian boundary-belt approximation of the Berezin density for an
-exterior root point z completes the Ginibre-side picture:
-d mu_{n,z} ~= P_z(theta) gamma_n(ell) dtheta dell in coordinates
-w = e^{i theta} (1 + ell).
 """
 
 from __future__ import annotations
@@ -31,8 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import (DomainError, RegimeError, check_finite, check_index, check_n, check_scale,
-                     extent)
+from .errors import RegimeError, check_index, check_n, check_scale, extent
 from .scaled_numerics import (
     LogComplex,
     PolynomialQ,
@@ -254,32 +248,3 @@ def bulk_kernel_expansion(n: int, z: complex, w: complex) -> BulkKernel:
     bound = math.exp(log_bound) if log_bound > -745.0 else 0.0
     return BulkKernel(value=value, error_bound=bound, rho=r)
 
-
-# ---------------------------------------------------------------------------
-# Harmonic measure and the Gaussian boundary belt (unit disc case)
-# ---------------------------------------------------------------------------
-
-
-def poisson_disc(z: complex, theta: float) -> float:
-    """Exterior Poisson kernel P_z(theta) of the unit disc at |z| > 1."""
-    z = complex(z)
-    # 2 pi |z - e^{i theta}|^2 <= 2 pi (|Re z| + |Im z| + 1)^2 is the largest value formed
-    bound = extent(z) + 1.0
-    check_scale(2.0 * math.pi * bound * bound)
-    check_finite(theta)
-    if abs(z) <= 1.0:
-        raise DomainError("the exterior Poisson kernel needs |z| > 1")
-    e = complex(math.cos(theta), math.sin(theta))
-    return (abs(z) ** 2 - 1.0) / (2.0 * math.pi * abs(z - e) ** 2)
-
-
-def gaussian_belt_profile(n: int, ell: float) -> float:
-    """gamma_n(ell) = (2 sqrt(n)/sqrt(2pi)) e^{-2 n ell^2}; unit total mass."""
-    return 2.0 * math.sqrt(n) / math.sqrt(2.0 * math.pi) * math.exp(-2.0 * n * ell * ell)
-
-
-def berezin_gaussian_ginibre(n: int, z: complex, theta: float, ell: float) -> float:
-    """Product density P_z(theta) gamma_n(ell) in coordinates w = e^{i theta}(1+ell)."""
-    check_n(n)
-    check_finite(ell)
-    return poisson_disc(z, theta) * gaussian_belt_profile(n, ell)

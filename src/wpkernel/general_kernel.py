@@ -36,7 +36,7 @@ from .errors import (BeltError, DomainError, RegimeError, check_finite, check_in
                      check_scale, extent)
 from .hardy import harmonic_measure_density, szego_kernel
 from .ortho_oracle import _ginibre_enveloped_log_w
-from .potential import AdmissiblePotential, BoundaryPoint, GinibrePotential
+from .potential import AdmissiblePotential, GinibrePotential
 from .scaled_numerics import LogComplex, _norm_arg, _norm_args, lc_sum_scaled_parts
 
 
@@ -155,30 +155,30 @@ def boundary_correlation_modulus(pot: AdmissiblePotential, n: int,
     )
 
 
-@dataclass(frozen=True)
-class BeltDensity:
-    p: BoundaryPoint
-    ell: float
-    density: float  # per (arclength x normal length)
+def gaussian_belt_profile(m, ell):
+    """gamma_m(ell) = (2 sqrt(m)/sqrt(2pi)) e^{-2 m ell^2}, of unit mass in ell; elementwise."""
+    return 2.0 * np.sqrt(m) / math.sqrt(2.0 * math.pi) * np.exp(-2.0 * m * ell * ell)
 
 
-def berezin_belt_density(pot: AdmissiblePotential, n: int, z: complex,
-                         p: BoundaryPoint, ell: float) -> BeltDensity:
-    """Gaussian belt density P_z(p) sqrt(4 n LapQ(p)/2pi) e^{-2 n LapQ(p) ell^2}."""
+def berezin_belt_density(pot: AdmissiblePotential, n: int, z: complex, theta, ell):
+    """Gaussian belt model P_z(p) gamma_{n LapQ(p)}(ell) of B_n(z, .) at w = p + ell nu(p).
+
+    p = chi(e^{i theta}) and nu(p) is the outward unit normal: harmonic
+    measure along the boundary, a Gaussian of variance 1/(4 n LapQ(p))
+    across it.  The density is per (arclength x normal length); theta and
+    ell are scalars or broadcasting arrays.
+    """
     check_n(n)
-    check_finite(ell)  # z is checked by harmonic_measure_density
+    theta = np.asarray(theta, dtype=float)
+    ell = np.asarray(ell, dtype=float)
+    check_finite(extent(theta), extent(ell))  # z is checked by harmonic_measure_density
     cuts = sequence_cuts(n, pot.delta_M)
-    if abs(ell) > cuts.delta_n:
+    if not np.all(np.abs(ell) <= cuts.delta_n):
         raise BeltError(
-            f"|ell| = {abs(ell):.4f} exceeds the belt half-width {cuts.delta_n:.4f}"
+            f"|ell| = {np.max(np.abs(ell)):.4f} exceeds the belt half-width {cuts.delta_n:.4f}"
         )
-    lap = pot.laplacian(p.p)
-    dens = (
-        harmonic_measure_density(pot, z, p.p)
-        * math.sqrt(4.0 * n * lap / (2.0 * math.pi))
-        * math.exp(-2.0 * n * lap * ell * ell)
-    )
-    return BeltDensity(p=p, ell=ell, density=dens)
+    p = pot.chi(np.exp(1j * theta), 1.0)
+    return harmonic_measure_density(pot, z, p) * gaussian_belt_profile(n * pot.laplacian(p), ell)
 
 
 # ---------------------------------------------------------------------------

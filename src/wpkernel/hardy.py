@@ -75,6 +75,7 @@ def szego_kernel_series(pot: AdmissiblePotential, z: complex, w: complex,
 
     Converges geometrically to S(z, w) with ratio |phi(z) conj(phi(w))|^{-1}.
     """
+    check_index(terms, "term count", 1)
     acc = 0j
     for j in range(1, terms + 1):
         acc += szego_basis(pot, j, z) * szego_basis(pot, j, w).conjugate()
@@ -124,6 +125,7 @@ def szego_reproducing_check(pot: AdmissiblePotential, f_index: int, z: complex,
 
 def basis_gram_matrix(pot: AdmissiblePotential, j_max: int, nodes: int = 512) -> np.ndarray:
     """Boundary Gram matrix of psi_1..psi_jmax; identity up to quadrature error."""
+    check_index(j_max, "j_max", 1)
     wts, pts, speed, _ = pot.boundary_grid(nodes, 1.0)
     basis = np.array([szego_basis(pot, j, pts) for j in range(1, j_max + 1)])
     scaled = basis * (wts * speed)[None, :]

@@ -79,6 +79,7 @@ def compute_moments(pot: AdmissiblePotential, n: int, max_degree: int, *,
     r_max = pot.outer_radius(1.0) + 12.0 / math.sqrt(n)
     if m_theta is None:
         m_theta = 1 if pot.rotation_order == math.inf else max(4 * max_degree + 16, 64)
+    check_index(m_theta, "m_theta", 1)
     # radius of the disc with the droplet's area (area theorem): sqrt(p q) for an ellipse
     c1, _, c_1 = pot.chi_laurent(1.0)
     scale = math.sqrt(abs(c1) ** 2 - abs(c_1) ** 2)
@@ -257,8 +258,9 @@ def elliptic_kernel_exact(pot: EllipticGinibrePotential, n: int, z: complex,
         root_k, root_k1 = math.sqrt(k), math.sqrt(k + 1)
         zp, zc = zc, (zs * zc - tau * root_k * zp) / root_k1
         wp, wc = wc, (ws * wc - tau * root_k * wp) / root_k1
-        mz = max(abs(zc), abs(zp))
-        mw = max(abs(wc), abs(wp))
+        # a pair that vanished (p_k(0) = 0 for k >= 1 at tau = 0) is left unscaled
+        mz = max(abs(zc), abs(zp)) or 1.0
+        mw = max(abs(wc), abs(wp)) or 1.0
         if not (1e-100 < mz < 1e100 and 1e-100 < mw < 1e100):
             fold()
             zp, zc, lz = zp / mz, zc / mz, lz + math.log(mz)

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, check_finite, check_scale, extent
+from .errors import DomainError, check_finite, check_index, check_scale, extent
 
 _TWO_PI = 2.0 * math.pi
 NEG_INF = float("-inf")
@@ -393,8 +393,7 @@ def _read_only_rule(nodes: np.ndarray, weights: np.ndarray) -> Quadrature1D:
 
 def quad_trapezoid_periodic(m: int) -> Quadrature1D:
     """m uniform nodes on [0, 2pi); spectrally exact for periodic analytic f."""
-    if m < 1:
-        raise DomainError("need at least one quadrature node")
+    check_index(m, "node count", 1)
     nodes = _TWO_PI * np.arange(m) / m
     weights = np.full(m, _TWO_PI / m)
     return Quadrature1D(nodes, weights)

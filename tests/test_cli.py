@@ -381,6 +381,32 @@ def test_berezin_exact_column_for_every_potential(tmp_path):
     assert all(abs(row[5] - 1.0) < 0.2 for row in elliptic if row[2] == 0.0)
 
 
+@pytest.mark.parametrize("command", [
+    ["berezin", "--n", "100", "--z", "2,0", "--nodes", "0"],
+    ["berezin", "--n", "100", "--z", "2,0", "--ell-nodes", "0"],
+    ["berezin", "--n", "100", "--z", "2,0", "--ell-nodes", "-2"],
+    ["droplet", "--nodes", "0"],
+    ["figures", "--berezin-surface", "--nodes", "0"],
+], ids=["berezin-nodes", "berezin-ell-nodes", "berezin-ell-nodes-negative", "droplet",
+        "figures-berezin-surface"])
+def test_node_count_below_one_exit_code(command, tmp_path):
+    # a domain error (exit 2) that writes nothing, not an empty table or a traceback
+    assert run(command + ["--out", str(tmp_path / "out")]) == 2
+    assert not any(tmp_path.iterdir())
+
+
+def test_elliptic_disc_at_the_origin(tmp_path):
+    # a = b = 1 at z = 0: the Hermite pairs of z vanish after degree 0
+    out = tmp_path / "kernel.csv"
+    assert run(["kernel", "--potential", "elliptic", "--a", "1", "--b", "1", "--n", "10",
+                "--z", "0,0", "--w", "0.5,0", "--mode", "oracle", "--out", str(out)]) == 0
+    log_mag = float(out.read_text().splitlines()[2].split(",")[1])
+    assert log_mag == pytest.approx(math.log(10.0) - 0.5 * 10 * 0.25, rel=1e-13)
+    # the root point lies inside the droplet, where the belt model has no harmonic measure
+    assert run(["berezin", "--potential", "elliptic", "--a", "1", "--b", "1", "--n", "10",
+                "--z", "0,0", "--out", str(tmp_path / "b.csv")]) == 2
+
+
 def test_validate_suite(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = run(["validate", "--suite", "geometry", "--out", str(out)])

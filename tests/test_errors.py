@@ -1,7 +1,7 @@
 """The input contract of the public API: a hostile argument raises a typed error.
 
 Every public callable of `wpkernel` that takes a point, a real coordinate,
-a particle count or an integer degree or order is called with valid
+a particle count, an integer degree or order or a term or node count is called with valid
 arguments built from its parameter names, then with one argument at a time
 replaced by a hostile value; it must raise one of the error types of
 `wpkernel.errors`.
@@ -29,6 +29,8 @@ _HOSTILE = {
     **dict.fromkeys(("j", "max_degree", "f_index"), (-1, 1.5)),
     "k": (-1, 1.5, 7),
     "js": ([-1], [1.5]),
+    # term, node and angle counts: below 1, and fractional
+    **dict.fromkeys(("terms", "nodes", "j_max", "m_theta"), (0, -1, 1.5)),
 }
 
 # callables the walk does not build arguments for: they take library objects, not points
@@ -70,7 +72,6 @@ _OVERRIDES = {
     "equilibrium_log_potential": {"z": 0.1 + 0.1j},  # inside the droplet
     "cocycle": {"z": _boundary(0.3), "w": _boundary(2.0)},  # on the boundary
     "boundary_correlation_modulus": {"z": _boundary(0.3), "w": _boundary(2.0)},
-    "berezin_belt_density": {"p": lambda pot: pot.boundary_point(0.3)},  # a BoundaryPoint
 }
 _POTENTIALS = {"lowdeg_bound_check": [_GIN], "elliptic_kernel_exact": [_ELL]}
 
@@ -111,8 +112,6 @@ def test_the_exclusions_name_public_callables():
 def test_hostile_points_raise_typed_errors(name, function):
     params = inspect.signature(function).parameters
     hostile = [p for p in params if p in _HOSTILE]
-    if name == "berezin_belt_density":
-        hostile.remove("p")  # a BoundaryPoint there, not a point
     failures = []
     for pot in _POTENTIALS.get(name, [_GIN, _ELL] if "pot" in params else [_ELL]):
         args = _arguments(name, params, pot)

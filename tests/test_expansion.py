@@ -8,20 +8,22 @@ import pytest
 
 from wpkernel import (
     RegimeError,
+    berezin_belt_density,
     bulk_kernel_expansion,
-    berezin_gaussian_ginibre,
     exterior_kernel_expansion,
     ginibre_berezin,
     ginibre_kernel_exact,
+    harmonic_measure_density,
+    make_ginibre,
     partial_exp_sum,
     partial_exp_sum_complement,
-    poisson_disc,
     rho,
     stirling_series,
     tricomi_b,
 )
 from wpkernel.errors import DomainError
-from wpkernel.expansion import gaussian_belt_profile, rho_bracket
+from wpkernel.expansion import rho_bracket
+from wpkernel.general_kernel import gaussian_belt_profile
 from wpkernel.scaled_numerics import RationalAtOne, poly_eval, poly_q, rational_eval
 from wpkernel.szego_geometry import u_abs
 
@@ -169,33 +171,43 @@ def test_heat_kernel_corollary():
     assert b == pytest.approx(model, rel=0.02)
 
 
+# The unit-disc belt of Q = |z|^2: the disc Poisson kernel is the harmonic
+# measure density of the Ginibre potential, and the belt's normal profile is
+# gamma_n, the Gaussian of the general belt model at Lap Q = 1.
+_GIN = make_ginibre()
+_ON_CIRCLE = cmath.exp(0.3j)
+_BIG = 1.5e308 + 1.5e308j  # finite, but |Re| + |Im| overflows
+
+
 def test_poisson_kernel():
-    assert poisson_disc(2.0, 0.0) == pytest.approx(3.0 / (2.0 * math.pi), rel=1e-14)
+    assert harmonic_measure_density(_GIN, 2.0, 1.0) == pytest.approx(
+        3.0 / (2.0 * math.pi), rel=1e-14)
     theta = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
-    mass = np.sum([poisson_disc(2.0, t) for t in theta]) * 2.0 * math.pi / 512
+    mass = np.sum(harmonic_measure_density(_GIN, 2.0, np.exp(1j * theta))) * 2.0 * math.pi / 512
     assert mass == pytest.approx(1.0, abs=1e-12)
     # far field flattens to the uniform density at rate O(1/|z|)
-    vals = [poisson_disc(1e6, t) for t in (0.0, 1.0, 2.5)]
+    vals = harmonic_measure_density(_GIN, 1e6, np.exp(1j * np.array([0.0, 1.0, 2.5])))
     assert max(vals) - min(vals) < 1e-5
     assert vals[0] == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-5)
-    # just below the overflow bound of 2 pi |z - e^{i theta}|^2 the value is still 1/2pi
-    assert poisson_disc(5e153, 0.2) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-14)
+    # just below the bound |phi(z)| < 1e150 the value is still 1/2pi
+    assert harmonic_measure_density(_GIN, 5e149, cmath.exp(0.2j)) == pytest.approx(
+        1.0 / (2.0 * math.pi), rel=1e-14)
     with pytest.raises(DomainError):
-        poisson_disc(0.9, 0.3)
+        harmonic_measure_density(_GIN, 0.9, _ON_CIRCLE)
 
 
 def test_gaussian_belt_density():
     n, z = 100, 2.0
-    val = berezin_gaussian_ginibre(n, z, 0.0, 0.0)
+    val = berezin_belt_density(_GIN, n, z, 0.0, 0.0)
     expected = (2.0 * math.sqrt(n) / math.sqrt(2.0 * math.pi)) * 3.0 / (2.0 * math.pi)
     assert val == pytest.approx(expected, rel=1e-14)
     # even in the normal coordinate
-    assert berezin_gaussian_ginibre(n, z, 1.0, 0.03) == pytest.approx(
-        berezin_gaussian_ginibre(n, z, 1.0, -0.03), rel=1e-14)
+    assert berezin_belt_density(_GIN, n, z, 1.0, 0.03) == pytest.approx(
+        berezin_belt_density(_GIN, n, z, 1.0, -0.03), rel=1e-14)
     # belt mass 1 - O(e^{-n c^2})
     c = n ** (-0.4)
     ell = np.linspace(-c, c, 4001)
-    mass = np.trapezoid([gaussian_belt_profile(n, l) for l in ell], ell)
+    mass = np.trapezoid(gaussian_belt_profile(n, ell), ell)
     assert abs(mass - 1.0) <= math.exp(-n * c * c)
 
 
@@ -227,19 +239,20 @@ def test_two_term_structure_both_sides_of_saddle_curve():
     lambda: bulk_kernel_expansion(100, 0.5, -1.5e308 + 1.5e308j),
     lambda: exterior_kernel_expansion(100, complex(math.nan, 0.0), 1.5),
     lambda: bulk_kernel_expansion(100, 0.5, complex(0.0, math.inf)),
-    lambda: poisson_disc(2.0, math.nan),
-    lambda: poisson_disc(2.0, math.inf),
-    lambda: poisson_disc(complex(math.nan, 0.0), 0.3),
-    lambda: poisson_disc(complex(0.0, math.inf), 0.3),
-    # 2 pi |z - e^{i theta}|^2 overflows: DomainError, not an OverflowError or a silent 0.0
-    lambda: poisson_disc(1.5e308 + 1.5e308j, 0.3),
-    lambda: poisson_disc(1.3e154, 0.3),
-    lambda: berezin_gaussian_ginibre(10, 2.0, 0.1, math.nan),
-    lambda: berezin_gaussian_ginibre(10, complex(math.nan, 0.0), 0.1, 0.0),
-    lambda: berezin_gaussian_ginibre(10, 2.0, math.nan, 0.0),
-    lambda: berezin_gaussian_ginibre(-3, 2.0, 0.1, 0.0),
-    lambda: berezin_gaussian_ginibre(0, 2.0, 0.1, 0.0),
-    lambda: berezin_gaussian_ginibre(10, 1.5e308 + 1.5e308j, 0.1, 0.0),
+    # the unit-disc belt: one non-finite entry of a theta array is enough
+    lambda: berezin_belt_density(_GIN, 10, 2.0, np.array([0.1, math.nan]), 0.0),
+    lambda: berezin_belt_density(_GIN, 10, 2.0, np.array([0.1, math.inf]), 0.0),
+    lambda: harmonic_measure_density(_GIN, complex(math.nan, 0.0), _ON_CIRCLE),
+    lambda: harmonic_measure_density(_GIN, complex(0.0, math.inf), _ON_CIRCLE),
+    # |phi(z)|^2 overflows: DomainError, not an OverflowError or a silent 0.0
+    lambda: harmonic_measure_density(_GIN, _BIG, _ON_CIRCLE),
+    lambda: harmonic_measure_density(_GIN, 1.3e154, _ON_CIRCLE),
+    lambda: berezin_belt_density(_GIN, 10, 2.0, 0.1, math.nan),
+    lambda: berezin_belt_density(_GIN, 10, complex(math.nan, 0.0), 0.1, 0.0),
+    lambda: berezin_belt_density(_GIN, 10, 2.0, math.nan, 0.0),
+    lambda: berezin_belt_density(_GIN, -3, 2.0, 0.1, 0.0),
+    lambda: berezin_belt_density(_GIN, 0, 2.0, 0.1, 0.0),
+    lambda: berezin_belt_density(_GIN, 10, _BIG, 0.1, 0.0),
     # orders outside the exact series, which reach n^{-6}: never an
     # IndexError, a TypeError or a silent value
     lambda: stirling_series(7), lambda: stirling_series(-1), lambda: stirling_series(1.5),

@@ -29,7 +29,6 @@ from wpkernel import (
     szego_kernel,
     tail_kernel,
 )
-from wpkernel.expansion import berezin_gaussian_ginibre
 from wpkernel.general_kernel import _quasipolynomial_parts
 from wpkernel.potential import RADIAL_PROFILES
 from wpkernel.scaled_numerics import LogComplex, _norm_arg, lc_mul, lc_sum, quad_radial
@@ -183,33 +182,48 @@ def test_cocycle_cancellation_in_determinants(gin):
 def test_belt_density_matches_disc_product_form(gin):
     n, z = 400, 2.0
     theta, ell_coord = 0.9, 0.01
-    bp = gin.boundary_point(theta, 1.0)
-    belt = berezin_belt_density(gin, n, z, bp, ell_coord)
-    assert belt.density == pytest.approx(
-        berezin_gaussian_ginibre(n, z, theta, ell_coord), rel=1e-12)
-    assert belt.density <= berezin_belt_density(gin, n, z, bp, 0.0).density
+    # P_z(theta) gamma_n(ell) of the unit disc, in coordinates w = e^{i theta}(1 + ell)
+    closed = ((abs(z) ** 2 - 1.0) / (2.0 * math.pi * abs(z - cmath.exp(1j * theta)) ** 2)
+              * (2.0 * math.sqrt(n) / math.sqrt(2.0 * math.pi)) * math.exp(-2.0 * n * ell_coord ** 2))
+    dens = berezin_belt_density(gin, n, z, theta, ell_coord)
+    assert dens == pytest.approx(closed, rel=1e-12)
+    assert dens <= berezin_belt_density(gin, n, z, theta, 0.0)
     with pytest.raises(BeltError):
-        berezin_belt_density(gin, n, z, bp, 0.5)
+        berezin_belt_density(gin, n, z, theta, 0.5)
+    with pytest.raises(BeltError):
+        berezin_belt_density(gin, n, z, theta, np.array([0.0, 0.5]))
 
 
 def test_belt_mass_all_builtins(gin, ell):
-    from wpkernel import make_radial
     from wpkernel.scaled_numerics import gauss_on_interval, quad_trapezoid_periodic
 
-    quart = make_radial(RADIAL_PROFILES["quartic"])
+    quart = make_radial(QUARTIC)
     n = 400
     for pot, z in ((gin, 2.0), (ell, 2.5), (quart, 2.0)):
         cuts = sequence_cuts(n, pot.delta_M)
         tq = quad_trapezoid_periodic(128)
         lq = gauss_on_interval(48, -cuts.delta_n, cuts.delta_n)
-        mass = 0.0
-        for theta, wt in zip(tq.nodes, tq.weights):
-            bp = pot.boundary_point(theta, 1.0)
-            speed = abs(pot.dchi(cmath.exp(1j * theta), 1.0))
-            for l, wl in zip(lq.nodes, lq.weights):
-                mass += wt * wl * speed * berezin_belt_density(pot, n, z, bp, l).density
+        _, _, speed, _ = pot.boundary_grid(128, 1.0)
+        dens = berezin_belt_density(pot, n, z, tq.nodes[:, None], lq.nodes)
+        mass = float(np.sum(np.outer(tq.weights * speed, lq.weights) * dens))
         assert mass > 0.95, (pot.name, mass)
         assert mass < 1.0 + 1e-6
+
+
+@pytest.mark.parametrize("family, z", [("gin", 2.0), ("ell", 2.5 + 0.4j), ("quart", -1.5 + 1.2j)])
+def test_belt_density_arrays_match_scalars(family, z, gin, ell):
+    pot = {"gin": gin, "ell": ell, "quart": make_radial(QUARTIC)}[family]
+    n = 400
+    half = sequence_cuts(n, pot.delta_M).delta_n
+    thetas = np.array([0.0, 0.9, 2.5, -1.3])
+    ells = np.array([-half, -0.3 * half, 0.0, 0.7 * half])
+    grid = berezin_belt_density(pot, n, z, thetas[:, None], ells)
+    assert grid.shape == (4, 4)
+    for i, theta in enumerate(thetas):
+        for k, l in enumerate(ells):
+            scalar = berezin_belt_density(pot, n, z, float(theta), float(l))
+            assert isinstance(scalar, float)
+            assert grid[i, k] == pytest.approx(scalar, rel=1e-14)
 
 
 def test_quasipolynomial_against_closed_form(gin):

@@ -14,7 +14,6 @@ from wpkernel import (
     make_elliptic_ginibre,
     make_ginibre,
     make_radial,
-    poisson_disc,
     szego_basis,
     szego_kernel,
     szego_kernel_series,
@@ -121,7 +120,7 @@ def test_harmonic_measure(ell, gin):
     theta = 0.8
     p = cmath.exp(1j * theta)
     assert harmonic_measure_density(gin, 2.0, p) == pytest.approx(
-        poisson_disc(2.0, theta), rel=1e-13)
+        3.0 / (2.0 * math.pi * abs(2.0 - p) ** 2), rel=1e-13)
     assert abs(harmonic_measure_mass(ell, 3.0, nodes=512) - 1.0) < 1e-9
     # far root point: density approaches |phi'|/(2 pi), mass stays 1
     assert abs(harmonic_measure_mass(ell, 250.0, nodes=512) - 1.0) < 1e-9
@@ -213,3 +212,18 @@ def test_points_inside_an_array_raise_domain_error(ell):
         harmonic_measure_density(ell, inside, 2.0)
     with pytest.raises(PoleError):
         szego_kernel(make_ginibre(), np.array([2.0, 1.0]), 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda pot: basis_gram_matrix(pot, 0),
+    lambda pot: basis_gram_matrix(pot, -1),
+    lambda pot: basis_gram_matrix(pot, 1.5),
+    lambda pot: basis_gram_matrix(pot, 3, nodes=1.5),
+    lambda pot: harmonic_measure_integral(pot, 3.0, lambda p: p, nodes=0),
+], ids=["gram-j-max-0", "gram-j-max-negative", "gram-j-max-fractional", "gram-nodes-fractional",
+        "integral-nodes-0"])
+def test_bad_counts_raise_domain_error(ell, call):
+    # a count below 1 or a fractional one: never an empty result, a TypeError
+    # or a numpy broadcasting ValueError
+    with pytest.raises(DomainError):
+        call(ell)

@@ -224,8 +224,10 @@ def test_hermite_matches_native_gram(ell, n, tol):
 def test_hermite_reduces_to_ginibre(n):
     # a = b = 1 is Q = |z|^2, whose kernel has the independent partial-sum route
     disc = make_elliptic_ginibre(1.0, 1.0)
+    # at tau = 0, p_k(0) = 0 for k >= 1: a vanished running pair is not rescaled
     pairs = [(1.5, 1.2 + 0.7j), (2 + 1j, -1.3 + 0.4j), (1.0, cmath.exp(1j)),
-             (cmath.exp(0.3j), cmath.exp(2j)), (1.0, 1.0)]
+             (cmath.exp(0.3j), cmath.exp(2j)), (1.0, 1.0),
+             (0, 0.5), (0, 0), (0.7j, 0), (0, 1.3 + 0.2j)]
     for z, w in pairs:
         exact = ginibre_kernel_exact(n, z, w).value
         assert rel_lc(elliptic_kernel_exact(disc, n, z, w), exact) < 1e-10

@@ -42,7 +42,7 @@ from wpkernel import (
     tail_kernel,
     variational_residual,
 )
-from wpkernel import ginibre_exact, hardy, scaled_numerics
+from wpkernel import expansion, general_kernel, ginibre_exact, hardy, scaled_numerics
 from wpkernel import potential as potential_module
 from wpkernel.ginibre_exact import _gamma_cf
 from wpkernel.hardy import _exterior_on_cl_U
@@ -519,6 +519,12 @@ def test_argument_reordering_wrappers_are_gone():
                  "CorrectionTable", "ridge_between", "f_factor", "h_function", "LC_ONE",
                  "lc_from_cnumber"):
         assert not hasattr(wpkernel, name)
+    # the Ginibre-only copy of the belt model and the record of its scalar call
+    for owner, name in ((wpkernel, "poisson_disc"), (wpkernel, "berezin_gaussian_ginibre"),
+                        (wpkernel, "BeltDensity"), (expansion, "poisson_disc"),
+                        (expansion, "berezin_gaussian_ginibre"),
+                        (expansion, "gaussian_belt_profile"), (general_kernel, "BeltDensity")):
+        assert not hasattr(owner, name), name
     for name in ("droplet_geometry", "tau0"):
         assert not hasattr(AdmissiblePotential, name)
     # code that no library route ran: the test-only array partial sum, the

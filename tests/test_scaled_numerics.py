@@ -171,6 +171,10 @@ def test_trapezoid_low_harmonics():
     assert np.sum(rule.weights) == pytest.approx(2 * math.pi, abs=1e-14)
     val = float(np.sum(rule.weights * np.cos(rule.nodes) ** 2))
     assert val == pytest.approx(math.pi, abs=1e-14)
+    # a node count is an integer >= 1: never an empty rule or a TypeError
+    for m in (0, -1, 1.5):
+        with pytest.raises(DomainError):
+            quad_trapezoid_periodic(m)
 
 
 def test_gauss_on_interval_length():
