@@ -43,10 +43,11 @@ Three layouts sum the windows; all share the window (`_window_extent`,
 - polar tensors w = s e^{i phi} (`_ring_sums_and_ratios`): every node of a
   ring shares |x| = n|z|s and so its window, and the sums of a group of
   rings are one matrix product.
-Both grid layouts hand log |e_n| and r to one assembly (`_berezin_grids`) of
-B_n = |K_n(z, w)|^2 / K_n(z, z) and dbar_z B_n.  The one-point route is
-separate code and the grids' reference (the scalar `ginibre_berezin` goes
-through `ginibre_kernel_exact`); all three are checked against mpmath.
+Both grid layouts hand log |e_n|, and r when dbar_z B_n is asked for, to
+one assembly (`_berezin_grids`) of B_n = |K_n(z, w)|^2 / K_n(z, z) and
+dbar_z B_n.  The one-point route is separate code and the grids' reference
+(the scalar `ginibre_berezin` goes through `ginibre_kernel_exact`); all
+three are checked against mpmath.
 
 A continued-fraction evaluation of the upper incomplete gamma function
 provides an independent route E_n(zeta) = Gamma(n, n zeta)/(n-1)!, used as
@@ -239,15 +240,17 @@ def _tail(n: int, sums, arg_x, weight=1.0):
     return weight * _exp(1j * n * arg_x) * sums
 
 
-def _inner_e_n(n: int, lead, sums, scale, x_less_scale, abs_x, arg_x):
+def _inner_e_n(n: int, lead, sums, scale, x_less_scale, abs_x, arg_x, ratio: bool):
     """(log |e_n(x)|, c, r) inside |x| = n: e_n(x) = e^x - T = e^{scale} c from
     the tail's window sums, x_less_scale = x - scale, and r = e_{n-1}/e_n =
     1 - t/e_n, t = x^{n-1}/(n-1)!, all broadcast, or all scalars at one
-    point.  Where |c| <= 1e-300 the division is skipped and r stays finite:
-    every scale is at most |x|, so |e_n| <= 1e-300 e^{|x|} and B_n is below
-    e^{-1300} there, under its flush."""
+    point; r is None unless ratio.  Where |c| <= 1e-300 the division is
+    skipped and r stays finite: every scale is at most |x|, so |e_n| <=
+    1e-300 e^{|x|} and B_n is below e^{-1300} there, under its flush."""
     c = _exp(x_less_scale) - _tail(n, sums, arg_x, _exp(lead - scale))
     log_e = scale + _log(abs(c))  # -inf where e_n(x) rounds to 0
+    if not ratio:
+        return log_e, c, None
     if n == 1:  # e_0 = 0
         return log_e, c, np.zeros(c.shape, dtype=complex) if isinstance(c, np.ndarray) else 0j
     log_t = (n - 1) * _log(abs_x / (n - 1)) + _log_kk_over_factorial(n - 1)
@@ -259,28 +262,36 @@ def _inner_e_n(n: int, lead, sums, scale, x_less_scale, abs_x, arg_x):
     return log_e, c, 1.0 - (t / c if ok else t)
 
 
-def _outer_e_n(lead, s1):
+def _outer_e_n(lead, s1, ratio: bool):
     """(log |e_n(x)|, s, r) outside |x| = n, e_n(x) = t s, s = 1 + s1, log |t| =
     lead (`_side_sums`); s has no zero (falling positive coefficients, |q| < 1).
-    r = e_{n-1}/e_n = s1/s, as e_{n-1} = t s1; 1 - 1/s would cancel for large |x|."""
+    r = e_{n-1}/e_n = s1/s, as e_{n-1} = t s1, or None unless ratio; 1 - 1/s
+    would cancel for large |x|."""
     s = 1.0 + s1
-    return lead + _log(abs(s)), s, s1 / s
+    return lead + _log(abs(s)), s, s1 / s if ratio else None
 
 
-def _flat_e_n(n: int, x: np.ndarray):
-    """(log |e_n(x)|, r) over a flat array x: e_n = e^{scale} c inside
-    |x| = n, scale = max(Re x, lead), and t s outside, log |t| = lead."""
+def _flat_e_n(n: int, x: np.ndarray, ratio: bool):
+    """(log |e_n(x)|, r) over a flat array x, r None unless ratio: e_n =
+    e^{scale} c inside |x| = n, scale = max(Re x, lead), and t s outside,
+    log |t| = lead."""
     inner = np.abs(x) < n
     outer = ~inner
     log_e = np.empty(x.size)
-    r = np.empty(x.size, dtype=complex)
-    if np.count_nonzero(outer):  # a fraction of the cost of outer.any()
-        log_e[outer], _, r[outer] = _outer_e_n(*_side_sums(n, x[outer], False))
-    if np.count_nonzero(inner):
-        xs = x[inner]
-        lead, sums = _side_sums(n, xs, True)
-        s = np.maximum(xs.real, lead)
-        log_e[inner], _, r[inner] = _inner_e_n(n, lead, sums, s, xs - s, np.abs(xs), np.angle(xs))
+    r = np.empty(x.size, dtype=complex) if ratio else None
+    for side, mask in ((False, outer), (True, inner)):
+        if not np.count_nonzero(mask):  # a fraction of the cost of mask.any()
+            continue
+        xs = x[mask]
+        lead, sums = _side_sums(n, xs, side)
+        if side:
+            s = np.maximum(xs.real, lead)
+            log_e[mask], _, r_side = _inner_e_n(n, lead, sums, s, xs - s, np.abs(xs),
+                                                np.angle(xs), ratio)
+        else:
+            log_e[mask], _, r_side = _outer_e_n(lead, sums, ratio)
+        if ratio:
+            r[mask] = r_side
     return log_e, r
 
 
@@ -290,9 +301,9 @@ def _point_e_n(n: int, x: complex):
     inner = abs(x) < n
     lead, sums = _point_sums(n, x, inner)
     if not inner:
-        return False, *_outer_e_n(lead, sums)
+        return False, *_outer_e_n(lead, sums, True)
     s = max(x.real, lead)
-    return True, *_inner_e_n(n, lead, sums, s, x - s, abs(x), math.atan2(x.imag, x.real))
+    return True, *_inner_e_n(n, lead, sums, s, x - s, abs(x), math.atan2(x.imag, x.real), True)
 
 
 def _raw_partial_sum(n: int, zeta: complex) -> LogComplex:
@@ -469,9 +480,9 @@ def _ring_window_sums(q: np.ndarray, lengths: np.ndarray, coeffs: np.ndarray,
     return out
 
 
-def _ring_sums_and_ratios(n: int, abs_x: np.ndarray, omega: np.ndarray):
-    """log |e_n(x)| and r(x) over the tensor x = abs_x[:, None] omega, as
-    (rings, angles) arrays, |omega| = 1.
+def _ring_sums_and_ratios(n: int, abs_x: np.ndarray, omega: np.ndarray, ratio: bool):
+    """log |e_n(x)| and r(x) (None unless ratio) over the tensor x =
+    abs_x[:, None] omega, as (rings, angles) arrays, |omega| = 1.
 
     Every node of a ring shares |x|, so the side of |x| = n, the window and
     the lead are taken once per ring (`_side_window` on the ring moduli), and
@@ -479,7 +490,7 @@ def _ring_sums_and_ratios(n: int, abs_x: np.ndarray, omega: np.ndarray):
     and an angle part.
     """
     log_e = np.empty((abs_x.size, omega.size))
-    r = np.empty(log_e.shape, dtype=complex)
+    r = np.empty(log_e.shape, dtype=complex) if ratio else None
     arg = np.angle(omega)
     for inner in (False, True):
         rings = np.flatnonzero((abs_x < n) == inner)
@@ -490,17 +501,21 @@ def _ring_sums_and_ratios(n: int, abs_x: np.ndarray, omega: np.ndarray):
                                      0 if inner else 1)
             ring_x, lead = abs_x[rings, None], lead[:, None]
             # inside, the ring's |x| is the scale: x - |x| = |x| (omega - 1)
-            log_e[rings], _, r[rings] = (
-                _inner_e_n(n, lead, sums, ring_x, ring_x * (np.exp(1j * arg) - 1.0), ring_x, arg)
-                if inner else _outer_e_n(lead, sums))
+            log_e[rings], _, r_rings = (
+                _inner_e_n(n, lead, sums, ring_x, ring_x * (np.exp(1j * arg) - 1.0), ring_x, arg,
+                           ratio)
+                if inner else _outer_e_n(lead, sums, ratio))
+            if ratio:
+                r[rings] = r_rings
     return log_e, r
 
 
 def _berezin_grids(n: int, z: complex, log_e: np.ndarray, r: np.ndarray, abs_w: np.ndarray,
                    w_parts: tuple, dbar: bool):
     """(B_n(z, w), dbar_z B_n(z, w) if dbar else None) from log |e_n(x)| and
-    r(x) = e_{n-1}/e_n at x = n z w~ of either layout, broadcast against
-    abs_w = |w|; w is the product of w_parts, multiplied in order.
+    r(x) = e_{n-1}/e_n (None without dbar) at x = n z w~ of either layout,
+    broadcast against abs_w = |w|; w is the product of w_parts, multiplied in
+    order.
 
     B_n = n |e_n(x)|^2 e^{-n|w|^2} / e_n(n|z|^2), flushed to zero below
     e^{-745}, and dbar_z B_n = n B_n (w conj r(x) - z r(n|z|^2)), zero at
@@ -530,7 +545,7 @@ def ginibre_berezin_array(n: int, z: complex, ws: np.ndarray, dbar: bool):
     scale = extent(z) + extent(ws)
     check_scale(n * scale * scale)
     flat = ws.ravel()
-    log_e, r = _flat_e_n(n, n * (z * np.conj(flat)))
+    log_e, r = _flat_e_n(n, n * (z * np.conj(flat)), dbar)
     b, f = _berezin_grids(n, z, log_e, r, np.abs(flat), (flat,), dbar)
     return b.reshape(ws.shape), None if f is None else f.reshape(ws.shape)
 
@@ -552,7 +567,7 @@ def ginibre_berezin_tensor(n: int, z: complex, angles: np.ndarray, radii: np.nda
     scale = extent(z) + extent(radii)
     check_scale(n * scale * scale + extent(angles))
     omega = np.exp(1j * (math.atan2(z.imag, z.real) - angles))
-    log_e, r = _ring_sums_and_ratios(n, n * abs(z) * radii, omega)
+    log_e, r = _ring_sums_and_ratios(n, n * abs(z) * radii, omega, dbar)
     s = radii[:, None]
     return _berezin_grids(n, z, log_e, r, s, (s, np.exp(1j * angles)), dbar)
 

@@ -56,7 +56,8 @@ _EPS = float(np.finfo(float).eps)
 # The companion walk of the loop-residual budget lowers every Gauss rule of
 # `_polar_walk` by this many orders and halves its periodic trapezoid.
 _ORDER_DROP = 4
-# Periodic trapezoid nodes on the walk's full rays.
+# Periodic trapezoid nodes on the full rays when the sector is the disc about
+# the origin; without a sector the count is sized from the root (`_trapezoid_count`).
 _N_THETA = 256
 
 
@@ -225,11 +226,14 @@ class OracleSource:
 class QuadSpec:
     """Layout of one polar walk.
 
-    n_theta: angular nodes on the full rays: the periodic trapezoid's 256
-        (128 on the companion walk), or, beside an annular sector, Gauss
-        panels of 12 (8) nodes in phi; n_radial: every node the walk
-        evaluates, sector included; mass: the same-grid mass of B_n.  The
-        walk ends at the source's s_max (`walk_radius`).
+    n_theta: angular nodes on the full rays: the periodic trapezoid's 2N
+        (N on the companion walk), N sized from log(|z|/s_max) for a root
+        beyond the walk (`_trapezoid_count`) and 128 when the sector is the
+        disc about the origin; or, beside an annular sector, Gauss panels
+        of 12 (8) nodes in phi, graded from the sector's edges
+        (`_phi_edges`); n_radial: every node the walk evaluates, sector
+        included; mass: the same-grid mass of B_n.  The walk ends at the
+        source's s_max (`walk_radius`).
     """
 
     n_theta: int
@@ -259,7 +263,7 @@ def _graded_edges(s_max: float, fine_bands, fine: float, coarse: float):
     return np.unique(np.concatenate(edges))
 
 
-def _sector(grid, z: complex, s_a, s_b, phi_a, phi_b, fine, drop):
+def _sector(grid, z: complex, s_a, s_b, phi_a, phi_b, fine, drop, per_piece):
     """The sector in z-centered polar coordinates: grid values, area and
     Cauchy weights of its nodes, as one array each.
 
@@ -267,10 +271,10 @@ def _sector(grid, z: complex, s_a, s_b, phi_a, phi_b, fine, drop):
     direction theta has a single exit radius: the nearest crossing with the
     two circles s = s_a, s_b and the two rays phi = phi_a, phi_b (only the
     outer circle when s_a = 0 and the sector is the disc s <= s_b).  Corner
-    directions split the theta-range into analytic pieces of three Gauss
-    panels with 16 - drop nodes each; each ray has ceil(exit/fine) panels
-    of 12 - drop nodes.  The Jacobian rho drho dtheta cancels the Cauchy
-    kernel, whose weight is -e^{-i theta} drho dtheta in closed form.
+    directions split the theta-range into analytic pieces of per_piece
+    Gauss panels with 16 - drop nodes each; each ray has ceil(exit/fine)
+    panels of 12 - drop nodes.  The Jacobian rho drho dtheta cancels the
+    Cauchy kernel, whose weight is -e^{-i theta} drho dtheta in closed form.
     """
     az = abs(z)
     if s_a > 0:
@@ -282,7 +286,7 @@ def _sector(grid, z: complex, s_a, s_b, phi_a, phi_b, fine, drop):
     theta_edges = np.append(base, base[0] + 2.0 * math.pi)
     t0, t1 = theta_edges[:-1], theta_edges[1:]
     keep = t1 - t0 >= 1e-13
-    edges = np.linspace(t0[keep], t1[keep], 4, axis=1)
+    edges = np.linspace(t0[keep], t1[keep], per_piece + 1, axis=1)
     angular = gauss_on_interval(16 - drop, edges[:, :-1], edges[:, 1:])
 
     # exit radii in real arithmetic: numpy's complex product may round differently
@@ -326,6 +330,32 @@ def _tensor(source, z: complex, dbar: bool, angular, radial):
     return b.ravel(), None if f is None else f.ravel(), area, np.divide(area, kern, out=kern)
 
 
+def _trapezoid_count(az: float, s_max: float) -> int:
+    """Companion trapezoid count N for a root beyond the walk, |z| - m_r >=
+    s_max: the smallest multiple of 8 in [32, 128] with (s_max/|z|)^N <=
+    e^{-37}; the reported walk takes 2N.  The Cauchy factor
+    1/(z - s e^{i phi}) is analytic in phi on a strip of half-width
+    log(|z|/s_max), where the trapezoid's error falls like (s_max/|z|)^N
+    (Trefethen & Weideman, SIAM Rev. 56, 2014)."""
+    need = 37.0 / math.log(az / s_max)
+    return min(128, max(32, 8 * math.ceil(need / 8.0)))
+
+
+def _phi_edges(phi_b: float, phi_c: float, half_width: float) -> np.ndarray:
+    """Panel edges on [phi_b, phi_c], graded geometrically from both ends: a
+    panel starting at angular distance d from the nearer end is d + half_width
+    wide, at most 0.5, and the two sides meet in the middle.  The Cauchy
+    factor's pole lies half_width beyond the ends, so every panel sees it
+    at a fixed ratio of its width."""
+    mid = 0.5 * (phi_c - phi_b)
+    d = [0.0]
+    while d[-1] + half_width < 0.5 and 2.0 * d[-1] + half_width < mid:
+        d.append(2.0 * d[-1] + half_width)
+    # past the grading, panels of at most 0.5 up to the middle
+    d = np.concatenate([d, np.linspace(d[-1], mid, math.ceil((mid - d[-1]) / 0.5) + 1)[1:]])
+    return np.concatenate([phi_b + d, phi_c - d[-2::-1]])
+
+
 def _polar_walk(source, z: complex, dbar: bool, companion: bool = False):
     """int B_n(z, w)/(z - w) dA(w), int f(w)/(z - w) dA(w) and the B_n mass
     on one grid, with f = dbar_z B_n when dbar and no f otherwise.
@@ -343,6 +373,13 @@ def _polar_walk(source, z: complex, dbar: bool, companion: bool = False):
     `berezin_dbar_grid`), a tensor piece is its angles and radii
     (`berezin_tensor`).
 
+    The angular rules of the full rays are sized from the root: beside an
+    annular sector, Gauss panels graded from its edges (`_phi_edges`); with
+    no sector, the periodic trapezoid on 2N nodes, N from log(|z|/s_max)
+    (`_trapezoid_count`); and 256 trapezoid nodes when the sector is the
+    disc about the origin.  The sector's own angular panels grow like
+    sqrt(n) from n = 3200.
+
     The companion walk keeps every panel, lowers each Gauss rule by
     _ORDER_DROP orders and halves the periodic trapezoid.
 
@@ -355,7 +392,6 @@ def _polar_walk(source, z: complex, dbar: bool, companion: bool = False):
     r_out, s_max = source.outer_radius, source.s_max
     fine = min(0.25, 1.5 / math.sqrt(n))
     drop = _ORDER_DROP if companion else 0
-    n_trap = _N_THETA // 2 if companion else _N_THETA
 
     m_r = 0.15
     az = abs(z)
@@ -374,7 +410,11 @@ def _polar_walk(source, z: complex, dbar: bool, companion: bool = False):
             s_b = min(s_b, s_max)  # the tensor pieces end at s_max
         grid = lambda ws: (source.berezin_dbar_grid(z, ws) if dbar
                            else (source.berezin_grid(z, ws), None))
-        pieces.append(partial(_sector, grid, z, s_a, s_b, phi_a, phi_b, fine, drop))
+        # three angular panels per corner piece up to n = 3200, then growing like
+        # sqrt(n): the directions cross the belt about the droplet's boundary,
+        # across which B_n varies on the scale n^{-1/2}
+        per_piece = max(3, math.ceil(3.0 * math.sqrt(n / 3200.0)))
+        pieces.append(partial(_sector, grid, z, s_a, s_b, phi_a, phi_b, fine, drop, per_piece))
 
     # droplet-centered complement
     coarse = 0.25
@@ -384,10 +424,7 @@ def _polar_walk(source, z: complex, dbar: bool, companion: bool = False):
     base_edges = _graded_edges(s_max, bands, fine, coarse)
     if have_sector and s_a > 0:
         # full rays outside the sector's angular range, Gauss panels in phi
-        span = 2.0 * math.pi - (phi_b - phi_a)
-        phi_c = phi_a + 2.0 * math.pi
-        n_pan = max(1, math.ceil((phi_c - phi_b) / (span / (_N_THETA // 8))))
-        rules = [(composite_gauss(12 - drop, np.linspace(phi_b, phi_c, n_pan + 1)),
+        rules = [(composite_gauss(12 - drop, _phi_edges(phi_b, phi_a + 2.0 * math.pi, half_phi)),
                   composite_gauss(16 - drop, base_edges))]
         # rays through the sector's angular range, radial band excluded
         edges = np.unique(np.concatenate([base_edges, [s_a, min(s_b, s_max)]]))
@@ -401,9 +438,11 @@ def _polar_walk(source, z: complex, dbar: bool, companion: bool = False):
             edges = np.unique(np.concatenate([base_edges, [min(s_b, s_max)]]))
             skip = lambda a, b: b <= min(s_b, s_max) + 1e-15
             radial = composite_gauss(16 - drop, edges, skip=skip)
+            n_trap = _N_THETA // 2
         else:
             radial = composite_gauss(16 - drop, base_edges)
-        rules = [(quad_trapezoid_periodic(n_trap), radial)]
+            n_trap = _trapezoid_count(az, s_max)
+        rules = [(quad_trapezoid_periodic(n_trap if companion else 2 * n_trap), radial)]
     pieces += [partial(_tensor, source, z, dbar, angular, radial) for angular, radial in rules]
 
     cauchy = integral = 0j

@@ -92,6 +92,49 @@ def test_cauchy_transform_mass_limit():
     assert devs[1] < 0.01
 
 
+def _mp_ginibre_transform(n: int, z: complex) -> complex:
+    """The Ginibre Berezin Cauchy transform in closed form at 40 digits:
+    C_n(z) = P(n, x) (n - x r(x)) / z, x = n|z|^2, P = 1 - Q(n, x) and
+    r = Q(n-1, x)/Q(n, x) = e_{n-1}/e_n, Q the regularised upper gamma
+    function (r = 0 at n = 1, where e_0 = 0)."""
+    with mpmath.workdps(40):
+        z = mpmath.mpc(z)
+        x = n * abs(z) ** 2
+        q = lambda a: mpmath.gammainc(a, x, mpmath.inf, regularized=True)
+        q_n = q(n)
+        r = q(n - 1) / q_n if n > 1 else 0
+        return complex((1 - q_n) * (n - x * r) / z)
+
+
+@pytest.mark.parametrize("n", [1, 10, 50, 200, 800, 3200])
+def test_exterior_transform_matches_closed_form(n):
+    # roots beyond the walk, s_max + 0.16 <= |z| <= s_max + 2.5, where the
+    # full rays take the periodic trapezoid sized from log(|z|/s_max)
+    src = GinibreSource(n)
+    rng = np.random.default_rng(4000 + n)
+    for radius, angle in zip(rng.uniform(src.s_max + 0.16, src.s_max + 2.5, 5),
+                             rng.uniform(0.0, 2.0 * math.pi, 5)):
+        z = cmath.rect(radius, angle)
+        want = _mp_ginibre_transform(n, z)
+        assert abs(berezin_cauchy_transform(src, z) - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("n", [10_000, 30_000])
+def test_rim_transform_at_large_n(n):
+    # the sector's angular panels grow like sqrt(n); with three per corner
+    # piece the mass missed 1 by 7e-10 at n = 1e4 and 6e-6 at n = 3e4.  The
+    # mass also carries the rounding of its exponents, of size n|z|^2, half
+    # a unit in their last place: 1.8e-12 at n = 3e4, whatever the Gauss
+    # orders or panel widths
+    src = GinibreSource(n)
+    for radius in (1.02, 1.05):
+        z = cmath.rect(radius, 0.9)
+        mu, spec = berezin_cauchy_transform(src, z, with_spec=True)
+        assert abs(spec.mass - 1.0) <= 1e-12 + 0.5 * _EPS * n * radius ** 2
+        want = _mp_ginibre_transform(n, z)
+        assert abs(mu - want) <= 1e-12 * abs(want)
+
+
 def test_cauchy_transform_two_term_convergence():
     errs = []
     for n in (100, 400):
@@ -299,10 +342,10 @@ def test_walk_layout_matches_disc_closed_forms(n, companion):
         roots.append((1.5 * cmath.exp(2j), 1e-12))
     if n >= 50:
         roots.append(((s_max + 1.0) * cmath.exp(0.7j), 1e-12))
-        # within m_r = 0.15 of s_max the sector is clipped at s_max; beside
-        # the disc's edge the companion walk's lower-order rules resolve
-        # 1/(z - w) to 3e-12 at n = 50
-        roots.append(((s_max - 0.1) * cmath.exp(1.2j), 1e-11 if companion else 1e-12))
+    # within m_r = 0.15 of s_max the sector is clipped at s_max; the phi
+    # panels beside it are graded from its edges, so both walks resolve
+    # 1/(z - w) there
+    roots += [((s_max - d) * cmath.exp(1.2j), 1e-12) for d in (0.1, 0.14, 0.2, 0.3)]
     for z, rel in roots:
         z = complex(z)
         src = _UnitSource(n)
