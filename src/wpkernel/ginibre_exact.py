@@ -279,19 +279,18 @@ def _flat_e_n(n: int, x: np.ndarray, ratio: bool):
     outer = ~inner
     log_e = np.empty(x.size)
     r = np.empty(x.size, dtype=complex) if ratio else None
-    for side, mask in ((False, outer), (True, inner)):
-        if not np.count_nonzero(mask):  # a fraction of the cost of mask.any()
-            continue
-        xs = x[mask]
-        lead, sums = _side_sums(n, xs, side)
-        if side:
-            s = np.maximum(xs.real, lead)
-            log_e[mask], _, r_side = _inner_e_n(n, lead, sums, s, xs - s, np.abs(xs),
-                                                np.angle(xs), ratio)
-        else:
-            log_e[mask], _, r_side = _outer_e_n(lead, sums, ratio)
+    if np.count_nonzero(outer):  # a fraction of the cost of outer.any()
+        log_e[outer], _, r_outer = _outer_e_n(*_side_sums(n, x[outer], False), ratio)
         if ratio:
-            r[mask] = r_side
+            r[outer] = r_outer
+    if np.count_nonzero(inner):
+        xs = x[inner]
+        lead, sums = _side_sums(n, xs, True)
+        s = np.maximum(xs.real, lead)
+        log_e[inner], _, r_inner = _inner_e_n(n, lead, sums, s, xs - s, np.abs(xs), np.angle(xs),
+                                              ratio)
+        if ratio:
+            r[inner] = r_inner
     return log_e, r
 
 

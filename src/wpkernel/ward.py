@@ -57,8 +57,12 @@ _EPS = float(np.finfo(float).eps)
 # `_polar_walk` by this many orders and halves its periodic trapezoid.
 _ORDER_DROP = 4
 # Periodic trapezoid nodes on the full rays when the sector is the disc about
-# the origin; without a sector the count is sized from the root (`_trapezoid_count`).
+# the origin, or when the source is not rotation-invariant; otherwise the
+# count is sized from the root (`_trapezoid_count`).
 _N_THETA = 256
+# Gauss panels in phi beside an annular sector when the source is not
+# rotation-invariant; otherwise they are graded from the sector (`_phi_edges`).
+_N_PHI = 32
 
 
 def walk_radius(pot: AdmissiblePotential, n: int) -> float:
@@ -74,6 +78,7 @@ class GinibreSource:
     """Exact-kernel source for Q = |z|^2."""
 
     name = "ginibre"
+    rotation_order = math.inf
 
     def __init__(self, n: int):
         check_n(n)
@@ -116,7 +121,8 @@ class OracleSource:
     Flat nodes take one Horner step per degree, a tensor one real BLAS product
     per polynomial (`_tensor_sums`), shaped (radii, angles) as it comes:
     O(degree * nodes) work either way, in O(nodes + degree (angles + radii))
-    memory.  The walk's s_max comes from the weight of `pot` (`walk_radius`).
+    memory.  The walk's s_max comes from the weight of `pot` (`walk_radius`),
+    and its angular rules from the weight's rotation_order.
     """
 
     name = "oracle"
@@ -124,6 +130,7 @@ class OracleSource:
     def __init__(self, basis, pot: AdmissiblePotential):
         self.basis = basis
         self.pot = pot
+        self.rotation_order = pot.rotation_order
         self.n = basis.n
         self.outer_radius = pot.outer_radius(1.0)
         self.s_max = walk_radius(pot, self.n)
@@ -228,12 +235,13 @@ class QuadSpec:
 
     n_theta: angular nodes on the full rays: the periodic trapezoid's 2N
         (N on the companion walk), N sized from log(|z|/s_max) for a root
-        beyond the walk (`_trapezoid_count`) and 128 when the sector is the
-        disc about the origin; or, beside an annular sector, Gauss panels
-        of 12 (8) nodes in phi, graded from the sector's edges
-        (`_phi_edges`); n_radial: every node the walk evaluates, sector
-        included; mass: the same-grid mass of B_n.  The walk ends at the
-        source's s_max (`walk_radius`).
+        beyond the walk (`_trapezoid_count`), and 128 when the sector is
+        the disc about the origin or the source is not rotation-invariant;
+        or, beside an annular sector, Gauss panels of 12 (8) nodes in phi,
+        graded from the sector's edges (`_phi_edges`), 32 panels when the
+        source is not rotation-invariant; n_radial: every node the walk
+        evaluates, sector included; mass: the same-grid mass of B_n.  The
+        walk ends at the source's s_max (`walk_radius`).
     """
 
     n_theta: int
@@ -343,14 +351,16 @@ def _trapezoid_count(az: float, s_max: float) -> int:
 
 def _phi_edges(phi_b: float, phi_c: float, half_width: float) -> np.ndarray:
     """Panel edges on [phi_b, phi_c], graded geometrically from both ends: a
-    panel starting at angular distance d from the nearer end is d + half_width
-    wide, at most 0.5, and the two sides meet in the middle.  The Cauchy
-    factor's pole lies half_width beyond the ends, so every panel sees it
-    at a fixed ratio of its width."""
+    panel starting at angular distance d from the nearer end is (d +
+    half_width)/2 wide, at most 0.5, and the two sides meet in the middle.
+    The Cauchy factor's pole lies half_width beyond the ends, so every
+    panel sees it at twice its width.  Panels as wide as d + half_width
+    left the companion walk short of B_n's Gaussian about a root at n = 50,
+    whose angular width is 1/(sqrt(n) |z|), and raised the budget 13-fold."""
     mid = 0.5 * (phi_c - phi_b)
     d = [0.0]
-    while d[-1] + half_width < 0.5 and 2.0 * d[-1] + half_width < mid:
-        d.append(2.0 * d[-1] + half_width)
+    while (width := 0.5 * (d[-1] + half_width)) < 0.5 and d[-1] + width < mid:
+        d.append(d[-1] + width)
     # past the grading, panels of at most 0.5 up to the middle
     d = np.concatenate([d, np.linspace(d[-1], mid, math.ceil((mid - d[-1]) / 0.5) + 1)[1:]])
     return np.concatenate([phi_b + d, phi_c - d[-2::-1]])
@@ -373,12 +383,18 @@ def _polar_walk(source, z: complex, dbar: bool, companion: bool = False):
     `berezin_dbar_grid`), a tensor piece is its angles and radii
     (`berezin_tensor`).
 
-    The angular rules of the full rays are sized from the root: beside an
-    annular sector, Gauss panels graded from its edges (`_phi_edges`); with
-    no sector, the periodic trapezoid on 2N nodes, N from log(|z|/s_max)
-    (`_trapezoid_count`); and 256 trapezoid nodes when the sector is the
-    disc about the origin.  The sector's own angular panels grow like
-    sqrt(n) from n = 3200.
+    For a rotation-invariant source the angular rules of the full rays are
+    sized from the root: beside an annular sector, Gauss panels graded from
+    its edges (`_phi_edges`); with no sector, the periodic trapezoid on 2N
+    nodes, N from log(|z|/s_max) (`_trapezoid_count`).  Its B_n(z, s e^{i
+    phi}) is |sum_k c_k (|z| s e^{-i phi})^k|^2 times a radial weight, whose
+    angular modes fall like those of the Cauchy factor where B_n has its
+    mass.  Any other source keeps _N_PHI panels beside the sector and
+    _N_THETA trapezoid nodes: its B_n has angular structure of its own (the
+    harmonic measure of an ellipse has poles a fixed distance off the real
+    phi axis, whatever z), which the root does not size.  The disc about
+    the origin keeps _N_THETA nodes.  The sector's own angular panels grow
+    like sqrt(n) from n = 3200.
 
     The companion walk keeps every panel, lowers each Gauss rule by
     _ORDER_DROP orders and halves the periodic trapezoid.
@@ -422,10 +438,13 @@ def _polar_walk(source, z: complex, dbar: bool, companion: bool = False):
     if have_sector:
         bands.append((az, m_r + 6.0 / math.sqrt(n)))
     base_edges = _graded_edges(s_max, bands, fine, coarse)
+    invariant = source.rotation_order == math.inf
     if have_sector and s_a > 0:
         # full rays outside the sector's angular range, Gauss panels in phi
-        rules = [(composite_gauss(12 - drop, _phi_edges(phi_b, phi_a + 2.0 * math.pi, half_phi)),
-                  composite_gauss(16 - drop, base_edges))]
+        phi_c = phi_a + 2.0 * math.pi
+        phi_edges = (_phi_edges(phi_b, phi_c, half_phi) if invariant
+                     else np.linspace(phi_b, phi_c, _N_PHI + 1))
+        rules = [(composite_gauss(12 - drop, phi_edges), composite_gauss(16 - drop, base_edges))]
         # rays through the sector's angular range, radial band excluded
         edges = np.unique(np.concatenate([base_edges, [s_a, min(s_b, s_max)]]))
         skip = lambda a, b: a >= s_a - 1e-15 and b <= min(s_b, s_max) + 1e-15
@@ -441,7 +460,7 @@ def _polar_walk(source, z: complex, dbar: bool, companion: bool = False):
             n_trap = _N_THETA // 2
         else:
             radial = composite_gauss(16 - drop, base_edges)
-            n_trap = _trapezoid_count(az, s_max)
+            n_trap = _trapezoid_count(az, s_max) if invariant else _N_THETA // 2
         rules = [(quad_trapezoid_periodic(n_trap if companion else 2 * n_trap), radial)]
     pieces += [partial(_tensor, source, z, dbar, angular, radial) for angular, radial in rules]
 

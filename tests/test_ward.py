@@ -24,6 +24,7 @@ from wpkernel import (
 )
 from wpkernel.ortho_oracle import _poly_derivatives, _poly_values, kernel_oracle
 from wpkernel.potential import RADIAL_PROFILES
+from wpkernel import ward
 from wpkernel.ward import _polar_walk, ginthm_leading, ginthm_second_coeff
 
 _EPS = 2.3e-16
@@ -125,14 +126,47 @@ def test_rim_transform_at_large_n(n):
     # piece the mass missed 1 by 7e-10 at n = 1e4 and 6e-6 at n = 3e4.  The
     # mass also carries the rounding of its exponents, of size n|z|^2, half
     # a unit in their last place: 1.8e-12 at n = 3e4, whatever the Gauss
-    # orders or panel widths
+    # orders or panel widths, so the 1e-12 gate holds to n = 1e4 and the
+    # rounding floor is the gate beyond
     src = GinibreSource(n)
     for radius in (1.02, 1.05):
         z = cmath.rect(radius, 0.9)
         mu, spec = berezin_cauchy_transform(src, z, with_spec=True)
-        assert abs(spec.mass - 1.0) <= 1e-12 + 0.5 * _EPS * n * radius ** 2
+        floor = 0.0 if n <= 10_000 else 0.5 * _EPS * n * radius ** 2
+        assert abs(spec.mass - 1.0) <= 1e-12 + floor
         want = _mp_ginibre_transform(n, z)
         assert abs(mu - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("family", ["elliptic(1,3)", "quartic"])
+def test_far_transform_matches_finer_trapezoid(family, monkeypatch):
+    # beyond the walk, a rotation-invariant source takes a trapezoid sized
+    # from log(|z|/s_max) and any other source keeps 256 nodes: the
+    # harmonic measure of the ellipse has poles 0.35 off the real phi axis
+    # whatever z, so 64 nodes erred by 2e-10 at |z| = 3.5 s_max.  Both are
+    # held to the walk on 512 nodes
+    src = _walk_source(family, 40)
+    roots = [cmath.rect(f * src.s_max, a) for f, a in ((2.0, 0.4), (3.5, 1.1), (3.5, 0.0))]
+    got = [berezin_cauchy_transform(src, z) for z in roots]
+    monkeypatch.setattr(ward, "_N_THETA", 512)
+    monkeypatch.setattr(ward, "_trapezoid_count", lambda az, s_max: 256)
+    for z, mu in zip(roots, got):
+        want, spec = berezin_cauchy_transform(src, z, with_spec=True)
+        assert spec.n_theta == 512
+        assert abs(mu - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("z,parent_budget", [
+    (1.23, 8.1e-13), (0.89 * cmath.exp(1j), 2.7e-11), (0.77j, 1.5e-11), (0.5, 1.3e-11),
+])
+def test_sector_budget_keeps_measuring_the_walk(z, parent_budget):
+    # beside the sector the phi panels are graded at half the distance to
+    # the sector's pole, so the companion walk still resolves B_n's bulk
+    # Gaussian at n = 50; panels as wide as that distance raised these
+    # budgets up to 13x over those of the 32 even panels they replace
+    # (parent_budget), with the residuals unchanged
+    lr = loop_residual(GinibreSource(50), z)
+    assert abs(lr.residual) <= lr.budget <= 1.25 * parent_budget
 
 
 def test_cauchy_transform_two_term_convergence():
@@ -314,6 +348,7 @@ class _UnitSource:
     the angular node count of each tensor call."""
 
     outer_radius = 1.0
+    rotation_order = math.inf
 
     def __init__(self, n):
         self.n = n
