@@ -571,6 +571,20 @@ def ginibre_berezin_tensor(n: int, z: complex, angles: np.ndarray, radii: np.nda
     return _berezin_grids(n, z, log_e, r, s, (s, np.exp(1j * angles)), dbar)
 
 
+def ginibre_log_berezin_bound(n: int, z: complex, abs_w: np.ndarray) -> np.ndarray:
+    """log n + 2 log e_n(X) - n|w|^2 - log e_n(n|z|^2) >= log B_n(z, w) on |w| = abs_w,
+    X = n|z||w| (|e_n(x)| <= e_n(X)), with log e_n(X) <= X below X = n and at most the
+    endpoint term's lead + log min(n, 1/(1 - (n-1)/X)) from there.  As e_{n-1} <= e_n
+    and 0 <= r(n|z|^2) <= 1, |dbar_z B_n| <= n (|w| + |z|) e^{bound} (`_berezin_grids`)."""
+    az = abs(z)
+    x = n * az * abs_w
+    x_out = np.maximum(x, n)  # the bound from X = n, taken everywhere
+    _, lead = _window_extent(n, x_out, False)
+    outer = lead + np.minimum(math.log(n), -np.log1p(-(n - 1) / x_out))
+    log_d = _point_e_n(n, complex(n * az ** 2))[1]
+    return 2.0 * np.where(x >= n, outer, x) + (math.log(n) - log_d) - n * abs_w ** 2
+
+
 def ginibre_lap_log_kernel(n: int, z: complex) -> float:
     """Lap log k_n(z, z) for the unweighted kernel k_n(z, z) = n e_n(n|z|^2).
 

@@ -21,12 +21,14 @@ z-centered polar coordinates, where the Jacobian rho drho dtheta cancels
 the 1/(z - w) singularity exactly and leaves a smooth integrand, and one or
 two droplet-centered tensor pieces for the rest of the plane, shaped
 (radii, angles) as the sources' products give them.  Each piece is one
-array of nodes and one grid call.  The walk ends at the source's s_max
-(`walk_radius`), where n (Q - V) >= 80 + log n: B_n(z, w) <= R_n(w), and
-a weighted polynomial of degree < n decays like e^{-n (Q - V)} off the
-droplet, so the plane beyond carries terms below e^{-80}.  The raw
-integral is normalized by the same-grid mass of B_n, which also cancels
-shared quadrature bias.  The walk integrates B_n/(z - w) next to the loop
+array of nodes and one grid call (the sector's per block of rays).  The
+walk ends at the source's s_max (`walk_radius`), where n (Q - V) >= 80 +
+log n: B_n(z, w) <= R_n(w), and a weighted polynomial of degree < n decays
+like e^{-n (Q - V)} off the droplet, so the plane beyond carries terms below
+e^{-80}; inside, it skips the nodes where the source's log_envelope, a bound
+on log B_n and log |dbar_z B_n| in |w|, is below -80.  The raw integral is
+normalized by the same-grid mass of B_n, which also cancels shared
+quadrature bias.  The walk integrates B_n/(z - w) next to the loop
 integrand on the same nodes, so the Cauchy transform of the Berezin
 measure is read off the loop residual's walk.
 """
@@ -36,7 +38,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -45,6 +47,7 @@ from .ginibre_exact import (
     ginibre_berezin_array,
     ginibre_berezin_tensor,
     ginibre_lap_log_kernel,
+    ginibre_log_berezin_bound,
     ginibre_log_one_point,
 )
 from .hardy import harmonic_measure_integral
@@ -53,6 +56,10 @@ from .potential import AdmissiblePotential, GinibrePotential
 from .scaled_numerics import composite_gauss, gauss_on_interval, quad_trapezoid_periodic
 
 _EPS = float(np.finfo(float).eps)
+# The walk drops the plane past s_max (`walk_radius`) and the nodes where the
+# source's log_envelope is below -_NEGLIGIBLE: B_n and dbar_z B_n are below e^-80.
+_NEGLIGIBLE = 80.0
+_SECTOR_PANELS = 1 << 14  # radial panels per block of the sector's rays
 # The companion walk of the loop-residual budget lowers every Gauss rule of
 # `_polar_walk` by this many orders and halves its periodic trapezoid.
 _ORDER_DROP = 4
@@ -66,11 +73,12 @@ _N_PHI = 32
 
 
 def walk_radius(pot: AdmissiblePotential, n: int) -> float:
-    """s_max of the walk: the first s = r_out + (12/sqrt(n)) k/32, k = 1..32, where
-    n min (Q - V) >= 80 + log n over 64 angles of |w| = s; the last one if none."""
+    """s_max of the walk, which prunes inside by log_envelope: the first s = r_out +
+    (12/sqrt(n)) k/32, k = 1..32, where n min (Q - V) >= _NEGLIGIBLE + log n over 64
+    angles of |w| = s; the last one if none."""
     s = pot.outer_radius(1.0) + (12.0 / math.sqrt(n)) * np.arange(1, 33) / 32
     low = n * pot.ridge(s[:, None] * np.exp(2j * math.pi * np.arange(64) / 64)).min(axis=1)
-    past = np.flatnonzero(low >= 80.0 + math.log(n))
+    past = np.flatnonzero(low >= _NEGLIGIBLE + math.log(n))
     return float(s[past[0] if past.size else -1])
 
 
@@ -94,6 +102,11 @@ class GinibreSource:
 
     def berezin_tensor(self, z: complex, angles: np.ndarray, radii: np.ndarray, dbar: bool):
         return ginibre_berezin_tensor(self.n, z, angles, radii, dbar)
+
+    def log_envelope(self, z: complex, abs_w: np.ndarray) -> np.ndarray:
+        """A bound on log B_n(z, w) and on log |dbar_z B_n(z, w)| over |w| = abs_w."""
+        bound = ginibre_log_berezin_bound(self.n, z, abs_w)
+        return bound + np.log(np.maximum(1.0, self.n * (abs_w + abs(z))))
 
     def log_one_point(self, z: complex) -> float:
         return ginibre_log_one_point(self.n, z)
@@ -206,6 +219,10 @@ class OracleSource:
         kerns = self._tensor_sums(rows, angles, radii)
         return self._grids(z, radii[:, None] * np.exp(1j * angles), rows, kerns)
 
+    def log_envelope(self, z: complex, abs_w: np.ndarray) -> np.ndarray:
+        """+inf, every node kept: a bound needs Q on each node, ~10% of a transform at n = 40."""
+        return np.full(np.shape(abs_w), math.inf)
+
     def log_one_point(self, z: complex) -> float:
         return kernel_oracle(self.basis, z, z).log_mag
 
@@ -239,9 +256,9 @@ class QuadSpec:
         the disc about the origin or the source is not rotation-invariant;
         or, beside an annular sector, Gauss panels of 12 (8) nodes in phi,
         graded from the sector's edges (`_phi_edges`), 32 panels when the
-        source is not rotation-invariant; n_radial: every node the walk
-        evaluates, sector included; mass: the same-grid mass of B_n.  The
-        walk ends at the source's s_max (`walk_radius`).
+        source is not rotation-invariant; n_radial: the nodes the walk
+        evaluates (not those the source's log_envelope drops), sector
+        included; mass: the same-grid mass of B_n.  The walk ends at s_max.
     """
 
     n_theta: int
@@ -271,9 +288,9 @@ def _graded_edges(s_max: float, fine_bands, fine: float, coarse: float):
     return np.unique(np.concatenate(edges))
 
 
-def _sector(grid, z: complex, s_a, s_b, phi_a, phi_b, fine, drop, per_piece):
+def _sector(source, z: complex, dbar: bool, s_a, s_b, phi_a, phi_b, fine, drop, per_piece):
     """The sector in z-centered polar coordinates: grid values, area and
-    Cauchy weights of its nodes, as one array each.
+    Cauchy weights of its live nodes, one flat array each per block of rays.
 
     The sector is star-shaped about z (its angular width is small), so each
     direction theta has a single exit radius: the nearest crossing with the
@@ -283,6 +300,8 @@ def _sector(grid, z: complex, s_a, s_b, phi_a, phi_b, fine, drop, per_piece):
     Gauss panels with 16 - drop nodes each; each ray has ceil(exit/fine)
     panels of 12 - drop nodes.  The Jacobian rho drho dtheta cancels the
     Cauchy kernel, whose weight is -e^{-i theta} drho dtheta in closed form.
+    The rays go in blocks of about _SECTOR_PANELS panels, which bounds the
+    memory as the panels grow with n; each block drops its dead nodes.
     """
     az = abs(z)
     if s_a > 0:
@@ -311,31 +330,39 @@ def _sector(grid, z: complex, s_a, s_b, phi_a, phi_b, fine, drop, per_piece):
                           out=np.full(denom.shape, np.inf), where=np.abs(denom) > 1e-14)
         r_exit = np.minimum(r_exit, np.where(r_ray > 0, r_ray, np.inf).min(axis=0))
 
-    # the panels of np.linspace(0, r_exit, n_pan + 1) on every ray, ray by ray
     n_pan = np.maximum(1, np.ceil(r_exit / fine)).astype(int)
-    ray = np.repeat(np.arange(e.size), n_pan)
-    panel = np.arange(ray.size) - np.repeat(np.cumsum(n_pan) - n_pan, n_pan)
-    step = (r_exit / n_pan)[ray]
-    hi = np.where(panel + 1 == n_pan[ray], r_exit[ray], (panel + 1) * step)
-    radial = gauss_on_interval(12 - drop, panel * step, hi)
-    ray = np.repeat(ray, 12 - drop)
-    e = e[ray]
-    b, f = grid(z + radial.nodes * e)
-    d_area = angular.weights[ray] * radial.weights  # drho dtheta
-    return b, f, d_area * radial.nodes, -d_area * e.conj()
+    ends = np.cumsum(n_pan)
+    cuts = np.searchsorted(ends, np.arange(_SECTOR_PANELS, ends[-1], _SECTOR_PANELS), "right")
+    for first, last in zip(np.r_[0, cuts], np.r_[cuts, e.size]):
+        # the panels of np.linspace(0, r_exit, n_pan + 1) on every ray, ray by ray
+        counts = n_pan[first:last]
+        ray = np.repeat(np.arange(first, last), counts)
+        panel = np.arange(ray.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        step = (r_exit / n_pan)[ray]
+        hi = np.where(panel + 1 == n_pan[ray], r_exit[ray], (panel + 1) * step)
+        radial = gauss_on_interval(12 - drop, panel * step, hi)
+        ray = np.repeat(ray, 12 - drop)
+        ws = z + radial.nodes * e[ray]
+        live = np.flatnonzero(source.log_envelope(z, np.abs(ws)) >= -_NEGLIGIBLE)
+        ws, ray = ws[live], ray[live]
+        b, f = source.berezin_dbar_grid(z, ws) if dbar else (source.berezin_grid(z, ws), None)
+        d_area = angular.weights[ray] * radial.weights[live]  # drho dtheta
+        yield b, f, d_area * radial.nodes[live], -d_area * e[ray].conj()
 
 
 def _tensor(source, z: complex, dbar: bool, angular, radial):
     """Droplet-centered tensor piece of two rules: grid values, area and
-    Cauchy weights area/(z - w) of its nodes, as one flat array each.  The
-    source evaluates the tensor from its angles and radii."""
-    s_nodes = radial.nodes[:, None]
-    b, f = source.berezin_tensor(z, angular.nodes, radial.nodes, dbar)
-    ws = (s_nodes * np.exp(1j * angular.nodes)).ravel()
-    area = (angular.weights * radial.weights[:, None] * s_nodes).ravel()
+    Cauchy weights area/(z - w) of its nodes, as one flat array each, on the
+    rings where the source's log_envelope reaches -_NEGLIGIBLE.  The source
+    evaluates the tensor from its angles and radii."""
+    live = source.log_envelope(z, radial.nodes) >= -_NEGLIGIBLE
+    radii = radial.nodes[live]
+    b, f = source.berezin_tensor(z, angular.nodes, radii, dbar)
+    ws = (radii[:, None] * np.exp(1j * angular.nodes)).ravel()
+    area = (angular.weights * radial.weights[live, None] * radii[:, None]).ravel()
     # area/(z - w) in place: fresh node-sized arrays cost page faults
     kern = np.subtract(z, ws, out=ws)
-    return b.ravel(), None if f is None else f.ravel(), area, np.divide(area, kern, out=kern)
+    yield b.ravel(), None if f is None else f.ravel(), area, np.divide(area, kern, out=kern)
 
 
 def _trapezoid_count(az: float, s_max: float) -> int:
@@ -379,9 +406,11 @@ def _polar_walk(source, z: complex, dbar: bool, companion: bool = False):
     region is aligned with the coordinates, the angular integrand stays
     piecewise analytic and composite Gauss rules converge at spectral rate.
     Each of the at most three pieces is one grid call, reduced by the same
-    four sums: the sector is one flat array of nodes (`berezin_grid` or
-    `berezin_dbar_grid`), a tensor piece is its angles and radii
-    (`berezin_tensor`).
+    four sums: the sector is one flat array of nodes per block of rays
+    (`berezin_grid` or `berezin_dbar_grid`), a tensor piece is its angles
+    and radii (`berezin_tensor`).  The pieces first drop the nodes (rings)
+    where the source's log_envelope, the same with or without dbar, is
+    below -_NEGLIGIBLE: every dropped term is below e^{-80}.
 
     For a rotation-invariant source the angular rules of the full rays are
     sized from the root: beside an annular sector, Gauss panels graded from
@@ -424,13 +453,11 @@ def _polar_walk(source, z: complex, dbar: bool, companion: bool = False):
             phi_a, phi_b = phi_z - half_phi, phi_z + half_phi
         if az < s_max:
             s_b = min(s_b, s_max)  # the tensor pieces end at s_max
-        grid = lambda ws: (source.berezin_dbar_grid(z, ws) if dbar
-                           else (source.berezin_grid(z, ws), None))
         # three angular panels per corner piece up to n = 3200, then growing like
         # sqrt(n): the directions cross the belt about the droplet's boundary,
         # across which B_n varies on the scale n^{-1/2}
         per_piece = max(3, math.ceil(3.0 * math.sqrt(n / 3200.0)))
-        pieces.append(partial(_sector, grid, z, s_a, s_b, phi_a, phi_b, fine, drop, per_piece))
+        pieces.append(_sector(source, z, dbar, s_a, s_b, phi_a, phi_b, fine, drop, per_piece))
 
     # droplet-centered complement
     coarse = 0.25
@@ -462,13 +489,12 @@ def _polar_walk(source, z: complex, dbar: bool, companion: bool = False):
             radial = composite_gauss(16 - drop, base_edges)
             n_trap = _trapezoid_count(az, s_max) if invariant else _N_THETA // 2
         rules = [(quad_trapezoid_periodic(n_trap if companion else 2 * n_trap), radial)]
-    pieces += [partial(_tensor, source, z, dbar, angular, radial) for angular, radial in rules]
+    pieces += [_tensor(source, z, dbar, angular, radial) for angular, radial in rules]
 
     cauchy = integral = 0j
     mass = l1 = 0.0
     n_nodes = 0
-    for piece in pieces:
-        b, f, area, kern = piece()
+    for b, f, area, kern in chain(*pieces):  # the generators run one block at a time
         # pairwise ndarray sums: BLAS dot products round up to 1e-14 worse here
         cauchy += complex((b * kern).sum())
         mass += float(np.multiply(b, area, out=area).sum())

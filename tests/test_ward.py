@@ -22,6 +22,7 @@ from wpkernel import (
     make_radial,
     orthonormalize,
 )
+from wpkernel.ginibre_exact import ginibre_berezin_tensor, ginibre_log_berezin_bound
 from wpkernel.ortho_oracle import _poly_derivatives, _poly_values, kernel_oracle
 from wpkernel.potential import RADIAL_PROFILES
 from wpkernel import ward
@@ -136,6 +137,98 @@ def test_rim_transform_at_large_n(n):
         assert abs(spec.mass - 1.0) <= 1e-12 + floor
         want = _mp_ginibre_transform(n, z)
         assert abs(mu - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 50, 800, 3200, 100_000])
+def test_log_envelope_bounds_every_ring(n):
+    # the walk drops the nodes where the envelope is below -80, so it must
+    # bound B_n and |dbar_z B_n| on the whole ring |w| = s, up to rounding
+    src = GinibreSource(n)
+    angles = 2.0 * math.pi * np.arange(2048) / 2048
+    rng = np.random.default_rng(6000 + n)
+    radii = np.concatenate([[0.0, src.s_max], rng.uniform(0.0, src.s_max, 30)])
+    for az in (0.0, 0.5, 0.99, 1.02, 1.05, src.s_max + 0.5):
+        z = cmath.rect(az, rng.uniform(0.0, 2.0 * math.pi))
+        b, f = ginibre_berezin_tensor(n, z, angles, radii, True)
+        with np.errstate(divide="ignore"):
+            log_b, log_f = np.log(b.max(axis=1)), np.log(np.abs(f).max(axis=1))
+        slack = 16.0 * _EPS * (1.0 + n * (az + src.s_max) ** 2)
+        assert np.all(log_b <= ginibre_log_berezin_bound(n, z, radii) + slack)
+        envelope = src.log_envelope(z, radii)
+        assert np.all(np.maximum(log_b, log_f) <= envelope + slack)
+
+
+def _keep_every_node(self, z, abs_w):
+    """A log_envelope under which no node is negligible."""
+    return np.full(np.shape(abs_w), math.inf)
+
+
+@pytest.mark.parametrize("n", [50, 800, 3200, 10_000])
+def test_pruned_walk_matches_the_full_walk(n, monkeypatch):
+    # the nodes the envelope drops carry less than e^{-80}: against the walk
+    # that evaluates every node, transforms move by rounding only and loop
+    # budgets by at most 1%
+    src = GinibreSource(n)
+    rng = np.random.default_rng(7000 + n)
+    outside = [cmath.rect(r, a) for r, a in zip((1.02, 1.05, src.s_max + 0.3),
+                                                  rng.uniform(0.0, 2.0 * math.pi, 3))]
+    inside = [cmath.rect(r, a) for r, a in zip(rng.uniform(0.0, 0.9, 2),
+                                                 rng.uniform(0.0, 2.0 * math.pi, 2))]
+    roots = outside + inside
+    pruned = [berezin_cauchy_transform(src, z, with_spec=True) for z in roots]
+    loops = [loop_residual(src, z).budget for z in roots[::2]]
+    monkeypatch.setattr(GinibreSource, "log_envelope", _keep_every_node)
+    for z, (mu, spec) in zip(roots, pruned):
+        want, full = berezin_cauchy_transform(src, z, with_spec=True)
+        assert spec.n_radial < full.n_radial
+        tol = 1e-14 * abs(want) if z in outside else 4.0 * _EPS * n
+        assert abs(mu - want) <= tol
+    for z, budget in zip(roots[::2], loops):
+        assert loop_residual(src, z).budget == pytest.approx(budget, rel=0.01)
+
+
+@pytest.mark.parametrize("n", [10, 50, 200, 800, 3200])
+def test_interior_transform_floor(n):
+    # inside the droplet the transform is exponentially small, and the walk
+    # leaves the rounding of its O(n) exponents: about eps n absolute, not
+    # the 1e-13 of the exterior (1.6e-12 at n = 3200)
+    src = GinibreSource(n)
+    rng = np.random.default_rng(5000 + n)
+    for radius, angle in zip(rng.uniform(0.0, 0.9, 4), rng.uniform(0.0, 2.0 * math.pi, 4)):
+        z = cmath.rect(radius, angle)
+        assert abs(berezin_cauchy_transform(src, z) - _mp_ginibre_transform(n, z)) <= 4 * _EPS * n
+
+
+@pytest.mark.parametrize("z", [cmath.rect(1.05, 0.9), 0.1 + 0.05j])
+def test_sector_blocks_match_one_block(z, monkeypatch):
+    # below n ~ 1e5 the sector is one block; blocks of a few rays must give
+    # the same nodes and the same integrals up to the order of summation
+    src = GinibreSource(800)
+    whole = loop_residual(src, z)
+    monkeypatch.setattr(ward, "_SECTOR_PANELS", 7)
+    blocked = loop_residual(src, z)
+    assert blocked.quad_spec.n_radial == whole.quad_spec.n_radial
+    assert abs(blocked.residual) <= blocked.budget
+    assert abs(blocked.lhs - whole.lhs) <= whole.budget
+    # inside the droplet the transform is at its rounding floor, eps n
+    mu = whole.cauchy_transform
+    assert abs(blocked.cauchy_transform - mu) <= 1e-14 * abs(mu) + 4.0 * _EPS * src.n
+
+
+def test_walk_memory_is_bounded_at_large_n():
+    # the sector goes in blocks of rays and the dead nodes are dropped before
+    # any grid call; with the whole sector built at once, 763 MB were traced
+    n, z = 1_000_000, cmath.rect(1.05, 0.9)
+    tracemalloc.start()
+    try:
+        mu, spec = berezin_cauchy_transform(GinibreSource(n), z, with_spec=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200e6
+    # to the rounding floor of the exponents n|z|^2 (`test_rim_transform_at_large_n`)
+    want = _mp_ginibre_transform(n, z)
+    assert abs(mu - want) <= (1e-12 + 0.5 * _EPS * n * abs(z) ** 2) * abs(want)
 
 
 @pytest.mark.parametrize("family", ["elliptic(1,3)", "quartic"])
@@ -358,6 +451,8 @@ class _UnitSource:
     def berezin_dbar_grid(self, z, ws):
         self.sizes.append(ws.size)
         return np.ones(ws.shape), np.ones(ws.shape, dtype=complex)
+
+    log_envelope = _keep_every_node
 
     def berezin_tensor(self, z, angles, radii, dbar):
         self.sizes.append(angles.size * radii.size)
