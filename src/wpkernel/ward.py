@@ -31,6 +31,13 @@ normalized by the same-grid mass of B_n, which also cancels shared
 quadrature bias.  The walk integrates B_n/(z - w) next to the loop
 integrand on the same nodes, so the Cauchy transform of the Berezin
 measure is read off the loop residual's walk.
+
+For a rotation-invariant weight the reflection R w = e^{2i phi_z} conj(w)
+across the line through 0 and z is an antiholomorphic isometry that fixes z
+and Q, so B_n(z, R w) = B_n(z, w) and dbar_z B_n(z, R w) = e^{2i phi_z} conj
+dbar_z B_n(z, w).  The walk's layout is symmetric under R with no node on
+the axis; it evaluates the half with arg w - phi_z in (0, pi) and adds the
+mirror half in closed form.
 """
 
 from __future__ import annotations
@@ -53,7 +60,8 @@ from .ginibre_exact import (
 from .hardy import harmonic_measure_integral
 from .ortho_oracle import _poly_derivatives, _poly_values, kernel_oracle
 from .potential import AdmissiblePotential, GinibrePotential
-from .scaled_numerics import composite_gauss, gauss_on_interval, quad_trapezoid_periodic
+from .scaled_numerics import (Quadrature1D, composite_gauss, gauss_on_interval,
+                              quad_trapezoid_periodic)
 
 _EPS = float(np.finfo(float).eps)
 # The walk drops the plane past s_max (`walk_radius`) and the nodes where the
@@ -258,7 +266,9 @@ class QuadSpec:
         graded from the sector's edges (`_phi_edges`), 32 panels when the
         source is not rotation-invariant; n_radial: the nodes the walk
         evaluates (not those the source's log_envelope drops), sector
-        included; mass: the same-grid mass of B_n.  The walk ends at s_max.
+        included, which for a rotation-invariant source is one mirror half
+        of the layout; mass: the same-grid mass of B_n, both halves.  The
+        walk ends at s_max.
     """
 
     n_theta: int
@@ -288,7 +298,7 @@ def _graded_edges(s_max: float, fine_bands, fine: float, coarse: float):
     return np.unique(np.concatenate(edges))
 
 
-def _sector(source, z: complex, dbar: bool, s_a, s_b, phi_a, phi_b, fine, drop, per_piece):
+def _sector(source, z: complex, dbar: bool, s_a, s_b, phi_a, phi_b, fine, drop, per_piece, half):
     """The sector in z-centered polar coordinates: grid values, area and
     Cauchy weights of its live nodes, one flat array each per block of rays.
 
@@ -300,6 +310,9 @@ def _sector(source, z: complex, dbar: bool, s_a, s_b, phi_a, phi_b, fine, drop, 
     Gauss panels with 16 - drop nodes each; each ray has ceil(exit/fine)
     panels of 12 - drop nodes.  The Jacobian rho drho dtheta cancels the
     Cauchy kernel, whose weight is -e^{-i theta} drho dtheta in closed form.
+    half picks the rays to evaluate (`_mirror_half`, or every ray); a kept
+    ray's mirror has the weight -e^{i(theta - 2 phi_z)} drho dtheta, e^{-2i
+    phi_z} times the conjugate, which the walk adds in its sums.
     The rays go in blocks of about _SECTOR_PANELS panels, which bounds the
     memory as the panels grow with n; each block drops its dead nodes.
     """
@@ -314,7 +327,7 @@ def _sector(source, z: complex, dbar: bool, s_a, s_b, phi_a, phi_b, fine, drop, 
     t0, t1 = theta_edges[:-1], theta_edges[1:]
     keep = t1 - t0 >= 1e-13
     edges = np.linspace(t0[keep], t1[keep], per_piece + 1, axis=1)
-    angular = gauss_on_interval(16 - drop, edges[:, :-1], edges[:, 1:])
+    angular = half(gauss_on_interval(16 - drop, edges[:, :-1], edges[:, 1:]))
 
     # exit radii in real arithmetic: numpy's complex product may round differently
     e = np.exp(1j * angular.nodes)
@@ -354,7 +367,8 @@ def _tensor(source, z: complex, dbar: bool, angular, radial):
     """Droplet-centered tensor piece of two rules: grid values, area and
     Cauchy weights area/(z - w) of its nodes, as one flat array each, on the
     rings where the source's log_envelope reaches -_NEGLIGIBLE.  The source
-    evaluates the tensor from its angles and radii."""
+    evaluates the tensor from its angles and radii: for a rotation-invariant
+    source, the mirror half of the angular rule that the walk evaluates."""
     live = source.log_envelope(z, radial.nodes) >= -_NEGLIGIBLE
     radii = radial.nodes[live]
     b, f = source.berezin_tensor(z, angular.nodes, radii, dbar)
@@ -363,6 +377,13 @@ def _tensor(source, z: complex, dbar: bool, angular, radial):
     # area/(z - w) in place: fresh node-sized arrays cost page faults
     kern = np.subtract(z, ws, out=ws)
     yield b.ravel(), None if f is None else f.ravel(), area, np.divide(area, kern, out=kern)
+
+
+def _mirror_half(rule, phi_z: float):
+    """The nodes of an angular rule with alpha = angle - phi_z in (0, pi): one of each
+    pair of nodes mirrored across the root's axis, on which the walk's rules have no node."""
+    keep = np.sin(rule.nodes - phi_z) > 0.0
+    return Quadrature1D(rule.nodes[keep], rule.weights[keep])
 
 
 def _trapezoid_count(az: float, s_max: float) -> int:
@@ -428,6 +449,12 @@ def _polar_walk(source, z: complex, dbar: bool, companion: bool = False):
     The companion walk keeps every panel, lowers each Gauss rule by
     _ORDER_DROP orders and halves the periodic trapezoid.
 
+    The same rotation_order folds the walk across the root's axis (see the
+    module): the sector, its pieces and the phi panels are symmetric about
+    it by construction, the periodic trapezoid is placed so, and no node of
+    these even-order rules lies on it.  A rotation-invariant source is
+    evaluated on one mirror half (`_mirror_half`); the sums add the other.
+
     Returns (cauchy, integral, l1, spec): the integrals of B_n and of f (0
     without f), l1 the sum of the moduli of the f integral's node terms,
     and spec.mass the same-grid mass.
@@ -441,6 +468,8 @@ def _polar_walk(source, z: complex, dbar: bool, companion: bool = False):
     m_r = 0.15
     az = abs(z)
     phi_z = math.atan2(z.imag, z.real)
+    invariant = source.rotation_order == math.inf
+    half = (lambda rule: _mirror_half(rule, phi_z)) if invariant else (lambda rule: rule)
     have_sector = az - m_r < s_max
     pieces = []
     if have_sector:
@@ -457,7 +486,7 @@ def _polar_walk(source, z: complex, dbar: bool, companion: bool = False):
         # sqrt(n): the directions cross the belt about the droplet's boundary,
         # across which B_n varies on the scale n^{-1/2}
         per_piece = max(3, math.ceil(3.0 * math.sqrt(n / 3200.0)))
-        pieces.append(_sector(source, z, dbar, s_a, s_b, phi_a, phi_b, fine, drop, per_piece))
+        pieces.append(_sector(source, z, dbar, s_a, s_b, phi_a, phi_b, fine, drop, per_piece, half))
 
     # droplet-centered complement
     coarse = 0.25
@@ -465,7 +494,6 @@ def _polar_walk(source, z: complex, dbar: bool, companion: bool = False):
     if have_sector:
         bands.append((az, m_r + 6.0 / math.sqrt(n)))
     base_edges = _graded_edges(s_max, bands, fine, coarse)
-    invariant = source.rotation_order == math.inf
     if have_sector and s_a > 0:
         # full rays outside the sector's angular range, Gauss panels in phi
         phi_c = phi_a + 2.0 * math.pi
@@ -488,8 +516,16 @@ def _polar_walk(source, z: complex, dbar: bool, companion: bool = False):
         else:
             radial = composite_gauss(16 - drop, base_edges)
             n_trap = _trapezoid_count(az, s_max) if invariant else _N_THETA // 2
-        rules = [(quad_trapezoid_periodic(n_trap if companion else 2 * n_trap), radial)]
-    pieces += [_tensor(source, z, dbar, angular, radial) for angular, radial in rules]
+        trap = quad_trapezoid_periodic(n_trap if companion else 2 * n_trap)
+        if invariant:
+            # symmetric about the root's axis, with no node on it; the offsets beta from
+            # its normal come in exact +- pairs, which keeps the kept half's sums at the
+            # root 0, where they cancel, to 1e-15 (nodes counted from phi_z left 2e-15)
+            m = trap.nodes.size
+            beta = np.pi * (2 * np.arange(m) + 1 - m // 2) / m
+            trap = Quadrature1D(phi_z + (0.5 * np.pi + beta), trap.weights)
+        rules = [(trap, radial)]
+    pieces += [_tensor(source, z, dbar, half(angular), radial) for angular, radial in rules]
 
     cauchy = integral = 0j
     mass = l1 = 0.0
@@ -504,6 +540,12 @@ def _polar_walk(source, z: complex, dbar: bool, companion: bool = False):
             l1 += float(np.abs(kern).sum())
         n_nodes += b.size
         del b, f, area, kern  # free this piece's arrays before the next grid call
+    if invariant:
+        # add each node's mirror: the same B, f' = e^{2i phi_z} conj(f) and the
+        # Cauchy weight e^{-2i phi_z} conj(k), so pairs sum to e^{-i phi_z} times a real
+        u = cmath.exp(1j * phi_z)
+        cauchy = 2.0 * (u * cauchy).real * u.conjugate()
+        integral, mass, l1 = 2.0 * integral.real, 2.0 * mass, 2.0 * l1
     if mass <= 0:
         raise PrecisionError("Berezin mass quadrature collapsed to zero")
     # n_theta: the angular rule of the full rays, the first tensor piece

@@ -352,6 +352,73 @@ def test_walk_ends_where_the_one_point_function_vanishes(family, n):
     assert max(src.log_one_point(w) for w in circle) <= -80.0
 
 
+@pytest.mark.parametrize("family,n", [("ginibre", n) for n in (1, 2, 50, 800, 3200)]
+                         + [("quartic", 20)])
+def test_berezin_grids_are_mirror_symmetric(family, n):
+    # the walk's fold: for a rotation-invariant weight the reflection
+    # R w = e^{2i phi_z} conj(w) across the line through 0 and z is an
+    # antiholomorphic isometry that fixes z and Q, so B_n(z, R w) = B_n(z, w)
+    # and dbar_z B_n(z, R w) = e^{2i phi_z} conj dbar_z B_n(z, w).  Flat and
+    # tensor routes, at the root 0, in the disc sector's and the annular
+    # sector's range and beyond s_max, up to the rounding of exponents of
+    # size n (|z| + s_max)^2
+    src = _walk_source(family, n)
+    assert src.rotation_order == math.inf
+    rng = np.random.default_rng(8000 + n)
+    for az in (0.0, 0.2, 0.5, 0.99, 1.05, src.s_max + 0.3):
+        z = cmath.rect(az, rng.uniform(0.0, 2.0 * math.pi))
+        phi = math.atan2(z.imag, z.real)
+        rot = cmath.exp(2j * phi)
+        ws = rng.uniform(0.0, src.s_max, 300) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 300))
+        alpha, radii = rng.uniform(0.0, math.pi, 40), rng.uniform(0.0, src.s_max, 30)
+        rings = [[g.ravel() for g in src.berezin_tensor(z, phi + sign * alpha, radii, True)]
+                 for sign in (1.0, -1.0)]
+        tol = src.value_error(z) + 16.0 * _EPS * (1.0 + n * (az + src.s_max) ** 2)
+        for w, (b, f), (b_m, f_m) in (
+                (ws, src.berezin_dbar_grid(z, ws), src.berezin_dbar_grid(z, rot * np.conj(ws))),
+                ((radii[:, None] * np.exp(1j * (phi + alpha))).ravel(), *rings)):
+            # 1e-300: a node at an underflow cut may round to either side
+            assert np.all(np.abs(b_m - b) <= tol * b + 1e-300)
+            scale = n * b * (np.abs(w) + az) + np.abs(f)
+            assert np.all(np.abs(f_m - rot * np.conj(f)) <= tol * scale + 1e-300)
+
+
+@pytest.mark.parametrize("family,n,z,parent_nodes", [
+    ("ginibre", 1, 0.0, 155_136), ("ginibre", 50, 0.2j, 31_808), ("ginibre", 50, 0.5, 38_904),
+    ("ginibre", 800, 2.0, 24_000), ("ginibre", 3200, cmath.rect(1.05, 0.9), 53_572),
+    ("quartic", 20, 0.3 + 0.1j, 33_472), ("quartic", 20, 2.0 + 0.5j, 47_232),
+    ("elliptic(1,3)", 40, 0.3 + 0.1j, 37_808), ("elliptic(1,3)", 40, 2.0 + 0.5j, 71_424),
+    ("elliptic(1,3)", 40, 8.0, 40_960),
+])
+def test_folded_walk_evaluates_one_mirror_half(family, n, z, parent_nodes):
+    # a rotation-invariant source evaluates one mirror half of the layout
+    # the walk evaluated before the fold (parent_nodes): no rule has a node
+    # on the root's axis; the elliptic source keeps the whole layout
+    src = _walk_source(family, n)
+    spec = berezin_cauchy_transform(src, z, with_spec=True)[1]
+    folded = src.rotation_order == math.inf
+    assert spec.n_radial == (parent_nodes // 2 if folded else parent_nodes)
+
+
+@pytest.mark.parametrize("family,n", [("ginibre", 1), ("ginibre", 50), ("ginibre", 800),
+                                      ("quartic", 20)])
+def test_folded_walk_is_real_along_the_root(family, n):
+    # each mirror pair's Cauchy weights sum to e^{-i phi_z} times a real
+    # number, so z C_n(z) is real up to the rounding of that factor, and the
+    # pairs of the f integral sum to reals: the left side of the loop
+    # equation has no imaginary part beyond its rounding floor
+    src = _walk_source(family, n)
+    rng = np.random.default_rng(9000 + n)
+    for radius, angle in zip(rng.uniform(0.0, src.s_max + 1.0, 5),
+                             rng.uniform(0.0, 2.0 * math.pi, 5)):
+        z = cmath.rect(radius, angle)
+        lr = loop_residual(src, z)
+        zc = z * lr.cauchy_transform
+        assert abs(zc.imag) <= 8.0 * _EPS * abs(zc)
+        assert abs(lr.lhs.imag) <= src.value_error(z) * (abs(lr.lhs) + abs(lr.rhs))
+        assert abs(lr.residual) <= lr.budget
+
+
 @pytest.mark.parametrize("source_name,z", [
     ("ginibre", 0.5), ("ginibre", 1.5), ("oracle", 2.0 + 0.5j),
 ])
@@ -437,8 +504,10 @@ def test_loop_residual_budget_sweep(elliptic_bases, source_name, n):
 
 
 class _UnitSource:
-    """B = f = 1 on every node; records the node count of each grid call and
-    the angular node count of each tensor call."""
+    """B = 1 and f = e^{i arg z} on every node, as a rotation-invariant source's
+    f(R w) = e^{2i arg z} conj f(w) allows under the reflection R across the
+    root's axis; records the node count of each grid call and the angles of
+    each tensor call."""
 
     outer_radius = 1.0
     rotation_order = math.inf
@@ -448,24 +517,38 @@ class _UnitSource:
         self.s_max = 1.0 + 12.0 / math.sqrt(n)
         self.sizes, self.tensor_angles = [], []
 
+    def f_value(self, z):
+        return cmath.exp(1j * math.atan2(z.imag, z.real))
+
     def berezin_dbar_grid(self, z, ws):
         self.sizes.append(ws.size)
-        return np.ones(ws.shape), np.ones(ws.shape, dtype=complex)
+        return np.ones(ws.shape), np.full(ws.shape, self.f_value(z))
 
     log_envelope = _keep_every_node
 
     def berezin_tensor(self, z, angles, radii, dbar):
         self.sizes.append(angles.size * radii.size)
-        self.tensor_angles.append(angles.size)
+        self.tensor_angles.append(angles)
         shape = (radii.size, angles.size)
-        return np.ones(shape), np.ones(shape, dtype=complex)
+        return np.ones(shape), np.full(shape, self.f_value(z))
+
+
+class _FixedRulesUnitSource(_UnitSource):
+    """B = f = 1 for a source that is not rotation-invariant: the walk keeps
+    its fixed angular rules and evaluates every node."""
+
+    rotation_order = 1
+
+    def f_value(self, z):
+        return 1.0
 
 
 @pytest.mark.parametrize("companion", [False, True], ids=["reported", "companion"])
 @pytest.mark.parametrize("n", [1, 50, 800])
 def test_walk_layout_matches_disc_closed_forms(n, companion):
-    # with B = f = 1 the walk integrates over the disc |w| < s_max, where
-    # (1/pi) int dA(w)/(z - w) is conj(z) inside and s_max^2/z outside
+    # with B = 1 the walk integrates over the disc |w| < s_max, where
+    # (1/pi) int dA(w)/(z - w) is conj(z) inside and s_max^2/z outside, and
+    # the f integral is f times that
     s_max = 1.0 + 12.0 / math.sqrt(n)
     roots = [(0.0, 1e-12), (0.2, 1e-12), (0.5 + 0.3j, 1e-12), (0.99, 1e-12)]
     if n <= 50:
@@ -474,20 +557,29 @@ def test_walk_layout_matches_disc_closed_forms(n, companion):
         roots.append(((s_max + 1.0) * cmath.exp(0.7j), 1e-12))
     # within m_r = 0.15 of s_max the sector is clipped at s_max; the phi
     # panels beside it are graded from its edges, so both walks resolve
-    # 1/(z - w) there
-    roots += [((s_max - d) * cmath.exp(1.2j), 1e-12) for d in (0.1, 0.14, 0.2, 0.3)]
-    for z, rel in roots:
+    # 1/(z - w) there; the 32 even panels of the fixed rules do not
+    near_s_max = [((s_max - d) * cmath.exp(1.2j), 1e-12) for d in (0.1, 0.14, 0.2, 0.3)]
+    for z, rel in roots + near_s_max:
         z = complex(z)
-        src = _UnitSource(n)
-        cauchy, integral, _, spec = _polar_walk(src, z, dbar=True, companion=companion)
-        want = z.conjugate() if abs(z) < s_max else s_max ** 2 / z
-        tol = rel * abs(want) + 1e-15
-        assert abs(cauchy - want) <= tol
-        assert abs(integral - want) <= tol
-        assert spec.mass == pytest.approx(s_max ** 2, rel=1e-12)
-        assert len(src.sizes) <= 3 and spec.n_radial == sum(src.sizes)
-        # the angular nodes of the full rays: the first tensor piece
-        assert spec.n_theta == src.tensor_angles[0]
+        fixed = [] if (z, rel) in near_s_max else [_FixedRulesUnitSource(n)]
+        for src in [_UnitSource(n)] + fixed:
+            cauchy, integral, _, spec = _polar_walk(src, z, dbar=True, companion=companion)
+            want = z.conjugate() if abs(z) < s_max else s_max ** 2 / z
+            tol = rel * abs(want) + 1e-15
+            assert abs(cauchy - want) <= tol
+            assert abs(integral - src.f_value(z) * want) <= tol
+            assert spec.mass == pytest.approx(s_max ** 2, rel=1e-12)
+            assert len(src.sizes) <= 3 and spec.n_radial == sum(src.sizes)
+            # the angular nodes of the full rays: the first tensor piece, of
+            # which a rotation-invariant source evaluates the mirror half
+            # with arg w - arg z in (0, pi)
+            angles = src.tensor_angles[0]
+            if src.rotation_order == math.inf:
+                assert spec.n_theta == 2 * angles.size
+                for a in src.tensor_angles:
+                    assert np.all(np.sin(a - math.atan2(z.imag, z.real)) > 0.0)
+            else:
+                assert spec.n_theta == angles.size
 
 
 def test_radial_harmonic_limit_vanishes():
