@@ -37,7 +37,7 @@ from .errors import (
 from .expansion import exterior_kernel_expansion
 from .general_kernel import berezin_belt_density, kernel_asymptotic, sequence_cuts, tail_kernel
 from .ginibre_exact import ginibre_berezin_array, ginibre_kernel_exact
-from .ortho_oracle import compute_moments, kernel_oracle, orthonormalize
+from .ortho_oracle import compute_moments, orthonormalize
 from .potential import RADIAL_PROFILES, make_elliptic_ginibre, make_ginibre, make_radial
 from .scaled_numerics import quad_trapezoid_periodic
 from .szego_geometry import classify, trace_curve_K, trace_szego_curve
@@ -75,8 +75,8 @@ def _make_potential(args):
         pot = make_radial(profile)
     else:
         raise ConfigError(f"unknown potential {kind!r}")
-    if args.belt_M <= 0:
-        raise ConfigError("M must be positive")
+    if not 0.0 < args.belt_M < math.inf:
+        raise ConfigError("M must be positive and finite")
     pot.delta_M = args.belt_M
     return pot
 
@@ -164,28 +164,6 @@ def cmd_expand(args):
     return 0
 
 
-def _load_basis(path: str, pot):
-    """The basis that `oracle` writes; ConfigError unless the file is its JSON,
-    with every key and a coefficient table of degree + 1 columns."""
-    from .ortho_oracle import OrthonormalBasis
-
-    text = _read_text(path)  # its ConfigError (a ValueError) passes unwrapped
-    try:
-        payload = json.loads(text)
-        coeffs = np.array([[complex(c) for c in row] for row in payload["coefficients"]])
-        degree = int(payload["degree"])
-        basis = OrthonormalBasis(
-            n=int(payload["n"]), max_degree=degree, coeffs=coeffs,
-            scale=float(payload["scale"]), pot=pot,
-            gram_residual=float(payload["gram_residual"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path!r} is not a basis written by `oracle`: {exc!r}") from exc
-    if coeffs.ndim != 2 or coeffs.shape[1] != degree + 1:
-        raise ConfigError(f"{path!r} needs a coefficient table of {degree + 1} columns")
-    return basis
-
-
 def cmd_kernel(args):
     pot = _make_potential(args)
     z = _parse_complex(args.z)
@@ -197,10 +175,7 @@ def cmd_kernel(args):
     if args.mode in ("tail", "all"):
         values["tail"] = tail_kernel(pot, n, z, w)
     if args.mode in ("oracle", "all"):
-        if args.basis:
-            values["oracle"] = kernel_oracle(_load_basis(args.basis, pot), z, w)
-        else:
-            values["oracle"] = pot.exact_kernel(n)(z, w)
+        values["oracle"] = pot.exact_kernel(n)(z, w)
     rows = []
     names = sorted(values)
     for name in names:
@@ -248,13 +223,11 @@ def cmd_oracle(args):
     pot = _make_potential(args)
     gram = compute_moments(pot, args.n, args.degree)
     basis = orthonormalize(gram)
-    coeffs = [[str(c) for c in row] for row in np.asarray(basis.coeffs, dtype=object)]
     _emit_json(args, {
         "n": args.n, "degree": args.degree,
         "cond_estimate": gram.cond_estimate,
         "gram_residual": basis.gram_residual,
         "scale": basis.scale,
-        "coefficients": coeffs,
     })
     return 0
 
@@ -389,8 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="all",
                    choices=["asymptotic", "tail", "oracle", "all"])
     p.add_argument("--eta", type=float, default=0.05)
-    p.add_argument("--basis", default=None,
-                   help="JSON basis dump from the oracle subcommand")
     common(p)
     p.set_defaults(func=cmd_kernel)
 
@@ -408,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_droplet)
 
-    p = sub.add_parser("oracle", help="orthonormal basis dump")
+    p = sub.add_parser("oracle", help="Gram basis health report")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
     common(p)

@@ -55,6 +55,12 @@ def check_n(n) -> None:
     check_index(n, "particle count n", 1)
 
 
+def check_positive(value, name: str) -> None:
+    """DomainError unless 0 < value < inf (NaN fails)."""
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {value!r}")
+
+
 def check_finite(*values) -> None:
     """DomainError unless every value is finite."""
     for v in values:

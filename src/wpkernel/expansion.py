@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import RegimeError, check_index, check_n, check_scale, extent
+from .errors import RegimeError, check_index, check_n, check_positive, check_scale, extent
 from .scaled_numerics import (
     LogComplex,
     PolynomialQ,
@@ -188,6 +188,7 @@ def exterior_kernel_expansion(n: int, z: complex, w: complex, k: int = 0,
     w = complex(w)
     check_n(n)
     check_index(k, "order k", 0, _MAX_ORDER)
+    check_positive(eta, "saddle distance eta")
     ez, ew = extent(z), extent(w)
     check_scale(n * (ez * ez + ew * ew))
     zeta = z * w.conjugate()

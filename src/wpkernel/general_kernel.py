@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BeltError, DomainError, RegimeError, check_finite, check_index, check_n,
-                     check_scale, extent)
+                     check_positive, check_scale, extent)
 from .hardy import harmonic_measure_density, szego_kernel
 from .ortho_oracle import _ginibre_enveloped_log_w
 from .potential import AdmissiblePotential, GinibrePotential
@@ -51,6 +51,7 @@ class SequenceCuts:
 
 
 def sequence_cuts(n: int, M: float = 1.0) -> SequenceCuts:
+    check_positive(M, "belt constant M")
     if n < 3:
         raise DomainError("cut sequences need n >= 3 (log log n must be positive)")
     log_n = math.log(n)
@@ -89,6 +90,7 @@ def kernel_asymptotic(pot: AdmissiblePotential, n: int, z: complex, w: complex,
     the larger; elsewhere RegimeError.
     """
     check_n(n)
+    check_positive(eta, "saddle distance eta")
     z = complex(z)
     w = complex(w)
     check_scale(extent(z) + extent(w))

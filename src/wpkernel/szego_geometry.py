@@ -105,6 +105,8 @@ def classify(zeta: complex, tol: float = 1e-9) -> RegionLabel:
     """Classify zeta into regions I/II/III or onto the special curves."""
     zeta = complex(zeta)
     check_finite(zeta)
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"tol must be finite and non-negative, got {tol!r}")
     r = math.hypot(zeta.real, zeta.imag)
     to_one = math.hypot(zeta.real - 1.0, zeta.imag)
     if to_one <= tol:

@@ -127,6 +127,14 @@ def test_rho0_flag_is_gone():
     assert exc.value.code == 2
 
 
+def test_basis_flag_is_gone(tmp_path):
+    # the oracle row has one route, the potential's exact_kernel(n)
+    with pytest.raises(SystemExit) as exc:
+        run(["kernel", "--n", "12", "--z", "1.3,0", "--w", "1.2,0", "--mode", "oracle",
+             "--basis", str(tmp_path / "basis.json")])
+    assert exc.value.code == 2
+
+
 def test_seed_flag_is_gone(tmp_path):
     pts = tmp_path / "pts.csv"
     pts.write_text("0.5,0\n")
@@ -148,16 +156,6 @@ def test_classify_non_finite_point_is_a_domain_error(tmp_path):
     assert run(["classify", "--points", str(pts), "--out", str(tmp_path / "l.csv")]) == 2
 
 
-# --basis payloads that are not the JSON `oracle` writes
-_BAD_BASIS = {
-    "basis-empty-object": "{}",
-    "basis-not-json": "not json",
-    "basis-list": "[1, 2]",
-    "basis-short-rows": '{"n": 12, "degree": 2, "scale": 1.0, "gram_residual": 0.0, '
-                        '"coefficients": [["1", "0"]]}',
-}
-
-
 @pytest.mark.parametrize("argv", [
     ["classify", "--points", "{bad_lines}"],
     ["classify", "--points", "{letters}"],
@@ -165,26 +163,41 @@ _BAD_BASIS = {
     ["classify", "--points", "{binary}"],
     ["expand", "--nlist", "100", "--z", "1,2,3", "--w", "1.2,0"],
     ["kernel", "--config", "{missing}"],
-    ["kernel", "--n", "12", "--z", "1.3,0", "--w", "1.2,0", "--mode", "oracle",
-     "--basis", "{missing}"],
-] + [
-    ["kernel", "--n", "12", "--z", "1.3,0", "--w", "1.2,0", "--mode", "oracle",
-     "--basis", "{%s}" % key] for key in _BAD_BASIS
 ], ids=["classify-three-fields", "classify-not-a-number", "classify-missing-file",
-        "classify-not-utf8", "expand-three-fields", "missing-config-file", "missing-basis-file",
-        *_BAD_BASIS])
+        "classify-not-utf8", "expand-three-fields", "missing-config-file"])
 def test_malformed_input_is_a_config_error(argv, tmp_path, capsys):
     paths = {"bad_lines": tmp_path / "bad.csv", "letters": tmp_path / "letters.csv",
              "missing": tmp_path / "missing.csv", "binary": tmp_path / "binary.csv"}
     paths["bad_lines"].write_text("0.5,0\n1,2,3\n")
     paths["binary"].write_bytes(b"\xff\xfe0.5,0\n")
     paths["letters"].write_text("re,im\nabc,1\n")
-    for key, payload in _BAD_BASIS.items():
-        paths[key] = tmp_path / f"{key}.json"
-        paths[key].write_text(payload)
     argv = [arg.format(**paths) for arg in argv]
     assert run(argv + ["--out", str(tmp_path / "out.csv")]) == 1
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["kernel", "--n", "400", "--z", "1,0", "--w", "1,0", "--mode", "asymptotic",
+      "--eta", "nan"], 2),
+    (["expand", "--nlist", "100", "--z", "1.0000001,0", "--w", "1,0", "--k", "2",
+      "--eta", "-1"], 2),
+    (["kernel", "--potential", "elliptic", "--n", "400", "--z", "0.2,0.1", "--w", "1.5,0",
+      "--mode", "asymptotic", "--M", "nan"], 1),
+    (["kernel", "--potential", "elliptic", "--n", "400", "--z", "0.2,0.1", "--w", "1.5,0",
+      "--mode", "asymptotic", "--M", "inf"], 1),
+] + [
+    (["classify", "--points", "{pts}", "--tol", tol], 2) for tol in ("nan", "-1", "inf")
+], ids=["kernel-eta-nan", "expand-eta-negative", "kernel-M-nan", "kernel-M-inf",
+        "classify-tol-nan", "classify-tol-negative", "classify-tol-inf"])
+def test_bad_eta_tol_and_M_are_typed_errors(argv, code, tmp_path, capsys):
+    # typed errors that write nothing: not a traceback, nor an answer at the pole,
+    # with the belt check switched off, or a silent label
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0.5,0\n1,0\n")
+    out = tmp_path / "out.csv"
+    assert run([arg.format(pts=pts) for arg in argv] + ["--out", str(out)]) == code
+    assert capsys.readouterr().err.startswith(("domain/regime error: ", "config error: "))
+    assert not out.exists()
 
 
 def _per_value_rows(rows):
@@ -288,23 +301,19 @@ def test_droplet_and_figures(tmp_path):
     assert float(lines[2].split(",")[0]) == pytest.approx(p, rel=1e-15)
 
 
+_ORACLE_KEYS = {"version", "config", "n", "degree", "scale", "cond_estimate", "gram_residual"}
+
+
 def test_oracle_json_and_kernel_consumption(tmp_path):
     out = tmp_path / "oracle.json"
     assert run(["oracle", "--n", "12", "--degree", "11", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
+    assert set(payload) == _ORACLE_KEYS
     assert payload["gram_residual"] < 1e-10
-    assert len(payload["coefficients"]) == 12
-    # the kernel subcommand consumes the dumped basis
-    k_out = tmp_path / "k.csv"
-    assert run(["kernel", "--n", "12", "--z", "1.3,0", "--w", "1.2,0.1",
-                "--mode", "oracle", "--basis", str(out), "--out", str(k_out)]) == 0
-    # the dump round trip is exact: the same digits as the in-memory basis
+    # the default oracle of Q = |z|^2 is the partial sums, equal to the Gram basis
     basis = orthonormalize(compute_moments(make_ginibre(), 12, 11))
     value = kernel_oracle(basis, 1.3, 1.2 + 0.1j)
-    row = k_out.read_text().splitlines()[2]
-    assert row == f"oracle,{value.log_mag:.17g},{value.arg:.17g}"
-    # the default oracle of Q = |z|^2 is the partial sums
-    direct = tmp_path / "k2.csv"
+    direct = tmp_path / "k.csv"
     assert run(["kernel", "--n", "12", "--z", "1.3,0", "--w", "1.2,0.1",
                 "--mode", "oracle", "--out", str(direct)]) == 0
     _, log_mag, arg = direct.read_text().splitlines()[2].split(",")
@@ -312,12 +321,18 @@ def test_oracle_json_and_kernel_consumption(tmp_path):
     assert abs(float(arg) - value.arg) < 1e-13
 
 
-
 def test_radial_oracle_smoke(tmp_path):
     out = tmp_path / "oracle.json"
     assert run(["oracle", "--potential", "radial", "--n", "400", "--degree", "399",
                 "--out", str(out)]) == 0
-    assert len(json.loads(out.read_text())["coefficients"]) == 400
+    payload = json.loads(out.read_text())
+    assert set(payload) == _ORACLE_KEYS
+    assert (payload["n"], payload["degree"]) == (400, 399)
+    # one block per degree: the correlation-scaled moment matrix is the identity
+    assert payload["cond_estimate"] == pytest.approx(1.0, abs=1e-12)
+    assert 0.0 <= payload["gram_residual"] < 1e-12
+    assert payload["scale"] == pytest.approx(1.0, abs=1e-12)
+
 
 def test_ward_json(tmp_path):
     out = tmp_path / "ward.json"

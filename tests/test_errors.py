@@ -1,7 +1,8 @@
 """The input contract of the public API: a hostile argument raises a typed error.
 
 Every public callable of `wpkernel` that takes a point, a real coordinate,
-a particle count, an integer degree or order or a term or node count is called with valid
+a particle count, an integer degree or order, a term or node count, or a
+tolerance, saddle distance or belt constant is called with valid
 arguments built from its parameter names, then with one argument at a time
 replaced by a hostile value; it must raise one of the error types of
 `wpkernel.errors`.
@@ -31,6 +32,11 @@ _HOSTILE = {
     "js": ([-1], [1.5]),
     # term, node and angle counts: below 1, and fractional
     **dict.fromkeys(("terms", "nodes", "j_max", "m_theta"), (0, -1, 1.5)),
+    # the saddle distance and the belt constant: positive and finite; the
+    # classification tolerance: non-negative and finite
+    "eta": (math.nan, 0.0, -1.0),
+    "M": (math.nan, math.inf, 0.0),
+    "tol": (math.nan, -1.0, math.inf),
 }
 
 # callables the walk does not build arguments for: they take library objects, not points
