@@ -52,8 +52,7 @@ class SequenceCuts:
 
 def sequence_cuts(n: int, M: float = 1.0) -> SequenceCuts:
     check_positive(M, "belt constant M")
-    if n < 3:
-        raise DomainError("cut sequences need n >= 3 (log log n must be positive)")
+    check_index(n, "particle count n", 3)  # log log n must be positive
     log_n = math.log(n)
     return SequenceCuts(
         n=n,

@@ -13,8 +13,8 @@ bounded, because dbar_z B_n vanishes at w = z.  Writing R_n = k_n e^{-nQ}
 with k_n the unweighted polynomial kernel, the n LapQ terms cancel and the
 right side is R_n(z) - Lap log k_n(z,z).  There is no finite difference
 and no Richardson step: the residual measures quadrature and rounding
-error only, and is reported next to a budget made of the two (its change
-under a lower-order walk on the same panels, and a rounding floor).
+error only, and is reported next to a budget made of the two (the walk's
+exact error on the mass of B_n, scaled by the sums, and a rounding floor).
 
 Every integral runs on one polar walk: a sector about the root z in
 z-centered polar coordinates, where the Jacobian rho drho dtheta cancels
@@ -68,9 +68,6 @@ _EPS = float(np.finfo(float).eps)
 # source's log_envelope is below -_NEGLIGIBLE: B_n and dbar_z B_n are below e^-80.
 _NEGLIGIBLE = 80.0
 _SECTOR_PANELS = 1 << 14  # radial panels per block of the sector's rays
-# The companion walk of the loop-residual budget lowers every Gauss rule of
-# `_polar_walk` by this many orders and halves its periodic trapezoid.
-_ORDER_DROP = 4
 # Periodic trapezoid nodes on the full rays when the sector is the disc about
 # the origin, or when the source is not rotation-invariant; otherwise the
 # count is sized from the root (`_trapezoid_count`).
@@ -258,11 +255,11 @@ class OracleSource:
 class QuadSpec:
     """Layout of one polar walk.
 
-    n_theta: angular nodes on the full rays: the periodic trapezoid's 2N
-        (N on the companion walk), N sized from log(|z|/s_max) for a root
-        beyond the walk (`_trapezoid_count`), and 128 when the sector is
-        the disc about the origin or the source is not rotation-invariant;
-        or, beside an annular sector, Gauss panels of 12 (8) nodes in phi,
+    n_theta: angular nodes on the full rays: the periodic trapezoid's 2N,
+        N sized from log(|z|/s_max) for a root beyond the walk
+        (`_trapezoid_count`), and 128 when the sector is the disc about the
+        origin or the source is not rotation-invariant; or, beside an
+        annular sector, Gauss panels of 12 nodes in phi,
         graded from the sector's edges (`_phi_edges`), 32 panels when the
         source is not rotation-invariant; n_radial: the nodes the walk
         evaluates (not those the source's log_envelope drops), sector
@@ -298,7 +295,7 @@ def _graded_edges(s_max: float, fine_bands, fine: float, coarse: float):
     return np.unique(np.concatenate(edges))
 
 
-def _sector(source, z: complex, dbar: bool, s_a, s_b, phi_a, phi_b, fine, drop, per_piece, half):
+def _sector(source, z: complex, dbar: bool, s_a, s_b, phi_a, phi_b, fine, per_piece, half):
     """The sector in z-centered polar coordinates: grid values, area and
     Cauchy weights of its live nodes, one flat array each per block of rays.
 
@@ -307,8 +304,8 @@ def _sector(source, z: complex, dbar: bool, s_a, s_b, phi_a, phi_b, fine, drop, 
     two circles s = s_a, s_b and the two rays phi = phi_a, phi_b (only the
     outer circle when s_a = 0 and the sector is the disc s <= s_b).  Corner
     directions split the theta-range into analytic pieces of per_piece
-    Gauss panels with 16 - drop nodes each; each ray has ceil(exit/fine)
-    panels of 12 - drop nodes.  The Jacobian rho drho dtheta cancels the
+    Gauss panels with 16 nodes each; each ray has ceil(exit/fine)
+    panels of 12 nodes.  The Jacobian rho drho dtheta cancels the
     Cauchy kernel, whose weight is -e^{-i theta} drho dtheta in closed form.
     half picks the rays to evaluate (`_mirror_half`, or every ray); a kept
     ray's mirror has the weight -e^{i(theta - 2 phi_z)} drho dtheta, e^{-2i
@@ -327,7 +324,7 @@ def _sector(source, z: complex, dbar: bool, s_a, s_b, phi_a, phi_b, fine, drop, 
     t0, t1 = theta_edges[:-1], theta_edges[1:]
     keep = t1 - t0 >= 1e-13
     edges = np.linspace(t0[keep], t1[keep], per_piece + 1, axis=1)
-    angular = half(gauss_on_interval(16 - drop, edges[:, :-1], edges[:, 1:]))
+    angular = half(gauss_on_interval(16, edges[:, :-1], edges[:, 1:]))
 
     # exit radii in real arithmetic: numpy's complex product may round differently
     e = np.exp(1j * angular.nodes)
@@ -353,8 +350,8 @@ def _sector(source, z: complex, dbar: bool, s_a, s_b, phi_a, phi_b, fine, drop, 
         panel = np.arange(ray.size) - np.repeat(np.cumsum(counts) - counts, counts)
         step = (r_exit / n_pan)[ray]
         hi = np.where(panel + 1 == n_pan[ray], r_exit[ray], (panel + 1) * step)
-        radial = gauss_on_interval(12 - drop, panel * step, hi)
-        ray = np.repeat(ray, 12 - drop)
+        radial = gauss_on_interval(12, panel * step, hi)
+        ray = np.repeat(ray, 12)
         ws = z + radial.nodes * e[ray]
         live = np.flatnonzero(source.log_envelope(z, np.abs(ws)) >= -_NEGLIGIBLE)
         ws, ray = ws[live], ray[live]
@@ -387,9 +384,9 @@ def _mirror_half(rule, phi_z: float):
 
 
 def _trapezoid_count(az: float, s_max: float) -> int:
-    """Companion trapezoid count N for a root beyond the walk, |z| - m_r >=
-    s_max: the smallest multiple of 8 in [32, 128] with (s_max/|z|)^N <=
-    e^{-37}; the reported walk takes 2N.  The Cauchy factor
+    """Half the trapezoid count for a root beyond the walk, |z| - m_r >=
+    s_max: the smallest multiple N of 8 in [32, 128] with (s_max/|z|)^N <=
+    e^{-37}; the walk takes 2N nodes.  The Cauchy factor
     1/(z - s e^{i phi}) is analytic in phi on a strip of half-width
     log(|z|/s_max), where the trapezoid's error falls like (s_max/|z|)^N
     (Trefethen & Weideman, SIAM Rev. 56, 2014)."""
@@ -402,9 +399,9 @@ def _phi_edges(phi_b: float, phi_c: float, half_width: float) -> np.ndarray:
     panel starting at angular distance d from the nearer end is (d +
     half_width)/2 wide, at most 0.5, and the two sides meet in the middle.
     The Cauchy factor's pole lies half_width beyond the ends, so every
-    panel sees it at twice its width.  Panels as wide as d + half_width
-    left the companion walk short of B_n's Gaussian about a root at n = 50,
-    whose angular width is 1/(sqrt(n) |z|), and raised the budget 13-fold."""
+    panel sees it at twice its width.  Panels as wide as d + half_width left
+    Gauss rules four orders lower short of B_n's Gaussian about a root at
+    n = 50, whose angular width is 1/(sqrt(n) |z|)."""
     mid = 0.5 * (phi_c - phi_b)
     d = [0.0]
     while (width := 0.5 * (d[-1] + half_width)) < 0.5 and d[-1] + width < mid:
@@ -414,7 +411,7 @@ def _phi_edges(phi_b: float, phi_c: float, half_width: float) -> np.ndarray:
     return np.concatenate([phi_b + d, phi_c - d[-2::-1]])
 
 
-def _polar_walk(source, z: complex, dbar: bool, companion: bool = False):
+def _polar_walk(source, z: complex, dbar: bool):
     """int B_n(z, w)/(z - w) dA(w), int f(w)/(z - w) dA(w) and the B_n mass
     on one grid, with f = dbar_z B_n when dbar and no f otherwise.
 
@@ -446,9 +443,6 @@ def _polar_walk(source, z: complex, dbar: bool, companion: bool = False):
     the origin keeps _N_THETA nodes.  The sector's own angular panels grow
     like sqrt(n) from n = 3200.
 
-    The companion walk keeps every panel, lowers each Gauss rule by
-    _ORDER_DROP orders and halves the periodic trapezoid.
-
     The same rotation_order folds the walk across the root's axis (see the
     module): the sector, its pieces and the phi panels are symmetric about
     it by construction, the periodic trapezoid is placed so, and no node of
@@ -457,13 +451,12 @@ def _polar_walk(source, z: complex, dbar: bool, companion: bool = False):
 
     Returns (cauchy, integral, l1, spec): the integrals of B_n and of f (0
     without f), l1 the sum of the moduli of the f integral's node terms,
-    and spec.mass the same-grid mass.
+    and spec.mass the same-grid mass, whose error sizes `loop_residual`'s budget.
     """
     n = source.n
     check_scale(extent(z))  # DomainError, not the OverflowError of abs(z)
     r_out, s_max = source.outer_radius, source.s_max
     fine = min(0.25, 1.5 / math.sqrt(n))
-    drop = _ORDER_DROP if companion else 0
 
     m_r = 0.15
     az = abs(z)
@@ -486,7 +479,7 @@ def _polar_walk(source, z: complex, dbar: bool, companion: bool = False):
         # sqrt(n): the directions cross the belt about the droplet's boundary,
         # across which B_n varies on the scale n^{-1/2}
         per_piece = max(3, math.ceil(3.0 * math.sqrt(n / 3200.0)))
-        pieces.append(_sector(source, z, dbar, s_a, s_b, phi_a, phi_b, fine, drop, per_piece, half))
+        pieces.append(_sector(source, z, dbar, s_a, s_b, phi_a, phi_b, fine, per_piece, half))
 
     # droplet-centered complement
     coarse = 0.25
@@ -499,24 +492,24 @@ def _polar_walk(source, z: complex, dbar: bool, companion: bool = False):
         phi_c = phi_a + 2.0 * math.pi
         phi_edges = (_phi_edges(phi_b, phi_c, half_phi) if invariant
                      else np.linspace(phi_b, phi_c, _N_PHI + 1))
-        rules = [(composite_gauss(12 - drop, phi_edges), composite_gauss(16 - drop, base_edges))]
+        rules = [(composite_gauss(12, phi_edges), composite_gauss(16, base_edges))]
         # rays through the sector's angular range, radial band excluded
         edges = np.unique(np.concatenate([base_edges, [s_a, min(s_b, s_max)]]))
         skip = lambda a, b: a >= s_a - 1e-15 and b <= min(s_b, s_max) + 1e-15
-        rules.append((composite_gauss(12 - drop, np.linspace(phi_a, phi_b, 5)),
-                      composite_gauss(16 - drop, edges, skip=skip)))
+        rules.append((composite_gauss(12, np.linspace(phi_a, phi_b, 5)),
+                      composite_gauss(16, edges, skip=skip)))
     else:
         # no sector, or the sector is the full disc s <= s_b: every ray is
         # treated alike and the periodic trapezoid applies
         if have_sector:
             edges = np.unique(np.concatenate([base_edges, [min(s_b, s_max)]]))
             skip = lambda a, b: b <= min(s_b, s_max) + 1e-15
-            radial = composite_gauss(16 - drop, edges, skip=skip)
+            radial = composite_gauss(16, edges, skip=skip)
             n_trap = _N_THETA // 2
         else:
-            radial = composite_gauss(16 - drop, base_edges)
+            radial = composite_gauss(16, base_edges)
             n_trap = _trapezoid_count(az, s_max) if invariant else _N_THETA // 2
-        trap = quad_trapezoid_periodic(n_trap if companion else 2 * n_trap)
+        trap = quad_trapezoid_periodic(2 * n_trap)
         if invariant:
             # symmetric about the root's axis, with no node on it; the offsets beta from
             # its normal come in exact +- pairs, which keeps the kept half's sums at the
@@ -568,7 +561,7 @@ class LoopResidual:
     lhs: complex       # R_n + integral of dbar_z B_n(z, w)/(z - w) dA(w)
     rhs: float         # R_n - n LapQ - Lap log R_n = R_n - Lap log k_n
     residual: complex
-    budget: float      # change under the companion walk + rounding floor
+    budget: float      # |mass - 1| l1/mass + rounding floor, see loop_residual
     quad_spec: QuadSpec
     cauchy_transform: complex  # berezin_cauchy_transform(source, z), same walk
 
@@ -576,9 +569,12 @@ class LoopResidual:
 def loop_residual(source, z: complex) -> LoopResidual:
     """Residual of the loop equation with an explicit numerical budget.
 
-    The left side is reported from the walk of `berezin_cauchy_transform`;
-    its change under the lower-order companion walk on the same panels is
-    the quadrature part of the budget.  The walk integrates B_n/(z - w) on
+    The left side and the budget come from the one walk of
+    `berezin_cauchy_transform`.  With l1 its sum of |f-integral terms| and
+    mass its same-grid mass of B_n (exactly 1), budget = |mass - 1| l1/mass
+    + value_error(z) (l1/mass + R_n + |Lap log k_n|): the walk's exact error
+    on the integral of B_n, scaled by the sums, plus a rounding floor.
+    The walk integrates B_n/(z - w) on
     the same nodes, and `berezin_dbar_grid` and `berezin_tensor` return the
     same B with or without dbar_z B (for Ginibre, e_n = t (1 + s1) and
     e_{n-1} = t s1 outside |n z w~| = n, so r = s1/(1 + s1) needs no
@@ -587,16 +583,15 @@ def loop_residual(source, z: complex) -> LoopResidual:
     """
     z = complex(z)
     cauchy, integral, l1, spec = _polar_walk(source, z, dbar=True)
-    _, i_low, _, low = _polar_walk(source, z, dbar=True, companion=True)
     r_n = math.exp(source.log_one_point(z))
     lap_log = source.lap_log_kernel(z)
     lhs = r_n + integral / spec.mass
     rhs = r_n - lap_log
-    quad_budget = abs(integral / spec.mass - i_low / low.mass)
-    fp_floor = source.value_error(z) * (l1 / spec.mass + r_n + abs(lap_log))
+    sums = l1 / spec.mass
+    budget = abs(spec.mass - 1.0) * sums + source.value_error(z) * (sums + r_n + abs(lap_log))
     return LoopResidual(
         n=source.n, z=z, lhs=lhs, rhs=rhs, residual=lhs - rhs,
-        budget=quad_budget + fp_floor, quad_spec=spec, cauchy_transform=cauchy / spec.mass,
+        budget=budget, quad_spec=spec, cauchy_transform=cauchy / spec.mass,
     )
 
 

@@ -24,7 +24,7 @@ BIG = 1.5e308 * (1 + 1j)  # finite, but |Re| + |Im| overflows
 _HOSTILE = {
     **dict.fromkeys(("z", "w", "zeta", "p"), (complex(math.nan, 0.0), complex(math.inf, 0.0), BIG)),
     **dict.fromkeys(("theta", "ell", "tau"), (math.nan, math.inf)),
-    "n": (0, -3),
+    "n": (0, -3, 3.5),
     # degrees, orders and basis indices: negative, fractional, and past the
     # exact series' order 6
     **dict.fromkeys(("j", "max_degree", "f_index"), (-1, 1.5)),

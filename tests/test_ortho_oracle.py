@@ -220,6 +220,17 @@ def test_hermite_matches_native_gram(ell, n, tol):
         assert rel_lc(elliptic_kernel_exact(ell, n, z, w), kernel_oracle(basis, z, w)) < tol
 
 
+@pytest.mark.parametrize("n", range(6, 13))
+def test_gram_resolves_the_angle_at_small_n(ell, n):
+    # the Gram route's angular trapezoid has at least 128 nodes: with 64 the
+    # weight e^{-n Q} of the ellipse was under-resolved, and the kernel
+    # missed the Hermite route by up to 1.5e-10 at n = 12
+    basis = orthonormalize(compute_moments(ell, n, n - 1))
+    pairs = ELL_PAIRS + [(0.3 + 0.2j, -0.1 + 0.4j), (0.5j, 0.5j), (1.2 + 0.3j, 1.2 + 0.3j)]
+    for z, w in pairs:
+        assert rel_lc(elliptic_kernel_exact(ell, n, z, w), kernel_oracle(basis, z, w)) <= 1e-12
+
+
 @pytest.mark.parametrize("n", [10, 100, 1000])
 def test_hermite_reduces_to_ginibre(n):
     # a = b = 1 is Q = |z|^2, whose kernel has the independent partial-sum route

@@ -254,10 +254,9 @@ def test_far_transform_matches_finer_trapezoid(family, monkeypatch):
 ])
 def test_sector_budget_keeps_measuring_the_walk(z, parent_budget):
     # beside the sector the phi panels are graded at half the distance to
-    # the sector's pole, so the companion walk still resolves B_n's bulk
-    # Gaussian at n = 50; panels as wide as that distance raised these
-    # budgets up to 13x over those of the 32 even panels they replace
-    # (parent_budget), with the residuals unchanged
+    # the sector's pole, so the walk resolves B_n's bulk Gaussian at n = 50;
+    # the budget stays within a quarter above that of the 32 even panels
+    # they replace (parent_budget)
     lr = loop_residual(GinibreSource(50), z)
     assert abs(lr.residual) <= lr.budget <= 1.25 * parent_budget
 
@@ -503,6 +502,50 @@ def test_loop_residual_budget_sweep(elliptic_bases, source_name, n):
         assert lr.quad_spec.n_theta == spec.n_theta
 
 
+_SWEEP_RADII = (0.0, 0.5, 0.9, 0.98, 1.02, 1.05, 1.3, 2.0)
+
+
+@pytest.mark.parametrize("family,n", [("ginibre", n) for n in (1, 2, 5, 20, 50, 200, 800, 3200)]
+                         + [(f, n) for f in ("quartic", "elliptic(1,3)") for n in (10, 20, 40)])
+def test_one_walk_budget_bounds_the_residual(family, n):
+    # the budget |mass - 1| l1/mass + rounding floor comes from the one
+    # walk alone; it bounds the residual from the origin through the rim to
+    # past the walk, for the exact Ginibre sums and for the Gram basis of a
+    # radial and of a non-radial weight
+    src = _walk_source(family, n)
+    rng = np.random.default_rng(2000 + n)
+    for radius in _SWEEP_RADII:
+        z = cmath.rect(radius * src.outer_radius, rng.uniform(0.0, 2.0 * math.pi))
+        lr = loop_residual(src, z)
+        assert abs(lr.residual) <= lr.budget
+
+
+def test_one_walk_budget_sees_low_order_rules(monkeypatch):
+    # with the tensor Gauss rules 6 orders too low the walk's mass error
+    # must reveal the defect: at least one of these 28 roots exceeds its budget
+    rules = ward.composite_gauss
+    monkeypatch.setattr(ward, "composite_gauss",
+                        lambda order, edges, **kw: rules(order - 6, edges, **kw))
+    rng = np.random.default_rng(11)
+    ratios = []
+    for n in (20, 50, 200, 800):
+        src = GinibreSource(n)
+        for radius in _SWEEP_RADII[1:]:
+            lr = loop_residual(src, cmath.rect(radius, rng.uniform(0.0, 2.0 * math.pi)))
+            ratios.append(abs(lr.residual) / lr.budget)
+    assert max(ratios) > 1.0
+
+
+def test_loop_residual_walks_once(monkeypatch):
+    calls = []
+    walk = ward._polar_walk
+    monkeypatch.setattr(ward, "_polar_walk", lambda *a, **kw: calls.append(a) or walk(*a, **kw))
+    for src, z in ((GinibreSource(50), 0.5), (_walk_source("quartic", 20), 1.2 + 0.3j)):
+        calls.clear()
+        loop_residual(src, z)
+        assert len(calls) == 1
+
+
 class _UnitSource:
     """B = 1 and f = e^{i arg z} on every node, as a rotation-invariant source's
     f(R w) = e^{2i arg z} conj f(w) allows under the reflection R across the
@@ -543,9 +586,8 @@ class _FixedRulesUnitSource(_UnitSource):
         return 1.0
 
 
-@pytest.mark.parametrize("companion", [False, True], ids=["reported", "companion"])
 @pytest.mark.parametrize("n", [1, 50, 800])
-def test_walk_layout_matches_disc_closed_forms(n, companion):
+def test_walk_layout_matches_disc_closed_forms(n):
     # with B = 1 the walk integrates over the disc |w| < s_max, where
     # (1/pi) int dA(w)/(z - w) is conj(z) inside and s_max^2/z outside, and
     # the f integral is f times that
@@ -556,14 +598,14 @@ def test_walk_layout_matches_disc_closed_forms(n, companion):
     if n >= 50:
         roots.append(((s_max + 1.0) * cmath.exp(0.7j), 1e-12))
     # within m_r = 0.15 of s_max the sector is clipped at s_max; the phi
-    # panels beside it are graded from its edges, so both walks resolve
+    # panels beside it are graded from its edges, so the walk resolves
     # 1/(z - w) there; the 32 even panels of the fixed rules do not
     near_s_max = [((s_max - d) * cmath.exp(1.2j), 1e-12) for d in (0.1, 0.14, 0.2, 0.3)]
     for z, rel in roots + near_s_max:
         z = complex(z)
         fixed = [] if (z, rel) in near_s_max else [_FixedRulesUnitSource(n)]
         for src in [_UnitSource(n)] + fixed:
-            cauchy, integral, _, spec = _polar_walk(src, z, dbar=True, companion=companion)
+            cauchy, integral, _, spec = _polar_walk(src, z, dbar=True)
             want = z.conjugate() if abs(z) < s_max else s_max ** 2 / z
             tol = rel * abs(want) + 1e-15
             assert abs(cauchy - want) <= tol
