@@ -37,7 +37,7 @@ from .errors import (BeltError, DomainError, RegimeError, check_finite, check_in
 from .hardy import harmonic_measure_density, szego_kernel
 from .ortho_oracle import _ginibre_enveloped_log_w
 from .potential import AdmissiblePotential, GinibrePotential
-from .scaled_numerics import LogComplex, _norm_arg, _norm_args, lc_sum_scaled_parts
+from .scaled_numerics import LogComplex, _norm_arg, lc_sum_scaled_parts
 
 
 @dataclass(frozen=True)
@@ -211,7 +211,7 @@ def _quasipolynomial_parts(pot: AdmissiblePotential, n: int, j: np.ndarray, poin
     arg = (
         0.5 * np.imag(e.HH)
         + np.angle(e.sqrt_dphi)
-        + _norm_args(j * np.angle(e.phi))
+        + j * np.angle(e.phi)
         + 0.5 * n * np.imag(e.QQ)
     )
     return log_mag, arg

@@ -44,22 +44,6 @@ def _norm_arg(a: float) -> float:
     return r
 
 
-def _norm_args(a: np.ndarray) -> np.ndarray:
-    """Elementwise `_norm_arg`: the same operations, so the same bits.  A
-    single entry goes through `_norm_arg` itself, without the array passes;
-    of a longer array, as there, only the entries outside (-pi, pi] go
-    through fmod."""
-    r = np.array(a, dtype=float)
-    if r.size == 1:
-        r.flat[0] = _norm_arg(float(r.flat[0]))
-        return r
-    outside = ~((r > -math.pi) & (r <= math.pi))
-    if outside.any():
-        v = np.fmod(r[outside], _TWO_PI)
-        r[outside] = np.where(v > math.pi, v - _TWO_PI, np.where(v <= -math.pi, v + _TWO_PI, v))
-    return r
-
-
 # Conformal data accept a Python scalar or an array in each argument.  A
 # scalar is evaluated in Python arithmetic (math/cmath), an array in numpy,
 # whose vectorised kernels may differ from math/cmath in the last bit.

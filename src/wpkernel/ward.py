@@ -69,12 +69,9 @@ _EPS = float(np.finfo(float).eps)
 _NEGLIGIBLE = 80.0
 _SECTOR_PANELS = 1 << 14  # radial panels per block of the sector's rays
 # Periodic trapezoid nodes on the full rays when the sector is the disc about
-# the origin, or when the source is not rotation-invariant; otherwise the
-# count is sized from the root (`_trapezoid_count`).
+# the origin, or when the root is beyond the walk and the source is not
+# rotation-invariant; otherwise the count is sized from the root (`_trapezoid_count`).
 _N_THETA = 256
-# Gauss panels in phi beside an annular sector when the source is not
-# rotation-invariant; otherwise they are graded from the sector (`_phi_edges`).
-_N_PHI = 32
 
 
 def walk_radius(pot: AdmissiblePotential, n: int) -> float:
@@ -140,7 +137,7 @@ class OracleSource:
     per polynomial (`_tensor_sums`), shaped (radii, angles) as it comes:
     O(degree * nodes) work either way, in O(nodes + degree (angles + radii))
     memory.  The walk's s_max comes from the weight of `pot` (`walk_radius`),
-    and its angular rules from the weight's rotation_order.
+    and its fold and far-root trapezoid from the weight's rotation_order.
     """
 
     name = "oracle"
@@ -257,11 +254,10 @@ class QuadSpec:
 
     n_theta: angular nodes on the full rays: the periodic trapezoid's 2N,
         N sized from log(|z|/s_max) for a root beyond the walk
-        (`_trapezoid_count`), and 128 when the sector is the disc about the
-        origin or the source is not rotation-invariant; or, beside an
-        annular sector, Gauss panels of 12 nodes in phi,
-        graded from the sector's edges (`_phi_edges`), 32 panels when the
-        source is not rotation-invariant; n_radial: the nodes the walk
+        (`_trapezoid_count`) for a rotation-invariant source and 128 for
+        any other, and 128 when the sector is the disc about the origin; or,
+        beside an annular sector, Gauss panels of 12 nodes in phi graded
+        from the sector's edges (`_phi_edges`); n_radial: the nodes the walk
         evaluates (not those the source's log_envelope drops), sector
         included, which for a rotation-invariant source is one mirror half
         of the layout; mass: the same-grid mass of B_n, both halves.  The
@@ -430,20 +426,19 @@ def _polar_walk(source, z: complex, dbar: bool):
     where the source's log_envelope, the same with or without dbar, is
     below -_NEGLIGIBLE: every dropped term is below e^{-80}.
 
-    For a rotation-invariant source the angular rules of the full rays are
-    sized from the root: beside an annular sector, Gauss panels graded from
-    its edges (`_phi_edges`); with no sector, the periodic trapezoid on 2N
-    nodes, N from log(|z|/s_max) (`_trapezoid_count`).  Its B_n(z, s e^{i
+    Beside an annular sector the full rays take Gauss panels in phi graded
+    from its edges (`_phi_edges`), at most 0.5 wide, for every source.  With
+    no sector, a rotation-invariant source takes the periodic trapezoid on
+    2N nodes, N from log(|z|/s_max) (`_trapezoid_count`): its B_n(z, s e^{i
     phi}) is |sum_k c_k (|z| s e^{-i phi})^k|^2 times a radial weight, whose
     angular modes fall like those of the Cauchy factor where B_n has its
-    mass.  Any other source keeps _N_PHI panels beside the sector and
-    _N_THETA trapezoid nodes: its B_n has angular structure of its own (the
-    harmonic measure of an ellipse has poles a fixed distance off the real
-    phi axis, whatever z), which the root does not size.  The disc about
-    the origin keeps _N_THETA nodes.  The sector's own angular panels grow
-    like sqrt(n) from n = 3200.
+    mass.  Any other source keeps _N_THETA trapezoid nodes there: its B_n
+    has angular structure of its own (the harmonic measure of an ellipse
+    has poles a fixed distance off the real phi axis, whatever z), which
+    the root does not size.  The disc about the origin keeps _N_THETA nodes.
+    The sector's own angular panels grow like sqrt(n) from n = 3200.
 
-    The same rotation_order folds the walk across the root's axis (see the
+    The source's rotation_order also folds the walk across the root's axis (see the
     module): the sector, its pieces and the phi panels are symmetric about
     it by construction, the periodic trapezoid is placed so, and no node of
     these even-order rules lies on it.  A rotation-invariant source is
@@ -490,9 +485,8 @@ def _polar_walk(source, z: complex, dbar: bool):
     if have_sector and s_a > 0:
         # full rays outside the sector's angular range, Gauss panels in phi
         phi_c = phi_a + 2.0 * math.pi
-        phi_edges = (_phi_edges(phi_b, phi_c, half_phi) if invariant
-                     else np.linspace(phi_b, phi_c, _N_PHI + 1))
-        rules = [(composite_gauss(12, phi_edges), composite_gauss(16, base_edges))]
+        rules = [(composite_gauss(12, _phi_edges(phi_b, phi_c, half_phi)),
+                  composite_gauss(16, base_edges))]
         # rays through the sector's angular range, radial band excluded
         edges = np.unique(np.concatenate([base_edges, [s_a, min(s_b, s_max)]]))
         skip = lambda a, b: a >= s_a - 1e-15 and b <= min(s_b, s_max) + 1e-15

@@ -21,8 +21,6 @@ from wpkernel import (
 )
 from wpkernel.scaled_numerics import (
     RationalAtOne,
-    _norm_arg,
-    _norm_args,
     composite_gauss,
     gauss_on_interval,
 )
@@ -55,27 +53,6 @@ def test_round_trip_within_representable_range():
         lc = lc_from_complex(z.real, z.imag)
         back = lc.to_complex()
         assert abs(back - z) <= 1e-14 * abs(z)
-
-
-def test_array_angle_reduction_is_the_scalar_one_bit_for_bit():
-    # _norm_args reduces only the entries outside (-pi, pi]; every entry must
-    # keep the bits of _norm_arg, the signed zeros and the branch at +-pi too
-    rng = np.random.default_rng(20)
-    specials = [math.pi, -math.pi, 2.0 * math.pi, -2.0 * math.pi, 3.0 * math.pi, -0.0, 0.0,
-                np.nextafter(math.pi, 4.0), np.nextafter(-math.pi, -4.0), 5e-324, -1e-300,
-                1e300, -1e300, 2.0 ** 60]
-    values = np.concatenate([specials, rng.uniform(-4.0, 4.0, 200), rng.uniform(-1e6, 1e6, 200),
-                             rng.normal(size=100) * 1e-12, rng.normal(size=100) * 1e15,
-                             2.0 * math.pi * rng.integers(-50, 50, 50)])
-    # mixed, all inside, all outside, one entry outside and one inside
-    for arr in (values, values[np.abs(values) < 3.0], values[np.abs(values) > 4.0],
-                values[2:3], values[5:6]):
-        ref = np.array([_norm_arg(float(v)) for v in arr])
-        assert np.array_equal(_norm_args(arr).view(np.int64), ref.view(np.int64))
-        assert np.all((ref > -math.pi) & (ref <= math.pi))
-    zero_d = _norm_args(np.array(values[2]))
-    assert zero_d.shape == ()
-    assert zero_d.view(np.int64) == np.float64(_norm_arg(float(values[2]))).view(np.int64)
 
 
 def test_mul_pow_and_zero_rules():

@@ -249,14 +249,34 @@ def test_far_transform_matches_finer_trapezoid(family, monkeypatch):
         assert abs(mu - want) <= 1e-13 * abs(want)
 
 
+@pytest.mark.parametrize("n", [10, 20, 40])
+def test_elliptic_phi_panels_match_even_panels(n, monkeypatch):
+    # beside the sector a non-invariant source takes the same graded phi
+    # panels as a rotation-invariant one; at the elliptic Gram source they
+    # meet 512 even panels, with roots in the bulk and within 0.3 of s_max
+    src = make_elliptic_ginibre(1.0, 3.0).exact_source(n)
+    rng = np.random.default_rng(3000 + n)
+    roots = [cmath.rect(r * src.outer_radius, a)
+             for r, a in zip(rng.uniform(0.3, 2.0, 4), rng.uniform(0.0, 2.0 * math.pi, 4))]
+    roots += [cmath.rect(src.s_max - d, a)
+              for d, a in zip(rng.uniform(0.0, 0.3, 2), rng.uniform(0.0, 2.0 * math.pi, 2))]
+    got = [loop_residual(src, z) for z in roots]
+    monkeypatch.setattr(ward, "_phi_edges", lambda a, b, half_width: np.linspace(a, b, 513))
+    for z, lr in zip(roots, got):
+        assert abs(lr.residual) <= lr.budget
+        want, spec = berezin_cauchy_transform(src, z, with_spec=True)
+        assert spec.n_theta == 512 * 12
+        assert abs(lr.cauchy_transform - want) <= 1e-12 * abs(want)
+
+
 @pytest.mark.parametrize("z,parent_budget", [
     (1.23, 8.1e-13), (0.89 * cmath.exp(1j), 2.7e-11), (0.77j, 1.5e-11), (0.5, 1.3e-11),
 ])
 def test_sector_budget_keeps_measuring_the_walk(z, parent_budget):
     # beside the sector the phi panels are graded at half the distance to
     # the sector's pole, so the walk resolves B_n's bulk Gaussian at n = 50;
-    # the budget stays within a quarter above that of the 32 even panels
-    # they replace (parent_budget)
+    # the budget stays within a quarter above that of a walk with 32 even
+    # panels there (parent_budget)
     lr = loop_residual(GinibreSource(50), z)
     assert abs(lr.residual) <= lr.budget <= 1.25 * parent_budget
 
@@ -386,13 +406,14 @@ def test_berezin_grids_are_mirror_symmetric(family, n):
     ("ginibre", 1, 0.0, 155_136), ("ginibre", 50, 0.2j, 31_808), ("ginibre", 50, 0.5, 38_904),
     ("ginibre", 800, 2.0, 24_000), ("ginibre", 3200, cmath.rect(1.05, 0.9), 53_572),
     ("quartic", 20, 0.3 + 0.1j, 33_472), ("quartic", 20, 2.0 + 0.5j, 47_232),
-    ("elliptic(1,3)", 40, 0.3 + 0.1j, 37_808), ("elliptic(1,3)", 40, 2.0 + 0.5j, 71_424),
+    ("elliptic(1,3)", 40, 0.3 + 0.1j, 37_808), ("elliptic(1,3)", 40, 2.0 + 0.5j, 52_224),
     ("elliptic(1,3)", 40, 8.0, 40_960),
 ])
 def test_folded_walk_evaluates_one_mirror_half(family, n, z, parent_nodes):
     # a rotation-invariant source evaluates one mirror half of the layout
     # the walk evaluated before the fold (parent_nodes): no rule has a node
-    # on the root's axis; the elliptic source keeps the whole layout
+    # on the root's axis; the elliptic source keeps the whole layout, with
+    # the same graded phi panels beside the sector
     src = _walk_source(family, n)
     spec = berezin_cauchy_transform(src, z, with_spec=True)[1]
     folded = src.rotation_order == math.inf
@@ -576,9 +597,10 @@ class _UnitSource:
         return np.ones(shape), np.full(shape, self.f_value(z))
 
 
-class _FixedRulesUnitSource(_UnitSource):
-    """B = f = 1 for a source that is not rotation-invariant: the walk keeps
-    its fixed angular rules and evaluates every node."""
+class _NonInvariantUnitSource(_UnitSource):
+    """B = f = 1 for a source that is not rotation-invariant: the walk is not
+    folded and evaluates every node; only its trapezoid for a root beyond
+    the walk keeps a fixed node count."""
 
     rotation_order = 1
 
@@ -598,13 +620,12 @@ def test_walk_layout_matches_disc_closed_forms(n):
     if n >= 50:
         roots.append(((s_max + 1.0) * cmath.exp(0.7j), 1e-12))
     # within m_r = 0.15 of s_max the sector is clipped at s_max; the phi
-    # panels beside it are graded from its edges, so the walk resolves
-    # 1/(z - w) there; the 32 even panels of the fixed rules do not
-    near_s_max = [((s_max - d) * cmath.exp(1.2j), 1e-12) for d in (0.1, 0.14, 0.2, 0.3)]
-    for z, rel in roots + near_s_max:
+    # panels beside it are graded from its edges for every source, so the
+    # walk resolves 1/(z - w) there
+    roots += [((s_max - d) * cmath.exp(1.2j), 1e-12) for d in (0.1, 0.14, 0.2, 0.3)]
+    for z, rel in roots:
         z = complex(z)
-        fixed = [] if (z, rel) in near_s_max else [_FixedRulesUnitSource(n)]
-        for src in [_UnitSource(n)] + fixed:
+        for src in (_UnitSource(n), _NonInvariantUnitSource(n)):
             cauchy, integral, _, spec = _polar_walk(src, z, dbar=True)
             want = z.conjugate() if abs(z) < s_max else s_max ** 2 / z
             tol = rel * abs(want) + 1e-15
