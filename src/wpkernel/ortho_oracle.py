@@ -15,7 +15,8 @@ elliptic_kernel_exact at any n without a Gram matrix.
 
 Moments are computed by polar quadrature about the droplet center: a
 composite Gauss radial rule out to R = r_outer + 12/sqrt(n) and a periodic
-trapezoid in the angle with at least 4*max_degree + 16 nodes.  A weight
+trapezoid in the angle with max(4*max_degree + 16, 128) nodes, or a single
+node for a rotation-invariant weight (see below).  A weight
 invariant under z -> e^{2 pi i / p} z (p = the potential's rotation_order)
 has M_{jk} = 0 unless p divides j - k, so only the lags d = 0, p, 2p, ...
 are integrated.  One product gives their angular profiles on every radial
@@ -66,8 +67,7 @@ class OrthonormalBasis:
     gram_residual: float
 
 
-def compute_moments(pot: AdmissiblePotential, n: int, max_degree: int, *,
-                    m_theta: int | None = None) -> GramData:
+def compute_moments(pot: AdmissiblePotential, n: int, max_degree: int) -> GramData:
     """Assemble the Hermitian moment matrix of the weighted monomials.
 
     With the angular profiles A_d(r) = int e^{i d theta} e^{-n Q(r e^{i theta})} dtheta
@@ -77,11 +77,9 @@ def compute_moments(pot: AdmissiblePotential, n: int, max_degree: int, *,
     check_n(n)
     check_index(max_degree, "max_degree", 0, n)
     r_max = pot.outer_radius(1.0) + 12.0 / math.sqrt(n)
-    if m_theta is None:
-        # the weight's own angular modes need the floor: with 64 nodes the elliptic
-        # (1, 3) kernel missed the Hermite route by 2e-11 at n = 10, with 128 by 2e-14
-        m_theta = 1 if pot.rotation_order == math.inf else max(4 * max_degree + 16, 128)
-    check_index(m_theta, "m_theta", 1)
+    # the weight's own angular modes need the floor: with 64 nodes the elliptic
+    # (1, 3) kernel missed the Hermite route by 2e-11 at n = 10, with 128 by 2e-14
+    m_theta = 1 if pot.rotation_order == math.inf else max(4 * max_degree + 16, 128)
     # radius of the disc with the droplet's area (area theorem): sqrt(p q) for an ellipse
     c1, _, c_1 = pot.chi_laurent(1.0)
     scale = math.sqrt(abs(c1) ** 2 - abs(c_1) ** 2)

@@ -84,23 +84,43 @@ def walk_radius(pot: AdmissiblePotential, n: int) -> float:
     return float(s[past[0] if past.size else -1])
 
 
-class GinibreSource:
+class BerezinSource:
+    """The Berezin kernel B_n(z, .) of the weight e^{-n Q} of pot, as the walk reads it.
+
+    The base fixes the walk's geometry from the weight (rotation_order, the
+    droplet's outer_radius and s_max, `walk_radius`) and keeps every node
+    (log_envelope +inf).  A source supplies berezin_flat(z, ws, dbar) and
+    berezin_tensor(z, angles, radii, dbar), each (B_n, dbar_z B_n or None)
+    with the same B_n either way, and log_one_point, lap_log_kernel and
+    value_error at the root z.
+    """
+
+    def __init__(self, pot: AdmissiblePotential, n: int):
+        check_n(n)
+        self.n = n
+        self.pot = pot
+        self.rotation_order = pot.rotation_order
+        self.outer_radius = pot.outer_radius(1.0)
+        self.s_max = walk_radius(pot, n)
+
+    def berezin_grid(self, z: complex, ws: np.ndarray) -> np.ndarray:
+        """B_n(z, w) over the nodes ws, shaped as ws."""
+        return self.berezin_flat(z, ws, False)[0]
+
+    def log_envelope(self, z: complex, abs_w: np.ndarray) -> np.ndarray:
+        return np.full(np.shape(abs_w), math.inf)
+
+
+class GinibreSource(BerezinSource):
     """Exact-kernel source for Q = |z|^2."""
 
     name = "ginibre"
-    rotation_order = math.inf
 
     def __init__(self, n: int):
-        check_n(n)
-        self.n = n
-        self.outer_radius = 1.0
-        self.s_max = walk_radius(GinibrePotential(), n)
+        super().__init__(GinibrePotential(), n)
 
-    def berezin_grid(self, z: complex, ws: np.ndarray) -> np.ndarray:
-        return ginibre_berezin_array(self.n, z, ws, False)[0]
-
-    def berezin_dbar_grid(self, z: complex, ws: np.ndarray):
-        return ginibre_berezin_array(self.n, z, ws, True)
+    def berezin_flat(self, z: complex, ws: np.ndarray, dbar: bool):
+        return ginibre_berezin_array(self.n, z, ws, dbar)
 
     def berezin_tensor(self, z: complex, angles: np.ndarray, radii: np.ndarray, dbar: bool):
         return ginibre_berezin_tensor(self.n, z, angles, radii, dbar)
@@ -128,27 +148,25 @@ class GinibreSource:
         return _EPS * (2.0 * math.lgamma(n + 1.0) + 2.0 * n * max(1.0, abs(z) ** 2))
 
 
-class OracleSource:
-    """Berezin source built from an orthonormal basis.
+class OracleSource(BerezinSource):
+    """Berezin source built from an orthonormal basis of the weight of pot.
 
     sum_j P_j(z) conj(P_j(w)) = sum_k a_k (conj(w)/scale)^k with a = C^H p(z),
     C the scaled-monomial coefficients of the P_j; d_z has a' = C^H p'(z).
     Flat nodes take one Horner step per degree, a tensor one real BLAS product
     per polynomial (`_tensor_sums`), shaped (radii, angles) as it comes:
     O(degree * nodes) work either way, in O(nodes + degree (angles + radii))
-    memory.  The walk's s_max comes from the weight of `pot` (`walk_radius`),
-    and its fold and far-root trapezoid from the weight's rotation_order.
+    memory.  pot is the basis's own potential (DomainError otherwise).  Every
+    node is kept: a log_envelope needs Q on each node, ~10% of a transform at n = 40.
     """
 
     name = "oracle"
 
     def __init__(self, basis, pot: AdmissiblePotential):
+        if pot is not basis.pot:
+            raise DomainError("OracleSource needs the potential its basis was built from")
+        super().__init__(pot, basis.n)
         self.basis = basis
-        self.pot = pot
-        self.rotation_order = pot.rotation_order
-        self.n = basis.n
-        self.outer_radius = pot.outer_radius(1.0)
-        self.s_max = walk_radius(pot, self.n)
 
     def _entry(self, z: complex, node_extent: float, dbar: bool) -> list:
         """p(z), and p'(z) with dbar, after every route's entry check: DomainError unless
@@ -180,22 +198,15 @@ class OracleSource:
         c_h = np.asarray(self.basis.coeffs).conj().T
         return [(powers @ (table * (c_h @ v)[:, None]).view(float)).view(complex) for v in rows]
 
-    def _berezin(self, z: complex, flat: np.ndarray, kern: np.ndarray) -> np.ndarray:
-        n = self.n
-        qz = float(self.pot.Q(complex(z)))
-        qw = self.pot.Q(flat)
-        log_k2 = 2.0 * np.log(np.abs(kern) + 1e-300) - n * (qz + qw)
-        log_b = log_k2 - self.log_one_point(z)
-        out = np.zeros_like(log_b)
-        ok = log_b > -700
-        out[ok] = np.exp(log_b[ok])
-        return out
-
     def _grids(self, z: complex, ws: np.ndarray, rows: list, kerns: list):
-        """(B, dbar_z B or None) on the nodes ws from kerns = [k(z, w)] or
-        [k, d_z k]: dbar_z B = B [conj(d_z k / k) - s], s = sum_j conj(P_j'(z)) P_j(z) / k(z,z)."""
+        """(B, dbar_z B or None) on the nodes ws from kerns = [k(z, w)] or [k, d_z k]:
+        B = |k|^2 e^{-n (Q(z) + Q(w))} / R_n(z), flushed to zero below e^{-745}, and
+        dbar_z B = B [conj(d_z k / k) - s], s = sum_j conj(P_j'(z)) P_j(z) / k(z,z)."""
         flat, kern = ws.ravel(), kerns[0].ravel()
-        b = self._berezin(z, flat, kern)
+        q = self.n * (float(self.pot.Q(complex(z))) + self.pot.Q(flat))
+        with np.errstate(divide="ignore"):
+            log_b = 2.0 * np.log(np.abs(kern)) - q - self.log_one_point(z)
+        b = np.exp(log_b, out=np.zeros(log_b.shape), where=log_b > -745.0)
         if len(kerns) == 1:
             return b.reshape(ws.shape), None
         (p, dp), dkern = rows, kerns[1].ravel()
@@ -204,26 +215,16 @@ class OracleSource:
         dbar[ok] = b[ok] * (np.conj(dkern[ok] / kern[ok]) - np.vdot(dp, p) / np.vdot(p, p).real)
         return b.reshape(ws.shape), dbar.reshape(ws.shape)
 
-    def _flat(self, z: complex, ws: np.ndarray, dbar: bool):
+    def berezin_flat(self, z: complex, ws: np.ndarray, dbar: bool):
         rows = self._entry(z, extent(ws), dbar)
         x = np.conj(ws.ravel()) / self.basis.scale
         return self._grids(z, ws, rows, [self._horner(v, x) for v in rows])
-
-    def berezin_grid(self, z: complex, ws: np.ndarray) -> np.ndarray:
-        return self._flat(z, ws, False)[0]
-
-    def berezin_dbar_grid(self, z: complex, ws: np.ndarray):
-        return self._flat(z, ws, True)
 
     def berezin_tensor(self, z: complex, angles: np.ndarray, radii: np.ndarray, dbar: bool):
         """The grids on the tensor nodes radii e^{i angles}, shaped (radii, angles)."""
         rows = self._entry(z, extent(radii) + extent(angles), dbar)
         kerns = self._tensor_sums(rows, angles, radii)
         return self._grids(z, radii[:, None] * np.exp(1j * angles), rows, kerns)
-
-    def log_envelope(self, z: complex, abs_w: np.ndarray) -> np.ndarray:
-        """+inf, every node kept: a bound needs Q on each node, ~10% of a transform at n = 40."""
-        return np.full(np.shape(abs_w), math.inf)
 
     def log_one_point(self, z: complex) -> float:
         return kernel_oracle(self.basis, z, z).log_mag
@@ -351,7 +352,7 @@ def _sector(source, z: complex, dbar: bool, s_a, s_b, phi_a, phi_b, fine, per_pi
         ws = z + radial.nodes * e[ray]
         live = np.flatnonzero(source.log_envelope(z, np.abs(ws)) >= -_NEGLIGIBLE)
         ws, ray = ws[live], ray[live]
-        b, f = source.berezin_dbar_grid(z, ws) if dbar else (source.berezin_grid(z, ws), None)
+        b, f = source.berezin_flat(z, ws, dbar)
         d_area = angular.weights[ray] * radial.weights[live]  # drho dtheta
         yield b, f, d_area * radial.nodes[live], -d_area * e[ray].conj()
 
@@ -421,8 +422,8 @@ def _polar_walk(source, z: complex, dbar: bool):
     piecewise analytic and composite Gauss rules converge at spectral rate.
     Each of the at most three pieces is one grid call, reduced by the same
     four sums: the sector is one flat array of nodes per block of rays
-    (`berezin_grid` or `berezin_dbar_grid`), a tensor piece is its angles
-    and radii (`berezin_tensor`).  The pieces first drop the nodes (rings)
+    (`berezin_flat`), a tensor piece is its angles and radii
+    (`berezin_tensor`).  The pieces first drop the nodes (rings)
     where the source's log_envelope, the same with or without dbar, is
     below -_NEGLIGIBLE: every dropped term is below e^{-80}.
 
@@ -569,7 +570,7 @@ def loop_residual(source, z: complex) -> LoopResidual:
     + value_error(z) (l1/mass + R_n + |Lap log k_n|): the walk's exact error
     on the integral of B_n, scaled by the sums, plus a rounding floor.
     The walk integrates B_n/(z - w) on
-    the same nodes, and `berezin_dbar_grid` and `berezin_tensor` return the
+    the same nodes, and `berezin_flat` and `berezin_tensor` return the
     same B with or without dbar_z B (for Ginibre, e_n = t (1 + s1) and
     e_{n-1} = t s1 outside |n z w~| = n, so r = s1/(1 + s1) needs no
     s - 1), so `cauchy_transform` is `berezin_cauchy_transform(source, z)`

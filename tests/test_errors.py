@@ -31,7 +31,7 @@ _HOSTILE = {
     "k": (-1, 1.5, 7),
     "js": ([-1], [1.5]),
     # term, node and angle counts: below 1, and fractional
-    **dict.fromkeys(("terms", "nodes", "j_max", "m_theta"), (0, -1, 1.5)),
+    **dict.fromkeys(("terms", "nodes", "j_max"), (0, -1, 1.5)),
     # the saddle distance and the belt constant: positive and finite; the
     # classification tolerance: non-negative and finite
     "eta": (math.nan, 0.0, -1.0),

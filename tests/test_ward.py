@@ -394,7 +394,7 @@ def test_berezin_grids_are_mirror_symmetric(family, n):
                  for sign in (1.0, -1.0)]
         tol = src.value_error(z) + 16.0 * _EPS * (1.0 + n * (az + src.s_max) ** 2)
         for w, (b, f), (b_m, f_m) in (
-                (ws, src.berezin_dbar_grid(z, ws), src.berezin_dbar_grid(z, rot * np.conj(ws))),
+                (ws, src.berezin_flat(z, ws, True), src.berezin_flat(z, rot * np.conj(ws), True)),
                 ((radii[:, None] * np.exp(1j * (phi + alpha))).ravel(), *rings)):
             # 1e-300: a node at an underflow cut may round to either side
             assert np.all(np.abs(b_m - b) <= tol * b + 1e-300)
@@ -567,6 +567,61 @@ def test_loop_residual_walks_once(monkeypatch):
         assert len(calls) == 1
 
 
+# what the walk may read of a source: the geometry that BerezinSource fixes
+# from the weight, the two grid routes and the values at the root
+_WALK_MEMBERS = {"n", "rotation_order", "outer_radius", "s_max", "log_envelope",
+                 "berezin_flat", "berezin_tensor"}
+_ROOT_MEMBERS = {"log_one_point", "lap_log_kernel", "value_error"}
+
+
+class _ReadRecorder:
+    """Forwards to a source and records the name of every member read."""
+
+    def __init__(self, src):
+        self._src, self._read = src, set()
+
+    def __getattr__(self, name):
+        self._read.add(name)
+        return getattr(self._src, name)
+
+
+@pytest.mark.parametrize("family,n", [("ginibre", n) for n in (1, 50, 3200)]
+                         + [("quartic", 20), ("elliptic(1,3)", 20)])
+def test_source_contract(family, n):
+    # berezin_grid is the base's view of berezin_flat, each route's B is the
+    # same with or without dbar_z B (loop_residual's cauchy_transform relies
+    # on it), and the walk reads nothing of a source but the contract
+    src = _walk_source(family, n)
+    rng = np.random.default_rng(12_000 + src.n)
+    for z in (0.5 * src.outer_radius * cmath.exp(0.3j), src.outer_radius + 0.05j):
+        ws = rng.uniform(0.0, src.s_max, 200) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 200))
+        b, none = src.berezin_flat(z, ws, False)
+        assert none is None
+        assert np.array_equal(src.berezin_grid(z, ws), b)
+        assert np.array_equal(src.berezin_flat(z, ws, True)[0], b)
+        angles, radii = rng.uniform(0.0, 2.0 * math.pi, 40), rng.uniform(0.0, src.s_max, 30)
+        b, none = src.berezin_tensor(z, angles, radii, False)
+        assert none is None
+        assert np.array_equal(src.berezin_tensor(z, angles, radii, True)[0], b)
+
+        rec = _ReadRecorder(src)
+        berezin_cauchy_transform(rec, z)
+        assert rec._read == _WALK_MEMBERS
+        rec = _ReadRecorder(src)
+        loop_residual(rec, z)
+        assert rec._read == _WALK_MEMBERS | _ROOT_MEMBERS
+
+
+def test_oracle_source_refuses_another_potential():
+    # the basis gives the polynomials and pot the weight: a mismatched pair
+    # would walk the Ginibre basis under the elliptic weight without a sign
+    gin, ell = make_ginibre(), make_elliptic_ginibre(1.0, 3.0)
+    basis = orthonormalize(compute_moments(gin, 20, 19))
+    with pytest.raises(DomainError):
+        OracleSource(basis, ell)
+    assert OracleSource(basis, gin).pot is gin
+
+
 class _UnitSource:
     """B = 1 and f = e^{i arg z} on every node, as a rotation-invariant source's
     f(R w) = e^{2i arg z} conj f(w) allows under the reflection R across the
@@ -584,7 +639,7 @@ class _UnitSource:
     def f_value(self, z):
         return cmath.exp(1j * math.atan2(z.imag, z.real))
 
-    def berezin_dbar_grid(self, z, ws):
+    def berezin_flat(self, z, ws, dbar):
         self.sizes.append(ws.size)
         return np.ones(ws.shape), np.full(ws.shape, self.f_value(z))
 
@@ -787,11 +842,10 @@ def test_oracle_tensor_route_matches_flat_route(elliptic_bases, n, dbar):
         for angles, radii in rec.pieces:
             ws = radii * np.exp(1j * angles)[:, None]
             b, f = (None if g is None else g.T for g in src.berezin_tensor(z, angles, radii, dbar))
-            b_flat, f_flat = (src.berezin_dbar_grid(z, ws) if dbar
-                              else (src.berezin_grid(z, ws), None))
+            b_flat, f_flat = src.berezin_flat(z, ws, dbar)
             xs = np.conj(ws) / basis.scale
             kappa = _kappa(a, xs)
-            # 1e-300: a node at the cut exp(-700) may round to either side
+            # 1e-300: a node at the cut exp(-745) may round to either side
             assert np.all(np.abs(b - b_flat) <= 1e-12 * kappa * b_flat + 1e-300)
             if dbar:
                 # f = B [conj(k'/k) - s]: the errors of B, k and k' add up
@@ -839,7 +893,7 @@ def test_oracle_source_rejects_bad_nodes(elliptic_bases, entry, bad):
     good = np.array([0.0, 1.0])
     call = {
         "grid": lambda: src.berezin_grid(0.3, ws),
-        "dbar_grid": lambda: src.berezin_dbar_grid(0.3, ws),
+        "dbar_grid": lambda: src.berezin_flat(0.3, ws, True),
         "tensor_radius": lambda: src.berezin_tensor(0.3, good, np.array([0.5, bad]), False),
         "tensor_angle": lambda: src.berezin_tensor(0.3, np.array([0.5, bad]), good, True),
     }[entry]
