@@ -16,6 +16,7 @@ import argparse
 import cmath
 import functools
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -32,6 +33,7 @@ from .errors import (
     RegimeError,
     ResolutionError,
     ToleranceError,
+    check_finite,
     check_index,
 )
 from .expansion import exterior_kernel_expansion
@@ -40,7 +42,8 @@ from .ginibre_exact import ginibre_berezin_array, ginibre_kernel_exact
 from .ortho_oracle import compute_moments, orthonormalize
 from .potential import RADIAL_PROFILES, make_elliptic_ginibre, make_ginibre, make_radial
 from .scaled_numerics import quad_trapezoid_periodic
-from .szego_geometry import classify, trace_curve_K, trace_szego_curve
+from .szego_geometry import (_LABELS, _check_tol, _classify_codes, trace_curve_K,
+                             trace_szego_curve)
 from .ward import loop_residual
 
 
@@ -100,19 +103,26 @@ def _open_out(args):
 def _write_csv(fh, comment, header, rows):
     """The `# wpkernel <version> <comment>` line, the header row, one row per entry.
 
-    Each row is a tuple, written with one `%` format picked by its value
-    types: `%.17g` for a float (numpy float64 included), `%s` for anything
-    else, the bytes of format(v, ".17g") and str(v).
+    `rows` is a list of tuples, each written with one `%` format picked by its
+    value types: `%.17g` for a float (numpy float64 included), `%s` for anything
+    else, the bytes of format(v, ".17g") and str(v).  When the rows have one
+    length and each column holds only floats or no float, one format serves
+    every row, picked from the column types instead of each row's.
     """
-    formats = {}
     lines = [f"# wpkernel {__version__} {comment}", ",".join(header)]
-    for row in rows:
-        types = tuple(map(type, row))
-        fmt = formats.get(types)
-        if fmt is None:
-            fmt = formats[types] = ",".join(
-                "%.17g" if issubclass(t, float) else "%s" for t in types)
-        lines.append(fmt % row)
+    columns = list(zip(*rows))
+    kinds = [{issubclass(t, float) for t in set(map(type, column))} for column in columns]
+    if set(map(len, rows)) == {len(columns)} and all(len(kind) == 1 for kind in kinds):
+        lines += map(",".join("%.17g" if True in kind else "%s" for kind in kinds).__mod__, rows)
+    else:
+        formats = {}
+        for row in rows:
+            types = tuple(map(type, row))
+            fmt = formats.get(types)
+            if fmt is None:
+                fmt = formats[types] = ",".join(
+                    "%.17g" if issubclass(t, float) else "%s" for t in types)
+            lines.append(fmt % row)
     lines.append("")
     fh.write("\n".join(lines))
 
@@ -136,16 +146,45 @@ def _emit_json(args, payload):
 # --- subcommands ------------------------------------------------------------
 
 
-def cmd_classify(args):
-    rows = []
-    for raw_line in _read_text(args.points).splitlines():
-        line = raw_line.strip()
-        if not line or line.startswith("#") or line.lower().startswith("re"):
-            continue
+def _parse_points(lines) -> np.ndarray:
+    """The points of the data lines, in file order, as one finite complex array.
+
+    When every line holds one comma, so that the fields pair up line by line,
+    they are parsed as one vector by float().  Any other file, or one with a
+    field float() refuses, is parsed line by line by `_parse_complex`, each
+    point checked for finiteness in turn, so the first faulty line picks the
+    error.
+    """
+    if set(map(str.count, lines, itertools.repeat(","))) == {1}:
+        fields = ",".join(lines).split(",")
+        try:
+            xy = np.fromiter(map(float, fields), float, len(fields))
+        except ValueError:
+            pass
+        else:
+            # the view keeps each part's sign and infinity, which x + 1j * y does not
+            zeta = xy.view(complex)
+            check_finite(*zeta[~np.isfinite(zeta)].tolist())
+            return zeta
+    points = []
+    for line in lines:
         z = _parse_complex(line)
-        label = classify(z, tol=args.tol)
-        rows.append((z.real, z.imag, label.label.value, label.in_E_sz))
-    _emit_csv(args, ["re", "im", "label", "in_exterior_domain"], rows)
+        check_finite(z)
+        points.append(z)
+    return np.array(points, dtype=complex)
+
+
+def cmd_classify(args):
+    _check_tol(args.tol)
+    lines = [line for line in map(str.strip, _read_text(args.points).splitlines())
+             if line and not line.startswith("#") and not line.lower().startswith("re")]
+    zeta = _parse_points(lines)
+    codes = _classify_codes(zeta, args.tol).tolist()
+    names = [label.label.value for label in _LABELS]
+    exterior = [label.in_E_sz for label in _LABELS]
+    rows = zip(zeta.real.tolist(), zeta.imag.tolist(),
+               map(names.__getitem__, codes), map(exterior.__getitem__, codes))
+    _emit_csv(args, ["re", "im", "label", "in_exterior_domain"], list(rows))
     return 0
 
 

@@ -99,14 +99,27 @@ _REGION_III = RegionLabel(Region.REGION_III, True)
 _ON_SZEGO_CURVE = RegionLabel(Region.ON_SZEGO_CURVE, False)
 _ON_CURVE_K = RegionLabel(Region.ON_CURVE_K, True)
 _AT_ONE = RegionLabel(Region.AT_ONE, False)
+# _classify_codes labels a point by its index in this table: the labels in the
+# order classify tests for them, the last its default
+_LABELS = (_AT_ONE, _ON_SZEGO_CURVE, _ON_CURVE_K, _REGION_III, _REGION_I, _REGION_II)
+
+# numpy's hypot, log and exp, real and complex, may differ from math's and
+# cmath's in the last ulp, so _classify_codes hands every point whose tested
+# quantity lies within this relative margin of its edge to classify
+_EDGE_MARGIN = 1e-12
+
+
+def _check_tol(tol: float) -> None:
+    """DomainError unless the classification tolerance is finite and non-negative."""
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"tol must be finite and non-negative, got {tol!r}")
 
 
 def classify(zeta: complex, tol: float = 1e-9) -> RegionLabel:
     """Classify zeta into regions I/II/III or onto the special curves."""
     zeta = complex(zeta)
     check_finite(zeta)
-    if not 0.0 <= tol < math.inf:
-        raise DomainError(f"tol must be finite and non-negative, got {tol!r}")
+    _check_tol(tol)
     r = math.hypot(zeta.real, zeta.imag)
     to_one = math.hypot(zeta.real - 1.0, zeta.imag)
     if to_one <= tol:
@@ -126,6 +139,42 @@ def classify(zeta: complex, tol: float = 1e-9) -> RegionLabel:
     if r < 1.0 and au < 1.0:
         return _REGION_I
     return _REGION_II
+
+
+def _classify_codes(zeta: np.ndarray, tol: float) -> np.ndarray:
+    """Indices into _LABELS of classify(z, tol) at each z of a finite complex array.
+
+    The tests of classify run once over the whole array.  A point whose |z|
+    overflows, or whose to_one, r, au, |au - 1|, |Im u| or Re u lies within
+    _EDGE_MARGIN (1 + |edge|) of an edge it is compared with, is labelled by
+    classify itself, so every index names the label classify returns.  The
+    caller checks tol and that every z is finite.
+    """
+    x, y = zeta.real, zeta.imag
+    with np.errstate(over="ignore", divide="ignore"):
+        r = np.hypot(x, y)
+        to_one = np.hypot(x - 1.0, y)
+        log_r = np.log(r)
+    au = np.exp(np.minimum(log_r + 1.0 - x, 1.0))
+    # u only where the OnCurveK test is reached, |zeta - 1| <= _K_REACH
+    near_k = to_one <= _K_REACH
+    u = zeta[near_k] * np.exp(1.0 - zeta[near_k])
+    on_k = np.zeros_like(near_k)
+    on_k[near_k] = (np.abs(u.imag) <= tol) & (u.real > 0.0)
+    tests = [to_one <= tol, (r <= 1.0 + tol) & (np.abs(au - 1.0) <= tol),
+             on_k & (au >= 1.0 - tol), au > 1.0 + tol, (r < 1.0) & (au < 1.0)]
+    codes = np.select(tests, range(len(tests)), len(tests))
+
+    def near(v, edge):
+        return np.abs(v - edge) <= _EDGE_MARGIN * (1.0 + abs(edge))
+
+    screen = (~np.isfinite(r) | near(to_one, tol) | near(to_one, _K_REACH) | near(r, 1.0 + tol)
+              | near(r, 1.0) | near(np.abs(au - 1.0), tol) | near(au, 1.0 - tol)
+              | near(au, 1.0 + tol) | near(au, 1.0))
+    screen[near_k] |= near(np.abs(u.imag), tol) | near(u.real, 0.0)
+    for i in np.flatnonzero(screen):
+        codes[i] = _LABELS.index(classify(complex(zeta[i]), tol))
+    return codes
 
 
 def _check_step(step: float):

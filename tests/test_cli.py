@@ -18,7 +18,8 @@ from wpkernel import (
     make_ginibre,
     orthonormalize,
 )
-from wpkernel.cli import _write_csv, build_parser, main
+from wpkernel.cli import _parse_complex, _write_csv, build_parser, main
+from wpkernel.szego_geometry import classify, trace_curve_K, trace_szego_curve
 
 
 def run(args):
@@ -156,6 +157,18 @@ def test_classify_non_finite_point_is_a_domain_error(tmp_path):
     assert run(["classify", "--points", str(pts), "--out", str(tmp_path / "l.csv")]) == 2
 
 
+@pytest.mark.parametrize("text,code", [
+    ("nan,0\n1,2,3\n", 2), ("1,2,3\nnan,0\n", 1), ("inf,1\nabc,1\n", 2), ("abc,1\n1,inf\n", 1),
+], ids=["non-finite-first", "three-fields-first", "non-finite-before-letters",
+        "letters-before-non-finite"])
+def test_classify_first_faulty_line_picks_the_exit_code(text, code, tmp_path):
+    pts = tmp_path / "pts.csv"
+    pts.write_text(text)
+    out = tmp_path / "labels.csv"
+    assert run(["classify", "--points", str(pts), "--out", str(out)]) == code
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["classify", "--points", "{bad_lines}"],
     ["classify", "--points", "{letters}"],
@@ -187,15 +200,21 @@ def test_malformed_input_is_a_config_error(argv, tmp_path, capsys):
       "--mode", "asymptotic", "--M", "inf"], 1),
 ] + [
     (["classify", "--points", "{pts}", "--tol", tol], 2) for tol in ("nan", "-1", "inf")
+] + [
+    (["classify", "--points", "{empty}", "--tol", tol], 2) for tol in ("nan", "-1", "inf")
 ], ids=["kernel-eta-nan", "expand-eta-negative", "kernel-M-nan", "kernel-M-inf",
-        "classify-tol-nan", "classify-tol-negative", "classify-tol-inf"])
+        "classify-tol-nan", "classify-tol-negative", "classify-tol-inf",
+        "classify-no-points-tol-nan", "classify-no-points-tol-negative",
+        "classify-no-points-tol-inf"])
 def test_bad_eta_tol_and_M_are_typed_errors(argv, code, tmp_path, capsys):
     # typed errors that write nothing: not a traceback, nor an answer at the pole,
-    # with the belt check switched off, or a silent label
-    pts = tmp_path / "pts.csv"
+    # with the belt check switched off, or a silent label; a file without data
+    # rows used to skip the tol check and exit 0
+    pts, empty = tmp_path / "pts.csv", tmp_path / "empty.csv"
     pts.write_text("0.5,0\n1,0\n")
+    empty.write_text("re,im\n")
     out = tmp_path / "out.csv"
-    assert run([arg.format(pts=pts) for arg in argv] + ["--out", str(out)]) == code
+    assert run([arg.format(pts=pts, empty=empty) for arg in argv] + ["--out", str(out)]) == code
     assert capsys.readouterr().err.startswith(("domain/regime error: ", "config error: "))
     assert not out.exists()
 
@@ -216,12 +235,60 @@ def test_csv_rows_match_the_per_value_rule():
         (1.5, 2), (2, 1.5), (1.5, 2), ("tail", -0.0, 0.0), ("asymptotic", 2.5, -3.25),
         (0, 1.0, 0.1, 2.0, 1.9, 1.0526315789473684),
     ]
-    fh = io.StringIO()
-    _write_csv(fh, "rows", ["a", "b"], rows)
-    assert fh.getvalue() == f"# wpkernel {__version__} rows\na,b\n" + _per_value_rows(rows)
+    # one length and one kind of value per column: written with one format
+    uniform = [(1.0 / 3.0, np.float64(-0.0), 7, True, "RegionI", np.float32(0.1)),
+               (np.float64(5e-324), math.nan, np.int64(-12), False, "AtOne", np.float32(2.5)),
+               (1e300, math.inf, 10 ** 20, True, "ratio:a/b", np.float32(-0.0))]
+    for table in (rows, uniform):
+        fh = io.StringIO()
+        _write_csv(fh, "rows", ["a", "b"], table)
+        assert fh.getvalue() == f"# wpkernel {__version__} rows\na,b\n" + _per_value_rows(table)
     empty = io.StringIO()
     _write_csv(empty, "none", ["re", "im"], [])
     assert empty.getvalue() == f"# wpkernel {__version__} none\nre,im\n"
+
+
+def _classify_points_text(complex_literals):
+    """A seeded points file: `re,im` rows about the regions and curves, -0.0, a
+    subnormal and 1e300, with a header, comments and blank lines; every fifth
+    point written as a complex literal if asked."""
+    rng = np.random.default_rng(35)
+    curves = np.concatenate([trace_szego_curve().points, trace_curve_K().points])
+    curves = rng.choice(curves, 200, replace=False)
+    points = np.concatenate([
+        rng.uniform(-3.0, 3.0, 300) + 1j * rng.uniform(-3.0, 3.0, 300), curves,
+        curves + 1e-10 * np.exp(2j * math.pi * rng.uniform(size=curves.size)),
+        [1.0, complex(-0.0, 0.5), complex(0.5, -0.0), 5e-324, complex(0.3, 5e-324), 1e300,
+         complex(-1e300, 1e300), 1.5e308 * (1 + 1j)]]).tolist()
+    lines = ["# seeded points", "re,im", ""]
+    for k, z in enumerate(points):
+        lines.append(repr(z) if complex_literals and k % 5 == 0 else f"{z.real!r},{z.imag!r}")
+        if k % 97 == 0:
+            lines += ["", f"# after point {k}"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("tol", [None, "0"])
+@pytest.mark.parametrize("complex_literals", [False, True], ids=["re-im-rows", "mixed-rows"])
+def test_classify_writes_the_bytes_of_the_per_point_loop(complex_literals, tol, tmp_path):
+    # the re,im file is parsed as one vector, the mixed one line by line; both
+    # must write what parsing and labelling each point in turn writes
+    text = _classify_points_text(complex_literals)
+    pts, out = tmp_path / "pts.csv", tmp_path / "labels.csv"
+    pts.write_text(text)
+    flags = [] if tol is None else ["--tol", tol]
+    assert run(["classify", "--points", str(pts), "--out", str(out)] + flags) == 0
+    rows = []
+    for raw_line in text.splitlines():
+        line = raw_line.strip()
+        if not line or line.startswith("#") or line.lower().startswith("re"):
+            continue
+        z = _parse_complex(line)
+        label = classify(z, 1e-9 if tol is None else float(tol))
+        rows.append((z.real, z.imag, label.label.value, label.in_E_sz))
+    assert len(rows) == 708
+    expected = "re,im,label,in_exterior_domain\n" + _per_value_rows(rows)
+    assert out.read_text().split("\n", 1)[1] == expected
 
 
 def _fresh_parser_run(argv):

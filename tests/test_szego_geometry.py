@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wpkernel import DomainError, Region, classify, trace_curve_K, trace_szego_curve, u_map
+from wpkernel import szego_geometry
 from wpkernel.szego_geometry import RegionLabel, negative_axis_crossing, u_abs
 
 
@@ -221,3 +222,26 @@ def test_classify_returns_one_label_per_region():
         labels = [classify(z) for z in points]
         assert all(label is labels[0] for label in labels)
         assert labels[0] == RegionLabel(region, region in exterior)
+
+
+def test_array_labels_equal_classify(monkeypatch):
+    # numpy's hypot, log and exp may differ from math's in the last ulp, which
+    # flips raw array labels at tol = 0; the points at a decision edge go to classify
+    rng = np.random.default_rng(35)
+    curves = np.concatenate([trace_szego_curve(1e-4).points, trace_curve_K(1e-4).points])
+    curves = rng.choice(curves, 4000, replace=False)
+    offsets = [curves + d * np.exp(2j * math.pi * rng.uniform(size=curves.size))
+               for d in (1e-9, 1e-10)]
+    ring = 1.0 + 1e-9 * np.exp(2j * math.pi * rng.uniform(size=500))
+    uniform = rng.uniform(-3.0, 3.0, 4000) + 1j * rng.uniform(-3.0, 3.0, 4000)
+    extremes = [0.0, 1.0, -0.0j, 5e-324, 1e300, -1e300j, 1.5e308 * (1 + 1j), 700.0 + 1e304j]
+    zeta = np.concatenate([uniform, curves, *offsets, ring, extremes])
+    handed = []
+    monkeypatch.setattr(szego_geometry, "classify",
+                        lambda z, tol: handed.append(z) or classify(z, tol))
+    for tol in (0.0, 1e-12, 1e-9, 1e-3):
+        handed.clear()
+        labels = [szego_geometry._LABELS[c] for c in szego_geometry._classify_codes(zeta, tol)]
+        assert labels == [classify(complex(z), tol) for z in zeta], tol
+        if tol == 0.0:
+            assert handed
