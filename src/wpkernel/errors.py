@@ -44,8 +44,10 @@ class ConfigError(ValueError):
 
 
 def check_index(value, name: str, lo: int, hi: int | None = None) -> None:
-    """DomainError unless value is an integer with lo <= value, and value <= hi if hi is given."""
-    if not isinstance(value, numbers.Integral) or value < lo or (hi is not None and value > hi):
+    """DomainError unless value is an integer with lo <= value, and value <= hi if hi is given.
+    A plain int skips the abc check, which costs more than the comparisons."""
+    if ((type(value) is not int and not isinstance(value, numbers.Integral))
+            or value < lo or (hi is not None and value > hi)):
         span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise DomainError(f"{name} must be an integer {span}, got {value!r}")
 

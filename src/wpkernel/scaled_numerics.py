@@ -206,6 +206,11 @@ class PolynomialQ:
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)
 
+    @functools.cached_property
+    def float_coeffs(self) -> tuple:
+        """The coefficients as floats, converted once, for float or complex arguments."""
+        return tuple(float(c) for c in self.coeffs)
+
     @property
     def degree(self):
         """Polynomial degree; -inf for the zero polynomial."""
@@ -244,13 +249,13 @@ def poly_derivative(p: PolynomialQ) -> PolynomialQ:
 
 
 def poly_eval(p: PolynomialQ, zeta):
-    """Horner evaluation; works for complex, float, or Fraction arguments."""
+    """Horner evaluation; works for complex, float, or Fraction arguments.
+    A float or complex argument takes the float coefficients, any other the
+    exact ones, so that a Fraction argument gives an exact value."""
+    coeffs = p.float_coeffs if isinstance(zeta, (complex, float)) else p.coeffs
     acc = 0 * zeta
-    for c in reversed(p.coeffs):
-        if isinstance(zeta, complex) or isinstance(zeta, float):
-            acc = acc * zeta + float(c)
-        else:
-            acc = acc * zeta + c
+    for c in reversed(coeffs):
+        acc = acc * zeta + c
     return acc
 
 

@@ -43,6 +43,7 @@ mirror half in closed form.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -101,7 +102,12 @@ class BerezinSource:
         self.pot = pot
         self.rotation_order = pot.rotation_order
         self.outer_radius = pot.outer_radius(1.0)
-        self.s_max = walk_radius(pot, n)
+
+    @functools.cached_property
+    def s_max(self) -> float:
+        """`walk_radius` of the weight, found at the first walk: a source built
+        only for its grids never pays for it."""
+        return walk_radius(self.pot, self.n)
 
     def berezin_grid(self, z: complex, ws: np.ndarray) -> np.ndarray:
         """B_n(z, w) over the nodes ws, shaped as ws."""

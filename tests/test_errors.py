@@ -15,6 +15,7 @@ import enum
 import inspect
 import math
 
+import numpy as np
 import pytest
 
 import wpkernel
@@ -134,3 +135,18 @@ def test_hostile_points_raise_typed_errors(name, function):
                     got = exc
                 failures.append(f"{name}({param}={bad!r}) with {pot.name}: {got!r}")
     assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize("value, ok", [
+    (0, True), (3, True), (2 ** 70, True), (-1, False), (True, True), (False, True),
+    (np.int64(3), True), (np.uint8(2), True), (np.int32(-2), False), (np.bool_(True), False),
+    (3.0, False), (1.5, False), (math.nan, False), (math.inf, False), ("3", False), (None, False),
+])
+def test_check_index_takes_integers_only(value, ok):
+    # a plain int takes a shortcut past the abc check; bool and numpy
+    # integers still pass through it, and floats, NaN and numpy bools fail it
+    if ok:
+        errors.check_index(value, "index", 0)
+    else:
+        with pytest.raises(errors.DomainError):
+            errors.check_index(value, "index", 0)

@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 from wpkernel import (
     DomainError,
     GinibreSource,
+    PrecisionError,
     ginibre_berezin,
     ginibre_kernel_exact,
     partial_exp_sum,
     partial_exp_sum_complement,
     partial_exp_sum_gamma_route,
 )
+from wpkernel import ginibre_exact
 from wpkernel.ginibre_exact import (
     _flat_e_n,
     _point_e_n,
@@ -357,6 +359,8 @@ def test_array_path_matches_scalar():
 
 
 _complex_in_box = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+_RIM_ZETAS = [0.999, cmath.rect(1.0005, 0.01), cmath.rect(0.9995, 0.7), 1.0005j,
+              cmath.rect(1.0, -2.5), -0.9995]
 
 
 @settings(max_examples=60, deadline=None)
@@ -371,6 +375,10 @@ def test_hermitian_exact_property(n, z, w):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 6400), st.lists(_complex_in_box, min_size=1, max_size=6))
 @example(3832, [0.5j])  # e^{-|x|} e_n(x) underflows, e_n(x) ~ e^{1170} does not
+# rim points, |zeta| ~ 1: one-point windows of about 900 and 2800 terms,
+# where the rounding of the term recurrence accumulates
+@example(10_000, _RIM_ZETAS)
+@example(100_000, _RIM_ZETAS)
 def test_scalar_array_agreement(n, zetas):
     # the array route and the one-point route against mpmath: logarithms up
     # to L = n |zeta| + log n! round to eps L, and inside |x| = n,
@@ -469,6 +477,46 @@ def test_memory_bounded_at_large_n():
         tracemalloc.stop()
     assert np.all(np.isfinite(b))
     assert peak < 10e6
+
+
+def test_scalar_memory_bounded_at_large_n():
+    # a rim pair at n = 1e8 sums a one-point window of about 89,000 terms
+    tracemalloc.start()
+    try:
+        k = ginibre_kernel_exact(10 ** 8, 1.0, cmath.rect(1.0, 0.3)).value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(k.log_mag)
+    assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("n, zeta", [(10 ** 6, 100), (10 ** 5, 10 ** 5), (10 ** 5, 10 ** 6),
+                                     (10 ** 5, 2)])
+def test_cross_check_admits_the_rounding_floor(n, zeta):
+    # the two routes subtract exponents of size n|zeta| and n|log n zeta|,
+    # each rounded to eps of itself: past 1e-8, the check admits 4 eps times
+    # their sum, and the routes here differ by 0.57 to 1.3 times that
+    e = partial_exp_sum(n, zeta)
+    gamma = partial_exp_sum_gamma_route(n, zeta)
+    floor = _EPS * n * (abs(zeta) + abs(cmath.log(n * zeta)))
+    assert _log_polar_gap(e, gamma) <= 2.0 * floor
+
+
+@pytest.mark.parametrize("n, zeta, shift", [(200, 1.5, 1e-7), (50, 3 + 1j, 2e-8),
+                                            (10 ** 5, 10 ** 5, 1e-4)])
+def test_cross_check_refuses_a_wrong_sum(monkeypatch, n, zeta, shift):
+    # a sum off by more than the tolerance, 1e-8 or the rounding floor
+    # (8.9e-6 at n = zeta = 1e5), fails the gamma cross-check
+    raw = ginibre_exact._raw_partial_sum
+
+    def shifted(n, zeta):
+        value = raw(n, zeta)
+        return LogComplex(value.log_mag + shift, value.arg)
+
+    monkeypatch.setattr(ginibre_exact, "_raw_partial_sum", shifted)
+    with pytest.raises(PrecisionError):
+        partial_exp_sum(n, zeta)
 
 
 @pytest.mark.parametrize("call", [

@@ -899,3 +899,16 @@ def test_oracle_source_rejects_bad_nodes(elliptic_bases, entry, bad):
     }[entry]
     with np.errstate(all="ignore"), pytest.raises(DomainError):
         call()
+
+
+def test_walk_radius_is_found_at_the_first_walk(monkeypatch):
+    # a source built only for its grids never finds s_max; the first walk
+    # finds it once, the same value walk_radius gives
+    calls = []
+    monkeypatch.setattr(ward, "walk_radius", lambda pot, n: calls.append(n) or 2.5)
+    src = GinibreSource(3200)
+    src.berezin_grid(0.5, np.array([0.3, 1.2j]))
+    assert calls == []
+    assert src.s_max == src.s_max == 2.5 and calls == [3200]
+    monkeypatch.undo()
+    assert GinibreSource(3200).s_max == ward.walk_radius(make_ginibre(), 3200)
