@@ -15,19 +15,22 @@ elliptic_kernel_exact at any n without a Gram matrix.
 
 Moments are computed by polar quadrature about the droplet center: a
 composite Gauss radial rule out to R = r_outer + 12/sqrt(n) and a periodic
-trapezoid in the angle with max(4*max_degree + 16, 128) nodes, or a single
-node for a rotation-invariant weight (see below).  A weight
-invariant under z -> e^{2 pi i / p} z (p = the potential's rotation_order)
-has M_{jk} = 0 unless p divides j - k, so only the lags d = 0, p, 2p, ...
-are integrated.  One product gives their angular profiles on every radial
-node, one more the Hankel table of radial moments, and M_{jk} is a gather
-from that table.  The residue blocks {j = r mod p} are stacked into one
-(p, s, s) array, the short ones padded with a unit diagonal entry, and
-factored together: one batched svd for the condition estimate (the spread
-of the blocks' singular values), one batched Cholesky, and an s-step
-recurrence for the inverse factors.  A rotation-invariant weight has
-p = inf, capped at max_degree + 1: one 1 x 1 block per degree, and its
-angular profile 2 pi e^{-n Q(r)} is exact with a single angular node.
+trapezoid in the angle.  A weight invariant under z -> e^{2 pi i / p} z
+(p = the potential's rotation_order) has M_{jk} = 0 unless p divides
+j - k, so only the lags d = 0, p, 2p, ... are integrated, and the integrand
+e^{i d theta} e^{-n Q} repeats with period 2 pi / p: the trapezoid runs on
+one period, ceil(m/p) of the nodes of the rule on p ceil(m/p) nodes with
+m = max(4*max_degree + 16, 128), and its sum is multiplied by p.  A
+rotation-invariant weight (p = inf) is the end of that rule: one node,
+and its angular profile 2 pi e^{-n Q(r)} is exact.  One real product (the
+weight against the modes' real and imaginary parts) gives the profiles on
+every radial node, one more the Hankel table of radial moments, and M_{jk}
+is a gather from that table.  The residue blocks {j = r mod p} are stacked
+into one (p, s, s) array, the short ones padded with a unit diagonal
+entry, and factored together: one batched svd for the condition estimate
+(the spread of the blocks' singular values), one batched Cholesky, and an
+s-step recurrence for the inverse factors.  For the blocks p is capped at
+max_degree + 1: a rotation-invariant weight has one 1 x 1 block per degree.
 """
 
 from __future__ import annotations
@@ -72,26 +75,34 @@ def compute_moments(pot: AdmissiblePotential, n: int, max_degree: int) -> GramDa
 
     With the angular profiles A_d(r) = int e^{i d theta} e^{-n Q(r e^{i theta})} dtheta
     and the Hankel table H[m, l] = sum_r (r/scale)^m r w_r A_{l period}(r) / pi,
-    M_jk = H[j + k, (j - k)/period] for j >= k in a residue block.
+    M_jk = H[j + k, (j - k)/period] for j >= k in a residue block.  A_d is
+    the trapezoid on one period 2 pi / p of the weight, p = rotation_order,
+    times p (see the module); both products are real products on the
+    complex factor viewed as float.
     """
     check_n(n)
     check_index(max_degree, "max_degree", 0, n)
     r_max = pot.outer_radius(1.0) + 12.0 / math.sqrt(n)
     # the weight's own angular modes need the floor: with 64 nodes the elliptic
-    # (1, 3) kernel missed the Hermite route by 2e-11 at n = 10, with 128 by 2e-14
-    m_theta = 1 if pot.rotation_order == math.inf else max(4 * max_degree + 16, 128)
+    # (1, 3) kernel missed the Hermite route by 2e-11 at n = 10, with 128 by 2e-14;
+    # ceil(m/p) nodes on one period, one for p = inf (-m // inf is -1.0)
+    p = pot.rotation_order
+    m_period = int(-(-max(4 * max_degree + 16, 128) // p))
     # radius of the disc with the droplet's area (area theorem): sqrt(p q) for an ellipse
     c1, _, c_1 = pot.chi_laurent(1.0)
     scale = math.sqrt(abs(c1) ** 2 - abs(c_1) ** 2)
-    period = min(pot.rotation_order, max_degree + 1)
+    period = min(p, max_degree + 1)
     rule = quad_radial(r_max, feature_scale=1.0 / math.sqrt(max(n, 4)))
     radii = rule.nodes
-    theta = 2.0 * math.pi * np.arange(m_theta) / m_theta
+    theta = 2.0 * math.pi * np.arange(m_period) / (p * m_period)
     wgt = np.exp(-n * pot.Q(radii[:, None] * np.exp(1j * theta)[None, :]))
     lags = np.arange(0, max_degree + 1, period)
-    profiles = (2.0 * math.pi / m_theta) * (wgt @ np.exp(1j * np.outer(theta, lags)))
+    # numpy would upcast the real factor and run a complex product
+    modes = np.exp(1j * np.outer(theta, lags)).view(float)
+    profiles = (2.0 * math.pi / m_period) * (wgt @ modes).view(complex)
     powers = np.exp(np.outer(np.arange(2 * max_degree + 1), np.log(radii / scale)))
-    hankel = powers @ ((radii * rule.weights / math.pi)[:, None] * profiles)
+    hankel = (powers @ ((radii * rule.weights / math.pi)[:, None] * profiles).view(float)
+              ).view(complex)
     # one gather from (H, conj H), conjugated above the diagonal
     rows, cols, mask = _residue_layout(max_degree + 1, period)
     table = np.stack([hankel, hankel.conj()])
@@ -169,17 +180,24 @@ def orthonormalize(gram: GramData) -> OrthonormalBasis:
 # ---------------------------------------------------------------------------
 
 
+def _powers(first: float, zh: complex, degree: int) -> np.ndarray:
+    """first zh^k for k = 0..degree, a running product on one array filled in place:
+    building the row with np.r_ took more time than the product."""
+    powers = np.full(degree + 1, zh)
+    powers[0] = first
+    return np.cumprod(powers, out=powers)
+
+
 def _poly_values(basis: OrthonormalBasis, z: complex) -> np.ndarray:
-    zh = complex(z) / basis.scale
-    powers = np.cumprod(np.r_[1.0 + 0j, np.full(basis.max_degree, zh)])
+    powers = _powers(1.0, complex(z) / basis.scale, basis.max_degree)
     return np.asarray(basis.coeffs) @ powers
 
 
 def _poly_derivatives(basis: OrthonormalBasis, z: complex) -> np.ndarray:
     """P_j'(z) for every basis polynomial."""
-    zh = complex(z) / basis.scale
-    powers = np.cumprod(np.r_[1.0 / basis.scale + 0j, np.full(basis.max_degree, zh)])
-    dpowers = np.r_[0j, np.arange(1, basis.max_degree + 1) * powers[:-1]]
+    powers = _powers(1.0 / basis.scale, complex(z) / basis.scale, basis.max_degree)
+    dpowers = np.zeros_like(powers)
+    dpowers[1:] = np.arange(1, basis.max_degree + 1) * powers[:-1]
     return np.asarray(basis.coeffs) @ dpowers
 
 

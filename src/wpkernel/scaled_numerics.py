@@ -82,7 +82,7 @@ class LogComplex:
     def __post_init__(self):
         if self.log_mag == NEG_INF:
             object.__setattr__(self, "arg", 0.0)
-        else:
+        elif not -math.pi < self.arg <= math.pi:  # most args come reduced: nothing to set
             object.__setattr__(self, "arg", _norm_arg(self.arg))
 
     @property

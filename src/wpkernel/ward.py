@@ -77,10 +77,13 @@ _N_THETA = 256
 
 def walk_radius(pot: AdmissiblePotential, n: int) -> float:
     """s_max of the walk, which prunes inside by log_envelope: the first s = r_out +
-    (12/sqrt(n)) k/32, k = 1..32, where n min (Q - V) >= _NEGLIGIBLE + log n over 64
-    angles of |w| = s; the last one if none."""
+    (12/sqrt(n)) k/32, k = 1..32, where n min (Q - V) >= _NEGLIGIBLE + log n over
+    the angles 2 pi j/64 of |w| = s in one period 2 pi/p of the weight (p its
+    rotation_order; Q - V repeats with it): ceil(64/p) of them, 32 for the
+    ellipse and one for p = inf (-64 // inf is -1); the last s if none."""
     s = pot.outer_radius(1.0) + (12.0 / math.sqrt(n)) * np.arange(1, 33) / 32
-    low = n * pot.ridge(s[:, None] * np.exp(2j * math.pi * np.arange(64) / 64)).min(axis=1)
+    angles = 2j * math.pi * np.arange(-(-64 // pot.rotation_order)) / 64
+    low = n * pot.ridge(s[:, None] * np.exp(angles)).min(axis=1)
     past = np.flatnonzero(low >= _NEGLIGIBLE + math.log(n))
     return float(s[past[0] if past.size else -1])
 
@@ -164,6 +167,8 @@ class OracleSource(BerezinSource):
     O(degree * nodes) work either way, in O(nodes + degree (angles + radii))
     memory.  pot is the basis's own potential (DomainError otherwise).  Every
     node is kept: a log_envelope needs Q on each node, ~10% of a transform at n = 40.
+    p(z), p'(z) and log R_n(z) are found once per root (`_at_root`) and read by
+    each of a walk's grid calls and by the loop's root terms.
     """
 
     name = "oracle"
@@ -173,6 +178,18 @@ class OracleSource(BerezinSource):
             raise DomainError("OracleSource needs the potential its basis was built from")
         super().__init__(pot, basis.n)
         self.basis = basis
+        self._root = (None,)
+
+    def _at_root(self, z: complex) -> tuple:
+        """(p(z), p'(z), log R_n(z)), computed at the first call for a root and kept
+        for the next calls at it; the root is told by the bits of z, as -0.0 and 0.0
+        are different roots to the walk."""
+        z = complex(z)
+        key = (z.real.hex(), z.imag.hex())
+        if self._root[0] != key:
+            self._root = (key, _poly_values(self.basis, z), _poly_derivatives(self.basis, z),
+                          kernel_oracle(self.basis, z, z).log_mag)
+        return self._root[1:]
 
     def _entry(self, z: complex, node_extent: float, dbar: bool) -> list:
         """p(z), and p'(z) with dbar, after every route's entry check: DomainError unless
@@ -181,7 +198,7 @@ class OracleSource(BerezinSource):
         with np.errstate(over="ignore"):
             top = np.float64(scale / self.basis.scale) ** self.basis.max_degree
         check_scale(float(top) + self.n * scale * scale)
-        return [f(self.basis, z) for f in (_poly_values, _poly_derivatives)[:1 + dbar]]
+        return list(self._at_root(z)[:1 + dbar])
 
     def _horner(self, values: np.ndarray, x: np.ndarray) -> np.ndarray:
         a = np.asarray(self.basis.coeffs).conj().T @ values
@@ -233,13 +250,12 @@ class OracleSource(BerezinSource):
         return self._grids(z, radii[:, None] * np.exp(1j * angles), rows, kerns)
 
     def log_one_point(self, z: complex) -> float:
-        return kernel_oracle(self.basis, z, z).log_mag
+        return self._at_root(z)[2]
 
     def lap_log_kernel(self, z: complex) -> float:
         """(sum|P'|^2 sum|P|^2 - |sum P' conj P|^2) / (sum|P|^2)^2, summed in
         Lagrange's form sum_{i<j} |P_i' P_j - P_j' P_i|^2, free of cancellation."""
-        p = _poly_values(self.basis, z)
-        dp = _poly_derivatives(self.basis, z)
+        p, dp, _ = self._at_root(z)
         norm = math.sqrt(np.vdot(p, p).real)
         u, du = p / norm, dp / norm
         return 0.5 * float(np.sum(np.abs(np.outer(du, u) - np.outer(u, du)) ** 2))
@@ -346,7 +362,8 @@ def _sector(source, z: complex, dbar: bool, s_a, s_b, phi_a, phi_b, fine, per_pi
     n_pan = np.maximum(1, np.ceil(r_exit / fine)).astype(int)
     ends = np.cumsum(n_pan)
     cuts = np.searchsorted(ends, np.arange(_SECTOR_PANELS, ends[-1], _SECTOR_PANELS), "right")
-    for first, last in zip(np.r_[0, cuts], np.r_[cuts, e.size]):
+    bounds = [0, *cuts.tolist(), e.size]
+    for first, last in zip(bounds[:-1], bounds[1:]):
         # the panels of np.linspace(0, r_exit, n_pan + 1) on every ray, ray by ray
         counts = n_pan[first:last]
         ray = np.repeat(np.arange(first, last), counts)

@@ -200,6 +200,47 @@ def test_batched_blocks_match_unblocked_reference(pot, n, degree):
     assert gram.cond_estimate == pytest.approx(max(svals) / min(svals), rel=1e-12)
 
 
+def _full_circle_moments(pot, n: int, degree: int, scale: float, m_theta: int) -> np.ndarray:
+    """M_jk = int (w/scale)^j conj(w/scale)^k e^{-n Q} dA / pi by the periodic
+    trapezoid on m_theta nodes of the full circle and the library's radial
+    rule, through the angular profile of every lag j - k, entries off the
+    residue blocks included."""
+    rule = quad_radial(pot.outer_radius(1.0) + 12.0 / math.sqrt(n),
+                       feature_scale=1.0 / math.sqrt(max(n, 4)))
+    radii = rule.nodes
+    theta = 2.0 * math.pi * np.arange(m_theta) / m_theta
+    wgt = np.exp(-n * pot.Q(radii[:, None] * np.exp(1j * theta)))
+    lags = np.arange(-degree, degree + 1)
+    profiles = (2.0 * math.pi / m_theta) * (wgt @ np.exp(1j * np.outer(theta, lags)))
+    powers = np.exp(np.outer(np.arange(2 * degree + 1), np.log(radii / scale)))
+    hankel = powers @ ((radii * rule.weights / math.pi)[:, None] * profiles)
+    j, k = np.indices((degree + 1, degree + 1))
+    return hankel[j + k, j - k + degree]
+
+
+_ELLIPSES = [(a, b, n) for a, b in ((1.0, 3.0), (2.5, 0.7)) for n in (10, 20, 40)]
+
+
+@pytest.mark.parametrize("pot, n", [(make_elliptic_ginibre(a, b), n) for a, b, n in _ELLIPSES]
+                         + [(_Trigonal(), 20)],
+                         ids=[f"elliptic({a:g},{b:g})-{n}" for a, b, n in _ELLIPSES]
+                         + ["trigonal-20"])
+def test_one_period_moments_match_the_full_circle(pot, n):
+    # the weight repeats with period 2 pi / p and so does every kept lag's mode:
+    # the trapezoid on one period, times p, is the rule on the full circle of
+    # p ceil(m/p) nodes (129 for p = 3, m = 128), up to rounding
+    gram = compute_moments(pot, n, n - 1)
+    p = pot.rotation_order
+    m_theta = p * -(-max(4 * (n - 1) + 16, 128) // p)
+    ref = _full_circle_moments(pot, n, n - 1, gram.scale, m_theta)
+    dm = np.sqrt(np.diagonal(ref).real)
+    assert np.max(np.abs(np.asarray(gram.moments) - ref) / np.outer(dm, dm)) <= 1e-14
+    # the full circle's entries off the residue blocks are rounding: drop them
+    lag = np.subtract.outer(np.arange(n), np.arange(n))
+    corr = np.where(lag % p == 0, ref, 0.0) / np.outer(dm, dm)
+    assert gram.cond_estimate == pytest.approx(np.linalg.cond(corr), rel=1e-4)
+
+
 def test_native_refuses_ill_conditioned(ell):
     gram = compute_moments(ell, 60, 59)
     assert gram.cond_estimate > 1e12

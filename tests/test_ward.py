@@ -912,3 +912,35 @@ def test_walk_radius_is_found_at_the_first_walk(monkeypatch):
     assert src.s_max == src.s_max == 2.5 and calls == [3200]
     monkeypatch.undo()
     assert GinibreSource(3200).s_max == ward.walk_radius(make_ginibre(), 3200)
+
+
+def _walk_radius_full_circle(pot, n: int) -> float:
+    """walk_radius with the ridge's minimum over all 64 angles of each circle."""
+    s = pot.outer_radius(1.0) + (12.0 / math.sqrt(n)) * np.arange(1, 33) / 32
+    low = n * pot.ridge(s[:, None] * np.exp(2j * math.pi * np.arange(64) / 64)).min(axis=1)
+    past = np.flatnonzero(low >= ward._NEGLIGIBLE + math.log(n))
+    return float(s[past[0] if past.size else -1])
+
+
+@pytest.mark.parametrize("pot", [make_ginibre(), make_radial(_QUARTIC),
+                                 make_elliptic_ginibre(1.0, 3.0), make_elliptic_ginibre(2.5, 0.7)],
+                         ids=["ginibre", "quartic", "elliptic(1,3)", "elliptic(2.5,0.7)"])
+def test_walk_radius_on_one_period_is_the_full_circle_rule(pot):
+    # Q - V repeats with the weight's rotation_order p, so the angles of one
+    # period (one for p = inf) see the ridge's minimum over all 64
+    for n in [*range(1, 201), 400, 1000, 3200, 10**4, 10**5, 10**6]:
+        assert ward.walk_radius(pot, n) == _walk_radius_full_circle(pot, n), n
+
+
+def test_oracle_source_finds_the_root_values_once(monkeypatch):
+    # p(z), p'(z) and log R_n(z) serve every grid call of a root's walk and
+    # its root terms; the next root finds its own, and the values are those
+    # of a fresh source
+    roots = (0.3 + 0.2j, 2.0 + 0.5j, 0.3 + 0.2j, complex(-0.0, 0.7), 0.7j)
+    fresh = [repr(loop_residual(_walk_source("elliptic(1,3)", 20), z)) for z in roots]
+    src = _walk_source("elliptic(1,3)", 20)
+    calls = []
+    oracle = ward.kernel_oracle
+    monkeypatch.setattr(ward, "kernel_oracle", lambda *a: calls.append(a[1]) or oracle(*a))
+    assert [repr(loop_residual(src, z)) for z in roots] == fresh
+    assert [repr(z) for z in calls] == [repr(z) for z in roots]
