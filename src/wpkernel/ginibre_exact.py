@@ -42,14 +42,15 @@ the two combinations:
   real.  Every scalar entry point takes it;
 - node arrays (`_flat_e_n`): the coefficients of `_window_coeffs` against
   baby and giant steps in blocks (`_window_sums`);
-- polar tensors w = s e^{i phi} (`_ring_sums_and_ratios`): every node of a
-  ring shares |x| = n|z|s and so its window, and the sums of a group of
-  rings are one matrix product.
+- polar tensors w = s e^{i phi} (`GinibreRoot.tensor_blocks`), in blocks of
+  rings: every node of a ring shares |x| = n|z|s and so its window, and the
+  sums of a group of rings are one matrix product per chunk of terms.
 Both grid layouts hand log |e_n|, and r when dbar_z B_n is asked for, to
-one assembly (`_berezin_grids`) of B_n = |K_n(z, w)|^2 / K_n(z, z) and
-dbar_z B_n.  The one-point route is separate code and the grids' reference
-(the scalar `ginibre_berezin` goes through `ginibre_kernel_exact`); all
-three are checked against mpmath.
+one assembly (`GinibreRoot.grids`) of B_n = |K_n(z, w)|^2 / K_n(z, z) and
+dbar_z B_n, with the root's e_n(n|z|^2) and r(n|z|^2) found once.  The
+one-point route is separate code and the grids' reference (the scalar
+`ginibre_berezin` goes through `ginibre_kernel_exact`); all three are
+checked against mpmath.
 
 A continued-fraction evaluation of the upper incomplete gamma function
 provides an independent route E_n(zeta) = Gamma(n, n zeta)/(n-1)!, used as
@@ -79,8 +80,9 @@ _CROSSCHECK_TOL = 1e-8
 _CROSSCHECK_FLOOR = 4.0
 # terms more than e^{-_WINDOW_DROP} below the endpoint term are not summed
 _WINDOW_DROP = 40.0
-# points x terms per block of the windowed sum; bounds the working memory
-_BLOCK_ELEMENTS = 1 << 17
+# points x baby steps per block of the windowed sum: its baby- and giant-step
+# arrays hold about this many complex values each (64 KB), whatever the window
+_BLOCK_ELEMENTS = 1 << 12
 # a group of rings in one matrix product spans window lengths up to this
 # ratio, so padding the shorter windows costs at most this factor in terms;
 # tighter groups cost more, smaller matrix products
@@ -95,6 +97,11 @@ class GinibreKernelValue:
     value: LogComplex
 
 
+def _baby_steps(length) -> int:
+    """B = ceil(sqrt(L)), the baby steps of a window of L terms (`_window_sums`)."""
+    return math.isqrt(int(length) - 1) + 1
+
+
 def _window_sums(q: np.ndarray, lengths: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """sum_{j<L} coeffs[j] q^j for each point (q, L) of an array.
 
@@ -102,22 +109,23 @@ def _window_sums(q: np.ndarray, lengths: np.ndarray, coeffs: np.ndarray) -> np.n
     coefficient sums over b are one real matrix product and the sum over a
     is a Horner recurrence in q^B, so the per-point work besides the matrix
     product is O(sqrt(L)).  Points are sorted by window length and summed in
-    blocks of at most _BLOCK_ELEMENTS terms; a block is as long as its
-    longest window, and the extra terms of the shorter windows are genuine
-    (smaller) terms of the same series.
+    blocks of at most _BLOCK_ELEMENTS points x baby steps, which bounds the
+    step arrays; a block is as long as its longest window, and the extra
+    terms of the shorter windows are genuine (smaller) terms of the same
+    series.
     """
     order = np.argsort(lengths, kind="stable")
     sorted_len = lengths[order]
     out = np.empty(q.size, dtype=complex)
     lo = 0
     while lo < order.size:
-        hi = min(order.size, lo + max(1, _BLOCK_ELEMENTS // sorted_len[lo]))
-        while hi - lo > 1 and (hi - lo) * sorted_len[hi - 1] > _BLOCK_ELEMENTS:
-            hi = lo + max(1, _BLOCK_ELEMENTS // sorted_len[hi - 1])
+        hi = min(order.size, lo + max(1, _BLOCK_ELEMENTS // _baby_steps(sorted_len[lo])))
+        while hi - lo > 1 and (hi - lo) * _baby_steps(sorted_len[hi - 1]) > _BLOCK_ELEMENTS:
+            hi = lo + max(1, _BLOCK_ELEMENTS // _baby_steps(sorted_len[hi - 1]))
         idx = order[lo:hi]
         width = int(sorted_len[hi - 1])
         qb = q[idx]
-        n_baby = math.isqrt(width - 1) + 1
+        n_baby = _baby_steps(width)
         n_giant = -(-width // n_baby)
         baby = np.empty((n_baby, idx.size), dtype=complex)
         baby[0] = 1.0
@@ -253,27 +261,34 @@ def _point_sums(n: int, x, inner: bool):
     return lead, total
 
 
-def _tail(n: int, sums, arg_x, weight=1.0):
-    """weight e^{-lead} T for the tail T = sum_{k>=n} x^k/k! = e^{lead + i n
-    arg x} sums inside |x| = n, sums its window (`_side_sums`)."""
-    return weight * _exp(1j * n * arg_x) * sums
+def _tail(n: int, sums, arg_x):
+    """e^{-lead} T for the tail T = sum_{k>=n} x^k/k! = e^{lead + i n arg x}
+    sums inside |x| = n, sums its window (`_side_sums`)."""
+    return _exp(1j * n * arg_x) * sums
 
 
-def _inner_e_n(n: int, lead, sums, scale, x_less_scale, abs_x, arg_x, ratio: bool):
+def _turns(n: int, arg_x, ratio: bool) -> tuple:
+    """(e^{i n arg x}, e^{i (n-1) arg x} or None unless ratio): the phases of
+    the tail's and of the endpoint's terms that `_inner_e_n` reads."""
+    return _exp(1j * n * arg_x), _exp(1j * (n - 1) * arg_x) if ratio else None
+
+
+def _inner_e_n(n: int, lead, sums, scale, x_less_scale, abs_x, turns: tuple, ratio: bool):
     """(log |e_n(x)|, c, r) inside |x| = n: e_n(x) = e^x - T = e^{scale} c from
-    the tail's window sums, x_less_scale = x - scale, and r = e_{n-1}/e_n =
-    1 - t/e_n, t = x^{n-1}/(n-1)!, all broadcast, or all scalars at one
-    point; r is None unless ratio.  Where |c| <= 1e-300 the division is
-    skipped and r stays finite: every scale is at most |x|, so |e_n| <=
-    1e-300 e^{|x|} and B_n is below e^{-1300} there, under its flush."""
-    c = _exp(x_less_scale) - _tail(n, sums, arg_x, _exp(lead - scale))
+    the tail's window sums, T = sum_{k>=n} x^k/k! = e^{lead + i n arg x} sums,
+    x_less_scale = x - scale, and r = e_{n-1}/e_n = 1 - t/e_n, t =
+    x^{n-1}/(n-1)!, all broadcast, or all scalars at one point, with the
+    phases turns = `_turns`; r is None unless ratio.  Where |c| <= 1e-300 the
+    division is skipped and r stays finite: every scale is at most |x|, so
+    |e_n| <= 1e-300 e^{|x|} and B_n is below e^{-1300} there, under its flush."""
+    c = _exp(x_less_scale) - _exp(lead - scale) * turns[0] * sums
     log_e = scale + _log(abs(c))  # -inf where e_n(x) rounds to 0
     if not ratio:
         return log_e, c, None
     if n == 1:  # e_0 = 0
         return log_e, c, np.zeros(c.shape, dtype=complex) if isinstance(c, np.ndarray) else 0j
     log_t = (n - 1) * _log(abs_x / (n - 1)) + _log_kk_over_factorial(n - 1)
-    t = _exp(log_t - scale) * _exp(1j * (n - 1) * arg_x)
+    t = _exp(log_t - scale) * turns[1]
     ok = log_e > scale + math.log(1e-300)
     if isinstance(t, np.ndarray):  # in place: t is a grid-sized temporary
         np.divide(t, c, out=t, where=ok)
@@ -306,8 +321,8 @@ def _flat_e_n(n: int, x: np.ndarray, ratio: bool):
         xs = x[inner]
         lead, sums = _side_sums(n, xs, True)
         s = np.maximum(xs.real, lead)
-        log_e[inner], _, r_inner = _inner_e_n(n, lead, sums, s, xs - s, np.abs(xs), np.angle(xs),
-                                              ratio)
+        log_e[inner], _, r_inner = _inner_e_n(n, lead, sums, s, xs - s, np.abs(xs),
+                                              _turns(n, np.angle(xs), ratio), ratio)
         if ratio:
             r[inner] = r_inner
     return log_e, r
@@ -322,7 +337,8 @@ def _point_e_n(n: int, x):
     if not inner:
         return False, *_outer_e_n(lead, sums, True)
     s = max(x.real, lead)
-    return True, *_inner_e_n(n, lead, sums, s, x - s, abs(x), math.atan2(x.imag, x.real), True)
+    return True, *_inner_e_n(n, lead, sums, s, x - s, abs(x),
+                             _turns(n, math.atan2(x.imag, x.real), True), True)
 
 
 def _raw_partial_sum(n: int, zeta: complex) -> LogComplex:
@@ -451,12 +467,7 @@ def ginibre_kernel_exact(n: int, z: complex, w: complex) -> GinibreKernelValue:
 
 def ginibre_log_one_point(n: int, z: complex) -> float:
     """log R_n(z); the one-point function is R_n(z) = n E_n(|z|^2)."""
-    z = complex(z)
-    check_n(n)
-    scale = extent(z)
-    check_scale(n * scale * scale)
-    m2 = abs(z) ** 2
-    return math.log(n) + (_point_e_n(n, n * m2)[1] - n * m2)
+    return GinibreRoot(n, z).log_one_point()
 
 
 def ginibre_berezin(n: int, z: complex, w: complex) -> float:
@@ -472,171 +483,230 @@ def ginibre_berezin(n: int, z: complex, w: complex) -> float:
 
 
 def _ring_window_sums(q: np.ndarray, lengths: np.ndarray, coeffs: np.ndarray,
-                      omega: np.ndarray, first: int) -> np.ndarray:
+                      table: np.ndarray, giant: np.ndarray, first: int) -> np.ndarray:
     """sum_{first<=j<L} coeffs[j] (q omega)^j for every ring (q >= 0, L) and
-    every angle omega, |omega| = 1, as a (rings, angles) array.
+    every angle omega, |omega| = 1, as a (rings, angles) array, from the
+    tables table[b] = omega^b, b <= J, and giant[c] = omega^{cJ}.
 
-    One table of omega^j, by cumulative products, serves every ring.  The
-    rings go in groups whose longest window is at most _RING_SPREAD times
-    the shortest, and each group is one real-by-complex matrix product: the
-    rows coeffs[j] q^j up to the group's longest window times the table
-    viewed as float.  As in `_window_sums`, the extra terms of the shorter
-    windows are genuine (smaller) terms of the same series.
+    The rings go in groups whose longest window is at most _RING_SPREAD
+    times the shortest.  A group takes J terms at a time, each chunk one
+    real-by-complex matrix product: the rows coeffs[j] q^j against the
+    table viewed as float, times the chunk's giant step.  A window of at
+    most J terms is one product, with no giant step.  As in `_window_sums`,
+    the extra terms of the shorter windows are genuine (smaller) terms of
+    the same series.
     """
-    table = np.empty((max(int(lengths.max()) - first, 0), omega.size), dtype=complex)
-    table[:] = omega
-    if first == 0:
-        table[0] = 1.0
-    pairs = np.cumprod(table, axis=0, out=table).view(float)
-    out = np.empty((q.size, omega.size), dtype=complex)
+    span = table.shape[0] - 1
+    pairs = table.view(float)
+    out = np.zeros((q.size, table.shape[1]), dtype=complex)
     order = np.argsort(lengths, kind="stable")
     sorted_len = lengths[order]
     lo = 0
     while lo < order.size:
         hi = int(np.searchsorted(sorted_len, _RING_SPREAD * sorted_len[lo], side="right"))
-        idx = order[lo:hi]
-        j = np.arange(first, sorted_len[hi - 1])
-        rows = coeffs[j] * q[idx, None] ** j
-        out[idx] = (rows @ pairs[:j.size]).view(complex)
+        idx, stop = order[lo:hi], int(sorted_len[hi - 1])
+        for start in range(first, stop, span):
+            j = np.arange(start, min(start + span, stop))
+            rows = coeffs[j] * q[idx, None] ** j
+            chunk = (rows @ pairs[first:first + j.size]).view(complex)
+            if start == first:
+                out[idx] = chunk
+            else:
+                out[idx] += chunk * giant[(start - first) // span]
         lo = hi
     return out
 
 
-def _ring_sums_and_ratios(n: int, abs_x: np.ndarray, omega: np.ndarray, ratio: bool):
-    """log |e_n(x)| and r(x) (None unless ratio) over the tensor x =
-    abs_x[:, None] omega, as (rings, angles) arrays, |omega| = 1.
+class GinibreRoot:
+    """The Ginibre kernel at a root z: the values that every Berezin grid and
+    root term reads, e_n(n|z|^2) and r(n|z|^2) (`_point_e_n` on the
+    diagonal), found once at construction, after the entry check on n and z.
 
-    Every node of a ring shares |x|, so the side of |x| = n, the window and
-    the lead are taken once per ring (`_side_window` on the ring moduli), and
-    q = |q| omega (inner) or |q| conj(omega) (outer) splits into a ring part
-    and an angle part.
+    The grids are B_n = |K_n(z, w)|^2 / K_n(z, z) and dbar_z B_n over node
+    arrays (`ginibre_berezin_array`) and over polar tensors in blocks of
+    rings (`tensor_blocks`); the root terms are log R_n(z), Lap log k_n(z, z)
+    and a bound on log B_n(z, .) by |w|.  A walk keeps one per root
+    (`ward.GinibreSource`).
     """
-    log_e = np.empty((abs_x.size, omega.size))
-    r = np.empty(log_e.shape, dtype=complex) if ratio else None
-    arg = np.angle(omega)
-    for inner in (False, True):
-        rings = np.flatnonzero((abs_x < n) == inner)
-        if rings.size:
-            q, lengths, coeffs, lead = _side_window(n, abs_x[rings], inner)
-            # outer: s1 = the terms after the endpoint, from j = 1
-            sums = _ring_window_sums(q, lengths, coeffs, omega if inner else np.conj(omega),
-                                     0 if inner else 1)
-            ring_x, lead = abs_x[rings, None], lead[:, None]
-            # inside, the ring's |x| is the scale: x - |x| = |x| (omega - 1)
-            log_e[rings], _, r_rings = (
-                _inner_e_n(n, lead, sums, ring_x, ring_x * (np.exp(1j * arg) - 1.0), ring_x, arg,
-                           ratio)
-                if inner else _outer_e_n(lead, sums, ratio))
-            if ratio:
-                r[rings] = r_rings
-    return log_e, r
+
+    def __init__(self, n: int, z: complex):
+        z = complex(z)
+        check_n(n)
+        scale = extent(z)
+        check_scale(n * scale * scale)
+        self.n, self.z = n, z
+        _, self.log_d, self.c_d, self.r_d = _point_e_n(n, n * abs(z) ** 2)
+
+    def log_one_point(self) -> float:
+        """log R_n(z) = log n + log e_n(n|z|^2) - n|z|^2."""
+        m2 = abs(self.z) ** 2
+        return math.log(self.n) + (self.log_d - self.n * m2)
+
+    def lap_log_kernel(self) -> float:
+        """Lap log k_n(z, z) for the unweighted kernel k_n(z, z) = n e_n(n|z|^2).
+
+        With x = n|z|^2, Lap log k_n = (x d/dx)^2 log e_n / |z|^2, the
+        variance of k under the weights x^k/k!, k < n, divided by |z|^2.
+        - x < n: e_n = e^x (1 - u) with u = T e^{-x} and du/dx = p, the
+          Poisson weight x^{n-1} e^{-x}/(n-1)!, which gives n [1 - g (n - x)
+          - x g^2], g = p/(1 - u); used while the subtracted part is below 1/2.
+        - Elsewhere, where the endpoint share g is not small, the variance of
+          j = n-1-k under the window weights coeffs[j] q^j, centred first.
+        """
+        n, z = self.n, self.z
+        if n == 1:
+            return 0.0  # k_1 = 1
+        x = n * abs(z) ** 2
+        if x == 0.0:
+            return float(n)
+        if x < n:
+            # scale x: e^x > x^n/n!, so c = e^{-x} e_n = 1 - u
+            p = math.exp((n - 1) * math.log(x / (n - 1)) + _log_kk_over_factorial(n - 1) - x)
+            g = p / self.c_d.real
+            cut = g * (n - x) + x * g * g
+            if cut < 0.5:
+                return n * (1.0 - cut)
+        length, _ = _window_extent(n, x, False)
+        j = np.arange(length)
+        weights = _window_coeffs(n, length, False)[:length] * ((n - 1) / x) ** j
+        mean = float(np.sum(j * weights) / np.sum(weights))
+        return float(np.sum((j - mean) ** 2 * weights) / np.sum(weights)) / abs(z) ** 2
+
+    def log_berezin_bound(self, abs_w: np.ndarray) -> np.ndarray:
+        """log n + 2 log e_n(X) - n|w|^2 - log e_n(n|z|^2) >= log B_n(z, w) on |w| =
+        abs_w, X = n|z||w| (|e_n(x)| <= e_n(X)), with log e_n(X) <= X below X = n
+        and at most the endpoint term's lead + log min(n, 1/(1 - (n-1)/X)) from
+        there.  As e_{n-1} <= e_n and 0 <= r(n|z|^2) <= 1, |dbar_z B_n| <= n (|w| +
+        |z|) e^{bound} (`grids`)."""
+        n = self.n
+        x = n * abs(self.z) * abs_w
+        x_out = np.maximum(x, n)  # the bound from X = n, taken everywhere
+        _, lead = _window_extent(n, x_out, False)
+        outer = lead + np.minimum(math.log(n), -np.log1p(-(n - 1) / x_out))
+        return 2.0 * np.where(x >= n, outer, x) + (math.log(n) - self.log_d) - n * abs_w ** 2
+
+    def grids(self, log_e: np.ndarray, r: np.ndarray, abs_w: np.ndarray, w_parts: tuple,
+              dbar: bool):
+        """(B_n(z, w), dbar_z B_n(z, w) if dbar else None) from log |e_n(x)| and
+        r(x) = e_{n-1}/e_n (None without dbar) at x = n z w~ of either layout,
+        broadcast against abs_w = |w|; w is the product of w_parts, multiplied
+        in order.
+
+        B_n = n |e_n(x)|^2 e^{-n|w|^2} / e_n(n|z|^2), flushed to zero below
+        e^{-745}, and dbar_z B_n = n B_n (w conj r(x) - z r(n|z|^2)), zero at
+        w = z.  log_e and r are overwritten; B is bit for bit the same either way.
+        """
+        n = self.n
+        log_b = np.multiply(log_e, 2.0, out=log_e)
+        log_b += (math.log(n) - self.log_d) - n * abs_w ** 2
+        b = np.zeros(log_b.shape)
+        np.exp(log_b, out=b, where=log_b > -745.0)
+        if not dbar:
+            return b, None
+        # r is finite on every node
+        bracket = np.conj(r, out=r)
+        for part in w_parts:
+            bracket *= part
+        bracket -= self.z * self.r_d.real
+        return b, np.multiply(n * b, bracket, out=np.zeros(b.shape, dtype=complex), where=b > 0.0)
+
+    def tensor_blocks(self, angles: np.ndarray, radii: np.ndarray, dbar: bool, rings: int):
+        """(B_n, dbar_z B_n if dbar else None) over the tensor w = radii e^{i
+        angles}, as a generator of (block, b, f) over consecutive blocks of
+        `rings` rings (one empty block without rings), block the slice of
+        radii and b, f shaped (block, angles).  The arguments are checked at
+        the call, not at the first block.
+
+        On the ring |w| = s, x = n z w~ = n|z| s omega, omega = e^{i(phi_z -
+        phi)}: every node of a ring shares |x|, its side of |x| = n, its
+        window and its lead.  Formed once, before the first block: each
+        ring's window (`_side_window`), the tables of `_ring_window_sums`
+        with J at most `rings` (at most one block of nodes), and the angle
+        factors e^{i n alpha}, e^{i (n-1) alpha} and e^{i alpha} - 1, alpha =
+        arg omega.  The values agree with `ginibre_berezin_array` on the same
+        nodes up to rounding.
+        """
+        angles = np.asarray(angles, dtype=float)
+        radii = np.asarray(radii, dtype=float)
+        scale = extent(self.z) + extent(radii)
+        check_scale(self.n * scale * scale + extent(angles))
+        return self._tensor_blocks(angles, radii, dbar, rings)
+
+    def _tensor_blocks(self, angles: np.ndarray, radii: np.ndarray, dbar: bool, rings: int):
+        n, z = self.n, self.z
+        omega = np.exp(1j * (math.atan2(z.imag, z.real) - angles))
+        arg = np.angle(omega)
+        abs_x = n * abs(z) * radii
+        inner = abs_x < n
+        q, lead = np.empty(radii.size), np.empty(radii.size)
+        lengths = np.ones(radii.size, dtype=np.intp)
+        coeffs = {}
+        for side in (False, True):
+            on = inner == side
+            if np.count_nonzero(on):
+                q[on], lengths[on], coeffs[side], lead[on] = _side_window(n, abs_x[on], side)
+        # omega^b for b <= J and the giant steps omega^{cJ}, J at most a block's rings
+        longest = int(lengths.max(initial=1))
+        span = max(1, min(rings, longest))
+        table = np.empty((span + 1, angles.size), dtype=complex)
+        table[:] = omega
+        table[0] = 1.0
+        np.cumprod(table, axis=0, out=table)
+        giant = np.empty((-(-longest // span), angles.size), dtype=complex)
+        giant[:] = table[span]
+        giant[0] = 1.0
+        np.cumprod(giant, axis=0, out=giant)
+        turns = _turns(n, arg, dbar)
+        # inside, the ring's |x| is the scale: x - |x| = |x| (omega - 1)
+        less_one = np.exp(1j * arg) - 1.0
+        turn = np.exp(1j * angles)
+
+        def block(lo):
+            rows = slice(lo, lo + rings)
+            log_e = np.empty((radii[rows].size, angles.size))
+            r = np.empty(log_e.shape, dtype=complex) if dbar else None
+            for side in (False, True):
+                at = np.flatnonzero(inner[rows] == side)
+                if not at.size:
+                    continue
+                ring = at + lo
+                # outer: s1 = the terms after the endpoint, from j = 1, on conj(omega)
+                sums = _ring_window_sums(q[ring], lengths[ring], coeffs[side], table, giant,
+                                         0 if side else 1)
+                if side:
+                    ring_x = abs_x[ring, None]
+                    log_e[at], _, r_side = _inner_e_n(n, lead[ring, None], sums, ring_x,
+                                                      ring_x * less_one, ring_x, turns, dbar)
+                else:
+                    log_e[at], _, r_side = _outer_e_n(lead[ring, None], np.conj(sums, out=sums),
+                                                      dbar)
+                if dbar:
+                    r[at] = r_side
+            s = radii[rows, None]
+            return (rows, *self.grids(log_e, r, s, (s, turn), dbar))
+
+        # a block's arrays live with the caller only, not in this frame
+        yield from map(block, range(0, max(radii.size, 1), rings))
 
 
-def _berezin_grids(n: int, z: complex, log_e: np.ndarray, r: np.ndarray, abs_w: np.ndarray,
-                   w_parts: tuple, dbar: bool):
-    """(B_n(z, w), dbar_z B_n(z, w) if dbar else None) from log |e_n(x)| and
-    r(x) = e_{n-1}/e_n (None without dbar) at x = n z w~ of either layout,
-    broadcast against abs_w = |w|; w is the product of w_parts, multiplied in
-    order.
-
-    B_n = n |e_n(x)|^2 e^{-n|w|^2} / e_n(n|z|^2), flushed to zero below
-    e^{-745}, and dbar_z B_n = n B_n (w conj r(x) - z r(n|z|^2)), zero at
-    w = z.  log_e and r are overwritten; B is bit for bit the same either way.
-    """
-    _, log_d, _, r_d = _point_e_n(n, n * abs(z) ** 2)
-    log_b = np.multiply(log_e, 2.0, out=log_e)
-    log_b += (math.log(n) - log_d) - n * abs_w ** 2
-    b = np.zeros(log_b.shape)
-    np.exp(log_b, out=b, where=log_b > -745.0)
-    if not dbar:
-        return b, None
-    # r is finite on every node
-    bracket = np.conj(r, out=r)
-    for part in w_parts:
-        bracket *= part
-    bracket -= z * r_d.real
-    return b, np.multiply(n * b, bracket, out=np.zeros(b.shape, dtype=complex), where=b > 0.0)
-
-
-def ginibre_berezin_array(n: int, z: complex, ws: np.ndarray, dbar: bool):
+def ginibre_berezin_array(n: int, z: complex, ws: np.ndarray, dbar: bool,
+                          root: GinibreRoot | None = None):
     """(B_n(z, w), dbar_z B_n(z, w) if dbar else None) over any array of w,
-    shaped as ws: the sums point by point (`_flat_e_n`)."""
+    shaped as ws: the sums point by point (`_flat_e_n`).  root is the
+    `GinibreRoot` of (n, z) when the caller keeps one, or found here."""
     z = complex(z)
     ws = np.asarray(ws, dtype=complex)
-    check_n(n)
+    if root is None:
+        root = GinibreRoot(n, z)
     scale = extent(z) + extent(ws)
     check_scale(n * scale * scale)
     flat = ws.ravel()
     log_e, r = _flat_e_n(n, n * (z * np.conj(flat)), dbar)
-    b, f = _berezin_grids(n, z, log_e, r, np.abs(flat), (flat,), dbar)
+    b, f = root.grids(log_e, r, np.abs(flat), (flat,), dbar)
     return b.reshape(ws.shape), None if f is None else f.reshape(ws.shape)
 
 
-def ginibre_berezin_tensor(n: int, z: complex, angles: np.ndarray, radii: np.ndarray,
-                           dbar: bool):
-    """(B_n(z, w), dbar_z B_n(z, w) if dbar else None) over the tensor
-    w = radii e^{i angles}, shaped (radii, angles), the order of the ring sums.
-
-    The ring route: on the ring |w| = s, x = n z w~ = n|z| s omega with
-    omega = e^{i(phi_z - phi)}, so the sums of each side are one matrix
-    product per group of rings (`_ring_sums_and_ratios`).  The values agree
-    with `ginibre_berezin_array` on the same nodes up to rounding.
-    """
-    z = complex(z)
-    angles = np.asarray(angles, dtype=float)
-    radii = np.asarray(radii, dtype=float)
-    check_n(n)
-    scale = extent(z) + extent(radii)
-    check_scale(n * scale * scale + extent(angles))
-    omega = np.exp(1j * (math.atan2(z.imag, z.real) - angles))
-    log_e, r = _ring_sums_and_ratios(n, n * abs(z) * radii, omega, dbar)
-    s = radii[:, None]
-    return _berezin_grids(n, z, log_e, r, s, (s, np.exp(1j * angles)), dbar)
-
-
-def ginibre_log_berezin_bound(n: int, z: complex, abs_w: np.ndarray) -> np.ndarray:
-    """log n + 2 log e_n(X) - n|w|^2 - log e_n(n|z|^2) >= log B_n(z, w) on |w| = abs_w,
-    X = n|z||w| (|e_n(x)| <= e_n(X)), with log e_n(X) <= X below X = n and at most the
-    endpoint term's lead + log min(n, 1/(1 - (n-1)/X)) from there.  As e_{n-1} <= e_n
-    and 0 <= r(n|z|^2) <= 1, |dbar_z B_n| <= n (|w| + |z|) e^{bound} (`_berezin_grids`)."""
-    az = abs(z)
-    x = n * az * abs_w
-    x_out = np.maximum(x, n)  # the bound from X = n, taken everywhere
-    _, lead = _window_extent(n, x_out, False)
-    outer = lead + np.minimum(math.log(n), -np.log1p(-(n - 1) / x_out))
-    log_d = _point_e_n(n, n * az ** 2)[1]
-    return 2.0 * np.where(x >= n, outer, x) + (math.log(n) - log_d) - n * abs_w ** 2
-
-
 def ginibre_lap_log_kernel(n: int, z: complex) -> float:
-    """Lap log k_n(z, z) for the unweighted kernel k_n(z, z) = n e_n(n|z|^2).
-
-    With x = n|z|^2, Lap log k_n = (x d/dx)^2 log e_n / |z|^2, the variance
-    of k under the weights x^k/k!, k < n, divided by |z|^2.
-    - x < n: e_n = e^x (1 - u) with u = T e^{-x} and du/dx = p, the Poisson
-      weight x^{n-1} e^{-x}/(n-1)!, which gives n [1 - g (n - x) - x g^2],
-      g = p/(1 - u); used while the subtracted part is below 1/2.
-    - Elsewhere, where the endpoint share g is not small, the variance of
-      j = n-1-k under the window weights coeffs[j] q^j, centred first.
-    """
-    z = complex(z)
-    check_n(n)
-    scale = extent(z)
-    check_scale(n * scale * scale)
-    if n == 1:
-        return 0.0  # k_1 = 1
-    x = n * abs(z) ** 2
-    if x == 0.0:
-        return float(n)
-    if x < n:
-        _, _, c, _ = _point_e_n(n, x)  # scale x: e^x > x^n/n!
-        p = math.exp((n - 1) * math.log(x / (n - 1)) + _log_kk_over_factorial(n - 1) - x)
-        g = p / c.real  # c = e^{-x} e_n = 1 - u
-        cut = g * (n - x) + x * g * g
-        if cut < 0.5:
-            return n * (1.0 - cut)
-    length, _ = _window_extent(n, x, False)
-    j = np.arange(length)
-    weights = _window_coeffs(n, length, False)[:length] * ((n - 1) / x) ** j
-    mean = float(np.sum(j * weights) / np.sum(weights))
-    return float(np.sum((j - mean) ** 2 * weights) / np.sum(weights)) / abs(z) ** 2
+    """Lap log k_n(z, z) for the unweighted kernel k_n(z, z) = n e_n(n|z|^2)
+    (`GinibreRoot.lap_log_kernel`)."""
+    return GinibreRoot(n, z).lap_log_kernel()

@@ -20,15 +20,17 @@ Every integral runs on one polar walk: a sector about the root z in
 z-centered polar coordinates, where the Jacobian rho drho dtheta cancels
 the 1/(z - w) singularity exactly and leaves a smooth integrand, and one or
 two droplet-centered tensor pieces for the rest of the plane, shaped
-(radii, angles) as the sources' products give them.  Each piece is one
-array of nodes and one grid call (the sector's per block of rays).  The
-walk ends at the source's s_max (`walk_radius`), where n (Q - V) >= 80 +
-log n: B_n(z, w) <= R_n(w), and a weighted polynomial of degree < n decays
-like e^{-n (Q - V)} off the droplet, so the plane beyond carries terms below
-e^{-80}; inside, it skips the nodes where the source's log_envelope, a bound
-on log B_n and log |dbar_z B_n| in |w|, is below -80.  The raw integral is
-normalized by the same-grid mass of B_n, which also cancels shared
-quadrature bias.  The walk integrates B_n/(z - w) next to the loop
+(rings, angles) as the sources' products give them.  Each piece streams in
+blocks of at most _NODE_BOUND nodes, the sector by whole rays and a tensor
+piece by rings (`berezin_blocks`), one grid call each, and the walk reduces
+a block before the next is evaluated, so its memory does not grow with its
+node count.  The walk ends at the source's s_max (`walk_radius`), where
+n (Q - V) >= 80 + log n: B_n(z, w) <= R_n(w), and a weighted polynomial of
+degree < n decays like e^{-n (Q - V)} off the droplet, so the plane beyond
+carries terms below e^{-80}; inside, it skips the nodes where the source's
+log_envelope, a bound on log B_n and log |dbar_z B_n| in |w|, is below -80.
+The raw integral is normalized by the same-grid mass of B_n, which also
+cancels shared quadrature bias.  The walk integrates B_n/(z - w) next to the loop
 integrand on the same nodes, so the Cauchy transform of the Berezin
 measure is read off the loop residual's walk.
 
@@ -51,13 +53,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import DomainError, PrecisionError, check_n, check_scale, extent
-from .ginibre_exact import (
-    ginibre_berezin_array,
-    ginibre_berezin_tensor,
-    ginibre_lap_log_kernel,
-    ginibre_log_berezin_bound,
-    ginibre_log_one_point,
-)
+from .ginibre_exact import GinibreRoot, ginibre_berezin_array
 from .hardy import harmonic_measure_integral
 from .ortho_oracle import _poly_derivatives, _poly_values, kernel_oracle
 from .potential import AdmissiblePotential, GinibrePotential
@@ -68,7 +64,10 @@ _EPS = float(np.finfo(float).eps)
 # The walk drops the plane past s_max (`walk_radius`) and the nodes where the
 # source's log_envelope is below -_NEGLIGIBLE: B_n and dbar_z B_n are below e^-80.
 _NEGLIGIBLE = 80.0
-_SECTOR_PANELS = 1 << 14  # radial panels per block of the sector's rays
+# nodes per block of a piece, the walk's memory bound: the sector's blocks are cut
+# between rays (one may pass it by part of a ray), a tensor piece's between rings
+# (a ring of more nodes is a block of its own); 4096 was the fastest of 2048-8192
+_NODE_BOUND = 1 << 12
 # Periodic trapezoid nodes on the full rays when the sector is the disc about
 # the origin, or when the root is beyond the walk and the source is not
 # rotation-invariant; otherwise the count is sized from the root (`_trapezoid_count`).
@@ -88,15 +87,26 @@ def walk_radius(pot: AdmissiblePotential, n: int) -> float:
     return float(s[past[0] if past.size else -1])
 
 
+def _rings_per_block(angles: int) -> int:
+    """Rings of `angles` nodes each in one block of a tensor piece: _NODE_BOUND nodes."""
+    return max(1, _NODE_BOUND // max(angles, 1))
+
+
 class BerezinSource:
     """The Berezin kernel B_n(z, .) of the weight e^{-n Q} of pot, as the walk reads it.
 
     The base fixes the walk's geometry from the weight (rotation_order, the
     droplet's outer_radius and s_max, `walk_radius`) and keeps every node
-    (log_envelope +inf).  A source supplies berezin_flat(z, ws, dbar) and
-    berezin_tensor(z, angles, radii, dbar), each (B_n, dbar_z B_n or None)
-    with the same B_n either way, and log_one_point, lap_log_kernel and
-    value_error at the root z.
+    (log_envelope +inf).  A source supplies berezin_flat(z, ws, dbar), (B_n,
+    dbar_z B_n or None) on a node array, and berezin_blocks(z, angles, radii,
+    dbar), the same on the tensor radii e^{i angles} as a generator of
+    (block, b, f) over consecutive blocks of rings (`_rings_per_block`),
+    block the slice of radii and b, f shaped (block, angles); it checks its
+    arguments when called, and forms what depends only on the piece before
+    the first block.  B_n is the same with or without dbar.  A source also
+    supplies log_one_point, lap_log_kernel and value_error at the root z; the
+    values at a root are found once (`_find_root`, kept by `_at_root`).
+    berezin_grid and berezin_tensor are the base's views of the two routes.
     """
 
     def __init__(self, pot: AdmissiblePotential, n: int):
@@ -105,6 +115,17 @@ class BerezinSource:
         self.pot = pot
         self.rotation_order = pot.rotation_order
         self.outer_radius = pot.outer_radius(1.0)
+        self._root = (None,)
+
+    def _at_root(self, z: complex):
+        """The source's values at root z (`_find_root`), found at the first call for a
+        root and kept for the next calls at it; the root is told by the bits of z, as
+        -0.0 and 0.0 are different roots to the walk."""
+        z = complex(z)
+        key = (z.real.hex(), z.imag.hex())
+        if self._root[0] != key:
+            self._root = (key, self._find_root(z))
+        return self._root[1]
 
     @functools.cached_property
     def s_max(self) -> float:
@@ -115,6 +136,13 @@ class BerezinSource:
     def berezin_grid(self, z: complex, ws: np.ndarray) -> np.ndarray:
         """B_n(z, w) over the nodes ws, shaped as ws."""
         return self.berezin_flat(z, ws, False)[0]
+
+    def berezin_tensor(self, z: complex, angles: np.ndarray, radii: np.ndarray, dbar: bool):
+        """(B_n, dbar_z B_n or None) on the tensor radii e^{i angles}, shaped (radii,
+        angles): the blocks of berezin_blocks stacked."""
+        blocks = [(b, f) for _, b, f in self.berezin_blocks(z, angles, radii, dbar)]
+        return (np.concatenate([b for b, _ in blocks]),
+                np.concatenate([f for _, f in blocks]) if dbar else None)
 
     def log_envelope(self, z: complex, abs_w: np.ndarray) -> np.ndarray:
         return np.full(np.shape(abs_w), math.inf)
@@ -128,22 +156,27 @@ class GinibreSource(BerezinSource):
     def __init__(self, n: int):
         super().__init__(GinibrePotential(), n)
 
-    def berezin_flat(self, z: complex, ws: np.ndarray, dbar: bool):
-        return ginibre_berezin_array(self.n, z, ws, dbar)
+    def _find_root(self, z: complex) -> GinibreRoot:
+        """e_n(n|z|^2) and r(n|z|^2), which every grid and root term at z reads."""
+        return GinibreRoot(self.n, z)
 
-    def berezin_tensor(self, z: complex, angles: np.ndarray, radii: np.ndarray, dbar: bool):
-        return ginibre_berezin_tensor(self.n, z, angles, radii, dbar)
+    def berezin_flat(self, z: complex, ws: np.ndarray, dbar: bool):
+        return ginibre_berezin_array(self.n, z, ws, dbar, self._at_root(z))
+
+    def berezin_blocks(self, z: complex, angles: np.ndarray, radii: np.ndarray, dbar: bool):
+        return self._at_root(z).tensor_blocks(angles, radii, dbar,
+                                              _rings_per_block(np.size(angles)))
 
     def log_envelope(self, z: complex, abs_w: np.ndarray) -> np.ndarray:
         """A bound on log B_n(z, w) and on log |dbar_z B_n(z, w)| over |w| = abs_w."""
-        bound = ginibre_log_berezin_bound(self.n, z, abs_w)
+        bound = self._at_root(z).log_berezin_bound(abs_w)
         return bound + np.log(np.maximum(1.0, self.n * (abs_w + abs(z))))
 
     def log_one_point(self, z: complex) -> float:
-        return ginibre_log_one_point(self.n, z)
+        return self._at_root(z).log_one_point()
 
     def lap_log_kernel(self, z: complex) -> float:
-        return ginibre_lap_log_kernel(self.n, z)
+        return self._at_root(z).lap_log_kernel()
 
     def value_error(self, z: complex) -> float:
         """Relative rounding error of the values at root z.
@@ -162,10 +195,10 @@ class OracleSource(BerezinSource):
 
     sum_j P_j(z) conj(P_j(w)) = sum_k a_k (conj(w)/scale)^k with a = C^H p(z),
     C the scaled-monomial coefficients of the P_j; d_z has a' = C^H p'(z).
-    Flat nodes take one Horner step per degree, a tensor one real BLAS product
-    per polynomial (`_tensor_sums`), shaped (radii, angles) as it comes:
-    O(degree * nodes) work either way, in O(nodes + degree (angles + radii))
-    memory.  pot is the basis's own potential (DomainError otherwise).  Every
+    Flat nodes take one Horner step per degree, a tensor block one real BLAS
+    product per polynomial (`_blocks`), shaped (rings, angles) as it comes:
+    O(degree * nodes) work either way, in O(nodes + degree angles) memory per
+    block.  pot is the basis's own potential (DomainError otherwise).  Every
     node is kept: a log_envelope needs Q on each node, ~10% of a transform at n = 40.
     p(z), p'(z) and log R_n(z) are found once per root (`_at_root`) and read by
     each of a walk's grid calls and by the loop's root terms.
@@ -178,18 +211,11 @@ class OracleSource(BerezinSource):
             raise DomainError("OracleSource needs the potential its basis was built from")
         super().__init__(pot, basis.n)
         self.basis = basis
-        self._root = (None,)
 
-    def _at_root(self, z: complex) -> tuple:
-        """(p(z), p'(z), log R_n(z)), computed at the first call for a root and kept
-        for the next calls at it; the root is told by the bits of z, as -0.0 and 0.0
-        are different roots to the walk."""
-        z = complex(z)
-        key = (z.real.hex(), z.imag.hex())
-        if self._root[0] != key:
-            self._root = (key, _poly_values(self.basis, z), _poly_derivatives(self.basis, z),
-                          kernel_oracle(self.basis, z, z).log_mag)
-        return self._root[1:]
+    def _find_root(self, z: complex) -> tuple:
+        """(p(z), p'(z), log R_n(z))."""
+        return (_poly_values(self.basis, z), _poly_derivatives(self.basis, z),
+                kernel_oracle(self.basis, z, z).log_mag)
 
     def _entry(self, z: complex, node_extent: float, dbar: bool) -> list:
         """p(z), and p'(z) with dbar, after every route's entry check: DomainError unless
@@ -208,18 +234,30 @@ class OracleSource(BerezinSource):
             kern += c
         return kern
 
-    def _tensor_sums(self, rows: list, angles: np.ndarray, radii: np.ndarray):
-        """sum_k a_k (r_j/scale)^k e^{-ik phi_i}, a = C^H v, on (radii, angles) for each
-        row v: P[j, k] = (r_j/scale)^k against (a E) as float, E[k, i] = e^{-ik phi_i}, one
-        product per row, so that p(z)'s sums are the same with or without p'(z)."""
+    def _blocks(self, z: complex, rows: list, angles: np.ndarray, radii: np.ndarray):
+        """The blocks of berezin_blocks: sum_k a_k (r_j/scale)^k e^{-ik phi_i}, a = C^H v,
+        on (rings, angles) for each row v, P[j, k] = (r_j/scale)^k against (a E) as float,
+        E[k, i] = e^{-ik phi_i}, one product per row and block, so that p(z)'s sums are the
+        same with or without p'(z); the tables a E are formed once, before the first block."""
         d = self.basis.max_degree
         table = np.ones((d + 1, angles.size), dtype=complex)
         table[1:] = np.exp(-1j * angles)
-        powers = np.ones((radii.size, d + 1))
-        powers[:, 1:] = (radii / self.basis.scale)[:, None]
-        table, powers = np.cumprod(table, axis=0), np.cumprod(powers, axis=1)
+        np.cumprod(table, axis=0, out=table)
         c_h = np.asarray(self.basis.coeffs).conj().T
-        return [(powers @ (table * (c_h @ v)[:, None]).view(float)).view(complex) for v in rows]
+        tables = [(table * (c_h @ v)[:, None]).view(float) for v in rows]
+        turn = np.exp(1j * angles)
+
+        def block(rings):
+            s = radii[rings]
+            powers = np.ones((s.size, d + 1))
+            powers[:, 1:] = (s / self.basis.scale)[:, None]
+            np.cumprod(powers, axis=1, out=powers)
+            kerns = [(powers @ t).view(complex) for t in tables]
+            return (rings, *self._grids(z, s[:, None] * turn, rows, kerns))
+
+        step = _rings_per_block(angles.size)
+        for lo in range(0, max(radii.size, 1), step):
+            yield block(slice(lo, lo + step))
 
     def _grids(self, z: complex, ws: np.ndarray, rows: list, kerns: list):
         """(B, dbar_z B or None) on the nodes ws from kerns = [k(z, w)] or [k, d_z k]:
@@ -243,11 +281,10 @@ class OracleSource(BerezinSource):
         x = np.conj(ws.ravel()) / self.basis.scale
         return self._grids(z, ws, rows, [self._horner(v, x) for v in rows])
 
-    def berezin_tensor(self, z: complex, angles: np.ndarray, radii: np.ndarray, dbar: bool):
-        """The grids on the tensor nodes radii e^{i angles}, shaped (radii, angles)."""
+    def berezin_blocks(self, z: complex, angles: np.ndarray, radii: np.ndarray, dbar: bool):
         rows = self._entry(z, extent(radii) + extent(angles), dbar)
-        kerns = self._tensor_sums(rows, angles, radii)
-        return self._grids(z, radii[:, None] * np.exp(1j * angles), rows, kerns)
+        return self._blocks(z, rows, np.asarray(angles, dtype=float),
+                            np.asarray(radii, dtype=float))
 
     def log_one_point(self, z: complex) -> float:
         return self._at_root(z)[2]
@@ -329,8 +366,9 @@ def _sector(source, z: complex, dbar: bool, s_a, s_b, phi_a, phi_b, fine, per_pi
     half picks the rays to evaluate (`_mirror_half`, or every ray); a kept
     ray's mirror has the weight -e^{i(theta - 2 phi_z)} drho dtheta, e^{-2i
     phi_z} times the conjugate, which the walk adds in its sums.
-    The rays go in blocks of about _SECTOR_PANELS panels, which bounds the
-    memory as the panels grow with n; each block drops its dead nodes.
+    The rays go in blocks of about _NODE_BOUND nodes (whole rays), which
+    bounds the memory as the panels grow with n; each block drops its dead
+    nodes before its grid call.
     """
     az = abs(z)
     if s_a > 0:
@@ -361,9 +399,11 @@ def _sector(source, z: complex, dbar: bool, s_a, s_b, phi_a, phi_b, fine, per_pi
 
     n_pan = np.maximum(1, np.ceil(r_exit / fine)).astype(int)
     ends = np.cumsum(n_pan)
-    cuts = np.searchsorted(ends, np.arange(_SECTOR_PANELS, ends[-1], _SECTOR_PANELS), "right")
+    per_block = max(1, _NODE_BOUND // 12)  # panels of 12 nodes
+    cuts = np.searchsorted(ends, np.arange(per_block, ends[-1], per_block), "right")
     bounds = [0, *cuts.tolist(), e.size]
-    for first, last in zip(bounds[:-1], bounds[1:]):
+
+    def block(first, last):
         # the panels of np.linspace(0, r_exit, n_pan + 1) on every ray, ray by ray
         counts = n_pan[first:last]
         ray = np.repeat(np.arange(first, last), counts)
@@ -377,23 +417,34 @@ def _sector(source, z: complex, dbar: bool, s_a, s_b, phi_a, phi_b, fine, per_pi
         ws, ray = ws[live], ray[live]
         b, f = source.berezin_flat(z, ws, dbar)
         d_area = angular.weights[ray] * radial.weights[live]  # drho dtheta
-        yield b, f, d_area * radial.nodes[live], -d_area * e[ray].conj()
+        return b, f, d_area * radial.nodes[live], -d_area * e[ray].conj()
+
+    # a block's arrays live in the walk's sums only, not in this frame
+    yield from map(block, bounds[:-1], bounds[1:])
 
 
 def _tensor(source, z: complex, dbar: bool, angular, radial):
     """Droplet-centered tensor piece of two rules: grid values, area and
-    Cauchy weights area/(z - w) of its nodes, as one flat array each, on the
-    rings where the source's log_envelope reaches -_NEGLIGIBLE.  The source
-    evaluates the tensor from its angles and radii: for a rotation-invariant
-    source, the mirror half of the angular rule that the walk evaluates."""
+    Cauchy weights area/(z - w) of its nodes, as one flat array each per
+    block of rings, on the rings where the source's log_envelope reaches
+    -_NEGLIGIBLE.  The source evaluates the tensor from its angles and radii
+    (`berezin_blocks`), block by block: for a rotation-invariant source, the
+    mirror half of the angular rule that the walk evaluates."""
     live = source.log_envelope(z, radial.nodes) >= -_NEGLIGIBLE
-    radii = radial.nodes[live]
-    b, f = source.berezin_tensor(z, angular.nodes, radii, dbar)
-    ws = (radii[:, None] * np.exp(1j * angular.nodes)).ravel()
-    area = (angular.weights * radial.weights[live, None] * radii[:, None]).ravel()
-    # area/(z - w) in place: fresh node-sized arrays cost page faults
-    kern = np.subtract(z, ws, out=ws)
-    yield b.ravel(), None if f is None else f.ravel(), area, np.divide(area, kern, out=kern)
+    radii, weights = radial.nodes[live], radial.weights[live]
+    turn = np.exp(1j * angular.nodes)
+
+    def block(grids):
+        rings, b, f = grids
+        s = radii[rings, None]
+        ws = (s * turn).ravel()
+        area = (angular.weights * weights[rings, None] * s).ravel()
+        # area/(z - w) in place: fresh node-sized arrays cost page faults
+        kern = np.subtract(z, ws, out=ws)
+        return b.ravel(), None if f is None else f.ravel(), area, np.divide(area, kern, out=kern)
+
+    # a block's arrays live in the walk's sums only, not in this frame
+    yield from map(block, source.berezin_blocks(z, angular.nodes, radii, dbar))
 
 
 def _mirror_half(rule, phi_z: float):
@@ -443,10 +494,11 @@ def _polar_walk(source, z: complex, dbar: bool):
     the boundary belt and the heat-kernel annulus; because the excluded
     region is aligned with the coordinates, the angular integrand stays
     piecewise analytic and composite Gauss rules converge at spectral rate.
-    Each of the at most three pieces is one grid call, reduced by the same
-    four sums: the sector is one flat array of nodes per block of rays
-    (`berezin_flat`), a tensor piece is its angles and radii
-    (`berezin_tensor`).  The pieces first drop the nodes (rings)
+    Each of the at most three pieces is a stream of blocks of at most
+    _NODE_BOUND nodes, one grid call each, reduced by the same four sums
+    block by block: the sector is one flat array of nodes per block of rays
+    (`berezin_flat`), a tensor piece is its angles and one block of its radii
+    at a time (`berezin_blocks`).  The pieces first drop the nodes (rings)
     where the source's log_envelope, the same with or without dbar, is
     below -_NEGLIGIBLE: every dropped term is below e^{-80}.
 
@@ -550,7 +602,7 @@ def _polar_walk(source, z: complex, dbar: bool):
             integral += complex(kern.sum())
             l1 += float(np.abs(kern).sum())
         n_nodes += b.size
-        del b, f, area, kern  # free this piece's arrays before the next grid call
+        del b, f, area, kern  # free this block's arrays before the next grid call
     if invariant:
         # add each node's mirror: the same B, f' = e^{2i phi_z} conj(f) and the
         # Cauchy weight e^{-2i phi_z} conj(k), so pairs sum to e^{-i phi_z} times a real
@@ -593,7 +645,7 @@ def loop_residual(source, z: complex) -> LoopResidual:
     + value_error(z) (l1/mass + R_n + |Lap log k_n|): the walk's exact error
     on the integral of B_n, scaled by the sums, plus a rounding floor.
     The walk integrates B_n/(z - w) on
-    the same nodes, and `berezin_flat` and `berezin_tensor` return the
+    the same nodes, and `berezin_flat` and `berezin_blocks` return the
     same B with or without dbar_z B (for Ginibre, e_n = t (1 + s1) and
     e_{n-1} = t s1 outside |n z w~| = n, so r = s1/(1 + s1) needs no
     s - 1), so `cauchy_transform` is `berezin_cauchy_transform(source, z)`

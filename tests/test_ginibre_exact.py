@@ -26,7 +26,6 @@ from wpkernel.ginibre_exact import (
     _point_e_n,
     _raw_partial_sum,
     ginibre_berezin_array,
-    ginibre_berezin_tensor,
     ginibre_lap_log_kernel,
     ginibre_log_one_point,
 )
@@ -229,6 +228,11 @@ def _mp_berezin(n, z, ws):
             dbar = n * b * (wm * mpmath.conj(rx) - zm * rd)
             scale = n * b * (abs(wm) * max(1, abs(rx)) + abs(zm) * max(1, abs(rd)))
             yield float(mpmath.log(b)), b, dbar, scale
+
+
+def ginibre_berezin_tensor(n, z, angles, radii, dbar):
+    """The ring route on the tensor radii e^{i angles}: the source's blocks, stacked."""
+    return GinibreSource(n).berezin_tensor(z, angles, radii, dbar)
 
 
 @pytest.mark.parametrize("n", [1, 2, 50, 800])

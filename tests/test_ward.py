@@ -22,7 +22,8 @@ from wpkernel import (
     make_radial,
     orthonormalize,
 )
-from wpkernel.ginibre_exact import ginibre_berezin_tensor, ginibre_log_berezin_bound
+from wpkernel import ginibre_exact
+from wpkernel.ginibre_exact import GinibreRoot
 from wpkernel.ortho_oracle import _poly_derivatives, _poly_values, kernel_oracle
 from wpkernel.potential import RADIAL_PROFILES
 from wpkernel import ward
@@ -149,11 +150,11 @@ def test_log_envelope_bounds_every_ring(n):
     radii = np.concatenate([[0.0, src.s_max], rng.uniform(0.0, src.s_max, 30)])
     for az in (0.0, 0.5, 0.99, 1.02, 1.05, src.s_max + 0.5):
         z = cmath.rect(az, rng.uniform(0.0, 2.0 * math.pi))
-        b, f = ginibre_berezin_tensor(n, z, angles, radii, True)
+        b, f = src.berezin_tensor(z, angles, radii, True)
         with np.errstate(divide="ignore"):
             log_b, log_f = np.log(b.max(axis=1)), np.log(np.abs(f).max(axis=1))
         slack = 16.0 * _EPS * (1.0 + n * (az + src.s_max) ** 2)
-        assert np.all(log_b <= ginibre_log_berezin_bound(n, z, radii) + slack)
+        assert np.all(log_b <= GinibreRoot(n, z).log_berezin_bound(radii) + slack)
         envelope = src.log_envelope(z, radii)
         assert np.all(np.maximum(log_b, log_f) <= envelope + slack)
 
@@ -201,11 +202,12 @@ def test_interior_transform_floor(n):
 
 @pytest.mark.parametrize("z", [cmath.rect(1.05, 0.9), 0.1 + 0.05j])
 def test_sector_blocks_match_one_block(z, monkeypatch):
-    # below n ~ 1e5 the sector is one block; blocks of a few rays must give
-    # the same nodes and the same integrals up to the order of summation
+    # blocks of one ray (and tensor blocks of one ring) must give the same
+    # nodes and the same integrals as the default blocks, up to the order of
+    # summation
     src = GinibreSource(800)
     whole = loop_residual(src, z)
-    monkeypatch.setattr(ward, "_SECTOR_PANELS", 7)
+    monkeypatch.setattr(ward, "_NODE_BOUND", 7)
     blocked = loop_residual(src, z)
     assert blocked.quad_spec.n_radial == whole.quad_spec.n_radial
     assert abs(blocked.residual) <= blocked.budget
@@ -229,6 +231,54 @@ def test_walk_memory_is_bounded_at_large_n():
     # to the rounding floor of the exponents n|z|^2 (`test_rim_transform_at_large_n`)
     want = _mp_ginibre_transform(n, z)
     assert abs(mu - want) <= (1e-12 + 0.5 * _EPS * n * abs(z) ** 2) * abs(want)
+
+
+@pytest.mark.parametrize("family,n", [("ginibre", 50), ("quartic", 20), ("elliptic(1,3)", 20)])
+def test_walk_is_the_same_in_blocks_of_one_ring(family, n, monkeypatch):
+    # with one ring (and one sector panel) per block, every piece goes in
+    # many blocks, and the Ginibre ring sums in chunks of one term with their
+    # giant steps: the same nodes and the same integrals up to rounding.  The
+    # transform moves by 1e-14 relative outside the droplet and by eps n
+    # inside, where it is at its rounding floor.  The loop's left side sums
+    # terms that cancel (to 1/4 of their moduli at the elliptic root beyond
+    # the walk, whose Gram sums also round with their condition): it moves
+    # by at most 5% of the residual's budget (up to 0.9% measured)
+    src = _walk_source(family, n)
+    roots = [0.5 * cmath.exp(0.4j), 0.9 * cmath.exp(2.1j), 1.03 * cmath.exp(-1.0j),
+             (src.s_max + 0.5) * cmath.exp(0.3j)]
+    roots = [src.outer_radius * z for z in roots[:3]] + roots[3:]
+    whole = [loop_residual(src, z) for z in roots]
+    monkeypatch.setattr(ward, "_NODE_BOUND", 1)
+    for z, lr in zip(roots, whole):
+        blocked = loop_residual(src, z)
+        assert blocked.quad_spec.n_radial == lr.quad_spec.n_radial
+        assert abs(blocked.residual) <= blocked.budget
+        inside = abs(z) < src.outer_radius
+        tol = 4.0 * _EPS * n if inside else 1e-14 * abs(lr.cauchy_transform)
+        assert abs(blocked.cauchy_transform - lr.cauchy_transform) <= tol
+        assert abs(blocked.residual - lr.residual) <= 0.05 * lr.budget
+
+
+@pytest.mark.parametrize("family,n,z", [("elliptic(1,3)", 40, 2.0 + 0.5j),
+                                        ("ginibre", 100_000, 1.0005)])
+def test_walk_memory_is_bounded_by_the_node_bound(elliptic_bases, family, n, z):
+    # a walk holds one block of _NODE_BOUND nodes at a time, and what a piece
+    # forms once, whatever its node count: 52k nodes for the elliptic Gram
+    # source, 119k at the Ginibre rim (97k of them in the sector)
+    if family == "ginibre":
+        src = GinibreSource(n)
+    else:
+        ell, bases = elliptic_bases
+        src = OracleSource(bases[n], ell)
+    tracemalloc.start()
+    try:
+        lr = loop_residual(src, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lr.quad_spec.n_radial > 50_000
+    assert abs(lr.residual) <= lr.budget
+    assert peak < 4e6
 
 
 @pytest.mark.parametrize("family", ["elliptic(1,3)", "quartic"])
@@ -570,7 +620,7 @@ def test_loop_residual_walks_once(monkeypatch):
 # what the walk may read of a source: the geometry that BerezinSource fixes
 # from the weight, the two grid routes and the values at the root
 _WALK_MEMBERS = {"n", "rotation_order", "outer_radius", "s_max", "log_envelope",
-                 "berezin_flat", "berezin_tensor"}
+                 "berezin_flat", "berezin_blocks"}
 _ROOT_MEMBERS = {"log_one_point", "lap_log_kernel", "value_error"}
 
 
@@ -645,11 +695,12 @@ class _UnitSource:
 
     log_envelope = _keep_every_node
 
-    def berezin_tensor(self, z, angles, radii, dbar):
+    def berezin_blocks(self, z, angles, radii, dbar):
+        # the whole tensor as one block
         self.sizes.append(angles.size * radii.size)
         self.tensor_angles.append(angles)
         shape = (radii.size, angles.size)
-        return np.ones(shape), np.full(shape, self.f_value(z))
+        yield slice(None), np.ones(shape), np.full(shape, self.f_value(z))
 
 
 class _NonInvariantUnitSource(_UnitSource):
@@ -681,13 +732,20 @@ def test_walk_layout_matches_disc_closed_forms(n):
     for z, rel in roots:
         z = complex(z)
         for src in (_UnitSource(n), _NonInvariantUnitSource(n)):
-            cauchy, integral, _, spec = _polar_walk(src, z, dbar=True)
+            cauchy, integral, l1, spec = _polar_walk(src, z, dbar=True)
             want = z.conjugate() if abs(z) < s_max else s_max ** 2 / z
-            tol = rel * abs(want) + 1e-15
+            # at z = 0, where the sums cancel to 0, the rounding of the angles
+            # times the Cauchy weights: eps times the sum of their moduli, l1
+            # with |f| = 1 (5.8e-15 at n = 1, where the walk reads 9.9e-16)
+            tol = rel * abs(want) + np.finfo(float).eps * l1
             assert abs(cauchy - want) <= tol
             assert abs(integral - src.f_value(z) * want) <= tol
             assert spec.mass == pytest.approx(s_max ** 2, rel=1e-12)
-            assert len(src.sizes) <= 3 and spec.n_radial == sum(src.sizes)
+            # the sector's grid calls first, in blocks of whole rays of about
+            # _NODE_BOUND nodes, then one call per tensor piece
+            assert spec.n_radial == sum(src.sizes) and len(src.tensor_angles) <= 2
+            sector = src.sizes[:len(src.sizes) - len(src.tensor_angles)]
+            assert max(sector, default=0) <= 2 * ward._NODE_BOUND
             # the angular nodes of the full rays: the first tensor piece, of
             # which a rotation-invariant source evaluates the mirror half
             # with arg w - arg z in (0, pi)
@@ -819,9 +877,9 @@ class _RecordingSource:
     def __getattr__(self, name):
         return getattr(self.src, name)
 
-    def berezin_tensor(self, z, angles, radii, dbar):
+    def berezin_blocks(self, z, angles, radii, dbar):
         self.pieces.append((angles, radii))
-        return self.src.berezin_tensor(z, angles, radii, dbar)
+        return self.src.berezin_blocks(z, angles, radii, dbar)
 
 
 @pytest.mark.parametrize("dbar", [False, True], ids=["b", "dbar"])
@@ -883,22 +941,41 @@ def test_oracle_tensor_matches_mpmath(elliptic_bases, n):
             assert abs(b[i, j] - ref) <= 1e-12 * kappa * ref
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e200])
-@pytest.mark.parametrize("entry", ["grid", "dbar_grid", "tensor_radius", "tensor_angle"])
-def test_oracle_source_rejects_bad_nodes(elliptic_bases, entry, bad):
-    # never a silent 0.0: the flat and tensor routes share one entry check
-    ell, bases = elliptic_bases
-    src = OracleSource(bases[20], ell)
+def _bad_node_call(src, entry, bad):
     ws = np.array([0.5 + 0.1j, complex(0.2, bad)])
     good = np.array([0.0, 1.0])
-    call = {
+    return {
         "grid": lambda: src.berezin_grid(0.3, ws),
         "dbar_grid": lambda: src.berezin_flat(0.3, ws, True),
         "tensor_radius": lambda: src.berezin_tensor(0.3, good, np.array([0.5, bad]), False),
         "tensor_angle": lambda: src.berezin_tensor(0.3, np.array([0.5, bad]), good, True),
+        # the generator is called, not iterated
+        "blocks_radius": lambda: src.berezin_blocks(0.3, good, np.array([0.5, bad]), False),
+        "blocks_angle": lambda: src.berezin_blocks(0.3, np.array([0.5, bad]), good, True),
     }[entry]
+
+
+_BAD_NODE_ENTRIES = ["grid", "dbar_grid", "tensor_radius", "tensor_angle", "blocks_radius",
+                     "blocks_angle"]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e200])
+@pytest.mark.parametrize("entry", _BAD_NODE_ENTRIES)
+def test_oracle_source_rejects_bad_nodes(elliptic_bases, entry, bad):
+    # never a silent 0.0: the flat and tensor routes share one entry check,
+    # and the block generator runs it when called, before its first block
+    ell, bases = elliptic_bases
     with np.errstate(all="ignore"), pytest.raises(DomainError):
-        call()
+        _bad_node_call(OracleSource(bases[20], ell), entry, bad)()
+
+
+@pytest.mark.parametrize("entry,bad", [
+    (entry, bad) for entry in _BAD_NODE_ENTRIES for bad in (float("nan"), float("inf"), 1e200)
+    if not (bad == 1e200 and entry.endswith("angle"))])
+def test_ginibre_source_rejects_bad_nodes(entry, bad):
+    # the angle 1e200 is finite and so is its ring route: only its scale n |w|^2 is checked
+    with pytest.raises(DomainError):
+        _bad_node_call(GinibreSource(20), entry, bad)()
 
 
 def test_walk_radius_is_found_at_the_first_walk(monkeypatch):
@@ -930,6 +1007,20 @@ def test_walk_radius_on_one_period_is_the_full_circle_rule(pot):
     # period (one for p = inf) see the ridge's minimum over all 64
     for n in [*range(1, 201), 400, 1000, 3200, 10**4, 10**5, 10**6]:
         assert ward.walk_radius(pot, n) == _walk_radius_full_circle(pot, n), n
+
+
+def test_ginibre_source_finds_the_root_values_once(monkeypatch):
+    # e_n(n|z|^2) and r(n|z|^2) serve every grid call of a root's walk, its
+    # log_envelope and its root terms: one evaluation per root, and the
+    # values are those of a fresh source
+    roots = (0.5 + 0.1j, 1.5, 0.5 + 0.1j, complex(-0.0, 0.7), 0.7j)
+    fresh = [repr(loop_residual(GinibreSource(50), z)) for z in roots]
+    src = GinibreSource(50)
+    calls = []
+    point = ginibre_exact._point_e_n
+    monkeypatch.setattr(ginibre_exact, "_point_e_n", lambda n, x: calls.append(x) or point(n, x))
+    assert [repr(loop_residual(src, z)) for z in roots] == fresh
+    assert calls == [50 * abs(z) ** 2 for z in roots]
 
 
 def test_oracle_source_finds_the_root_values_once(monkeypatch):
