@@ -214,7 +214,7 @@ def cmd_kernel(args):
     if args.mode in ("tail", "all"):
         values["tail"] = tail_kernel(pot, n, z, w)
     if args.mode in ("oracle", "all"):
-        values["oracle"] = pot.exact_kernel(n)(z, w)
+        values["oracle"] = pot.exact_source(n).kernel(z, w)
     rows = []
     names = sorted(values)
     for name in names:
@@ -238,7 +238,7 @@ def cmd_berezin(args):
     _, points, speed, nus = pot.boundary_grid(args.nodes, 1.0)
     ells = np.linspace(-cuts.delta_n, cuts.delta_n, args.ell_nodes)
     model = berezin_belt_density(pot, n, z, thetas[:, None], ells)
-    kernel = pot.exact_kernel(n)
+    kernel = pot.exact_source(n).kernel
     log_kzz = kernel(z, z).log_mag
     rows = []
     for idx, (p, normal, arclength) in enumerate(zip(points, nus / speed, speed)):

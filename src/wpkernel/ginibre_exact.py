@@ -465,15 +465,10 @@ def ginibre_kernel_exact(n: int, z: complex, w: complex) -> GinibreKernelValue:
     return GinibreKernelValue(n=n, z=z, w=w, value=value)
 
 
-def ginibre_log_one_point(n: int, z: complex) -> float:
-    """log R_n(z); the one-point function is R_n(z) = n E_n(|z|^2)."""
-    return GinibreRoot(n, z).log_one_point()
-
-
 def ginibre_berezin(n: int, z: complex, w: complex) -> float:
     """Berezin kernel B_n(z, w) = |K_n(z, w)|^2 / K_n(z, z)."""
     kzw = ginibre_kernel_exact(n, z, w).value
-    log_b = 2.0 * kzw.log_mag - ginibre_log_one_point(n, z)
+    log_b = 2.0 * kzw.log_mag - GinibreRoot(n, z).log_one_point()
     return math.exp(log_b) if log_b > -745.0 else 0.0
 
 
@@ -704,9 +699,3 @@ def ginibre_berezin_array(n: int, z: complex, ws: np.ndarray, dbar: bool,
     log_e, r = _flat_e_n(n, n * (z * np.conj(flat)), dbar)
     b, f = root.grids(log_e, r, np.abs(flat), (flat,), dbar)
     return b.reshape(ws.shape), None if f is None else f.reshape(ws.shape)
-
-
-def ginibre_lap_log_kernel(n: int, z: complex) -> float:
-    """Lap log k_n(z, z) for the unweighted kernel k_n(z, z) = n e_n(n|z|^2)
-    (`GinibreRoot.lap_log_kernel`)."""
-    return GinibreRoot(n, z).lap_log_kernel()

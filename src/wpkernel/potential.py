@@ -56,9 +56,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, ResolutionError, ToleranceError, check_finite, check_scale, extent
-from .ginibre_exact import ginibre_kernel_exact
-from .scaled_numerics import (LogComplex, _all, _as_complex, _elementwise, _where,
-                              quad_trapezoid_periodic)
+from .scaled_numerics import _all, _as_complex, _elementwise, _where, quad_trapezoid_periodic
 
 
 @dataclass(frozen=True)
@@ -171,14 +169,8 @@ class AdmissiblePotential:
         raise NotImplementedError
 
     # --- shared derived operations -------------------------------------------
-    def exact_kernel(self, n: int) -> Callable[[complex, complex], LogComplex]:
-        """(z, w) -> K_n(z, w) in log-polar form, from the float64 Gram basis of degree n - 1."""
-        from .ortho_oracle import compute_moments, kernel_oracle, orthonormalize
-
-        return functools.partial(kernel_oracle, orthonormalize(compute_moments(self, n, n - 1)))
-
     def exact_source(self, n: int):
-        """Berezin source of K_n for the loop equation: the Gram basis of degree n - 1."""
+        """The exact layer of K_n, a Berezin source, from the Gram basis of degree n - 1."""
         from .ortho_oracle import compute_moments, orthonormalize
         from .ward import OracleSource
 
@@ -442,12 +434,8 @@ class GinibrePotential(RadialPotential):
         r = self.r_tau(tau)
         return Exterior(z / r, 1.0 / r, 1.0 / _elementwise(r, math.sqrt, np.sqrt), tau + 0j, 0j)
 
-    def exact_kernel(self, n: int) -> Callable[[complex, complex], LogComplex]:
-        """(z, w) -> K_n(z, w) from the partial exponential sums."""
-        return lambda z, w: ginibre_kernel_exact(n, z, w).value
-
     def exact_source(self, n: int):
-        """Berezin source of K_n from the partial exponential sums."""
+        """The exact layer of K_n from the partial exponential sums."""
         from .ward import GinibreSource
 
         return GinibreSource(n)
@@ -561,11 +549,11 @@ class EllipticGinibrePotential(AdmissiblePotential):
         univalent = math.sqrt(B / A) if B > 0 else 0.0
         return max(self.rho0, univalent + 1e-9)
 
-    def exact_kernel(self, n: int) -> Callable[[complex, complex], LogComplex]:
-        """(z, w) -> K_n(z, w) from the scaled Hermite basis."""
-        from .ortho_oracle import elliptic_kernel_exact
+    def exact_source(self, n: int):
+        """The exact layer of K_n: the Hermite kernel and the Gram grids (`EllipticSource`)."""
+        from .ward import EllipticSource
 
-        return functools.partial(elliptic_kernel_exact, self, n)
+        return EllipticSource(self, n)
 
 
 def make_ginibre() -> GinibrePotential:

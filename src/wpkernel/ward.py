@@ -53,9 +53,10 @@ from itertools import chain
 import numpy as np
 
 from .errors import DomainError, PrecisionError, check_n, check_scale, extent
-from .ginibre_exact import GinibreRoot, ginibre_berezin_array
+from .ginibre_exact import GinibreRoot, ginibre_berezin_array, ginibre_kernel_exact
 from .hardy import harmonic_measure_integral
-from .ortho_oracle import _poly_derivatives, _poly_values, kernel_oracle
+from .ortho_oracle import (_poly_derivatives, _poly_values, compute_moments, elliptic_kernel_exact,
+                           kernel_oracle, orthonormalize)
 from .potential import AdmissiblePotential, GinibrePotential
 from .scaled_numerics import (Quadrature1D, composite_gauss, gauss_on_interval,
                               quad_trapezoid_periodic)
@@ -93,7 +94,8 @@ def _rings_per_block(angles: int) -> int:
 
 
 class BerezinSource:
-    """The Berezin kernel B_n(z, .) of the weight e^{-n Q} of pot, as the walk reads it.
+    """The exact layer of K_n for the weight e^{-n Q} of pot: kernel(z, w), K_n in
+    log-polar form, and the Berezin kernel B_n(z, .) as the walk reads it.
 
     The base fixes the walk's geometry from the weight (rotation_order, the
     droplet's outer_radius and s_max, `walk_radius`) and keeps every node
@@ -160,6 +162,9 @@ class GinibreSource(BerezinSource):
         """e_n(n|z|^2) and r(n|z|^2), which every grid and root term at z reads."""
         return GinibreRoot(self.n, z)
 
+    def kernel(self, z: complex, w: complex):
+        return ginibre_kernel_exact(self.n, z, w).value
+
     def berezin_flat(self, z: complex, ws: np.ndarray, dbar: bool):
         return ginibre_berezin_array(self.n, z, ws, dbar, self._at_root(z))
 
@@ -212,10 +217,13 @@ class OracleSource(BerezinSource):
         super().__init__(pot, basis.n)
         self.basis = basis
 
+    def kernel(self, z: complex, w: complex):
+        return kernel_oracle(self.basis, z, w)
+
     def _find_root(self, z: complex) -> tuple:
-        """(p(z), p'(z), log R_n(z))."""
-        return (_poly_values(self.basis, z), _poly_derivatives(self.basis, z),
-                kernel_oracle(self.basis, z, z).log_mag)
+        """(p(z), p'(z), log R_n(z)), log R_n first: kernel_oracle checks z."""
+        log_r = kernel_oracle(self.basis, z, z).log_mag
+        return _poly_values(self.basis, z), _poly_derivatives(self.basis, z), log_r
 
     def _entry(self, z: complex, node_extent: float, dbar: bool) -> list:
         """p(z), and p'(z) with dbar, after every route's entry check: DomainError unless
@@ -306,6 +314,21 @@ class OracleSource(BerezinSource):
         dim = self.basis.max_degree + 1
         q = max(1.0, float(self.pot.Q(complex(z))))
         return dim * self.basis.gram_residual + _EPS * 2.0 * self.n * q
+
+
+class EllipticSource(OracleSource):
+    """The elliptic exact layer: kernel from the Hermite recurrence, grids and root
+    values from the Gram basis, built at their first call (a kernel never builds it)."""
+
+    def __init__(self, pot: AdmissiblePotential, n: int):
+        BerezinSource.__init__(self, pot, n)
+
+    @functools.cached_property
+    def basis(self):
+        return orthonormalize(compute_moments(self.pot, self.n, self.n - 1))
+
+    def kernel(self, z: complex, w: complex):
+        return elliptic_kernel_exact(self.pot, self.n, z, w)
 
 
 @dataclass(frozen=True)

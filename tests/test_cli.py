@@ -129,7 +129,7 @@ def test_rho0_flag_is_gone():
 
 
 def test_basis_flag_is_gone(tmp_path):
-    # the oracle row has one route, the potential's exact_kernel(n)
+    # the oracle row has one route, the potential's exact_source(n).kernel
     with pytest.raises(SystemExit) as exc:
         run(["kernel", "--n", "12", "--z", "1.3,0", "--w", "1.2,0", "--mode", "oracle",
              "--basis", str(tmp_path / "basis.json")])

@@ -14,12 +14,14 @@ import dataclasses
 import enum
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import wpkernel
 from wpkernel import errors
+from wpkernel.potential import RADIAL_PROFILES
 
 BIG = 1.5e308 * (1 + 1j)  # finite, but |Re| + |Im| overflows
 _HOSTILE = {
@@ -134,6 +136,33 @@ def test_hostile_points_raise_typed_errors(name, function):
                 except Exception as exc:  # noqa: BLE001 - any other type is the failure reported
                     got = exc
                 failures.append(f"{name}({param}={bad!r}) with {pot.name}: {got!r}")
+    assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize("pot", [_GIN, _ELL, wpkernel.make_radial(RADIAL_PROFILES["quartic"])],
+                         ids=lambda pot: pot.name)
+def test_exact_layer_hostile_points_raise_typed_errors(pot):
+    # the exact layer of each family, pot.exact_source(n): kernel at a hostile
+    # z or w, and the root terms at a hostile root, with every warning an
+    # error.  value_error is not called: it reads z only after a walk at z
+    # has checked it
+    src = pot.exact_source(12)
+    calls = {"kernel(z=.)": lambda p: src.kernel(p, 0.5),
+             "kernel(w=.)": lambda p: src.kernel(0.5, p),
+             "log_one_point": src.log_one_point, "lap_log_kernel": src.lap_log_kernel}
+    failures = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for label, call in calls.items():
+            call(_VALID["z"])  # the valid point is valid
+            for bad in _HOSTILE["z"]:
+                try:
+                    got = call(bad)
+                except _TYPED:
+                    continue
+                except Exception as exc:  # noqa: BLE001 - any other type is the failure reported
+                    got = exc
+                failures.append(f"{type(src).__name__}.{label} at {bad!r}: {got!r}")
     assert not failures, "\n".join(failures)
 
 

@@ -398,7 +398,7 @@ def test_inside_belt_error_falls_like_one_over_n(gin, ell):
     for pot, z, w in ((ell, bp.p - 0.01 * bp.normal, ell.boundary_point(2.0, 1.0).p),
                       (gin, 0.97, 1j)):
         assert abs(pot.phi(z, 1.0)) < 1.0
-        errs = [rel_lc(kernel_asymptotic(pot, n, z, w).value, pot.exact_kernel(n)(z, w))
+        errs = [rel_lc(kernel_asymptotic(pot, n, z, w).value, pot.exact_source(n).kernel(z, w))
                 for n in (100, 400, 1600)]
         assert errs[1] < 0.3 * errs[0] and errs[2] < 0.3 * errs[1]
 
@@ -463,6 +463,6 @@ def test_overflow_scale_point_is_a_domain_error(name):
         pot.dist_to_exterior(z)
     for pair in ((z, 2.0), (2.0, z)):
         for kernel in (functools.partial(kernel_asymptotic, pot, 100),
-                       functools.partial(tail_kernel, pot, 100), pot.exact_kernel(20)):
+                       functools.partial(tail_kernel, pot, 100), pot.exact_source(20).kernel):
             with pytest.raises(DomainError):
                 kernel(*pair)

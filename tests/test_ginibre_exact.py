@@ -22,12 +22,11 @@ from wpkernel import (
 )
 from wpkernel import ginibre_exact
 from wpkernel.ginibre_exact import (
+    GinibreRoot,
     _flat_e_n,
     _point_e_n,
     _raw_partial_sum,
     ginibre_berezin_array,
-    ginibre_lap_log_kernel,
-    ginibre_log_one_point,
 )
 from wpkernel.scaled_numerics import (
     LogComplex,
@@ -146,7 +145,7 @@ def test_kernel_trivial_values():
 
 def test_boundary_one_point_half():
     n = 5000
-    assert math.exp(ginibre_log_one_point(n, 1.0)) / n == pytest.approx(0.5, abs=0.02)
+    assert math.exp(GinibreRoot(n, 1.0).log_one_point()) / n == pytest.approx(0.5, abs=0.02)
 
 
 def test_hermitian_symmetry_exact():
@@ -177,7 +176,7 @@ def test_berezin_trivial_and_decay():
     assert ginibre_berezin(10, 0.0, 0.0) == pytest.approx(10.0, rel=1e-12)
     # diagonal equals the one-point function
     z = 0.6 + 0.4j
-    assert ginibre_berezin(35, z, z) == pytest.approx(math.exp(ginibre_log_one_point(35, z)),
+    assert ginibre_berezin(35, z, z) == pytest.approx(math.exp(GinibreRoot(35, z).log_one_point()),
                                                       rel=1e-12)
     # off-diagonal boundary decay: B ~ (1/pi) |z-w|^{-2}
     b = ginibre_berezin(1000, 1.0, 1j)
@@ -458,7 +457,7 @@ def test_overflow_scale_raises_domain_error(n, exponent, alpha):
     # with the OverflowError of abs(z) ** 2
     z = cmath.rect(10.0 ** exponent, alpha)
     calls = [lambda: ginibre_kernel_exact(n, z, 0.5), lambda: ginibre_berezin(n, 0.5, z),
-             lambda: ginibre_log_one_point(n, z),
+             lambda: GinibreRoot(n, z).log_one_point(),
              lambda: ginibre_berezin_array(n, z, np.array([0.5, 1.5]), False)]
     if n * 10.0 ** exponent > 1.8e308:
         zeta = z if z.real > 1.0 else -z
@@ -532,7 +531,7 @@ def test_cross_check_refuses_a_wrong_sum(monkeypatch, n, zeta, shift):
     lambda: ginibre_berezin_array(10, 1.0, np.array([0.5, complex(math.nan, 0.0)]), False),
     lambda: partial_exp_sum_gamma_route(10, complex(math.inf, 0.0)),
     lambda: ginibre_berezin_array(2.5, 1.0, np.array([0.5]), False),
-    lambda: ginibre_lap_log_kernel(10, 1e200),
+    lambda: GinibreRoot(10, 1e200).lap_log_kernel(),
 ], ids=["kernel-overflow", "berezin-nan", "partial-nan", "complement-n0", "array-n0",
         "array-nan", "gamma-inf", "array-fractional-n", "lap-log-overflow"])
 def test_bad_input_raises_domain_error(call):

@@ -12,8 +12,11 @@ from wpkernel import (
     DomainError,
     GinibreSource,
     OracleSource,
+    PrecisionError,
     berezin_cauchy_transform,
     compute_moments,
+    elliptic_kernel_exact,
+    ginibre_kernel_exact,
     ginthm_two_term,
     harmonic_limit_check,
     loop_residual,
@@ -403,11 +406,13 @@ def test_two_term_below_the_overflow_scale():
 _QUARTIC = RADIAL_PROFILES["quartic"]
 
 
+_FAMILIES = {"ginibre": make_ginibre(), "elliptic(1,3)": make_elliptic_ginibre(1.0, 3.0),
+             "quartic": make_radial(_QUARTIC)}
+
+
 def _walk_source(family, n):
-    if family == "ginibre":
-        return GinibreSource(n)
-    pot = make_elliptic_ginibre(1.0, 3.0) if family == "elliptic(1,3)" else make_radial(_QUARTIC)
-    return OracleSource(orthonormalize(compute_moments(pot, n, n - 1)), pot)
+    """The family's exact layer, as `wpkernel ward` walks it."""
+    return _FAMILIES[family].exact_source(n)
 
 
 @pytest.mark.parametrize("family,n", [("ginibre", n) for n in (1, 2, 50, 800, 3200)]
@@ -640,10 +645,12 @@ class _ReadRecorder:
 def test_source_contract(family, n):
     # berezin_grid is the base's view of berezin_flat, each route's B is the
     # same with or without dbar_z B (loop_residual's cauchy_transform relies
-    # on it), and the walk reads nothing of a source but the contract
+    # on it), the layer's kernel on the diagonal is the one-point function,
+    # and the walk reads nothing of a source but the contract
     src = _walk_source(family, n)
     rng = np.random.default_rng(12_000 + src.n)
     for z in (0.5 * src.outer_radius * cmath.exp(0.3j), src.outer_radius + 0.05j):
+        assert src.kernel(z, z).log_mag == pytest.approx(src.log_one_point(z), rel=1e-9, abs=1e-9)
         ws = rng.uniform(0.0, src.s_max, 200) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 200))
         b, none = src.berezin_flat(z, ws, False)
         assert none is None
@@ -660,6 +667,34 @@ def test_source_contract(family, n):
         rec = _ReadRecorder(src)
         loop_residual(rec, z)
         assert rec._read == _WALK_MEMBERS | _ROOT_MEMBERS
+
+
+@pytest.mark.parametrize("family", list(_FAMILIES))
+def test_exact_layer_is_the_familys_named_route(family):
+    # exact_source(n).kernel is the family's one exact route, bit for bit:
+    # the partial sums, the Gram basis, the Hermite recurrence
+    rng = np.random.default_rng(39)
+    for n in (1, 12, 20):
+        src = _walk_source(family, n)
+        named = {"ginibre": lambda z, w: ginibre_kernel_exact(n, z, w).value,
+                 "quartic": lambda z, w: kernel_oracle(src.basis, z, w),
+                 "elliptic(1,3)": lambda z, w: elliptic_kernel_exact(src.pot, n, z, w)}[family]
+        for z, w in rng.uniform(-1.5, 1.5, (8, 2)) + 1j * rng.uniform(-1.5, 1.5, (8, 2)):
+            assert src.kernel(z, w) == named(z, w)
+
+
+@pytest.mark.parametrize("n", [60, 1000])
+def test_elliptic_layer_answers_kernel_without_its_gram_basis(n):
+    # the Hermite kernel reads no Gram basis, which is beyond float64 from
+    # n = 60 on: a kernel-only caller never builds it, and the first walk
+    # that reads it raises PrecisionError (`wpkernel ward` exits 4)
+    src = make_elliptic_ginibre(1.0, 3.0).exact_source(n)
+    for z, w in ((2.0 + 0.5j, 2.0 + 0.5j), (2.0 + 0.5j, -1.9 + 0.4j), (0.3 + 0.1j, 0.3 + 0.1j)):
+        assert src.kernel(z, w) == elliptic_kernel_exact(src.pot, n, z, w)
+    assert "basis" not in vars(src)
+    if n == 60:
+        with pytest.raises(PrecisionError):
+            loop_residual(src, 2.0 + 0.5j)
 
 
 def test_oracle_source_refuses_another_potential():
