@@ -28,7 +28,7 @@ class BeltError(RegimeError):
 
 
 class PrecisionError(RuntimeError):
-    """A computation exceeded its precision budget or failed a cross-check."""
+    """A computation exceeded its precision budget."""
 
 
 class ResolutionError(RuntimeError):

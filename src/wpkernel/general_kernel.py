@@ -93,9 +93,12 @@ def kernel_asymptotic(pot: AdmissiblePotential, n: int, z: complex, w: complex,
     z = complex(z)
     w = complex(w)
     check_scale(extent(z) + extent(w))
-    _require_belt(pot, sequence_cuts(n, pot.delta_M), z=z, w=w)
-    ez = pot.exterior(z, 1.0)
-    ew = pot.exterior(w, 1.0)
+    cuts = sequence_cuts(n, pot.delta_M)
+    ez, ew = pot.exterior(z, 1.0), pot.exterior(w, 1.0)
+    check_scale(extent(ez.phi) + extent(ew.phi))
+    # a point with |phi| >= 1 is in cl(U), at distance 0: only the others are measured
+    _require_belt(pot, cuts, **{label: p for label, p, e in (("z", z, ez), ("w", w, ew))
+                                if abs(e.phi) < 1.0})
     prod = ez.phi * ew.phi.conjugate()
     if abs(prod - 1.0) < eta:
         raise RegimeError(

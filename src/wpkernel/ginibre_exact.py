@@ -52,11 +52,9 @@ one-point route is separate code and the grids' reference (the scalar
 `ginibre_berezin` goes through `ginibre_kernel_exact`); all three are
 checked against mpmath.
 
-A continued-fraction evaluation of the upper incomplete gamma function
-provides an independent route E_n(zeta) = Gamma(n, n zeta)/(n-1)!, used as
-an automatic cross-check for Re(zeta) > 1 where the fraction is reliable,
-at 1e-8 or at the rounding floor of the two routes' exponents, whichever is
-larger (`partial_exp_sum`).
+The incomplete-gamma continued fraction, E_n(zeta) = Gamma(n, n zeta)/(n-1)!
+for Re(zeta) > 1 (`partial_exp_sum_gamma_route`), is the independent second
+route and the reference of the tests' route table; no call runs both.
 """
 
 from __future__ import annotations
@@ -70,14 +68,6 @@ import numpy as np
 from .errors import DomainError, PrecisionError, check_n, check_scale, extent
 from .scaled_numerics import LogComplex, _norm_arg, _where, lc_mul
 
-_EPS = float(np.finfo(float).eps)
-# log-polar disagreement between summation and gamma routes that triggers a
-# hard failure of the internal cross-check, or _CROSSCHECK_FLOOR eps (n|zeta| +
-# n|log n zeta|) where that is larger: both routes subtract exponents of that
-# size, each rounded to eps of itself (measured: at most 1.8 eps times that
-# sum, over 41,500 seeded points with n up to 3e7, Re zeta > 1)
-_CROSSCHECK_TOL = 1e-8
-_CROSSCHECK_FLOOR = 4.0
 # terms more than e^{-_WINDOW_DROP} below the endpoint term are not summed
 _WINDOW_DROP = 40.0
 # points x baby steps per block of the windowed sum: its baby- and giant-step
@@ -403,26 +393,10 @@ def partial_exp_sum_gamma_route(n: int, zeta: complex) -> LogComplex:
 
 
 def partial_exp_sum(n: int, zeta: complex) -> LogComplex:
-    """E_n(zeta) = e^{-n zeta} sum_{k<n} (n zeta)^k / k!.
-
-    When Re(zeta) > 1 the value is verified against the continued-fraction
-    gamma route: a log-polar disagreement beyond 1e-8, or beyond the rounding
-    floor 4 eps (n|zeta| + n|log n zeta|) of the two routes' exponents where
-    that is larger (past n|zeta| + n|log n zeta| = 1.1e7), raises PrecisionError.
-    """
+    """E_n(zeta) = e^{-n zeta} sum_{k<n} (n zeta)^k / k!, on the one-point route."""
     zeta = complex(zeta)
     raw = _raw_partial_sum(n, zeta)
-    value = LogComplex(raw.log_mag - n * zeta.real, _norm_arg(raw.arg - n * zeta.imag))
-    if zeta.real > 1.0:
-        alt = partial_exp_sum_gamma_route(n, zeta)
-        rel = abs(value.log_mag - alt.log_mag) + abs(_norm_arg(value.arg - alt.arg))
-        if rel > _CROSSCHECK_TOL and rel > _CROSSCHECK_FLOOR * _EPS * n * (
-                abs(zeta) + abs(cmath.log(n * zeta))):
-            raise PrecisionError(
-                f"partial_exp_sum cross-check failed at n={n}, zeta={zeta}: "
-                f"log-polar mismatch {rel:.3e}"
-            )
-    return value
+    return LogComplex(raw.log_mag - n * zeta.real, _norm_arg(raw.arg - n * zeta.imag))
 
 
 def partial_exp_sum_complement(n: int, zeta: complex) -> LogComplex:

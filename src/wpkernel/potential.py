@@ -55,7 +55,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ResolutionError, ToleranceError, check_finite, check_scale, extent
+from .errors import (DomainError, ResolutionError, ToleranceError, check_finite, check_index,
+                     check_scale, extent)
 from .scaled_numerics import _all, _as_complex, _elementwise, _where, quad_trapezoid_periodic
 
 
@@ -98,6 +99,7 @@ class HarmonicExtension:
 def harmonic_extension(pot, tau: float, f: Callable[[np.ndarray], np.ndarray],
                        nodes: int = 512) -> HarmonicExtension:
     """Solve the exterior Dirichlet problem spectrally; f takes the node array in one call."""
+    check_index(nodes, "node count", 4)  # the fewest nodes that keep a coefficient c_{-k}
     _, boundary, _, _ = pot.boundary_grid(nodes, tau)
     vals = np.asarray(f(boundary), dtype=float) * np.ones(nodes)
     coeffs = np.fft.fft(vals) / nodes

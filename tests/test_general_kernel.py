@@ -391,6 +391,58 @@ def test_boundary_law_large_n(ell):
     assert errs[2] < 1e-3
 
 
+def _rate(ns, errs):
+    """The slope of log error against log n, fitted by least squares."""
+    return float(np.polyfit(np.log(ns), np.log(errs), 1)[0])
+
+
+_RATE_NS = [200, 400, 800, 1600, 3200]
+
+
+@pytest.mark.parametrize("z, w", [(1.3, 1.2 + 0.4j), (1.0, cmath.exp(2j))],
+                         ids=["exterior", "boundary"])
+def test_ginibre_asymptotic_rate_is_one_over_n(gin, z, w):
+    errs = [rel_lc(kernel_asymptotic(gin, n, z, w).value, ginibre_kernel_exact(n, z, w).value)
+            for n in _RATE_NS]
+    assert _rate(_RATE_NS, errs) == pytest.approx(-1.0, abs=0.1)
+
+
+def test_elliptic_asymptotic_rate_is_one_over_n(ell):
+    z, w = ell.chi(1.15 * cmath.exp(0.4j)), ell.chi(1.1 * cmath.exp(-1.9j))
+    errs = [rel_lc(kernel_asymptotic(ell, n, z, w).value, elliptic_kernel_exact(ell, n, z, w))
+            for n in _RATE_NS]
+    assert _rate(_RATE_NS, errs) == pytest.approx(-1.0, abs=0.1)
+
+
+def test_boundary_law_rate_is_one_over_n(ell):
+    # the paper's headline law for a non-radial Q: |K_n| against
+    # sqrt(2 pi n) LapQ^{1/4}(z) LapQ^{1/4}(w) |S(z, w)|; n times the error
+    # settles near 0.48
+    z, w = ell.chi(cmath.exp(0.3j)), ell.chi(cmath.exp(2j))
+    ns = [800, 1600, 3200, 6400, 12_800]
+    errs = [abs(math.exp(elliptic_kernel_exact(ell, n, z, w).log_mag)
+                / boundary_correlation_modulus(ell, n, z, w) - 1.0) for n in ns]
+    assert _rate(ns, errs) == pytest.approx(-1.0, abs=0.1)
+
+
+@pytest.mark.parametrize("name", ["ginibre", "elliptic(1,3)", "quartic"])
+def test_belt_check_reads_the_formulas_exterior_record(name, monkeypatch):
+    # kernel_asymptotic measures the distance to cl(U) only for a point
+    # whose own phi, from the formula's exterior call, has |phi| < 1
+    pot = FAMILIES[name]
+    calls = []
+    measure = pot.dist_to_exterior
+    monkeypatch.setattr(pot, "dist_to_exterior", lambda z: calls.append(z) or measure(z))
+    outside = pot.chi(1.2 * cmath.exp(0.4j))
+    bp = pot.boundary_point(2.0, 1.0)
+    inside = bp.p - 0.01 * bp.normal
+    assert abs(pot.phi(inside, 1.0)) < 1.0
+    kernel_asymptotic(pot, 400, outside, pot.chi(1.1 * cmath.exp(-1.9j)))
+    assert calls == []
+    kernel_asymptotic(pot, 400, outside, inside)
+    assert calls == [inside]
+
+
 def test_inside_belt_error_falls_like_one_over_n(gin, ell):
     # belt points up to delta_n inside the droplet: S(z, w) is continued
     # across the boundary, and the relative error still falls like 1/n

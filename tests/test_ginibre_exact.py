@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from wpkernel import (
     DomainError,
     GinibreSource,
-    PrecisionError,
     ginibre_berezin,
     ginibre_kernel_exact,
     partial_exp_sum,
@@ -35,6 +34,8 @@ from wpkernel.scaled_numerics import (
     quad_radial,
     quad_trapezoid_periodic,
 )
+
+from test_routes import ROUTES
 
 
 def rel_lc(a, b):
@@ -498,8 +499,9 @@ def test_scalar_memory_bounded_at_large_n():
                                      (10 ** 5, 2)])
 def test_cross_check_admits_the_rounding_floor(n, zeta):
     # the two routes subtract exponents of size n|zeta| and n|log n zeta|,
-    # each rounded to eps of itself: past 1e-8, the check admits 4 eps times
-    # their sum, and the routes here differ by 0.57 to 1.3 times that
+    # each rounded to eps of itself: past 1e-8, the route table's E_n row
+    # admits 4 eps times their sum, and the routes here differ by 0.57 to
+    # 1.3 times that
     e = partial_exp_sum(n, zeta)
     gamma = partial_exp_sum_gamma_route(n, zeta)
     floor = _EPS * n * (abs(zeta) + abs(cmath.log(n * zeta)))
@@ -510,16 +512,20 @@ def test_cross_check_admits_the_rounding_floor(n, zeta):
                                             (10 ** 5, 10 ** 5, 1e-4)])
 def test_cross_check_refuses_a_wrong_sum(monkeypatch, n, zeta, shift):
     # a sum off by more than the tolerance, 1e-8 or the rounding floor
-    # (8.9e-6 at n = zeta = 1e5), fails the gamma cross-check
+    # (8.9e-6 at n = zeta = 1e5), fails the route table's E_n row, which
+    # holds partial_exp_sum to the gamma route
     raw = ginibre_exact._raw_partial_sum
 
     def shifted(n, zeta):
         value = raw(n, zeta)
         return LogComplex(value.log_mag + shift, value.arg)
 
+    row = ROUTES["E_n"]
+    gap, tol = row.compare((n, zeta))
+    assert gap <= tol
     monkeypatch.setattr(ginibre_exact, "_raw_partial_sum", shifted)
-    with pytest.raises(PrecisionError):
-        partial_exp_sum(n, zeta)
+    gap, tol = row.compare((n, zeta))
+    assert gap > tol
 
 
 @pytest.mark.parametrize("call", [

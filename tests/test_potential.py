@@ -251,6 +251,14 @@ def test_extension_rejects_rough_data():
         harmonic_extension(ell, 1.0, lambda p: np.where(p.real > 0, 1.0, 0.0), nodes=256)
 
 
+@pytest.mark.parametrize("nodes", [1, 2, 3])
+def test_extension_refuses_too_few_nodes(ell, nodes):
+    # below four nodes no coefficient c_{-k} is kept, and the decay check
+    # would have none to read
+    with pytest.raises(DomainError):
+        harmonic_extension(ell, 1.0, lambda p: 0.75, nodes=nodes)
+
+
 def test_sqrt_dphi_branch_continuity(ell):
     # continuous along a traced exterior loop, positive at a far real point
     thetas = np.linspace(0.0, 2.0 * math.pi, 400)
