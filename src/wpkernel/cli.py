@@ -103,26 +103,16 @@ def _open_out(args):
 def _write_csv(fh, comment, header, rows):
     """The `# wpkernel <version> <comment>` line, the header row, one row per entry.
 
-    `rows` is a list of tuples, each written with one `%` format picked by its
-    value types: `%.17g` for a float (numpy float64 included), `%s` for anything
-    else, the bytes of format(v, ".17g") and str(v).  When the rows have one
-    length and each column holds only floats or no float, one format serves
-    every row, picked from the column types instead of each row's.
+    `rows` is a list of tuples of one length whose columns each hold floats
+    (numpy float64 included) or no float, as every subcommand's tables do.  One
+    `%` format, picked from the first row's value types, writes every row:
+    `%.17g` for a float and `%s` for anything else, the bytes of
+    format(v, ".17g") and str(v).
     """
     lines = [f"# wpkernel {__version__} {comment}", ",".join(header)]
-    columns = list(zip(*rows))
-    kinds = [{issubclass(t, float) for t in set(map(type, column))} for column in columns]
-    if set(map(len, rows)) == {len(columns)} and all(len(kind) == 1 for kind in kinds):
-        lines += map(",".join("%.17g" if True in kind else "%s" for kind in kinds).__mod__, rows)
-    else:
-        formats = {}
-        for row in rows:
-            types = tuple(map(type, row))
-            fmt = formats.get(types)
-            if fmt is None:
-                fmt = formats[types] = ",".join(
-                    "%.17g" if issubclass(t, float) else "%s" for t in types)
-            lines.append(fmt % row)
+    if rows:
+        fmt = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0])
+        lines += map(fmt.__mod__, rows)
     lines.append("")
     fh.write("\n".join(lines))
 

@@ -60,27 +60,15 @@ def _bernoulli(m: int) -> Fraction:
     return -acc / (m + 1)
 
 
-def _series_mul(a, b, k):
-    out = [Fraction(0)] * (k + 1)
-    for i, ai in enumerate(a[: k + 1]):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b[: k + 1 - i]):
-            out[i + j] += ai * bj
-    return out
-
-
-def _series_exp(u, k):
-    # exp of a series with u[0] = 0
-    assert u[0] == 0
-    out = [Fraction(0)] * (k + 1)
-    out[0] = Fraction(1)
-    term = out[:]
+def _series_exp(u: PolynomialQ, k: int) -> list:
+    # exp of a series in 1/n with u(0) = 0, truncated after order k: the k + 1
+    # coefficients of sum_m u^m / m!
+    assert not u.coeffs or u.coeffs[0] == 0
+    out = term = poly_q(1)
     for m in range(1, k + 1):
-        term = _series_mul(term, u, k)
-        term = [c / m for c in term]
-        out = [x + y for x, y in zip(out, term)]
-    return out
+        term = PolynomialQ((term * u).coeffs[: k + 1]).scale(Fraction(1, m))
+        out = out + term
+    return list(out.coeffs) + [Fraction(0)] * (k + 1 - len(out.coeffs))
 
 
 def _series_inv(a, k):
@@ -116,15 +104,10 @@ def stirling_series(k_max: int) -> StirlingSeries:
     coefficients of n^n e^{-n} / (n-1)! / sqrt(n / 2pi).
     """
     check_index(k_max, "order k_max", 0, _MAX_ORDER)
-    k = k_max
-    u = [Fraction(0)] * (k + 1)
-    for m in range(1, k // 2 + 2):
-        j = 2 * m - 1
-        if j <= k:
-            u[j] = _bernoulli(2 * m) / (2 * m * (2 * m - 1))
-    factorial_series = _series_exp(u, k)
-    inv = _series_inv(factorial_series, k)
-    return StirlingSeries(tuple(inv))
+    # the odd powers j = 2m - 1 <= k_max carry B_{j+1} / ((j+1) j)
+    u = PolynomialQ(tuple(_bernoulli(j + 1) / ((j + 1) * j) if j % 2 else 0
+                          for j in range(k_max + 1)))
+    return StirlingSeries(tuple(_series_inv(_series_exp(u, k_max), k_max)))
 
 
 # ---------------------------------------------------------------------------

@@ -202,15 +202,22 @@ def _poly_derivatives(basis: OrthonormalBasis, z: complex) -> np.ndarray:
 
 
 def kernel_oracle(basis: OrthonormalBasis, z: complex, w: complex) -> LogComplex:
-    """Exact kernel K_n(z, w) = sum_j W_j(z) conj(W_j(w)) in log-polar form;
-    P_j(z) and P_j(w) are scaled by powers of two before their product, so
-    only a P_j that itself overflows raises PrecisionError."""
-    z = complex(z)
-    w = complex(w)
+    """Exact kernel K_n(z, w) = sum_j W_j(z) conj(W_j(w)) in log-polar form
+    (`_kernel_from_values`); z and w are checked before any power of them is formed."""
+    z, w = complex(z), complex(w)
     check_scale(extent(z) + extent(w))
-    half_weights = -0.5 * basis.n * (float(basis.pot.Q(z)) + float(basis.pot.Q(w)))
     with np.errstate(over="ignore", invalid="ignore"):
         pz, pw = _poly_values(basis, z), _poly_values(basis, w)
+    return _kernel_from_values(basis, z, pz, w, pw)
+
+
+def _kernel_from_values(basis: OrthonormalBasis, z: complex, pz: np.ndarray, w: complex,
+                        pw: np.ndarray) -> LogComplex:
+    """K_n(z, w) from the basis values pz = P_j(z) and pw = P_j(w), each scaled by a
+    power of two before their product, so only a P_j that itself overflows raises
+    PrecisionError."""
+    half_weights = -0.5 * basis.n * (float(basis.pot.Q(z)) + float(basis.pot.Q(w)))
+    with np.errstate(over="ignore", invalid="ignore"):
         kz, kw = (math.frexp(float(np.abs(p).max()))[1] for p in (pz, pw))
         s = complex(np.sum((pz * 2.0 ** -kz) * np.conj(pw * 2.0 ** -kw)))
     if not cmath.isfinite(s):

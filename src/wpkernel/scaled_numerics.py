@@ -334,11 +334,9 @@ class Quadrature1D:
 
 
 def _legendre_value_deriv(m: int, x: np.ndarray):
-    """(P_m(x), P_m'(x)) by the three-term recurrence."""
+    """(P_m(x), P_m'(x)) by the three-term recurrence, m >= 1."""
     p0 = np.ones_like(x)
     p1 = x.copy()
-    if m == 0:
-        return p0, np.zeros_like(x)
     for k in range(2, m + 1):
         p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
     dp = m * (x * p1 - p0) / (x * x - 1.0)

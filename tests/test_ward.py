@@ -25,7 +25,7 @@ from wpkernel import (
     make_radial,
     orthonormalize,
 )
-from wpkernel import ginibre_exact
+from wpkernel import ginibre_exact, ortho_oracle
 from wpkernel.ginibre_exact import GinibreRoot
 from wpkernel.ortho_oracle import _poly_derivatives, _poly_values, kernel_oracle
 from wpkernel.potential import RADIAL_PROFILES
@@ -1013,6 +1013,37 @@ def test_ginibre_source_rejects_bad_nodes(entry, bad):
         _bad_node_call(GinibreSource(20), entry, bad)()
 
 
+@pytest.mark.parametrize("name", ["quartic", "elliptic(1,3)"])
+def test_oracle_root_sums_stay_finite_where_p_squared_overflows(name):
+    # at n = 10 the basis values at 1e30 are near 1e270: finite, while their
+    # sum of squares overflows; the dbar term's shift and Lap log k_n are
+    # ratios of such sums, summed on p(z) and p'(z) scaled by a power of two
+    src = _walk_source(name, 10)
+    assert cmath.isfinite(src._at_root(1e30).shift)
+    assert 0.0 < src.lap_log_kernel(1e30) < 1e-100
+
+
+class _ZeroGridSource(GinibreSource):
+    """The Ginibre source's walk geometry and root terms with every grid value 0."""
+
+    def berezin_flat(self, z, ws, dbar):
+        return np.zeros(ws.shape), np.zeros(ws.shape, dtype=complex) if dbar else None
+
+    def berezin_blocks(self, z, angles, radii, dbar):
+        for rings, b, f in super().berezin_blocks(z, angles, radii, dbar):
+            yield rings, np.zeros_like(b), None if f is None else np.zeros_like(f)
+
+
+@pytest.mark.parametrize("z", [0.1j, 0.3 + 0.2j, 1.5, 4.0],
+                         ids=["origin", "interior", "exterior", "beyond"])
+def test_walk_refuses_a_collapsed_mass(z):
+    # a walk whose grids carry no mass is a PrecisionError, never a
+    # division by zero or a silent 0.0
+    for walk in (berezin_cauchy_transform, loop_residual):
+        with pytest.raises(PrecisionError, match="mass quadrature collapsed"):
+            walk(_ZeroGridSource(50), z)
+
+
 def test_walk_radius_is_found_at_the_first_walk(monkeypatch):
     # a source built only for its grids never finds s_max; the first walk
     # finds it once, the same value walk_radius gives
@@ -1060,13 +1091,14 @@ def test_ginibre_source_finds_the_root_values_once(monkeypatch):
 
 def test_oracle_source_finds_the_root_values_once(monkeypatch):
     # p(z), p'(z) and log R_n(z) serve every grid call of a root's walk and
-    # its root terms; the next root finds its own, and the values are those
-    # of a fresh source
+    # its root terms, log R_n(z) from the root's own p(z); the next root finds
+    # its own, and the values are those of a fresh source
     roots = (0.3 + 0.2j, 2.0 + 0.5j, 0.3 + 0.2j, complex(-0.0, 0.7), 0.7j)
     fresh = [repr(loop_residual(_walk_source("elliptic(1,3)", 20), z)) for z in roots]
     src = _walk_source("elliptic(1,3)", 20)
     calls = []
-    oracle = ward.kernel_oracle
-    monkeypatch.setattr(ward, "kernel_oracle", lambda *a: calls.append(a[1]) or oracle(*a))
+    values = ward._poly_values
+    for module in (ward, ortho_oracle):  # kernel_oracle's own p(z) would count too
+        monkeypatch.setattr(module, "_poly_values", lambda *a: calls.append(a[1]) or values(*a))
     assert [repr(loop_residual(src, z)) for z in roots] == fresh
     assert [repr(z) for z in calls] == [repr(z) for z in roots]
